@@ -11,40 +11,6 @@
 
 namespace deutero {
 
-template <typename RecordT>
-Status RedoPhysicalImages(BufferPool* pool, SimDisk* disk,
-                          PageAllocator* allocator, uint32_t page_size,
-                          const RecordT& rec, PageId skip_pid) {
-  allocator->EnsureAtLeast(rec.alloc_hwm);
-  for (const auto& img : rec.smo_pages) {
-    if (img.image.size() != page_size) {
-      return Status::Corruption("physical image size mismatch");
-    }
-    // A page riding an SMO image is in use as of this record (a split may
-    // have re-allocated a previously merged-away page); keep the replayed
-    // allocator free-list in sync. kSmoMerge replay re-frees its victim
-    // AFTER this loop (DataComponent::RedoSmoMerge).
-    allocator->MarkUsed(img.pid);
-    if (img.pid == skip_pid) continue;  // freed victim: caller discards
-    if (img.pid >= disk->num_pages()) disk->EnsurePages(img.pid + 1);
-    PageHandle h;
-    DEUTERO_RETURN_NOT_OK(pool->Get(img.pid, PageClass::kIndex, &h));
-    PageView page = h.view();
-    if (page.plsn() >= rec.lsn) continue;  // effects already durable
-    std::memcpy(page.data(), img.image.data(), page_size);
-    h.MarkDirty(rec.lsn);
-  }
-  return Status::OK();
-}
-
-template Status RedoPhysicalImages<LogRecord>(BufferPool*, SimDisk*,
-                                              PageAllocator*, uint32_t,
-                                              const LogRecord&, PageId);
-template Status RedoPhysicalImages<LogRecordView>(BufferPool*, SimDisk*,
-                                                  PageAllocator*, uint32_t,
-                                                  const LogRecordView&,
-                                                  PageId);
-
 BTree::BTree(SimClock* clock, SimDisk* disk, BufferPool* pool,
              PageAllocator* allocator, LogManager* log, PageId root_pid,
              uint32_t page_size, uint32_t value_size, double leaf_fill,

@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <utility>
@@ -48,20 +49,46 @@ class DirtyPageMonitor;  // dc/dirty_monitor.h — only btree.cc needs the def
 /// (page 0 is the catalog page).
 inline constexpr PageId kRootPageId = 1;
 
+/// Default install filter of RedoPhysicalImages: every image is a candidate.
+struct InstallEveryImage {
+  bool operator()(PageId /*pid*/) const { return true; }
+};
+
 /// Install the full page images of an SMO or create-table record whose
 /// on-device pLSN predates the record (idempotent physical redo), raise
 /// the allocator high-water mark, and mark every image's page in-use (a
 /// split may re-allocate a merged-away page). Tree-agnostic: images name
-/// their pages. `skip_pid` names a page whose image must NOT be
-/// materialized (a merge record's freed victim — the caller discards its
-/// frame instead, mirroring the run-time discard). Templated over the
-/// record representation (owning LogRecord or zero-copy LogRecordView);
-/// both instantiations live in btree.cc.
-template <typename RecordT>
+/// their pages. `install(pid)` returning false keeps that page's image
+/// from being materialized — a merge record's freed victim (the caller
+/// discards its frame instead, mirroring the run-time discard), or a page
+/// the DC pass's DPT proves durable. The allocator bookkeeping runs for
+/// every page either way. Templated over the record representation (owning
+/// LogRecord or zero-copy LogRecordView).
+template <typename RecordT, typename InstallFilter = InstallEveryImage>
 Status RedoPhysicalImages(BufferPool* pool, SimDisk* disk,
                           PageAllocator* allocator, uint32_t page_size,
-                          const RecordT& rec,
-                          PageId skip_pid = kInvalidPageId);
+                          const RecordT& rec, InstallFilter install = {}) {
+  allocator->EnsureAtLeast(rec.alloc_hwm);
+  for (const auto& img : rec.smo_pages) {
+    if (img.image.size() != page_size) {
+      return Status::Corruption("physical image size mismatch");
+    }
+    // A page riding an SMO image is in use as of this record (a split may
+    // have re-allocated a previously merged-away page); keep the replayed
+    // allocator free-list in sync. kSmoMerge replay re-frees its victim
+    // AFTER this loop (DataComponent::RedoSmoMerge).
+    allocator->MarkUsed(img.pid);
+    if (!install(img.pid)) continue;
+    if (img.pid >= disk->num_pages()) disk->EnsurePages(img.pid + 1);
+    PageHandle h;
+    DEUTERO_RETURN_NOT_OK(pool->Get(img.pid, PageClass::kIndex, &h));
+    PageView page = h.view();
+    if (page.plsn() >= rec.lsn) continue;  // effects already durable
+    std::memcpy(page.data(), img.image.data(), page_size);
+    h.MarkDirty(rec.lsn);
+  }
+  return Status::OK();
+}
 
 // ---- pinned-leaf apply primitives ----
 //

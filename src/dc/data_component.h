@@ -137,10 +137,12 @@ class DataComponent {
 
   /// Physical redo of an SMO record's page images (idempotent). Accepts
   /// either record representation (recovery scans pass zero-copy views).
-  template <typename RecordT>
-  Status RedoSmo(const RecordT& rec) {
+  /// `install` filters the images per page (see RedoPhysicalImages); the
+  /// allocator bookkeeping covers every page regardless.
+  template <typename RecordT, typename InstallFilter = InstallEveryImage>
+  Status RedoSmo(const RecordT& rec, InstallFilter install = {}) {
     return RedoPhysicalImages(pool_.get(), disk_.get(), &allocator_,
-                              options_.page_size, rec);
+                              options_.page_size, rec, install);
   }
 
   /// Replay a kSmoMerge record: install the survivors' after-images,
@@ -150,9 +152,9 @@ class DataComponent {
   /// Idempotent on every front (pLSN test; Discard/Free tolerate repeats).
   template <typename RecordT>
   Status RedoSmoMerge(const RecordT& rec) {
-    DEUTERO_RETURN_NOT_OK(RedoPhysicalImages(pool_.get(), disk_.get(),
-                                             &allocator_, options_.page_size,
-                                             rec, /*skip_pid=*/rec.pid));
+    DEUTERO_RETURN_NOT_OK(RedoPhysicalImages(
+        pool_.get(), disk_.get(), &allocator_, options_.page_size, rec,
+        [&rec](PageId pid) { return pid != rec.pid; }));
     pool_->Discard(rec.pid);
     allocator_.Free(rec.pid);
     return Status::OK();

@@ -158,7 +158,66 @@ void ApplyDeltaToDpt(const LogRecordView& rec, Lsn prev_delta_lsn,
   }
 }
 
+/// Replay one structure record so the B-tree is well-formed before logical
+/// redo traverses it. `dpt` == nullptr replays unconditionally (Log0 has no
+/// DPT); otherwise a kSmo below `last_delta_tc_lsn` installs only the
+/// images of pages Algorithm 5's test keeps (see ReplayDcStructure).
+template <typename RecordT>
+Status ReplayStructureRecord(DataComponent* dc, const RecordT& rec,
+                             const DirtyPageTable* dpt, Lsn last_delta_tc_lsn,
+                             DcRecoveryResult* out) {
+  switch (rec.type) {
+    case LogRecordType::kSmo:
+      if (dpt != nullptr && rec.lsn < last_delta_tc_lsn) {
+        uint64_t skipped = 0;
+        DEUTERO_RETURN_NOT_OK(dc->RedoSmo(rec, [&](PageId pid) {
+          const DirtyPageTable::Entry* e = dpt->Find(pid);
+          if (e != nullptr && rec.lsn >= e->rlsn) return true;
+          skipped++;
+          return false;
+        }));
+        out->smo_pages_skipped += skipped;
+        if (skipped < rec.smo_pages.size()) out->smo_redone++;
+        return Status::OK();
+      }
+      DEUTERO_RETURN_NOT_OK(dc->RedoSmo(rec));
+      break;
+    case LogRecordType::kSmoMerge:
+      // Delete-side SMO: reinstall the merge images and re-free the victim
+      // page, whether or not the survivors are durable.
+      DEUTERO_RETURN_NOT_OK(dc->RedoSmoMerge(rec));
+      break;
+    case LogRecordType::kCreateTable:
+      // DDL is a DC system transaction: re-register the table and its
+      // root before logical redo routes operations to it.
+      DEUTERO_RETURN_NOT_OK(dc->RedoCreateTable(rec));
+      break;
+    default:
+      return Status::InvalidArgument("not a structure record");
+  }
+  out->smo_redone++;
+  return Status::OK();
+}
+
 }  // namespace
+
+Status ReplayDcStructure(LogManager* log, DataComponent* dc,
+                         const std::vector<Lsn>& lsns,
+                         DcRecoveryResult* out) {
+  for (const Lsn lsn : lsns) {
+    // A one-record scan: like the DC scan, it charges (and counts) every log
+    // page the record spans, and an SMO record's page images can span
+    // several.
+    auto it = log->NewIterator(lsn, /*charge_io=*/true);
+    if (!it.Valid() || it.lsn() != lsn) {
+      return Status::InvalidArgument("no valid structure record at lsn");
+    }
+    out->log_pages += it.pages_read();
+    DEUTERO_RETURN_NOT_OK(ReplayStructureRecord(
+        dc, it.record(), &out->dpt, out->last_delta_tc_lsn, out));
+  }
+  return Status::OK();
+}
 
 Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
                      DptMode mode, bool build_dpt, bool preload_index,
@@ -168,6 +227,7 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
   // "For the first Δ-log record encountered after the RSSP, we use rsspLSN"
   // as the previous record's TC-LSN (§4.2).
   Lsn prev_delta_lsn = bckpt_lsn;
+  std::vector<Lsn> structure_lsns;  // the replay's work list (DPT builds)
   auto it = log->NewIterator(bckpt_lsn, /*charge_io=*/true);
   const Status scan_status = [&]() -> Status {
     for (; it.Valid(); it.Next()) {
@@ -175,28 +235,22 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
       out->records_scanned++;
       switch (rec.type) {
         case LogRecordType::kSmo:
-          // Make the B-tree well-formed before any logical redo traverses
-          // it.
-          DEUTERO_RETURN_NOT_OK(dc->RedoSmo(rec));
-          out->smo_redone++;
-          break;
         case LogRecordType::kSmoMerge:
-          // Delete-side SMO: reinstall the merge images and re-free the
-          // victim page. The victim drops out of the DPT under
-          // construction (it cannot need data-op redo once merged away; a
-          // later in-window split re-allocating it re-adds it).
-          DEUTERO_RETURN_NOT_OK(dc->RedoSmoMerge(rec));
-          out->smo_redone++;
-          if (build_dpt) {
+        case LogRecordType::kCreateTable:
+          if (!build_dpt) {
+            // Log0: nothing to filter by, so replay inline.
+            DEUTERO_RETURN_NOT_OK(
+                ReplayStructureRecord(dc, rec, nullptr, kInvalidLsn, out));
+            break;
+          }
+          structure_lsns.push_back(rec.lsn);
+          if (rec.type == LogRecordType::kSmoMerge) {
+            // The victim drops out of the DPT under construction (it cannot
+            // need data-op redo once merged away; a later in-window split
+            // re-allocating it re-adds it).
             out->dpt_updates++;
             out->dpt.Remove(rec.pid);
           }
-          break;
-        case LogRecordType::kCreateTable:
-          // DDL is a DC system transaction: re-register the table and its
-          // root before logical redo routes operations to it.
-          DEUTERO_RETURN_NOT_OK(dc->RedoCreateTable(rec));
-          out->smo_redone++;
           break;
         case LogRecordType::kDeltaRecord:
           out->delta_records_seen++;
@@ -219,6 +273,7 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
   out->log_pages = it.pages_read();  // filled on error exits too
   DEUTERO_RETURN_NOT_OK(scan_status);
   if (build_dpt) {
+    DEUTERO_RETURN_NOT_OK(ReplayDcStructure(log, dc, structure_lsns, out));
     // Pages that ended the window on the free-list must not remain in the
     // DPT: a Δ-record logged AFTER a merge can still list the victim (its
     // DirtySet accumulated the merge-time dirtying), and a stale entry

@@ -4,10 +4,13 @@
 //    by update-record PIDs and pruned by BW-records. Also builds the active
 //    transaction table for undo.
 //  * RunDcRecovery — the DC redo/analysis pass of logical recovery (§4.2,
-//    Algorithm 4): redoes SMOs so the B-tree is well-formed, then constructs
-//    the DPT purely from Δ-records (standard / perfect / reduced modes,
-//    App. D), builds the PF-list (App. A.2) and optionally preloads the
-//    index (App. A.1).
+//    Algorithm 4): constructs the DPT purely from Δ-records (standard /
+//    perfect / reduced modes, App. D) and builds the PF-list (App. A.2),
+//    redoes SMOs so the B-tree is well-formed, and optionally preloads the
+//    index (App. A.1). With a DPT (Log1/Log2) the pass runs in two phases:
+//    the scan builds the DPT and only collects the LSNs of the structure
+//    records; the replay then re-reads them in LSN order and installs only
+//    the SMO images Algorithm 5's test cannot prove durable.
 #pragma once
 
 #include <cassert>
@@ -230,9 +233,14 @@ struct DcRecoveryResult {
   Lsn last_delta_tc_lsn = kInvalidLsn;  ///< Tail-mode boundary (§4.3).
   uint64_t delta_records_seen = 0;
   uint64_t bw_records_seen = 0;  ///< Seen on the common log; ignored.
+  /// Structure records (kSmo, kSmoMerge, kCreateTable) replayed with at
+  /// least one image install candidate.
   uint64_t smo_redone = 0;
+  /// SMO page images the DPT proved durable, so the replay never fetched
+  /// their pages (allocator bookkeeping only).
+  uint64_t smo_pages_skipped = 0;
   uint64_t records_scanned = 0;
-  uint64_t log_pages = 0;
+  uint64_t log_pages = 0;  ///< Scan pages plus the replay re-reads' pages.
   uint64_t dpt_updates = 0;      ///< DPT mutation events (see SqlAnalysisResult).
   uint32_t threads_used = 1;
   double shard_cpu_us_max = 0;
@@ -240,10 +248,22 @@ struct DcRecoveryResult {
 };
 
 /// DC recovery over [bckpt_lsn, stable end). `build_dpt` is false for Log0
-/// (which still needs SMO redo for a well-formed tree); `preload_index`
-/// corresponds to Log2.
+/// (which still needs SMO redo for a well-formed tree, and replays it
+/// inline during the scan); `preload_index` corresponds to Log2.
 Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
                      DptMode mode, bool build_dpt, bool preload_index,
                      DcRecoveryResult* out);
+
+/// Phase 2 of the DC pass with a DPT, shared by RunDcRecovery and
+/// RunDcRecoveryParallel: once `out->dpt` and `out->last_delta_tc_lsn` are
+/// final, re-read each structure record at `lsns` (ascending; every log
+/// page the record spans is charged, as in the scan) and replay it. A kSmo
+/// record below the last
+/// Δ-record installs only the images whose page passes Algorithm 5's test
+/// (in the DPT, record LSN >= rLSN): every other page's stable copy
+/// already carries the record's effects. Tail SMOs (§4.3), merges (the
+/// free-list must converge) and DDL replay unconditionally.
+Status ReplayDcStructure(LogManager* log, DataComponent* dc,
+                         const std::vector<Lsn>& lsns, DcRecoveryResult* out);
 
 }  // namespace deutero

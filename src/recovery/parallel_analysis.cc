@@ -149,19 +149,16 @@ class DptShardPool {
         ->Push(item);
   }
 
-  /// Stop and join every worker, merge the shards into `dpt`, and fold the
-  /// per-shard op counts: `*total_ops` is the serial-equivalent event count,
-  /// `*max_ops` the slowest shard's (the parallel pass's critical path).
-  void Finish(DirtyPageTable* dpt, uint64_t* total_ops, uint64_t* max_ops,
+  /// Stop and join every worker, merge the shards into `dpt`, and report
+  /// each shard's op count (indexed by partition) in `*shard_ops`.
+  void Finish(DirtyPageTable* dpt, std::vector<uint64_t>* shard_ops,
               std::vector<PageId>* pf_list) {
     for (auto& w : workers_) w->Push(DptWorkItem());  // kStop
     for (auto& w : workers_) w->Join();
-    *total_ops = 0;
-    *max_ops = 0;
+    shard_ops->clear();
     std::vector<std::pair<uint64_t, PageId>> mentions;
     for (auto& w : workers_) {
-      *total_ops += w->ops();
-      *max_ops = std::max(*max_ops, w->ops());
+      shard_ops->push_back(w->ops());
       w->dpt().ForEach([&](PageId pid, const DirtyPageTable::Entry& e) {
         dpt->AddExact(pid, e.rlsn, e.last_lsn);
       });
@@ -178,6 +175,18 @@ class DptShardPool {
  private:
   std::vector<std::unique_ptr<DptShardWorker>> workers_;
 };
+
+/// Fold per-shard op counts: `*total` is the serial-equivalent event count,
+/// `*max` the slowest shard's (the parallel pass's critical path).
+void FoldShardOps(const std::vector<uint64_t>& shard_ops, uint64_t* total,
+                  uint64_t* max) {
+  *total = 0;
+  *max = 0;
+  for (const uint64_t ops : shard_ops) {
+    *total += ops;
+    *max = std::max(*max, ops);
+  }
+}
 
 }  // namespace
 
@@ -255,8 +264,10 @@ Status RunSqlAnalysisParallel(LogManager* log, Lsn bckpt_lsn,
     }
   }
   out->log_pages = it.pages_read();
+  std::vector<uint64_t> shard_ops;
+  pool.Finish(&out->dpt, &shard_ops, nullptr);
   uint64_t max_ops = 0;
-  pool.Finish(&out->dpt, &out->dpt_updates, &max_ops, nullptr);
+  FoldShardOps(shard_ops, &out->dpt_updates, &max_ops);
   out->threads_used = threads;
   out->shard_cpu_us_max =
       static_cast<double>(max_ops) * cpu_per_dpt_update_us;
@@ -283,6 +294,7 @@ Status RunDcRecoveryParallel(LogManager* log, DataComponent* dc,
   DptWorkItem item;
   uint64_t seq = 0;
   Lsn prev_delta_lsn = bckpt_lsn;  // §4.2: rsspLSN before the first Δ
+  std::vector<Lsn> structure_lsns;  // replayed once the DPT is final
   auto it = log->NewIterator(bckpt_lsn, /*charge_io=*/true);
   const Status scan_status = [&]() -> Status {
     for (; it.Valid(); it.Next()) {
@@ -290,21 +302,14 @@ Status RunDcRecoveryParallel(LogManager* log, DataComponent* dc,
       out->records_scanned++;
       switch (rec.type) {
         case LogRecordType::kSmo:
-          // Structure redo touches the pool/clock: dispatcher-only, like
-          // every shared-state access in this pass.
-          DEUTERO_RETURN_NOT_OK(dc->RedoSmo(rec));
-          out->smo_redone++;
+        case LogRecordType::kCreateTable:
+          structure_lsns.push_back(rec.lsn);
           break;
         case LogRecordType::kSmoMerge:
-          DEUTERO_RETURN_NOT_OK(dc->RedoSmoMerge(rec));
-          out->smo_redone++;
+          structure_lsns.push_back(rec.lsn);
           item.kind = DptWorkItem::Kind::kRemove;
           item.pid = rec.pid;
           pool.Route(item);
-          break;
-        case LogRecordType::kCreateTable:
-          DEUTERO_RETURN_NOT_OK(dc->RedoCreateTable(rec));
-          out->smo_redone++;
           break;
         case LogRecordType::kDeltaRecord: {
           out->delta_records_seen++;
@@ -365,18 +370,20 @@ Status RunDcRecoveryParallel(LogManager* log, DataComponent* dc,
     return Status::OK();
   }();
   out->log_pages = it.pages_read();  // filled on error exits too
-  if (scan_status.ok()) {
-    // Free-list purge rides the same rings: FIFO puts it after every scan
-    // event, exactly where the serial pass performs it.
-    item.kind = DptWorkItem::Kind::kRemove;
-    for (const PageId pid : dc->allocator().free_list()) {
-      item.pid = pid;
-      pool.Route(item);
-    }
+  std::vector<uint64_t> shard_ops;
+  pool.Finish(&out->dpt, &shard_ops, &out->pf_list);
+  DEUTERO_RETURN_NOT_OK(scan_status);
+  // Structure redo touches the pool and clock, so it runs here on the
+  // dispatcher, against the merged (final) DPT.
+  DEUTERO_RETURN_NOT_OK(ReplayDcStructure(log, dc, structure_lsns, out));
+  // Free-list purge on the merged DPT, charged to the shard owning each
+  // pid: the serial pass performs it after every scan event too.
+  for (const PageId pid : dc->allocator().free_list()) {
+    out->dpt.Remove(pid);
+    shard_ops[RedoPartitionOf(pid, threads)]++;
   }
   uint64_t max_ops = 0;
-  pool.Finish(&out->dpt, &out->dpt_updates, &max_ops, &out->pf_list);
-  DEUTERO_RETURN_NOT_OK(scan_status);
+  FoldShardOps(shard_ops, &out->dpt_updates, &max_ops);
   out->threads_used = threads;
   const double cpu_us = dc->options().io.cpu_per_dpt_update_us;
   out->shard_cpu_us_max = static_cast<double>(max_ops) * cpu_us;

@@ -13,12 +13,13 @@
 //
 // What stays on the dispatcher, in log order: the ActiveTxnTable and
 // max_txn_id (assembled in LSN order, as undo requires), redo_start_lsn,
-// SMO/DDL redo in the DC pass (RedoSmo/RedoSmoMerge/RedoCreateTable touch
-// the buffer pool and the simulated clock — workers never do), the
-// prev-Δ TC-LSN chain that resolves each dirty-set entry's rLSN proxy
+// the prev-Δ TC-LSN chain that resolves each dirty-set entry's rLSN proxy
 // before routing, and all scan counters. Workers see only resolved
 // scalars, so no log-buffer Slice ever crosses a thread boundary and no
-// alias guard is needed.
+// alias guard is needed. The DC pass's structure replay touches the buffer
+// pool and the simulated clock, which workers never do: the dispatcher
+// runs it after the shards are merged, through the same ReplayDcStructure
+// as the serial pass, so it filters by the final DPT.
 //
 // PF-list (App. A.2): global first-mention DirtySet order. The dispatcher
 // stamps every routed dirty-set entry with a global sequence number; a

@@ -39,6 +39,13 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
 
   // A restarted process re-reads the catalog before anything else.
   DEUTERO_RETURN_NOT_OK(dc_->OpenDatabase());
+  // The crash reset the DC's eLSN, but every record on the surviving log is
+  // stable: republish that before any redo-dirtied page can be flushed, or
+  // the WAL-rule check in BufferPool::FlushFrame sees each redone page's
+  // pLSN as beyond the stable log. stable_end() is where the first undo CLR
+  // will be appended, so the last stable LSN is one below it: a page that
+  // CLR dirties must still force the log before it is written.
+  if (log_->stable_end() > kFirstLsn) dc_->Eosl(log_->stable_end() - 1);
 
   // Redo scan start point: bCkpt of the last completed checkpoint (§3.2).
   const MasterRecord& master = log_->master();
@@ -87,6 +94,7 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
     stats->delta_records_seen = dcr.delta_records_seen;
     stats->bw_records_seen = dcr.bw_records_seen;
     stats->smo_redone = dcr.smo_redone;
+    stats->smo_pages_skipped = dcr.smo_pages_skipped;
     stats->analysis_threads = dcr.threads_used;
     stats->dpt_updates = dcr.dpt_updates;
     stats->analysis_shard_cpu_ms_max = dcr.shard_cpu_us_max * 1e-3;

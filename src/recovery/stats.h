@@ -28,6 +28,8 @@ struct RecoveryStats {
   uint64_t delta_records_seen = 0;    ///< Δ-records in the analysis window.
   uint64_t bw_records_seen = 0;       ///< BW-records in the analysis window.
   uint64_t smo_redone = 0;
+  uint64_t smo_pages_skipped = 0;     ///< Logical: SMO images the DC pass's
+                                      ///< DPT proved durable (never fetched).
 
   // Redo outcome counters.
   uint64_t redo_examined = 0;       ///< Data-op records considered.

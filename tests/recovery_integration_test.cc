@@ -140,6 +140,47 @@ TEST_P(RecoveryIntegrationTest, InsertWorkloadWithSmosRecovers) {
   ASSERT_OK(e->dc().btree().CheckWellFormed(&rows));
 }
 
+/// Named regression: the crash reset the DC's eLSN and recovery only
+/// republished it at the end, so every redo-dirtied page evicted from a
+/// small cache failed the WAL-rule check in BufferPool::FlushFrame (an
+/// assert in Debug builds) though its pLSN was on the stable log. With no
+/// loser to undo, recovery appends nothing, so it must force the log for
+/// no page write at all.
+TEST_P(RecoveryIntegrationTest, RedoEvictionsNeedNoLogForce) {
+  // Forward: a cache holding every leaf and no lazy writer, so the crash
+  // loses updates on most leaves.
+  EngineOptions o = SmallOptions();
+  o.cache_pages = 256;
+  o.lazy_writer_base_fraction = 0;
+  o.checkpoint_interval_updates = 1'000'000;  // one checkpoint, one window
+  std::unique_ptr<Engine> e;
+  ASSERT_OK(Engine::Open(o, &e));
+  WorkloadDriver driver(e.get(), WorkloadConfig{});
+  ASSERT_OK(e->Checkpoint());
+  ASSERT_OK(driver.RunOps(1500));  // whole transactions: no loser
+  driver.OnCrash();
+  e->SimulateCrash();
+  Engine::StableSnapshot snap;
+  ASSERT_OK(e->TakeStableSnapshot(&snap));
+
+  // Recovery: a cache far smaller than the set of pages redo dirties.
+  EngineOptions small = o;
+  small.cache_pages = 32;
+  std::unique_ptr<Engine> r;
+  ASSERT_OK(Engine::Open(small, &r));
+  r->SimulateCrash();
+  ASSERT_OK(r->RestoreStableSnapshot(snap));
+  RecoveryStats st;
+  ASSERT_OK(r->Recover(GetParam(), &st));
+  ASSERT_EQ(st.txns_undone, 0u);
+  ASSERT_GT(st.pages_flushed, 0u) << "redo never evicted a dirty page";
+  EXPECT_EQ(r->dc().pool().stats().wal_forces, 0u);
+  ASSERT_OK(driver.AttachEngine(r.get()));
+  uint64_t checked = 0;
+  ASSERT_OK(driver.Verify(0, &checked));
+  EXPECT_GT(checked, 0u);
+}
+
 TEST(RecoverySideBySide, AllMethodsProduceIdenticalState) {
   SideBySideConfig cfg;
   cfg.engine = SmallOptions();

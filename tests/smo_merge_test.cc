@@ -8,6 +8,8 @@
 //    recovers to byte-identical post-recovery DISK images under all five
 //    methods at recovery_threads 1/2/4 — checked at every operation
 //    boundary across the merge window.
+//  * DC-pass SMO filter: a split the Δ-record DPT proves durable is not
+//    fetched by Log1/Log2's DC pass; a split in the log's tail still is.
 //  * Allocator: the free-list survives checkpoints and crashes, replayed
 //    merges re-free, replayed splits re-consume, and a DPT-skipped split
 //    still advances the high-water mark (regression).
@@ -525,6 +527,252 @@ TEST(SmoMergeRecovery, DptSkippedSplitStillAdvancesAllocatorHwm) {
   EXPECT_EQ(rr.smo_redone, 0u) << "empty DPT must skip the image install";
   EXPECT_EQ(e->dc().allocator().next_page_id(), hwm_after_split)
       << "skipped split left the allocator high-water mark stale";
+}
+
+Status UpdateOne(Engine* e, Table& t, Key k, const std::string& v) {
+  Txn txn;
+  DEUTERO_RETURN_NOT_OK(e->Begin(&txn));
+  DEUTERO_RETURN_NOT_OK(txn.Update(t, k, v));
+  return txn.Commit();
+}
+
+/// Insert fresh keys from `*next` on until the tree splits once.
+void InsertUntilSplit(Engine* e, Table& t, Key* next) {
+  const std::string v(e->options().value_size, 's');
+  const uint64_t splits_before = e->dc().btree().stats().splits;
+  while (e->dc().btree().stats().splits == splits_before && *next < 400) {
+    ASSERT_OK(InsertOne(e, t, (*next)++, v));
+  }
+  ASSERT_GT(e->dc().btree().stats().splits, splits_before);
+}
+
+/// The kSmo records of the stable log from the redo start on.
+std::vector<LogRecord> WindowSplits(Engine* e) {
+  std::vector<LogRecord> splits;
+  for (auto it = e->wal().NewIterator(e->wal().master().bckpt_lsn, false);
+       it.Valid(); it.Next()) {
+    if (it.record().type == LogRecordType::kSmo) {
+      splits.push_back(it.record().ToOwned());
+    }
+  }
+  return splits;
+}
+
+/// TC-LSN of the last Δ-record on the stable log (the §4.3 tail boundary).
+Lsn LastDeltaTcLsn(Engine* e) {
+  Lsn last = kInvalidLsn;
+  for (auto it = e->wal().NewIterator(e->wal().master().bckpt_lsn, false);
+       it.Valid(); it.Next()) {
+    if (it.record().type == LogRecordType::kDeltaRecord) {
+      last = it.record().tc_lsn;
+    }
+  }
+  return last;
+}
+
+/// Recover a fresh engine from `snap` with `m` at `threads`.
+void RecoverFresh(const EngineOptions& o, const Engine::StableSnapshot& snap,
+                  RecoveryMethod m, uint32_t threads,
+                  std::unique_ptr<Engine>* out, RecoveryStats* st) {
+  EngineOptions ot = o;
+  ot.recovery_threads = threads;
+  ASSERT_OK(Engine::Open(ot, out));
+  (*out)->SimulateCrash();
+  ASSERT_OK((*out)->RestoreStableSnapshot(snap));
+  ASSERT_OK((*out)->Recover(m, st));
+}
+
+/// The DC pass filters its SMO replay by the Δ-record DPT (Algorithm 5's
+/// test). A split whose pages were flushed before the last Δ-record is
+/// proven durable: Log1 and Log2 fetch none of its pages in the DC pass,
+/// and still destage exactly the bytes Log0 and Sql1 do.
+TEST(SmoMergeRecovery, DcPassSkipsSmoImagesTheDptProvesDurable) {
+  EngineOptions o = MergeOptions(300);
+  std::unique_ptr<Engine> e;
+  ASSERT_OK(Engine::Open(o, &e));
+  Table t;
+  ASSERT_OK(e->OpenDefaultTable(&t));
+  ASSERT_OK(e->Checkpoint());
+
+  // A split, every page flushed, then a Δ-record whose WrittenSet prunes
+  // the split's pages from the DC-DPT. The committed update after it makes
+  // the Δ-record stable and lies on a leaf the split did not touch.
+  Key next = 300;
+  ASSERT_NO_FATAL_FAILURE(InsertUntilSplit(e.get(), t, &next));
+  ASSERT_OK(e->dc().pool().FlushAllDirty());
+  e->dc().monitor().ForceEmit();
+  ASSERT_OK(UpdateOne(e.get(), t, 3, std::string(o.value_size, 'u')));
+  e->SimulateCrash();
+
+  const std::vector<LogRecord> splits = WindowSplits(e.get());
+  ASSERT_EQ(splits.size(), 1u);
+  const LogRecord& split = splits[0];
+  ASSERT_LT(split.lsn, LastDeltaTcLsn(e.get())) << "the split is in the tail";
+  Engine::StableSnapshot snap;
+  ASSERT_OK(e->TakeStableSnapshot(&snap));
+
+  // The DC pass alone: with no preload (Log1) it reads no page at all;
+  // with the preload (Log2) it reads only what the preload itself reads.
+  const Lsn start = e->wal().master().bckpt_lsn;
+  for (const bool preload : {false, true}) {
+    ASSERT_OK(e->RestoreStableSnapshot(snap));
+    ASSERT_OK(e->dc().OpenDatabase());
+    e->dc().pool().ResetStats();
+    DcRecoveryResult dcr;
+    ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
+                            /*build_dpt=*/true, preload, &dcr));
+    EXPECT_EQ(dcr.smo_pages_skipped, split.smo_pages.size());
+    EXPECT_EQ(dcr.smo_redone, 0u);
+    const BufferPool::Stats pass = e->dc().pool().stats();
+    uint64_t preload_fetches = 0;
+    if (preload) {
+      e->dc().pool().Reset();
+      e->dc().pool().ResetStats();
+      ASSERT_OK(e->dc().PreloadIndex());
+      preload_fetches = e->dc().pool().stats().index_fetches;
+    } else {
+      for (const SmoPageImage& p : split.smo_pages) {
+        EXPECT_FALSE(e->dc().pool().IsResidentOrPending(p.pid))
+            << "the DC pass fetched split page " << p.pid;
+      }
+    }
+    EXPECT_EQ(pass.data_fetches, 0u) << "preload " << preload;
+    EXPECT_EQ(pass.index_fetches, preload_fetches) << "preload " << preload;
+    e->SimulateCrash();
+  }
+
+  // Whole recoveries: the skipped installs change no destaged byte.
+  StateImage reference;
+  bool have_reference = false;
+  for (RecoveryMethod m : {RecoveryMethod::kLog0, RecoveryMethod::kSql1,
+                           RecoveryMethod::kLog1, RecoveryMethod::kLog2}) {
+    std::unique_ptr<Engine> et;
+    RecoveryStats st;
+    ASSERT_NO_FATAL_FAILURE(RecoverFresh(o, snap, m, 1, &et, &st));
+    if (m == RecoveryMethod::kLog1 || m == RecoveryMethod::kLog2) {
+      EXPECT_EQ(st.smo_pages_skipped, split.smo_pages.size())
+          << RecoveryMethodName(m);
+    }
+    const StateImage state = CaptureState(et.get());
+    if (!have_reference) {
+      reference = state;
+      have_reference = true;
+    } else {
+      ExpectSameState(state, reference, RecoveryMethodName(m));
+    }
+  }
+}
+
+/// The negative side of the filter: a split logged after the last
+/// Δ-record is in the log's tail (§4.3), where no Δ-record vouches for its
+/// pages. Its images must still be installed, or the recovered tree would
+/// lack the split.
+TEST(SmoMergeRecovery, TailSmoAfterLastDeltaIsStillInstalled) {
+  EngineOptions o = MergeOptions(300);
+  std::unique_ptr<Engine> e;
+  ASSERT_OK(Engine::Open(o, &e));
+  Table t;
+  ASSERT_OK(e->OpenDefaultTable(&t));
+  ASSERT_OK(e->Checkpoint());
+
+  // Window work and a Δ-record, then a split (and inserts into both of its
+  // leaves) that no later Δ-record covers. Nothing is flushed.
+  for (Key k = 0; k < 5; k++) {
+    ASSERT_OK(UpdateOne(e.get(), t, k, std::string(o.value_size, 'u')));
+  }
+  e->dc().monitor().ForceEmit();
+  Key next = 300;
+  ASSERT_NO_FATAL_FAILURE(InsertUntilSplit(e.get(), t, &next));
+  const std::string v(o.value_size, 't');
+  for (int i = 0; i < 5; i++) ASSERT_OK(InsertOne(e.get(), t, next++, v));
+  e->SimulateCrash();
+
+  const std::vector<LogRecord> splits = WindowSplits(e.get());
+  ASSERT_EQ(splits.size(), 1u);
+  const Lsn last_delta = LastDeltaTcLsn(e.get());
+  ASSERT_NE(last_delta, kInvalidLsn) << "no Δ-record: the window is all tail";
+  ASSERT_GE(splits[0].lsn, last_delta) << "the split is not in the tail";
+  Engine::StableSnapshot snap;
+  ASSERT_OK(e->TakeStableSnapshot(&snap));
+
+  std::unique_ptr<Engine> e0;
+  RecoveryStats st0;
+  ASSERT_NO_FATAL_FAILURE(
+      RecoverFresh(o, snap, RecoveryMethod::kLog0, 1, &e0, &st0));
+  const StateImage reference = CaptureState(e0.get());
+
+  for (RecoveryMethod m : {RecoveryMethod::kLog1, RecoveryMethod::kLog2}) {
+    for (uint32_t threads : {1u, 2u}) {
+      const std::string label = std::string(RecoveryMethodName(m)) + " x" +
+                                std::to_string(threads);
+      std::unique_ptr<Engine> et;
+      RecoveryStats st;
+      ASSERT_NO_FATAL_FAILURE(RecoverFresh(o, snap, m, threads, &et, &st));
+      EXPECT_EQ(st.smo_pages_skipped, 0u) << label;
+      EXPECT_EQ(st.smo_redone, 1u) << label;
+      uint64_t rows = 0;
+      ASSERT_OK(et->dc().btree().CheckWellFormed(&rows));
+      EXPECT_EQ(rows, 300u + (next - 300)) << label;
+      std::string got;
+      for (Key k = 300; k < next; k++) ASSERT_OK(et->Read(k, &got));
+      ExpectSameState(CaptureState(et.get()), reference, label);
+    }
+  }
+}
+
+/// The replay re-reads each structure record and pays for it as the scan
+/// does: every log page the record spans. A split's page images can span
+/// several log pages, so one charged page per record would under-count.
+TEST(SmoMergeRecovery, DcReplayChargesEveryLogPageARecordSpans) {
+  EngineOptions o = MergeOptions(300);
+  o.log_page_size = 256;  // smaller than one split's page images
+  std::unique_ptr<Engine> e;
+  ASSERT_OK(Engine::Open(o, &e));
+  Table t;
+  ASSERT_OK(e->OpenDefaultTable(&t));
+  ASSERT_OK(e->Checkpoint());
+  Key next = 300;
+  for (int i = 0; i < 2; i++) {
+    ASSERT_NO_FATAL_FAILURE(InsertUntilSplit(e.get(), t, &next));
+  }
+  e->dc().monitor().ForceEmit();
+  ASSERT_OK(UpdateOne(e.get(), t, 3, std::string(o.value_size, 'u')));
+  e->SimulateCrash();
+
+  // Log pages each structure record spans; a record ends where the next
+  // one begins.
+  const Lsn start = e->wal().master().bckpt_lsn;
+  const uint32_t ps = o.log_page_size;
+  uint64_t structure_records = 0;
+  uint64_t span_pages = 0;
+  for (auto it = e->wal().NewIterator(start, false); it.Valid();) {
+    const LogRecordType type = it.record().type;
+    const Lsn lsn = it.lsn();
+    it.Next();
+    if (type == LogRecordType::kSmo || type == LogRecordType::kSmoMerge ||
+        type == LogRecordType::kCreateTable) {
+      structure_records++;
+      span_pages += (it.lsn() - 1) / ps - lsn / ps + 1;
+    }
+  }
+  ASSERT_GT(structure_records, 0u);
+  ASSERT_GT(span_pages, structure_records) << "no record spans two pages";
+  Engine::StableSnapshot snap;
+  ASSERT_OK(e->TakeStableSnapshot(&snap));
+
+  // Log0 replays inline during its scan. The pass with a DPT scans the
+  // same pages, then re-reads every structure record.
+  uint64_t log_pages[2] = {0, 0};
+  for (const bool build_dpt : {false, true}) {
+    ASSERT_OK(e->RestoreStableSnapshot(snap));
+    ASSERT_OK(e->dc().OpenDatabase());
+    DcRecoveryResult dcr;
+    ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
+                            build_dpt, /*preload_index=*/false, &dcr));
+    log_pages[build_dpt ? 1 : 0] = dcr.log_pages;
+    e->SimulateCrash();
+  }
+  EXPECT_EQ(log_pages[1], log_pages[0] + span_pages);
 }
 
 /// Named regression (code review): a Δ-record logged AFTER a merge can
