@@ -12,8 +12,6 @@
 #include "core/engine.h"
 #include "recovery/analysis.h"
 #include "recovery/dpt.h"
-#include "recovery/parallel_analysis.h"
-#include "recovery/parallel_redo.h"
 #include "recovery/redo.h"
 #include "recovery/undo.h"
 #include "storage/page_table.h"
@@ -323,7 +321,7 @@ void BM_SqlAnalysisPass(benchmark::State& state) {
   log.Flush();
   for (auto _ : state) {
     SqlAnalysisResult out;
-    benchmark::DoNotOptimize(RunSqlAnalysis(&log, start, &out));
+    benchmark::DoNotOptimize(RunSqlAnalysis(&log, start, 1, &out));
     benchmark::DoNotOptimize(out.dpt.size());
   }
   state.SetItemsProcessed(state.iterations() * 10'000);
@@ -374,7 +372,7 @@ void BM_LogicalRedo(benchmark::State& state) {
   const Lsn start = e->wal().master().bckpt_lsn;
   DcRecoveryResult dcr;
   (void)RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                      /*build_dpt=*/true, /*preload=*/false, &dcr);
+                      /*build_dpt=*/true, /*preload=*/false, 1, &dcr);
   uint64_t records = 0;
   uint64_t hits = 0;
   uint64_t examined = 0;
@@ -382,7 +380,7 @@ void BM_LogicalRedo(benchmark::State& state) {
     RedoResult redo;
     benchmark::DoNotOptimize(
         RunLogicalRedo(&e->wal(), &e->dc(), start, /*use_dpt=*/true,
-                       &dcr.dpt, dcr.last_delta_tc_lsn, nullptr, o, &redo));
+                       &dcr.dpt, dcr.last_delta_tc_lsn, nullptr, o, 1, &redo));
     records += redo.records_scanned;
     hits += redo.leaf_memo_hits;
     examined += redo.examined;
@@ -404,7 +402,7 @@ BENCHMARK(BM_LogicalRedo)->ArgsProduct({{0, 1}, {0, 1, 2}});
 // redo pass re-applies every operation — the measurement includes the
 // parallelizable leaf work, not just scan + traversal. Timing is manual
 // and covers exactly the redo pass (restore/DC-pass setup is untimed).
-// /1 is the serial pass (the pipeline is bypassed entirely); speedup at
+// /1 is the one-partition pipeline (inline apply, no thread); speedup at
 // /2 and /4 is real_time(/1) / real_time(/N) in BENCH_micro.json — note
 // the JSON context records num_cpus: scaling needs physical cores.
 // sim_redo_ms reports the SIMULATED redo time (I/O + dispatcher CPU +
@@ -462,20 +460,13 @@ void BM_ParallelRedo(benchmark::State& state) {
     (void)e->dc().OpenDatabase();
     DcRecoveryResult dcr;
     (void)RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                        /*build_dpt=*/true, /*preload=*/false, &dcr);
+                        /*build_dpt=*/true, /*preload=*/false, 1, &dcr);
     RedoResult redo;
     const double sim_t0 = e->clock().NowMs();
     const auto t0 = std::chrono::steady_clock::now();
-    if (threads == 1) {
-      (void)RunLogicalRedo(&e->wal(), &e->dc(), start, /*use_dpt=*/true,
-                           &dcr.dpt, dcr.last_delta_tc_lsn, nullptr, o,
-                           &redo);
-    } else {
-      (void)RunLogicalRedoParallel(&e->wal(), &e->dc(), start,
-                                   /*use_dpt=*/true, &dcr.dpt,
-                                   dcr.last_delta_tc_lsn, nullptr, o,
-                                   threads, &redo);
-    }
+    (void)RunLogicalRedo(&e->wal(), &e->dc(), start, /*use_dpt=*/true,
+                         &dcr.dpt, dcr.last_delta_tc_lsn, nullptr, o, threads,
+                         &redo);
     const auto t1 = std::chrono::steady_clock::now();
     state.SetIterationTime(
         std::chrono::duration<double>(t1 - t0).count());
@@ -498,9 +489,9 @@ BENCHMARK(BM_ParallelRedo)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-// Thread-scaling curve of the sharded parallel DPT construction (ISSUE 9):
-// the logical DC pass over one crash image, recovery_threads in
-// {1, 2, 4, 8}. /1 is the serial pass. Manual timing covers exactly the
+// Thread-scaling curve of the sharded DPT construction: the logical DC
+// pass over one crash image, recovery_threads in {1, 2, 4, 8}. /1 applies
+// every event inline, with no shard. Manual timing covers exactly the
 // pass; restore/reopen is untimed. sim_ms reports the SIMULATED pass time
 // (log I/O + max-shard DPT CPU), the cost model's view of the same sweep.
 void BM_ParallelAnalysis(benchmark::State& state) {
@@ -539,14 +530,8 @@ void BM_ParallelAnalysis(benchmark::State& state) {
     DcRecoveryResult dcr;
     const double sim_t0 = e->clock().NowMs();
     const auto t0 = std::chrono::steady_clock::now();
-    if (threads == 1) {
-      (void)RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                          /*build_dpt=*/true, /*preload=*/false, &dcr);
-    } else {
-      (void)RunDcRecoveryParallel(&e->wal(), &e->dc(), start, o.dpt_mode,
-                                  /*build_dpt=*/true, /*preload=*/false,
-                                  threads, &dcr);
-    }
+    (void)RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
+                        /*build_dpt=*/true, /*preload=*/false, threads, &dcr);
     const auto t1 = std::chrono::steady_clock::now();
     state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
     sim_ms += e->clock().NowMs() - sim_t0;
@@ -568,11 +553,11 @@ BENCHMARK(BM_ParallelAnalysis)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-// Thread-scaling curve of the parallel undo pass (ISSUE 9): one crash
-// image with a fat in-flight loser tail, rolled back at recovery_threads
-// in {1, 2, 4, 8}. Each iteration restores the image and replays the
-// serial DC pass + redo (untimed) to rebuild the ATT, then times undo
-// alone. The dispatcher appends the identical CLR stream at every width;
+// Thread-scaling curve of the undo pass: one crash image with a fat
+// in-flight loser tail, rolled back at recovery_threads in {1, 2, 4, 8}.
+// Each iteration restores the image and replays the one-partition DC pass
+// + redo (untimed) to rebuild the ATT, then times undo alone. The
+// dispatcher appends the identical CLR stream at every width; from /2 on
 // the leaf restores fan out to the apply workers.
 void BM_ParallelUndo(benchmark::State& state) {
   const uint32_t threads = static_cast<uint32_t>(state.range(0));
@@ -647,18 +632,15 @@ void BM_ParallelUndo(benchmark::State& state) {
     e->dc().pool().set_callbacks_enabled(false);
     DcRecoveryResult dcr;
     (void)RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                        /*build_dpt=*/true, /*preload=*/false, &dcr);
+                        /*build_dpt=*/true, /*preload=*/false, 1, &dcr);
     RedoResult redo;
     (void)RunLogicalRedo(&e->wal(), &e->dc(), start, /*use_dpt=*/true,
-                         &dcr.dpt, dcr.last_delta_tc_lsn, nullptr, o, &redo);
+                         &dcr.dpt, dcr.last_delta_tc_lsn, nullptr, o, 1,
+                         &redo);
     UndoResult ur;
     const double sim_t0 = e->clock().NowMs();
     const auto t0 = std::chrono::steady_clock::now();
-    if (threads == 1) {
-      (void)RunUndo(&e->wal(), &e->dc(), redo.att, &ur);
-    } else {
-      (void)RunUndoParallel(&e->wal(), &e->dc(), redo.att, threads, &ur);
-    }
+    (void)RunUndo(&e->wal(), &e->dc(), redo.att, threads, &ur);
     const auto t1 = std::chrono::steady_clock::now();
     state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
     sim_ms += e->clock().NowMs() - sim_t0;

@@ -128,10 +128,10 @@ struct IoModelOptions {
   double cpu_per_redo_apply_us = 5.0;
   /// CPU charged per DPT mutation event during analysis/DC-pass DPT
   /// construction (µs): every AddOrUpdate/seed/prune/remove the pass
-  /// performs. Serial passes charge events inline on one core; the
-  /// parallel analysis pipeline folds only the slowest shard's total —
-  /// which is what makes DPT construction scale with recovery_threads in
-  /// simulated time, mirroring the apply-CPU fold of parallel redo.
+  /// performs. The pass folds the slowest partition's total once at its
+  /// end — the whole count with one partition — which is what makes DPT
+  /// construction scale with recovery_threads in simulated time,
+  /// mirroring the apply-CPU fold of partitioned redo.
   double cpu_per_dpt_update_us = 1.0;
 
   /// Media-fault plan (sim/fault_injector.h). Inactive by default.

@@ -1,5 +1,5 @@
-// Hot-standby applier. Structure mirrors the parallel redo pipeline
-// (recovery/parallel_redo.cc): a dispatcher scans the mirror log in order —
+// Hot-standby applier. Structure mirrors the recovery redo pipeline
+// (recovery/redo.cc): a dispatcher scans the mirror log in order —
 // buffering in-flight transactions, doing the logical->physical mapping
 // under the standby's own geometry, and owning every structure change —
 // while N partition workers (hash of the standby leaf pid) run the leaf
@@ -28,7 +28,6 @@
 #include "btree/btree.h"
 #include "btree/node.h"
 #include "common/coding.h"
-#include "recovery/parallel_redo.h"
 #include "recovery/pipeline_util.h"
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
@@ -65,7 +64,7 @@ struct ReplayItem {
 constexpr size_t kReplayRingCapacity = 1024;
 
 /// One partition of the continuous-replay crew: same queue/pin-cache/
-/// barrier design as recovery's PartitionWorker, minus the DPT tests and
+/// barrier design as recovery's ApplyWorker, minus the DPT tests and
 /// read-ahead (replay applies everything; the pLSN test still guards the
 /// re-applied prefix after a resume).
 class ReplayWorker {

@@ -11,6 +11,43 @@
 //    the scan builds the DPT and only collects the LSNs of the structure
 //    records; the replay then re-reads them in LSN order and installs only
 //    the SMO images Algorithm 5's test cannot prove durable.
+//
+// Shape. One log-scanning dispatcher resolves every DPT mutation to a
+// (pid, lsn) event — record LSN, FW-LSN, the prev-Δ TC-LSN chain, the
+// per-entry perfect LSN, the prune kind — and hands it to the partition
+// that owns the pid (RedoPartitionOf). `threads` is the partition count.
+// With one partition the dispatcher applies each event straight to the
+// result DPT, and each first mention straight to the PF-list, in scan
+// order. With N >= 2 it routes events over SPSC rings to shard workers,
+// each owning a private DirtyPageTable it mutates with no locking at all:
+// DPT operations on distinct PIDs commute (the table is logically a map
+// keyed by PID) and every PID's events land in one FIFO, so per-page
+// event order — the only order the DPT semantics depend on — is the
+// scan's. Both apply events through the same applier, so Algorithm 4's
+// per-mode rLSN logic exists once, on the dispatcher.
+//
+// What stays on the dispatcher, in log order: the ActiveTxnTable and
+// max_txn_id (assembled in LSN order, as undo requires), redo_start_lsn,
+// the prev-Δ chain, and all scan counters. Workers see only resolved
+// scalars, so no log-buffer Slice ever crosses a thread boundary. The DC
+// pass's structure replay touches the buffer pool and the simulated clock,
+// which workers never do: the dispatcher runs it once the shards are
+// merged, so it filters by the final DPT.
+//
+// PF-list (App. A.2): global first-mention DirtySet order. With shards,
+// the dispatcher stamps every routed dirty-set entry with a global sequence
+// number; a worker records (seq, pid) at its shard-local first mention —
+// which IS the global first mention, since a PID maps to exactly one
+// shard — and the merged list is sorted by seq.
+//
+// Simulated time. cpu_per_dpt_update_us is charged per DPT mutation event,
+// counted per partition and folded once at pass end as the slowest
+// partition's share (nothing in an analysis pass depends on absolute time
+// between records). With one partition that share is the whole count; with
+// N it is deterministic and independent of thread scheduling, so DPT
+// construction scales with recovery_threads in simulated time the same way
+// redo's apply CPU does. Log-page read I/O stays on the dispatcher's
+// iterator (charge_io) for every partition count.
 #pragma once
 
 #include <cassert>
@@ -206,25 +243,24 @@ struct SqlAnalysisResult {
   uint64_t records_scanned = 0;
   uint64_t log_pages = 0;
   /// DPT mutation events performed (adds/updates/prune probes/removals) —
-  /// the unit cpu_per_dpt_update_us is charged per. Identical between the
-  /// serial pass and the sharded parallel pass on the same log.
+  /// the unit cpu_per_dpt_update_us is charged per. The same for every
+  /// partition count on the same log.
   uint64_t dpt_updates = 0;
-  uint32_t threads_used = 1;       ///< Shard workers (1 == serial pass).
-  double shard_cpu_us_max = 0;     ///< Slowest shard's charged DPT CPU.
-  double shard_cpu_us_total = 0;   ///< Sum over shards (== max when serial).
+  uint32_t threads_used = 1;       ///< Partitions (1 = inline events).
+  double shard_cpu_us_max = 0;     ///< Slowest partition's DPT CPU.
+  double shard_cpu_us_total = 0;   ///< Sum over partitions.
   /// Where redo must start. Equal to the analysis start under penultimate
   /// checkpointing; under ARIES checkpointing (§3.1) it reaches back to the
   /// oldest rLSN of the DPT captured in the checkpoint record.
   Lsn redo_start_lsn = kInvalidLsn;
 };
 
-/// Algorithm 3 over [bckpt_lsn, stable end). When `clock` is non-null, DPT
-/// mutation CPU (`cpu_per_dpt_update_us` per event) is charged to it at pass
-/// end — inline-equivalent for this pass, which has no absolute-time
-/// dependence. RecoveryManager passes the engine clock; direct callers that
-/// only care about the tables may omit it.
-Status RunSqlAnalysis(LogManager* log, Lsn bckpt_lsn, SqlAnalysisResult* out,
-                      SimClock* clock = nullptr,
+/// Algorithm 3 over [bckpt_lsn, stable end), over `threads` partitions.
+/// When `clock` is non-null, DPT mutation CPU (`cpu_per_dpt_update_us` per
+/// event) is charged to it at pass end. RecoveryManager passes the engine
+/// clock; direct callers that only care about the tables may omit it.
+Status RunSqlAnalysis(LogManager* log, Lsn bckpt_lsn, uint32_t threads,
+                      SqlAnalysisResult* out, SimClock* clock = nullptr,
                       double cpu_per_dpt_update_us = 0);
 
 struct DcRecoveryResult {
@@ -242,23 +278,23 @@ struct DcRecoveryResult {
   uint64_t records_scanned = 0;
   uint64_t log_pages = 0;  ///< Scan pages plus the replay re-reads' pages.
   uint64_t dpt_updates = 0;      ///< DPT mutation events (see SqlAnalysisResult).
-  uint32_t threads_used = 1;
+  uint32_t threads_used = 1;     ///< Partitions (Log0 builds no DPT: 1).
   double shard_cpu_us_max = 0;
   double shard_cpu_us_total = 0;
 };
 
-/// DC recovery over [bckpt_lsn, stable end). `build_dpt` is false for Log0
-/// (which still needs SMO redo for a well-formed tree, and replays it
-/// inline during the scan); `preload_index` corresponds to Log2.
+/// DC recovery over [bckpt_lsn, stable end), over `threads` partitions.
+/// `build_dpt` is false for Log0 (which still needs SMO redo for a
+/// well-formed tree, and replays it inline during the scan; with no DPT
+/// there is nothing to partition); `preload_index` corresponds to Log2.
 Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
                      DptMode mode, bool build_dpt, bool preload_index,
-                     DcRecoveryResult* out);
+                     uint32_t threads, DcRecoveryResult* out);
 
-/// Phase 2 of the DC pass with a DPT, shared by RunDcRecovery and
-/// RunDcRecoveryParallel: once `out->dpt` and `out->last_delta_tc_lsn` are
-/// final, re-read each structure record at `lsns` (ascending; every log
-/// page the record spans is charged, as in the scan) and replay it. A kSmo
-/// record below the last
+/// Phase 2 of the DC pass with a DPT: once `out->dpt` and
+/// `out->last_delta_tc_lsn` are final, re-read each structure record at
+/// `lsns` (ascending; every log page the record spans is charged, as in
+/// the scan) and replay it. A kSmo record below the last
 /// Δ-record installs only the images whose page passes Algorithm 5's test
 /// (in the DPT, record LSN >= rLSN): every other page's stable copy
 /// already carries the record's effects. Tail SMOs (§4.3), merges (the

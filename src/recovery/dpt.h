@@ -57,11 +57,13 @@ class DirtyPageTable {
   }
 
   /// ADDENTRY semantics of Algorithms 3 and 4: first mention sets rLSN and
-  /// lastLSN to `lsn`; later mentions only advance lastLSN.
-  void AddOrUpdate(PageId pid, Lsn lsn) {
+  /// lastLSN to `lsn`; later mentions only advance lastLSN. Returns whether
+  /// this was a first mention (the PF-list's unit, App. A.2).
+  bool AddOrUpdate(PageId pid, Lsn lsn) {
     auto [e, inserted] = FindOrInsert(pid);
     if (inserted) e->rlsn = lsn;
     e->last_lsn = lsn;
+    return inserted;
   }
 
   /// Direct insert with distinct rLSN/lastLSN (perfect-DPT construction).

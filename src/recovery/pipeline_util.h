@@ -1,9 +1,9 @@
-// Lock-free plumbing shared by the parallel dispatch/worker pipelines: the
-// recovery-time redo pipeline (recovery/parallel_redo.cc) and the standby
-// replication applier (core/replica.cc). Both have the same shape — one
+// Lock-free plumbing shared by the dispatch/worker pipelines: the recovery
+// passes (recovery/analysis.cc, redo.cc, undo.cc) and the standby
+// replication applier (core/replica.cc). All have the same shape — one
 // log-scanning dispatcher routing fixed-size items to per-partition
-// consumer threads over bounded FIFO queues — so the queue and the wait
-// policy live here, once.
+// consumer threads over bounded FIFO queues — so the partition map, the
+// queue and the wait policy live here, once.
 #pragma once
 
 #include <atomic>
@@ -13,7 +13,16 @@
 #include <thread>
 #include <vector>
 
+#include "common/types.h"
+
 namespace deutero {
+
+/// Stable partition map: which of `n` partitions owns `pid`. Exposed so
+/// tests can assert routing invariants.
+inline uint32_t RedoPartitionOf(PageId pid, uint32_t n) {
+  return static_cast<uint32_t>(
+      ((static_cast<uint64_t>(pid) * 0x9E3779B97F4A7C15ull) >> 32) % n);
+}
 
 /// Single-producer single-consumer ring. The dispatcher owns the producer
 /// side, one worker the consumer side. Capacity is fixed (a power of two);
@@ -49,7 +58,7 @@ class SpscRing {
   /// consuming it. Returns false when fewer than i+1 items are buffered.
   /// The consumer's ring slice IS its upcoming page-access sequence —
   /// which is what makes per-partition read-ahead exact (see
-  /// parallel_redo.cc, PartitionWorker::TopUpReadAhead).
+  /// apply_worker.h, ApplyWorker::TopUpReadAhead).
   bool Peek(uint64_t i, T* out) const {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
     if (head_.load(std::memory_order_acquire) - tail <= i) return false;

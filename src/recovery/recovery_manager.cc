@@ -4,8 +4,6 @@
 
 #include "recovery/analysis.h"
 #include "recovery/dpt.h"
-#include "recovery/parallel_analysis.h"
-#include "recovery/parallel_redo.h"
 #include "recovery/redo.h"
 #include "recovery/undo.h"
 
@@ -60,6 +58,8 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
   const Lsn count_rows_from =
       std::max(start, dc_->catalog().rows_covered_lsn());
 
+  // Every pass runs on `threads` partitions; one applies inline.
+  const uint32_t threads = options_.recovery_threads;
   const double t0 = clock_->NowMs();
   ActiveTxnTable att;
   TxnId max_txn_id = 0;
@@ -80,14 +80,8 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
     const bool build_dpt = method != RecoveryMethod::kLog0;
     const bool preload = method == RecoveryMethod::kLog2;
     DcRecoveryResult dcr;
-    if (options_.recovery_threads > 1) {
-      DEUTERO_RETURN_NOT_OK(RunDcRecoveryParallel(
-          log_, dc_, start, options_.dpt_mode, build_dpt, preload,
-          options_.recovery_threads, &dcr));
-    } else {
-      DEUTERO_RETURN_NOT_OK(RunDcRecovery(log_, dc_, start, options_.dpt_mode,
-                                          build_dpt, preload, &dcr));
-    }
+    DEUTERO_RETURN_NOT_OK(RunDcRecovery(log_, dc_, start, options_.dpt_mode,
+                                        build_dpt, preload, threads, &dcr));
     const double t1 = clock_->NowMs();
     stats->dc_pass = {t1 - t0, dcr.log_pages, dcr.records_scanned};
     stats->dpt_size = dcr.dpt.size();
@@ -100,31 +94,18 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
     stats->analysis_shard_cpu_ms_max = dcr.shard_cpu_us_max * 1e-3;
     stats->analysis_shard_cpu_ms_total = dcr.shard_cpu_us_total * 1e-3;
 
-    if (options_.recovery_threads > 1) {
-      DEUTERO_RETURN_NOT_OK(RunLogicalRedoParallel(
-          log_, dc_, start, build_dpt, build_dpt ? &dcr.dpt : nullptr,
-          dcr.last_delta_tc_lsn, preload ? &dcr.pf_list : nullptr, options_,
-          options_.recovery_threads, &redo, count_rows_from));
-    } else {
-      DEUTERO_RETURN_NOT_OK(RunLogicalRedo(
-          log_, dc_, start, build_dpt, build_dpt ? &dcr.dpt : nullptr,
-          dcr.last_delta_tc_lsn, preload ? &dcr.pf_list : nullptr, options_,
-          &redo, count_rows_from));
-    }
+    DEUTERO_RETURN_NOT_OK(RunLogicalRedo(
+        log_, dc_, start, build_dpt, build_dpt ? &dcr.dpt : nullptr,
+        dcr.last_delta_tc_lsn, preload ? &dcr.pf_list : nullptr, options_,
+        threads, &redo, count_rows_from));
     const double t2 = clock_->NowMs();
     stats->redo = {t2 - t1, redo.log_pages, redo.records_scanned};
     att = std::move(redo.att);
     max_txn_id = redo.max_txn_id;
   } else {
     SqlAnalysisResult ar;
-    if (options_.recovery_threads > 1) {
-      DEUTERO_RETURN_NOT_OK(RunSqlAnalysisParallel(
-          log_, start, options_.recovery_threads, &ar, clock_,
-          options_.io.cpu_per_dpt_update_us));
-    } else {
-      DEUTERO_RETURN_NOT_OK(RunSqlAnalysis(log_, start, &ar, clock_,
-                                           options_.io.cpu_per_dpt_update_us));
-    }
+    DEUTERO_RETURN_NOT_OK(RunSqlAnalysis(log_, start, threads, &ar, clock_,
+                                         options_.io.cpu_per_dpt_update_us));
     const double t1 = clock_->NowMs();
     stats->analysis = {t1 - t0, ar.log_pages, ar.records_scanned};
     stats->dpt_size = ar.dpt.size();
@@ -137,16 +118,9 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
 
     // Row accounting starts at the covered boundary (the ARIES redo SCAN
     // may reach back to the oldest captured rLSN, before the bCkpt).
-    if (options_.recovery_threads > 1) {
-      DEUTERO_RETURN_NOT_OK(RunSqlRedoParallel(
-          log_, dc_, ar.redo_start_lsn, &ar.dpt,
-          method == RecoveryMethod::kSql2, options_,
-          options_.recovery_threads, &redo, count_rows_from));
-    } else {
-      DEUTERO_RETURN_NOT_OK(RunSqlRedo(log_, dc_, ar.redo_start_lsn, &ar.dpt,
-                                       method == RecoveryMethod::kSql2,
-                                       options_, &redo, count_rows_from));
-    }
+    DEUTERO_RETURN_NOT_OK(RunSqlRedo(log_, dc_, ar.redo_start_lsn, &ar.dpt,
+                                     method == RecoveryMethod::kSql2, options_,
+                                     threads, &redo, count_rows_from));
     const double t2 = clock_->NowMs();
     stats->redo = {t2 - t1, redo.log_pages, redo.records_scanned};
     stats->smo_redone = redo.smo_redone;
@@ -170,14 +144,10 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
   // Undo pass — identical machinery for every method (§2.1).
   const double t_undo0 = clock_->NowMs();
   UndoResult ur;
-  if (options_.recovery_threads > 1) {
-    DEUTERO_RETURN_NOT_OK(
-        RunUndoParallel(log_, dc_, att, options_.recovery_threads, &ur));
-  } else {
-    DEUTERO_RETURN_NOT_OK(RunUndo(log_, dc_, att, &ur));
-  }
+  DEUTERO_RETURN_NOT_OK(RunUndo(log_, dc_, att, threads, &ur));
   const double t_undo1 = clock_->NowMs();
-  stats->undo = {t_undo1 - t_undo0, 0, 0};
+  // Undo reads its log by backchain, one charged log page per record.
+  stats->undo = {t_undo1 - t_undo0, ur.records_read, ur.records_read};
   stats->txns_undone = ur.txns_undone;
   stats->undo_ops = ur.ops_undone;
   stats->undo_threads = ur.threads_used;

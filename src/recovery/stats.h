@@ -20,7 +20,7 @@ struct RecoveryStats {
   PassTiming dc_pass;    ///< Logical families: SMO redo + DPT build.
   PassTiming analysis;   ///< SQL family: Algorithm 3.
   PassTiming redo;
-  PassTiming undo;
+  PassTiming undo;       ///< Records and log pages: backchain reads.
   double total_ms = 0;
 
   // DPT / analysis products.
@@ -40,26 +40,27 @@ struct RecoveryStats {
   uint64_t redo_tail_ops = 0;       ///< Handled in tail-of-log mode (§4.3).
   uint64_t redo_leaf_memo_hits = 0; ///< Traversals skipped by the leaf memo.
 
-  // Parallel redo pipeline (recovery_threads > 1).
-  uint32_t redo_threads = 1;           ///< Partition workers used by redo.
+  // Redo pipeline (recovery_threads partitions; 1 applies inline).
+  uint32_t redo_threads = 1;           ///< Partitions used by redo.
   double redo_dispatch_cpu_ms = 0;     ///< Dispatcher-side simulated CPU.
   double redo_worker_cpu_ms_max = 0;   ///< Slowest partition's CPU (folded
-                                       ///< into the simulated redo time).
-  double redo_worker_cpu_ms_total = 0; ///< Sum over partitions (the serial
-                                       ///< CPU the pipeline spread out).
-  uint64_t redo_smo_barriers = 0;      ///< Drain barriers for SMO/DDL.
+                                       ///< into the simulated redo time;
+                                       ///< charged per record inline).
+  double redo_worker_cpu_ms_total = 0; ///< Sum over partitions.
+  uint64_t redo_smo_barriers = 0;      ///< Drain barriers for SMO/DDL
+                                       ///< (taken only beside workers).
 
-  // Parallel analysis / DPT construction (recovery_threads > 1).
-  uint32_t analysis_threads = 1;       ///< Shard workers used by the DPT
+  // DPT construction (recovery_threads partitions; Log0 builds no DPT).
+  uint32_t analysis_threads = 1;       ///< Partitions used by the DPT
                                        ///< build (DC pass or SQL analysis).
   uint64_t dpt_updates = 0;            ///< DPT mutation events charged at
                                        ///< cpu_per_dpt_update_us each.
-  double analysis_shard_cpu_ms_max = 0;   ///< Slowest shard's DPT CPU
+  double analysis_shard_cpu_ms_max = 0;   ///< Slowest partition's DPT CPU
                                           ///< (folded into the pass time).
-  double analysis_shard_cpu_ms_total = 0; ///< Sum over shards.
+  double analysis_shard_cpu_ms_total = 0; ///< Sum over partitions.
 
-  // Parallel undo (recovery_threads > 1).
-  uint32_t undo_threads = 1;           ///< Apply workers used by undo.
+  // Undo (recovery_threads partitions for update-undo leaf restores).
+  uint32_t undo_threads = 1;           ///< Partitions used by undo.
 
   // I/O behaviour during recovery (buffer pool deltas).
   uint64_t data_page_fetches = 0;

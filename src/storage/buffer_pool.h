@@ -30,7 +30,7 @@
 //  * MUTATORS — logged writes, checkpoint sweeps, the lazy writer, DDL,
 //    recovery passes — run one-at-a-time: under the engine's exclusive
 //    forward gate at runtime, or under the recovery pass's own gate
-//    (recovery/parallel_redo.h). Nothing here changes for them.
+//    (recovery/redo.h). Nothing here changes for them.
 //  * CONCURRENT READERS under the engine's shared gate. Their hot path
 //    (Get hit, Unpin, the Is*/PinCount probes) takes only a per-shard
 //    page-table latch: the table is split kTableShards ways by pid hash,
@@ -144,7 +144,7 @@ class BufferPool {
   /// Rebuild the corrupt page `pid` into `frame_data` (page_size bytes) and
   /// write the repaired image back to the stable device. MUST NOT re-enter
   /// the pool: during parallel recovery the callback runs under the pool
-  /// gate (recovery/parallel_redo.h).
+  /// gate (recovery/redo.h).
   using RepairCallback = std::function<Status(PageId pid, uint8_t* frame_data)>;
 
   BufferPool(SimClock* clock, SimDisk* disk, uint64_t capacity_pages,

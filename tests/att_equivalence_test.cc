@@ -70,17 +70,17 @@ TEST_P(AttEquivalenceTest, SqlAnalysisAndLogicalScanAgreeOnLosers) {
 
   // SQL family: losers from the analysis pass.
   SqlAnalysisResult ar;
-  ASSERT_OK(RunSqlAnalysis(&e->wal(), start, &ar));
+  ASSERT_OK(RunSqlAnalysis(&e->wal(), start, 1, &ar));
 
   // Logical family: losers from the redo-scan's ATT tracking.
   Engine::StableSnapshot snap;
   ASSERT_OK(e->TakeStableSnapshot(&snap));
   DcRecoveryResult dcr;
   ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, DptMode::kStandard,
-                          true, false, &dcr));
+                          true, false, 1, &dcr));
   RedoResult rr;
   ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, true, &dcr.dpt,
-                           dcr.last_delta_tc_lsn, nullptr, e->options(),
+                           dcr.last_delta_tc_lsn, nullptr, e->options(), 1,
                            &rr));
 
   EXPECT_EQ(ar.att.size(), rr.att.size());

@@ -2,9 +2,12 @@
 //  - Algorithm 3 (SQL Server analysis with BW pruning),
 //  - Algorithm 4 (logical DPT from Δ-records) and its App. D variants,
 //  - ATT maintenance and the PF-list.
+// Every case runs with one partition (events applied inline) and with four
+// (sharded, then merged).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dc/data_component.h"
@@ -15,7 +18,7 @@
 namespace deutero {
 namespace {
 
-class DptConstructionTest : public ::testing::Test {
+class DptConstructionTest : public ::testing::TestWithParam<uint32_t> {
  protected:
   DptConstructionTest() : log_(&clock_, 8192, 0.0) {
     EngineOptions o;
@@ -71,15 +74,16 @@ class DptConstructionTest : public ::testing::Test {
   SqlAnalysisResult Sql() {
     log_.Flush();
     SqlAnalysisResult out;
-    EXPECT_TRUE(RunSqlAnalysis(&log_, bckpt_, &out).ok());
+    EXPECT_TRUE(RunSqlAnalysis(&log_, bckpt_, GetParam(), &out).ok());
     return out;
   }
 
   DcRecoveryResult Dc(DptMode mode) {
     log_.Flush();
     DcRecoveryResult out;
-    EXPECT_TRUE(
-        RunDcRecovery(&log_, dc_.get(), bckpt_, mode, true, false, &out).ok());
+    EXPECT_TRUE(RunDcRecovery(&log_, dc_.get(), bckpt_, mode, true, false,
+                              GetParam(), &out)
+                    .ok());
     return out;
   }
 
@@ -89,11 +93,17 @@ class DptConstructionTest : public ::testing::Test {
   Lsn bckpt_ = kInvalidLsn;
 };
 
+INSTANTIATE_TEST_SUITE_P(Partitions, DptConstructionTest,
+                         ::testing::Values(1u, 4u),
+                         [](const auto& param_info) {
+                           return "threads" + std::to_string(param_info.param);
+                         });
+
 // ---------------------------------------------------------------------------
 // Algorithm 3 (SQL analysis)
 // ---------------------------------------------------------------------------
 
-TEST_F(DptConstructionTest, SqlFirstMentionSetsRlsnLaterMentionsSetLastLsn) {
+TEST_P(DptConstructionTest, SqlFirstMentionSetsRlsnLaterMentionsSetLastLsn) {
   const Lsn l1 = Update(1, 10, 100);
   const Lsn l2 = Update(1, 11, 100);
   auto r = Sql();
@@ -104,7 +114,7 @@ TEST_F(DptConstructionTest, SqlFirstMentionSetsRlsnLaterMentionsSetLastLsn) {
   EXPECT_EQ(e->last_lsn, l2);
 }
 
-TEST_F(DptConstructionTest, SqlBwPruneRemovesFlushedAfterLastUpdate) {
+TEST_P(DptConstructionTest, SqlBwPruneRemovesFlushedAfterLastUpdate) {
   const Lsn l1 = Update(1, 10, 100);
   Update(1, 11, 101);
   Bw({100}, /*fw=*/l1 + 1000);  // 100's lastLSN <= FW-LSN: flushed clean
@@ -114,7 +124,7 @@ TEST_F(DptConstructionTest, SqlBwPruneRemovesFlushedAfterLastUpdate) {
   EXPECT_EQ(r.bw_records_seen, 1u);
 }
 
-TEST_F(DptConstructionTest, SqlBwPruneBumpsRlsnWhenNotRemovable) {
+TEST_P(DptConstructionTest, SqlBwPruneBumpsRlsnWhenNotRemovable) {
   const Lsn l1 = Update(1, 10, 100);
   const Lsn fw = l1 + 1;             // between the two updates
   const Lsn l2 = Update(1, 12, 100);  // lastLSN > FW-LSN: stays
@@ -126,14 +136,14 @@ TEST_F(DptConstructionTest, SqlBwPruneBumpsRlsnWhenNotRemovable) {
   EXPECT_EQ(e->last_lsn, l2);
 }
 
-TEST_F(DptConstructionTest, SqlBwForUnknownPidIsIgnored) {
+TEST_P(DptConstructionTest, SqlBwForUnknownPidIsIgnored) {
   Update(1, 10, 100);
   Bw({999}, 50);
   auto r = Sql();
   EXPECT_EQ(r.dpt.size(), 1u);
 }
 
-TEST_F(DptConstructionTest, SqlAttTracksLosersOnly) {
+TEST_P(DptConstructionTest, SqlAttTracksLosersOnly) {
   TxnCtl(LogRecordType::kTxnBegin, 5);
   Update(5, 1, 100);
   TxnCtl(LogRecordType::kTxnBegin, 6);
@@ -146,7 +156,7 @@ TEST_F(DptConstructionTest, SqlAttTracksLosersOnly) {
   EXPECT_EQ(r.max_txn_id, 6u);
 }
 
-TEST_F(DptConstructionTest, SqlDeltaRecordsAreCountedButIgnored) {
+TEST_P(DptConstructionTest, SqlDeltaRecordsAreCountedButIgnored) {
   Delta({55, 56}, {}, 0, 2, 10);
   auto r = Sql();
   EXPECT_EQ(r.dpt.size(), 0u);
@@ -157,7 +167,7 @@ TEST_F(DptConstructionTest, SqlDeltaRecordsAreCountedButIgnored) {
 // Algorithm 4 (logical DPT)
 // ---------------------------------------------------------------------------
 
-TEST_F(DptConstructionTest, LogicalNoFlushUsesRsspLsnAsRlsn) {
+TEST_P(DptConstructionTest, LogicalNoFlushUsesRsspLsnAsRlsn) {
   Delta({10, 11}, {}, kInvalidLsn, /*first_dirty=*/2, /*tc_lsn=*/900);
   auto r = Dc(DptMode::kStandard);
   ASSERT_EQ(r.dpt.size(), 2u);
@@ -167,7 +177,7 @@ TEST_F(DptConstructionTest, LogicalNoFlushUsesRsspLsnAsRlsn) {
   EXPECT_EQ(r.last_delta_tc_lsn, 900u);
 }
 
-TEST_F(DptConstructionTest, LogicalFirstDirtySplitsRlsnAssignment) {
+TEST_P(DptConstructionTest, LogicalFirstDirtySplitsRlsnAssignment) {
   // PIDs 10,11 dirtied before the first write (index < 2); 12 after.
   Delta({10, 11, 12}, {}, /*fw=*/500, /*first_dirty=*/2, /*tc_lsn=*/900);
   auto r = Dc(DptMode::kStandard);
@@ -176,7 +186,7 @@ TEST_F(DptConstructionTest, LogicalFirstDirtySplitsRlsnAssignment) {
   EXPECT_EQ(r.dpt.Find(12)->rlsn, 500u);  // FW-LSN (Alg. 4 line 14)
 }
 
-TEST_F(DptConstructionTest, LogicalSecondDeltaUsesPreviousTcLsn) {
+TEST_P(DptConstructionTest, LogicalSecondDeltaUsesPreviousTcLsn) {
   Delta({10}, {}, kInvalidLsn, 1, /*tc_lsn=*/300);
   Delta({20}, {}, kInvalidLsn, 1, /*tc_lsn=*/700);
   auto r = Dc(DptMode::kStandard);
@@ -185,7 +195,7 @@ TEST_F(DptConstructionTest, LogicalSecondDeltaUsesPreviousTcLsn) {
   EXPECT_EQ(r.last_delta_tc_lsn, 700u);
 }
 
-TEST_F(DptConstructionTest, LogicalWrittenSetPrunesOldEntries) {
+TEST_P(DptConstructionTest, LogicalWrittenSetPrunesOldEntries) {
   Delta({10}, {}, kInvalidLsn, 1, 300);
   // Interval 2: 10 flushed; its lastLSN proxy (bckpt) < FW-LSN 500.
   Delta({20}, {10}, /*fw=*/500, /*first_dirty=*/0, /*tc_lsn=*/700);
@@ -195,7 +205,7 @@ TEST_F(DptConstructionTest, LogicalWrittenSetPrunesOldEntries) {
   EXPECT_EQ(r.dpt.Find(20)->rlsn, 500u);  // dirtied after first write
 }
 
-TEST_F(DptConstructionTest, LogicalRedirtiedAfterFlushSurvivesPrune) {
+TEST_P(DptConstructionTest, LogicalRedirtiedAfterFlushSurvivesPrune) {
   // PID 10 dirtied before the first write AND after it, then flushed once:
   // its lastLSN proxy becomes FW-LSN, which is NOT < FW-LSN => kept.
   Delta({10, 10}, {10}, /*fw=*/500, /*first_dirty=*/1, /*tc_lsn=*/700);
@@ -205,7 +215,7 @@ TEST_F(DptConstructionTest, LogicalRedirtiedAfterFlushSurvivesPrune) {
   EXPECT_EQ(e->rlsn, 500u);  // bumped by the prune step (Alg. 4 line 21-22)
 }
 
-TEST_F(DptConstructionTest, LogicalRlsnBumpOnSurvivors) {
+TEST_P(DptConstructionTest, LogicalRlsnBumpOnSurvivors) {
   Delta({10}, {}, kInvalidLsn, 1, 300);
   // 10 flushed at fw=500 but ALSO redirtied in this interval after the
   // flush: entry survives with rLSN raised to 500.
@@ -216,14 +226,14 @@ TEST_F(DptConstructionTest, LogicalRlsnBumpOnSurvivors) {
   EXPECT_EQ(e->rlsn, 500u);
 }
 
-TEST_F(DptConstructionTest, PfListIsFirstMentionOrder) {
+TEST_P(DptConstructionTest, PfListIsFirstMentionOrder) {
   Delta({10, 11, 10}, {}, kInvalidLsn, 3, 300);
   Delta({11, 12}, {}, kInvalidLsn, 2, 700);
   auto r = Dc(DptMode::kStandard);
   EXPECT_EQ(r.pf_list, (std::vector<PageId>{10, 11, 12}));
 }
 
-TEST_F(DptConstructionTest, LogicalIgnoresBwRecordsButCountsThem) {
+TEST_P(DptConstructionTest, LogicalIgnoresBwRecordsButCountsThem) {
   Bw({10}, 50);
   Delta({10}, {}, kInvalidLsn, 1, 300);
   auto r = Dc(DptMode::kStandard);
@@ -232,7 +242,7 @@ TEST_F(DptConstructionTest, LogicalIgnoresBwRecordsButCountsThem) {
   EXPECT_EQ(r.delta_records_seen, 1u);
 }
 
-TEST_F(DptConstructionTest, NoDeltaRecordsMeansEmptyDptAndTailMode) {
+TEST_P(DptConstructionTest, NoDeltaRecordsMeansEmptyDptAndTailMode) {
   Update(1, 10, 100);
   auto r = Dc(DptMode::kStandard);
   EXPECT_EQ(r.dpt.size(), 0u);
@@ -243,7 +253,7 @@ TEST_F(DptConstructionTest, NoDeltaRecordsMeansEmptyDptAndTailMode) {
 // App. D variants
 // ---------------------------------------------------------------------------
 
-TEST_F(DptConstructionTest, PerfectModeUsesExactLsns) {
+TEST_P(DptConstructionTest, PerfectModeUsesExactLsns) {
   Delta({10, 11}, {}, /*fw=*/120, /*first_dirty=*/1, /*tc_lsn=*/300,
         /*has_fw=*/true, /*dirty_lsns=*/{101, 177});
   auto r = Dc(DptMode::kPerfect);
@@ -251,7 +261,7 @@ TEST_F(DptConstructionTest, PerfectModeUsesExactLsns) {
   EXPECT_EQ(r.dpt.Find(11)->rlsn, 177u);
 }
 
-TEST_F(DptConstructionTest, PerfectModePrunesWithExactLastLsns) {
+TEST_P(DptConstructionTest, PerfectModePrunesWithExactLastLsns) {
   // 10 updated at 101 then flushed under fw=150: prune. 11 updated at 177
   // (after fw): kept.
   Delta({10, 11}, {10}, /*fw=*/150, /*first_dirty=*/1, /*tc_lsn=*/300,
@@ -261,7 +271,7 @@ TEST_F(DptConstructionTest, PerfectModePrunesWithExactLastLsns) {
   EXPECT_NE(r.dpt.Find(11), nullptr);
 }
 
-TEST_F(DptConstructionTest, ReducedModeAssignsPrevDeltaToEverything) {
+TEST_P(DptConstructionTest, ReducedModeAssignsPrevDeltaToEverything) {
   Delta({10, 11}, {}, kInvalidLsn, 0, /*tc_lsn=*/300, /*has_fw=*/false);
   Delta({12}, {}, kInvalidLsn, 0, /*tc_lsn=*/600, /*has_fw=*/false);
   auto r = Dc(DptMode::kReduced);
@@ -270,7 +280,7 @@ TEST_F(DptConstructionTest, ReducedModeAssignsPrevDeltaToEverything) {
   EXPECT_EQ(r.dpt.Find(12)->rlsn, 300u);
 }
 
-TEST_F(DptConstructionTest, ReducedModePrunesOnlyPriorIntervalEntries) {
+TEST_P(DptConstructionTest, ReducedModePrunesOnlyPriorIntervalEntries) {
   Delta({10}, {}, kInvalidLsn, 0, /*tc_lsn=*/300, false);
   // Interval 2 dirties 20 and flushes both 10 and 20. Only 10 (prior
   // interval) may be pruned (App. D.2).

@@ -1,11 +1,13 @@
-// Parallel-vs-serial equivalence sweeps for the partitioned recovery
-// pipelines — redo (PR 4), analysis/DPT construction and undo (ISSUE 9):
-// for every recovery method and recovery_threads in {1, 2, 4, 8}, the same
-// crash image must recover to byte-identical table content with the same
-// loser-transaction outcome; and the pass-level decision counters, tables
-// (DPT/ATT/PF-list) and — for undo — the appended log SUFFIX of each
-// parallel pipeline must match the serial pass exactly (the pipelines
-// re-partition the work, they must not change any decision).
+// Partition-count equivalence sweeps for the recovery pipelines — redo,
+// analysis/DPT construction and undo: for every recovery method and
+// recovery_threads in {1, 2, 4, 8}, the same crash image must recover to
+// byte-identical table content with the same loser-transaction outcome;
+// and the pass-level decision counters, tables (DPT/ATT/PF-list) and — for
+// undo — the appended log SUFFIX with 2, 4 and 8 partitions must match the
+// inline one-partition run exactly (partitions re-divide the work, they
+// must not change any decision). The one-partition run itself is pinned
+// by independent references: dpt_construction_test's hand-built logs, the
+// redo and undo unit expectations, and the workload oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,8 +19,7 @@
 
 #include "core/engine.h"
 #include "recovery/analysis.h"
-#include "recovery/parallel_analysis.h"
-#include "recovery/parallel_redo.h"
+#include "recovery/pipeline_util.h"
 #include "recovery/redo.h"
 #include "recovery/stats.h"
 #include "recovery/undo.h"
@@ -103,8 +104,8 @@ TEST_P(ParallelRecoveryTest, ThreadSweepIsByteIdenticalToSerial) {
     ASSERT_OK(et->Recover(GetParam(), &st));
     EXPECT_EQ(st.redo_threads, threads) << "pipeline engagement mismatch";
     if (threads > 1) {
-      // All three passes must engage their pipelines (ISSUE 9) — except
-      // Log0's analysis, which builds no DPT and stays serial by design.
+      // All three passes must use every partition — except Log0's
+      // analysis, which builds no DPT and stays one partition by design.
       EXPECT_EQ(st.undo_threads, threads) << "undo pipeline not engaged";
       if (GetParam() != RecoveryMethod::kLog0) {
         EXPECT_EQ(st.analysis_threads, threads)
@@ -205,8 +206,8 @@ TEST_P(ParallelRecoveryTest, OracleVerifiesAfterParallelRecovery) {
   EXPECT_GT(checked, 0u);
 }
 
-// Pass-level equivalence, logical family: the parallel pipeline must make
-// exactly the serial pass's decisions — same scan/examine/apply/skip
+// Pass-level equivalence, logical family: every partition count must make
+// exactly the one-partition run's decisions — same scan/examine/apply/skip
 // counters, same memo hits, same ATT (loser set), same max txn id.
 TEST(ParallelRedoPass, LogicalCountersAndAttMatchSerial) {
   EngineOptions o = SmallOptions();
@@ -226,15 +227,9 @@ TEST(ParallelRedoPass, LogicalCountersAndAttMatchSerial) {
     e->dc().pool().set_callbacks_enabled(false);
     DcRecoveryResult dcr;
     ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                            /*build_dpt=*/true, /*preload=*/false, &dcr));
-    if (threads == 1) {
-      ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, true, &dcr.dpt,
-                               dcr.last_delta_tc_lsn, nullptr, o, rr));
-    } else {
-      ASSERT_OK(RunLogicalRedoParallel(&e->wal(), &e->dc(), start, true,
-                                       &dcr.dpt, dcr.last_delta_tc_lsn,
-                                       nullptr, o, threads, rr));
-    }
+                            /*build_dpt=*/true, /*preload=*/false, 1, &dcr));
+    ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, true, &dcr.dpt,
+                             dcr.last_delta_tc_lsn, nullptr, o, threads, rr));
     *digest = ContentDigest(e.get());
     e->SimulateCrash();
   };
@@ -306,15 +301,9 @@ TEST(ParallelRedoPass, SqlCountersMatchSerialWithDdlInWindow) {
     e->dc().pool().set_callbacks_enabled(false);
     const Lsn start = e->wal().master().bckpt_lsn;
     SqlAnalysisResult ar;
-    ASSERT_OK(RunSqlAnalysis(&e->wal(), start, &ar));
-    if (threads == 1) {
-      ASSERT_OK(RunSqlRedo(&e->wal(), &e->dc(), ar.redo_start_lsn, &ar.dpt,
-                           /*prefetch=*/false, o, rr));
-    } else {
-      ASSERT_OK(RunSqlRedoParallel(&e->wal(), &e->dc(), ar.redo_start_lsn,
-                                   &ar.dpt, /*prefetch=*/false, o, threads,
-                                   rr));
-    }
+    ASSERT_OK(RunSqlAnalysis(&e->wal(), start, 1, &ar));
+    ASSERT_OK(RunSqlRedo(&e->wal(), &e->dc(), ar.redo_start_lsn, &ar.dpt,
+                         /*prefetch=*/false, o, threads, rr));
     *digest = ContentDigest(e.get());
     BTree* side = e->dc().FindTable(kSide);
     ASSERT_NE(side, nullptr) << "DDL not replayed";
@@ -345,10 +334,10 @@ TEST(ParallelRedoPass, SqlCountersMatchSerialWithDdlInWindow) {
 }
 
 // ---------------------------------------------------------------------------
-// Analysis-pass parity (ISSUE 9 tentpole): the sharded parallel DPT builds
-// must reproduce the serial passes' tables, orders and counters exactly —
-// per-PID event order is preserved by the shard FIFOs and DPT operations on
-// distinct PIDs commute, so nothing may differ.
+// Analysis-pass parity: the sharded DPT builds must reproduce the inline
+// one-partition run's tables, orders and counters exactly — per-PID event
+// order is preserved by the shard FIFOs and DPT operations on distinct
+// PIDs commute, so nothing may differ.
 // ---------------------------------------------------------------------------
 
 std::vector<std::tuple<PageId, Lsn, Lsn>> DptEntries(
@@ -376,13 +365,13 @@ TEST(ParallelAnalysisPass, SqlTablesAndCountersMatchSerial) {
   const Lsn start = e->wal().master().bckpt_lsn;
 
   SqlAnalysisResult serial;
-  ASSERT_OK(RunSqlAnalysis(&e->wal(), start, &serial));
+  ASSERT_OK(RunSqlAnalysis(&e->wal(), start, 1, &serial));
   ASSERT_GT(serial.dpt.size(), 0u);
   ASSERT_GT(serial.att.size(), 0u) << "no losers: the ATT parity is vacuous";
 
   for (uint32_t threads : {2u, 4u, 8u}) {
     SqlAnalysisResult par;
-    ASSERT_OK(RunSqlAnalysisParallel(&e->wal(), start, threads, &par));
+    ASSERT_OK(RunSqlAnalysis(&e->wal(), start, threads, &par));
     EXPECT_EQ(par.threads_used, threads);
     EXPECT_EQ(DptEntries(par.dpt), DptEntries(serial.dpt))
         << "DPT diverged at " << threads << " threads";
@@ -395,9 +384,9 @@ TEST(ParallelAnalysisPass, SqlTablesAndCountersMatchSerial) {
     EXPECT_EQ(par.bw_records_seen, serial.bw_records_seen);
     EXPECT_EQ(par.delta_records_seen, serial.delta_records_seen);
     EXPECT_EQ(par.dpt_updates, serial.dpt_updates)
-        << "the shards performed different DPT work than the serial scan";
-    // The shards partition the serial pass's work: their folded CPU shares
-    // sum to exactly the serial total, and the critical path can only be a
+        << "the shards performed different DPT work than the inline scan";
+    // The shards partition the one-partition run's work: their folded CPU
+    // shares sum to exactly its total, and the critical path can only be a
     // part of it.
     EXPECT_DOUBLE_EQ(par.shard_cpu_us_total, serial.shard_cpu_us_total);
     EXPECT_LE(par.shard_cpu_us_max, serial.shard_cpu_us_max);
@@ -417,13 +406,13 @@ TEST(ParallelAnalysisPass, SqlAriesCheckpointSeedsShardIdentically) {
   const Lsn start = e->wal().master().bckpt_lsn;
 
   SqlAnalysisResult serial;
-  ASSERT_OK(RunSqlAnalysis(&e->wal(), start, &serial));
+  ASSERT_OK(RunSqlAnalysis(&e->wal(), start, 1, &serial));
   ASSERT_LT(serial.redo_start_lsn, start)
       << "ARIES analysis did not reach back: no captured DPT to seed from";
 
   for (uint32_t threads : {2u, 4u, 8u}) {
     SqlAnalysisResult par;
-    ASSERT_OK(RunSqlAnalysisParallel(&e->wal(), start, threads, &par));
+    ASSERT_OK(RunSqlAnalysis(&e->wal(), start, threads, &par));
     EXPECT_EQ(DptEntries(par.dpt), DptEntries(serial.dpt)) << threads;
     EXPECT_EQ(AttEntries(par.att), AttEntries(serial.att)) << threads;
     EXPECT_EQ(par.redo_start_lsn, serial.redo_start_lsn) << threads;
@@ -448,14 +437,9 @@ TEST(ParallelAnalysisPass, DcPassMatchesSerialAcrossDptModes) {
                         std::string* digest) {
       ASSERT_OK(e->RestoreStableSnapshot(snap));
       ASSERT_OK(e->dc().OpenDatabase());
-      if (threads == 1) {
-        ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, mode,
-                                /*build_dpt=*/true, /*preload=*/false, out));
-      } else {
-        ASSERT_OK(RunDcRecoveryParallel(&e->wal(), &e->dc(), start, mode,
-                                        /*build_dpt=*/true,
-                                        /*preload=*/false, threads, out));
-      }
+      ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, mode,
+                              /*build_dpt=*/true, /*preload=*/false, threads,
+                              out));
       *digest = ContentDigest(e.get());  // the pass redoes SMOs: state too
       e->SimulateCrash();
     };
@@ -498,8 +482,8 @@ TEST(ParallelAnalysisPass, DcPassMatchesSerialAcrossDptModes) {
 }
 
 // ---------------------------------------------------------------------------
-// Undo-pass parity (ISSUE 9 tentpole): the dispatcher appends every CLR and
-// abort record in exactly the serial order, so the undo log SUFFIX must be
+// Undo-pass parity: the dispatcher appends every CLR and abort record in
+// the same order for every partition count, so the undo log SUFFIX must be
 // byte-identical — not merely equivalent — and the recovered state with it.
 // ---------------------------------------------------------------------------
 
@@ -515,7 +499,7 @@ TEST(ParallelUndoPass, LogStreamAndStateMatchSerialByteForByte) {
   // the driver touches; no other txn open, so no wait-die conflicts): many
   // updates each (the fan-out path — leaf restores across partitions) plus
   // an insert and a delete each (the structure-op barrier path), so the
-  // parallel pass exercises both deterministically.
+  // partitioned pass exercises both deterministically.
   {
     Table table;
     ASSERT_OK(e->OpenDefaultTable(&table));
@@ -560,19 +544,16 @@ TEST(ParallelUndoPass, LogStreamAndStateMatchSerialByteForByte) {
     ASSERT_OK(e->dc().OpenDatabase());
     e->dc().monitor().set_enabled(false);
     e->dc().pool().set_callbacks_enabled(false);
-    // Identical serial analysis + redo both times: only undo differs.
+    // Identical one-partition analysis + redo every time: only undo
+    // differs.
     DcRecoveryResult dcr;
     ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                            /*build_dpt=*/true, /*preload=*/false, &dcr));
+                            /*build_dpt=*/true, /*preload=*/false, 1, &dcr));
     RedoResult rr;
     ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, true, &dcr.dpt,
-                             dcr.last_delta_tc_lsn, nullptr, o, &rr));
+                             dcr.last_delta_tc_lsn, nullptr, o, 1, &rr));
     const Lsn undo_start = e->wal().next_lsn();
-    if (threads == 1) {
-      ASSERT_OK(RunUndo(&e->wal(), &e->dc(), rr.att, ur));
-    } else {
-      ASSERT_OK(RunUndoParallel(&e->wal(), &e->dc(), rr.att, threads, ur));
-    }
+    ASSERT_OK(RunUndo(&e->wal(), &e->dc(), rr.att, threads, ur));
     *digest = ContentDigest(e.get());
     *log_end = e->wal().next_lsn();
     const Slice suffix = e->wal().StableBytes(undo_start);

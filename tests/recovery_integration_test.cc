@@ -181,6 +181,33 @@ TEST_P(RecoveryIntegrationTest, RedoEvictionsNeedNoLogForce) {
   EXPECT_GT(checked, 0u);
 }
 
+/// Named regression: RecoveryStats::undo reported {ms, 0, 0} although undo
+/// reads the log by backchain, one charged log page per record, so every
+/// per-pass log-page total silently left undo out.
+TEST_P(RecoveryIntegrationTest, UndoReportsTheLogItReads) {
+  for (uint32_t threads : {1u, 4u}) {
+    EngineOptions o = SmallOptions();
+    o.recovery_threads = threads;
+    std::unique_ptr<Engine> e;
+    ASSERT_OK(Engine::Open(o, &e));
+    WorkloadDriver driver(e.get(), WorkloadConfig{});
+    ASSERT_OK(driver.RunOps(300));
+    ASSERT_OK(e->Checkpoint());
+    ASSERT_OK(driver.RunOps(100));
+    ASSERT_OK(driver.RunOpsNoCommit(7));  // a loser
+    e->tc().ForceLog();
+    driver.OnCrash();
+    e->SimulateCrash();
+
+    RecoveryStats st;
+    ASSERT_OK(e->Recover(GetParam(), &st));
+    ASSERT_GE(st.txns_undone, 1u);
+    EXPECT_GT(st.undo.records, 0u) << threads << " threads";
+    EXPECT_EQ(st.undo.log_pages, st.undo.records) << threads << " threads";
+    EXPECT_GE(st.undo.records, st.undo_ops) << threads << " threads";
+  }
+}
+
 TEST(RecoverySideBySide, AllMethodsProduceIdenticalState) {
   SideBySideConfig cfg;
   cfg.engine = SmallOptions();

@@ -55,7 +55,7 @@ TEST(RecoveryPassQuiescenceTest, DcPassWithLiveMonitorAppendsNothing) {
   DcRecoveryResult dcr;
   ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), e->wal().master().bckpt_lsn,
                           o.dpt_mode, /*build_dpt=*/true, /*preload=*/false,
-                          &dcr));
+                          1, &dcr));
   EXPECT_GT(dcr.smo_redone, 0u) << "workload produced no SMOs to redo";
   EXPECT_EQ(e->wal().next_lsn(), log_end_before)
       << "the DC pass appended to the log it was scanning";
@@ -256,7 +256,7 @@ TEST_P(DptSafetyTest, DptCoversEveryPageNeedingRedo) {
   const Lsn start = e->wal().master().bckpt_lsn;
   DcRecoveryResult dcr;
   ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                          /*build_dpt=*/true, /*preload=*/false, &dcr));
+                          /*build_dpt=*/true, /*preload=*/false, 1, &dcr));
   ASSERT_GT(dcr.dpt.size(), 0u);
   ASSERT_NE(dcr.last_delta_tc_lsn, kInvalidLsn);
 
@@ -296,7 +296,7 @@ TEST(SqlDptSafety, DptCoversEveryPageNeedingRedo) {
   ASSERT_OK(e->dc().OpenDatabase());
   const Lsn start = e->wal().master().bckpt_lsn;
   SqlAnalysisResult ar;
-  ASSERT_OK(RunSqlAnalysis(&e->wal(), start, &ar));
+  ASSERT_OK(RunSqlAnalysis(&e->wal(), start, 1, &ar));
 
   uint64_t covered = 0;
   for (auto it = e->wal().NewIterator(start, false); it.Valid(); it.Next()) {

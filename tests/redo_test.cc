@@ -1,7 +1,8 @@
 // Unit-level tests of the redo engines: Algorithm 1 (physiological with
 // DPT), Algorithm 2 (basic logical), Algorithm 5 (DPT-assisted logical with
 // the tail-mode boundary), skip-counter semantics, CLR replay and the
-// SQL-side SMO skip.
+// SQL-side SMO skip. Every case runs with one partition (inline apply) and
+// with four (a worker crew).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -18,10 +19,12 @@ namespace {
 
 using testing_util::SmallOptions;
 
-class RedoTest : public ::testing::Test {
+class RedoTest : public ::testing::TestWithParam<uint32_t> {
  protected:
   void SetUp() override {
-    ASSERT_OK(Engine::Open(SmallOptions(), &engine_));
+    EngineOptions o = SmallOptions();
+    o.recovery_threads = GetParam();
+    ASSERT_OK(Engine::Open(o, &engine_));
     driver_ = std::make_unique<WorkloadDriver>(engine_.get(),
                                                WorkloadConfig{});
   }
@@ -47,12 +50,17 @@ class RedoTest : public ::testing::Test {
   std::unique_ptr<WorkloadDriver> driver_;
 };
 
-TEST_F(RedoTest, BasicLogicalRedoExaminesEveryDataOp) {
+INSTANTIATE_TEST_SUITE_P(Partitions, RedoTest, ::testing::Values(1u, 4u),
+                         [](const auto& param_info) {
+                           return "threads" + std::to_string(param_info.param);
+                         });
+
+TEST_P(RedoTest, BasicLogicalRedoExaminesEveryDataOp) {
   CrashAfter(200, 400);
   RedoResult out;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(),
                            /*use_dpt=*/false, nullptr, kInvalidLsn, nullptr,
-                           engine_->options(), &out));
+                           engine_->options(), GetParam(), &out));
   EXPECT_EQ(out.examined, 420u);
   EXPECT_EQ(out.skipped_dpt, 0u);   // Algorithm 2 has no DPT test
   EXPECT_EQ(out.skipped_rlsn, 0u);
@@ -61,15 +69,15 @@ TEST_F(RedoTest, BasicLogicalRedoExaminesEveryDataOp) {
             out.applied + out.skipped_plsn);  // every op got a pLSN test
 }
 
-TEST_F(RedoTest, DptRedoPartitionsOutcomesCompletely) {
+TEST_P(RedoTest, DptRedoPartitionsOutcomesCompletely) {
   CrashAfter(200, 400);
   DcRecoveryResult dcr;
   ASSERT_OK(RunDcRecovery(&engine_->wal(), &engine_->dc(), Start(),
-                          DptMode::kStandard, true, false, &dcr));
+                          DptMode::kStandard, true, false, GetParam(), &dcr));
   RedoResult out;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(),
                            /*use_dpt=*/true, &dcr.dpt, dcr.last_delta_tc_lsn,
-                           nullptr, engine_->options(), &out));
+                           nullptr, engine_->options(), GetParam(), &out));
   EXPECT_EQ(out.examined, 420u);
   // Every examined op lands in exactly one bucket.
   EXPECT_EQ(out.examined, out.applied + out.skipped_plsn + out.skipped_dpt +
@@ -78,11 +86,11 @@ TEST_F(RedoTest, DptRedoPartitionsOutcomesCompletely) {
   EXPECT_EQ(out.tail_ops, 20u);  // the 20 updates after the last Δ-record
 }
 
-TEST_F(RedoTest, TailModeBoundaryIsStrict) {
+TEST_P(RedoTest, TailModeBoundaryIsStrict) {
   CrashAfter(100, 200);
   DcRecoveryResult dcr;
   ASSERT_OK(RunDcRecovery(&engine_->wal(), &engine_->dc(), Start(),
-                          DptMode::kStandard, true, false, &dcr));
+                          DptMode::kStandard, true, false, GetParam(), &dcr));
   // Algorithm 5 line 5: DPT mode applies iff currLSN < lastΔLSN. Count the
   // ops on each side of the boundary directly from the log.
   uint64_t below = 0, at_or_above = 0;
@@ -98,7 +106,7 @@ TEST_F(RedoTest, TailModeBoundaryIsStrict) {
   RedoResult out;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
                            &dcr.dpt, dcr.last_delta_tc_lsn, nullptr,
-                           engine_->options(), &out));
+                           engine_->options(), GetParam(), &out));
   EXPECT_EQ(out.tail_ops, at_or_above);
   EXPECT_EQ(out.skipped_dpt + out.skipped_rlsn +
                 (out.examined - out.tail_ops - out.skipped_dpt -
@@ -106,14 +114,15 @@ TEST_F(RedoTest, TailModeBoundaryIsStrict) {
             below);
 }
 
-TEST_F(RedoTest, SqlRedoNeverTraversesTheIndex) {
+TEST_P(RedoTest, SqlRedoNeverTraversesTheIndex) {
   CrashAfter(200, 400);
   SqlAnalysisResult ar;
-  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), Start(), &ar));
+  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), Start(), GetParam(), &ar));
   engine_->dc().pool().ResetStats();
   RedoResult out;
   ASSERT_OK(RunSqlRedo(&engine_->wal(), &engine_->dc(), Start(), &ar.dpt,
-                       /*prefetch=*/false, engine_->options(), &out));
+                       /*prefetch=*/false, engine_->options(), GetParam(),
+                       &out));
   // Physiological redo goes straight to the PID: zero index-class fetches.
   EXPECT_EQ(engine_->dc().pool().stats().index_fetches, 0u);
   EXPECT_GT(engine_->dc().pool().stats().data_fetches, 0u);
@@ -122,28 +131,28 @@ TEST_F(RedoTest, SqlRedoNeverTraversesTheIndex) {
                 out.skipped_rlsn);
 }
 
-TEST_F(RedoTest, LogicalAndSqlRedoApplyTheSameOperations) {
+TEST_P(RedoTest, LogicalAndSqlRedoApplyTheSameOperations) {
   CrashAfter(300, 500);
   Engine::StableSnapshot snap;
   ASSERT_OK(engine_->TakeStableSnapshot(&snap));
 
   DcRecoveryResult dcr;
   ASSERT_OK(RunDcRecovery(&engine_->wal(), &engine_->dc(), Start(),
-                          DptMode::kStandard, true, false, &dcr));
+                          DptMode::kStandard, true, false, GetParam(), &dcr));
   RedoResult logical;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
                            &dcr.dpt, dcr.last_delta_tc_lsn, nullptr,
-                           engine_->options(), &logical));
+                           engine_->options(), GetParam(), &logical));
 
   // Reset to the identical crash image and run the SQL pair.
   engine_->dc().pool().Reset();
   ASSERT_OK(engine_->RestoreStableSnapshot(snap));
   ASSERT_OK(engine_->dc().OpenDatabase());
   SqlAnalysisResult ar;
-  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), Start(), &ar));
+  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), Start(), GetParam(), &ar));
   RedoResult sql;
   ASSERT_OK(RunSqlRedo(&engine_->wal(), &engine_->dc(), Start(), &ar.dpt,
-                       false, engine_->options(), &sql));
+                       false, engine_->options(), GetParam(), &sql));
 
   // "Repeating history": both families re-execute exactly the operations
   // whose effects were missing from stable storage.
@@ -151,7 +160,7 @@ TEST_F(RedoTest, LogicalAndSqlRedoApplyTheSameOperations) {
   EXPECT_EQ(logical.examined, sql.examined);
 }
 
-TEST_F(RedoTest, RedoAfterRuntimeAbortReplaysClrs) {
+TEST_P(RedoTest, RedoAfterRuntimeAbortReplaysClrs) {
   // A transaction aborts at runtime (CLRs + abort on the log), everything
   // is flushed, then the system crashes. Redo must replay the CLRs so the
   // rolled-back state is reconstructed; undo must NOT touch this txn.
@@ -174,7 +183,7 @@ TEST_F(RedoTest, RedoAfterRuntimeAbortReplaysClrs) {
   EXPECT_EQ(v, SynthesizeValueString(11, 0, engine_->options().value_size));
 }
 
-TEST_F(RedoTest, SqlSmoSkipViaDptStillYieldsWellFormedTree) {
+TEST_P(RedoTest, SqlSmoSkipViaDptStillYieldsWellFormedTree) {
   // Insert-heavy workload creates SMOs; after a checkpoint flushes
   // everything, a SQL redo from the next crash can skip those SMO records
   // entirely via the DPT.
@@ -194,29 +203,29 @@ TEST_F(RedoTest, SqlSmoSkipViaDptStillYieldsWellFormedTree) {
   ASSERT_OK(ins.Verify(0, &checked));
 }
 
-TEST_F(RedoTest, PrefetchDoesNotChangeRedoOutcomes) {
+TEST_P(RedoTest, PrefetchDoesNotChangeRedoOutcomes) {
   CrashAfter(300, 600);
   Engine::StableSnapshot snap;
   ASSERT_OK(engine_->TakeStableSnapshot(&snap));
 
   DcRecoveryResult dcr;
   ASSERT_OK(RunDcRecovery(&engine_->wal(), &engine_->dc(), Start(),
-                          DptMode::kStandard, true, true, &dcr));
+                          DptMode::kStandard, true, true, GetParam(), &dcr));
   RedoResult with_pf;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
                            &dcr.dpt, dcr.last_delta_tc_lsn, &dcr.pf_list,
-                           engine_->options(), &with_pf));
+                           engine_->options(), GetParam(), &with_pf));
 
   engine_->dc().pool().Reset();
   ASSERT_OK(engine_->RestoreStableSnapshot(snap));
   ASSERT_OK(engine_->dc().OpenDatabase());
   DcRecoveryResult dcr2;
   ASSERT_OK(RunDcRecovery(&engine_->wal(), &engine_->dc(), Start(),
-                          DptMode::kStandard, true, false, &dcr2));
+                          DptMode::kStandard, true, false, GetParam(), &dcr2));
   RedoResult without_pf;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
                            &dcr2.dpt, dcr2.last_delta_tc_lsn, nullptr,
-                           engine_->options(), &without_pf));
+                           engine_->options(), GetParam(), &without_pf));
 
   EXPECT_EQ(with_pf.applied, without_pf.applied);
   EXPECT_EQ(with_pf.skipped_dpt, without_pf.skipped_dpt);

@@ -523,7 +523,7 @@ TEST(SmoMergeRecovery, DptSkippedSplitStillAdvancesAllocatorHwm) {
   DirtyPageTable empty_dpt;
   RedoResult rr;
   ASSERT_OK(RunSqlRedo(&e->wal(), &e->dc(), e->wal().master().bckpt_lsn,
-                       &empty_dpt, /*prefetch=*/false, o, &rr));
+                       &empty_dpt, /*prefetch=*/false, o, 1, &rr));
   EXPECT_EQ(rr.smo_redone, 0u) << "empty DPT must skip the image install";
   EXPECT_EQ(e->dc().allocator().next_page_id(), hwm_after_split)
       << "skipped split left the allocator high-water mark stale";
@@ -620,7 +620,7 @@ TEST(SmoMergeRecovery, DcPassSkipsSmoImagesTheDptProvesDurable) {
     e->dc().pool().ResetStats();
     DcRecoveryResult dcr;
     ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                            /*build_dpt=*/true, preload, &dcr));
+                            /*build_dpt=*/true, preload, 1, &dcr));
     EXPECT_EQ(dcr.smo_pages_skipped, split.smo_pages.size());
     EXPECT_EQ(dcr.smo_redone, 0u);
     const BufferPool::Stats pass = e->dc().pool().stats();
@@ -768,7 +768,7 @@ TEST(SmoMergeRecovery, DcReplayChargesEveryLogPageARecordSpans) {
     ASSERT_OK(e->dc().OpenDatabase());
     DcRecoveryResult dcr;
     ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                            build_dpt, /*preload_index=*/false, &dcr));
+                            build_dpt, /*preload_index=*/false, 1, &dcr));
     log_pages[build_dpt ? 1 : 0] = dcr.log_pages;
     e->SimulateCrash();
   }

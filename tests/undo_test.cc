@@ -1,5 +1,7 @@
 // Undo-pass tests: multi-loser interleaving, CLR chains, crash-during-undo
 // (partial undo followed by a second recovery), and losers of every shape.
+// Every case runs with one partition (inline restores) and with four (a
+// worker crew applying update-undo restores).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,10 +19,12 @@ namespace {
 
 using testing_util::SmallOptions;
 
-class UndoTest : public ::testing::Test {
+class UndoTest : public ::testing::TestWithParam<uint32_t> {
  protected:
   void SetUp() override {
-    ASSERT_OK(Engine::Open(SmallOptions(), &engine_));
+    EngineOptions o = SmallOptions();
+    o.recovery_threads = GetParam();
+    ASSERT_OK(Engine::Open(o, &engine_));
   }
 
   std::string Val(Key k, uint32_t version) {
@@ -30,7 +34,12 @@ class UndoTest : public ::testing::Test {
   std::unique_ptr<Engine> engine_;
 };
 
-TEST_F(UndoTest, MultipleLosersAllRolledBack) {
+INSTANTIATE_TEST_SUITE_P(Partitions, UndoTest, ::testing::Values(1u, 4u),
+                         [](const auto& param_info) {
+                           return "threads" + std::to_string(param_info.param);
+                         });
+
+TEST_P(UndoTest, MultipleLosersAllRolledBack) {
   TxnId a, b, c;
   ASSERT_OK(engine_->Begin(&a));
   ASSERT_OK(engine_->Begin(&b));
@@ -55,7 +64,7 @@ TEST_F(UndoTest, MultipleLosersAllRolledBack) {
   }
 }
 
-TEST_F(UndoTest, LoserWithOnlyBeginRecordIsHarmless) {
+TEST_P(UndoTest, LoserWithOnlyBeginRecordIsHarmless) {
   TxnId t;
   ASSERT_OK(engine_->Begin(&t));
   engine_->tc().ForceLog();
@@ -66,7 +75,7 @@ TEST_F(UndoTest, LoserWithOnlyBeginRecordIsHarmless) {
   EXPECT_EQ(st.undo_ops, 0u);
 }
 
-TEST_F(UndoTest, CommittedAndLoserOnSameKeySequence) {
+TEST_P(UndoTest, CommittedAndLoserOnSameKeySequence) {
   // Committed txn sets version 1; the loser overwrites with version 2 but
   // never commits: undo must restore version 1, not version 0.
   TxnId t;
@@ -86,7 +95,7 @@ TEST_F(UndoTest, CommittedAndLoserOnSameKeySequence) {
   EXPECT_EQ(v, Val(42, 1));
 }
 
-TEST_F(UndoTest, CrashDuringUndoThenFullRecovery) {
+TEST_P(UndoTest, CrashDuringUndoThenFullRecovery) {
   // Build a crash image with a 9-op loser.
   WorkloadDriver driver(engine_.get(), WorkloadConfig{});
   ASSERT_OK(driver.RunOps(200));
@@ -102,12 +111,12 @@ TEST_F(UndoTest, CrashDuringUndoThenFullRecovery) {
   engine_->dc().pool().set_callbacks_enabled(false);
   const Lsn start = engine_->wal().master().bckpt_lsn;
   SqlAnalysisResult ar;
-  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), start, &ar));
+  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), start, GetParam(), &ar));
   RedoResult rr;
   ASSERT_OK(RunSqlRedo(&engine_->wal(), &engine_->dc(), start, &ar.dpt,
-                       false, engine_->options(), &rr));
+                       false, engine_->options(), GetParam(), &rr));
   UndoResult ur;
-  ASSERT_OK(RunUndo(&engine_->wal(), &engine_->dc(), ar.att, &ur,
+  ASSERT_OK(RunUndo(&engine_->wal(), &engine_->dc(), ar.att, GetParam(), &ur,
                     /*max_ops_for_test=*/4));
   EXPECT_EQ(ur.ops_undone, 4u);
 
@@ -126,7 +135,7 @@ TEST_F(UndoTest, CrashDuringUndoThenFullRecovery) {
   EXPECT_GT(checked, 0u);
 }
 
-TEST_F(UndoTest, UndoOfInsertsDeletesRows) {
+TEST_P(UndoTest, UndoOfInsertsDeletesRows) {
   const Key fresh = engine_->options().num_rows + 1;
   TxnId t;
   ASSERT_OK(engine_->Begin(&t));
@@ -144,7 +153,7 @@ TEST_F(UndoTest, UndoOfInsertsDeletesRows) {
   EXPECT_EQ(rows, engine_->options().num_rows);
 }
 
-TEST_F(UndoTest, MixedLoserInsertAndUpdate) {
+TEST_P(UndoTest, MixedLoserInsertAndUpdate) {
   const Key fresh = engine_->options().num_rows + 5;
   TxnId t;
   ASSERT_OK(engine_->Begin(&t));
@@ -162,7 +171,7 @@ TEST_F(UndoTest, MixedLoserInsertAndUpdate) {
   EXPECT_TRUE(engine_->Read(fresh, &v).IsNotFound());
 }
 
-TEST_F(UndoTest, UndoPassTimingIsRecorded) {
+TEST_P(UndoTest, UndoPassTimingIsRecorded) {
   TxnId t;
   ASSERT_OK(engine_->Begin(&t));
   for (Key k = 0; k < 20; k++) {
