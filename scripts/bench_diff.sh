@@ -1,18 +1,23 @@
 #!/usr/bin/env bash
 # Compare the end-to-end benchmark (bench/e2e) of a base revision with the
 # working tree. Builds bench/e2e at REV and in the working tree, runs N
-# repetitions of every workload per side, interleaved run by run (A B,
-# then B A, ...) so drift of a shared machine hits both alike, and prints
-# bench/e2e/compare.py's table (A = REV, B = working tree).
+# repetitions of each selected workload per side, interleaved run by run
+# (A B, then B A, ...) so drift of a shared machine hits both alike, and
+# prints bench/e2e/compare.py's table (A = REV, B = working tree).
 #
-# Usage: scripts/bench_diff.sh [--base REV] [--smoke] [--reps N] [--exact]
-#   --base REV  revision to compare against (default HEAD)
-#   --smoke     small scale, a few seconds per run
-#   --reps N    repetitions per side (default 5)
-#   --exact     also require every simulated end-to-end metric to read the
-#               same on every run of both sides, on the deterministic
-#               workloads fig2a_uniform, zipf_resident and mixed_churn
-#               (oltp_concurrent runs 4 client threads and is not)
+# Usage: scripts/bench_diff.sh [--base REV] [--workload W]... [--seed N]
+#                              [--smoke] [--reps N] [--exact]
+#   --base REV    revision to compare against (default HEAD)
+#   --workload W  run only workload W of BENCHMARK.json; repeat the flag
+#                 to select several (default: every workload)
+#   --seed N      workload seed of every run (default: run.py's, 1)
+#   --smoke       small scale, a few seconds per run
+#   --reps N      repetitions per side (default 5)
+#   --exact       also require every simulated end-to-end metric to read
+#                 the same on every run of both sides, on the selected
+#                 deterministic workloads among fig2a_uniform,
+#                 zipf_resident and mixed_churn (oltp_concurrent runs 4
+#                 client threads and is not)
 #
 # REV is exported with `git archive` (the repository's worktrees are left
 # alone) and built there. Everything goes under $BENCH_DIFF_DIR (default
@@ -26,19 +31,28 @@ cd "$(dirname "$0")/.."
 ROOT="$PWD"
 
 BASE=HEAD
-SMOKE=()
+WORKLOADS=()
+RUN_ARGS=()
 REPS=5
 EXACT=0
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --base) BASE="${2:?--base needs a revision}"; shift 2 ;;
-    --smoke) SMOKE=(--smoke); shift ;;
+    --workload) WORKLOADS+=("${2:?--workload needs a name}"); shift 2 ;;
+    --seed) RUN_ARGS+=(--seed "${2:?--seed needs a number}"); shift 2 ;;
+    --smoke) RUN_ARGS+=(--smoke); shift ;;
     --reps) REPS="${2:?--reps needs a count}"; shift 2 ;;
     --exact) EXACT=1; shift ;;
-    *) sed -n '2,25p' "$0" >&2; exit 2 ;;
+    *) sed -n '2,28p' "$0" >&2; exit 2 ;;
   esac
 done
 [[ "$REPS" =~ ^[1-9][0-9]*$ ]] || { echo "--reps must be >= 1" >&2; exit 2; }
+ALL_WORKLOADS=($(python3 -c 'import json,sys; print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' BENCHMARK.json))
+for w in "${WORKLOADS[@]}"; do
+  [[ " ${ALL_WORKLOADS[*]} " == *" $w "* ]] ||
+    { echo "unknown workload '$w' (one of: ${ALL_WORKLOADS[*]})" >&2; exit 2; }
+done
+((${#WORKLOADS[@]})) || WORKLOADS=("${ALL_WORKLOADS[@]}")
 
 SHA="$(git rev-parse --verify "$BASE^{commit}")"
 WORK="${BENCH_DIFF_DIR:-$ROOT/build-bench-diff}"
@@ -66,7 +80,6 @@ declare -A BIN=([A]="$BASE_TREE/build-bench/e2e_bench"
 RESULTS="$WORK/results"
 rm -rf "$RESULTS"
 mkdir -p "$RESULTS/A" "$RESULTS/B" "$RESULTS/run"
-WORKLOADS=($(python3 -c 'import json,sys; print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' BENCHMARK.json))
 for ((i = 0; i < REPS; i++)); do
   order=(A B)
   ((i % 2 == 1)) && order=(B A)
@@ -74,7 +87,7 @@ for ((i = 0; i < REPS; i++)); do
     for side in "${order[@]}"; do
       echo "== rep $((i + 1))/$REPS $w ($side)" >&2
       python3 bench/e2e/run.py --bin "${BIN[$side]}" --workload "$w" \
-        --out "$RESULTS/run" "${SMOKE[@]}" >/dev/null
+        --out "$RESULTS/run" "${RUN_ARGS[@]}" >/dev/null
       mv "$RESULTS/run/$w.json" "$RESULTS/$side/$w-$(printf %02d "$i").json"
     done
   done
@@ -85,12 +98,12 @@ status=0
 python3 bench/e2e/compare.py "$RESULTS/A" "$RESULTS/B" || status=1
 
 if ((EXACT)); then
-  python3 - "$RESULTS" <<'EOF' || status=1
+  python3 - "$RESULTS" "${WORKLOADS[@]}" <<'EOF' || status=1
 import json, os, sys
 sys.dont_write_bytecode = True
 sys.path.insert(0, os.path.join("bench", "e2e"))
 import compare
-res = sys.argv[1]
+res, selected = sys.argv[1], sys.argv[2:]
 a, b = compare.load(os.path.join(res, "A")), compare.load(os.path.join(res, "B"))
 with open("BENCHMARK.json") as f:
     bench = json.load(f)
@@ -98,6 +111,8 @@ simulated = [m["name"] for m in bench["end_to_end"] if "sim" in m["unit"]]
 differ = 0
 print("\n--exact: simulated end-to-end metrics, every run of both sides")
 for w in ("fig2a_uniform", "zipf_resident", "mixed_churn"):
+    if w not in selected:
+        continue
     for m in simulated:
         values = {r["metrics"][m]["value"] for r in a.get(w, []) + b.get(w, [])}
         same = len(values) == 1

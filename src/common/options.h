@@ -107,8 +107,10 @@ struct IoModelOptions {
   /// Positioning cost of a page write (ms). Writes are buffered and
   /// elevator-scheduled by the controller, hence cheaper than reads.
   double write_seek_ms = 2.0;
-  /// Max contiguous pages coalesced into one read I/O (paper App. A: 8).
   double log_page_read_ms = 0.25;  ///< Sequential log read, per log page.
+  /// Max contiguous pages coalesced into one read I/O (paper App. A: 8).
+  /// The redo prefetchers also cap each DPT run they form at this size
+  /// (recovery/prefetch.h).
   uint32_t max_batch_pages = 8;
   /// Number of I/Os the device can service concurrently: the SimDisk keeps
   /// one elevator (busy-until cursor) per channel and assigns each request
@@ -208,7 +210,11 @@ struct EngineOptions {
   CheckpointScheme checkpoint_scheme = CheckpointScheme::kPenultimate;
 
   // ---- prefetch (App. A) ----
-  uint32_t prefetch_window = 32;  ///< Max outstanding prefetched pages.
+  /// Max outstanding prefetched head pages: the pages a redo prefetcher
+  /// picks from the PF-list or the log, each freeing its slot when redo
+  /// claims it. The DPT neighbours that ride in a head's I/O have their
+  /// own bound (recovery/prefetch.h).
+  uint32_t prefetch_window = 32;
 
   // ---- recovery parallelism ----
   /// Worker threads for the redo phase (all five methods). 1 (default)

@@ -4,6 +4,24 @@
 
 namespace deutero {
 
+PrefetchWindow::PrefetchWindow(BufferPool* pool, uint32_t window,
+                               const DirtyPageTable* dpt, uint32_t max_pages)
+    : pool_(pool),
+      window_(window),
+      dpt_(dpt),
+      rider_bound_(dpt == nullptr || max_pages <= window
+                       ? 0
+                       : static_cast<uint32_t>(std::min<uint64_t>(
+                             {uint64_t{pool->max_batch_pages() - 1} * window,
+                              pool->capacity() / 8,
+                              uint64_t{max_pages - window}}))) {
+  // Bounded by the window and the rider bound: never reallocates.
+  inflight_.reserve(window);
+  riders_.reserve(rider_bound_);
+  batch_.reserve(window + rider_bound_);
+  if (dpt != nullptr) runs_.reserve(window);
+}
+
 void PrefetchWindow::Drain() {
   const size_t before = inflight_.size();
   inflight_.erase(
@@ -33,14 +51,66 @@ void PrefetchWindow::Drain() {
   }
 }
 
-void PrefetchWindow::Issue(const std::vector<PageId>& candidates) {
-  if (candidates.empty()) return;
-  pool_->Prefetch(candidates, PageClass::kData);
-  for (PageId pid : candidates) {
-    if (pool_->IsResidentOrPending(pid) && !pool_->IsLoaded(pid)) {
-      inflight_.push_back(pid);
+void PrefetchWindow::Issue(const std::vector<PageId>& heads) {
+  if (heads.empty()) return;
+  batch_.assign(heads.begin(), heads.end());
+  if (dpt_ != nullptr) AddRiders(heads.size());
+  pool_->Prefetch(batch_, PageClass::kData);
+  for (size_t k = 0; k < batch_.size(); k++) {
+    const PageId pid = batch_[k];
+    if (!pool_->IsResidentOrPending(pid)) continue;  // not issued
+    if (k < heads.size()) {
+      if (!pool_->IsLoaded(pid)) inflight_.push_back(pid);
+    } else if (!pool_->HasArrived(pid)) {
+      riders_.push_back(pid);
     }
   }
+}
+
+void PrefetchWindow::AddRiders(size_t heads) {
+  // Riders take only frames that hold no page, and only those the heads
+  // leave over: the whole batch then fits without a single eviction. A
+  // margin of window + rider bound frames, the most pages the read-ahead
+  // keeps in flight, also stays unused: once riders stop, later heads fill
+  // that margin while redo claims the riders already read, rather than
+  // evicting them unclaimed as soon as the pool is full.
+  const uint64_t unused = pool_->unused_frames();
+  const uint64_t keep = heads + window_ + rider_bound_;
+  uint64_t room = unused > keep ? unused - keep : 0;
+  if (room == 0) return;
+  // A rider's slot frees when its I/O lands, claimed or not (see the
+  // header comment), so riders need no escape hatch. Only the room here
+  // reads the rider count, so landed riders leave here rather than on
+  // every Drain.
+  riders_.erase(std::remove_if(riders_.begin(), riders_.end(),
+                               [this](PageId pid) {
+                                 return !pool_->IsResidentOrPending(pid) ||
+                                        pool_->HasArrived(pid);
+                               }),
+                riders_.end());
+  room = std::min<uint64_t>(room, rider_bound_ - riders_.size());
+  if (room == 0) return;
+  runs_.clear();
+  for (size_t k = 0; k < heads; k++) runs_.emplace_back(batch_[k], batch_[k]);
+  const uint32_t cap = pool_->max_batch_pages();
+  for (auto& [lo, hi] : runs_) {
+    while (room > 0 && hi - lo + 1 < cap && CanRide(hi + 1)) {
+      batch_.push_back(++hi);
+      room--;
+    }
+    while (room > 0 && hi - lo + 1 < cap && lo > 0 && CanRide(lo - 1)) {
+      batch_.push_back(--lo);
+      room--;
+    }
+  }
+}
+
+bool PrefetchWindow::CanRide(PageId pid) const {
+  if (pid == kInvalidPageId) return false;
+  for (const auto& [lo, hi] : runs_) {
+    if (pid >= lo && pid <= hi) return false;
+  }
+  return dpt_->Find(pid) != nullptr && !pool_->IsResidentOrPending(pid);
 }
 
 void PfListPrefetcher::Pump() {

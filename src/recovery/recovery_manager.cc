@@ -153,7 +153,7 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
   stats->undo_threads = ur.threads_used;
   stats->total_ms = t_undo1 - t0;
 
-  // Buffer-pool counters cover exactly the recovery epoch.
+  // Buffer-pool and device counters cover exactly the recovery epoch.
   const BufferPool::Stats& ps = dc_->pool().stats();
   stats->data_page_fetches = ps.data_fetches;
   stats->index_page_fetches = ps.index_fetches;
@@ -169,6 +169,9 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
   stats->backoff_ms = ps.backoff_ms;
   stats->checksum_failures = ps.checksum_failures;
   stats->pages_repaired = ps.repairs;
+  const SimDisk::Stats& ds = dc_->disk().stats();
+  stats->read_ios = ds.read_ios;
+  stats->read_pages = ds.pages_read;
 
   // Back to normal operation (RearmNormalOperation re-enables the pool).
   tc_->SetNextTxnId(max_txn_id + 1);

@@ -55,7 +55,7 @@ BufferPool::BufferPool(SimClock* clock, SimDisk* disk, uint64_t capacity_pages,
       disk_(disk),
       capacity_(capacity_pages),
       page_size_(page_size),
-      max_batch_pages_(max_batch_pages),
+      max_batch_pages_(std::max<uint32_t>(1, max_batch_pages)),
       retry_limit_(disk->io_options().io_retry_limit),
       backoff_base_ms_(disk->io_options().io_backoff_base_ms) {
   assert(capacity_ > 0);
@@ -315,30 +315,25 @@ uint32_t BufferPool::Prefetch(std::span<const PageId> pids, PageClass cls) {
   want.erase(std::unique(want.begin(), want.end()), want.end());
   if (want.empty()) return 0;
 
-  const uint32_t max_batch = std::max<uint32_t>(1, max_batch_pages_);
   uint32_t issued = 0;
-  size_t i = 0;
-  while (i < want.size()) {
-    // Maximal contiguous run starting at want[i], capped at max_batch.
-    size_t j = i + 1;
-    while (j < want.size() && j - i < max_batch &&
+  for (size_t i = 0, j = 0; i < want.size(); i = j) {
+    // Maximal contiguous run starting at want[i], capped at the run cap.
+    j = i + 1;
+    while (j < want.size() && j - i < max_batch_pages_ &&
            want[j] == want[j - 1] + 1) {
       j++;
     }
-    const uint32_t run = static_cast<uint32_t>(j - i);
 
-    // Reserve frames for the whole run first; bail out if the pool cannot
-    // supply frames (prefetch is best effort).
+    // Reserve frames for the run. When the pool runs short, the run shrinks
+    // to its leading pages that got a frame: handing those frames back
+    // would waste the evictions that freed them (prefetch is best effort).
     std::vector<uint32_t>& fidx = prefetch_fidx_;
-    fidx.assign(run, 0);
-    uint32_t got = 0;
-    for (; got < run; got++) {
-      if (!AllocFrame(&fidx[got]).ok()) break;
+    fidx.assign(j - i, 0);
+    uint32_t run = 0;
+    for (; run < j - i; run++) {
+      if (!AllocFrame(&fidx[run]).ok()) break;
     }
-    if (got < run) {
-      for (uint32_t k = 0; k < got; k++) free_frames_.push_back(fidx[k]);
-      break;
-    }
+    if (run == 0) continue;
 
     // Issue the run, retrying transient failures like the demand path does.
     // On exhaustion give the frames back and stop: prefetch is best effort,
@@ -376,9 +371,13 @@ uint32_t BufferPool::Prefetch(std::span<const PageId> pids, PageClass cls) {
     } else {
       stats_.data_fetches += run;
     }
-    i = j;
   }
   return issued;
+}
+
+uint64_t BufferPool::unused_frames() const {
+  MutexLock pool_lk(&miss_mu_);
+  return free_frames_.size();
 }
 
 Status BufferPool::FlushPage(PageId pid) {

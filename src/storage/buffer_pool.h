@@ -15,8 +15,9 @@
 //    exceeds a watermark — the background cleaning that shapes the dirty
 //    fraction of the cache (Fig. 2(b)).
 //  * Prefetch: asynchronous reads; contiguous runs are coalesced into single
-//    batched I/Os (paper App. A); a demand Get on a pending page stalls only
-//    until that I/O's completion time.
+//    batched I/Os of at most max_batch_pages() pages (paper App. A); a
+//    demand Get on a pending page stalls only until that I/O's completion
+//    time.
 //  * Media-failure handling (PR 7): every read-in verifies the page CRC and
 //    every flush stamps it; transient device errors are retried with
 //    sim-time exponential backoff (io_retry_limit / io_backoff_base_ms in
@@ -185,9 +186,16 @@ class BufferPool {
   bool HasArrived(PageId pid) const;
 
   /// Best-effort asynchronous reads. Duplicates and resident pages are
-  /// skipped; contiguous runs are coalesced into batched I/Os. Returns the
-  /// number of page reads actually issued.
+  /// skipped; contiguous runs are coalesced into batched I/Os. A run the
+  /// pool cannot supply frames for shrinks to its leading pages that got
+  /// one. Returns the number of page reads actually issued.
   uint32_t Prefetch(std::span<const PageId> pids, PageClass cls);
+
+  /// Frames that hold no page (never filled since Reset, or given back by
+  /// Discard or a failed read). Filling one costs no eviction.
+  uint64_t unused_frames() const;
+  /// Most pages one read I/O covers (the run cap Prefetch coalesces to).
+  uint32_t max_batch_pages() const { return max_batch_pages_; }
 
   /// Synchronously flush one resident dirty page (respects the WAL rule).
   /// IOError after retry exhaustion leaves the page dirty and resident.

@@ -271,6 +271,39 @@ TEST_F(BufferPoolTest, PrefetchSkipsResidentPages) {
   EXPECT_EQ(issued, 1u);
 }
 
+/// Named regression: a prefetch run the pool could not supply frames for
+/// handed back the frames its evictions had just freed and dropped the rest
+/// of the batch. In a full 4-frame pool with 2 pinned pages,
+/// Prefetch({10, 11, 12}) evicted both cached pages and issued nothing.
+TEST_F(BufferPoolTest, PrefetchShortOfFramesIssuesWhatFits) {
+  BufferPool pool(&clock_, &disk_, /*capacity=*/4, kPageSize,
+                  /*max_batch=*/4);
+  EXPECT_EQ(pool.unused_frames(), 4u);
+  std::vector<PageHandle> pins(2);
+  ASSERT_TRUE(pool.Get(1, PageClass::kData, &pins[0]).ok());
+  ASSERT_TRUE(pool.Get(2, PageClass::kData, &pins[1]).ok());
+  for (PageId pid : {3, 4}) {
+    PageHandle h;
+    ASSERT_TRUE(pool.Get(pid, PageClass::kData, &h).ok());
+  }
+  EXPECT_EQ(pool.unused_frames(), 0u);
+  const uint64_t ios_before = disk_.stats().read_ios;
+
+  const uint32_t issued =
+      pool.Prefetch(std::vector<PageId>{10, 11, 12}, PageClass::kData);
+  EXPECT_EQ(issued, 2u);
+  EXPECT_EQ(pool.stats().evictions, 2u);
+  // The run shrank to its leading pages: one I/O for 10 and 11.
+  EXPECT_TRUE(pool.IsResidentOrPending(10));
+  EXPECT_TRUE(pool.IsResidentOrPending(11));
+  EXPECT_FALSE(pool.IsResidentOrPending(12));
+  EXPECT_EQ(disk_.stats().read_ios - ios_before, 1u);
+  EXPECT_EQ(pool.stats().prefetch_issued, 2u);
+  PageHandle h;
+  ASSERT_TRUE(pool.Get(11, PageClass::kData, &h).ok());
+  EXPECT_EQ(h.view().payload()[0], 11);
+}
+
 TEST_F(BufferPoolTest, CreateMaterializesZeroedPage) {
   PageHandle h;
   ASSERT_TRUE(pool_.Create(60, PageClass::kData, &h).ok());

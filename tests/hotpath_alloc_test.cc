@@ -491,11 +491,15 @@ TEST(PrefetchAllocTest, PoolPrefetchIsAllocationFreePerCall) {
   EXPECT_EQ(allocs, 0u) << "BufferPool::Prefetch is allocating per call";
 }
 
-TEST(PrefetchAllocTest, PfListPumpIsAllocationFreePerPump) {
+/// Pumps a PF-list prefetcher (window 16) over a 2,000-page contiguous
+/// DPT, claiming 8 pages per pump, in a pool of `capacity` frames. Returns
+/// the allocations of the counted pumps after a warm-up, and in
+/// `most_riders` the most riders in flight after any counted pump.
+uint64_t PfListPumpAllocs(uint64_t capacity, uint32_t* most_riders) {
   SimClock clock;
   SimDisk disk(&clock, 256, IoModelOptions{});
   disk.EnsurePages(4096);
-  BufferPool pool(&clock, &disk, /*capacity=*/256, /*page_size=*/256);
+  BufferPool pool(&clock, &disk, capacity, /*page_size=*/256);
   DirtyPageTable dpt;
   std::vector<PageId> pf_list;
   for (PageId p = 1; p < 2000; p++) {
@@ -505,6 +509,7 @@ TEST(PrefetchAllocTest, PfListPumpIsAllocationFreePerPump) {
   PfListPrefetcher pf(&pool, &dpt, &pf_list, /*window=*/16);
   auto pump_and_claim = [&](PageId base) {
     pf.Pump();
+    *most_riders = std::max(*most_riders, pf.window().riders_inflight());
     clock.AdvanceMs(1000);
     for (PageId p = base; p < base + 8; p++) {
       PageHandle h;
@@ -512,13 +517,15 @@ TEST(PrefetchAllocTest, PfListPumpIsAllocationFreePerPump) {
     }
   };
   for (PageId base = 1; base < 257; base += 8) pump_and_claim(base);
-  const uint64_t allocs = CountAllocs([&] {
+  *most_riders = 0;
+  return CountAllocs([&] {
     for (PageId base = 257; base < 1025; base += 8) pump_and_claim(base);
   });
-  EXPECT_EQ(allocs, 0u) << "PfListPrefetcher::Pump is allocating";
 }
 
-TEST(PrefetchAllocTest, LogDrivenPumpIsAllocationFreePerPump) {
+/// The log-driven counterpart: 2,000 update records on pids 1..2000, all
+/// in the DPT, window 16, lookahead 128, 8 records consumed per pump.
+uint64_t LogDrivenPumpAllocs(uint64_t capacity, uint32_t* most_riders) {
   SimClock clock;
   LogManager log(&clock, 8192, 0.0);
   DirtyPageTable dpt;
@@ -538,13 +545,14 @@ TEST(PrefetchAllocTest, LogDrivenPumpIsAllocationFreePerPump) {
   }
   SimDisk disk(&clock, 256, IoModelOptions{});
   disk.EnsurePages(4096);
-  BufferPool pool(&clock, &disk, /*capacity=*/256, /*page_size=*/256);
+  BufferPool pool(&clock, &disk, capacity, /*page_size=*/256);
   LogDrivenPrefetcher pf(&pool, &dpt, &log, kFirstLsn, /*window=*/16,
                          /*lookahead_records=*/128);
   uint64_t consumed = 0;
   auto pump_and_claim = [&] {
     consumed += 8;
     pf.Pump(consumed);
+    *most_riders = std::max(*most_riders, pf.window().riders_inflight());
     clock.AdvanceMs(1000);
     for (PageId p = static_cast<PageId>(consumed - 7);
          p <= static_cast<PageId>(consumed); p++) {
@@ -553,10 +561,39 @@ TEST(PrefetchAllocTest, LogDrivenPumpIsAllocationFreePerPump) {
     }
   };
   for (int i = 0; i < 32; i++) pump_and_claim();  // warm-up
-  const uint64_t allocs = CountAllocs([&] {
+  *most_riders = 0;
+  return CountAllocs([&] {
     for (int i = 0; i < 96; i++) pump_and_claim();
   });
-  EXPECT_EQ(allocs, 0u) << "LogDrivenPrefetcher::Pump is allocating";
+}
+
+TEST(PrefetchAllocTest, PfListPumpIsAllocationFreePerPump) {
+  uint32_t most_riders = 0;
+  EXPECT_EQ(PfListPumpAllocs(/*capacity=*/256, &most_riders), 0u)
+      << "PfListPrefetcher::Pump is allocating";
+}
+
+TEST(PrefetchAllocTest, LogDrivenPumpIsAllocationFreePerPump) {
+  uint32_t most_riders = 0;
+  EXPECT_EQ(LogDrivenPumpAllocs(/*capacity=*/256, &most_riders), 0u)
+      << "LogDrivenPrefetcher::Pump is allocating";
+}
+
+// DPT-run read-ahead: the 256-frame pools above fill up during warm-up,
+// after which no frame is unused and no rider forms. A pool larger than
+// the DPT keeps riders forming in every counted pump.
+TEST(PrefetchAllocTest, PfListRiderPumpIsAllocationFreePerPump) {
+  uint32_t most_riders = 0;
+  EXPECT_EQ(PfListPumpAllocs(/*capacity=*/4096, &most_riders), 0u)
+      << "PfListPrefetcher::Pump is allocating riders";
+  EXPECT_GT(most_riders, 0u);
+}
+
+TEST(PrefetchAllocTest, LogDrivenRiderPumpIsAllocationFreePerPump) {
+  uint32_t most_riders = 0;
+  EXPECT_EQ(LogDrivenPumpAllocs(/*capacity=*/4096, &most_riders), 0u)
+      << "LogDrivenPrefetcher::Pump is allocating riders";
+  EXPECT_GT(most_riders, 0u);
 }
 
 TEST(GroupCommitAllocTest, SteadyStateCommitWaitIsAllocationFree) {
