@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/value_codec.h"
 #include "recovery/recovery_manager.h"
@@ -308,6 +310,19 @@ Status Engine::Recover(RecoveryMethod method, RecoveryStats* stats) {
     RecoveryManager rm(&clock_, log_.get(), dc_.get(), tc_.get(), options_);
     s = rm.Recover(method, stats);
     if (s.ok()) {
+      // The monitor was off during recovery, so the pages redo and undo
+      // left dirty are in no DirtySet. Captured later, after a new op
+      // re-dirties one, such a page would get a proxy rLSN past the update
+      // recovery re-applied, and the next Log1/Log2 recovery would skip
+      // it. Report them all now, in one scope so no Δ-record splits them.
+      std::vector<std::pair<PageId, Lsn>> dirty;
+      dc_->pool().CollectDirtyPages(&dirty);
+      {
+        DirtyPageMonitor::AtomicScope scope(&dc_->monitor());
+        for (const auto& [pid, lsn] : dirty) {
+          dc_->monitor().OnPageDirtied(pid, lsn);
+        }
+      }
       running_ = true;
       degraded_ = false;
       last_recovery_ = *stats;

@@ -1,9 +1,11 @@
-// Hot-standby applier. Structure mirrors the recovery redo pipeline
-// (recovery/redo.cc): a dispatcher scans the mirror log in order —
+// Hot-standby applier, on recovery's apply pipeline (recovery/apply_worker.h)
+// with its third apply body: a dispatcher scans the mirror log in order —
 // buffering in-flight transactions, doing the logical->physical mapping
 // under the standby's own geometry, and owning every structure change —
-// while N partition workers (hash of the standby leaf pid) run the leaf
-// applies. The differences from recovery's pipeline:
+// while recovery_threads partitions (hash of the standby leaf pid) run the
+// leaf applies; one partition applies each op inline as it routes it. The
+// ReplicationChannel is its only feed (PumpChunk); there is no pull API
+// over a primary's log. The differences from redo:
 //
 //  * Replay is FORWARD operation, not redo: each applied transaction is
 //    re-logged through TC::LogReplayOp into the standby's own WAL (its own
@@ -23,6 +25,7 @@
 #include "core/replica.h"
 
 #include <cassert>
+#include <optional>
 #include <utility>
 
 #include "btree/btree.h"
@@ -47,12 +50,39 @@ void EncodeCursor(Lsn applied_through, Lsn replay_from, std::string* out) {
   EncodeFixed64(&(*out)[8], replay_from);
 }
 
+/// Holds the DC monitor's LSN view at or below `hold` while a crew runs.
+/// A routed op's standby record is appended before a worker applies it,
+/// and any gated pool miss in between can write its page without it —
+/// while an eviction's WAL force makes the record stable. A FW-LSN or
+/// TC-LSN past the record would then tell a standby recovery that the
+/// page was clean through it (Algorithms 3 and 4), losing the op; with
+/// `hold` below every LSN the apply can route, none covers an op not yet
+/// applied. One partition applies each op before anything else touches
+/// the pool, so it needs no hold.
+class MonitorLsnHold {
+ public:
+  MonitorLsnHold(DataComponent* dc, Lsn hold) : dc_(dc) {
+    dc->monitor().set_elsn_provider(
+        [dc, hold] { return std::min(dc->elsn(), hold); });
+  }
+  ~MonitorLsnHold() {
+    dc_->monitor().set_elsn_provider([dc = dc_] { return dc->elsn(); });
+  }
+  MonitorLsnHold(const MonitorLsnHold&) = delete;
+  MonitorLsnHold& operator=(const MonitorLsnHold&) = delete;
+
+ private:
+  DataComponent* dc_;
+};
+
+}  // namespace
+
 /// One routed leaf apply. The after-image aliases the MIRROR log buffer —
 /// valid for the whole apply under the dispatcher's AliasGuard (the mirror
 /// only grows between applies). `lsn` is the STANDBY WAL record's LSN (the
-/// one that stamps the page). A default-constructed item (kInvalid) is the
-/// release-pins control token.
-struct ReplayItem {
+/// one that stamps the page). A default-constructed item (pid ==
+/// kInvalidPageId) is the release-pins control token.
+struct LogicalReplica::ReplayItem {
   LogRecordType type = LogRecordType::kInvalid;
   Key key = 0;
   Lsn lsn = kInvalidLsn;
@@ -61,88 +91,24 @@ struct ReplayItem {
   Slice after;
 };
 
-constexpr size_t kReplayRingCapacity = 1024;
-
-/// One partition of the continuous-replay crew: same queue/pin-cache/
-/// barrier design as recovery's ApplyWorker, minus the DPT tests and
-/// read-ahead (replay applies everything; the pLSN test still guards the
-/// re-applied prefix after a resume).
-class ReplayWorker {
+/// Replay's apply body: the pLSN test, the leaf operation and the stamp.
+/// Replay applies every routed op, so there are no DPT tests, and it runs
+/// with no read-ahead.
+class LogicalReplica::ReplayApplier {
  public:
-  ReplayWorker(BufferPool* pool, Mutex* gate, uint32_t pin_cache_cap)
-      : pool_(pool),
-        gate_(gate),
-        ring_(kReplayRingCapacity),
-        pin_cache_cap_(pin_cache_cap == 0 ? 1 : pin_cache_cap) {}
+  using Item = ReplayItem;
 
-  void Start() { thread_ = std::thread([this] { Run(); }); }
-  void Join() {
-    if (thread_.joinable()) thread_.join();
-  }
+  bool Fetches(const Item&) const { return false; }  // read-ahead budget 0
 
-  void Push(const ReplayItem& item) {
-    uint32_t spins = 0;
-    while (!ring_.TryPush(item)) SpinWait(&spins);
-    pushed_++;
-  }
-  void SignalDone() { done_.store(true, std::memory_order_release); }
-  bool Drained() const {
-    return applied_.load(std::memory_order_acquire) == pushed_;
-  }
-  bool failed() const { return failed_.load(std::memory_order_acquire); }
-  const Status& error() const { return error_; }  ///< Valid after Join().
-
- private:
-  struct CachedPin {
-    PageId pid = kInvalidPageId;
-    PageHandle handle;
-    bool dirtied = false;
-    uint64_t last_use = 0;
-  };
-
-  void Run() {
-    ReplayItem item;
-    uint32_t spins = 0;
-    while (true) {
-      if (ring_.TryPop(&item)) {
-        spins = 0;
-        Process(item);
-        applied_.fetch_add(1, std::memory_order_release);
-        continue;
-      }
-      if (done_.load(std::memory_order_acquire)) {
-        if (!ring_.TryPop(&item)) break;
-        Process(item);
-        applied_.fetch_add(1, std::memory_order_release);
-        continue;
-      }
-      SpinWait(&spins);
-    }
-    ReleaseAllPins();
-  }
-
-  void Process(const ReplayItem& item) {
-    if (item.type == LogRecordType::kInvalid) {
-      ReleaseAllPins();
-      return;
-    }
-    if (failed_.load(std::memory_order_relaxed)) return;  // drain mode
-    const Status st = Apply(item);
-    if (!st.ok()) {
-      error_ = st;
-      failed_.store(true, std::memory_order_release);
-    }
-  }
-
-  Status Apply(const ReplayItem& item) {
-    CachedPin* pin = nullptr;
-    DEUTERO_RETURN_NOT_OK(FindOrPin(item.pid, &pin));
+  Status Apply(const Item& item, PinCache* pins) {
+    PinCache::Pin* pin = nullptr;
+    DEUTERO_RETURN_NOT_OK(pins->FindOrPin(item.pid, &pin));
     PageView page = pin->handle.view();
     // Idempotence across resumes: a recovered standby re-applies the tail
     // from replay_from; ops whose effects recovery already installed are
     // provably stamped (their standby records redo under every method).
     if (item.lsn <= page.plsn()) return Status::OK();
-    int64_t delta = 0;
+    int64_t delta = 0;  // row accounting is scan-complete on the dispatcher
     Status st;
     switch (item.type) {
       case LogRecordType::kUpdate:
@@ -160,123 +126,10 @@ class ReplayWorker {
         break;
     }
     DEUTERO_RETURN_NOT_OK(st);
-    (void)delta;  // row accounting is scan-complete on the dispatcher
-    if (pin->dirtied) {
-      page.set_plsn(item.lsn);
-    } else {
-      MutexLock lock(gate_);
-      pin->handle.MarkDirty(item.lsn);
-      pin->dirtied = true;
-    }
+    pins->Stamp(pin, item.lsn);
     return Status::OK();
   }
-
-  Status FindOrPin(PageId pid, CachedPin** out) {
-    use_tick_++;
-    for (CachedPin& p : pins_) {
-      if (p.pid == pid) {
-        p.last_use = use_tick_;
-        *out = &p;
-        return Status::OK();
-      }
-    }
-    CachedPin* slot = nullptr;
-    if (pins_.size() < pin_cache_cap_) {
-      pins_.emplace_back();
-      slot = &pins_.back();
-    } else {
-      slot = &pins_[0];
-      for (CachedPin& p : pins_) {
-        if (p.last_use < slot->last_use) slot = &p;
-      }
-    }
-    {
-      MutexLock lock(gate_);
-      slot->handle.Release();
-      DEUTERO_RETURN_NOT_OK(pool_->Get(pid, PageClass::kData, &slot->handle));
-    }
-    slot->pid = pid;
-    slot->dirtied = false;
-    slot->last_use = use_tick_;
-    *out = slot;
-    return Status::OK();
-  }
-
-  void ReleaseAllPins() {
-    if (pins_.empty()) return;
-    MutexLock lock(gate_);
-    for (CachedPin& p : pins_) p.handle.Release();
-    pins_.clear();
-  }
-
-  BufferPool* pool_;
-  Mutex* gate_;
-  SpscRing<ReplayItem> ring_;
-  const uint32_t pin_cache_cap_;
-  std::thread thread_;
-
-  uint64_t pushed_ = 0;  ///< Producer-side only.
-  alignas(64) std::atomic<uint64_t> applied_{0};
-  std::atomic<bool> done_{false};
-  std::atomic<bool> failed_{false};
-
-  Status error_;
-  std::vector<CachedPin> pins_;
-  uint64_t use_tick_ = 0;
 };
-
-class ReplayCrew {
- public:
-  ReplayCrew(BufferPool* pool, Mutex* gate, uint32_t threads) {
-    // Same pin budget heuristic as recovery: an eighth of the pool split
-    // across workers, clamped to [1, 8] pins each.
-    const uint64_t per = (pool->capacity() / 8) / (threads == 0 ? 1 : threads);
-    const uint32_t pin_cap =
-        per < 1 ? 1 : (per > 8 ? 8 : static_cast<uint32_t>(per));
-    workers_.reserve(threads);
-    for (uint32_t i = 0; i < threads; i++) {
-      workers_.push_back(std::make_unique<ReplayWorker>(pool, gate, pin_cap));
-    }
-    for (auto& w : workers_) w->Start();
-  }
-
-  void Route(uint32_t partition, const ReplayItem& item) {
-    workers_[partition]->Push(item);
-  }
-
-  /// Every worker drops its pins, then every queue is fully APPLIED.
-  void DrainBarrier() {
-    ReplayItem release_pins;  // type == kInvalid
-    for (auto& w : workers_) w->Push(release_pins);
-    for (auto& w : workers_) {
-      uint32_t spins = 0;
-      while (!w->Drained()) SpinWait(&spins);
-    }
-  }
-
-  bool AnyFailed() const {
-    for (const auto& w : workers_) {
-      if (w->failed()) return true;
-    }
-    return false;
-  }
-
-  Status Finish() {
-    ReplayItem release_pins;
-    for (auto& w : workers_) w->Push(release_pins);
-    for (auto& w : workers_) w->SignalDone();
-    for (auto& w : workers_) w->Join();
-    for (auto& w : workers_) {
-      if (w->failed()) return w->error();
-    }
-    return Status::OK();
-  }
-
- private:
-  std::vector<std::unique_ptr<ReplayWorker>> workers_;
-};
-
-}  // namespace
 
 // ---- InFlightOps ----
 
@@ -376,6 +229,8 @@ Status LogicalReplica::Open(const EngineOptions& options,
     // Nobody else can hold the lock on a not-yet-published object; taken
     // anyway because the analysis cannot see that.
     MutexLock lock(&r->apply_mu_);
+    r->inline_pins_ = std::make_unique<PinCache>(&r->engine_->dc().pool(),
+                                                 /*gate=*/nullptr, 1);
     EncodeCursor(kInvalidLsn, kFirstLsn, &r->cursor_after_);
     DEUTERO_RETURN_NOT_OK(
         tc.Insert(boot, kStandbyCursorTableId, kCursorKey, r->cursor_after_));
@@ -392,32 +247,9 @@ Status LogicalReplica::Open(const EngineOptions& options,
 
 LogicalReplica::~LogicalReplica() { (void)StopContinuousReplay(); }
 
-void LogicalReplica::RefreshTableRegistry() {
-  table_value_sizes_.clear();
-  DataComponent& dc = engine_->dc();
-  for (const TableInfo& info : dc.catalog().tables()) {
-    BTree* tree = dc.FindTable(info.id);
-    if (tree != nullptr) {
-      table_value_sizes_.emplace_back(info.id, tree->value_size());
-    }
-  }
-}
-
-bool LogicalReplica::LookupValueSize(TableId table,
-                                     uint32_t* value_size) const {
-  for (const auto& [tid, vs] : table_value_sizes_) {
-    if (tid == table) {
-      *value_size = vs;
-      return true;
-    }
-  }
-  return false;
-}
-
 // ---- the applier core ----
 
-Status LogicalReplica::ProjectedLeafRows(PageId pid, Mutex* gate,
-                                         int64_t** count) {
+Status LogicalReplica::ProjectedLeafRows(PageId pid, int64_t** count) {
   for (auto& entry : window_) {
     if (entry.first == pid) {
       *count = &entry.second;
@@ -431,7 +263,7 @@ Status LogicalReplica::ProjectedLeafRows(PageId pid, Mutex* gate,
   // window.
   int64_t base = 0;
   {
-    MutexLock lock(gate);
+    GateLock lock(gate());
     PageHandle h;
     DEUTERO_RETURN_NOT_OK(engine_->dc().pool().Get(pid, PageClass::kData, &h));
     base = h.view().num_slots();
@@ -442,124 +274,110 @@ Status LogicalReplica::ProjectedLeafRows(PageId pid, Mutex* gate,
   return Status::OK();
 }
 
+Status LogicalReplica::Route(const ReplayItem& item) {
+  if (crew_ != nullptr) {
+    crew_->Route(item);
+    return Status::OK();
+  }
+  const Status st = ReplayApplier().Apply(item, inline_pins_.get());
+  // No pin outlives its op: the dispatcher's next pool touch may be a
+  // split or merge of this very leaf.
+  inline_pins_->ReleaseAll();
+  return st;
+}
+
+Mutex* LogicalReplica::gate() { return crew_ != nullptr ? &gate_ : nullptr; }
+
+void LogicalReplica::Barrier() {
+  if (crew_ == nullptr) return;
+  crew_->DrainBarrier();
+  agg_.barriers++;
+}
+
 Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
-                                         LogManager* src, bool standby,
-                                         void* crew_opaque, Mutex* gate,
                                          bool* stop_injected) {
-  ReplayCrew* crew = static_cast<ReplayCrew*>(crew_opaque);
   DataComponent& dc = engine_->dc();
   TransactionComponent& tc = engine_->tc();
   const int32_t head = in_flight_.Take(primary_txn);
 
   TxnId local = kInvalidTxnId;
   {
-    MutexLock lock(gate);
+    GateLock lock(gate());
     DEUTERO_RETURN_NOT_OK(tc.Begin(&local));
   }
 
-  Status st;
   for (int32_t i = head; i >= 0; i = in_flight_.ops[i].next) {
     const InFlightOps::Op op = in_flight_.ops[i];
     // Re-decode the shipped record by source offset: both images come from
     // the primary (valid under strict 2PL + commit order), zero copies.
-    DEUTERO_RETURN_NOT_OK(src->ViewRecordAt(op.lsn, &view_scratch_));
-    uint32_t value_size = 0;
-    if (!LookupValueSize(op.table, &value_size)) {
+    DEUTERO_RETURN_NOT_OK(mirror_->ViewRecordAt(op.lsn, &view_scratch_));
+    ReplayItem item;
+    item.type = op.kind;
+    item.key = op.key;
+    item.after = view_scratch_.after;
+    if (!tables_.Lookup(op.table, &item.value_size)) {
       return Status::NotFound("replay of op on unknown table");
     }
     // Logical->physical mapping under the standby's own geometry, fence-
     // memoized exactly like the redo dispatcher.
-    PageId pid = kInvalidPageId;
     if (memo_.Hit(op.table, op.key)) {
-      pid = memo_.pid;
+      item.pid = memo_.pid;
     } else {
-      MutexLock lock(gate);
-      DEUTERO_RETURN_NOT_OK(dc.FindLeafRanged(op.table, op.key, &pid,
+      GateLock lock(gate());
+      DEUTERO_RETURN_NOT_OK(dc.FindLeafRanged(op.table, op.key, &item.pid,
                                               &memo_.lo, &memo_.hi,
                                               &memo_.bounded));
       memo_.table = op.table;
-      memo_.pid = pid;
+      memo_.pid = item.pid;
       memo_.valid = true;
     }
 
-    if (op.kind == LogRecordType::kInsert) {
-      if (crew != nullptr) {
-        // Split prediction: only a would-overflow insert pays a barrier +
-        // the gated, logged split. Everything else routes straight through.
-        int64_t* count = nullptr;
-        DEUTERO_RETURN_NOT_OK(ProjectedLeafRows(pid, gate, &count));
+    // Inserts and deletes change slot counts: both go through the window,
+    // so a later base-count read can never race a queued one. Split
+    // prediction: only a would-overflow insert pays a barrier + the gated,
+    // logged split. Everything else routes straight through.
+    if (op.kind != LogRecordType::kUpdate) {
+      int64_t* count = nullptr;
+      DEUTERO_RETURN_NOT_OK(ProjectedLeafRows(item.pid, &count));
+      if (op.kind == LogRecordType::kDelete) {
+        (*count)--;
+      } else {
         const auto capacity = static_cast<int64_t>(LeafNodeView::Capacity(
-            engine_->options().page_size, value_size));
+            engine_->options().page_size, item.value_size));
         if (*count + 1 > capacity) {
-          crew->DrainBarrier();
-          agg_.barriers++;
+          Barrier();
           {
-            MutexLock lock(gate);
-            DEUTERO_RETURN_NOT_OK(dc.PrepareInsert(op.table, op.key, &pid));
+            GateLock lock(gate());
+            DEUTERO_RETURN_NOT_OK(
+                dc.PrepareInsert(op.table, op.key, &item.pid));
           }
           window_.clear();  // the split moved rows; every count is stale
           memo_.valid = false;
-          DEUTERO_RETURN_NOT_OK(ProjectedLeafRows(pid, gate, &count));
+          DEUTERO_RETURN_NOT_OK(ProjectedLeafRows(item.pid, &count));
         }
         (*count)++;
-      } else {
-        MutexLock lock(gate);
-        DEUTERO_RETURN_NOT_OK(dc.PrepareInsert(op.table, op.key, &pid));
-        memo_.valid = false;  // it may have split under the memoized leaf
       }
-    } else if (op.kind == LogRecordType::kDelete && crew != nullptr) {
-      // Deletes change slot counts too: route them through the window so a
-      // later base-count read can never race a queued delete.
-      int64_t* count = nullptr;
-      DEUTERO_RETURN_NOT_OK(ProjectedLeafRows(pid, gate, &count));
-      (*count)--;
     }
 
-    Lsn lsn = kInvalidLsn;
     {
-      MutexLock lock(gate);
+      GateLock lock(gate());
       DEUTERO_RETURN_NOT_OK(tc.LogReplayOp(local, op.kind, op.table, op.key,
                                            view_scratch_.before,
-                                           view_scratch_.after, pid, &lsn));
-      if (crew != nullptr) {
-        // Δ-capture at ROUTE time, not apply time. Algorithm 4 gives a page
-        // first captured by Δ-record N the proxy rLSN of record N-1's
-        // TC-LSN — sound only if the pid enters the DirtySet before the
-        // next Δ-record after its update. A routed worker's own MarkDirty
-        // can land later than that, inflating the proxy past this record
-        // and losing the update under a Log1/Log2 standby recovery.
-        // Duplicate capture (the worker still marks on apply) is explicitly
-        // allowed (App. D.2).
-        dc.monitor().OnPageDirtied(pid, lsn);
-      }
+                                           view_scratch_.after, item.pid,
+                                           &item.lsn));
+      // Δ-capture at ROUTE time, not apply time. Algorithm 4 gives a page
+      // first captured by Δ-record N the proxy rLSN of record N-1's
+      // TC-LSN — sound only if the pid enters the DirtySet before the
+      // next Δ-record after its update. A routed worker's own MarkDirty
+      // can land later than that, inflating the proxy past this record
+      // and losing the update under a Log1/Log2 standby recovery.
+      // Duplicate capture (the apply still marks the page) is explicitly
+      // allowed (App. D.2).
+      dc.monitor().OnPageDirtied(item.pid, item.lsn);
     }
-    if (crew != nullptr) {
-      ReplayItem item;
-      item.type = op.kind;
-      item.key = op.key;
-      item.lsn = lsn;
-      item.pid = pid;
-      item.value_size = value_size;
-      item.after = view_scratch_.after;
-      crew->Route(RedoPartitionOf(pid, threads_), item);
-    } else {
-      MutexLock lock(gate);
-      switch (op.kind) {
-        case LogRecordType::kUpdate:
-          st = dc.ApplyUpdate(op.table, pid, op.key, view_scratch_.after, lsn);
-          break;
-        case LogRecordType::kInsert:
-          st = dc.ApplyInsert(op.table, pid, op.key, view_scratch_.after, lsn);
-          break;
-        default:
-          st = dc.ApplyDelete(op.table, pid, op.key, lsn);
-          break;
-      }
-      DEUTERO_RETURN_NOT_OK(st);
-      DEUTERO_RETURN_NOT_OK(dc.Tick());
-    }
-    // Scan-complete row accounting on the dispatcher (workers and the
-    // apply path never touch the counters during replay).
+    DEUTERO_RETURN_NOT_OK(Route(item));
+    // Scan-complete row accounting on the dispatcher (the apply body never
+    // touches the counters during replay).
     if (op.kind == LogRecordType::kInsert) {
       dc.AdjustTableRowCount(op.table, 1);
     } else if (op.kind == LogRecordType::kDelete) {
@@ -579,8 +397,7 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
     // Die mid-transaction: make every appended record stable (so local
     // recovery sees the open transaction and undoes it), leave the txn
     // open, and refuse further work until crash + recover.
-    if (crew != nullptr) crew->DrainBarrier();
-    MutexLock lock(gate);
+    GateLock lock(gate());
     tc.ForceLog();
     apply_stopped_ = true;
     return Status::OK();
@@ -590,12 +407,9 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
   // implies its delete-side SMOs are durable too, so no standby crash can
   // strand empty leaves behind the applied-through mark.
   if (!merge_keys_.empty()) {
-    if (crew != nullptr) {
-      crew->DrainBarrier();
-      agg_.barriers++;
-    }
+    Barrier();
     {
-      MutexLock lock(gate);
+      GateLock lock(gate());
       for (const auto& [table, key] : merge_keys_) {
         bool merged = false;
         DEUTERO_RETURN_NOT_OK(dc.MaybeMergeLeaf(table, key, &merged));
@@ -607,49 +421,44 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
     memo_.valid = false;
   }
 
-  if (standby) {
-    // Fold the replay cursor into the transaction: applied-through is this
-    // commit; replay-from backs up to the earliest still-in-flight op.
-    const Lsn min_in_flight = in_flight_.MinFirstLsn();
-    const Lsn replay_from =
-        (min_in_flight == kInvalidLsn || min_in_flight > commit_lsn)
-            ? commit_lsn
-            : min_in_flight;
-    EncodeCursor(commit_lsn, replay_from, &cursor_after_);
-    MutexLock lock(gate);
-    PageId cursor_pid = kInvalidPageId;
-    DEUTERO_RETURN_NOT_OK(dc.LocateForUpdate(kStandbyCursorTableId, kCursorKey,
-                                             &cursor_pid, &cursor_before_));
-    Lsn cursor_lsn = kInvalidLsn;
-    DEUTERO_RETURN_NOT_OK(tc.LogReplayOp(
-        local, LogRecordType::kUpdate, kStandbyCursorTableId, kCursorKey,
-        cursor_before_, cursor_after_, cursor_pid, &cursor_lsn));
-    DEUTERO_RETURN_NOT_OK(dc.ApplyUpdate(kStandbyCursorTableId, cursor_pid,
-                                         kCursorKey, cursor_after_,
-                                         cursor_lsn));
-  }
-  {
-    MutexLock lock(gate);
-    DEUTERO_RETURN_NOT_OK(tc.Commit(local));
-  }
+  // Fold the replay cursor into the transaction: applied-through is this
+  // commit; replay-from backs up to the earliest still-in-flight op.
+  const Lsn min_in_flight = in_flight_.MinFirstLsn();
+  const Lsn replay_from =
+      (min_in_flight == kInvalidLsn || min_in_flight > commit_lsn)
+          ? commit_lsn
+          : min_in_flight;
+  EncodeCursor(commit_lsn, replay_from, &cursor_after_);
+  GateLock lock(gate());
+  PageId cursor_pid = kInvalidPageId;
+  DEUTERO_RETURN_NOT_OK(dc.LocateForUpdate(kStandbyCursorTableId, kCursorKey,
+                                           &cursor_pid, &cursor_before_));
+  Lsn cursor_lsn = kInvalidLsn;
+  DEUTERO_RETURN_NOT_OK(tc.LogReplayOp(
+      local, LogRecordType::kUpdate, kStandbyCursorTableId, kCursorKey,
+      cursor_before_, cursor_after_, cursor_pid, &cursor_lsn));
+  DEUTERO_RETURN_NOT_OK(dc.ApplyUpdate(kStandbyCursorTableId, cursor_pid,
+                                       kCursorKey, cursor_after_, cursor_lsn));
+  DEUTERO_RETURN_NOT_OK(tc.Commit(local));
   txns_applied_++;
   return Status::OK();
 }
 
-Status LogicalReplica::ApplyFrom(LogManager* src, Lsn from, Lsn* next,
-                                 bool standby) {
+Status LogicalReplica::ApplyMirror(Lsn* next) {
   DataComponent& dc = engine_->dc();
-  RefreshTableRegistry();
+  tables_.Refresh(&dc);
 
-  // Routed items carry Slices aliasing `src`: nothing may append to it for
-  // the whole apply (the standby's own WAL is a different manager and
-  // grows freely).
-  LogManager::AliasGuard alias(src);
+  // Routed items carry Slices aliasing the mirror: nothing may append to
+  // it for the whole apply (the standby's own WAL is a different manager
+  // and grows freely).
+  LogManager::AliasGuard alias(mirror_.get());
 
-  Mutex gate;  // serializes EVERY pool/log/clock touch this apply
-  std::unique_ptr<ReplayCrew> crew;
+  std::optional<MonitorLsnHold> hold;
   if (threads_ >= 2) {
-    crew = std::make_unique<ReplayCrew>(&dc.pool(), &gate, threads_);
+    hold.emplace(&dc, engine_->wal().next_lsn() - 1);
+    crew_ = std::make_unique<ReplayCrew>(std::vector<ReplayApplier>(threads_),
+                                         &dc.pool(), &gate_,
+                                         /*read_ahead_budget=*/0);
   }
 
   window_.clear();
@@ -661,7 +470,7 @@ Status LogicalReplica::ApplyFrom(LogManager* src, Lsn from, Lsn* next,
 
   Status st;
   bool stop_injected = false;
-  auto it = src->NewIterator(from, /*charge_io=*/false);
+  auto it = mirror_->NewIterator(mirror_next_, /*charge_io=*/false);
   for (; it.Valid(); it.Next()) {
     const LogRecordView& rec = it.record();
     switch (rec.type) {
@@ -689,10 +498,10 @@ Status LogicalReplica::ApplyFrom(LogManager* src, Lsn from, Lsn* next,
         if (rec.table_id >= kStandbySystemTableBase) break;
         if (dc.FindTable(rec.table_id) == nullptr) {
           {
-            MutexLock lock(&gate);
+            GateLock lock(gate());
             st = dc.CreateTable(rec.table_id, rec.ddl_value_size);
           }
-          if (st.ok()) RefreshTableRegistry();
+          if (st.ok()) tables_.Refresh(&dc);
         }
         break;
       case LogRecordType::kTxnCommit:
@@ -702,8 +511,7 @@ Status LogicalReplica::ApplyFrom(LogManager* src, Lsn from, Lsn* next,
           in_flight_.Drop(rec.txn_id);
           break;
         }
-        st = ApplyCommittedTxn(rec.txn_id, rec.lsn, src, standby, crew.get(),
-                               &gate, &stop_injected);
+        st = ApplyCommittedTxn(rec.txn_id, rec.lsn, &stop_injected);
         break;
       default:
         // Primary-physical records (Δ, BW, SMOs, checkpoints, RSSP acks)
@@ -711,11 +519,15 @@ Status LogicalReplica::ApplyFrom(LogManager* src, Lsn from, Lsn* next,
         break;
     }
     if (!st.ok() || stop_injected) break;
-    if (crew != nullptr && crew->AnyFailed()) break;
+    if (crew_ != nullptr && crew_->AnyFailed()) break;
   }
 
   Status crew_st;
-  if (crew != nullptr) crew_st = crew->Finish();
+  if (crew_ != nullptr) {
+    crew_st = crew_->Finish();
+    crew_.reset();
+  }
+  hold.reset();
   assert(alias.Intact());
   dc.SetRowCountTracking(true);
   if (st.ok()) st = crew_st;
@@ -727,14 +539,14 @@ Status LogicalReplica::ApplyFrom(LogManager* src, Lsn from, Lsn* next,
 
   // it.lsn() when the scan ends is the first offset NOT consumed — the
   // start of a torn frame or the stable end: the resume point.
-  if (next != nullptr) *next = it.lsn();
+  *next = it.lsn();
+  // The lazy writer runs once per applied chunk, while no worker runs.
   DEUTERO_RETURN_NOT_OK(dc.Tick());
 
   // Standby checkpoints happen at ship boundaries only, while the crew is
   // quiescent — same cadence knob as the primary.
-  if (standby &&
-      ops_since_checkpoint_ >=
-          engine_->options().checkpoint_interval_updates) {
+  if (ops_since_checkpoint_ >=
+      engine_->options().checkpoint_interval_updates) {
     DEUTERO_RETURN_NOT_OK(engine_->tc().Checkpoint());
     ops_since_checkpoint_ = 0;
     agg_.checkpoints++;
@@ -768,8 +580,7 @@ Status LogicalReplica::PumpChunk(ReplicationChannel* channel,
   agg_.published_txns = channel->published_txns();
 
   Lsn next = mirror_next_;
-  DEUTERO_RETURN_NOT_OK(
-      ApplyFrom(mirror_.get(), mirror_next_, &next, /*standby=*/true));
+  DEUTERO_RETURN_NOT_OK(ApplyMirror(&next));
   if (apply_stopped_) {
     if (progressed != nullptr) *progressed = true;
     return Status::OK();  // partial: resume state is on the cursor row
@@ -857,11 +668,6 @@ Lsn LogicalReplica::read_boundary() const {
   return applied_boundary_;
 }
 
-Status LogicalReplica::Read(Key key, std::string* value) {
-  MutexLock lock(&apply_mu_);
-  return engine_->Read(key, value);
-}
-
 ReplicationStats LogicalReplica::stats() const {
   MutexLock lock(&apply_mu_);
   ReplicationStats s = agg_;
@@ -943,22 +749,6 @@ Status LogicalReplica::Promote(RecoveryMethod method, RecoveryStats* stats) {
   in_flight_.Clear();
   engine_->SetReadOnly(false);
   promoted_ = true;
-  return Status::OK();
-}
-
-// ---- legacy pull API ----
-
-Status LogicalReplica::SyncFrom(LogManager& primary_log, Lsn from, Lsn* next) {
-  MutexLock lock(&apply_mu_);
-  if (promoted_) return Status::InvalidArgument("standby was promoted");
-  if (failed_) {
-    return Status::InvalidArgument("standby applier failed; crash+recover");
-  }
-  if (!engine_->running()) return Status::InvalidArgument("standby is crashed");
-  Lsn consumed = from;
-  DEUTERO_RETURN_NOT_OK(
-      ApplyFrom(&primary_log, from, &consumed, /*standby=*/false));
-  if (next != nullptr) *next = primary_log.stable_end();
   return Status::OK();
 }
 

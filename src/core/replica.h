@@ -7,21 +7,24 @@
 // Three pieces:
 //
 //  * ReplicationChannel — the stable shipping medium between a primary and
-//    its standbys. Publish() snapshots the primary's newly-stable log bytes
-//    (published bytes survive a primary crash: the stable log never
-//    shrinks); Pull() hands out bounded chunks. Chunk boundaries need no
-//    framing negotiation — a chunk may cut a record mid-frame, and the log's
-//    CRC check makes the torn tail invisible until the next chunk lands.
+//    its standbys, and a standby's only feed (there is no pull API that
+//    reads a primary's log directly). Publish() snapshots the primary's
+//    newly-stable log bytes (published bytes survive a primary crash: the
+//    stable log never shrinks); Pull() hands out bounded chunks. Chunk
+//    boundaries need no framing negotiation — a chunk may cut a record
+//    mid-frame, and the log's CRC check makes the torn tail invisible until
+//    the next chunk lands.
 //
 //  * LogicalReplica — a full engine with its own (possibly different) page
 //    geometry that consumes the stream CONTINUOUSLY: each pulled chunk is
 //    appended to a local mirror log (same byte offsets as the primary) and
-//    applied through a partitioned parallel pipeline — the same
-//    dispatcher/worker design as recovery's parallel redo, with
-//    recovery_threads workers partitioned by standby leaf page. Only the
-//    logical content of committed transactions is applied: (table, key,
-//    after-image), re-logged as the standby's OWN WAL records
-//    (TC::LogReplayOp) so standby pLSNs never mix with primary LSNs.
+//    applied on recovery's apply pipeline (recovery/apply_worker.h), with
+//    replay as its third apply body: recovery_threads partitions by
+//    standby leaf page, and one partition applies inline on the
+//    dispatcher. Only the logical content of committed transactions is
+//    applied: (table, key, after-image), re-logged as the standby's OWN
+//    WAL records (TC::LogReplayOp) so standby pLSNs never mix with primary
+//    LSNs.
 //    Primary Δ/BW-records, SMOs and checkpoints are meaningless under the
 //    standby's geometry and are skipped; the standby forms its own pages,
 //    runs its own splits/merges, and takes its own checkpoints.
@@ -50,6 +53,7 @@
 #include "common/options.h"
 #include "common/status.h"
 #include "core/engine.h"
+#include "recovery/apply_worker.h"
 #include "recovery/redo.h"
 #include "wal/log_manager.h"
 
@@ -152,9 +156,10 @@ class LogicalReplica {
 
   /// Build a standby with its own geometry. `options.num_rows` must match
   /// the primary's initial load (the base snapshot the log stream extends);
-  /// options.recovery_threads sets the continuous-replay parallelism (the
-  /// same knob recovery uses — replay IS redo here). The standby engine
-  /// opens read-only: external writes are refused until Promote().
+  /// options.recovery_threads sets the continuous-replay partition count
+  /// (the same knob recovery uses — replay runs on redo's pipeline). The
+  /// standby engine opens read-only: external writes are refused until
+  /// Promote().
   static Status Open(const EngineOptions& options,
                      std::unique_ptr<LogicalReplica>* out);
 
@@ -211,15 +216,6 @@ class LogicalReplica {
   }
 
   ReplicationStats stats() const;
-
-  // ---- legacy pull API (direct log access, kept for older tests) ----
-
-  /// Consume the primary's stable log from `from`, applying committed
-  /// transactions. Returns the resume point for the next call in *next.
-  /// In-flight (uncommitted) transactions are buffered across calls.
-  Status SyncFrom(LogManager& primary_log, Lsn from, Lsn* next);
-
-  Status Read(Key key, std::string* value);
 
   Engine& engine() { return *engine_; }
 
@@ -279,26 +275,28 @@ class LogicalReplica {
     int32_t free_head = -1;
   };
 
+  struct ReplayItem;     ///< One routed leaf apply (replica.cc).
+  class ReplayApplier;   ///< Replay's apply body (replica.cc).
+  using ReplayCrew = ApplyCrew<ReplayApplier>;
+
   LogicalReplica() = default;
 
-  /// Rebuild the applier's table -> value_size registry from the catalog.
-  void RefreshTableRegistry() REQUIRES(apply_mu_);
-  bool LookupValueSize(TableId table, uint32_t* value_size) const
-      REQUIRES(apply_mu_);
-
-  /// The applier core shared by PumpChunk and SyncFrom: scan `src` from
-  /// `from`, buffer in-flight ops, apply committed transactions (parallel
-  /// when recovery_threads >= 2), and return the first unconsumed offset
-  /// in *next. `standby` enables the durable cursor + commit-skip filter.
-  Status ApplyFrom(LogManager* src, Lsn from, Lsn* next, bool standby)
-      REQUIRES(apply_mu_);
-  Status ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn, LogManager* src,
-                           bool standby, void* crew, Mutex* gate,
+  /// The applier core: scan the mirror from mirror_next_, buffer in-flight
+  /// ops, apply committed transactions, and return the first unconsumed
+  /// offset in *next.
+  Status ApplyMirror(Lsn* next) REQUIRES(apply_mu_);
+  Status ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
                            bool* stop_injected) REQUIRES(apply_mu_);
   /// Projected row count of standby leaf `pid` this apply window (base
   /// count read once under the gate, then tracked dispatcher-side).
-  Status ProjectedLeafRows(PageId pid, Mutex* gate, int64_t** count)
-      REQUIRES(apply_mu_);
+  Status ProjectedLeafRows(PageId pid, int64_t** count) REQUIRES(apply_mu_);
+  /// Apply `item` inline (one partition) or route it to its partition.
+  Status Route(const ReplayItem& item) REQUIRES(apply_mu_);
+  /// Before a structure change: every routed item is applied and no worker
+  /// holds a pin. A no-op inline, where each item is applied as routed.
+  void Barrier() REQUIRES(apply_mu_);
+  /// The pool gate while a crew runs; null inline (see GateLock).
+  Mutex* gate() REQUIRES(apply_mu_);
   Status RecoverStandbyLocked(RecoveryMethod method, RecoveryStats* stats)
       REQUIRES(apply_mu_);
 
@@ -327,9 +325,16 @@ class LogicalReplica {
   std::vector<std::pair<PageId, int64_t>> window_
       GUARDED_BY(apply_mu_);  ///< Leaf count window.
   std::vector<std::pair<TableId, Key>> merge_keys_ GUARDED_BY(apply_mu_);
-  std::vector<std::pair<TableId, uint32_t>> table_value_sizes_
-      GUARDED_BY(apply_mu_);
+  TableRegistry tables_ GUARDED_BY(apply_mu_);
   RedoLeafMemo memo_ GUARDED_BY(apply_mu_);
+  /// One partition: the dispatcher's own pin cache, a member so a pump
+  /// allocates nothing.
+  std::unique_ptr<PinCache> inline_pins_ GUARDED_BY(apply_mu_);
+  /// N >= 2 partitions: the gate that serializes every pool/log/clock
+  /// touch beside the workers, and the workers of the current apply
+  /// (declared after the gate they use).
+  Mutex gate_;
+  std::unique_ptr<ReplayCrew> crew_ GUARDED_BY(apply_mu_);
   std::string cursor_before_ GUARDED_BY(apply_mu_);
   std::string cursor_after_ GUARDED_BY(apply_mu_);
 

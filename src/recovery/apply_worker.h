@@ -1,11 +1,16 @@
-// The apply-worker skeleton the redo and undo pipelines share. A partition
-// worker drains the dispatcher's SPSC ring and applies each item to the
-// leaf it names; the two passes differ only in their apply body:
+// The apply-worker skeleton the redo and undo pipelines and the hot
+// standby's replay share. A partition worker drains the dispatcher's SPSC
+// ring and applies each item to the leaf it names; the three differ only
+// in their apply body:
 //
 //  * redo (redo.cc): Algorithm 1/5's DPT tests, the pLSN test and the leaf
 //    re-execution of a routed log record;
 //  * undo (undo.cc): the leaf before-image restore of an update-undo,
-//    under the CLR the dispatcher already appended.
+//    under the CLR the dispatcher already appended;
+//  * replay (core/replica.cc): the pLSN test and the leaf apply of a
+//    shipped committed op, under the standby WAL record the dispatcher
+//    already appended. Replay runs with no read-ahead, and its only feed
+//    is the ReplicationChannel.
 //
 // Everything else lives here, once: the ring loop, the drain barrier, the
 // failed-worker drain mode, ring-peek read-ahead, the LRU pin cache with

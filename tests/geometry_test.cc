@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "core/engine.h"
@@ -92,9 +93,13 @@ TEST(GeometryLimits, ExpectedLeafPagesRespectsFillFraction) {
 }
 
 // Long-running soak: repeated crash/recover cycles with rotating methods,
-// workloads and mid-cycle DDL; state must verify after every cycle.
-TEST(SoakTest, TenCrashRecoverCyclesWithRotatingMethods) {
-  EngineOptions o = testing_util::SmallOptions();
+// workloads and mid-cycle DDL; state must verify after every cycle. Two
+// geometries: the default one, where the cache holds a fraction of the
+// table, and one whose table fits in the cache (2 KB pages, 256 frames,
+// the lazy writer scaled to that cache), so the pages recovery leaves
+// dirty are still dirty when the next cycle's ops re-dirty them — and,
+// when no checkpoint follows, when it crashes.
+void RunSoak(const EngineOptions& o) {
   std::unique_ptr<Engine> e;
   ASSERT_OK(Engine::Open(o, &e));
   WorkloadConfig wc;
@@ -107,6 +112,7 @@ TEST(SoakTest, TenCrashRecoverCyclesWithRotatingMethods) {
       RecoveryMethod::kSql1, RecoveryMethod::kSql2};
   Random rng(2026);
   for (int cycle = 0; cycle < 10; cycle++) {
+    SCOPED_TRACE("cycle " + std::to_string(cycle));
     ASSERT_OK(driver.RunOps(100 + rng.Uniform(300)));
     if (rng.Bernoulli(0.6)) ASSERT_OK(e->Checkpoint());
     ASSERT_OK(driver.RunOps(rng.Uniform(200)));
@@ -128,6 +134,20 @@ TEST(SoakTest, TenCrashRecoverCyclesWithRotatingMethods) {
   uint64_t checked = 0;
   ASSERT_OK(driver.Verify(0, &checked));
   EXPECT_GT(checked, 0u);
+}
+
+TEST(SoakTest, TenCrashRecoverCyclesWithRotatingMethods) {
+  {
+    SCOPED_TRACE("cache smaller than the table");
+    RunSoak(testing_util::SmallOptions());
+  }
+  if (::testing::Test::HasFatalFailure()) return;
+  SCOPED_TRACE("table fits in the cache");
+  EngineOptions fits = testing_util::SmallOptions();
+  fits.page_size = 2048;
+  fits.cache_pages = 256;
+  fits.lazy_writer_reference_cache_pages = 256;
+  RunSoak(fits);
 }
 
 TEST(SoakTest, BackToBackCrashesWithoutInterveningWork) {

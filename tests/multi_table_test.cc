@@ -183,8 +183,9 @@ TEST_F(MultiTableTest, DdlReplicatesToDifferentGeometry) {
   }
   ASSERT_OK(engine_->Commit(t));
 
-  Lsn next = kFirstLsn;
-  ASSERT_OK(replica->SyncFrom(engine_->wal(), kFirstLsn, &next));
+  ReplicationChannel channel;
+  channel.Publish(*engine_);
+  ASSERT_OK(replica->Pump(&channel));
   ASSERT_NE(replica->engine().dc().FindTable(kOrders), nullptr);
   std::string v;
   for (Key k = 0; k < 30; k++) {

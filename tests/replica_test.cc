@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/replica.h"
 #include "test_util.h"
@@ -14,15 +17,24 @@ namespace {
 
 using testing_util::SmallOptions;
 
-class ReplicaTest : public ::testing::Test {
+// Every scenario runs on both apply paths: one partition applying inline
+// on the dispatcher, and a four-worker crew.
+class ReplicaTest : public ::testing::TestWithParam<uint32_t> {
  protected:
   void SetUp() override {
     primary_opts_ = SmallOptions();           // 1 KB pages
     replica_opts_ = SmallOptions();
     replica_opts_.page_size = 4096;           // different physical geometry
     replica_opts_.cache_pages = 32;
+    replica_opts_.recovery_threads = GetParam();
     ASSERT_OK(Engine::Open(primary_opts_, &primary_));
     ASSERT_OK(LogicalReplica::Open(replica_opts_, &replica_));
+  }
+
+  /// Publish the primary's stable log and pump the standby to catch-up.
+  void Ship() {
+    channel_.Publish(*primary_);
+    ASSERT_OK(replica_->Pump(&channel_));
   }
 
   void ExpectConverged() {
@@ -39,79 +51,134 @@ class ReplicaTest : public ::testing::Test {
   EngineOptions replica_opts_;
   std::unique_ptr<Engine> primary_;
   std::unique_ptr<LogicalReplica> replica_;
+  ReplicationChannel channel_;
 };
 
-TEST_F(ReplicaTest, CommittedTransactionsReplicate) {
+INSTANTIATE_TEST_SUITE_P(Threads, ReplicaTest, ::testing::Values(1u, 4u),
+                         [](const auto& param_info) {
+                           return "threads" +
+                                  std::to_string(param_info.param);
+                         });
+
+TEST_P(ReplicaTest, CommittedTransactionsReplicate) {
   WorkloadDriver driver(primary_.get(), WorkloadConfig{});
   ASSERT_OK(driver.RunOps(300));
-  Lsn next = kFirstLsn;
-  ASSERT_OK(replica_->SyncFrom(primary_->wal(), kFirstLsn, &next));
+  Ship();
   EXPECT_EQ(replica_->txns_applied(), driver.txns_committed());
   ExpectConverged();
 }
 
-TEST_F(ReplicaTest, IncrementalSyncResumesCleanly) {
+TEST_P(ReplicaTest, IncrementalSyncResumesCleanly) {
   WorkloadDriver driver(primary_.get(), WorkloadConfig{});
-  Lsn next = kFirstLsn;
   for (int round = 0; round < 5; round++) {
     ASSERT_OK(driver.RunOps(100));
-    ASSERT_OK(replica_->SyncFrom(primary_->wal(), next, &next));
+    Ship();
   }
   ExpectConverged();
 }
 
-TEST_F(ReplicaTest, AbortedTransactionsAreNotApplied) {
+TEST_P(ReplicaTest, AbortedTransactionsAreNotApplied) {
   TxnId t;
   ASSERT_OK(primary_->Begin(&t));
   ASSERT_OK(primary_->Update(
       t, 7, SynthesizeValueString(7, 1, primary_opts_.value_size)));
   ASSERT_OK(primary_->Abort(t));
-  Lsn next = kFirstLsn;
-  ASSERT_OK(replica_->SyncFrom(primary_->wal(), kFirstLsn, &next));
+  Ship();
   EXPECT_EQ(replica_->txns_applied(), 0u);
   std::string v;
-  ASSERT_OK(replica_->Read(7, &v));
+  ASSERT_OK(replica_->SnapshotRead(primary_opts_.table_id, 7, &v));
   EXPECT_EQ(v, SynthesizeValueString(7, 0, primary_opts_.value_size));
 }
 
-TEST_F(ReplicaTest, UncommittedTailStaysBuffered) {
+TEST_P(ReplicaTest, UncommittedTailStaysBuffered) {
   TxnId t;
   ASSERT_OK(primary_->Begin(&t));
   ASSERT_OK(primary_->Update(
       t, 9, SynthesizeValueString(9, 1, primary_opts_.value_size)));
   primary_->tc().ForceLog();
-  Lsn next = kFirstLsn;
-  ASSERT_OK(replica_->SyncFrom(primary_->wal(), kFirstLsn, &next));
+  Ship();
   EXPECT_EQ(replica_->ops_applied(), 0u);
   // Commit arrives in the next batch; the buffered ops apply then.
   ASSERT_OK(primary_->Commit(t));
-  ASSERT_OK(replica_->SyncFrom(primary_->wal(), next, &next));
+  Ship();
   EXPECT_EQ(replica_->ops_applied(), 1u);
   ExpectConverged();
 }
 
-TEST_F(ReplicaTest, InsertsReplicateAcrossGeometries) {
+TEST_P(ReplicaTest, InsertsReplicateAcrossGeometries) {
   WorkloadConfig wc;
   wc.insert_fraction = 0.4;
   WorkloadDriver driver(primary_.get(), wc);
   ASSERT_OK(driver.RunOps(400));
-  Lsn next = kFirstLsn;
-  ASSERT_OK(replica_->SyncFrom(primary_->wal(), kFirstLsn, &next));
+  Ship();
   ExpectConverged();
   uint64_t rows = 0;
   ASSERT_OK(replica_->engine().dc().btree().CheckWellFormed(&rows));
 }
 
-TEST_F(ReplicaTest, ReplicaSurvivesItsOwnCrash) {
+TEST_P(ReplicaTest, ReplicaSurvivesItsOwnCrash) {
   WorkloadDriver driver(primary_.get(), WorkloadConfig{});
   ASSERT_OK(driver.RunOps(200));
-  Lsn next = kFirstLsn;
-  ASSERT_OK(replica_->SyncFrom(primary_->wal(), kFirstLsn, &next));
+  Ship();
   // The replica is a full engine: crash it and recover logically.
-  replica_->engine().SimulateCrash();
+  replica_->CrashStandby();
   RecoveryStats st;
-  ASSERT_OK(replica_->engine().Recover(RecoveryMethod::kLog2, &st));
+  ASSERT_OK(replica_->RecoverStandby(RecoveryMethod::kLog2, &st));
   ExpectConverged();
+}
+
+// A standby whose cache is smaller than its table, crashed after each of
+// four pumps of 400 ops and recovered by the SQL methods (Algorithm 3's
+// BW-record prune) at two and four partitions, with the lazy writer off
+// so every write is a pool-miss eviction. Such an eviction can write a
+// page while an op the dispatcher routed to it is still queued; if the
+// monitor's FW-LSN could cover that op's record, the next BW-record would
+// prune the page from the recovery DPT and the op would be lost. The race
+// depends on thread timing, so the matrix is wide: 2 methods x 2
+// partition counts x 8 seeds x 3 caches.
+TEST(StandbyCachePressureTest, CrashAfterEveryPumpLosesNoCommittedUpdate) {
+  std::string diverged;
+  for (RecoveryMethod method : {RecoveryMethod::kSql1, RecoveryMethod::kSql2}) {
+    for (uint32_t threads : {2u, 4u}) {
+      for (uint64_t seed = 1; seed <= 8; seed++) {
+        for (uint32_t cache : {16u, 32u, 64u}) {
+          std::unique_ptr<Engine> primary;
+          ASSERT_OK(Engine::Open(SmallOptions(), &primary));
+          EngineOptions so = SmallOptions();
+          so.page_size = 2048;
+          so.cache_pages = cache;
+          so.lazy_writer_base_fraction = 0;
+          so.checkpoint_interval_updates = 1u << 30;  // no standby checkpoint
+          so.recovery_threads = threads;
+          std::unique_ptr<LogicalReplica> standby;
+          ASSERT_OK(LogicalReplica::Open(so, &standby));
+          WorkloadConfig wc;
+          wc.seed = seed;
+          WorkloadDriver driver(primary.get(), wc);
+          ReplicationChannel channel;
+          for (int round = 0; round < 4; round++) {
+            ASSERT_OK(driver.RunOps(400));
+            channel.Publish(*primary);
+            ASSERT_OK(standby->Pump(&channel));
+            standby->CrashStandby();
+            ASSERT_OK(standby->RecoverStandby(method));
+          }
+          std::vector<std::pair<Key, std::string>> a, b;
+          ASSERT_OK(primary->dc().btree().ScanAll(
+              [&](Key k, Slice v) { a.emplace_back(k, v.ToString()); }));
+          ASSERT_OK(standby->engine().dc().btree().ScanAll(
+              [&](Key k, Slice v) { b.emplace_back(k, v.ToString()); }));
+          if (a != b) {
+            diverged += std::string(" ") + RecoveryMethodName(method) +
+                        "/t" + std::to_string(threads) + "/seed" +
+                        std::to_string(seed) + "/cache" +
+                        std::to_string(cache);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(diverged, "") << "standby lost committed updates in these cells";
 }
 
 // ---- hot-standby surface: channel, pump, lag, gating, failover ----
@@ -167,7 +234,7 @@ TEST(ReplicationChannelTest, PublishPullBoundsAndStats) {
 // own merges (1 KB leaves), the 4 KB standby must run ITS OWN delete-side
 // SMOs locally — and both sides end with zero empty leaves and identical
 // exact row counts.
-TEST_F(ReplicaTest, DeleteHeavyMergeChurnConvergesCrossGeometry) {
+TEST_P(ReplicaTest, DeleteHeavyMergeChurnConvergesCrossGeometry) {
   ReplicationChannel channel;
   WorkloadConfig wc;
   wc.insert_fraction = 0.15;
@@ -218,7 +285,7 @@ TEST_F(ReplicaTest, DeleteHeavyMergeChurnConvergesCrossGeometry) {
       << "the standby never exercised its local delete-side SMO path";
 }
 
-TEST_F(ReplicaTest, PumpChunkProgressAndLagStats) {
+TEST_P(ReplicaTest, PumpChunkProgressAndLagStats) {
   ReplicationChannel channel;
   WorkloadDriver driver(primary_.get(), WorkloadConfig{});
   ASSERT_OK(driver.RunOps(200));
@@ -249,7 +316,7 @@ TEST_F(ReplicaTest, PumpChunkProgressAndLagStats) {
   ExpectConverged();
 }
 
-TEST_F(ReplicaTest, SnapshotReadsGateAtShipBoundary) {
+TEST_P(ReplicaTest, SnapshotReadsGateAtShipBoundary) {
   ReplicationChannel channel;
   const TableId table = primary_opts_.table_id;
   const std::string v0 = SynthesizeValueString(5, 0, primary_opts_.value_size);
@@ -279,7 +346,7 @@ TEST_F(ReplicaTest, SnapshotReadsGateAtShipBoundary) {
   EXPECT_EQ(replica_->read_boundary(), channel.published_end());
 }
 
-TEST_F(ReplicaTest, PromoteAtCleanBoundaryAcceptsWrites) {
+TEST_P(ReplicaTest, PromoteAtCleanBoundaryAcceptsWrites) {
   ReplicationChannel channel;
   WorkloadDriver driver(primary_.get(), WorkloadConfig{});
   ASSERT_OK(driver.RunOps(150));
@@ -303,7 +370,7 @@ TEST_F(ReplicaTest, PromoteAtCleanBoundaryAcceptsWrites) {
   ASSERT_OK(replica_->engine().Update(t, 11, v));
   ASSERT_OK(replica_->engine().Commit(t));
   std::string got;
-  ASSERT_OK(replica_->Read(11, &got));
+  ASSERT_OK(replica_->engine().Read(11, &got));
   EXPECT_EQ(got, v);
 
   // Pumping a promoted standby is a refused operation, not a crash.
@@ -311,7 +378,7 @@ TEST_F(ReplicaTest, PromoteAtCleanBoundaryAcceptsWrites) {
   EXPECT_FALSE(replica_->PumpChunk(&channel, 512, &progressed).ok());
 }
 
-TEST_F(ReplicaTest, StandbyCrashMidChunkResumesFromCursor) {
+TEST_P(ReplicaTest, StandbyCrashMidChunkResumesFromCursor) {
   ReplicationChannel channel;
   WorkloadDriver driver(primary_.get(), WorkloadConfig{});
   ASSERT_OK(driver.RunOps(200));
