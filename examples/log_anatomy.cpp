@@ -1,8 +1,10 @@
 // Anatomy of the integrated common log (paper §5.1): runs a tiny mixed
 // workload — DDL, transactions, a checkpoint, Δ/BW-records, an SMO — then
 // dumps every stable record, annotating who wrote it (TC vs DC) and which
-// recovery family consumes it.
+// recovery family consumes it. Exits non-zero if a call fails or the dump
+// lacks the runtime rollback's CLR and abort record.
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -44,6 +46,12 @@ const char* Role(LogRecordType t) {
   }
 }
 
+void Check(const Status& s, const char* what) {
+  if (s.ok()) return;
+  std::fprintf(stderr, "%s failed: %s\n", what, s.ToString().c_str());
+  std::exit(1);
+}
+
 }  // namespace
 
 int main() {
@@ -56,31 +64,35 @@ int main() {
   o.delta_dirty_capacity = 20;
 
   std::unique_ptr<Engine> db;
-  if (!Engine::Open(o, &db).ok()) return 1;
+  Check(Engine::Open(o, &db), "Open");
 
   // Some activity of every flavor.
-  (void)db->CreateTable(7, 16);
+  Check(db->CreateTable(7, 16), "CreateTable");
   WorkloadDriver driver(db.get(), WorkloadConfig{});
-  (void)driver.RunOps(40);
+  Check(driver.RunOps(40), "RunOps");
   Table side_table;
-  (void)db->OpenTable(7, &side_table);
+  Check(db->OpenTable(7, &side_table), "OpenTable");
   {
     Txn t;
-    (void)db->Begin(&t);
+    Check(db->Begin(&t), "Begin");
     for (Key k = 0; k < 30; k++) {
-      (void)t.Insert(side_table, k, std::string(16, 'a'));  // forces a split
+      // Forces a split.
+      Check(t.Insert(side_table, k, std::string(16, 'a')), "Insert");
     }
-    (void)t.Delete(side_table, 5);  // a kDelete record with a before-image
-    (void)t.Commit();
+    // A kDelete record with a before-image.
+    Check(t.Delete(side_table, 5), "Delete");
+    Check(t.Commit(), "Commit");
   }
-  (void)db->Checkpoint();
+  Check(db->Checkpoint(), "Checkpoint");
+  TxnId rolled_back = kInvalidTxnId;
   {
     Table table;
-    (void)db->OpenDefaultTable(&table);
+    Check(db->OpenDefaultTable(&table), "OpenDefaultTable");
     Txn t;
-    (void)db->Begin(&t);
-    (void)t.Update(table, 3, std::string(o.value_size, 'z'));
-    (void)t.Abort();  // produces a CLR
+    Check(db->Begin(&t), "Begin");
+    rolled_back = t.id();
+    Check(t.Update(table, 3, std::string(o.value_size, 'z')), "Update");
+    Check(t.Abort(), "Abort");  // produces a CLR
   }
   db->tc().ForceLog();
 
@@ -88,6 +100,8 @@ int main() {
   std::printf("%s\n", std::string(96, '-').c_str());
   Lsn prev = kFirstLsn;
   uint64_t count = 0;
+  bool saw_clr = false;
+  bool saw_abort = false;
   for (auto it = db->wal().NewIterator(kFirstLsn, false); it.Valid();
        it.Next()) {
     const LogRecordView& rec = it.record();
@@ -128,6 +142,10 @@ int main() {
                 (unsigned long long)it.lsn(), LogRecordTypeName(rec.type),
                 (unsigned long long)it.payload_size(),
                 Role(rec.type), extra.c_str());
+    if (rec.txn_id == rolled_back) {
+      saw_clr |= rec.type == LogRecordType::kClr;
+      saw_abort |= rec.type == LogRecordType::kTxnAbort;
+    }
     prev = it.lsn();
     count++;
     if (count > 120) {
@@ -138,5 +156,9 @@ int main() {
   std::printf("\nOne log, two recovery families: Log* reads the logical "
               "fields and Δ-records;\nSQL* reads the PIDs and BW-records. "
               "Both ignore the rest (paper §5.1).\n");
+  if (!saw_clr || !saw_abort) {
+    std::fprintf(stderr, "the rollback's CLR or abort record is missing\n");
+    return 1;
+  }
   return 0;
 }

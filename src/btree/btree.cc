@@ -273,6 +273,24 @@ Status LeafApplyUpsert(PageView page, uint32_t value_size, Key key,
   return Status::OK();
 }
 
+Status LeafApplyRecord(PageView page, uint32_t value_size, LogRecordType type,
+                       Key key, Slice after, int64_t* rows_delta) {
+  switch (type) {
+    case LogRecordType::kUpdate:
+      return LeafApplyUpdate(page, value_size, key, after);
+    case LogRecordType::kInsert:
+      return LeafApplyInsert(page, value_size, key, after, rows_delta);
+    case LogRecordType::kDelete:
+      return LeafApplyDelete(page, value_size, key, rows_delta);
+    case LogRecordType::kClr:
+      return after.empty()
+                 ? LeafApplyDelete(page, value_size, key, rows_delta)
+                 : LeafApplyUpsert(page, value_size, key, after, rows_delta);
+    default:
+      return Status::InvalidArgument("not a data op");
+  }
+}
+
 Status BTree::ApplyUpdate(PageId pid, Key key, Slice value, Lsn lsn) {
   PageHandle h;
   DEUTERO_RETURN_NOT_OK(pool_->Get(pid, PageClass::kData, &h));

@@ -112,6 +112,15 @@ Status LeafApplyDelete(PageView page, uint32_t value_size, Key key,
 /// Update-or-insert (CLR replay; idempotent under partial redo states).
 Status LeafApplyUpsert(PageView page, uint32_t value_size, Key key,
                        Slice value, int64_t* rows_delta);
+/// Re-execute one logged data operation (kUpdate, kInsert, kDelete or
+/// kClr) from its after-image: the leaf step of redo, page repair and
+/// standby replay. A CLR with an empty image compensates an insert and
+/// deletes the row; any other CLR restores an image as an upsert, because
+/// a CLR that compensates a delete must re-insert and the record does not
+/// say which it compensates (the page state decides). InvalidArgument for
+/// any other type.
+Status LeafApplyRecord(PageView page, uint32_t value_size, LogRecordType type,
+                       Key key, Slice after, int64_t* rows_delta);
 
 class BTree;
 

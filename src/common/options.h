@@ -144,12 +144,6 @@ struct IoModelOptions {
   /// Exhaustion surfaces the IOError to the caller.
   uint32_t io_retry_limit = 4;
   double io_backoff_base_ms = 0.5;
-
-  /// Simulated cost of one log force (the fsync a commit or group-commit
-  /// batch pays), charged whenever a Flush actually advances the stable
-  /// prefix. Default 0 keeps every pre-existing timing bit-exact; benches
-  /// set it so group commit's batched-fsync win shows up in sim-time.
-  double log_force_ms = 0.0;
 };
 
 /// Test-only fault injection points (used by crash tests).

@@ -8,9 +8,7 @@
 //     batch arrived (window trigger),
 //
 // then wakes every waiter whose commit LSN the stable prefix now covers.
-// One log force thus amortizes over the whole batch; the per-force
-// simulated fsync cost (IoModelOptions::log_force_ms) is charged inside
-// the flush callback, so fig-style benches show the batching win honestly.
+// One log force thus amortizes over the whole batch.
 //
 // Early lock release is sound because the log flushes in prefix order: any
 // transaction that read this commit's writes appended its own commit record

@@ -7,6 +7,7 @@
 
 #include "common/value_codec.h"
 #include "recovery/recovery_manager.h"
+#include "recovery/undo.h"
 
 namespace deutero {
 
@@ -24,7 +25,7 @@ Engine::Engine(const EngineOptions& options) : options_(options) {
   log_ = std::make_unique<LogManager>(&clock_, options_.log_page_size,
                                       options_.io.log_page_read_ms);
   dc_ = std::make_unique<DataComponent>(&clock_, log_.get(), options_);
-  tc_ = std::make_unique<TransactionComponent>(&clock_, log_.get(), dc_.get(),
+  tc_ = std::make_unique<TransactionComponent>(log_.get(), dc_.get(),
                                                options_);
   dc_->set_wal_force([this](Lsn lsn) { tc_->ForceLogUpTo(lsn); });
   repairer_ = std::make_unique<PageRepairer>(log_.get(), dc_.get(),
@@ -163,45 +164,31 @@ Status Engine::TryRemoteRepair(const Status& failure) {
 
 // ---- handle-API backends ----
 
-// Each write backend pre-acquires its logical lock OUTSIDE the gate (a
-// blocked waiter must not hold the gate its lock holder needs to commit),
-// then performs the logged operation under the exclusive gate; the TC's
-// own acquire re-grants instantly. If the gated operation rejects the
-// transaction (unknown/crashed), the pre-acquired lock is dropped so
-// nothing leaks.
-
-Status Engine::TxnUpdate(TxnId txn, TableId table, Key key, Slice value) {
+// A write pre-acquires its logical lock OUTSIDE the gate (a blocked waiter
+// must not hold the gate its lock holder needs to commit), then performs
+// the logged operation under the exclusive gate; the TC's own acquire
+// re-grants instantly. If the gated operation rejects the transaction
+// (unknown/crashed), the pre-acquired lock is dropped so nothing leaks.
+Status Engine::TxnWrite(LogRecordType op, TxnId txn, TableId table, Key key,
+                        Slice value) {
   DEUTERO_RETURN_NOT_OK(tc_->AcquireLock(txn, table, key, /*exclusive=*/true));
   WriterLock g(&forward_mu_);
   if (!running_) {
     tc_->ReleaseLocksIfInactive(txn);
     return Status::InvalidArgument("engine is crashed");
   }
-  const Status st = tc_->Update(txn, table, key, value);
-  if (st.IsInvalidArgument()) tc_->ReleaseLocksIfInactive(txn);
-  return st;
-}
-
-Status Engine::TxnInsert(TxnId txn, TableId table, Key key, Slice value) {
-  DEUTERO_RETURN_NOT_OK(tc_->AcquireLock(txn, table, key, /*exclusive=*/true));
-  WriterLock g(&forward_mu_);
-  if (!running_) {
-    tc_->ReleaseLocksIfInactive(txn);
-    return Status::InvalidArgument("engine is crashed");
+  Status st;
+  switch (op) {
+    case LogRecordType::kUpdate:
+      st = tc_->Update(txn, table, key, value);
+      break;
+    case LogRecordType::kInsert:
+      st = tc_->Insert(txn, table, key, value);
+      break;
+    default:
+      st = tc_->Delete(txn, table, key);
+      break;
   }
-  const Status st = tc_->Insert(txn, table, key, value);
-  if (st.IsInvalidArgument()) tc_->ReleaseLocksIfInactive(txn);
-  return st;
-}
-
-Status Engine::TxnDelete(TxnId txn, TableId table, Key key) {
-  DEUTERO_RETURN_NOT_OK(tc_->AcquireLock(txn, table, key, /*exclusive=*/true));
-  WriterLock g(&forward_mu_);
-  if (!running_) {
-    tc_->ReleaseLocksIfInactive(txn);
-    return Status::InvalidArgument("engine is crashed");
-  }
-  const Status st = tc_->Delete(txn, table, key);
   if (st.IsInvalidArgument()) tc_->ReleaseLocksIfInactive(txn);
   return st;
 }
@@ -241,38 +228,33 @@ Status Engine::TxnCommit(TxnId txn) {
 Status Engine::TxnAbort(TxnId txn) {
   WriterLock g(&forward_mu_);
   if (!running_) return Status::InvalidArgument("engine is crashed");
-  return tc_->Abort(txn);
+  // One loser, one partition: the pass writes the CLRs and the abort
+  // record, and leaves the monitor on, so the pages the CLRs dirty are
+  // reported like any other write's.
+  ActiveTxnTable loser;
+  DEUTERO_RETURN_NOT_OK(tc_->LastLsn(txn, &loser[txn]));
+  const Lsn undo_from = log_->next_lsn();
+  UndoResult ur;
+  const Status st =
+      RunUndo(log_.get(), dc_.get(), loser, /*threads=*/1, &ur);
+  if (!st.ok()) {
+    // The transaction stays a loser. Chain it from the last CLR the pass
+    // wrote, or a checkpoint's ATT would send the next recovery back over
+    // records already compensated. (The scan reads the stable log.)
+    tc_->ForceLog();
+    Lsn last = loser.at(txn);
+    for (auto it = log_->NewIterator(undo_from, false); it.Valid();
+         it.Next()) {
+      if (it.record().type == LogRecordType::kClr &&
+          it.record().txn_id == txn) {
+        last = it.lsn();
+      }
+    }
+    tc_->SetLastLsn(txn, last);
+    return st;
+  }
+  return tc_->FinishAbort(txn);
 }
-
-// ---- deprecated raw-TxnId shims ----
-
-Status Engine::Begin(TxnId* txn) {
-  WriterLock g(&forward_mu_);
-  if (!running_) return Status::InvalidArgument("engine is crashed");
-  if (degraded_) return Status::Degraded("engine is read-only (media)");
-  if (read_only_) return Status::InvalidArgument("engine is read-only");
-  return tc_->Begin(txn);
-}
-
-Status Engine::Update(TxnId txn, Key key, Slice value) {
-  return TxnUpdate(txn, options_.table_id, key, value);
-}
-
-Status Engine::Insert(TxnId txn, Key key, Slice value) {
-  return TxnInsert(txn, options_.table_id, key, value);
-}
-
-Status Engine::Update(TxnId txn, TableId table, Key key, Slice value) {
-  return TxnUpdate(txn, table, key, value);
-}
-
-Status Engine::Insert(TxnId txn, TableId table, Key key, Slice value) {
-  return TxnInsert(txn, table, key, value);
-}
-
-Status Engine::Commit(TxnId txn) { return TxnCommit(txn); }
-
-Status Engine::Abort(TxnId txn) { return TxnAbort(txn); }
 
 // ---- checkpoint / crash / recovery ----
 

@@ -19,8 +19,8 @@
 //   RecoveryStats st;
 //   db->Recover(RecoveryMethod::kLog2, &st);    // logical recovery, optimized
 //
-// The raw-TxnId methods are deprecated shims kept for source compatibility;
-// new code (and everything under src/) uses the handle API.
+// Txn is the only transaction API: every write, commit and abort goes
+// through a handle.
 //
 // All time is simulated (see sim/clock.h); experiments snapshot/restore the
 // stable state to replay one crash under every recovery method side by side
@@ -111,22 +111,6 @@ class Engine {
   /// Snapshot range scan over [lo, hi] (inclusive) of `table`.
   Status Scan(TableId table, Key lo, Key hi, ScanCursor* out);
 
-  // ---- deprecated raw-TxnId shims (migration: see README "API") ----
-  [[deprecated("use Engine::Begin(Txn*)")]]
-  Status Begin(TxnId* txn);
-  [[deprecated("use Txn::Update(Table&, ...)")]]
-  Status Update(TxnId txn, Key key, Slice value);
-  [[deprecated("use Txn::Insert(Table&, ...)")]]
-  Status Insert(TxnId txn, Key key, Slice value);
-  [[deprecated("use Txn::Update(Table&, ...)")]]
-  Status Update(TxnId txn, TableId table, Key key, Slice value);
-  [[deprecated("use Txn::Insert(Table&, ...)")]]
-  Status Insert(TxnId txn, TableId table, Key key, Slice value);
-  [[deprecated("use Txn::Commit()")]]
-  Status Commit(TxnId txn);
-  [[deprecated("use Txn::Abort() or let the Txn destructor roll back")]]
-  Status Abort(TxnId txn);
-
   // ---- checkpointing / crash / recovery ----
   Status Checkpoint(uint64_t* pages_flushed = nullptr);
 
@@ -193,12 +177,14 @@ class Engine {
 
   explicit Engine(const EngineOptions& options);
 
-  // Handle-API backends (non-deprecated so Txn and the shims share them).
-  Status TxnUpdate(TxnId txn, TableId table, Key key, Slice value);
-  Status TxnInsert(TxnId txn, TableId table, Key key, Slice value);
-  Status TxnDelete(TxnId txn, TableId table, Key key);
+  // Txn's backends.
+  /// One write of `op` (kUpdate, kInsert or kDelete; a delete ignores
+  /// `value`).
+  Status TxnWrite(LogRecordType op, TxnId txn, TableId table, Key key,
+                  Slice value);
   Status TxnRead(TxnId txn, TableId table, Key key, std::string* value);
   Status TxnCommit(TxnId txn);
+  /// Runtime rollback: recovery's undo pass run on this one loser.
   Status TxnAbort(TxnId txn);
 
   /// Shared tail of Read/Scan corruption handling: try the remote source

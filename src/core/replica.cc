@@ -109,23 +109,8 @@ class LogicalReplica::ReplayApplier {
     // provably stamped (their standby records redo under every method).
     if (item.lsn <= page.plsn()) return Status::OK();
     int64_t delta = 0;  // row accounting is scan-complete on the dispatcher
-    Status st;
-    switch (item.type) {
-      case LogRecordType::kUpdate:
-        st = LeafApplyUpdate(page, item.value_size, item.key, item.after);
-        break;
-      case LogRecordType::kInsert:
-        st = LeafApplyInsert(page, item.value_size, item.key, item.after,
-                             &delta);
-        break;
-      case LogRecordType::kDelete:
-        st = LeafApplyDelete(page, item.value_size, item.key, &delta);
-        break;
-      default:
-        st = Status::InvalidArgument("not a replayable data op");
-        break;
-    }
-    DEUTERO_RETURN_NOT_OK(st);
+    DEUTERO_RETURN_NOT_OK(LeafApplyRecord(page, item.value_size, item.type,
+                                          item.key, item.after, &delta));
     pins->Stamp(pin, item.lsn);
     return Status::OK();
   }

@@ -42,17 +42,20 @@ Status Txn::CheckUsable(const Table& table) const {
 
 Status Txn::Update(const Table& table, Key key, Slice value) {
   DEUTERO_RETURN_NOT_OK(CheckUsable(table));
-  return engine_->TxnUpdate(id_, table.id(), key, value);
+  return engine_->TxnWrite(LogRecordType::kUpdate, id_, table.id(), key,
+                           value);
 }
 
 Status Txn::Insert(const Table& table, Key key, Slice value) {
   DEUTERO_RETURN_NOT_OK(CheckUsable(table));
-  return engine_->TxnInsert(id_, table.id(), key, value);
+  return engine_->TxnWrite(LogRecordType::kInsert, id_, table.id(), key,
+                           value);
 }
 
 Status Txn::Delete(const Table& table, Key key) {
   DEUTERO_RETURN_NOT_OK(CheckUsable(table));
-  return engine_->TxnDelete(id_, table.id(), key);
+  return engine_->TxnWrite(LogRecordType::kDelete, id_, table.id(), key,
+                           Slice());
 }
 
 Status Txn::Read(const Table& table, Key key, std::string* value) {

@@ -2,8 +2,8 @@
 //
 //  * Txn — an RAII transaction obtained from Engine::Begin(Txn*). Move-only;
 //    a Txn that goes out of scope without Commit() aborts itself, so no code
-//    path can leak an active transaction (the raw-TxnId footgun of the old
-//    facade). All write operations go through a Txn.
+//    path can leak an active transaction. It is the only transaction API:
+//    every write, commit and abort goes through one.
 //  * Table — a handle resolved once from the catalog (Engine::OpenTable);
 //    carries the table id and schema so per-operation code never re-states
 //    raw TableIds. Reads and snapshot scans hang off the Table.

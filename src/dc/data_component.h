@@ -114,7 +114,8 @@ class DataComponent {
 
   // ---- control operations (paper §4.1) ----
 
-  /// EOSL: operations with LSN <= elsn are on the TC's stable log.
+  /// EOSL: the end of the TC's stable log; operations with LSN < elsn are
+  /// on it.
   /// CAS-max because reader threads reach here too: a shared-gate read
   /// that evicts a dirty page runs the WAL-force hook, which refreshes
   /// the eLSN concurrently with other forces.

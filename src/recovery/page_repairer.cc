@@ -114,28 +114,9 @@ Status PageRepairer::RepairFrame(PageId pid, uint8_t* frame_data) {
       stats_.failed_repairs++;
       return Status::Corruption("repair hit a record of an unknown table");
     }
-    Status s;
     int64_t unused_delta = 0;  // row counters are the recovery scan's job
-    switch (rec.type) {
-      case LogRecordType::kUpdate:
-        s = LeafApplyUpdate(page, value_size, rec.key, rec.after);
-        break;
-      case LogRecordType::kInsert:
-        s = LeafApplyInsert(page, value_size, rec.key, rec.after,
-                            &unused_delta);
-        break;
-      case LogRecordType::kDelete:
-        s = LeafApplyDelete(page, value_size, rec.key, &unused_delta);
-        break;
-      case LogRecordType::kClr:
-        s = rec.after.empty()
-                ? LeafApplyDelete(page, value_size, rec.key, &unused_delta)
-                : LeafApplyUpsert(page, value_size, rec.key, rec.after,
-                                  &unused_delta);
-        break;
-      default:
-        break;
-    }
+    const Status s = LeafApplyRecord(page, value_size, rec.type, rec.key,
+                                     rec.after, &unused_delta);
     if (!s.ok()) {
       stats_.failed_repairs++;
       return s;

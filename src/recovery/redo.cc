@@ -101,36 +101,9 @@ class RedoApplier {
     if (!shared_->tables.Lookup(item.table_id, &value_size)) {
       return Status::NotFound("redo of op on unknown table");
     }
-    int64_t delta = 0;
-    Status st;
-    switch (item.type) {
-      case LogRecordType::kUpdate:
-        st = LeafApplyUpdate(page, value_size, item.key, item.after);
-        break;
-      case LogRecordType::kInsert:
-        st = LeafApplyInsert(page, value_size, item.key, item.after, &delta);
-        break;
-      case LogRecordType::kDelete:
-        st = LeafApplyDelete(page, value_size, item.key, &delta);
-        break;
-      case LogRecordType::kClr:
-        // A CLR with an empty restored image compensates an insert
-        // (delete the row); otherwise it restores an image — as an upsert,
-        // because a CLR that compensates a delete must re-insert, and the
-        // distinction is not on the record (the page state decides).
-        if (item.after.empty()) {
-          st = LeafApplyDelete(page, value_size, item.key, &delta);
-        } else {
-          st = LeafApplyUpsert(page, value_size, item.key, item.after,
-                               &delta);
-        }
-        break;
-      default:
-        st = Status::InvalidArgument("not a data op");
-        break;
-    }
-    DEUTERO_RETURN_NOT_OK(st);
-    (void)delta;  // row accounting is scan-complete on the dispatcher
+    int64_t delta = 0;  // row accounting is scan-complete on the dispatcher
+    DEUTERO_RETURN_NOT_OK(LeafApplyRecord(page, value_size, item.type,
+                                          item.key, item.after, &delta));
     pins->Stamp(pin, item.lsn);
     cpu_us_ += shared_->cpu_per_redo_apply_us;
     if (live_clock_ != nullptr) {

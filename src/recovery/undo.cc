@@ -1,6 +1,7 @@
 #include "recovery/undo.h"
 
 #include <memory>
+#include <optional>
 #include <queue>
 #include <string>
 #include <utility>
@@ -67,12 +68,14 @@ class UndoApplier {
   const TableRegistry* tables_;
 };
 
-/// RAII: quiesce the dirty monitor and pool callbacks for the pass — but
-/// NOT row-count tracking: undo maintains the exact counters apply-side.
-/// A live monitor would react to a worker's MarkDirty by appending Δ/BW
-/// records from worker threads, racing the dispatcher's CLR appends.
-/// RecoveryManager already quiesces globally; this makes direct drivers
-/// (tests, tools) safe.
+/// RAII: quiesce the dirty monitor and pool callbacks while workers run —
+/// but NOT row-count tracking: undo maintains the exact counters
+/// apply-side. A live monitor would react to a worker's MarkDirty by
+/// appending Δ/BW records from worker threads, racing the dispatcher's CLR
+/// appends. RecoveryManager already quiesces globally; this makes direct
+/// drivers (tests, tools) safe. One partition applies on the caller's
+/// thread, so it leaves the caller's monitor as it is: a runtime rollback
+/// reports the pages its CLRs dirty.
 class UndoQuiescence {
  public:
   explicit UndoQuiescence(DataComponent* dc)
@@ -100,14 +103,15 @@ class UndoQuiescence {
 Status RunUndo(LogManager* log, DataComponent* dc, const ActiveTxnTable& att,
                uint32_t threads, UndoResult* out, uint64_t max_ops_for_test) {
   *out = UndoResult();
-  UndoQuiescence quiesce(dc);
 
   // Undo cannot create tables (DDL is a system transaction, never a
   // loser), so the registry is fixed for the whole pass.
   TableRegistry tables;
   Mutex gate;  ///< Serializes EVERY pool/disk touch beside workers.
+  std::optional<UndoQuiescence> quiesce;  // outlives the crew
   std::unique_ptr<ApplyCrew<UndoApplier>> crew;
   if (threads >= 2) {
+    quiesce.emplace(dc);
     tables.Refresh(dc);
     crew = std::make_unique<ApplyCrew<UndoApplier>>(
         std::vector<UndoApplier>(threads, UndoApplier(&tables)), &dc->pool(),
@@ -160,7 +164,7 @@ Status RunUndo(LogManager* log, DataComponent* dc, const ActiveTxnTable& att,
       }
       // No gate: the log buffer is dispatcher-only (workers never touch
       // it) and the clock's log-read charge is atomic.
-      DEUTERO_RETURN_NOT_OK(log->ReadRecordAt(cur.next, &rec, true));
+      DEUTERO_RETURN_NOT_OK(log->ReadRecordAt(cur.next, &rec));
       out->records_read++;
       switch (rec.type) {
         case LogRecordType::kUpdate:
@@ -185,6 +189,15 @@ Status RunUndo(LogManager* log, DataComponent* dc, const ActiveTxnTable& att,
           } else {
             GateLock lock(pool_gate);
             DEUTERO_RETURN_NOT_OK(dc->FindLeaf(rec.table_id, rec.key, &pid));
+          }
+          if (crew == nullptr && rec.type != LogRecordType::kDelete) {
+            // Inline, read the leaf before its CLR is logged (the restore
+            // below then finds it cached): a read that fails leaves no CLR
+            // whose restore never happened, so a runtime rollback's caller
+            // can keep the loser's chain whole.
+            PageHandle leaf;
+            DEUTERO_RETURN_NOT_OK(
+                dc->pool().Get(pid, PageClass::kData, &leaf));
           }
           clr.type = LogRecordType::kClr;
           clr.txn_id = cur.txn;

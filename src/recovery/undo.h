@@ -3,7 +3,8 @@
 // undo as the last pass of recovery, and hence this performance is constant
 // in all methods", paper §2.1). Losers are rolled back logically: each
 // update is compensated by locating the record through the B-tree (it may
-// have moved) and restoring the before-image under a CLR.
+// have moved) and restoring the before-image under a CLR. Runtime rollback
+// (Engine's Txn abort) is the same pass run on one loser at one partition.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +20,8 @@ struct UndoResult {
   uint64_t txns_undone = 0;
   uint64_t ops_undone = 0;
   uint64_t clrs_written = 0;
-  /// Backchain records read, one charged log page each (ReadRecordAt).
+  /// Backchain records read. ReadRecordAt charges one log page for each
+  /// one the crash left on the device; a runtime rollback's are free.
   uint64_t records_read = 0;
   uint32_t threads_used = 1;  ///< Partitions (1 = inline restores).
 };
@@ -30,14 +32,17 @@ struct UndoResult {
 ///
 /// The dispatcher walks the loser heap and appends every CLR and abort
 /// itself, so the undo log stream is the same for every `threads`. With
-/// one partition it also applies every restore inline. With N >= 2 the
-/// leaf before-image restores of update-undos fan out to hash(pid) apply
-/// workers (apply_worker.h) with pin caches and ring-peek read-ahead (the
-/// undo pass's page misses are random 5 ms seeks; overlapping them across
-/// io_channels is where the time goes). Insert/delete undos change tree
-/// structure (splits, merges, row counts), so the dispatcher first drains
-/// all workers to a barrier and applies those itself. Recovered state and
-/// UndoResult counters do not depend on `threads`.
+/// one partition it also applies every restore inline, on the caller's
+/// thread and under the caller's dirty monitor: that is how runtime
+/// rollback calls it. With N >= 2 the leaf before-image restores of
+/// update-undos fan out to hash(pid) apply workers (apply_worker.h) with
+/// pin caches and ring-peek read-ahead (the undo pass's page misses are
+/// random 5 ms seeks; overlapping them across io_channels is where the
+/// time goes), and the monitor and pool callbacks are off while they run.
+/// Insert/delete undos change tree structure (splits, merges, row counts),
+/// so the dispatcher first drains all workers to a barrier and applies
+/// those itself. Recovered state and UndoResult counters do not depend on
+/// `threads`.
 ///
 /// `max_ops_for_test` (tests only): stop after that many undo operations,
 /// mimicking a crash in the middle of the undo pass; the CLRs written so

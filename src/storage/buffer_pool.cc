@@ -431,8 +431,10 @@ Status BufferPool::FlushFrame(uint32_t frame, uint64_t* counter) {
   PageView view(FrameData(frame), page_size_);
   const Lsn plsn = view.plsn();
 
-  // WAL rule: the page's last update must be on the stable log first.
-  if (stable_lsn_ && plsn > stable_lsn_()) {
+  // WAL rule: the page's last update must be on the stable log first. The
+  // eLSN is the end of the stable log, so a record that starts there (the
+  // first one after a force) is not stable yet.
+  if (stable_lsn_ && plsn >= stable_lsn_()) {
     stats_.wal_forces++;
     if (wal_force_cb_) wal_force_cb_(plsn);
     assert(!stable_lsn_ || plsn <= stable_lsn_());

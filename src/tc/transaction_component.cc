@@ -4,11 +4,9 @@
 
 namespace deutero {
 
-TransactionComponent::TransactionComponent(SimClock* clock, LogManager* log,
-                                           DataComponent* dc,
+TransactionComponent::TransactionComponent(LogManager* log, DataComponent* dc,
                                            const EngineOptions& options)
-    : clock_(clock), log_(log), dc_(dc), options_(options),
-      locks_(options.lock_shards) {}
+    : log_(log), dc_(dc), options_(options), locks_(options.lock_shards) {}
 
 TransactionComponent::ActiveTxn* TransactionComponent::FindActive(TxnId txn) {
   for (ActiveTxn& t : active_) {
@@ -29,7 +27,7 @@ Status TransactionComponent::Begin(TxnId* txn) {
   rec.txn_id = id;
   rec.prev_lsn = kInvalidLsn;
   const Lsn lsn = log_->Append(rec);
-  active_.push_back(ActiveTxn{id, lsn, lsn, 0});
+  active_.push_back(ActiveTxn{id, lsn, lsn});
   stats_.begun++;
   *txn = id;
   return Status::OK();
@@ -44,20 +42,10 @@ Status TransactionComponent::Update(TxnId txn, TableId table, Key key,
       locks_.Acquire(txn, table, key, ShardedLockManager::LockMode::kExclusive));
 
   PageId pid = kInvalidPageId;
-  LogRecord& rec = scratch_;
-  DEUTERO_RETURN_NOT_OK(dc_->LocateForUpdate(table, key, &pid, &rec.before));
-
-  rec.type = LogRecordType::kUpdate;
-  rec.txn_id = txn;
-  rec.table_id = table;
-  rec.key = key;
-  rec.after.assign(value.data(), value.size());
-  rec.pid = pid;  // physiological hint; ignored by logical recovery
-  rec.prev_lsn = t->last_lsn;
-  const Lsn lsn = log_->Append(rec);
-  t->last_lsn = lsn;
-  t->ops++;
-
+  DEUTERO_RETURN_NOT_OK(
+      dc_->LocateForUpdate(table, key, &pid, &scratch_.before));
+  const Lsn lsn =
+      AppendDataOp(t, LogRecordType::kUpdate, table, key, value, pid);
   DEUTERO_RETURN_NOT_OK(dc_->ApplyUpdate(table, pid, key, value, lsn));
   DEUTERO_RETURN_NOT_OK(dc_->Tick());
   stats_.updates++;
@@ -87,19 +75,9 @@ Status TransactionComponent::Insert(TxnId txn, TableId table, Key key,
   DEUTERO_RETURN_NOT_OK(dc_->LeafContains(table, pid, key, &exists));
   if (exists) return Status::InvalidArgument("duplicate key");
 
-  LogRecord& rec = scratch_;
-  rec.type = LogRecordType::kInsert;
-  rec.txn_id = txn;
-  rec.table_id = table;
-  rec.key = key;
-  rec.before.clear();
-  rec.after.assign(value.data(), value.size());
-  rec.pid = pid;
-  rec.prev_lsn = t->last_lsn;
-  const Lsn lsn = log_->Append(rec);
-  t->last_lsn = lsn;
-  t->ops++;
-
+  scratch_.before.clear();
+  const Lsn lsn =
+      AppendDataOp(t, LogRecordType::kInsert, table, key, value, pid);
   DEUTERO_RETURN_NOT_OK(dc_->ApplyInsert(table, pid, key, value, lsn));
   DEUTERO_RETURN_NOT_OK(dc_->Tick());
   stats_.inserts++;
@@ -114,19 +92,10 @@ Status TransactionComponent::Delete(TxnId txn, TableId table, Key key) {
 
   // The before-image rides on the record so undo can re-insert the row.
   PageId pid = kInvalidPageId;
-  LogRecord& rec = scratch_;
-  DEUTERO_RETURN_NOT_OK(dc_->LocateForUpdate(table, key, &pid, &rec.before));
-
-  rec.type = LogRecordType::kDelete;
-  rec.txn_id = txn;
-  rec.table_id = table;
-  rec.key = key;
-  rec.after.clear();
-  rec.pid = pid;
-  rec.prev_lsn = t->last_lsn;
-  const Lsn lsn = log_->Append(rec);
-  t->last_lsn = lsn;
-  t->ops++;
+  DEUTERO_RETURN_NOT_OK(
+      dc_->LocateForUpdate(table, key, &pid, &scratch_.before));
+  const Lsn lsn =
+      AppendDataOp(t, LogRecordType::kDelete, table, key, Slice(), pid);
 
   // A delete that leaves the leaf underfull triggers the delete-side SMO:
   // a logged DC system transaction whose record follows this delete's, so
@@ -179,18 +148,8 @@ Status TransactionComponent::LogReplayOp(TxnId txn, LogRecordType type,
       type != LogRecordType::kDelete) {
     return Status::InvalidArgument("not a replayable data op");
   }
-  LogRecord& rec = scratch_;
-  rec.type = type;
-  rec.txn_id = txn;
-  rec.table_id = table;
-  rec.key = key;
-  rec.before.assign(before.data(), before.size());
-  rec.after.assign(after.data(), after.size());
-  rec.pid = pid;
-  rec.prev_lsn = t->last_lsn;
-  const Lsn rec_lsn = log_->Append(rec);
-  t->last_lsn = rec_lsn;
-  t->ops++;
+  scratch_.before.assign(before.data(), before.size());
+  const Lsn rec_lsn = AppendDataOp(t, type, table, key, after, pid);
   switch (type) {
     case LogRecordType::kUpdate: stats_.updates++; break;
     case LogRecordType::kInsert: stats_.inserts++; break;
@@ -200,103 +159,36 @@ Status TransactionComponent::LogReplayOp(TxnId txn, LogRecordType type,
   return Status::OK();
 }
 
-Status TransactionComponent::UndoToLsn(ActiveTxn* txn, Lsn stop_after) {
-  Lsn cursor = txn->last_lsn;
-  while (cursor != kInvalidLsn && cursor > stop_after) {
-    LogRecord rec;
-    DEUTERO_RETURN_NOT_OK(log_->ReadRecordAt(cursor, &rec, false));
-    switch (rec.type) {
-      case LogRecordType::kUpdate: {
-        // Logical undo: the record may live on a different page by now.
-        PageId pid = kInvalidPageId;
-        DEUTERO_RETURN_NOT_OK(dc_->LocateForUpdate(rec.table_id, rec.key,
-                                                   &pid, nullptr));
-        LogRecord clr;
-        clr.type = LogRecordType::kClr;
-        clr.txn_id = txn->id;
-        clr.table_id = rec.table_id;
-        clr.key = rec.key;
-        clr.after = rec.before;  // restored image
-        clr.pid = pid;
-        clr.undo_next_lsn = rec.prev_lsn;
-        const Lsn clr_lsn = log_->Append(clr);
-        txn->last_lsn = clr_lsn;
-        DEUTERO_RETURN_NOT_OK(dc_->ApplyUpdate(rec.table_id, pid, rec.key,
-                                                rec.before, clr_lsn));
-        cursor = rec.prev_lsn;
-        break;
-      }
-      case LogRecordType::kInsert: {
-        PageId pid = kInvalidPageId;
-        DEUTERO_RETURN_NOT_OK(dc_->LocateForUpdate(rec.table_id, rec.key,
-                                                   &pid, nullptr));
-        LogRecord clr;
-        clr.type = LogRecordType::kClr;
-        clr.txn_id = txn->id;
-        clr.table_id = rec.table_id;
-        clr.key = rec.key;
-        clr.after.clear();  // empty restored image == delete the record
-        clr.pid = pid;
-        clr.undo_next_lsn = rec.prev_lsn;
-        clr.clr_row_delta = -1;
-        const Lsn clr_lsn = log_->Append(clr);
-        txn->last_lsn = clr_lsn;
-        // Rolling back an insert is a delete: the same merge trigger
-        // applies (the CLR precedes the merge record in the log).
-        bool underfull = false;
-        DEUTERO_RETURN_NOT_OK(dc_->ApplyDelete(rec.table_id, pid, rec.key,
-                                               clr_lsn, &underfull));
-        if (underfull) {
-          DEUTERO_RETURN_NOT_OK(dc_->MaybeMergeLeaf(rec.table_id, rec.key));
-        }
-        cursor = rec.prev_lsn;
-        break;
-      }
-      case LogRecordType::kDelete: {
-        // Undo of a delete re-inserts the before-image. The leaf may have
-        // filled up since; PrepareInsert splits (logging SMOs) if needed.
-        PageId pid = kInvalidPageId;
-        DEUTERO_RETURN_NOT_OK(
-            dc_->PrepareInsert(rec.table_id, rec.key, &pid));
-        LogRecord clr;
-        clr.type = LogRecordType::kClr;
-        clr.txn_id = txn->id;
-        clr.table_id = rec.table_id;
-        clr.key = rec.key;
-        clr.after = rec.before;  // restored image (re-insert)
-        clr.pid = pid;
-        clr.undo_next_lsn = rec.prev_lsn;
-        clr.clr_row_delta = 1;  // the row comes back
-        const Lsn clr_lsn = log_->Append(clr);
-        txn->last_lsn = clr_lsn;
-        DEUTERO_RETURN_NOT_OK(dc_->ApplyUpsert(rec.table_id, pid, rec.key,
-                                               rec.before, clr_lsn));
-        cursor = rec.prev_lsn;
-        break;
-      }
-      case LogRecordType::kClr:
-        cursor = rec.undo_next_lsn;  // skip the already-undone prefix
-        break;
-      case LogRecordType::kTxnBegin:
-        cursor = kInvalidLsn;
-        break;
-      default:
-        cursor = rec.prev_lsn;
-        break;
-    }
-  }
+Lsn TransactionComponent::AppendDataOp(ActiveTxn* t, LogRecordType type,
+                                       TableId table, Key key, Slice after,
+                                       PageId pid) {
+  LogRecord& rec = scratch_;
+  rec.type = type;
+  rec.txn_id = t->id;
+  rec.table_id = table;
+  rec.key = key;
+  rec.after.assign(after.data(), after.size());
+  rec.pid = pid;  // physiological hint; ignored by logical recovery
+  rec.prev_lsn = t->last_lsn;
+  t->last_lsn = log_->Append(rec);
+  return t->last_lsn;
+}
+
+Status TransactionComponent::LastLsn(TxnId txn, Lsn* last) {
+  const ActiveTxn* t = FindActive(txn);
+  if (t == nullptr) return Status::InvalidArgument("unknown txn");
+  *last = t->last_lsn;
   return Status::OK();
 }
 
-Status TransactionComponent::Abort(TxnId txn) {
+void TransactionComponent::SetLastLsn(TxnId txn, Lsn last) {
+  ActiveTxn* t = FindActive(txn);
+  if (t != nullptr) t->last_lsn = last;
+}
+
+Status TransactionComponent::FinishAbort(TxnId txn) {
   ActiveTxn* t = FindActive(txn);
   if (t == nullptr) return Status::InvalidArgument("unknown txn");
-  DEUTERO_RETURN_NOT_OK(UndoToLsn(t, kInvalidLsn));
-  LogRecord rec;
-  rec.type = LogRecordType::kTxnAbort;
-  rec.txn_id = txn;
-  rec.prev_lsn = t->last_lsn;
-  log_->Append(rec);
   ForceLog();
   locks_.ReleaseAll(txn);
   EraseActive(t);
@@ -305,12 +197,7 @@ Status TransactionComponent::Abort(TxnId txn) {
 }
 
 void TransactionComponent::ForceLog() {
-  if (log_->Flush() && options_.io.log_force_ms > 0) {
-    // The fsync a real device would pay per force — charged only when the
-    // stable prefix actually moved, so group commit's batched forces show
-    // their amortization honestly in sim-time.
-    clock_->AdvanceMs(options_.io.log_force_ms);
-  }
+  log_->Flush();
   dc_->Eosl(log_->stable_end());
 }
 

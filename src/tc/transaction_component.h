@@ -12,6 +12,10 @@
 //   3. append eCkpt naming the bCkpt, force, update the master record.
 // The redo scan start point of the NEXT recovery is this bCkpt.
 //
+// Runtime rollback is not here: the engine runs recovery's undo pass on the
+// one loser (recovery/undo.h), which writes the CLRs and the abort record,
+// and the TC keeps only the abort's tail (FinishAbort).
+//
 // Hot-path allocation behaviour: data operations encode through a scratch
 // LogRecord whose before/after strings keep their capacity across calls,
 // and the active-transaction table is a flat vector with recycled capacity,
@@ -27,7 +31,6 @@
 #include "common/types.h"
 #include "concurrency/sharded_lock_manager.h"
 #include "dc/data_component.h"
-#include "sim/clock.h"
 #include "wal/log_manager.h"
 
 namespace deutero {
@@ -38,7 +41,6 @@ class TransactionComponent {
     TxnId id = kInvalidTxnId;
     Lsn first_lsn = kInvalidLsn;
     Lsn last_lsn = kInvalidLsn;
-    uint32_t ops = 0;
   };
 
   struct Stats {
@@ -52,7 +54,7 @@ class TransactionComponent {
     uint64_t log_forces = 0;
   };
 
-  TransactionComponent(SimClock* clock, LogManager* log, DataComponent* dc,
+  TransactionComponent(LogManager* log, DataComponent* dc,
                        const EngineOptions& options);
 
   Status Begin(TxnId* txn);
@@ -98,8 +100,18 @@ class TransactionComponent {
   Status LogReplayOp(TxnId txn, LogRecordType type, TableId table, Key key,
                      Slice before, Slice after, PageId pid, Lsn* lsn);
 
-  /// Runtime rollback: logical undo through the backchain, writing CLRs.
-  Status Abort(TxnId txn);
+  /// LSN of `txn`'s last logged record: where a rollback's backchain walk
+  /// starts. InvalidArgument if `txn` is not active.
+  Status LastLsn(TxnId txn, Lsn* last);
+
+  /// Re-point `txn`'s chain tail (a rollback cut short keeps the CLRs it
+  /// wrote on the chain). No-op if `txn` is not active.
+  void SetLastLsn(TxnId txn, Lsn last);
+
+  /// Tail of a runtime abort, once the undo pass has written the CLRs and
+  /// the abort record: force the log, release the locks, drop the
+  /// transaction and count the abort.
+  Status FinishAbort(TxnId txn);
 
   /// Penultimate checkpoint. Reports pages flushed by the DC's RSSP.
   Status Checkpoint(uint64_t* pages_flushed = nullptr);
@@ -129,9 +141,11 @@ class TransactionComponent {
   ActiveTxn* FindActive(TxnId txn);
   /// Remove `t` from the active list (swap-with-back; capacity retained).
   void EraseActive(ActiveTxn* t);
-  Status UndoToLsn(ActiveTxn* txn, Lsn stop_after);
+  /// Append `t`'s next data-op record through scratch_, whose `before`
+  /// the caller has already filled; chains prev_lsn and returns the LSN.
+  Lsn AppendDataOp(ActiveTxn* t, LogRecordType type, TableId table, Key key,
+                   Slice after, PageId pid);
 
-  SimClock* clock_;
   LogManager* log_;
   DataComponent* dc_;
   EngineOptions options_;

@@ -233,6 +233,7 @@ void LogManager::Crash() {
   generation_.fetch_add(1, std::memory_order_release);
   buffer_.resize(stable_end());
   ResetCursors();
+  device_end_ = stable_end();
 }
 
 bool LogManager::ParseFrame(Lsn lsn, Lsn limit, LogRecordType* type,
@@ -251,7 +252,7 @@ bool LogManager::ParseFrame(Lsn lsn, Lsn limit, LogRecordType* type,
   return true;
 }
 
-Status LogManager::ReadRecordAt(Lsn lsn, LogRecord* out, bool charge_io) {
+Status LogManager::ReadRecordAt(Lsn lsn, LogRecord* out) {
   // Reads may target the volatile tail: runtime rollback follows backchains
   // into not-yet-flushed records (always published by then — undo runs with
   // the appender quiesced under the engine's write gate). After a Crash()
@@ -262,7 +263,7 @@ Status LogManager::ReadRecordAt(Lsn lsn, LogRecord* out, bool charge_io) {
   if (!ParseFrame(lsn, next_lsn(), &type, &len)) {
     return Status::InvalidArgument("no valid record at lsn");
   }
-  if (charge_io) clock_->AdvanceMs(log_page_read_ms_);
+  if (lsn < device_end_) clock_->AdvanceMs(log_page_read_ms_);
   Slice payload(raw() + lsn + kFrameSize, len);
   DEUTERO_RETURN_NOT_OK(LogRecord::DecodePayload(type, payload, out));
   out->lsn = lsn;
@@ -283,6 +284,7 @@ void LogManager::RestoreSnapshot(const Snapshot& snap) {
   buffer_ = snap.stable_log;
   master_ = snap.master;
   ResetCursors();
+  device_end_ = stable_end();
 }
 
 // ---------------------------------------------------------------------------

@@ -139,9 +139,11 @@ class LogManager {
   /// appenders (no reservation in flight).
   void Crash();
 
-  /// Random-access read of the record at `lsn` (undo backchains). Charges
-  /// one log page read when charge_io is set.
-  Status ReadRecordAt(Lsn lsn, LogRecord* out, bool charge_io);
+  /// Random-access read of the record at `lsn` (undo backchains: recovery's
+  /// pass and runtime rollback). A record below the log end found at the
+  /// last Crash() or RestoreSnapshot() is on the device and costs one log
+  /// page read; one appended since is still in the log buffer and is free.
+  Status ReadRecordAt(Lsn lsn, LogRecord* out);
 
   /// Sequential scanner over stable records, charging sequential read I/O.
   ///
@@ -305,6 +307,9 @@ class LogManager {
   std::atomic<uint64_t> generation_{0};
   std::atomic<Lsn> reserved_end_{kFirstLsn};  ///< Reservation cursor.
   std::atomic<Lsn> stable_end_{kFirstLsn};
+  /// Log end at the last Crash()/RestoreSnapshot(): the records below it
+  /// are on the device (ReadRecordAt charges a page read for them).
+  Lsn device_end_ = kFirstLsn;
   /// In-flight reservation table: start offset of each unpublished window
   /// (kSlotFree when empty). filled_through() = min over these and
   /// reserved_end_.

@@ -18,7 +18,8 @@
 // Two record representations share one wire format:
 //
 //  * LogRecord owns its variable-length fields (std::string images). It is
-//    the append-side type, and the read type for ReadRecordAt() — undo
+//    the append-side type, and the read type for ReadRecordAt() — the undo
+//    pass (recovery's, and runtime rollback, which runs the same pass)
 //    interleaves backchain reads with CLR appends, so those reads must not
 //    alias the (reallocatable) log buffer.
 //  * LogRecordView borrows them (Slice fields aliasing the log buffer) and

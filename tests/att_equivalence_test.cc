@@ -41,22 +41,24 @@ TEST_P(AttEquivalenceTest, SqlAnalysisAndLogicalScanAgreeOnLosers) {
   // Random mixture of commits, runtime aborts, idle losers across
   // checkpoints, and in-flight tail losers.
   ASSERT_OK(driver.RunOps(100 + rng.Uniform(200)));
-  std::vector<TxnId> idle_losers;
+  Table table;
+  ASSERT_OK(e->OpenDefaultTable(&table));
+  std::vector<Txn> idle_losers;
   for (int i = 0; i < static_cast<int>(1 + rng.Uniform(3)); i++) {
-    TxnId t;
+    Txn t;
     ASSERT_OK(e->Begin(&t));
-    ASSERT_OK(e->Update(
-        t, 1000 + i, SynthesizeValueString(1000 + i, 5, o.value_size)));
-    idle_losers.push_back(t);
+    ASSERT_OK(t.Update(table, 1000 + i,
+                       SynthesizeValueString(1000 + i, 5, o.value_size)));
+    idle_losers.push_back(std::move(t));
   }
   e->tc().ForceLog();
   ASSERT_OK(e->Checkpoint());
   ASSERT_OK(driver.RunOps(100 + rng.Uniform(200)));
   if (rng.Bernoulli(0.7)) {
-    TxnId t;
+    Txn t;
     ASSERT_OK(e->Begin(&t));
-    ASSERT_OK(e->Update(t, 7, SynthesizeValueString(7, 9, o.value_size)));
-    ASSERT_OK(e->Abort(t));  // runtime abort: NOT a loser
+    ASSERT_OK(t.Update(table, 7, SynthesizeValueString(7, 9, o.value_size)));
+    ASSERT_OK(t.Abort());  // runtime abort: NOT a loser
   }
   ASSERT_OK(driver.RunOpsNoCommit(1 + rng.Uniform(8)));
   e->tc().ForceLog();
@@ -90,8 +92,8 @@ TEST_P(AttEquivalenceTest, SqlAnalysisAndLogicalScanAgreeOnLosers) {
     EXPECT_EQ(it->second, last_lsn) << "chain tail differs for txn " << txn;
   }
   // Every idle loser is present in both.
-  for (TxnId t : idle_losers) {
-    EXPECT_TRUE(ar.att.count(t)) << "idle loser " << t;
+  for (const Txn& t : idle_losers) {
+    EXPECT_TRUE(ar.att.count(t.id())) << "idle loser " << t.id();
   }
   EXPECT_EQ(ar.max_txn_id, rr.max_txn_id);
 }

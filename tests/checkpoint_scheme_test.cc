@@ -35,16 +35,18 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, IdleLoserTest,
 TEST_P(IdleLoserTest, LoserIdleAcrossCheckpointIsUndone) {
   std::unique_ptr<Engine> e;
   ASSERT_OK(Engine::Open(SmallOptions(), &e));
-  TxnId loser;
+  Table table;
+  ASSERT_OK(e->OpenDefaultTable(&table));
+  Txn loser;
   ASSERT_OK(e->Begin(&loser));
-  ASSERT_OK(e->Update(loser, 7, V(*e, 7, 1)));
+  ASSERT_OK(loser.Update(table, 7, V(*e, 7, 1)));
   e->tc().ForceLog();
   ASSERT_OK(e->Checkpoint());  // loser is idle across this checkpoint
   // Unrelated committed work after the checkpoint.
-  TxnId t;
+  Txn t;
   ASSERT_OK(e->Begin(&t));
-  ASSERT_OK(e->Update(t, 8, V(*e, 8, 1)));
-  ASSERT_OK(e->Commit(t));
+  ASSERT_OK(t.Update(table, 8, V(*e, 8, 1)));
+  ASSERT_OK(t.Commit());
 
   e->SimulateCrash();
   RecoveryStats st;
@@ -60,9 +62,11 @@ TEST_P(IdleLoserTest, LoserIdleAcrossCheckpointIsUndone) {
 TEST_P(IdleLoserTest, LoserIdleAcrossTwoCheckpointsIsUndone) {
   std::unique_ptr<Engine> e;
   ASSERT_OK(Engine::Open(SmallOptions(), &e));
-  TxnId loser;
+  Table table;
+  ASSERT_OK(e->OpenDefaultTable(&table));
+  Txn loser;
   ASSERT_OK(e->Begin(&loser));
-  ASSERT_OK(e->Update(loser, 9, V(*e, 9, 1)));
+  ASSERT_OK(loser.Update(table, 9, V(*e, 9, 1)));
   e->tc().ForceLog();
   ASSERT_OK(e->Checkpoint());
   ASSERT_OK(e->Checkpoint());
@@ -101,8 +105,8 @@ TEST_F(AriesSchemeTest, CheckpointRecordCarriesDpt) {
   ASSERT_OK(driver.RunOps(200));
   ASSERT_OK(engine_->Checkpoint());
   LogRecord rec;
-  ASSERT_OK(engine_->wal().ReadRecordAt(engine_->wal().master().bckpt_lsn,
-                                        &rec, false));
+  ASSERT_OK(
+      engine_->wal().ReadRecordAt(engine_->wal().master().bckpt_lsn, &rec));
   ASSERT_EQ(rec.type, LogRecordType::kBeginCheckpoint);
   EXPECT_EQ(rec.ckpt_dpt_pids.size(), rec.ckpt_dpt_rlsns.size());
   EXPECT_GT(rec.ckpt_dpt_pids.size(), 0u);

@@ -205,18 +205,57 @@ TEST_F(HotPathAllocTest, ReadRecordAtIntoHoistedRecordIsAllocationFree) {
   }
   ASSERT_EQ(lsns.size(), 2000u);
   LogRecord rec;  // hoisted, as RunUndo hoists its scratch records
-  ASSERT_TRUE(log_.ReadRecordAt(lsns[0], &rec, false).ok());  // warm-up
+  ASSERT_TRUE(log_.ReadRecordAt(lsns[0], &rec).ok());  // warm-up
   uint64_t checksum = 0;
   const uint64_t allocs = CountAllocs([&] {
     // Reverse order, as undo reads, including repeated re-reads.
     for (size_t i = lsns.size(); i-- > 0;) {
-      (void)log_.ReadRecordAt(lsns[i], &rec, false);
+      (void)log_.ReadRecordAt(lsns[i], &rec);
       checksum += rec.key + rec.before.size() + rec.after.size();
     }
   });
   EXPECT_EQ(allocs, 0u) << "per-record heap allocations crept back into the "
                            "undo rollback path (ReadRecordAt scratch reuse)";
   EXPECT_GT(checksum, 0u);
+}
+
+TEST_F(HotPathAllocTest, RuntimeRollbackIsAllocationFreePerUndoneRecord) {
+  // A runtime abort runs recovery's undo pass on one loser, whose hoisted
+  // scratch records serve every undone record: the cost of an abort is a
+  // constant, not a per-record one.
+  EngineOptions o;
+  o.page_size = 1024;
+  o.value_size = 26;
+  o.num_rows = 5000;
+  o.cache_pages = 1024;             // whole tree resident: no evictions
+  o.lazy_writer_base_fraction = 0;  // background writer off
+  o.lazy_writer_reference_cache_pages = 1024;
+  // No Δ-record inside a counted abort (the test takes no checkpoints).
+  o.delta_dirty_capacity = 1u << 20;
+  std::unique_ptr<Engine> e;
+  ASSERT_TRUE(Engine::Open(o, &e).ok());
+  Table table;
+  ASSERT_TRUE(e->OpenDefaultTable(&table).ok());
+  const std::string value(o.value_size, 'r');
+  // Counts the abort of a transaction that updated `n` keys. The monitor
+  // starts each round with an empty DirtySet whose capacity the warm-up
+  // grew, so the CLRs' DirtySet entries do not allocate either.
+  auto abort_allocs = [&](Key n) -> uint64_t {
+    e->dc().monitor().ForceEmit();
+    Txn txn;
+    EXPECT_TRUE(e->Begin(&txn).ok());
+    for (Key k = 0; k < n; k++) {
+      EXPECT_TRUE(txn.Update(table, k * 19, value).ok());
+    }
+    return CountAllocs([&] { EXPECT_TRUE(txn.Abort().ok()); });
+  };
+  for (int round = 0; round < 3; round++) (void)abort_allocs(256);
+  const uint64_t small = abort_allocs(32);
+  const uint64_t large = abort_allocs(256);
+  // One extra allocation allows for a log-buffer growth step.
+  EXPECT_LE(large, small + 1)
+      << "rollback allocates per undone record: " << small << " for 32, "
+      << large << " for 256";
 }
 
 TEST_F(HotPathAllocTest, SteadyStateAppendDoesNotAllocatePerRecord) {

@@ -327,7 +327,7 @@ TEST_F(LogManagerTest, ReadRecordAtRandomAccess) {
   const Lsn b = AppendBegin(2);
   log_.Flush();
   LogRecord rec;
-  ASSERT_TRUE(log_.ReadRecordAt(b, &rec, false).ok());
+  ASSERT_TRUE(log_.ReadRecordAt(b, &rec).ok());
   EXPECT_EQ(rec.txn_id, 2u);
   EXPECT_EQ(rec.lsn, b);
 }
@@ -335,16 +335,38 @@ TEST_F(LogManagerTest, ReadRecordAtRandomAccess) {
 TEST_F(LogManagerTest, ReadRecordAtVolatileTailWorks) {
   const Lsn a = AppendBegin(1);  // not flushed
   LogRecord rec;
-  ASSERT_TRUE(log_.ReadRecordAt(a, &rec, false).ok());
+  ASSERT_TRUE(log_.ReadRecordAt(a, &rec).ok());
   EXPECT_EQ(rec.txn_id, 1u);
+}
+
+TEST_F(LogManagerTest, ReadRecordAtChargesOnlyRecordsOnTheDevice) {
+  // Before any crash every record is one this log appended: free.
+  const Lsn a = AppendBegin(1);
+  log_.Flush();
+  LogRecord rec;
+  ASSERT_TRUE(log_.ReadRecordAt(a, &rec).ok());
+  EXPECT_DOUBLE_EQ(clock_.NowMs(), 0.0);
+  // The crash leaves the stable prefix on the device: one log page per
+  // record read back. A record appended since is still in the buffer.
+  log_.Crash();
+  const Lsn b = AppendBegin(2);
+  ASSERT_TRUE(log_.ReadRecordAt(a, &rec).ok());
+  EXPECT_DOUBLE_EQ(clock_.NowMs(), 0.25);
+  ASSERT_TRUE(log_.ReadRecordAt(b, &rec).ok());
+  EXPECT_DOUBLE_EQ(clock_.NowMs(), 0.25);
+  // Restoring a snapshot reinstalls a device image the same way.
+  log_.Flush();
+  log_.RestoreSnapshot(log_.TakeSnapshot());
+  ASSERT_TRUE(log_.ReadRecordAt(b, &rec).ok());
+  EXPECT_DOUBLE_EQ(clock_.NowMs(), 0.5);
 }
 
 TEST_F(LogManagerTest, ReadRecordAtInvalidLsnFails) {
   AppendBegin(1);
   log_.Flush();
   LogRecord rec;
-  EXPECT_FALSE(log_.ReadRecordAt(0, &rec, false).ok());
-  EXPECT_FALSE(log_.ReadRecordAt(log_.next_lsn() + 100, &rec, false).ok());
+  EXPECT_FALSE(log_.ReadRecordAt(0, &rec).ok());
+  EXPECT_FALSE(log_.ReadRecordAt(log_.next_lsn() + 100, &rec).ok());
 }
 
 TEST_F(LogManagerTest, MasterRecordPersistsAcrossCrash) {
@@ -411,7 +433,7 @@ TEST_F(LogManagerTest, ReadRecordAtDetectsCorruption) {
   log_.Flush();
   log_.CorruptByteForTest(a + 5);  // CRC field itself
   LogRecord rec;
-  EXPECT_FALSE(log_.ReadRecordAt(a, &rec, false).ok());
+  EXPECT_FALSE(log_.ReadRecordAt(a, &rec).ok());
 }
 
 TEST_F(LogManagerTest, CheckpointRecordAttRoundTripsThroughLog) {
@@ -424,7 +446,7 @@ TEST_F(LogManagerTest, CheckpointRecordAttRoundTripsThroughLog) {
   const Lsn lsn = log_.Append(b);
   log_.Flush();
   LogRecord out;
-  ASSERT_TRUE(log_.ReadRecordAt(lsn, &out, false).ok());
+  ASSERT_TRUE(log_.ReadRecordAt(lsn, &out).ok());
   EXPECT_EQ(out.att_txn_ids, (std::vector<TxnId>{7, 9}));
   EXPECT_EQ(out.att_last_lsns, (std::vector<Lsn>{100, 200}));
   EXPECT_EQ(out.ckpt_dpt_pids, (std::vector<PageId>{4, 5, 6}));
@@ -517,7 +539,7 @@ TEST_F(LogManagerTest, ViewFieldsStayValidAcrossFullRecoveryScan) {
     EXPECT_EQ(v.after.ToString(), "after-" + std::to_string(i));
     // Cross-check against the owning reader.
     LogRecord owned;
-    ASSERT_TRUE(log_.ReadRecordAt(v.lsn, &owned, false).ok());
+    ASSERT_TRUE(log_.ReadRecordAt(v.lsn, &owned).ok());
     EXPECT_EQ(owned.after, v.after.ToString());
   }
   EXPECT_EQ(i, 50u);

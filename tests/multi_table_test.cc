@@ -28,6 +28,12 @@ class MultiTableTest : public ::testing::TestWithParam<RecoveryMethod> {
     return SynthesizeValueString(k, version, size);
   }
 
+  Table Open(TableId id) {
+    Table t;
+    EXPECT_OK(engine_->OpenTable(id, &t));
+    return t;
+  }
+
   std::unique_ptr<Engine> engine_;
 };
 
@@ -44,11 +50,11 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, MultiTableTest,
 TEST_F(MultiTableTest, CreateInsertReadAcrossTables) {
   ASSERT_OK(engine_->CreateTable(kOrders, 40));
   ASSERT_OK(engine_->CreateTable(kItems, 12));
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Insert(t, kOrders, 1, Val(1, 1, 40)));
-  ASSERT_OK(engine_->Insert(t, kItems, 1, Val(1, 2, 12)));
-  ASSERT_OK(engine_->Commit(t));
+  ASSERT_OK(t.Insert(Open(kOrders), 1, Val(1, 1, 40)));
+  ASSERT_OK(t.Insert(Open(kItems), 1, Val(1, 2, 12)));
+  ASSERT_OK(t.Commit());
 
   std::string v;
   ASSERT_OK(engine_->Read(kOrders, 1, &v));
@@ -71,21 +77,29 @@ TEST_F(MultiTableTest, DuplicateCreateRejected) {
 }
 
 TEST_F(MultiTableTest, OpsOnUnknownTableFail) {
-  TxnId t;
+  Table unknown;
+  EXPECT_TRUE(engine_->OpenTable(99, &unknown).IsNotFound());
+  // A handle whose table's DDL never reached the stable log names an
+  // unknown table once a crash has dropped it.
+  ASSERT_OK(engine_->CreateTable(99, 26));
+  ASSERT_OK(engine_->OpenTable(99, &unknown));
+  engine_->SimulateCrash();
+  RecoveryStats st;
+  ASSERT_OK(engine_->Recover(RecoveryMethod::kLog1, &st));
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  EXPECT_TRUE(engine_->Insert(t, 99, 1, Val(1, 1, 26)).IsNotFound());
+  EXPECT_TRUE(t.Insert(unknown, 1, Val(1, 1, 26)).IsNotFound());
   std::string v;
   EXPECT_TRUE(engine_->Read(99, 1, &v).IsNotFound());
-  ASSERT_OK(engine_->Abort(t));
+  ASSERT_OK(t.Abort());
 }
 
 TEST_F(MultiTableTest, WrongValueSizeRejected) {
   ASSERT_OK(engine_->CreateTable(kOrders, 40));
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  EXPECT_TRUE(
-      engine_->Insert(t, kOrders, 1, Val(1, 1, 26)).IsInvalidArgument());
-  ASSERT_OK(engine_->Abort(t));
+  EXPECT_TRUE(t.Insert(Open(kOrders), 1, Val(1, 1, 26)).IsInvalidArgument());
+  ASSERT_OK(t.Abort());
 }
 
 TEST_F(MultiTableTest, BadCreateParamsRejected) {
@@ -99,12 +113,13 @@ TEST_P(MultiTableTest, TableCreatedAfterCheckpointSurvivesCrash) {
   ASSERT_OK(engine_->Checkpoint());
   // DDL + data strictly after the checkpoint: only the log knows them.
   ASSERT_OK(engine_->CreateTable(kOrders, 40));
-  TxnId t;
+  const Table orders = Open(kOrders);
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
   for (Key k = 0; k < 50; k++) {
-    ASSERT_OK(engine_->Insert(t, kOrders, k, Val(k, 1, 40)));
+    ASSERT_OK(t.Insert(orders, k, Val(k, 1, 40)));
   }
-  ASSERT_OK(engine_->Commit(t));
+  ASSERT_OK(t.Commit());
 
   engine_->SimulateCrash();
   RecoveryStats st;
@@ -123,25 +138,27 @@ TEST_P(MultiTableTest, TableCreatedAfterCheckpointSurvivesCrash) {
 TEST_P(MultiTableTest, MixedTableWorkloadRecovers) {
   ASSERT_OK(engine_->CreateTable(kOrders, 40));
   ASSERT_OK(engine_->Checkpoint());
+  const Table orders = Open(kOrders);
 
   // Interleave default-table updates (driver) with second-table activity.
   WorkloadDriver driver(engine_.get(), WorkloadConfig{});
   for (int round = 0; round < 10; round++) {
     ASSERT_OK(driver.RunOps(30));
-    TxnId t;
+    Txn t;
     ASSERT_OK(engine_->Begin(&t));
     for (Key k = 0; k < 5; k++) {
       const Key key = round * 5 + k;
-      ASSERT_OK(engine_->Insert(t, kOrders, key, Val(key, 7, 40)));
+      ASSERT_OK(t.Insert(orders, key, Val(key, 7, 40)));
     }
-    ASSERT_OK(engine_->Commit(t));
+    ASSERT_OK(t.Commit());
     if (round == 5) ASSERT_OK(engine_->Checkpoint());
   }
   // A loser touching BOTH tables right before the crash.
-  TxnId loser;
+  Txn loser;
   ASSERT_OK(engine_->Begin(&loser));
-  ASSERT_OK(engine_->Update(loser, 3, Val(3, 99, 26)));
-  ASSERT_OK(engine_->Update(loser, kOrders, 3, Val(3, 99, 40)));
+  ASSERT_OK(loser.Update(Open(engine_->options().table_id), 3,
+                         Val(3, 99, 26)));
+  ASSERT_OK(loser.Update(orders, 3, Val(3, 99, 40)));
   engine_->tc().ForceLog();
 
   driver.OnCrash();
@@ -176,12 +193,13 @@ TEST_F(MultiTableTest, DdlReplicatesToDifferentGeometry) {
   ASSERT_OK(LogicalReplica::Open(ropts, &replica));
 
   ASSERT_OK(engine_->CreateTable(kOrders, 40));
-  TxnId t;
+  const Table orders = Open(kOrders);
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
   for (Key k = 0; k < 30; k++) {
-    ASSERT_OK(engine_->Insert(t, kOrders, k, Val(k, 1, 40)));
+    ASSERT_OK(t.Insert(orders, k, Val(k, 1, 40)));
   }
-  ASSERT_OK(engine_->Commit(t));
+  ASSERT_OK(t.Commit());
 
   ReplicationChannel channel;
   channel.Publish(*engine_);
@@ -197,18 +215,19 @@ TEST_F(MultiTableTest, DdlReplicatesToDifferentGeometry) {
 TEST_F(MultiTableTest, SmosInSecondTableRecover) {
   ASSERT_OK(engine_->CreateTable(kItems, 12));
   ASSERT_OK(engine_->Checkpoint());
-  TxnId t;
+  const Table items = Open(kItems);
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
   // Enough inserts to split the second table's root several times
   // (1 KB pages, 12-byte values: ~49 rows per leaf).
   for (Key k = 0; k < 400; k++) {
-    ASSERT_OK(engine_->Insert(t, kItems, k, Val(k, 1, 12)));
+    ASSERT_OK(t.Insert(items, k, Val(k, 1, 12)));
     if (k % 50 == 49) {
-      ASSERT_OK(engine_->Commit(t));
+      ASSERT_OK(t.Commit());
       ASSERT_OK(engine_->Begin(&t));
     }
   }
-  ASSERT_OK(engine_->Commit(t));
+  ASSERT_OK(t.Commit());
   engine_->SimulateCrash();
   RecoveryStats st;
   ASSERT_OK(engine_->Recover(RecoveryMethod::kLog2, &st));

@@ -11,6 +11,7 @@
 
 #include "core/engine.h"
 #include "recovery/stats.h"
+#include "storage/page.h"
 #include "test_util.h"
 #include "workload/driver.h"
 #include "workload/experiment.h"
@@ -209,6 +210,84 @@ TEST_P(RecoveryIntegrationTest, UndoReportsTheLogItReads) {
     EXPECT_EQ(st.undo.log_pages, st.undo.records) << threads << " threads";
     EXPECT_GE(st.undo.records, st.undo_ops) << threads << " threads";
   }
+}
+
+/// A runtime rollback runs recovery's undo pass at one partition, and that
+/// pass must leave the caller's dirty monitor on. Here the rollback's CLR
+/// re-dirties a leaf the checkpoint had cleaned, and a later Δ-record
+/// takes the CLR out of the log tail: only the Δ-record's DirtySet can
+/// bring the leaf into Log1's and Log2's DPT, so that redo replays the CLR.
+TEST_P(RecoveryIntegrationTest, RuntimeRollbackOfAFlushedPageSurvivesACrash) {
+  std::unique_ptr<Engine> e;
+  ASSERT_OK(Engine::Open(SmallOptions(), &e));
+  const uint32_t vsize = e->options().value_size;
+  Table table;
+  ASSERT_OK(e->OpenDefaultTable(&table));
+  Txn loser;
+  ASSERT_OK(e->Begin(&loser));
+  ASSERT_OK(loser.Update(table, 42, SynthesizeValueString(42, 1, vsize)));
+  ASSERT_OK(e->Checkpoint());  // writes key 42's leaf with version 1
+  ASSERT_OK(loser.Abort());    // the CLR re-dirties the clean leaf
+  Txn t;
+  ASSERT_OK(e->Begin(&t));
+  ASSERT_OK(t.Update(table, 4000, SynthesizeValueString(4000, 1, vsize)));
+  ASSERT_OK(t.Commit());
+  e->dc().monitor().ForceEmit();  // a Δ-record after the CLR
+  e->tc().ForceLog();
+  e->SimulateCrash();
+
+  RecoveryStats st;
+  ASSERT_OK(e->Recover(GetParam(), &st));
+  EXPECT_EQ(st.txns_undone, 0u);
+  std::string v;
+  ASSERT_OK(e->Read(42, &v));
+  EXPECT_EQ(v, SynthesizeValueString(42, 0, vsize))
+      << "the rolled-back update came back";
+  ASSERT_OK(e->Read(4000, &v));
+  EXPECT_EQ(v, SynthesizeValueString(4000, 1, vsize));
+}
+
+/// A rollback cut short by a media failure leaves its transaction a loser
+/// chained from the last CLR the rollback wrote. A checkpoint captures that
+/// chain tail, so the next recovery neither compensates the undone insert a
+/// second time (its row is gone; deleting it again fails) nor skips the
+/// update the rollback could not reach.
+TEST_P(RecoveryIntegrationTest, FailedRollbackStaysARecoverableLoser) {
+  EngineOptions o = SmallOptions();
+  o.media_archive = false;  // a corrupt page cannot be rebuilt in place
+  std::unique_ptr<Engine> e;
+  ASSERT_OK(Engine::Open(o, &e));
+  const Key fresh = o.num_rows + 1;
+  Table table;
+  ASSERT_OK(e->OpenDefaultTable(&table));
+  Txn loser;
+  ASSERT_OK(e->Begin(&loser));
+  ASSERT_OK(loser.Update(table, 42, SynthesizeValueString(42, 1, o.value_size)));
+  ASSERT_OK(loser.Insert(table, fresh,
+                         SynthesizeValueString(fresh, 1, o.value_size)));
+
+  // Key 42's leaf is read back from a corrupt image: the rollback undoes
+  // the insert, then fails on the update.
+  PageId victim = kInvalidPageId;
+  ASSERT_OK(e->dc().FindLeaf(o.table_id, 42, &victim));
+  ASSERT_OK(e->dc().pool().FlushAllDirty());
+  e->dc().pool().Reset();
+  const uint8_t* image = e->dc().disk().ImageData(victim);
+  const std::vector<uint8_t> good(image, image + o.page_size);
+  e->dc().disk().CorruptStableByteForTest(victim, kPageHeaderSize + 5, 0x20);
+  EXPECT_TRUE(loser.Abort().IsCorruption());
+
+  e->dc().disk().WriteImageDirect(victim, good.data());
+  ASSERT_OK(e->Checkpoint());
+  e->SimulateCrash();
+  RecoveryStats st;
+  ASSERT_OK(e->Recover(GetParam(), &st));
+  EXPECT_EQ(st.txns_undone, 1u);
+  EXPECT_EQ(st.undo_ops, 1u);
+  std::string v;
+  ASSERT_OK(e->Read(42, &v));
+  EXPECT_EQ(v, SynthesizeValueString(42, 0, o.value_size));
+  EXPECT_TRUE(e->Read(fresh, &v).IsNotFound());
 }
 
 /// One crash image whose redo window dirties a contiguous pid range of

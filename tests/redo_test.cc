@@ -166,12 +166,14 @@ TEST_P(RedoTest, RedoAfterRuntimeAbortReplaysClrs) {
   // rolled-back state is reconstructed; undo must NOT touch this txn.
   ASSERT_OK(driver_->RunOps(100));
   ASSERT_OK(engine_->Checkpoint());
-  TxnId t;
+  Table table;
+  ASSERT_OK(engine_->OpenDefaultTable(&table));
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
   const std::string val(engine_->options().value_size, 'Z');
-  ASSERT_OK(engine_->Update(t, 11, val));
-  ASSERT_OK(engine_->Update(t, 12, val));
-  ASSERT_OK(engine_->Abort(t));
+  ASSERT_OK(t.Update(table, 11, val));
+  ASSERT_OK(t.Update(table, 12, val));
+  ASSERT_OK(t.Abort());
 
   driver_->OnCrash();
   engine_->SimulateCrash();

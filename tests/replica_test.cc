@@ -28,6 +28,7 @@ class ReplicaTest : public ::testing::TestWithParam<uint32_t> {
     replica_opts_.cache_pages = 32;
     replica_opts_.recovery_threads = GetParam();
     ASSERT_OK(Engine::Open(primary_opts_, &primary_));
+    ASSERT_OK(primary_->OpenDefaultTable(&primary_table_));
     ASSERT_OK(LogicalReplica::Open(replica_opts_, &replica_));
   }
 
@@ -50,6 +51,7 @@ class ReplicaTest : public ::testing::TestWithParam<uint32_t> {
   EngineOptions primary_opts_;
   EngineOptions replica_opts_;
   std::unique_ptr<Engine> primary_;
+  Table primary_table_;
   std::unique_ptr<LogicalReplica> replica_;
   ReplicationChannel channel_;
 };
@@ -78,11 +80,11 @@ TEST_P(ReplicaTest, IncrementalSyncResumesCleanly) {
 }
 
 TEST_P(ReplicaTest, AbortedTransactionsAreNotApplied) {
-  TxnId t;
+  Txn t;
   ASSERT_OK(primary_->Begin(&t));
-  ASSERT_OK(primary_->Update(
-      t, 7, SynthesizeValueString(7, 1, primary_opts_.value_size)));
-  ASSERT_OK(primary_->Abort(t));
+  ASSERT_OK(t.Update(primary_table_, 7,
+                     SynthesizeValueString(7, 1, primary_opts_.value_size)));
+  ASSERT_OK(t.Abort());
   Ship();
   EXPECT_EQ(replica_->txns_applied(), 0u);
   std::string v;
@@ -91,15 +93,15 @@ TEST_P(ReplicaTest, AbortedTransactionsAreNotApplied) {
 }
 
 TEST_P(ReplicaTest, UncommittedTailStaysBuffered) {
-  TxnId t;
+  Txn t;
   ASSERT_OK(primary_->Begin(&t));
-  ASSERT_OK(primary_->Update(
-      t, 9, SynthesizeValueString(9, 1, primary_opts_.value_size)));
+  ASSERT_OK(t.Update(primary_table_, 9,
+                     SynthesizeValueString(9, 1, primary_opts_.value_size)));
   primary_->tc().ForceLog();
   Ship();
   EXPECT_EQ(replica_->ops_applied(), 0u);
   // Commit arrives in the next batch; the buffered ops apply then.
-  ASSERT_OK(primary_->Commit(t));
+  ASSERT_OK(t.Commit());
   Ship();
   EXPECT_EQ(replica_->ops_applied(), 1u);
   ExpectConverged();
@@ -326,10 +328,10 @@ TEST_P(ReplicaTest, SnapshotReadsGateAtShipBoundary) {
   ASSERT_OK(replica_->Pump(&channel));
   const Lsn boundary0 = replica_->read_boundary();
 
-  TxnId t;
+  Txn t;
   ASSERT_OK(primary_->Begin(&t));
-  ASSERT_OK(primary_->Update(t, 5, v1));
-  ASSERT_OK(primary_->Commit(t));
+  ASSERT_OK(t.Update(primary_table_, 5, v1));
+  ASSERT_OK(t.Commit());
   channel.Publish(*primary_);
 
   // Published but not pumped: the read gate still sits at the old
@@ -354,7 +356,7 @@ TEST_P(ReplicaTest, PromoteAtCleanBoundaryAcceptsWrites) {
   ASSERT_OK(replica_->Pump(&channel));
 
   // A standby refuses external writes...
-  TxnId t;
+  Txn t;
   EXPECT_FALSE(replica_->engine().Begin(&t).ok());
   EXPECT_FALSE(replica_->promoted());
 
@@ -366,9 +368,11 @@ TEST_P(ReplicaTest, PromoteAtCleanBoundaryAcceptsWrites) {
   // of its own to the next generation's standby.
   const std::string v =
       SynthesizeValueString(11, 9, primary_opts_.value_size);
+  Table standby_table;
+  ASSERT_OK(replica_->engine().OpenDefaultTable(&standby_table));
   ASSERT_OK(replica_->engine().Begin(&t));
-  ASSERT_OK(replica_->engine().Update(t, 11, v));
-  ASSERT_OK(replica_->engine().Commit(t));
+  ASSERT_OK(t.Update(standby_table, 11, v));
+  ASSERT_OK(t.Commit());
   std::string got;
   ASSERT_OK(replica_->engine().Read(11, &got));
   EXPECT_EQ(got, v);

@@ -1,6 +1,6 @@
 // Tests for the first-class handle API (core/txn.h): RAII Txn semantics,
 // Table handles, Delete, snapshot Scan cursors, and atomic WriteBatch
-// application — plus the deprecated raw-TxnId shims staying functional.
+// application.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -433,26 +433,6 @@ TEST_F(TxnApiTest, UncommittedDeleteIsUndoneByRecovery) {
   uint64_t rows = 0;
   ASSERT_OK(engine_->dc().btree().CheckWellFormed(&rows));
   EXPECT_EQ(rows, engine_->options().num_rows);
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated shims stay functional (compiled with deprecation warnings
-// suppressed for the test tree; see cmake/DeuteroTest.cmake).
-// ---------------------------------------------------------------------------
-
-TEST_F(TxnApiTest, RawTxnIdShimsStillWork) {
-  TxnId t = kInvalidTxnId;
-  ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Update(t, 60, Val(60, 1)));
-  ASSERT_OK(engine_->Commit(t));
-  std::string v;
-  ASSERT_OK(engine_->Read(60, &v));
-  EXPECT_EQ(v, Val(60, 1));
-  ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Update(t, 60, Val(60, 2)));
-  ASSERT_OK(engine_->Abort(t));
-  ASSERT_OK(engine_->Read(60, &v));
-  EXPECT_EQ(v, Val(60, 1));
 }
 
 }  // namespace

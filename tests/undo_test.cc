@@ -25,6 +25,7 @@ class UndoTest : public ::testing::TestWithParam<uint32_t> {
     EngineOptions o = SmallOptions();
     o.recovery_threads = GetParam();
     ASSERT_OK(Engine::Open(o, &engine_));
+    ASSERT_OK(engine_->OpenDefaultTable(&table_));
   }
 
   std::string Val(Key k, uint32_t version) {
@@ -32,6 +33,7 @@ class UndoTest : public ::testing::TestWithParam<uint32_t> {
   }
 
   std::unique_ptr<Engine> engine_;
+  Table table_;
 };
 
 INSTANTIATE_TEST_SUITE_P(Partitions, UndoTest, ::testing::Values(1u, 4u),
@@ -40,16 +42,16 @@ INSTANTIATE_TEST_SUITE_P(Partitions, UndoTest, ::testing::Values(1u, 4u),
                          });
 
 TEST_P(UndoTest, MultipleLosersAllRolledBack) {
-  TxnId a, b, c;
+  Txn a, b, c;
   ASSERT_OK(engine_->Begin(&a));
   ASSERT_OK(engine_->Begin(&b));
   ASSERT_OK(engine_->Begin(&c));
   // Interleaved updates across three losers on disjoint keys.
-  ASSERT_OK(engine_->Update(a, 10, Val(10, 1)));
-  ASSERT_OK(engine_->Update(b, 20, Val(20, 1)));
-  ASSERT_OK(engine_->Update(c, 30, Val(30, 1)));
-  ASSERT_OK(engine_->Update(a, 11, Val(11, 1)));
-  ASSERT_OK(engine_->Update(b, 21, Val(21, 1)));
+  ASSERT_OK(a.Update(table_, 10, Val(10, 1)));
+  ASSERT_OK(b.Update(table_, 20, Val(20, 1)));
+  ASSERT_OK(c.Update(table_, 30, Val(30, 1)));
+  ASSERT_OK(a.Update(table_, 11, Val(11, 1)));
+  ASSERT_OK(b.Update(table_, 21, Val(21, 1)));
   engine_->tc().ForceLog();
 
   engine_->SimulateCrash();
@@ -65,7 +67,7 @@ TEST_P(UndoTest, MultipleLosersAllRolledBack) {
 }
 
 TEST_P(UndoTest, LoserWithOnlyBeginRecordIsHarmless) {
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
   engine_->tc().ForceLog();
   engine_->SimulateCrash();
@@ -78,13 +80,13 @@ TEST_P(UndoTest, LoserWithOnlyBeginRecordIsHarmless) {
 TEST_P(UndoTest, CommittedAndLoserOnSameKeySequence) {
   // Committed txn sets version 1; the loser overwrites with version 2 but
   // never commits: undo must restore version 1, not version 0.
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Update(t, 42, Val(42, 1)));
-  ASSERT_OK(engine_->Commit(t));
-  TxnId loser;
+  ASSERT_OK(t.Update(table_, 42, Val(42, 1)));
+  ASSERT_OK(t.Commit());
+  Txn loser;
   ASSERT_OK(engine_->Begin(&loser));
-  ASSERT_OK(engine_->Update(loser, 42, Val(42, 2)));
+  ASSERT_OK(loser.Update(table_, 42, Val(42, 2)));
   engine_->tc().ForceLog();
 
   engine_->SimulateCrash();
@@ -137,10 +139,10 @@ TEST_P(UndoTest, CrashDuringUndoThenFullRecovery) {
 
 TEST_P(UndoTest, UndoOfInsertsDeletesRows) {
   const Key fresh = engine_->options().num_rows + 1;
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Insert(t, fresh, Val(fresh, 1)));
-  ASSERT_OK(engine_->Insert(t, fresh + 1, Val(fresh + 1, 1)));
+  ASSERT_OK(t.Insert(table_, fresh, Val(fresh, 1)));
+  ASSERT_OK(t.Insert(table_, fresh + 1, Val(fresh + 1, 1)));
   engine_->tc().ForceLog();
   engine_->SimulateCrash();
   RecoveryStats st;
@@ -155,11 +157,11 @@ TEST_P(UndoTest, UndoOfInsertsDeletesRows) {
 
 TEST_P(UndoTest, MixedLoserInsertAndUpdate) {
   const Key fresh = engine_->options().num_rows + 5;
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Update(t, 7, Val(7, 1)));
-  ASSERT_OK(engine_->Insert(t, fresh, Val(fresh, 1)));
-  ASSERT_OK(engine_->Update(t, fresh, Val(fresh, 2)));
+  ASSERT_OK(t.Update(table_, 7, Val(7, 1)));
+  ASSERT_OK(t.Insert(table_, fresh, Val(fresh, 1)));
+  ASSERT_OK(t.Update(table_, fresh, Val(fresh, 2)));
   engine_->tc().ForceLog();
   engine_->SimulateCrash();
   RecoveryStats st;
@@ -172,10 +174,10 @@ TEST_P(UndoTest, MixedLoserInsertAndUpdate) {
 }
 
 TEST_P(UndoTest, UndoPassTimingIsRecorded) {
-  TxnId t;
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
   for (Key k = 0; k < 20; k++) {
-    ASSERT_OK(engine_->Update(t, k * 37, Val(k * 37, 1)));
+    ASSERT_OK(t.Update(table_, k * 37, Val(k * 37, 1)));
   }
   engine_->tc().ForceLog();
   engine_->SimulateCrash();

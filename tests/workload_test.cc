@@ -70,11 +70,13 @@ TEST_F(WorkloadTest, VerifyDetectsCorruption) {
   ASSERT_OK(driver.RunOps(50));
   // Corrupt one committed row behind the oracle's back.
   const Key victim = driver.committed_versions().begin()->first;
-  TxnId t;
+  Table table;
+  ASSERT_OK(engine_->OpenDefaultTable(&table));
+  Txn t;
   ASSERT_OK(engine_->Begin(&t));
-  ASSERT_OK(engine_->Update(
-      t, victim, std::string(engine_->options().value_size, '!')));
-  ASSERT_OK(engine_->Commit(t));
+  ASSERT_OK(
+      t.Update(table, victim, std::string(engine_->options().value_size, '!')));
+  ASSERT_OK(t.Commit());
   uint64_t checked = 0;
   EXPECT_TRUE(driver.Verify(0, &checked).IsCorruption());
 }
