@@ -28,9 +28,18 @@ if [[ ! -x "$MICRO" ]]; then
   exit 1
 fi
 
+# The JSON context's library_build_type is google-benchmark's own build, not
+# the engine's: stamp the engine's build type and sanitizer mode from the
+# build dir's CMake cache.
+cache_var() { sed -n "s/^$1:[A-Z]*=//p" "$BUILD_DIR/CMakeCache.txt"; }
+BUILD_TYPE="$(cache_var CMAKE_BUILD_TYPE)"
+SANITIZE="$(cache_var DEUTERO_SANITIZE)"
+CONTEXT="deutero_build_type=${BUILD_TYPE:-unset},deutero_sanitize=${SANITIZE:-unset}"
+
 echo "==== micro_engine (hot-path wall-clock benchmarks) -> $OUT"
 "$MICRO" \
   --benchmark_min_time="$MIN_TIME" \
+  --benchmark_context="$CONTEXT" \
   --benchmark_format=console \
   --benchmark_out_format=json \
   --benchmark_out="$OUT"

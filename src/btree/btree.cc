@@ -128,29 +128,10 @@ Status BTree::BulkLoad(uint64_t num_rows,
 }
 
 Status BTree::Find(Key key, PageId* leaf_pid) {
-  stats_.traversals.fetch_add(1, std::memory_order_relaxed);
-  PageId pid = root_pid_;
-  while (true) {
-    clock_->AdvanceUs(cpu_per_level_us_);
-    PageHandle h;
-    DEUTERO_RETURN_NOT_OK(pool_->Get(pid, PageClass::kIndex, &h));
-    PageView page = h.view();
-    if (page.type() == PageType::kLeaf) {
-      // Only possible when the root itself is a leaf.
-      *leaf_pid = pid;
-      return Status::OK();
-    }
-    InternalNodeView node(page);
-    const PageId child = node.FindChild(key);
-    if (page.level() == 1) {
-      // The child is the leaf. Traversal ends here WITHOUT touching it:
-      // whether the data page is fetched at all is the redo test's decision
-      // (Algorithm 5 skips it when the DPT says no redo is possible).
-      *leaf_pid = child;
-      return Status::OK();
-    }
-    pid = child;
-  }
+  Key lo = 0;
+  Key hi = 0;
+  bool bounded = false;
+  return FindRanged(key, leaf_pid, &lo, &hi, &bounded);
 }
 
 Status BTree::FindRanged(Key key, PageId* leaf_pid, Key* lo, Key* hi,
@@ -182,7 +163,11 @@ Status BTree::FindRanged(Key key, PageId* leaf_pid, Key* lo, Key* hi,
     }
     const PageId child = node.ChildAt(ci);
     if (page.level() == 1) {
-      pid = child;  // the leaf; never touched by the traversal
+      // The child is the leaf. The traversal ends WITHOUT touching it:
+      // whether the data page is fetched at all is the redo test's
+      // decision (Algorithm 5 skips it when the DPT says no redo is
+      // possible).
+      pid = child;
       break;
     }
     pid = child;
@@ -206,121 +191,57 @@ Status BTree::Read(Key key, std::string* value) {
   return Status::OK();
 }
 
-Status LeafApplyUpdate(PageView page, uint32_t value_size, Key key,
-                       Slice value) {
-  if (value.size() != value_size) {
+Status LeafApplyRecord(PageView page, uint32_t value_size, LogRecordType type,
+                       Key key, Slice after, int64_t* rows_delta) {
+  if (type != LogRecordType::kUpdate && type != LogRecordType::kInsert &&
+      type != LogRecordType::kDelete && type != LogRecordType::kClr) {
+    return Status::InvalidArgument("not a data op");
+  }
+  // A CLR with an empty image compensates an insert: it deletes the row.
+  const bool remove = type == LogRecordType::kDelete ||
+                      (type == LogRecordType::kClr && after.empty());
+  if (!remove && after.size() != value_size) {
     return Status::InvalidArgument("value size mismatch");
   }
   if (page.type() != PageType::kLeaf) {
-    return Status::Corruption("update target is not a leaf");
-  }
-  LeafNodeView leaf(page, value_size);
-  const uint32_t i = leaf.Find(key);
-  if (i == leaf.count()) return Status::NotFound("key not on page");
-  leaf.SetValueAt(i, reinterpret_cast<const uint8_t*>(value.data()));
-  return Status::OK();
-}
-
-Status LeafApplyInsert(PageView page, uint32_t value_size, Key key,
-                       Slice value, int64_t* rows_delta) {
-  if (value.size() != value_size) {
-    return Status::InvalidArgument("value size mismatch");
-  }
-  if (page.type() != PageType::kLeaf) {
-    return Status::Corruption("insert target is not a leaf");
+    return Status::Corruption("apply target is not a leaf");
   }
   LeafNodeView leaf(page, value_size);
   const uint32_t i = leaf.LowerBound(key);
-  if (i < leaf.count() && leaf.KeyAt(i) == key) {
-    return Status::InvalidArgument("duplicate key");
-  }
-  if (leaf.full()) return Status::Corruption("insert into full leaf");
-  leaf.InsertAt(i, key, reinterpret_cast<const uint8_t*>(value.data()));
-  (*rows_delta)++;
-  return Status::OK();
-}
-
-Status LeafApplyDelete(PageView page, uint32_t value_size, Key key,
-                       int64_t* rows_delta) {
-  if (page.type() != PageType::kLeaf) {
-    return Status::Corruption("delete target is not a leaf");
-  }
-  LeafNodeView leaf(page, value_size);
-  const uint32_t i = leaf.Find(key);
-  if (i == leaf.count()) return Status::NotFound("key not on page");
-  leaf.RemoveAt(i);
-  (*rows_delta)--;
-  return Status::OK();
-}
-
-Status LeafApplyUpsert(PageView page, uint32_t value_size, Key key,
-                       Slice value, int64_t* rows_delta) {
-  if (value.size() != value_size) {
-    return Status::InvalidArgument("value size mismatch");
-  }
-  if (page.type() != PageType::kLeaf) {
-    return Status::Corruption("upsert target is not a leaf");
-  }
-  LeafNodeView leaf(page, value_size);
-  const uint32_t i = leaf.LowerBound(key);
-  if (i < leaf.count() && leaf.KeyAt(i) == key) {
-    leaf.SetValueAt(i, reinterpret_cast<const uint8_t*>(value.data()));
+  const bool present = i < leaf.count() && leaf.KeyAt(i) == key;
+  const auto* value = reinterpret_cast<const uint8_t*>(after.data());
+  if (remove) {
+    if (!present) return Status::NotFound("key not on page");
+    leaf.RemoveAt(i);
+    (*rows_delta)--;
+  } else if (present) {
+    if (type == LogRecordType::kInsert) {
+      return Status::InvalidArgument("duplicate key");
+    }
+    leaf.SetValueAt(i, value);
   } else {
-    if (leaf.full()) return Status::Corruption("upsert into full leaf");
-    leaf.InsertAt(i, key, reinterpret_cast<const uint8_t*>(value.data()));
+    if (type == LogRecordType::kUpdate) {
+      return Status::NotFound("key not on page");
+    }
+    if (leaf.full()) return Status::Corruption("insert into full leaf");
+    leaf.InsertAt(i, key, value);
     (*rows_delta)++;
   }
   return Status::OK();
 }
 
-Status LeafApplyRecord(PageView page, uint32_t value_size, LogRecordType type,
-                       Key key, Slice after, int64_t* rows_delta) {
-  switch (type) {
-    case LogRecordType::kUpdate:
-      return LeafApplyUpdate(page, value_size, key, after);
-    case LogRecordType::kInsert:
-      return LeafApplyInsert(page, value_size, key, after, rows_delta);
-    case LogRecordType::kDelete:
-      return LeafApplyDelete(page, value_size, key, rows_delta);
-    case LogRecordType::kClr:
-      return after.empty()
-                 ? LeafApplyDelete(page, value_size, key, rows_delta)
-                 : LeafApplyUpsert(page, value_size, key, after, rows_delta);
-    default:
-      return Status::InvalidArgument("not a data op");
-  }
-}
-
-Status BTree::ApplyUpdate(PageId pid, Key key, Slice value, Lsn lsn) {
-  PageHandle h;
-  DEUTERO_RETURN_NOT_OK(pool_->Get(pid, PageClass::kData, &h));
-  DEUTERO_RETURN_NOT_OK(LeafApplyUpdate(h.view(), value_size_, key, value));
-  h.MarkDirty(lsn);
-  return Status::OK();
-}
-
-Status BTree::ApplyInsert(PageId pid, Key key, Slice value, Lsn lsn) {
+Status BTree::Apply(PageId pid, LogRecordType type, Key key, Slice after,
+                    Lsn lsn, bool* underfull) {
   PageHandle h;
   DEUTERO_RETURN_NOT_OK(pool_->Get(pid, PageClass::kData, &h));
   int64_t delta = 0;
   DEUTERO_RETURN_NOT_OK(
-      LeafApplyInsert(h.view(), value_size_, key, value, &delta));
+      LeafApplyRecord(h.view(), value_size_, type, key, after, &delta));
   h.MarkDirty(lsn);
-  if (count_adjust_enabled_) AdjustRowCount(delta);
-  return Status::OK();
-}
-
-Status BTree::ApplyDelete(PageId pid, Key key, Lsn lsn, bool* underfull) {
-  PageHandle h;
-  DEUTERO_RETURN_NOT_OK(pool_->Get(pid, PageClass::kData, &h));
-  int64_t delta = 0;
-  DEUTERO_RETURN_NOT_OK(
-      LeafApplyDelete(h.view(), value_size_, key, &delta));
-  h.MarkDirty(lsn);
-  if (count_adjust_enabled_) AdjustRowCount(delta);
+  AdjustRowCount(delta);
   if (underfull != nullptr) {
-    const LeafNodeView leaf(h.view(), value_size_);
-    *underfull = leaf.count() < MergeThreshold();
+    *underfull = delta < 0 && LeafNodeView(h.view(), value_size_).count() <
+                                  MergeThreshold();
   }
   return Status::OK();
 }
@@ -334,17 +255,6 @@ Status BTree::LeafContains(PageId pid, Key key, bool* contains) {
   }
   LeafNodeView leaf(page, value_size_);
   *contains = leaf.Find(key) != leaf.count();
-  return Status::OK();
-}
-
-Status BTree::ApplyUpsert(PageId pid, Key key, Slice value, Lsn lsn) {
-  PageHandle h;
-  DEUTERO_RETURN_NOT_OK(pool_->Get(pid, PageClass::kData, &h));
-  int64_t delta = 0;
-  DEUTERO_RETURN_NOT_OK(
-      LeafApplyUpsert(h.view(), value_size_, key, value, &delta));
-  h.MarkDirty(lsn);
-  if (count_adjust_enabled_) AdjustRowCount(delta);
   return Status::OK();
 }
 

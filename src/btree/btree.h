@@ -90,35 +90,22 @@ Status RedoPhysicalImages(BufferPool* pool, SimDisk* disk,
   return Status::OK();
 }
 
-// ---- pinned-leaf apply primitives ----
-//
-// Each applies one already-routed data operation to a PINNED leaf page and
-// accumulates the row-count change into *rows_delta. They perform NO
-// buffer-pool access and do NOT stamp the pLSN: the caller owns the pin
-// and the MarkDirty. BTree::Apply* wrap them for normal operation; the
-// partitioned parallel redo workers call them directly so the leaf work
-// (binary search, shift, copy) runs outside the pool lock, on a page only
-// their partition may touch.
-
-/// Overwrite `key`'s payload; NotFound if the key is not on the page.
-Status LeafApplyUpdate(PageView page, uint32_t value_size, Key key,
-                       Slice value);
-/// Insert (key, value); InvalidArgument on duplicate, Corruption if full.
-Status LeafApplyInsert(PageView page, uint32_t value_size, Key key,
-                       Slice value, int64_t* rows_delta);
-/// Remove `key`; NotFound if the key is not on the page.
-Status LeafApplyDelete(PageView page, uint32_t value_size, Key key,
-                       int64_t* rows_delta);
-/// Update-or-insert (CLR replay; idempotent under partial redo states).
-Status LeafApplyUpsert(PageView page, uint32_t value_size, Key key,
-                       Slice value, int64_t* rows_delta);
-/// Re-execute one logged data operation (kUpdate, kInsert, kDelete or
-/// kClr) from its after-image: the leaf step of redo, page repair and
-/// standby replay. A CLR with an empty image compensates an insert and
-/// deletes the row; any other CLR restores an image as an upsert, because
-/// a CLR that compensates a delete must re-insert and the record does not
-/// say which it compensates (the page state decides). InvalidArgument for
-/// any other type.
+/// The one leaf write: apply one logged data operation (kUpdate, kInsert,
+/// kDelete or kClr) from its after-image to a PINNED leaf page, and add its
+/// row-count change to *rows_delta. It performs no buffer-pool access and
+/// does not stamp the pLSN: the caller owns the pin and the MarkDirty.
+/// BTree::Apply wraps it for forward writes and undo; redo, page repair
+/// and standby replay call it directly, so their workers do the leaf work
+/// (binary search, shift, copy) outside the pool lock, on a page only their
+/// partition may touch.
+///
+/// An update or delete of a missing key is NotFound, an insert of a present
+/// key is InvalidArgument, and an insert into a full leaf is Corruption. A
+/// CLR with an empty image compensates an insert and deletes the row; any
+/// other CLR restores an image as an upsert, because a CLR that compensates
+/// a delete must re-insert and the record does not say which it compensates
+/// (the page state decides). InvalidArgument for any other type, and for an
+/// image that is not value_size bytes.
 Status LeafApplyRecord(PageView page, uint32_t value_size, LogRecordType type,
                        Key key, Slice after, int64_t* rows_delta);
 
@@ -190,8 +177,10 @@ class BTree {
   /// `monitor` (optional) is held in a DirtyPageMonitor::AtomicScope across
   /// each system transaction so a capacity-triggered Δ-record cannot
   /// interleave between the SMO's LSN reservation and its append.
-  /// `merge_fill` is the delete-side SMO trigger (see
-  /// EngineOptions::leaf_merge_fill); 0 disables merging.
+  /// `merge_fill` is the delete-side SMO trigger: a delete that leaves a
+  /// leaf below this fraction of its capacity (or empty) merges it
+  /// (MaybeMergeLeaf). The DC passes a fixed 0.25; 0 disables merging.
+  /// Values are clamped to [0, 0.45] so a merge never re-triggers a split.
   BTree(SimClock* clock, SimDisk* disk, BufferPool* pool,
         PageAllocator* allocator, LogManager* log, PageId root_pid,
         uint32_t page_size, uint32_t value_size, double leaf_fill,
@@ -236,19 +225,15 @@ class BTree {
   /// must never reach the log if its apply would be refused).
   Status LeafContains(PageId pid, Key key, bool* contains);
 
-  /// Overwrite the payload of `key` in leaf `pid`, stamping pLSN = lsn.
-  Status ApplyUpdate(PageId pid, Key key, Slice value, Lsn lsn);
-
-  /// Insert (key, value) into leaf `pid`, stamping pLSN = lsn.
-  Status ApplyInsert(PageId pid, Key key, Slice value, Lsn lsn);
-
-  /// Remove `key` from leaf `pid` (delete, or undo of an insert), stamping
-  /// pLSN = lsn. When `underfull` is non-null it reports whether the leaf
-  /// was left below the merge threshold (or empty) — the caller's cue to
-  /// run MaybeMergeLeaf. Redo passes leave it null: merges replay from
-  /// their own log records, never re-derive.
-  Status ApplyDelete(PageId pid, Key key, Lsn lsn,
-                     bool* underfull = nullptr);
+  /// Apply one logged data operation to leaf `pid` through LeafApplyRecord
+  /// (same types and errors), stamp pLSN = lsn and fold the row-count
+  /// change into the counter: the write of normal operation and undo. When
+  /// `underfull` is non-null it reports whether the op removed a row and
+  /// left the leaf below the merge threshold (or empty) — the caller's cue
+  /// to run MaybeMergeLeaf. Only a delete, or a CLR that deletes, can
+  /// start a merge.
+  Status Apply(PageId pid, LogRecordType type, Key key, Slice after, Lsn lsn,
+               bool* underfull = nullptr);
 
   /// Delete-side SMO (normal operation and undo only — never redo): if the
   /// leaf owning `key` is below the merge threshold (or empty), coalesce it
@@ -261,11 +246,6 @@ class BTree {
   /// parents is not attempted: such a leaf stays until churn re-fills it or
   /// empties a same-parent sibling. No-op when merging is disabled.
   Status MaybeMergeLeaf(Key key, bool* merged = nullptr);
-
-  /// Overwrite `key`'s payload in leaf `pid` if present, insert it
-  /// otherwise (CLR replay: a compensated delete may or may not be
-  /// reflected on the stable page image). Stamps pLSN = lsn.
-  Status ApplyUpsert(PageId pid, Key key, Slice value, Lsn lsn);
 
   /// Open a cursor over keys in [lo, hi] (inclusive bounds). The cursor is
   /// invalid immediately when the range is empty.
@@ -315,16 +295,11 @@ class BTree {
   void set_height(uint32_t h) { height_ = h; }
   uint64_t row_count() const { return num_rows_; }
   void set_row_count(uint64_t n) { num_rows_ = n; }
-  /// Whether Apply{Insert,Delete,Upsert} fold their row-count effect into
-  /// the counter. Normal operation and undo run with it on; redo passes
-  /// suspend it (via RecoveryPassQuiescence) and instead account
-  /// scan-complete — every record's delta exactly once in LSN order,
-  /// independent of the redo skip tests — so the recovered counter is
-  /// exact and method-independent.
-  void set_count_adjust_enabled(bool on) { count_adjust_enabled_ = on; }
-  bool count_adjust_enabled() const { return count_adjust_enabled_; }
-  /// Fold a row-count change into the tree's counter, clamping at zero
-  /// (direct form: ignores the enable flag).
+  /// Fold a row-count change into the tree's counter, clamping at zero.
+  /// Apply does this for each write; redo passes, which write leaves
+  /// through LeafApplyRecord, account scan-complete instead — every
+  /// record's delta exactly once in LSN order, independent of the redo skip
+  /// tests — so the recovered counter is exact and method-independent.
   void AdjustRowCount(int64_t delta) {
     if (delta >= 0) {
       num_rows_ += static_cast<uint64_t>(delta);
@@ -365,7 +340,6 @@ class BTree {
 
   uint32_t height_ = 1;
   uint64_t num_rows_ = 0;
-  bool count_adjust_enabled_ = true;
   Stats stats_;
 };
 

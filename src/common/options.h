@@ -59,8 +59,8 @@ struct FaultPlanOptions {
   /// Transient read/write failures: the I/O returns Status::IOError but
   /// charges device time (the arm moved; the transfer failed). A triggered
   /// fault fails `burst` consecutive attempts (drawn uniformly from
-  /// [1, max_failure_burst]) before the retried I/O succeeds, so retry
-  /// loops with io_retry_limit >= max_failure_burst always recover.
+  /// [1, max_failure_burst]) before the retried I/O succeeds, so bursts no
+  /// longer than BufferPool::kIoRetryLimit always recover.
   double read_error_rate = 0;
   double write_error_rate = 0;
   uint32_t max_failure_burst = 2;
@@ -138,12 +138,6 @@ struct IoModelOptions {
 
   /// Media-fault plan (sim/fault_injector.h). Inactive by default.
   FaultPlanOptions faults;
-  /// Buffer-pool retry policy for transient I/O errors: an IOError from the
-  /// device is retried up to io_retry_limit times, charging simulated
-  /// exponential backoff (io_backoff_base_ms * 2^attempt) before each retry.
-  /// Exhaustion surfaces the IOError to the caller.
-  uint32_t io_retry_limit = 4;
-  double io_backoff_base_ms = 0.5;
 };
 
 /// Test-only fault injection points (used by crash tests).
@@ -158,26 +152,18 @@ struct EngineOptions {
   uint32_t value_size = 26;   ///< Fixed record payload size ("data" column).
   uint64_t num_rows = 10'000'000;  ///< Rows bulk-loaded at creation.
   double leaf_fill_fraction = 0.95;  ///< Bulk-load leaf fill factor.
-  /// Delete-side SMO trigger: when a delete leaves a leaf below this
-  /// fraction of its capacity (or empty), the DC merges it into a sibling
-  /// under the same parent as a logged system transaction (kSmoMerge) and
-  /// returns the page to the allocator free-list. 0 disables merging
-  /// (leaves then decay like a pre-merge tree). Values are clamped to
-  /// [0, 0.45] so a merge can never immediately re-trigger a split.
-  double leaf_merge_fill = 0.25;
 
   // ---- cache ----
   uint64_t cache_pages = 819;  ///< Buffer pool capacity (64 MB-class default).
 
   /// Lazy-writer dirty watermark: the background writer flushes the
   /// oldest-dirtied pages whenever the dirty count exceeds
-  ///   watermark_base_fraction * reference_cache_pages
-  ///       * (cache_pages / reference_cache_pages)^watermark_exponent.
+  ///   lazy_writer_base_fraction * lazy_writer_reference_cache_pages
+  ///       * (cache_pages / lazy_writer_reference_cache_pages)^0.67.
   /// This is the SQL-Server lazy-writer/recovery-interval analog; the curve
   /// is calibrated so the dirty fraction of the cache falls from ~30 % at the
   /// 64 MB-class cache to ~10 % at the 2 GB-class cache (paper Fig. 2(b)).
   double lazy_writer_base_fraction = 0.30;
-  double lazy_writer_exponent = 0.67;
   uint64_t lazy_writer_reference_cache_pages = 819;
   /// When non-zero, the watermark additionally scales with
   /// sqrt(checkpoint_interval / this): with rarer checkpoints the dirty pool
@@ -255,10 +241,6 @@ struct EngineOptions {
   /// Off by default: the copy is the simulation stand-in for a backup
   /// medium and costs a full-image memcpy per checkpoint.
   bool media_archive = false;
-  /// How many times Engine::Recover re-runs the (idempotent) recovery
-  /// passes after repairing a corrupt page mid-pass before giving up and
-  /// degrading to read-only.
-  uint32_t media_repair_attempts = 3;
 
   // ---- misc ----
   uint64_t seed = 42;            ///< Workload / layout determinism.

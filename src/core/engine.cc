@@ -1,6 +1,5 @@
 #include "core/engine.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -177,18 +176,7 @@ Status Engine::TxnWrite(LogRecordType op, TxnId txn, TableId table, Key key,
     tc_->ReleaseLocksIfInactive(txn);
     return Status::InvalidArgument("engine is crashed");
   }
-  Status st;
-  switch (op) {
-    case LogRecordType::kUpdate:
-      st = tc_->Update(txn, table, key, value);
-      break;
-    case LogRecordType::kInsert:
-      st = tc_->Insert(txn, table, key, value);
-      break;
-    default:
-      st = tc_->Delete(txn, table, key);
-      break;
-  }
+  const Status st = tc_->Write(op, txn, table, key, value);
   if (st.IsInvalidArgument()) tc_->ReleaseLocksIfInactive(txn);
   return st;
 }
@@ -286,9 +274,9 @@ Status Engine::Recover(RecoveryMethod method, RecoveryStats* stats) {
   // RecoveryManager::Recover writes through the pointer unconditionally.
   RecoveryStats local;
   if (stats == nullptr) stats = &local;
-  const uint32_t attempts = std::max(1u, options_.media_repair_attempts);
+  constexpr uint32_t kMediaRepairAttempts = 3;  // see Recover's doc
   Status s;
-  for (uint32_t attempt = 0; attempt < attempts; attempt++) {
+  for (uint32_t attempt = 0; attempt < kMediaRepairAttempts; attempt++) {
     RecoveryManager rm(&clock_, log_.get(), dc_.get(), tc_.get(), options_);
     s = rm.Recover(method, stats);
     if (s.ok()) {

@@ -121,10 +121,10 @@ class Engine {
   /// Recover with the given method; the engine must be crashed. A media
   /// failure (checksum mismatch the archive could not repair in place)
   /// aborts the pass; the engine then tries the attached RepairSource and
-  /// re-runs recovery from the top (every pass is idempotent), up to
-  /// options.media_repair_attempts times. When the page stays broken the
-  /// engine opens DEGRADED — reads are served best-effort, writes are
-  /// refused — and Status::Degraded is returned.
+  /// re-runs recovery from the top (every pass is idempotent), up to 3
+  /// times. When the page stays broken the engine opens DEGRADED — reads
+  /// are served best-effort, writes are refused — and Status::Degraded is
+  /// returned.
   Status Recover(RecoveryMethod method, RecoveryStats* stats);
 
   bool running() const { return running_; }

@@ -217,8 +217,9 @@ Status LogicalReplica::Open(const EngineOptions& options,
     r->inline_pins_ = std::make_unique<PinCache>(&r->engine_->dc().pool(),
                                                  /*gate=*/nullptr, 1);
     EncodeCursor(kInvalidLsn, kFirstLsn, &r->cursor_after_);
-    DEUTERO_RETURN_NOT_OK(
-        tc.Insert(boot, kStandbyCursorTableId, kCursorKey, r->cursor_after_));
+    DEUTERO_RETURN_NOT_OK(tc.Write(LogRecordType::kInsert, boot,
+                                   kStandbyCursorTableId, kCursorKey,
+                                   r->cursor_after_));
   }
   DEUTERO_RETURN_NOT_OK(tc.Commit(boot));
   {
@@ -422,8 +423,9 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
   DEUTERO_RETURN_NOT_OK(tc.LogReplayOp(
       local, LogRecordType::kUpdate, kStandbyCursorTableId, kCursorKey,
       cursor_before_, cursor_after_, cursor_pid, &cursor_lsn));
-  DEUTERO_RETURN_NOT_OK(dc.ApplyUpdate(kStandbyCursorTableId, cursor_pid,
-                                       kCursorKey, cursor_after_, cursor_lsn));
+  DEUTERO_RETURN_NOT_OK(dc.Apply(kStandbyCursorTableId, cursor_pid,
+                                 LogRecordType::kUpdate, kCursorKey,
+                                 cursor_after_, cursor_lsn));
   DEUTERO_RETURN_NOT_OK(tc.Commit(local));
   txns_applied_++;
   return Status::OK();
@@ -449,9 +451,6 @@ Status LogicalReplica::ApplyMirror(Lsn* next) {
   window_.clear();
   merge_keys_.clear();
   memo_.valid = false;
-  // Row counts are accounted scan-complete by the dispatcher, exactly like
-  // the redo passes; the apply-side adjustments would double-count.
-  dc.SetRowCountTracking(false);
 
   Status st;
   bool stop_injected = false;
@@ -514,7 +513,6 @@ Status LogicalReplica::ApplyMirror(Lsn* next) {
   }
   hold.reset();
   assert(alias.Intact());
-  dc.SetRowCountTracking(true);
   if (st.ok()) st = crew_st;
   if (!st.ok()) {
     failed_ = true;

@@ -11,6 +11,11 @@ namespace deutero {
 
 namespace {
 
+/// The watermark curve's cache_exp (see below).
+constexpr double kLazyWriterExponent = 0.67;
+/// Every table's merge_fill, the delete-side SMO trigger (see BTree).
+constexpr double kLeafMergeFill = 0.25;
+
 /// Dirty watermark curve (DESIGN.md §5 / Fig. 2(b)+Fig. 3 calibration): the
 /// background writer flushes the oldest-dirtied pages whenever the dirty
 /// count exceeds
@@ -21,7 +26,7 @@ uint64_t ComputeDirtyWatermark(const EngineOptions& o) {
       static_cast<double>(o.lazy_writer_reference_cache_pages);
   const double cache = static_cast<double>(o.cache_pages);
   double wm = o.lazy_writer_base_fraction * ref *
-              std::pow(cache / ref, o.lazy_writer_exponent);
+              std::pow(cache / ref, kLazyWriterExponent);
   if (o.lazy_writer_reference_interval != 0) {
     wm *= std::sqrt(static_cast<double>(o.checkpoint_interval_updates) /
                     static_cast<double>(o.lazy_writer_reference_interval));
@@ -61,11 +66,9 @@ std::unique_ptr<BTree> DataComponent::MakeTree(const TableInfo& info) const {
       clock_, disk_.get(), pool_.get(),
       const_cast<PageAllocator*>(&allocator_), log_, info.root_pid,
       options_.page_size, info.value_size, options_.leaf_fill_fraction,
-      options_.io.cpu_per_btree_level_us, monitor_.get(),
-      options_.leaf_merge_fill);
+      options_.io.cpu_per_btree_level_us, monitor_.get(), kLeafMergeFill);
   tree->set_height(info.height);
   tree->set_row_count(info.num_rows);
-  tree->set_count_adjust_enabled(row_count_tracking_);
   return tree;
 }
 
@@ -218,38 +221,17 @@ Status DataComponent::LeafContains(TableId table, PageId pid, Key key,
   return tree->LeafContains(pid, key, contains);
 }
 
-Status DataComponent::ApplyUpdate(TableId table, PageId pid, Key key,
-                                  Slice value, Lsn lsn) {
+Status DataComponent::Apply(TableId table, PageId pid, LogRecordType type,
+                            Key key, Slice after, Lsn lsn, bool* underfull) {
   BTree* tree = FindTable(table);
   if (tree == nullptr) return Status::NotFound("unknown table");
-  return tree->ApplyUpdate(pid, key, value, lsn);
-}
-
-Status DataComponent::ApplyInsert(TableId table, PageId pid, Key key,
-                                  Slice value, Lsn lsn) {
-  BTree* tree = FindTable(table);
-  if (tree == nullptr) return Status::NotFound("unknown table");
-  return tree->ApplyInsert(pid, key, value, lsn);
-}
-
-Status DataComponent::ApplyDelete(TableId table, PageId pid, Key key,
-                                  Lsn lsn, bool* underfull) {
-  BTree* tree = FindTable(table);
-  if (tree == nullptr) return Status::NotFound("unknown table");
-  return tree->ApplyDelete(pid, key, lsn, underfull);
+  return tree->Apply(pid, type, key, after, lsn, underfull);
 }
 
 Status DataComponent::MaybeMergeLeaf(TableId table, Key key, bool* merged) {
   BTree* tree = FindTable(table);
   if (tree == nullptr) return Status::NotFound("unknown table");
   return tree->MaybeMergeLeaf(key, merged);
-}
-
-Status DataComponent::ApplyUpsert(TableId table, PageId pid, Key key,
-                                  Slice value, Lsn lsn) {
-  BTree* tree = FindTable(table);
-  if (tree == nullptr) return Status::NotFound("unknown table");
-  return tree->ApplyUpsert(pid, key, value, lsn);
 }
 
 Status DataComponent::Read(TableId table, Key key, std::string* value) {

@@ -18,6 +18,9 @@
 //
 // The DC never sees transaction semantics; it applies single-record
 // operations identified by key and stamps pages with the TC-supplied LSN.
+// Forward writes and undo reach a leaf through one call, Apply, which
+// takes the logged operation itself (type, key, after-image) — the same
+// step logical redo re-submits (LeafApplyRecord).
 #pragma once
 
 #include <atomic>
@@ -86,23 +89,17 @@ class DataComponent {
   /// duplicate check for inserts).
   Status LeafContains(TableId table, PageId pid, Key key, bool* contains);
 
-  Status ApplyUpdate(TableId table, PageId pid, Key key, Slice value,
-                     Lsn lsn);
-  Status ApplyInsert(TableId table, PageId pid, Key key, Slice value,
-                     Lsn lsn);
-  /// `underfull` (optional) reports whether the delete left the leaf below
-  /// the merge threshold — the TC's cue to call MaybeMergeLeaf. Redo passes
-  /// leave it null: merges replay from their own records.
-  Status ApplyDelete(TableId table, PageId pid, Key key, Lsn lsn,
-                     bool* underfull = nullptr);
+  /// Apply one logged data operation (kUpdate, kInsert, kDelete or kClr)
+  /// to leaf `pid` of `table` and stamp pLSN = lsn (BTree::Apply): the one
+  /// write of forward operation and undo. `underfull` (optional) reports
+  /// whether the op removed a row and left the leaf below the merge
+  /// threshold — the caller's cue to call MaybeMergeLeaf.
+  Status Apply(TableId table, PageId pid, LogRecordType type, Key key,
+               Slice after, Lsn lsn, bool* underfull = nullptr);
   /// Delete-side SMO (normal operation / undo): merge the underfull leaf
   /// owning `key` into a same-parent sibling as a logged system
   /// transaction (see BTree::MaybeMergeLeaf).
   Status MaybeMergeLeaf(TableId table, Key key, bool* merged = nullptr);
-  /// Update-or-insert (CLR replay of a compensated delete; idempotent under
-  /// partial redo states).
-  Status ApplyUpsert(TableId table, PageId pid, Key key, Slice value,
-                     Lsn lsn);
   Status Read(TableId table, Key key, std::string* value);
   /// Open a cursor over [lo, hi] (inclusive) of `table`.
   Status Scan(TableId table, Key lo, Key hi, ScanCursor* out);
@@ -180,16 +177,6 @@ class DataComponent {
   /// Load every internal index page of every table (paper App. A.1).
   Status PreloadIndex();
 
-  /// Toggle apply-side row-count maintenance on every table (see
-  /// BTree::set_count_adjust_enabled). Redo passes suspend it and account
-  /// scan-complete instead; the flag also seeds trees registered later in
-  /// the same pass (RedoCreateTable).
-  void SetRowCountTracking(bool on) {
-    row_count_tracking_ = on;
-    for (auto& [id, tree] : tables_) tree->set_count_adjust_enabled(on);
-  }
-  bool row_count_tracking() const { return row_count_tracking_; }
-
   /// Scan-side row accounting: fold one record's delta into its table's
   /// counter (clamped at zero, like the apply-side sequence it replaces).
   /// Per-record hot path: updates (delta 0) must not pay the table lookup.
@@ -240,7 +227,6 @@ class DataComponent {
   std::unique_ptr<DirtyPageMonitor> monitor_;
   std::function<void()> catalog_persisted_;
   std::atomic<Lsn> elsn_{kInvalidLsn};
-  bool row_count_tracking_ = true;
 };
 
 }  // namespace deutero

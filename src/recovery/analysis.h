@@ -152,17 +152,11 @@ class RecoveryPassQuiescence {
   explicit RecoveryPassQuiescence(DataComponent* dc)
       : dc_(dc),
         monitor_was_(dc->monitor().enabled()),
-        callbacks_were_(dc->pool().callbacks_enabled()),
-        tracking_was_(dc->row_count_tracking()) {
+        callbacks_were_(dc->pool().callbacks_enabled()) {
     dc_->monitor().set_enabled(false);
     dc_->pool().set_callbacks_enabled(false);
-    // Redo passes account row counts scan-complete (every record's delta
-    // exactly once, in LSN order, independent of the redo skip tests);
-    // apply-side maintenance must not double-count the applied subset.
-    dc_->SetRowCountTracking(false);
   }
   ~RecoveryPassQuiescence() {
-    dc_->SetRowCountTracking(tracking_was_);
     dc_->pool().set_callbacks_enabled(callbacks_were_);
     dc_->monitor().set_enabled(monitor_was_);
   }
@@ -173,7 +167,6 @@ class RecoveryPassQuiescence {
   DataComponent* dc_;
   bool monitor_was_;
   bool callbacks_were_;
-  bool tracking_was_;
 };
 
 /// Row-count effect of one redoable data-op record: +1 insert, -1 delete,

@@ -7,9 +7,9 @@
 //     checkpoint when EngineOptions::media_archive is on), then replay the
 //     log tail from the archive boundary restricted to records targeting
 //     the page — SMO/DDL after-images via the pLSN image test, data ops and
-//     CLRs routed by their physiological pid hint through the pinned-leaf
-//     apply primitives. The replay is exactly per-page physiological redo,
-//     so the rebuilt image is byte-identical to what unbroken operation
+//     CLRs routed by their physiological pid hint through the one leaf
+//     write, LeafApplyRecord. The replay is exactly per-page physiological
+//     redo, so the rebuilt image is byte-identical to what unbroken operation
 //     would have left, regardless of recovery method or of WHEN the repair
 //     runs (mid-redo or post-recovery): the final pLSN is the LSN of the
 //     last record targeting the page either way.

@@ -58,44 +58,16 @@ class UndoApplier {
     if (!tables_->Lookup(item.table_id, &value_size)) {
       return Status::NotFound("undo of op on unknown table");
     }
-    DEUTERO_RETURN_NOT_OK(LeafApplyUpdate(pin->handle.view(), value_size,
-                                          item.key, Slice(item.value)));
+    int64_t delta = 0;  // an update moves no row
+    DEUTERO_RETURN_NOT_OK(LeafApplyRecord(pin->handle.view(), value_size,
+                                          LogRecordType::kUpdate, item.key,
+                                          Slice(item.value), &delta));
     pins->Stamp(pin, item.lsn);
     return Status::OK();
   }
 
  private:
   const TableRegistry* tables_;
-};
-
-/// RAII: quiesce the dirty monitor and pool callbacks while workers run —
-/// but NOT row-count tracking: undo maintains the exact counters
-/// apply-side. A live monitor would react to a worker's MarkDirty by
-/// appending Δ/BW records from worker threads, racing the dispatcher's CLR
-/// appends. RecoveryManager already quiesces globally; this makes direct
-/// drivers (tests, tools) safe. One partition applies on the caller's
-/// thread, so it leaves the caller's monitor as it is: a runtime rollback
-/// reports the pages its CLRs dirty.
-class UndoQuiescence {
- public:
-  explicit UndoQuiescence(DataComponent* dc)
-      : dc_(dc),
-        monitor_was_(dc->monitor().enabled()),
-        callbacks_were_(dc->pool().callbacks_enabled()) {
-    dc_->monitor().set_enabled(false);
-    dc_->pool().set_callbacks_enabled(false);
-  }
-  ~UndoQuiescence() {
-    dc_->pool().set_callbacks_enabled(callbacks_were_);
-    dc_->monitor().set_enabled(monitor_was_);
-  }
-  UndoQuiescence(const UndoQuiescence&) = delete;
-  UndoQuiescence& operator=(const UndoQuiescence&) = delete;
-
- private:
-  DataComponent* dc_;
-  bool monitor_was_;
-  bool callbacks_were_;
 };
 
 }  // namespace
@@ -108,7 +80,13 @@ Status RunUndo(LogManager* log, DataComponent* dc, const ActiveTxnTable& att,
   // loser), so the registry is fixed for the whole pass.
   TableRegistry tables;
   Mutex gate;  ///< Serializes EVERY pool/disk touch beside workers.
-  std::optional<UndoQuiescence> quiesce;  // outlives the crew
+  // Workers run with the dirty monitor and pool callbacks off: a live
+  // monitor would react to a worker's MarkDirty by appending Δ/BW records
+  // from worker threads, racing the dispatcher's CLR appends. One
+  // partition applies on the caller's thread and leaves the monitor as it
+  // is, so a runtime rollback reports the pages its CLRs dirty. Row counts
+  // stay apply-side (BTree::Apply) either way.
+  std::optional<RecoveryPassQuiescence> quiesce;  // outlives the crew
   std::unique_ptr<ApplyCrew<UndoApplier>> crew;
   if (threads >= 2) {
     quiesce.emplace(dc);
@@ -216,41 +194,31 @@ Status RunUndo(LogManager* log, DataComponent* dc, const ActiveTxnTable& att,
                               : rec.type == LogRecordType::kDelete ? 1
                                                                    : 0;
           const Lsn clr_lsn = log->Append(clr);
-          switch (rec.type) {
-            case LogRecordType::kUpdate:
-              if (crew != nullptr) {
-                item.pid = pid;
-                item.table_id = rec.table_id;
-                item.key = rec.key;
-                item.lsn = clr_lsn;
-                item.value = rec.before;
-                crew->Route(item);
-              } else {
-                DEUTERO_RETURN_NOT_OK(dc->ApplyUpdate(
-                    rec.table_id, pid, rec.key, rec.before, clr_lsn));
-              }
-              break;
-            case LogRecordType::kInsert: {
-              // Undoing an insert is a delete: it may leave the leaf
-              // underfull and trigger a merge SMO — logged, exactly like
-              // the splits PrepareInsert can log during undo of a delete.
-              // Undo runs identically for every method after redo, so the
-              // merges it performs are deterministic across methods too.
-              bool underfull = false;
-              DEUTERO_RETURN_NOT_OK(dc->ApplyDelete(rec.table_id, pid,
-                                                    rec.key, clr_lsn,
-                                                    &underfull));
-              if (underfull) {
-                DEUTERO_RETURN_NOT_OK(
-                    dc->MaybeMergeLeaf(rec.table_id, rec.key));
-              }
-              break;
+          if (crew != nullptr && rec.type == LogRecordType::kUpdate) {
+            item.pid = pid;
+            item.table_id = rec.table_id;
+            item.key = rec.key;
+            item.lsn = clr_lsn;
+            item.value = rec.before;
+            crew->Route(item);
+          } else {
+            // The inverse write, through the forward path. Not a blanket
+            // kClr: an update's undo of a missing key must stay NotFound.
+            // An insert's undo deletes and may merge (a logged SMO, like
+            // the splits PrepareInsert logs for a delete's undo; the same
+            // for every method, since undo runs identically after redo).
+            // A delete's undo restores the row as an upsert.
+            const LogRecordType inverse =
+                rec.type == LogRecordType::kUpdate   ? LogRecordType::kUpdate
+                : rec.type == LogRecordType::kInsert ? LogRecordType::kDelete
+                                                     : LogRecordType::kClr;
+            bool underfull = false;
+            DEUTERO_RETURN_NOT_OK(dc->Apply(rec.table_id, pid, inverse,
+                                            rec.key, clr.after, clr_lsn,
+                                            &underfull));
+            if (underfull) {
+              DEUTERO_RETURN_NOT_OK(dc->MaybeMergeLeaf(rec.table_id, rec.key));
             }
-            default:  // kDelete: restore the row
-              DEUTERO_RETURN_NOT_OK(dc->ApplyUpsert(rec.table_id, pid,
-                                                    rec.key, rec.before,
-                                                    clr_lsn));
-              break;
           }
           out->ops_undone++;
           out->clrs_written++;

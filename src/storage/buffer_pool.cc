@@ -55,9 +55,7 @@ BufferPool::BufferPool(SimClock* clock, SimDisk* disk, uint64_t capacity_pages,
       disk_(disk),
       capacity_(capacity_pages),
       page_size_(page_size),
-      max_batch_pages_(std::max<uint32_t>(1, max_batch_pages)),
-      retry_limit_(disk->io_options().io_retry_limit),
-      backoff_base_ms_(disk->io_options().io_backoff_base_ms) {
+      max_batch_pages_(std::max<uint32_t>(1, max_batch_pages)) {
   assert(capacity_ > 0);
   for (auto& sp : shards_) sp = std::make_unique<TableShard>(capacity_pages);
   arena_.resize(capacity_ * static_cast<uint64_t>(page_size_));
@@ -71,7 +69,7 @@ BufferPool::BufferPool(SimClock* clock, SimDisk* disk, uint64_t capacity_pages,
 
 void BufferPool::Backoff(uint32_t attempt) {
   stats_.io_retries++;
-  const double ms = backoff_base_ms_ *
+  const double ms = kIoBackoffBaseMs *
                     static_cast<double>(uint64_t{1}
                                         << std::min<uint32_t>(attempt, 20));
   stats_.backoff_ms += ms;
@@ -88,7 +86,7 @@ Status BufferPool::ReadPageWithRetry(PageId pid, bool sorted, uint8_t* dest) {
       disk_->ReadImage(pid, dest);
       return Status::OK();
     }
-    if (attempt >= retry_limit_) return s;
+    if (attempt >= kIoRetryLimit) return s;
     Backoff(attempt);
   }
 }
@@ -342,7 +340,7 @@ uint32_t BufferPool::Prefetch(std::span<const PageId> pids, PageClass cls) {
     Status rs;
     for (uint32_t attempt = 0;; attempt++) {
       rs = disk_->ScheduleReadRun(want[i], run, /*sorted=*/true, &completion);
-      if (rs.ok() || attempt >= retry_limit_) break;
+      if (rs.ok() || attempt >= kIoRetryLimit) break;
       Backoff(attempt);
     }
     if (!rs.ok()) {
@@ -449,7 +447,7 @@ Status BufferPool::FlushFrame(uint32_t frame, uint64_t* counter) {
     if (s.ok()) break;
     // Exhaustion leaves the frame dirty and resident: no durability is
     // lost, but the caller (checkpoint, eviction) must surface the error.
-    if (attempt >= retry_limit_) return s;
+    if (attempt >= kIoRetryLimit) return s;
     Backoff(attempt);
   }
   f.dirty = false;

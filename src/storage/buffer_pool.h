@@ -20,10 +20,10 @@
 //    time.
 //  * Media-failure handling (PR 7): every read-in verifies the page CRC and
 //    every flush stamps it; transient device errors are retried with
-//    sim-time exponential backoff (io_retry_limit / io_backoff_base_ms in
-//    IoModelOptions); a checksum mismatch invokes the repair callback
-//    (single-page logical redo, recovery/page_repairer.h) and only surfaces
-//    as Status::Corruption when repair is unavailable or fails, with the
+//    sim-time exponential backoff (kIoRetryLimit / kIoBackoffBaseMs); a
+//    checksum mismatch invokes the repair callback (single-page logical
+//    redo, recovery/page_repairer.h) and only surfaces as
+//    Status::Corruption when repair is unavailable or fails, with the
 //    offending pid retrievable via TakeCorruptPage().
 //
 // Concurrency (PR 8). The pool serves two very different caller classes:
@@ -113,6 +113,13 @@ class PageHandle {
 
 class BufferPool {
  public:
+  /// Retry policy for transient I/O errors: an IOError from the device is
+  /// retried up to kIoRetryLimit times, charging simulated exponential
+  /// backoff (kIoBackoffBaseMs * 2^attempt) before each retry. Exhaustion
+  /// surfaces the IOError to the caller.
+  static constexpr uint32_t kIoRetryLimit = 4;
+  static constexpr double kIoBackoffBaseMs = 0.5;
+
   struct Stats {
     uint64_t gets = 0;
     uint64_t hits = 0;
@@ -396,8 +403,6 @@ class BufferPool {
   uint32_t clock_hand_ GUARDED_BY(miss_mu_) = 0;
   bool current_phase_ = false;
   bool callbacks_enabled_ = true;
-  uint32_t retry_limit_ = 0;       ///< Extra attempts after the first.
-  double backoff_base_ms_ = 0;     ///< Backoff = base * 2^attempt.
   PageId last_corrupt_pid_ GUARDED_BY(miss_mu_) = kInvalidPageId;
 
   FlushCallback flush_cb_;

@@ -33,78 +33,54 @@ Status TransactionComponent::Begin(TxnId* txn) {
   return Status::OK();
 }
 
-Status TransactionComponent::Update(TxnId txn, TableId table, Key key,
-                                    Slice value) {
+Status TransactionComponent::Write(LogRecordType op, TxnId txn,
+                                   TableId table, Key key, Slice value) {
+  if (op != LogRecordType::kUpdate && op != LogRecordType::kInsert &&
+      op != LogRecordType::kDelete) {
+    return Status::InvalidArgument("not a data op");
+  }
   ActiveTxn* t = FindActive(txn);
   if (t == nullptr) return Status::InvalidArgument("unknown txn");
-  DEUTERO_RETURN_NOT_OK(dc_->ValidateValue(table, value.size()));
+  if (op == LogRecordType::kDelete) {
+    value = Slice();  // a delete logs no after-image
+  } else {
+    DEUTERO_RETURN_NOT_OK(dc_->ValidateValue(table, value.size()));
+  }
   DEUTERO_RETURN_NOT_OK(
       locks_.Acquire(txn, table, key, ShardedLockManager::LockMode::kExclusive));
 
   PageId pid = kInvalidPageId;
-  DEUTERO_RETURN_NOT_OK(
-      dc_->LocateForUpdate(table, key, &pid, &scratch_.before));
-  const Lsn lsn =
-      AppendDataOp(t, LogRecordType::kUpdate, table, key, value, pid);
-  DEUTERO_RETURN_NOT_OK(dc_->ApplyUpdate(table, pid, key, value, lsn));
-  DEUTERO_RETURN_NOT_OK(dc_->Tick());
-  stats_.updates++;
-  return Status::OK();
-}
-
-Status TransactionComponent::Insert(TxnId txn, TableId table, Key key,
-                                    Slice value) {
-  ActiveTxn* t = FindActive(txn);
-  if (t == nullptr) return Status::InvalidArgument("unknown txn");
-  DEUTERO_RETURN_NOT_OK(dc_->ValidateValue(table, value.size()));
-  DEUTERO_RETURN_NOT_OK(
-      locks_.Acquire(txn, table, key, ShardedLockManager::LockMode::kExclusive));
-
-  // PrepareInsert may run (and log) SMO system transactions; their records
-  // precede this insert's record, preserving LSN order for physiological
-  // replay. It never mutates the active list (SMOs are DC-side system
-  // transactions), which is why `t` stays valid across the call.
-  PageId pid = kInvalidPageId;
-  DEUTERO_RETURN_NOT_OK(dc_->PrepareInsert(table, key, &pid));
-
-  // Duplicate check BEFORE logging: if the kInsert record reached the log
-  // and the apply then failed, rollback would "compensate" an operation
-  // that never happened — deleting the committed row — and redo would
-  // replay the orphan record into a permanent recovery failure.
-  bool exists = false;
-  DEUTERO_RETURN_NOT_OK(dc_->LeafContains(table, pid, key, &exists));
-  if (exists) return Status::InvalidArgument("duplicate key");
-
-  scratch_.before.clear();
-  const Lsn lsn =
-      AppendDataOp(t, LogRecordType::kInsert, table, key, value, pid);
-  DEUTERO_RETURN_NOT_OK(dc_->ApplyInsert(table, pid, key, value, lsn));
-  DEUTERO_RETURN_NOT_OK(dc_->Tick());
-  stats_.inserts++;
-  return Status::OK();
-}
-
-Status TransactionComponent::Delete(TxnId txn, TableId table, Key key) {
-  ActiveTxn* t = FindActive(txn);
-  if (t == nullptr) return Status::InvalidArgument("unknown txn");
-  DEUTERO_RETURN_NOT_OK(
-      locks_.Acquire(txn, table, key, ShardedLockManager::LockMode::kExclusive));
-
-  // The before-image rides on the record so undo can re-insert the row.
-  PageId pid = kInvalidPageId;
-  DEUTERO_RETURN_NOT_OK(
-      dc_->LocateForUpdate(table, key, &pid, &scratch_.before));
-  const Lsn lsn =
-      AppendDataOp(t, LogRecordType::kDelete, table, key, Slice(), pid);
+  if (op == LogRecordType::kInsert) {
+    // PrepareInsert may run (and log) SMO system transactions; their
+    // records precede this insert's record, preserving LSN order for
+    // physiological replay. It never mutates the active list (SMOs are
+    // DC-side system transactions), which is why `t` stays valid.
+    DEUTERO_RETURN_NOT_OK(dc_->PrepareInsert(table, key, &pid));
+    // Duplicate check BEFORE logging: if the kInsert record reached the
+    // log and the apply then failed, rollback would "compensate" an
+    // operation that never happened — deleting the committed row — and
+    // redo would replay the orphan record into a permanent recovery
+    // failure.
+    bool exists = false;
+    DEUTERO_RETURN_NOT_OK(dc_->LeafContains(table, pid, key, &exists));
+    if (exists) return Status::InvalidArgument("duplicate key");
+    scratch_.before.clear();
+  } else {
+    // The before-image rides on the record so undo can restore the row.
+    DEUTERO_RETURN_NOT_OK(
+        dc_->LocateForUpdate(table, key, &pid, &scratch_.before));
+  }
+  const Lsn lsn = AppendDataOp(t, op, table, key, value, pid);
 
   // A delete that leaves the leaf underfull triggers the delete-side SMO:
   // a logged DC system transaction whose record follows this delete's, so
   // physiological replay reproduces the same order.
   bool underfull = false;
-  DEUTERO_RETURN_NOT_OK(dc_->ApplyDelete(table, pid, key, lsn, &underfull));
+  DEUTERO_RETURN_NOT_OK(
+      dc_->Apply(table, pid, op, key, value, lsn, &underfull));
   if (underfull) DEUTERO_RETURN_NOT_OK(dc_->MaybeMergeLeaf(table, key));
   DEUTERO_RETURN_NOT_OK(dc_->Tick());
-  stats_.deletes++;
+  CountOp(op);
   return Status::OK();
 }
 
@@ -150,13 +126,17 @@ Status TransactionComponent::LogReplayOp(TxnId txn, LogRecordType type,
   }
   scratch_.before.assign(before.data(), before.size());
   const Lsn rec_lsn = AppendDataOp(t, type, table, key, after, pid);
+  CountOp(type);
+  if (lsn != nullptr) *lsn = rec_lsn;
+  return Status::OK();
+}
+
+void TransactionComponent::CountOp(LogRecordType type) {
   switch (type) {
     case LogRecordType::kUpdate: stats_.updates++; break;
     case LogRecordType::kInsert: stats_.inserts++; break;
     default: stats_.deletes++; break;
   }
-  if (lsn != nullptr) *lsn = rec_lsn;
-  return Status::OK();
 }
 
 Lsn TransactionComponent::AppendDataOp(ActiveTxn* t, LogRecordType type,

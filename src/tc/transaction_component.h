@@ -12,6 +12,10 @@
 //   3. append eCkpt naming the bCkpt, force, update the master record.
 // The redo scan start point of the NEXT recovery is this bCkpt.
 //
+// Every data operation goes through Write: lock, locate (the before-image),
+// log, then DataComponent::Apply — so a record reaches the log only once
+// every check that could refuse its apply has passed.
+//
 // Runtime rollback is not here: the engine runs recovery's undo pass on the
 // one loser (recovery/undo.h), which writes the CLRs and the abort record,
 // and the TC keeps only the abort's tail (FinishAbort).
@@ -58,9 +62,13 @@ class TransactionComponent {
                        const EngineOptions& options);
 
   Status Begin(TxnId* txn);
-  Status Update(TxnId txn, TableId table, Key key, Slice value);
-  Status Insert(TxnId txn, TableId table, Key key, Slice value);
-  Status Delete(TxnId txn, TableId table, Key key);
+  /// The TC's one write, of `op` (kUpdate, kInsert or kDelete); `value` is
+  /// the after-image, ignored for a delete. A write the DC would refuse —
+  /// an unknown transaction, a wrong value size, a missing key for an
+  /// update or delete, a present key for an insert — returns before
+  /// anything is logged. A delete that leaves its leaf underfull merges it.
+  Status Write(LogRecordType op, TxnId txn, TableId table, Key key,
+               Slice value);
   Status Read(TxnId txn, TableId table, Key key, std::string* value);
   Status Commit(TxnId txn);
 
@@ -145,6 +153,8 @@ class TransactionComponent {
   /// the caller has already filled; chains prev_lsn and returns the LSN.
   Lsn AppendDataOp(ActiveTxn* t, LogRecordType type, TableId table, Key key,
                    Slice after, PageId pid);
+  /// Count one data op (kUpdate, kInsert or kDelete) in stats_.
+  void CountOp(LogRecordType type);
 
   LogManager* log_;
   DataComponent* dc_;

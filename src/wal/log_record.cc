@@ -394,46 +394,12 @@ Status LogRecordView::DecodePayload(LogRecordType type, Slice in,
   return Status::OK();
 }
 
-LogRecord LogRecordView::ToOwned() const {
-  LogRecord out;
-  out.type = type;
-  out.lsn = lsn;
-  out.txn_id = txn_id;
-  out.prev_lsn = prev_lsn;
-  out.table_id = table_id;
-  out.key = key;
-  out.before = before.ToString();
-  out.after = after.ToString();
-  out.pid = pid;
-  out.undo_next_lsn = undo_next_lsn;
-  out.clr_row_delta = clr_row_delta;
-  out.bckpt_lsn = bckpt_lsn;
-  out.att_txn_ids = att_txn_ids;
-  out.att_last_lsns = att_last_lsns;
-  out.ckpt_dpt_pids = ckpt_dpt_pids;
-  out.ckpt_dpt_rlsns = ckpt_dpt_rlsns;
-  out.written_set = written_set;
-  out.fw_lsn = fw_lsn;
-  out.dirty_set = dirty_set;
-  out.dirty_lsns = dirty_lsns;
-  out.first_dirty = first_dirty;
-  out.tc_lsn = tc_lsn;
-  out.has_fw_fields = has_fw_fields;
-  out.smo_pages.reserve(smo_pages.size());
-  for (const SmoPageImageRef& p : smo_pages) {
-    out.smo_pages.push_back({p.pid, p.image.ToString()});
-  }
-  out.alloc_hwm = alloc_hwm;
-  out.ddl_value_size = ddl_value_size;
-  return out;
-}
-
 void LogRecordView::CopyTo(LogRecord* out) const {
-  // Same field list as ToOwned(), but assigning in place: string/vector
-  // assignment reuses the destination's capacity, so decoding a stream of
-  // data-op records into one scratch LogRecord stops allocating once the
-  // largest image has been seen. Every scalar is assigned too — a reused
-  // destination must not leak state from the previous record.
+  // Assigning in place: string/vector assignment reuses the destination's
+  // capacity, so decoding a stream of data-op records into one scratch
+  // LogRecord stops allocating once the largest image has been seen. Every
+  // scalar is assigned too — a reused destination must not leak state from
+  // the previous record.
   out->type = type;
   out->lsn = lsn;
   out->txn_id = txn_id;

@@ -133,9 +133,6 @@ struct LogRecordView {
   static Status DecodePayload(LogRecordType type, Slice payload,
                               LogRecordView* out);
 
-  /// Materialize an owning copy (rare compatibility path: tests, tools).
-  LogRecord ToOwned() const;
-
   /// Copy every field into `out`, reusing its string/vector capacity. The
   /// undo backchain walk decodes each loser record into one hoisted
   /// LogRecord through this; for data-op records (empty vectors, bounded

@@ -53,7 +53,8 @@ class BTreeTest : public ::testing::Test {
   Status Insert(Key k, uint32_t version = 1) {
     PageId pid = kInvalidPageId;
     DEUTERO_RETURN_NOT_OK(tree_->PrepareInsert(k, &pid));
-    return tree_->ApplyInsert(pid, k, Val(k, version), log_->next_lsn() + 1);
+    return tree_->Apply(pid, LogRecordType::kInsert, k, Val(k, version),
+                        log_->next_lsn() + 1);
   }
 
   EngineOptions options_;
@@ -138,7 +139,8 @@ TEST_F(BTreeTest, UpdateOverwritesInPlaceAndStampsPlsn) {
                      }).ok());
   PageId pid = kInvalidPageId;
   ASSERT_TRUE(tree_->Find(42, &pid).ok());
-  ASSERT_TRUE(tree_->ApplyUpdate(pid, 42, Val(42, 5), 9000).ok());
+  ASSERT_TRUE(
+      tree_->Apply(pid, LogRecordType::kUpdate, 42, Val(42, 5), 9000).ok());
   std::string v;
   ASSERT_TRUE(tree_->Read(42, &v).ok());
   EXPECT_EQ(v, Val(42, 5));
@@ -153,7 +155,8 @@ TEST_F(BTreeTest, UpdateMissingKeyIsNotFound) {
                      }).ok());
   PageId pid = kInvalidPageId;
   ASSERT_TRUE(tree_->Find(40, &pid).ok());
-  EXPECT_TRUE(tree_->ApplyUpdate(pid, 100000, Val(1), 1).IsNotFound());
+  EXPECT_TRUE(tree_->Apply(pid, LogRecordType::kUpdate, 100000, Val(1), 1)
+                  .IsNotFound());
 }
 
 TEST_F(BTreeTest, InsertsSplitLeavesAndLogSmos) {
@@ -212,12 +215,53 @@ TEST_F(BTreeTest, DeleteRemovesRow) {
                      }).ok());
   PageId pid = kInvalidPageId;
   ASSERT_TRUE(tree_->Find(10, &pid).ok());
-  ASSERT_TRUE(tree_->ApplyDelete(pid, 10, 500).ok());
+  ASSERT_TRUE(tree_->Apply(pid, LogRecordType::kDelete, 10, Slice(), 500).ok());
   std::string v;
   EXPECT_TRUE(tree_->Read(10, &v).IsNotFound());
   uint64_t rows = 0;
   ASSERT_TRUE(tree_->CheckWellFormed(&rows).ok());
   EXPECT_EQ(rows, 99u);
+}
+
+// Only a removal can start a merge: an update or insert on an underfull
+// leaf must not report it, or every write there would probe for a merge.
+TEST_F(BTreeTest, ApplyReportsUnderfullOnlyAfterARemoval) {
+  // merge_fill 0.25 of a 17-row leaf: the threshold is 4 rows.
+  tree_ = std::make_unique<BTree>(
+      clock_.get(), disk_.get(), pool_.get(), allocator_.get(), log_.get(),
+      kRootPageId, kPageSize, kValueSize, options_.leaf_fill_fraction,
+      options_.io.cpu_per_btree_level_us, /*monitor=*/nullptr,
+      /*merge_fill=*/0.25);
+  ASSERT_TRUE(tree_->BulkLoad(100, [this](Key k, uint8_t* dst) {
+                       SynthesizeValue(k, 0, kValueSize, dst);
+                     }).ok());
+  PageId pid = kInvalidPageId;
+  ASSERT_TRUE(tree_->Find(0, &pid).ok());
+  Lsn lsn = 1000;
+  bool underfull = false;
+  // The first leaf holds keys 0-15 (16 rows at the 0.95 bulk-load fill).
+  for (Key k = 0; k <= 13; k++) {
+    ASSERT_TRUE(tree_->Apply(pid, LogRecordType::kDelete, k, Slice(), lsn++,
+                             &underfull)
+                    .ok());
+    EXPECT_EQ(underfull, k >= 12) << "after deleting key " << k;
+  }
+  // Two rows left, below the threshold, but neither op removes one.
+  underfull = true;
+  ASSERT_TRUE(tree_->Apply(pid, LogRecordType::kUpdate, 14, Val(14, 1),
+                           lsn++, &underfull)
+                  .ok());
+  EXPECT_FALSE(underfull);
+  underfull = true;
+  ASSERT_TRUE(tree_->Apply(pid, LogRecordType::kInsert, 0, Val(0, 1), lsn++,
+                           &underfull)
+                  .ok());
+  EXPECT_FALSE(underfull);
+  // A CLR with an empty image compensates an insert: it removes the row.
+  ASSERT_TRUE(tree_->Apply(pid, LogRecordType::kClr, 0, Slice(), lsn++,
+                           &underfull)
+                  .ok());
+  EXPECT_TRUE(underfull);
 }
 
 TEST_F(BTreeTest, SmoRedoReinstallsImagesIdempotently) {
@@ -230,7 +274,7 @@ TEST_F(BTreeTest, SmoRedoReinstallsImagesIdempotently) {
   std::vector<LogRecord> smos;
   for (auto it = log_->NewIterator(kFirstLsn, false); it.Valid(); it.Next()) {
     if (it.record().type == LogRecordType::kSmo) {
-      smos.push_back(it.record().ToOwned());
+      it.record().CopyTo(&smos.emplace_back());
     }
   }
   ASSERT_GT(smos.size(), 0u);
@@ -292,8 +336,8 @@ TEST_F(BTreeTest, TwoTreesShareAllocatorWithoutCollisions) {
     PageId pid;
     ASSERT_TRUE(other.PrepareInsert(k + 1000, &pid).ok());
     ASSERT_TRUE(other
-                    .ApplyInsert(pid, k + 1000, Val(k + 1000, 1),
-                                 log_->next_lsn() + 1)
+                    .Apply(pid, LogRecordType::kInsert, k + 1000,
+                           Val(k + 1000, 1), log_->next_lsn() + 1)
                     .ok());
   }
   uint64_t rows_a = 0, rows_b = 0;
@@ -319,7 +363,7 @@ TEST_F(BTreeTest, RandomOpsMatchStdMap) {
       const std::string v = Val(k, static_cast<uint32_t>(i));
       PageId pid;
       ASSERT_TRUE(tree_->PrepareInsert(k, &pid).ok());
-      ASSERT_TRUE(tree_->ApplyInsert(pid, k, v, i + 10).ok());
+      ASSERT_TRUE(tree_->Apply(pid, LogRecordType::kInsert, k, v, i + 10).ok());
       oracle[k] = v;
     } else if (op < 90) {
       auto it = oracle.begin();
@@ -327,7 +371,9 @@ TEST_F(BTreeTest, RandomOpsMatchStdMap) {
       const std::string v = Val(it->first, static_cast<uint32_t>(i + 7));
       PageId pid;
       ASSERT_TRUE(tree_->Find(it->first, &pid).ok());
-      ASSERT_TRUE(tree_->ApplyUpdate(pid, it->first, v, i + 10).ok());
+      ASSERT_TRUE(
+          tree_->Apply(pid, LogRecordType::kUpdate, it->first, v, i + 10)
+              .ok());
       it->second = v;
     } else {
       auto it = oracle.begin();

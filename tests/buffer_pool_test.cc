@@ -505,7 +505,7 @@ class BufferPoolFaultTest : public ::testing::Test {
     io.faults.read_error_rate = read_rate;
     io.faults.write_error_rate = write_rate;
     io.faults.max_failure_burst = 2;
-    // Defaults: io_retry_limit = 4 extra attempts, 0.5 ms backoff base.
+    // BufferPool::kIoRetryLimit = 4 extra attempts, kIoBackoffBaseMs = 0.5.
     return io;
   }
 

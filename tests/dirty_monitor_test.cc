@@ -29,7 +29,7 @@ class DirtyMonitorTest : public ::testing::Test {
     log_.Flush();
     std::vector<LogRecord> out;
     for (auto it = log_.NewIterator(kFirstLsn, false); it.Valid(); it.Next()) {
-      if (it.record().type == type) out.push_back(it.record().ToOwned());
+      if (it.record().type == type) it.record().CopyTo(&out.emplace_back());
     }
     return out;
   }

@@ -478,7 +478,9 @@ TEST(LogRecordViewTest, DecodeAliasesPayloadBuffer) {
   EXPECT_GE(v.after.data(), payload.data());
   EXPECT_EQ(v.before.ToString(), "oldvalue");
   EXPECT_EQ(v.after.ToString(), "newvalue");
-  EXPECT_EQ(v.ToOwned().after, "newvalue");
+  LogRecord owned;
+  v.CopyTo(&owned);
+  EXPECT_EQ(owned.after, "newvalue");
 }
 
 TEST(LogRecordViewTest, SmoImagesAliasPayloadBuffer) {

@@ -55,7 +55,7 @@ FaultPlanOptions StormFaults() {
   FaultPlanOptions f;
   f.read_error_rate = 0.03;
   f.write_error_rate = 0.03;
-  f.max_failure_burst = 2;  // < io_retry_limit: transients always recover
+  f.max_failure_burst = 2;  // < BufferPool::kIoRetryLimit: always recovers
   f.latency_spike_rate = 0.05;
   f.latency_spike_factor = 8.0;
   f.bit_flip_rate = 0.02;   // latent corruption of acknowledged writes

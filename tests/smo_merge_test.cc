@@ -552,7 +552,7 @@ std::vector<LogRecord> WindowSplits(Engine* e) {
   for (auto it = e->wal().NewIterator(e->wal().master().bckpt_lsn, false);
        it.Valid(); it.Next()) {
     if (it.record().type == LogRecordType::kSmo) {
-      splits.push_back(it.record().ToOwned());
+      it.record().CopyTo(&splits.emplace_back());
     }
   }
   return splits;

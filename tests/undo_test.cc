@@ -173,6 +173,33 @@ TEST_P(UndoTest, MixedLoserInsertAndUpdate) {
   EXPECT_TRUE(engine_->Read(fresh, &v).IsNotFound());
 }
 
+// Undo applies the inverse write, not a blanket CLR upsert: undoing an
+// update or an insert of a key its leaf lacks is NotFound, never a silent
+// insert.
+TEST_P(UndoTest, UndoOfAMissingKeyIsNotFound) {
+  const Key missing = engine_->options().num_rows + 50;
+  const LogRecordType types[] = {LogRecordType::kUpdate,
+                                 LogRecordType::kInsert};
+  Txn losers[2];
+  for (int i = 0; i < 2; i++) {
+    ASSERT_OK(engine_->Begin(&losers[i]));
+    // Logged but never applied: the key stays absent from its leaf.
+    Lsn lsn = kInvalidLsn;
+    ASSERT_OK(engine_->tc().LogReplayOp(
+        losers[i].id(), types[i], table_.id(), missing, Val(missing, 0),
+        Val(missing, 1), kInvalidPageId, &lsn));
+    ActiveTxnTable att;
+    att[losers[i].id()] = lsn;
+    UndoResult ur;
+    EXPECT_TRUE(RunUndo(&engine_->wal(), &engine_->dc(), att, GetParam(), &ur)
+                    .IsNotFound())
+        << LogRecordTypeName(types[i]);
+  }
+  std::string v;
+  EXPECT_TRUE(engine_->Read(missing, &v).IsNotFound());
+  engine_->SimulateCrash();  // the losers cannot roll back: drop them
+}
+
 TEST_P(UndoTest, UndoPassTimingIsRecorded) {
   Txn t;
   ASSERT_OK(engine_->Begin(&t));
