@@ -380,7 +380,8 @@ void BM_LogicalRedo(benchmark::State& state) {
     RedoResult redo;
     benchmark::DoNotOptimize(
         RunLogicalRedo(&e->wal(), &e->dc(), start, /*use_dpt=*/true,
-                       &dcr.dpt, dcr.last_delta_tc_lsn, nullptr, o, 1, &redo));
+                       &dcr.dpt, dcr.last_delta_tc_lsn,
+                       /*prefetch=*/false, o, 1, &redo));
     records += redo.records_scanned;
     hits += redo.leaf_memo_hits;
     examined += redo.examined;
@@ -465,8 +466,8 @@ void BM_ParallelRedo(benchmark::State& state) {
     const double sim_t0 = e->clock().NowMs();
     const auto t0 = std::chrono::steady_clock::now();
     (void)RunLogicalRedo(&e->wal(), &e->dc(), start, /*use_dpt=*/true,
-                         &dcr.dpt, dcr.last_delta_tc_lsn, nullptr, o, threads,
-                         &redo);
+                         &dcr.dpt, dcr.last_delta_tc_lsn,
+                         /*prefetch=*/false, o, threads, &redo);
     const auto t1 = std::chrono::steady_clock::now();
     state.SetIterationTime(
         std::chrono::duration<double>(t1 - t0).count());
@@ -635,8 +636,8 @@ void BM_ParallelUndo(benchmark::State& state) {
                         /*build_dpt=*/true, /*preload=*/false, 1, &dcr);
     RedoResult redo;
     (void)RunLogicalRedo(&e->wal(), &e->dc(), start, /*use_dpt=*/true,
-                         &dcr.dpt, dcr.last_delta_tc_lsn, nullptr, o, 1,
-                         &redo);
+                         &dcr.dpt, dcr.last_delta_tc_lsn,
+                         /*prefetch=*/false, o, 1, &redo);
     UndoResult ur;
     const double sim_t0 = e->clock().NowMs();
     const auto t0 = std::chrono::steady_clock::now();

@@ -6,7 +6,8 @@
 # prints bench/e2e/compare.py's table (A = REV, B = working tree).
 #
 # Usage: scripts/bench_diff.sh [--base REV] [--workload W]... [--seed N]
-#                              [--smoke] [--reps N] [--exact]
+#                              [--smoke] [--reps N]
+#                              [--exact [--allow-move METRIC]...]
 #   --base REV    revision to compare against (default HEAD)
 #   --workload W  run only workload W of BENCHMARK.json; repeat the flag
 #                 to select several (default: every workload)
@@ -18,6 +19,14 @@
 #                 deterministic workloads among fig2a_uniform,
 #                 zipf_resident and mixed_churn (oltp_concurrent runs 4
 #                 client threads and is not)
+#   --allow-move METRIC
+#                 with --exact: the simulated end-to-end metric METRIC
+#                 (e.g. recovery_sim_ms.log2) must still read the same on
+#                 every run of each side, but may differ between the
+#                 sides; every other one must stay bit-identical. Repeat
+#                 the flag to allow several. A change that claims to move
+#                 one method's recovery shows with it that nothing else
+#                 moved.
 #
 # REV is exported with `git archive` (the repository's worktrees are left
 # alone) and built there. Everything goes under $BENCH_DIFF_DIR (default
@@ -25,7 +34,8 @@
 # builds, and the result sets in results/A and results/B.
 #
 # Exit status: 0 ok; 1 a build or run failed, compare.py saw a regression,
-# or --exact found a simulated metric that differs; 2 bad usage.
+# or --exact found a simulated metric that differs where it must not; 2
+# bad usage.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ROOT="$PWD"
@@ -35,6 +45,7 @@ WORKLOADS=()
 RUN_ARGS=()
 REPS=5
 EXACT=0
+ALLOW_MOVE=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --base) BASE="${2:?--base needs a revision}"; shift 2 ;;
@@ -43,10 +54,19 @@ while [[ $# -gt 0 ]]; do
     --smoke) RUN_ARGS+=(--smoke); shift ;;
     --reps) REPS="${2:?--reps needs a count}"; shift 2 ;;
     --exact) EXACT=1; shift ;;
-    *) sed -n '2,28p' "$0" >&2; exit 2 ;;
+    --allow-move) ALLOW_MOVE+=("${2:?--allow-move needs a metric}"); shift 2 ;;
+    *) sed -n '2,38p' "$0" >&2; exit 2 ;;
   esac
 done
 [[ "$REPS" =~ ^[1-9][0-9]*$ ]] || { echo "--reps must be >= 1" >&2; exit 2; }
+if ((${#ALLOW_MOVE[@]})); then
+  ((EXACT)) || { echo "--allow-move needs --exact" >&2; exit 2; }
+  SIMULATED=($(python3 -c 'import json,sys; print(" ".join(m["name"] for m in json.load(open(sys.argv[1]))["end_to_end"] if "sim" in m["unit"]))' BENCHMARK.json))
+  for m in "${ALLOW_MOVE[@]}"; do
+    [[ " ${SIMULATED[*]} " == *" $m "* ]] ||
+      { echo "--allow-move: '$m' is not a simulated end-to-end metric (one of: ${SIMULATED[*]})" >&2; exit 2; }
+  done
+fi
 ALL_WORKLOADS=($(python3 -c 'import json,sys; print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' BENCHMARK.json))
 for w in "${WORKLOADS[@]}"; do
   [[ " ${ALL_WORKLOADS[*]} " == *" $w "* ]] ||
@@ -98,7 +118,7 @@ status=0
 python3 bench/e2e/compare.py "$RESULTS/A" "$RESULTS/B" || status=1
 
 if ((EXACT)); then
-  python3 - "$RESULTS" "${WORKLOADS[@]}" <<'EOF' || status=1
+  ALLOW_MOVE="${ALLOW_MOVE[*]}" python3 - "$RESULTS" "${WORKLOADS[@]}" <<'EOF' || status=1
 import json, os, sys
 sys.dont_write_bytecode = True
 sys.path.insert(0, os.path.join("bench", "e2e"))
@@ -108,16 +128,23 @@ a, b = compare.load(os.path.join(res, "A")), compare.load(os.path.join(res, "B")
 with open("BENCHMARK.json") as f:
     bench = json.load(f)
 simulated = [m["name"] for m in bench["end_to_end"] if "sim" in m["unit"]]
+allow = set(os.environ["ALLOW_MOVE"].split())
 differ = 0
 print("\n--exact: simulated end-to-end metrics, every run of both sides")
 for w in ("fig2a_uniform", "zipf_resident", "mixed_churn"):
     if w not in selected:
         continue
     for m in simulated:
-        values = {r["metrics"][m]["value"] for r in a.get(w, []) + b.get(w, [])}
-        same = len(values) == 1
-        differ += not same
-        print(f"  {w:14s} {m:24s} {'identical' if same else 'DIFFERS: ' + repr(sorted(values))}")
+        va = {r["metrics"][m]["value"] for r in a.get(w, [])}
+        vb = {r["metrics"][m]["value"] for r in b.get(w, [])}
+        if len(va | vb) == 1:
+            verdict = "identical"
+        elif m in allow and len(va) == 1 and len(vb) == 1:
+            verdict = f"moved (allowed): {va.pop()} -> {vb.pop()}"
+        else:
+            differ += 1
+            verdict = f"DIFFERS: A {sorted(va)!r}, B {sorted(vb)!r}"
+        print(f"  {w:14s} {m:24s} {verdict}")
 sys.exit(1 if differ else 0)
 EOF
 fi

@@ -14,14 +14,18 @@ namespace {
 
 constexpr size_t kDptRingCapacity = 4096;  // power of two (SpscRing)
 
+/// A prune event's claim stamp when no DirtySet entry of its Δ-record
+/// names the page at or after FW-LSN: a raise keeps the entry's stamp.
+constexpr uint32_t kNoClaim = UINT32_MAX;
+
 /// One resolved DPT mutation event. The dispatcher resolves every LSN
-/// (record LSN, FW-LSN, prev-Δ TC-LSN, per-entry perfect LSN) before
-/// handing it on, so the applier needs no per-mode logic of its own
-/// beyond the prune comparison kind.
+/// (record LSN, FW-LSN, prev-Δ TC-LSN, per-entry perfect LSN) and claim
+/// stamp before handing it on, so the applier needs no per-mode logic of
+/// its own beyond the prune comparison kind.
 struct DptWorkItem {
   enum class Kind : uint8_t {
     kStop = 0,      ///< Control token: the pass is over (default-constructed).
-    kUpsert,        ///< AddOrUpdate(pid, lsn); first mention may record seq.
+    kUpsert,        ///< AddOrUpdate(pid, lsn, claim_seq).
     kSeed,          ///< Checkpoint DPT seed: AddExact(pid, lsn, lsn) if absent.
     kRemove,        ///< Remove(pid) (merge victim).
     kPruneSql,      ///< Algorithm 3 prune: lastLSN <= lsn removes.
@@ -30,16 +34,19 @@ struct DptWorkItem {
   };
   Kind kind = Kind::kStop;
   PageId pid = kInvalidPageId;
+  /// DC pass: an upsert's DirtySet scan sequence number; a kPruneDc's
+  /// stamp for the rLSN it may raise (kNoClaim: keep the entry's).
+  uint32_t claim_seq = 0;
   Lsn lsn = kInvalidLsn;
-  uint64_t seq = 0;  ///< Global DirtySet mention order (PF-list; DC pass).
 };
 
 /// The one DPT event applier, for a shard worker and for the inline
-/// partition alike. Returns true when an upsert was a first mention.
-bool ApplyDptEvent(const DptWorkItem& item, DirtyPageTable* dpt) {
+/// partition alike.
+void ApplyDptEvent(const DptWorkItem& item, DirtyPageTable* dpt) {
   switch (item.kind) {
     case DptWorkItem::Kind::kUpsert:
-      return dpt->AddOrUpdate(item.pid, item.lsn);
+      dpt->AddOrUpdate(item.pid, item.lsn, item.claim_seq);
+      break;
     case DptWorkItem::Kind::kSeed:
       if (dpt->Find(item.pid) == nullptr) {
         dpt->AddExact(item.pid, item.lsn, item.lsn);
@@ -65,6 +72,7 @@ bool ApplyDptEvent(const DptWorkItem& item, DirtyPageTable* dpt) {
         dpt->Remove(item.pid);
       } else if (e->rlsn < item.lsn) {
         e->rlsn = item.lsn;
+        if (item.claim_seq != kNoClaim) e->claim_seq = item.claim_seq;
       }
       break;
     }
@@ -76,15 +84,13 @@ bool ApplyDptEvent(const DptWorkItem& item, DirtyPageTable* dpt) {
     case DptWorkItem::Kind::kStop:
       break;  // handled by the shard's run loop
   }
-  return false;
 }
 
 /// One shard: a thread draining its ring into a private DirtyPageTable.
 /// No locks anywhere — the shard is the only state this thread touches.
 class DptShardWorker {
  public:
-  explicit DptShardWorker(bool track_first_mentions)
-      : ring_(kDptRingCapacity), track_(track_first_mentions) {}
+  DptShardWorker() : ring_(kDptRingCapacity) {}
   /// Normally a no-op: DptEventSink::Finish already stopped and joined.
   ~DptShardWorker() {
     if (!thread_.joinable()) return;
@@ -109,9 +115,6 @@ class DptShardWorker {
 
   const DirtyPageTable& dpt() const { return dpt_; }
   uint64_t ops() const { return ops_; }
-  const std::vector<std::pair<uint64_t, PageId>>& first_mentions() const {
-    return first_mentions_;
-  }
 
  private:
   void Run() {
@@ -125,36 +128,28 @@ class DptShardWorker {
       spins = 0;
       if (item.kind == DptWorkItem::Kind::kStop) return;
       ops_++;
-      if (ApplyDptEvent(item, &dpt_) && track_) {
-        first_mentions_.emplace_back(item.seq, item.pid);
-      }
+      ApplyDptEvent(item, &dpt_);
     }
   }
 
   SpscRing<DptWorkItem> ring_;
   DirtyPageTable dpt_;
-  std::vector<std::pair<uint64_t, PageId>> first_mentions_;
   uint64_t ops_ = 0;
-  const bool track_;
   std::thread thread_;  ///< Last: it runs over every member above.
 };
 
 /// Where the dispatcher's resolved events go, and the per-partition event
 /// counts the DPT CPU charge folds. One partition applies each event
-/// straight to the result DPT (and each first mention straight to the
-/// PF-list) in scan order; N >= 2 route them to shard workers, merged by
-/// Finish.
+/// straight to the result DPT in scan order; N >= 2 route them to shard
+/// workers, merged by Finish.
 class DptEventSink {
  public:
-  /// `pf_list` == nullptr: no PF-list (the SQL pass).
-  DptEventSink(uint32_t partitions, DirtyPageTable* dpt,
-               std::vector<PageId>* pf_list)
-      : dpt_(dpt), pf_list_(pf_list), shard_ops_(std::max(1u, partitions)) {
+  DptEventSink(uint32_t partitions, DirtyPageTable* dpt)
+      : dpt_(dpt), shard_ops_(std::max(1u, partitions)) {
     if (partitions < 2) return;
     workers_.reserve(partitions);
     for (uint32_t i = 0; i < partitions; i++) {
-      workers_.push_back(
-          std::make_unique<DptShardWorker>(pf_list != nullptr));
+      workers_.push_back(std::make_unique<DptShardWorker>());
     }
     for (auto& w : workers_) w->Start();
   }
@@ -162,35 +157,25 @@ class DptEventSink {
   void Route(const DptWorkItem& item) {
     if (workers_.empty()) {
       shard_ops_[0]++;
-      if (ApplyDptEvent(item, dpt_) && pf_list_ != nullptr) {
-        pf_list_->push_back(item.pid);  // first mention (App. A.2)
-      }
+      ApplyDptEvent(item, dpt_);
       return;
     }
     workers_[RedoPartitionOf(item.pid, partitions())]->Push(item);
   }
 
-  /// Stop and join every shard, merge them into the result DPT (and the
-  /// PF-list, in global first-mention order). Returns the event count of
-  /// each partition, indexed by partition.
+  /// Stop and join every shard and merge them, claim stamps included, into
+  /// the result DPT. Returns the event count of each partition, indexed by
+  /// partition.
   std::vector<uint64_t>& Finish() {
     if (workers_.empty()) return shard_ops_;
     for (auto& w : workers_) w->Push(DptWorkItem());  // kStop
     for (auto& w : workers_) w->Join();
-    std::vector<std::pair<uint64_t, PageId>> mentions;
     for (size_t i = 0; i < workers_.size(); i++) {
       const DptShardWorker& w = *workers_[i];
       shard_ops_[i] = w.ops();
       w.dpt().ForEach([&](PageId pid, const DirtyPageTable::Entry& e) {
-        dpt_->AddExact(pid, e.rlsn, e.last_lsn);
+        dpt_->AddExact(pid, e.rlsn, e.last_lsn, e.claim_seq);
       });
-      mentions.insert(mentions.end(), w.first_mentions().begin(),
-                      w.first_mentions().end());
-    }
-    if (pf_list_ != nullptr) {
-      std::sort(mentions.begin(), mentions.end());
-      pf_list_->reserve(mentions.size());
-      for (const auto& [seq, pid] : mentions) pf_list_->push_back(pid);
     }
     return shard_ops_;
   }
@@ -201,7 +186,6 @@ class DptEventSink {
 
  private:
   DirtyPageTable* dpt_;
-  std::vector<PageId>* pf_list_;
   std::vector<uint64_t> shard_ops_;
   std::vector<std::unique_ptr<DptShardWorker>> workers_;
 };
@@ -274,7 +258,7 @@ Status RunSqlAnalysis(LogManager* log, Lsn bckpt_lsn, uint32_t threads,
                       double cpu_per_dpt_update_us) {
   *out = SqlAnalysisResult();
   out->redo_start_lsn = bckpt_lsn;
-  DptEventSink sink(threads, &out->dpt, /*pf_list=*/nullptr);
+  DptEventSink sink(threads, &out->dpt);
   DptWorkItem item;
   auto it = log->NewIterator(bckpt_lsn, /*charge_io=*/true);
   for (; it.Valid(); it.Next()) {
@@ -379,9 +363,15 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
                      uint32_t threads, DcRecoveryResult* out) {
   *out = DcRecoveryResult();
   RecoveryPassQuiescence quiesce(dc);
-  DptEventSink sink(build_dpt ? threads : 1, &out->dpt, &out->pf_list);
+  DptEventSink sink(build_dpt ? threads : 1, &out->dpt);
   DptWorkItem item;
-  uint64_t seq = 0;
+  // DirtySet scan sequence number: the claim stamps' order. It would wrap
+  // only past 2^32 entries in one window, and prefetch order is a hint.
+  uint32_t seq = 0;
+  // The current Δ-record's WrittenSet pages, each stamped with the record's
+  // first DirtySet entry naming it at or after FW-LSN (kNoClaim if none):
+  // the stamps its prune may raise to. Scratch reused across records.
+  DirtyPageTable claims;
   // "For the first Δ-log record encountered after the RSSP, we use rsspLSN"
   // as the previous record's TC-LSN (§4.2).
   Lsn prev_delta_lsn = bckpt_lsn;
@@ -418,10 +408,19 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
             // set: resolve each entry's conservative rLSN proxy (it
             // depends on scan-order state: the prev-Δ TC-LSN chain), stamp
             // the global mention sequence, and hand it on.
+            const bool prune_raises = mode != DptMode::kReduced &&
+                                      rec.has_fw_fields &&
+                                      !rec.written_set.empty();
+            if (prune_raises) {
+              claims.Clear();
+              for (PageId pid : rec.written_set) {
+                claims.AddOrUpdate(pid, rec.fw_lsn, kNoClaim);
+              }
+            }
             item.kind = DptWorkItem::Kind::kUpsert;
             for (size_t i = 0; i < rec.dirty_set.size(); i++) {
               item.pid = rec.dirty_set[i];
-              item.seq = seq++;
+              item.claim_seq = seq++;
               switch (mode) {
                 case DptMode::kPerfect:
                   // App. D.1: the Δ-record carries the exact update LSNs.
@@ -440,17 +439,27 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
                   break;
               }
               sink.Route(item);
+              if (prune_raises && item.lsn >= rec.fw_lsn) {
+                DirtyPageTable::Entry* c = claims.Find(item.pid);
+                if (c != nullptr && c->claim_seq == kNoClaim) {
+                  c->claim_seq = item.claim_seq;
+                }
+              }
             }
             // Written set: prune.
             switch (mode) {
               case DptMode::kStandard:
               case DptMode::kPerfect:
-                // Algorithm 4 lines 16-22.
+                // Algorithm 4 lines 16-22. A prune that raises a page's
+                // rLSN to FW-LSN also moves its claim stamp to this
+                // record's first entry naming it at or after FW-LSN: redo
+                // claims the page there, not at its first mention.
                 if (!rec.has_fw_fields) break;
                 item.kind = DptWorkItem::Kind::kPruneDc;
                 item.lsn = rec.fw_lsn;
                 for (PageId pid : rec.written_set) {
                   item.pid = pid;
+                  item.claim_seq = claims.Find(pid)->claim_seq;
                   sink.Route(item);
                 }
                 break;

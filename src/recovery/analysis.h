@@ -5,26 +5,27 @@
 //    transaction table for undo.
 //  * RunDcRecovery — the DC redo/analysis pass of logical recovery (§4.2,
 //    Algorithm 4): constructs the DPT purely from Δ-records (standard /
-//    perfect / reduced modes, App. D) and builds the PF-list (App. A.2),
-//    redoes SMOs so the B-tree is well-formed, and optionally preloads the
-//    index (App. A.1). With a DPT (Log1/Log2) the pass runs in two phases:
-//    the scan builds the DPT and only collects the LSNs of the structure
-//    records; the replay then re-reads them in LSN order and installs only
-//    the SMO images Algorithm 5's test cannot prove durable.
+//    perfect / reduced modes, App. D), with the claim stamps that order the
+//    PF-list (App. A.2; BuildPfList in prefetch.h), redoes SMOs so the
+//    B-tree is well-formed, and optionally preloads the index (App. A.1).
+//    With a DPT (Log1/Log2) the pass runs in two phases: the scan builds
+//    the DPT and only collects the LSNs of the structure records; the
+//    replay then re-reads them in LSN order and installs only the SMO
+//    images Algorithm 5's test cannot prove durable.
 //
 // Shape. One log-scanning dispatcher resolves every DPT mutation to a
 // (pid, lsn) event — record LSN, FW-LSN, the prev-Δ TC-LSN chain, the
 // per-entry perfect LSN, the prune kind — and hands it to the partition
 // that owns the pid (RedoPartitionOf). `threads` is the partition count.
 // With one partition the dispatcher applies each event straight to the
-// result DPT, and each first mention straight to the PF-list, in scan
-// order. With N >= 2 it routes events over SPSC rings to shard workers,
-// each owning a private DirtyPageTable it mutates with no locking at all:
-// DPT operations on distinct PIDs commute (the table is logically a map
-// keyed by PID) and every PID's events land in one FIFO, so per-page
-// event order — the only order the DPT semantics depend on — is the
-// scan's. Both apply events through the same applier, so Algorithm 4's
-// per-mode rLSN logic exists once, on the dispatcher.
+// result DPT, in scan order. With N >= 2 it routes events over SPSC rings
+// to shard workers, each owning a private DirtyPageTable it mutates with
+// no locking at all: DPT operations on distinct PIDs commute (the table
+// is logically a map keyed by PID) and every PID's events land in one
+// FIFO, so per-page event order — the only order the DPT semantics depend
+// on — is the scan's. Both apply events through the same applier, so
+// Algorithm 4's per-mode rLSN and claim-stamp logic exists once, on the
+// dispatcher.
 //
 // What stays on the dispatcher, in log order: the ActiveTxnTable and
 // max_txn_id (assembled in LSN order, as undo requires), redo_start_lsn,
@@ -34,11 +35,16 @@
 // which workers never do: the dispatcher runs it once the shards are
 // merged, so it filters by the final DPT.
 //
-// PF-list (App. A.2): global first-mention DirtySet order. With shards,
-// the dispatcher stamps every routed dirty-set entry with a global sequence
-// number; a worker records (seq, pid) at its shard-local first mention —
-// which IS the global first mention, since a PID maps to exactly one
-// shard — and the merged list is sorted by seq.
+// Claim stamps (the PF-list's order, App. A.2). The dispatcher numbers
+// every DirtySet entry in scan order, and each upsert carries its number:
+// a first mention stamps the new entry with it. A WrittenSet prune that
+// raises a page's rLSN to FW-LSN carries the number of its Δ-record's
+// first DirtySet entry naming the page with a proxy >= FW-LSN, and
+// restamps the entry. So a stamp always names the entry that set the
+// final rLSN, which is where redo will claim the page (prefetch.h says
+// why App. A.2's first-mention order is not). Stamps are global scan
+// numbers, so shard merges copy them as they are and the merged DPT's
+// PF-list is the one-partition list exactly.
 //
 // Simulated time. cpu_per_dpt_update_us is charged per DPT mutation event,
 // counted per partition and folded once at pass end as the slowest
@@ -257,8 +263,7 @@ Status RunSqlAnalysis(LogManager* log, Lsn bckpt_lsn, uint32_t threads,
                       double cpu_per_dpt_update_us = 0);
 
 struct DcRecoveryResult {
-  DirtyPageTable dpt;
-  std::vector<PageId> pf_list;  ///< First-mention DirtySet order (App. A.2).
+  DirtyPageTable dpt;  ///< Entries carry their claim stamps.
   Lsn last_delta_tc_lsn = kInvalidLsn;  ///< Tail-mode boundary (§4.3).
   uint64_t delta_records_seen = 0;
   uint64_t bw_records_seen = 0;  ///< Seen on the common log; ignored.

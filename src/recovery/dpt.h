@@ -2,6 +2,11 @@
 // conservative lower bound on the LSN of the operation that first dirtied
 // the page; lastLSN is the LSN (or LSN proxy, in logical DPT construction)
 // of the last observed update and is only used while building the table.
+// The logical DC pass also stamps each entry with the scan sequence number
+// of the DirtySet entry that set its rLSN (claim_seq): the PF-list is the
+// table sorted by (rLSN, claim_seq), the order redo claims the pages in
+// (prefetch.h). The stamp sits in the 4 bytes after the 32-bit pid key,
+// so a slot stays 24 bytes.
 //
 // Storage: an open-addressed robin-hood table (the buffer-pool PageTable
 // design, storage/page_table.h) instead of unordered_map. Every redo record
@@ -29,6 +34,14 @@ namespace deutero {
 class DirtyPageTable {
  public:
   struct Entry {
+   private:
+    friend class DirtyPageTable;
+    // The key leads the slot: with it at the end, SQL analysis (insert and
+    // probe heavy) ran about 50 % slower.
+    PageId pid_ = kInvalidPageId;  ///< The slot's key; invalid = empty.
+
+   public:
+    uint32_t claim_seq = 0;  ///< DC pass: DirtySet entry that set rLSN.
     Lsn rlsn = kInvalidLsn;
     Lsn last_lsn = kInvalidLsn;
   };
@@ -40,11 +53,11 @@ class DirtyPageTable {
     size_t i = Bucket(pid);
     size_t dist = 0;
     while (true) {
-      const Slot& s = slots_[i];
-      if (s.pid == pid) return &s.entry;
+      const Entry& s = slots_[i];
+      if (s.pid_ == pid) return &s;
       // Empty slot, or an element closer to its home than we are to ours:
       // the robin-hood invariant says `pid` cannot be further right.
-      if (s.pid == kInvalidPageId || dist > DistanceFromHome(s.pid, i)) {
+      if (s.pid_ == kInvalidPageId || dist > DistanceFromHome(s.pid_, i)) {
         return nullptr;
       }
       i = (i + 1) & mask_;
@@ -57,19 +70,25 @@ class DirtyPageTable {
   }
 
   /// ADDENTRY semantics of Algorithms 3 and 4: first mention sets rLSN and
-  /// lastLSN to `lsn`; later mentions only advance lastLSN. Returns whether
-  /// this was a first mention (the PF-list's unit, App. A.2).
-  bool AddOrUpdate(PageId pid, Lsn lsn) {
+  /// lastLSN to `lsn` and stamps `claim_seq`; later mentions only advance
+  /// lastLSN.
+  void AddOrUpdate(PageId pid, Lsn lsn, uint32_t claim_seq = 0) {
     auto [e, inserted] = FindOrInsert(pid);
-    if (inserted) e->rlsn = lsn;
+    if (inserted) {
+      e->rlsn = lsn;
+      e->claim_seq = claim_seq;
+    }
     e->last_lsn = lsn;
-    return inserted;
   }
 
-  /// Direct insert with distinct rLSN/lastLSN (perfect-DPT construction).
-  void AddExact(PageId pid, Lsn rlsn, Lsn last_lsn) {
+  /// Direct insert with distinct rLSN/lastLSN (checkpoint seeds, shard
+  /// merges and splits).
+  void AddExact(PageId pid, Lsn rlsn, Lsn last_lsn, uint32_t claim_seq = 0) {
     auto [e, inserted] = FindOrInsert(pid);
-    if (inserted || e->rlsn == kInvalidLsn) e->rlsn = rlsn;
+    if (inserted || e->rlsn == kInvalidLsn) {
+      e->rlsn = rlsn;
+      e->claim_seq = claim_seq;
+    }
     e->last_lsn = last_lsn;
   }
 
@@ -79,22 +98,22 @@ class DirtyPageTable {
     size_t i = Bucket(pid);
     size_t dist = 0;
     while (true) {
-      Slot& s = slots_[i];
-      if (s.pid == pid) break;
-      if (s.pid == kInvalidPageId || dist > DistanceFromHome(s.pid, i)) {
+      const Entry& s = slots_[i];
+      if (s.pid_ == pid) break;
+      if (s.pid_ == kInvalidPageId || dist > DistanceFromHome(s.pid_, i)) {
         return false;
       }
       i = (i + 1) & mask_;
       dist++;
     }
     size_t next = (i + 1) & mask_;
-    while (slots_[next].pid != kInvalidPageId &&
-           DistanceFromHome(slots_[next].pid, next) > 0) {
+    while (slots_[next].pid_ != kInvalidPageId &&
+           DistanceFromHome(slots_[next].pid_, next) > 0) {
       slots_[i] = slots_[next];
       i = next;
       next = (next + 1) & mask_;
     }
-    slots_[i] = Slot{};
+    slots_[i] = Entry{};
     size_--;
     return true;
   }
@@ -102,15 +121,15 @@ class DirtyPageTable {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   void Clear() {
-    slots_.assign(slots_.size(), Slot{});
+    slots_.assign(slots_.size(), Entry{});
     size_ = 0;
   }
 
   /// Visit every (pid, entry) pair, unordered.
   template <typename Fn>
   void ForEach(Fn fn) const {
-    for (const Slot& s : slots_) {
-      if (s.pid != kInvalidPageId) fn(s.pid, s.entry);
+    for (const Entry& s : slots_) {
+      if (s.pid_ != kInvalidPageId) fn(s.pid_, s);
     }
   }
 
@@ -119,13 +138,8 @@ class DirtyPageTable {
  private:
   static constexpr size_t kInitialSlots = 64;
 
-  struct Slot {
-    PageId pid = kInvalidPageId;  ///< kInvalidPageId marks an empty slot.
-    Entry entry;
-  };
-
   void InitSlots(size_t slots) {
-    slots_.assign(slots, Slot{});
+    slots_.assign(slots, Entry{});
     mask_ = slots - 1;
     // Fibonacci hashing: the multiply spreads dense PID ranges, the shift
     // keeps exactly log2(slots) high-quality bits.
@@ -146,11 +160,11 @@ class DirtyPageTable {
   }
 
   void Grow() {
-    std::vector<Slot> old = std::move(slots_);
+    std::vector<Entry> old = std::move(slots_);
     InitSlots(old.size() * 2);
     size_ = 0;
-    for (const Slot& s : old) {
-      if (s.pid != kInvalidPageId) *FindOrInsert(s.pid).first = s.entry;
+    for (const Entry& s : old) {
+      if (s.pid_ != kInvalidPageId) *FindOrInsert(s.pid_).first = s;
     }
   }
 
@@ -162,30 +176,28 @@ class DirtyPageTable {
     if ((size_ + 1) * 2 > slots_.size()) Grow();
     size_t i = Bucket(pid);
     size_t dist = 0;
-    PageId cur_pid = pid;
-    Entry cur_entry;
+    Entry cur;
+    cur.pid_ = pid;
     Entry* result = nullptr;
     while (true) {
-      Slot& s = slots_[i];
-      if (s.pid == kInvalidPageId) {
-        s.pid = cur_pid;
-        s.entry = cur_entry;
+      Entry& s = slots_[i];
+      if (s.pid_ == kInvalidPageId) {
+        s = cur;
         size_++;
-        return {result != nullptr ? result : &s.entry, true};
+        return {result != nullptr ? result : &s, true};
       }
-      if (s.pid == cur_pid) {
+      if (s.pid_ == cur.pid_) {
         // Only reachable for the original key (displaced residents are
         // unique): the entry already exists.
-        return {&s.entry, false};
+        return {&s, false};
       }
-      const size_t s_dist = DistanceFromHome(s.pid, i);
+      const size_t s_dist = DistanceFromHome(s.pid_, i);
       if (s_dist < dist) {
         // Rob the rich: displace the closer-to-home resident and continue
         // inserting it instead. The original key's final slot is fixed at
         // the first displacement.
-        std::swap(s.pid, cur_pid);
-        std::swap(s.entry, cur_entry);
-        if (result == nullptr) result = &s.entry;
+        std::swap(s, cur);
+        if (result == nullptr) result = &s;
         dist = s_dist;
       }
       i = (i + 1) & mask_;
@@ -193,7 +205,8 @@ class DirtyPageTable {
     }
   }
 
-  std::vector<Slot> slots_;
+  static_assert(sizeof(Entry) == 24, "the redo-hot slot grew");
+  std::vector<Entry> slots_;
   size_t mask_ = 0;
   unsigned shift_ = 0;
   size_t size_ = 0;

@@ -1,8 +1,26 @@
 #include "recovery/prefetch.h"
 
 #include <algorithm>
+#include <tuple>
 
 namespace deutero {
+
+std::vector<PageId> BuildPfList(const DirtyPageTable& dpt) {
+  std::vector<PageId> list;
+  list.reserve(dpt.size());
+  dpt.ForEach([&](PageId pid, const DirtyPageTable::Entry&) {
+    list.push_back(pid);
+  });
+  // The pid breaks ties (a DC-pass DPT has none: each stamp names a
+  // distinct DirtySet entry), so the order does not depend on ForEach's.
+  std::sort(list.begin(), list.end(), [&](PageId a, PageId b) {
+    const DirtyPageTable::Entry* ea = dpt.Find(a);
+    const DirtyPageTable::Entry* eb = dpt.Find(b);
+    return std::tie(ea->rlsn, ea->claim_seq, a) <
+           std::tie(eb->rlsn, eb->claim_seq, b);
+  });
+  return list;
+}
 
 PrefetchWindow::PrefetchWindow(BufferPool* pool, uint32_t window,
                                const DirtyPageTable* dpt, uint32_t max_pages)
@@ -121,8 +139,7 @@ void PfListPrefetcher::Pump() {
   batch.clear();
   while (budget > 0 && cursor_ < pf_list_->size()) {
     const PageId pid = (*pf_list_)[cursor_++];
-    // Re-check DPT membership at issue time: entries pruned after the PID
-    // entered the PF-list must not be fetched.
+    // Only DPT pages are fetched: a page outside it never needs redo.
     if (dpt_->Find(pid) == nullptr) continue;
     if (window_.pool()->IsResidentOrPending(pid)) continue;
     batch.push_back(pid);

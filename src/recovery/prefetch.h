@@ -2,9 +2,20 @@
 // outstanding asynchronous reads ahead of the redo cursor and re-check DPT
 // membership at issue time.
 //
-//  * PfListPrefetcher (logical recovery): candidates come from the PF-list —
-//    the first-mention concatenation of Δ-record DirtySets built during the
-//    DC pass — "log-driven read-ahead using the PF-list instead of the log".
+//  * PfListPrefetcher (logical recovery): candidates come from the PF-list
+//    — "log-driven read-ahead using the PF-list instead of the log".
+//    App. A.2 concatenates the Δ-record DirtySets in first-mention order.
+//    BuildPfList lists the DC pass's final DPT in claim order instead: by
+//    rLSN, then by the scan number of the DirtySet entry that set it (the
+//    DPT's claim stamp, analysis.h). Redo claims a page at its first
+//    record at or after its rLSN, and pages that share an rLSN in the
+//    order their updates were logged, which is DirtySet order; so this is
+//    the order redo asks for the pages. A page whose rLSN a later flush
+//    raised (the checkpoint's RSSP flush, the lazy writer) sits at its
+//    first mention in App. A.2's list, far ahead of its claim; there it
+//    fills the claim-paced window (below) with pages redo needs much
+//    later, and the pages redo needs next become demand reads. The list
+//    names each DPT page once.
 //  * LogDrivenPrefetcher (SQL recovery): candidates come from scanning the
 //    log ahead of the redo cursor, issuing pages whose DPT entry passes the
 //    rLSN test. A page may be issued again if it was evicted meanwhile —
@@ -96,8 +107,15 @@ class PrefetchWindow {
   uint32_t stalled_pumps_ = 0;
 };
 
+/// The PF-list in claim order: every page of `dpt`, sorted by (rLSN,
+/// claim stamp). Allocates only the list: the sort reads its keys from the
+/// DPT.
+std::vector<PageId> BuildPfList(const DirtyPageTable& dpt);
+
 class PfListPrefetcher {
  public:
+  /// `pf_list` (BuildPfList) must outlive the prefetcher; pages that are
+  /// not in `dpt` are skipped.
   PfListPrefetcher(BufferPool* pool, const DirtyPageTable* dpt,
                    const std::vector<PageId>* pf_list, uint32_t window)
       : window_(pool, window, dpt), dpt_(dpt), pf_list_(pf_list) {}

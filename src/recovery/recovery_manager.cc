@@ -96,8 +96,8 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
 
     DEUTERO_RETURN_NOT_OK(RunLogicalRedo(
         log_, dc_, start, build_dpt, build_dpt ? &dcr.dpt : nullptr,
-        dcr.last_delta_tc_lsn, preload ? &dcr.pf_list : nullptr, options_,
-        threads, &redo, count_rows_from));
+        dcr.last_delta_tc_lsn, preload, options_, threads, &redo,
+        count_rows_from));
     const double t2 = clock_->NowMs();
     stats->redo = {t2 - t1, redo.log_pages, redo.records_scanned};
     att = std::move(redo.att);
@@ -157,6 +157,7 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
   const BufferPool::Stats& ps = dc_->pool().stats();
   stats->data_page_fetches = ps.data_fetches;
   stats->index_page_fetches = ps.index_fetches;
+  stats->demand_reads = ps.misses;
   stats->stall_count = ps.stall_count;
   stats->stall_ms = ps.stall_ms;
   stats->data_stall_ms = ps.data_stall_ms;

@@ -342,8 +342,7 @@ void BuildDptShards(const DirtyPageTable& dpt, uint32_t partitions,
 
 Status RunLogicalRedo(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
                       bool use_dpt, const DirtyPageTable* dpt,
-                      Lsn last_delta_tc_lsn,
-                      const std::vector<PageId>* pf_list,
+                      Lsn last_delta_tc_lsn, bool prefetch,
                       const EngineOptions& options, uint32_t threads,
                       RedoResult* out, Lsn count_rows_from) {
   *out = RedoResult();
@@ -353,13 +352,19 @@ Status RunLogicalRedo(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
   RedoShared shared;
   shared.use_dpt = use_dpt;
   shared.last_delta_tc_lsn = last_delta_tc_lsn;
-  const bool read_ahead = pf_list != nullptr && dpt != nullptr;  // Log2
+  const bool read_ahead = prefetch && dpt != nullptr;  // Log2
   RedoDispatch dispatch(log, dc, bckpt_lsn, options, threads,
                         use_dpt ? dpt : nullptr, shared, read_ahead);
+  std::vector<PageId> pf_list;
   std::unique_ptr<PfListPrefetcher> prefetcher;
   if (read_ahead && dispatch.inline_apply()) {
+    // Ordering the list visits every DPT entry once more: one DPT unit of
+    // CPU per listed page.
+    pf_list = BuildPfList(*dpt);
+    dc->clock().AdvanceUs(static_cast<double>(pf_list.size()) *
+                          options.io.cpu_per_dpt_update_us);
     prefetcher = std::make_unique<PfListPrefetcher>(
-        &dc->pool(), dpt, pf_list, RedoPrefetchWindow(dc->pool(), options));
+        &dc->pool(), dpt, &pf_list, RedoPrefetchWindow(dc->pool(), options));
   }
 
   RedoLeafMemo memo;

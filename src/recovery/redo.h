@@ -5,7 +5,9 @@
 //   RunLogicalRedo covers Log0 (Algorithm 2: basic logical redo), Log1
 //   (Algorithm 5: DPT-assisted with the tail-of-log fallback) and Log2
 //   (Algorithm 5 + PF-list prefetch; the index preload already happened in
-//   the DC pass).
+//   the DC pass). Log2's one-partition run builds the PF-list from the
+//   final DPT in claim order (prefetch.h) and charges cpu_per_dpt_update_us
+//   per listed page.
 //
 //   RunSqlRedo covers SQL1 (Algorithm 1: physiological redo with DPT and
 //   rLSN test) and SQL2 (+ log-driven prefetch).
@@ -145,13 +147,13 @@ void BuildDptShards(const DirtyPageTable& dpt, uint32_t partitions,
 /// TC redo pass for the logical family over `threads` partitions.
 ///   use_dpt=false  -> Log0 semantics (every op fetches its page).
 ///   use_dpt=true   -> Algorithm 5; `dpt` and `last_delta_tc_lsn` required.
-///   pf_list != nullptr -> Log2 prefetching.
+///   prefetch=true  -> Log2 read-ahead (with `dpt`): the PF-list at one
+///                     partition, the workers' ring-peek beside workers.
 /// `count_rows_from` bounds the scan-complete row-count accounting (see
 /// RunSqlRedo); it defaults to the scan start.
 Status RunLogicalRedo(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
                       bool use_dpt, const DirtyPageTable* dpt,
-                      Lsn last_delta_tc_lsn,
-                      const std::vector<PageId>* pf_list,
+                      Lsn last_delta_tc_lsn, bool prefetch,
                       const EngineOptions& options, uint32_t threads,
                       RedoResult* out, Lsn count_rows_from = kInvalidLsn);
 

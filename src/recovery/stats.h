@@ -65,6 +65,7 @@ struct RecoveryStats {
   // I/O behaviour during recovery (buffer pool deltas).
   uint64_t data_page_fetches = 0;
   uint64_t index_page_fetches = 0;
+  uint64_t demand_reads = 0;  ///< Demand misses: synchronous page reads.
   uint64_t stall_count = 0;
   double stall_ms = 0;
   double data_stall_ms = 0;

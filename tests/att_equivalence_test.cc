@@ -82,8 +82,8 @@ TEST_P(AttEquivalenceTest, SqlAnalysisAndLogicalScanAgreeOnLosers) {
                           true, false, 1, &dcr));
   RedoResult rr;
   ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, true, &dcr.dpt,
-                           dcr.last_delta_tc_lsn, nullptr, e->options(), 1,
-                           &rr));
+                           dcr.last_delta_tc_lsn, /*prefetch=*/false,
+                           e->options(), 1, &rr));
 
   EXPECT_EQ(ar.att.size(), rr.att.size());
   for (const auto& [txn, last_lsn] : ar.att) {

@@ -1,7 +1,7 @@
 // DPT construction semantics on hand-crafted logs:
 //  - Algorithm 3 (SQL Server analysis with BW pruning),
 //  - Algorithm 4 (logical DPT from Δ-records) and its App. D variants,
-//  - ATT maintenance and the PF-list.
+//  - ATT maintenance and the PF-list's claim order.
 // Every case runs with one partition (events applied inline) and with four
 // (sharded, then merged).
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 
 #include "dc/data_component.h"
 #include "recovery/analysis.h"
+#include "recovery/prefetch.h"
 #include "sim/clock.h"
 #include "wal/log_manager.h"
 
@@ -61,6 +62,18 @@ class DptConstructionTest : public ::testing::TestWithParam<uint32_t> {
     r.tc_lsn = tc_lsn;
     r.has_fw_fields = has_fw;
     r.dirty_lsns = std::move(dirty_lsns);
+    return log_.Append(r);
+  }
+
+  /// A structure record (kSmo or kSmoMerge of `victim`) over blank page
+  /// images of `pids`: the DC pass's replay needs only their pids and size.
+  Lsn Structure(LogRecordType type, PageId victim, std::vector<PageId> pids) {
+    LogRecord r;
+    r.type = type;
+    r.pid = victim;
+    r.alloc_hwm = 64;
+    const std::string blank(dc_->options().page_size, '\0');
+    for (PageId pid : pids) r.smo_pages.push_back({pid, blank});
     return log_.Append(r);
   }
 
@@ -230,7 +243,60 @@ TEST_P(DptConstructionTest, PfListIsFirstMentionOrder) {
   Delta({10, 11, 10}, {}, kInvalidLsn, 3, 300);
   Delta({11, 12}, {}, kInvalidLsn, 2, 700);
   auto r = Dc(DptMode::kStandard);
-  EXPECT_EQ(r.pf_list, (std::vector<PageId>{10, 11, 12}));
+  EXPECT_EQ(BuildPfList(r.dpt), (std::vector<PageId>{10, 11, 12}));
+}
+
+// A page flushed and re-dirtied after FirstDirty of a later Δ-record has
+// its rLSN raised to that record's FW-LSN: redo claims it among the
+// record's post-flush entries, so the PF-list lists it there, not at its
+// first mention. Reduced logging has no FW-LSN to raise to.
+TEST_P(DptConstructionTest, PfListListsARedirtiedFlushedPageAtItsClaim) {
+  Delta({10, 11}, {}, kInvalidLsn, 2, /*tc_lsn=*/300, true, {110, 120});
+  // Interval 2: 12 dirtied before the first write; 10 flushed at FW-LSN
+  // 500, then re-dirtied after it, 13 after that, then 10 again. Redo
+  // claims 10 at its first update after the flush.
+  Delta({12, 10, 13, 10}, {10}, /*fw=*/500, /*first_dirty=*/1,
+        /*tc_lsn=*/700, true, {450, 510, 520, 530});
+  for (DptMode mode : {DptMode::kStandard, DptMode::kPerfect}) {
+    auto r = Dc(mode);
+    ASSERT_NE(r.dpt.Find(10), nullptr);
+    EXPECT_EQ(r.dpt.Find(10)->rlsn, 500u);
+    EXPECT_EQ(BuildPfList(r.dpt), (std::vector<PageId>{11, 12, 10, 13}))
+        << "mode " << static_cast<int>(mode);
+  }
+  EXPECT_EQ(BuildPfList(Dc(DptMode::kReduced).dpt),
+            (std::vector<PageId>{10, 11, 12, 13}));
+}
+
+// Perfect logging names exact LSNs, which can lie past their own
+// Δ-record's TC-LSN, so a prune can raise a page its record does not name.
+// Such a page keeps its stamp: it precedes the pages the record names at
+// the same rLSN.
+TEST_P(DptConstructionTest, PfListKeepsTheStampOfARaisedPageNotNamed) {
+  Delta({11, 10, 11}, {}, kInvalidLsn, 3, /*tc_lsn=*/900, true,
+        {100, 110, 1000});
+  Delta({12, 13}, {11}, /*fw=*/950, /*first_dirty=*/0, /*tc_lsn=*/1200, true,
+        {940, 950});
+  auto r = Dc(DptMode::kPerfect);
+  ASSERT_NE(r.dpt.Find(11), nullptr);
+  EXPECT_EQ(r.dpt.Find(11)->rlsn, 950u);
+  EXPECT_EQ(BuildPfList(r.dpt), (std::vector<PageId>{10, 12, 11, 13}));
+}
+
+// A merge victim drops out of the DPT; once a split re-allocates it and a
+// later Δ-record re-adds it, it is listed once, at the re-add.
+TEST_P(DptConstructionTest, PfListListsAReaddedMergeVictimOnce) {
+  Delta({20, 21}, {}, kInvalidLsn, 2, /*tc_lsn=*/300, true, {110, 120});
+  Structure(LogRecordType::kSmoMerge, /*victim=*/20, {22});
+  Structure(LogRecordType::kSmo, kInvalidPageId, {20, 22});
+  Delta({23, 20}, {}, kInvalidLsn, 2, /*tc_lsn=*/700, true, {450, 460});
+  for (DptMode mode :
+       {DptMode::kStandard, DptMode::kPerfect, DptMode::kReduced}) {
+    auto r = Dc(mode);
+    ASSERT_NE(r.dpt.Find(20), nullptr) << "the split did not re-allocate 20";
+    EXPECT_EQ(BuildPfList(r.dpt), (std::vector<PageId>{21, 23, 20}))
+        << "mode " << static_cast<int>(mode);
+  }
 }
 
 TEST_P(DptConstructionTest, LogicalIgnoresBwRecordsButCountsThem) {

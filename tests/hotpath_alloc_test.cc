@@ -17,6 +17,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "concurrency/group_commit.h"
 #include "core/engine.h"
@@ -530,6 +532,25 @@ TEST(PrefetchAllocTest, PoolPrefetchIsAllocationFreePerCall) {
   EXPECT_EQ(allocs, 0u) << "BufferPool::Prefetch is allocating per call";
 }
 
+/// Building the PF-list sorts the DPT by (rLSN, claim stamp) with keys read
+/// from the DPT itself: the list is its one allocation.
+TEST(PrefetchAllocTest, BuildPfListAllocatesOnlyTheList) {
+  DirtyPageTable dpt;
+  for (PageId p = 1; p < 2000; p++) {
+    dpt.AddOrUpdate(p, /*lsn=*/p % 97, /*claim_seq=*/2000 - p);
+  }
+  std::vector<PageId> list;
+  const uint64_t allocs = CountAllocs([&] { list = BuildPfList(dpt); });
+  EXPECT_EQ(allocs, 1u) << "BuildPfList allocates beyond its list";
+  ASSERT_EQ(list.size(), dpt.size());
+  auto key = [&](PageId p) {
+    return std::make_pair(dpt.Find(p)->rlsn, dpt.Find(p)->claim_seq);
+  };
+  EXPECT_TRUE(std::is_sorted(list.begin(), list.end(), [&](PageId a, PageId b) {
+    return key(a) < key(b);
+  }));
+}
+
 /// Pumps a PF-list prefetcher (window 16) over a 2,000-page contiguous
 /// DPT, claiming 8 pages per pump, in a pool of `capacity` frames. Returns
 /// the allocations of the counted pumps after a warm-up, and in
@@ -540,11 +561,8 @@ uint64_t PfListPumpAllocs(uint64_t capacity, uint32_t* most_riders) {
   disk.EnsurePages(4096);
   BufferPool pool(&clock, &disk, capacity, /*page_size=*/256);
   DirtyPageTable dpt;
-  std::vector<PageId> pf_list;
-  for (PageId p = 1; p < 2000; p++) {
-    pf_list.push_back(p);
-    dpt.AddOrUpdate(p, /*lsn=*/p);
-  }
+  for (PageId p = 1; p < 2000; p++) dpt.AddOrUpdate(p, /*lsn=*/p);
+  const std::vector<PageId> pf_list = BuildPfList(dpt);  // pids 1..1999
   PfListPrefetcher pf(&pool, &dpt, &pf_list, /*window=*/16);
   auto pump_and_claim = [&](PageId base) {
     pf.Pump();

@@ -20,6 +20,7 @@
 #include "core/engine.h"
 #include "recovery/analysis.h"
 #include "recovery/pipeline_util.h"
+#include "recovery/prefetch.h"
 #include "recovery/redo.h"
 #include "recovery/stats.h"
 #include "recovery/undo.h"
@@ -229,7 +230,8 @@ TEST(ParallelRedoPass, LogicalCountersAndAttMatchSerial) {
     ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
                             /*build_dpt=*/true, /*preload=*/false, 1, &dcr));
     ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, true, &dcr.dpt,
-                             dcr.last_delta_tc_lsn, nullptr, o, threads, rr));
+                             dcr.last_delta_tc_lsn, /*prefetch=*/false, o,
+                             threads, rr));
     *digest = ContentDigest(e.get());
     e->SimulateCrash();
   };
@@ -340,11 +342,11 @@ TEST(ParallelRedoPass, SqlCountersMatchSerialWithDdlInWindow) {
 // PIDs commute, so nothing may differ.
 // ---------------------------------------------------------------------------
 
-std::vector<std::tuple<PageId, Lsn, Lsn>> DptEntries(
+std::vector<std::tuple<PageId, Lsn, Lsn, uint32_t>> DptEntries(
     const DirtyPageTable& dpt) {
-  std::vector<std::tuple<PageId, Lsn, Lsn>> v;
+  std::vector<std::tuple<PageId, Lsn, Lsn, uint32_t>> v;
   dpt.ForEach([&](PageId pid, const DirtyPageTable::Entry& e) {
-    v.emplace_back(pid, e.rlsn, e.last_lsn);
+    v.emplace_back(pid, e.rlsn, e.last_lsn, e.claim_seq);
   });
   std::sort(v.begin(), v.end());
   return v;
@@ -464,9 +466,9 @@ TEST(ParallelAnalysisPass, DcPassMatchesSerialAcrossDptModes) {
       EXPECT_EQ(DptEntries(par.dpt), DptEntries(serial.dpt))
           << "DPT diverged, mode " << static_cast<int>(mode) << ", "
           << threads << " threads";
-      // EXACT order: the PF-list is the global first-mention DirtySet
-      // order, reassembled from per-shard (seq, pid) stamps.
-      EXPECT_EQ(par.pf_list, serial.pf_list)
+      // EXACT order: the PF-list sorts the DPT by (rLSN, claim stamp), and
+      // the stamps are global scan numbers the shard merge must keep.
+      EXPECT_EQ(BuildPfList(par.dpt), BuildPfList(serial.dpt))
           << "PF-list order diverged, mode " << static_cast<int>(mode);
       EXPECT_EQ(par.last_delta_tc_lsn, serial.last_delta_tc_lsn);
       EXPECT_EQ(par.delta_records_seen, serial.delta_records_seen);
@@ -551,7 +553,8 @@ TEST(ParallelUndoPass, LogStreamAndStateMatchSerialByteForByte) {
                             /*build_dpt=*/true, /*preload=*/false, 1, &dcr));
     RedoResult rr;
     ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, true, &dcr.dpt,
-                             dcr.last_delta_tc_lsn, nullptr, o, 1, &rr));
+                             dcr.last_delta_tc_lsn, /*prefetch=*/false, o, 1,
+                             &rr));
     const Lsn undo_start = e->wal().next_lsn();
     ASSERT_OK(RunUndo(&e->wal(), &e->dc(), rr.att, threads, ur));
     *digest = ContentDigest(e.get());

@@ -363,6 +363,69 @@ TEST(RecoverySideBySide, DeviceReadsMatchFetchesAndPrefetchBatchesDptRuns) {
   }
 }
 
+/// Named regression: App. A.2's PF-list lists each page at its first
+/// DirtySet mention, but redo claims a page at its final rLSN. Here every
+/// leaf is dirtied, then flushed and re-dirtied in reverse order: each
+/// flush raises the leaf's rLSN to its Δ-record's FW-LSN, so redo claims
+/// the leaves in reverse. In first-mention order Log2's claim-paced window
+/// filled with the pages redo needed last, and redo demand-read about half
+/// of the DPT. In claim order every DPT page is read ahead; the only demand
+/// reads left are index pages and the tail-of-log pages outside the DPT.
+TEST(RecoverySideBySide, Log2PrefetchesRedirtiedDptPages) {
+  EngineOptions o = SmallOptions();
+  o.cache_pages = 512;              // every leaf stays cached until the crash
+  o.lazy_writer_base_fraction = 0;  // no flushes but the ones below
+  o.checkpoint_interval_updates = 1'000'000;  // one checkpoint, one window
+  std::unique_ptr<Engine> e;
+  ASSERT_OK(Engine::Open(o, &e));
+  ASSERT_OK(e->Checkpoint());
+
+  std::map<PageId, Key> key_of_leaf;
+  for (Key k = 0; k < o.num_rows; k++) {
+    PageId pid = kInvalidPageId;
+    ASSERT_OK(e->dc().FindLeaf(o.table_id, k, &pid));
+    key_of_leaf.emplace(pid, k);
+  }
+  std::vector<std::pair<PageId, Key>> leaves(key_of_leaf.begin(),
+                                             key_of_leaf.end());
+  Table table;
+  ASSERT_OK(e->OpenDefaultTable(&table));
+  const std::string first(o.value_size, 'a');
+  const std::string second(o.value_size, 'b');
+  for (size_t i = 0; i < leaves.size(); i += o.updates_per_txn) {
+    Txn txn;
+    ASSERT_OK(e->Begin(&txn));
+    for (size_t j = i; j < std::min(leaves.size(), i + o.updates_per_txn);
+         j++) {
+      ASSERT_OK(txn.Update(table, leaves[j].second, first));
+    }
+    ASSERT_OK(txn.Commit());
+  }
+  std::reverse(leaves.begin(), leaves.end());
+  for (size_t i = 0; i < leaves.size(); i += o.updates_per_txn) {
+    Txn txn;
+    ASSERT_OK(e->Begin(&txn));
+    for (size_t j = i; j < std::min(leaves.size(), i + o.updates_per_txn);
+         j++) {
+      ASSERT_OK(e->dc().pool().FlushPage(leaves[j].first));
+      ASSERT_OK(txn.Update(table, leaves[j].second, second));
+    }
+    ASSERT_OK(txn.Commit());
+  }
+  e->SimulateCrash();
+
+  RecoveryStats st;
+  ASSERT_OK(e->Recover(RecoveryMethod::kLog2, &st));
+  ASSERT_GT(st.dpt_size, leaves.size() / 2);
+  EXPECT_LE(st.demand_reads, st.redo_tail_ops + st.index_page_fetches)
+      << "DPT " << st.dpt_size << ", prefetched " << st.prefetch_issued;
+  for (const auto& [pid, key] : leaves) {
+    std::string got;
+    ASSERT_OK(e->Read(key, &got));
+    EXPECT_EQ(got, second) << "key " << key;
+  }
+}
+
 TEST(RecoverySideBySide, AllMethodsProduceIdenticalState) {
   SideBySideConfig cfg;
   cfg.engine = SmallOptions();

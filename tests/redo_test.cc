@@ -59,8 +59,9 @@ TEST_P(RedoTest, BasicLogicalRedoExaminesEveryDataOp) {
   CrashAfter(200, 400);
   RedoResult out;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(),
-                           /*use_dpt=*/false, nullptr, kInvalidLsn, nullptr,
-                           engine_->options(), GetParam(), &out));
+                           /*use_dpt=*/false, nullptr, kInvalidLsn,
+                           /*prefetch=*/false, engine_->options(), GetParam(),
+                           &out));
   EXPECT_EQ(out.examined, 420u);
   EXPECT_EQ(out.skipped_dpt, 0u);   // Algorithm 2 has no DPT test
   EXPECT_EQ(out.skipped_rlsn, 0u);
@@ -77,7 +78,8 @@ TEST_P(RedoTest, DptRedoPartitionsOutcomesCompletely) {
   RedoResult out;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(),
                            /*use_dpt=*/true, &dcr.dpt, dcr.last_delta_tc_lsn,
-                           nullptr, engine_->options(), GetParam(), &out));
+                           /*prefetch=*/false, engine_->options(), GetParam(),
+                           &out));
   EXPECT_EQ(out.examined, 420u);
   // Every examined op lands in exactly one bucket.
   EXPECT_EQ(out.examined, out.applied + out.skipped_plsn + out.skipped_dpt +
@@ -105,7 +107,7 @@ TEST_P(RedoTest, TailModeBoundaryIsStrict) {
   }
   RedoResult out;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
-                           &dcr.dpt, dcr.last_delta_tc_lsn, nullptr,
+                           &dcr.dpt, dcr.last_delta_tc_lsn, /*prefetch=*/false,
                            engine_->options(), GetParam(), &out));
   EXPECT_EQ(out.tail_ops, at_or_above);
   EXPECT_EQ(out.skipped_dpt + out.skipped_rlsn +
@@ -141,7 +143,7 @@ TEST_P(RedoTest, LogicalAndSqlRedoApplyTheSameOperations) {
                           DptMode::kStandard, true, false, GetParam(), &dcr));
   RedoResult logical;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
-                           &dcr.dpt, dcr.last_delta_tc_lsn, nullptr,
+                           &dcr.dpt, dcr.last_delta_tc_lsn, /*prefetch=*/false,
                            engine_->options(), GetParam(), &logical));
 
   // Reset to the identical crash image and run the SQL pair.
@@ -215,7 +217,7 @@ TEST_P(RedoTest, PrefetchDoesNotChangeRedoOutcomes) {
                           DptMode::kStandard, true, true, GetParam(), &dcr));
   RedoResult with_pf;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
-                           &dcr.dpt, dcr.last_delta_tc_lsn, &dcr.pf_list,
+                           &dcr.dpt, dcr.last_delta_tc_lsn, /*prefetch=*/true,
                            engine_->options(), GetParam(), &with_pf));
 
   engine_->dc().pool().Reset();
@@ -226,8 +228,9 @@ TEST_P(RedoTest, PrefetchDoesNotChangeRedoOutcomes) {
                           DptMode::kStandard, true, false, GetParam(), &dcr2));
   RedoResult without_pf;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
-                           &dcr2.dpt, dcr2.last_delta_tc_lsn, nullptr,
-                           engine_->options(), GetParam(), &without_pf));
+                           &dcr2.dpt, dcr2.last_delta_tc_lsn,
+                           /*prefetch=*/false, engine_->options(), GetParam(),
+                           &without_pf));
 
   EXPECT_EQ(with_pf.applied, without_pf.applied);
   EXPECT_EQ(with_pf.skipped_dpt, without_pf.skipped_dpt);
