@@ -108,9 +108,12 @@ struct IoModelOptions {
   /// elevator-scheduled by the controller, hence cheaper than reads.
   double write_seek_ms = 2.0;
   double log_page_read_ms = 0.25;  ///< Sequential log read, per log page.
-  /// Max contiguous pages coalesced into one read I/O (paper App. A: 8).
-  /// The redo prefetchers also cap each DPT run they form at this size
-  /// (recovery/prefetch.h).
+  /// The most pages one read I/O spans, gap pages included (paper App. A
+  /// reads up to 8 contiguous pages at once): a prefetch reads every
+  /// wanted page within this many pids of its first page in one I/O,
+  /// transferring the unwanted pages between them (SimDisk's gap rule).
+  /// The redo prefetchers grow each page they issue into a span of this
+  /// size (recovery/prefetch.h).
   uint32_t max_batch_pages = 8;
   /// Number of I/Os the device can service concurrently: the SimDisk keeps
   /// one elevator (busy-until cursor) per channel and assigns each request

@@ -29,10 +29,9 @@ PrefetchWindow::PrefetchWindow(BufferPool* pool, uint32_t window,
       dpt_(dpt),
       rider_bound_(dpt == nullptr || max_pages <= window
                        ? 0
-                       : static_cast<uint32_t>(std::min<uint64_t>(
-                             {uint64_t{pool->max_batch_pages() - 1} * window,
-                              pool->capacity() / 8,
-                              uint64_t{max_pages - window}}))) {
+                       : static_cast<uint32_t>(
+                             std::min<uint64_t>(pool->capacity() / 8,
+                                                max_pages - window))) {
   // Bounded by the window and the rider bound: never reallocates.
   inflight_.reserve(window);
   riders_.reserve(rider_bound_);
@@ -111,14 +110,24 @@ void PrefetchWindow::AddRiders(size_t heads) {
   runs_.clear();
   for (size_t k = 0; k < heads; k++) runs_.emplace_back(batch_[k], batch_[k]);
   const uint32_t cap = pool_->max_batch_pages();
+  const uint32_t gap = pool_->max_read_gap();
   for (auto& [lo, hi] : runs_) {
-    while (room > 0 && hi - lo + 1 < cap && CanRide(hi + 1)) {
-      batch_.push_back(++hi);
-      room--;
+    // Up from the head, then down: every page of its span that can ride,
+    // reading through the gaps between them.
+    for (PageId pid = hi + 1; room > 0 && pid - lo < cap && pid - hi - 1 <= gap;
+         pid++) {
+      if (CanRide(pid)) {
+        batch_.push_back(hi = pid);
+        room--;
+      }
     }
-    while (room > 0 && hi - lo + 1 < cap && lo > 0 && CanRide(lo - 1)) {
-      batch_.push_back(--lo);
-      room--;
+    for (PageId pid = lo; room > 0 && pid > 0;) {
+      pid--;
+      if (hi - pid >= cap || lo - pid - 1 > gap) break;
+      if (CanRide(pid)) {
+        batch_.push_back(lo = pid);
+        room--;
+      }
     }
   }
 }

@@ -21,30 +21,41 @@
 //    rLSN test. A page may be issued again if it was evicted meanwhile —
 //    the paper notes this as the scheme's disadvantage.
 //
-// DPT-run read-ahead. The drive reads a run of up to max_batch_pages
-// pid-contiguous pages as one I/O (App. A), but a pump tops its window up
-// one or two pages at a time, so the pool is almost never handed a run.
-// The prefetchers therefore form runs from the DPT: every page a pump
-// picks, the *head*, grows into the pid-contiguous pages around it that
-// are in the DPT and neither cached nor pending, up to max_batch_pages
-// pages per run. These *riders* are pages redo fetches anyway (DPT
-// members: never a gap page, a pruned entry or a freed pid), so recovery
-// reads the same pages with fewer seeks.
+// Span read-ahead. The drive reads up to max_batch_pages pids as one I/O
+// (App. A), but a pump tops its window up one or two pages at a time, so
+// the pool is almost never handed a batch. The prefetchers therefore grow
+// every page a pump picks, the *head*, into its *span*: up to
+// max_batch_pages pids around it, whose DPT pages that are neither cached
+// nor pending join the head's read as *riders*. The pool reads the span in
+// one I/O and drops the gap pages between its riders (BufferPool::Prefetch;
+// SimDisk's gap rule says when reading through a gap beats a second seek).
+// Riders are pages redo fetches anyway (DPT members: never a gap page, a
+// pruned entry or a freed pid), so recovery reads the same pages with fewer
+// seeks. Spans replace pid-contiguous DPT runs, which stopped at the
+// first clean pid: on bench/e2e's zipf_resident (seed 1) Log2 read about
+// 1.4 pages per I/O that way, 1,257 pages in 909 I/Os, while a 1-to-6-page
+// gap costs 0.12 to 0.72 ms of transfer against a 3.75 ms sorted seek.
 //
 // Heads and riders are bounded apart. Heads keep the claim-paced window:
 // a slot frees only when redo claims its page, which holds read-ahead to
 // redo's pace. Riders reach the cache out of redo's order, so holding them
 // in those slots until claimed would clog the window with pages redo needs
-// much later; a rider instead leaves its own bound, (max_batch_pages - 1)
-// x window, as soon as its I/O lands. Riders in flight also stay within
-// capacity / 8, and a rider fills only a frame that holds no page, beyond
-// a margin of window + rider bound unused frames. So a rider never costs
-// an eviction, read-ahead can never exhaust the pool, and when the pool
-// fills up, the riders already read have been claimed rather than being
-// the first pages evicted. The log-driven prefetcher also keeps heads plus
-// riders in flight within its lookahead, the most pages its log read-ahead
-// could name; at the default lookahead (8 x window) that bound equals the
-// rider bound.
+// much later; a rider instead leaves its own bound, capacity / 8, as soon
+// as its I/O lands. A rider also fills only a frame that holds no page,
+// beyond a margin of window + rider bound unused frames. So a rider never
+// costs an eviction, read-ahead can never exhaust the pool, and when the
+// pool fills up, the riders already read have been claimed rather than
+// being the first pages evicted. The log-driven prefetcher also keeps heads
+// plus riders in flight within its lookahead, the most pages its log
+// read-ahead could name; at the default lookahead (8 x window) that caps
+// its riders at 7 x window.
+//
+// The bound once had a (max_batch_pages - 1) x window term as well, the
+// most riders pid-contiguous runs could add. Spans made it bind: on
+// zipf_resident (seed 1, window 32) all 224 of its slots held riders whose
+// I/O had not landed in 284 to 332 of the 644 to 671 issues of each Log2
+// recovery, so each of those heads went out alone and paid a full seek.
+// Without the term Log2 recovers there in 2,375 sim ms instead of 3,274.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +74,7 @@ namespace deutero {
 class PrefetchWindow {
  public:
   /// `window` bounds the heads in flight. With a `dpt`, Issue() grows every
-  /// head into its DPT run (see the header comment); without one it issues
+  /// head into its span (see the header comment); without one it issues
   /// the heads alone. `max_pages` caps heads plus riders in flight.
   PrefetchWindow(BufferPool* pool, uint32_t window,
                  const DirtyPageTable* dpt = nullptr,
@@ -92,7 +103,7 @@ class PrefetchWindow {
   /// Append to batch_ the riders of the heads in batch_[0, heads).
   void AddRiders(size_t heads);
   /// True if `pid` is a DPT page, neither cached nor pending, and outside
-  /// every run formed so far by this Issue.
+  /// every span formed so far by this Issue.
   bool CanRide(PageId pid) const;
 
   BufferPool* pool_;
@@ -103,7 +114,7 @@ class PrefetchWindow {
   std::vector<PageId> riders_;
   // Issue() scratch, reserved up front so a pump never allocates.
   std::vector<PageId> batch_;                    ///< Heads, then riders.
-  std::vector<std::pair<PageId, PageId>> runs_;  ///< Each head's [lo, hi].
+  std::vector<std::pair<PageId, PageId>> runs_;  ///< Each head's span.
   uint32_t stalled_pumps_ = 0;
 };
 

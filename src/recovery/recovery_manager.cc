@@ -173,6 +173,7 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
   const SimDisk::Stats& ds = dc_->disk().stats();
   stats->read_ios = ds.read_ios;
   stats->read_pages = ds.pages_read;
+  stats->gap_pages = ds.gap_pages;
 
   // Back to normal operation (RearmNormalOperation re-enables the pool).
   tc_->SetNextTxnId(max_txn_id + 1);

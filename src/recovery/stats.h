@@ -75,9 +75,11 @@ struct RecoveryStats {
   uint64_t prefetch_wasted = 0;
   uint64_t pages_flushed = 0;  ///< Eviction writes during recovery.
   // Device reads during recovery: read_pages counts the data and index
-  // fetches above; read_ios < read_pages when prefetch runs batch them.
-  uint64_t read_ios = 0;    ///< Read I/Os issued (a batched run counts 1).
+  // fetches above plus gap_pages; read_ios < read_pages when prefetch
+  // spans batch them.
+  uint64_t read_ios = 0;    ///< Read I/Os issued (a span counts 1).
   uint64_t read_pages = 0;  ///< Pages those reads transferred.
+  uint64_t gap_pages = 0;   ///< Pages a span read through and dropped.
 
   // Media-failure handling during recovery (PR 7).
   uint64_t io_retries = 0;         ///< Transient-error retries issued.

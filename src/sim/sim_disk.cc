@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 
 namespace deutero {
@@ -40,10 +42,9 @@ double SimDisk::Schedule(double service_ms, bool is_write) {
 Status SimDisk::ScheduleRead(PageId pid, bool sorted, double* completion) {
   assert(pid < num_pages_);
   (void)pid;
-  const double seek =
-      io_.random_seek_ms * (sorted ? io_.sorted_seek_factor : 1.0);
   stats_.read_ios++;
-  *completion = Schedule(seek + io_.transfer_ms_per_page, /*is_write=*/false);
+  *completion =
+      Schedule(SeekMs(sorted) + io_.transfer_ms_per_page, /*is_write=*/false);
   if (injector_.NextReadFails()) {
     // The attempt occupied the channel (time is charged) but delivered
     // nothing: pages_read counts only successful transfers.
@@ -55,22 +56,30 @@ Status SimDisk::ScheduleRead(PageId pid, bool sorted, double* completion) {
 }
 
 Status SimDisk::ScheduleReadRun(PageId first, uint32_t count, bool sorted,
-                                double* completion) {
-  assert(count >= 1);
+                                double* completion, uint32_t gap_pages) {
+  assert(count >= 1 && gap_pages < count);
   assert(first + count <= num_pages_);
   (void)first;
-  const double seek =
-      io_.random_seek_ms * (sorted ? io_.sorted_seek_factor : 1.0);
   stats_.read_ios++;
   if (count > 1) stats_.batched_reads++;
-  *completion =
-      Schedule(seek + count * io_.transfer_ms_per_page, /*is_write=*/false);
+  *completion = Schedule(SeekMs(sorted) + count * io_.transfer_ms_per_page,
+                         /*is_write=*/false);
   if (injector_.NextReadFails()) {
     stats_.read_errors++;
     return Status::IOError("transient read-run failure (injected)");
   }
   stats_.pages_read += count;
+  stats_.gap_pages += gap_pages;
   return Status::OK();
+}
+
+uint32_t SimDisk::MaxReadThroughGap() const {
+  // The largest g with g * transfer < seek.
+  const double seek = SeekMs(/*sorted=*/true);
+  if (seek <= 0) return 0;
+  if (io_.transfer_ms_per_page <= 0) return UINT32_MAX;
+  const double g = std::ceil(seek / io_.transfer_ms_per_page) - 1;
+  return g >= double{UINT32_MAX} ? UINT32_MAX : static_cast<uint32_t>(g);
 }
 
 Status SimDisk::ScheduleWrite(PageId pid, const void* data,

@@ -55,7 +55,8 @@ BufferPool::BufferPool(SimClock* clock, SimDisk* disk, uint64_t capacity_pages,
       disk_(disk),
       capacity_(capacity_pages),
       page_size_(page_size),
-      max_batch_pages_(std::max<uint32_t>(1, max_batch_pages)) {
+      max_batch_pages_(std::max<uint32_t>(1, max_batch_pages)),
+      max_read_gap_(disk->MaxReadThroughGap()) {
   assert(capacity_ > 0);
   for (auto& sp : shards_) sp = std::make_unique<TableShard>(capacity_pages);
   arena_.resize(capacity_ * static_cast<uint64_t>(page_size_));
@@ -315,16 +316,18 @@ uint32_t BufferPool::Prefetch(std::span<const PageId> pids, PageClass cls) {
 
   uint32_t issued = 0;
   for (size_t i = 0, j = 0; i < want.size(); i = j) {
-    // Maximal contiguous run starting at want[i], capped at the run cap.
+    // The span starting at want[i]: every wanted pid within the run cap of
+    // it, up to the first gap the device would rather seek past.
     j = i + 1;
-    while (j < want.size() && j - i < max_batch_pages_ &&
-           want[j] == want[j - 1] + 1) {
+    while (j < want.size() && want[j] - want[i] < max_batch_pages_ &&
+           want[j] - want[j - 1] - 1 <= max_read_gap_) {
       j++;
     }
 
-    // Reserve frames for the run. When the pool runs short, the run shrinks
-    // to its leading pages that got a frame: handing those frames back
-    // would waste the evictions that freed them (prefetch is best effort).
+    // Reserve frames for the span's wanted pages. When the pool runs short,
+    // the span shrinks to its leading pages that got a frame: handing those
+    // frames back would waste the evictions that freed them (prefetch is
+    // best effort).
     std::vector<uint32_t>& fidx = prefetch_fidx_;
     fidx.assign(j - i, 0);
     uint32_t run = 0;
@@ -332,14 +335,18 @@ uint32_t BufferPool::Prefetch(std::span<const PageId> pids, PageClass cls) {
       if (!AllocFrame(&fidx[run]).ok()) break;
     }
     if (run == 0) continue;
+    const uint32_t span =
+        static_cast<uint32_t>(want[i + run - 1] - want[i]) + 1;
 
-    // Issue the run, retrying transient failures like the demand path does.
-    // On exhaustion give the frames back and stop: prefetch is best effort,
-    // and a later demand Get re-reads with its own retry budget.
+    // Issue the span, retrying transient failures like the demand path does
+    // (a retry re-reads the whole span). On exhaustion give the frames back
+    // and stop: prefetch is best effort, and a later demand Get re-reads
+    // with its own retry budget.
     double completion = 0;
     Status rs;
     for (uint32_t attempt = 0;; attempt++) {
-      rs = disk_->ScheduleReadRun(want[i], run, /*sorted=*/true, &completion);
+      rs = disk_->ScheduleReadRun(want[i], span, /*sorted=*/true, &completion,
+                                  /*gap_pages=*/span - run);
       if (rs.ok() || attempt >= kIoRetryLimit) break;
       Backoff(attempt);
     }

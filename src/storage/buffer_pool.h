@@ -14,10 +14,13 @@
 //  * Lazy writer: flushes the oldest-dirtied pages whenever the dirty count
 //    exceeds a watermark — the background cleaning that shapes the dirty
 //    fraction of the cache (Fig. 2(b)).
-//  * Prefetch: asynchronous reads; contiguous runs are coalesced into single
-//    batched I/Os of at most max_batch_pages() pages (paper App. A); a
-//    demand Get on a pending page stalls only until that I/O's completion
-//    time.
+//  * Prefetch: asynchronous reads, each a *span*: one I/O over at most
+//    max_batch_pages() pids (paper App. A reads up to 8 contiguous pages at
+//    once) that carries every wanted page in its reach. It reads through
+//    the gaps between them when the device's gap rule says that beats a
+//    second seek (SimDisk::MaxReadThroughGap) and installs only the wanted
+//    pages. A demand Get on a pending page stalls only until that I/O's
+//    completion time.
 //  * Media-failure handling (PR 7): every read-in verifies the page CRC and
 //    every flush stamps it; transient device errors are retried with
 //    sim-time exponential backoff (kIoRetryLimit / kIoBackoffBaseMs); a
@@ -193,16 +196,24 @@ class BufferPool {
   bool HasArrived(PageId pid) const;
 
   /// Best-effort asynchronous reads. Duplicates and resident pages are
-  /// skipped; contiguous runs are coalesced into batched I/Os. A run the
-  /// pool cannot supply frames for shrinks to its leading pages that got
-  /// one. Returns the number of page reads actually issued.
+  /// skipped. The rest go out in span I/Os: each read starts at the lowest
+  /// wanted pid not yet issued and takes every wanted pid within
+  /// max_batch_pages() pids of it, as long as no gap between two of them
+  /// exceeds max_read_gap(). The span is one SimDisk::ScheduleReadRun; its
+  /// gap pages (clean, resident or freed pids nobody asked for) are
+  /// transferred and dropped: never installed, never checksummed, never
+  /// counted as fetches, so a resident page in a span keeps its bytes. A
+  /// span the pool cannot supply frames for shrinks to its leading wanted
+  /// pages that got one. Returns the number of page reads actually issued.
   uint32_t Prefetch(std::span<const PageId> pids, PageClass cls);
 
   /// Frames that hold no page (never filled since Reset, or given back by
   /// Discard or a failed read). Filling one costs no eviction.
   uint64_t unused_frames() const;
-  /// Most pages one read I/O covers (the run cap Prefetch coalesces to).
+  /// Most pids one read I/O spans, gap pages included.
   uint32_t max_batch_pages() const { return max_batch_pages_; }
+  /// Longest gap a prefetch span reads through (the device's gap rule).
+  uint32_t max_read_gap() const { return max_read_gap_; }
 
   /// Synchronously flush one resident dirty page (respects the WAL rule).
   /// IOError after retry exhaustion leaves the page dirty and resident.
@@ -368,6 +379,7 @@ class BufferPool {
   const uint64_t capacity_;
   const uint32_t page_size_;
   const uint32_t max_batch_pages_;
+  const uint32_t max_read_gap_;
 
   std::vector<uint8_t> arena_;
   /// NOT annotated: frames_ is dual-guarded — identity fields are written

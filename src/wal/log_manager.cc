@@ -25,6 +25,7 @@ void LogManager::ResetCursors() {
   capacity_.store(buffer_.size(), std::memory_order_release);
   reserved_end_.store(buffer_.size(), std::memory_order_release);
   stable_end_.store(buffer_.size(), std::memory_order_release);
+  filled_mark_.store(buffer_.size(), std::memory_order_release);
   for (auto& s : inflight_) s.store(kSlotFree, std::memory_order_release);
 }
 
@@ -75,6 +76,13 @@ void LogManager::ExitFill() {
 void LogManager::EnsureCapacity(uint64_t end) {
   if (end <= capacity_.load(std::memory_order_acquire)) return;
   MutexLock lk(&grow_mu_);
+  // One grower at a time. The quiesce wait below releases grow_mu_, so a
+  // second grower could enter beside the first, and after the first
+  // unparked the encoders, resize again under them. It waits the first one
+  // out instead, then re-checks: the first may have grown past `end`.
+  grow_cv_.Wait(&grow_mu_, [&] {
+    return !growth_pending_.load(std::memory_order_seq_cst);
+  });
   if (end <= capacity_.load(std::memory_order_acquire)) return;
   // Quiesce: new encoders park in EnterFill, in-flight ones drain (they
   // never block while holding the fill token, so this terminates). Parked
@@ -168,7 +176,17 @@ Lsn LogManager::filled_through() const {
     const uint64_t v = s.load(std::memory_order_seq_cst);
     if (v < low) low = v;
   }
-  return low;
+  // A slot claimed from a cursor value read before later windows filled
+  // can hold a floor below one already returned, until its claimant
+  // tightens it. Its window still starts past that earlier result (the
+  // scan that returned it could not see the claim, so the claimant's
+  // fetch-add came after that scan's cursor read), so every result is a
+  // valid floor and the mark only moves forward.
+  Lsn mark = filled_mark_.load(std::memory_order_seq_cst);
+  while (mark < low && !filled_mark_.compare_exchange_weak(
+                           mark, low, std::memory_order_seq_cst)) {
+  }
+  return std::max(mark, low);
 }
 
 bool LogManager::Flush() {

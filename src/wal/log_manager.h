@@ -125,7 +125,8 @@ class LogManager {
   }
 
   /// All bytes below this offset are fully encoded — no reservation hole.
-  /// stable_end() never advances past it. O(#in-flight slots).
+  /// stable_end() never advances past it, and it never moves back (until
+  /// Crash/RestoreSnapshot). O(#in-flight slots).
   Lsn filled_through() const;
 
   /// LSN the next append will receive (the reservation cursor). With
@@ -312,11 +313,15 @@ class LogManager {
   Lsn device_end_ = kFirstLsn;
   /// In-flight reservation table: start offset of each unpublished window
   /// (kSlotFree when empty). filled_through() = min over these and
-  /// reserved_end_.
+  /// reserved_end_, never below filled_mark_.
   std::array<std::atomic<uint64_t>, kInflightSlots> inflight_;
+  /// Highest filled_through() result so far (it writes this from a const
+  /// method, hence mutable).
+  mutable std::atomic<Lsn> filled_mark_{kFirstLsn};
 
-  // Growth quiesce: EnsureCapacity sets growth_pending_, waits for
-  // fillers_ == 0, resizes, publishes base_/capacity_, clears the flag.
+  // Growth quiesce: EnsureCapacity waits out any other grower, sets
+  // growth_pending_, waits for fillers_ == 0, resizes, publishes
+  // base_/capacity_, clears the flag.
   // mutable: TakeSnapshot() is logically const but reads buffer_ under it.
   mutable Mutex grow_mu_;
   CondVar grow_cv_;

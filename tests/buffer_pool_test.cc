@@ -304,6 +304,109 @@ TEST_F(BufferPoolTest, PrefetchShortOfFramesIssuesWhatFits) {
   EXPECT_EQ(h.view().payload()[0], 11);
 }
 
+// ---- Span read-ahead: one read over every wanted pid within
+// max_batch_pages pids of its first page ----
+
+TEST_F(BufferPoolTest, PrefetchSpansEveryWantedPidWithinMaxBatchPages) {
+  BufferPool pool(&clock_, &disk_, /*capacity=*/8, kPageSize,
+                  /*max_batch=*/8);
+  EXPECT_EQ(pool.Prefetch(std::vector<PageId>{10, 13, 17}, PageClass::kData),
+            3u);
+  EXPECT_EQ(disk_.stats().read_ios, 1u);
+  EXPECT_EQ(disk_.stats().batched_reads, 1u);
+  EXPECT_EQ(disk_.stats().pages_read, 8u);  // 10..17
+  EXPECT_EQ(disk_.stats().gap_pages, 5u);
+  EXPECT_EQ(pool.stats().prefetch_issued, 3u);
+  EXPECT_EQ(pool.stats().data_fetches, 3u);  // a gap page is no fetch
+  for (PageId gap : {11, 12, 14, 15, 16}) {
+    EXPECT_FALSE(pool.IsResidentOrPending(gap)) << gap;
+  }
+  pool.Reset();
+  // 18 lies max_batch_pages pids past 10, out of its span.
+  EXPECT_EQ(pool.Prefetch(std::vector<PageId>{10, 18}, PageClass::kData), 2u);
+  EXPECT_EQ(disk_.stats().read_ios, 3u);
+  EXPECT_EQ(disk_.stats().gap_pages, 5u);
+}
+
+TEST_F(BufferPoolTest, SpanNeverInstallsItsGapPages) {
+  // Span 10..14 wants 10 and 14. Its gap pages: 11 dirty and resident, 12
+  // freed (a merge discarded it), 13 clean on the device.
+  BufferPool pool(&clock_, &disk_, /*capacity=*/8, kPageSize,
+                  /*max_batch=*/8);
+  {
+    PageHandle h;
+    ASSERT_TRUE(pool.Get(11, PageClass::kData, &h).ok());
+    h.view().payload()[1] = 0xEE;
+    h.MarkDirty(7);
+  }
+  {
+    PageHandle h;
+    ASSERT_TRUE(pool.Get(12, PageClass::kData, &h).ok());
+    h.MarkDirty(8);
+  }
+  ASSERT_TRUE(pool.Discard(12));
+  const SimDisk::Stats before = disk_.stats();
+  EXPECT_EQ(pool.Prefetch(std::vector<PageId>{10, 14}, PageClass::kData), 2u);
+  EXPECT_EQ(disk_.stats().read_ios - before.read_ios, 1u);
+  EXPECT_EQ(disk_.stats().gap_pages - before.gap_pages, 3u);
+  EXPECT_FALSE(pool.IsResidentOrPending(12));
+  EXPECT_FALSE(pool.IsResidentOrPending(13));
+  EXPECT_TRUE(pool.IsLoaded(11));
+  EXPECT_EQ(pool.dirty_pages(), 1u);
+  clock_.AdvanceMs(100);  // the span has landed
+  PageHandle h;
+  ASSERT_TRUE(pool.Get(11, PageClass::kData, &h).ok());
+  EXPECT_EQ(h.view().payload()[1], 0xEE);  // not the stable image
+  EXPECT_EQ(h.view().plsn(), 7u);
+}
+
+TEST_F(BufferPoolTest, CorruptGapPageIsNeverVerified) {
+  // Stamp page 11's checksum, then flip a bit of its stable image.
+  {
+    PageHandle h;
+    ASSERT_TRUE(pool_.Get(11, PageClass::kData, &h).ok());
+    h.MarkDirty(11);
+  }
+  ASSERT_TRUE(pool_.FlushPage(11).ok());
+  pool_.Reset();
+  disk_.CorruptStableByteForTest(11, kPageHeaderSize + 3, 0x10);
+  int repair_calls = 0;
+  pool_.set_repair_callback([&](PageId, uint8_t*) {
+    repair_calls++;
+    return Status::OK();
+  });
+  const uint64_t ios = disk_.stats().read_ios;
+  EXPECT_EQ(pool_.Prefetch(std::vector<PageId>{10, 12}, PageClass::kData), 2u);
+  EXPECT_EQ(disk_.stats().read_ios - ios, 1u);  // 10..12, 11 read through
+  clock_.AdvanceMs(100);
+  for (PageId pid : {10, 12}) {
+    PageHandle h;
+    ASSERT_TRUE(pool_.Get(pid, PageClass::kData, &h).ok());
+    EXPECT_EQ(h.view().payload()[0], pid);
+  }
+  EXPECT_FALSE(pool_.IsResidentOrPending(11));
+  EXPECT_EQ(pool_.stats().checksum_failures, 0u);
+  EXPECT_EQ(pool_.stats().repairs, 0u);
+  EXPECT_EQ(repair_calls, 0);
+}
+
+TEST(BufferPoolGapRuleTest, GapCostlierThanASeekSplitsTheRead) {
+  IoModelOptions io;
+  io.random_seek_ms = 1.0;        // a sorted seek costs 0.75 ms
+  io.transfer_ms_per_page = 1.0;  // one gap page costs more
+  SimClock clock;
+  SimDisk disk(&clock, kPageSize, io);
+  disk.EnsurePages(64);
+  BufferPool pool(&clock, &disk, /*capacity=*/8, kPageSize, /*max_batch=*/8);
+  EXPECT_EQ(pool.max_read_gap(), 0u);
+  EXPECT_EQ(pool.Prefetch(std::vector<PageId>{10, 12}, PageClass::kData), 2u);
+  EXPECT_EQ(disk.stats().read_ios, 2u);
+  EXPECT_EQ(disk.stats().gap_pages, 0u);
+  // Contiguous pages still share a read.
+  EXPECT_EQ(pool.Prefetch(std::vector<PageId>{20, 21}, PageClass::kData), 2u);
+  EXPECT_EQ(disk.stats().read_ios, 3u);
+}
+
 TEST_F(BufferPoolTest, CreateMaterializesZeroedPage) {
   PageHandle h;
   ASSERT_TRUE(pool_.Create(60, PageClass::kData, &h).ok());
@@ -552,6 +655,34 @@ TEST_F(BufferPoolTransientReadTest, RetriesWithBackoffUntilSuccess) {
   EXPECT_GT(pool_.stats().io_retries, io_errors * 4);  // real retry traffic
   EXPECT_GT(pool_.stats().backoff_ms, 0.0);
   EXPECT_GT(disk_.injector().stats().read_errors, 0u);
+}
+
+TEST_F(BufferPoolTransientReadTest, FailedSpanRetriesTheWholeSpan) {
+  // Four spans of 4 pids, each wanting its first and last page: every
+  // attempt, failed or not, is one read of the whole span.
+  uint64_t spans_read = 0;
+  for (PageId first : {1, 11, 21, 31}) {
+    pool_.Prefetch(std::vector<PageId>{first, first + 3}, PageClass::kData);
+    EXPECT_EQ(pool_.IsResidentOrPending(first),
+              pool_.IsResidentOrPending(first + 3));
+    spans_read += pool_.IsResidentOrPending(first);
+  }
+  const SimDisk::Stats& ds = disk_.stats();
+  EXPECT_GT(ds.read_errors, 0u);
+  EXPECT_GT(spans_read, 0u);
+  EXPECT_EQ(ds.read_ios, 4u + pool_.stats().io_retries);
+  EXPECT_EQ(ds.batched_reads, ds.read_ios);
+  EXPECT_EQ(ds.pages_read, 4u * spans_read);  // only successful attempts
+  EXPECT_EQ(ds.gap_pages, 2u * spans_read);
+  clock_.AdvanceMs(1000);
+  for (PageId first : {1, 11, 21, 31}) {
+    if (!pool_.IsResidentOrPending(first)) continue;
+    for (PageId pid : {first, first + 3}) {
+      PageHandle h;
+      ASSERT_TRUE(pool_.Get(pid, PageClass::kData, &h).ok());
+      EXPECT_EQ(h.view().payload()[0], pid);
+    }
+  }
 }
 
 class BufferPoolReadExhaustionTest : public BufferPoolFaultTest {

@@ -7,8 +7,10 @@
 //
 // Everything here is real-thread concurrent; the suite is part of the TSan
 // CI job, so any data race in the front end fails the build twice over.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <string>
 #include <thread>
 #include <vector>
@@ -113,6 +115,51 @@ TEST(LogReservationTest, ReservationTortureKeepsMarksMonotone) {
   log.Flush();
   EXPECT_EQ(log.stable_end(), log.filled_through());
   EXPECT_EQ(log.stats().records_appended, 8u * 300u);
+}
+
+// Regression: the quiesce wait in buffer growth releases the growth latch,
+// so a second grower could enter beside the first and, once the first had
+// unparked the encoders, move the buffer under their Publish (under TSan
+// the torture above raced, hung or crashed). Writers appending across many
+// growths must each find every record intact, in its own bytes.
+TEST(LogReservationTest, ConcurrentGrowthKeepsEveryRecord) {
+  SimClock clock;
+  LogManager log(&clock, 1024, 0.0);
+  constexpr int kWriters = 8;
+  constexpr int kPerWriter = 300;
+  auto image = [](int t, int i) {
+    return std::string(1 + (t * 31 + i) % 200, static_cast<char>('a' + t));
+  };
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; t++) {
+    writers.emplace_back([&log, &image, t] {
+      LogRecord r;
+      r.type = LogRecordType::kUpdate;
+      r.txn_id = static_cast<TxnId>(1 + t);
+      r.table_id = 1;
+      r.pid = static_cast<PageId>(1 + t);
+      for (int i = 0; i < kPerWriter; i++) {
+        r.key = static_cast<Key>(t * kPerWriter + i);
+        r.after = image(t, i);
+        log.Append(r);
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+  log.Flush();
+
+  std::vector<int> seen(kWriters * kPerWriter, 0);
+  for (auto it = log.NewIterator(kFirstLsn, /*charge_io=*/false); it.Valid();
+       it.Next()) {
+    const LogRecordView& rec = it.record();
+    ASSERT_LT(rec.key, seen.size());
+    const int t = static_cast<int>(rec.key / kPerWriter);
+    const int i = static_cast<int>(rec.key % kPerWriter);
+    EXPECT_EQ(rec.after.ToString(), image(t, i)) << "key " << rec.key;
+    seen[rec.key]++;
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+            static_cast<std::ptrdiff_t>(seen.size()));
 }
 
 // ---- group-commit batcher ----

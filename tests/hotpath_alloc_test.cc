@@ -551,38 +551,43 @@ TEST(PrefetchAllocTest, BuildPfListAllocatesOnlyTheList) {
   }));
 }
 
-/// Pumps a PF-list prefetcher (window 16) over a 2,000-page contiguous
-/// DPT, claiming 8 pages per pump, in a pool of `capacity` frames. Returns
-/// the allocations of the counted pumps after a warm-up, and in
-/// `most_riders` the most riders in flight after any counted pump.
-uint64_t PfListPumpAllocs(uint64_t capacity, uint32_t* most_riders) {
+/// Pumps a PF-list prefetcher (window 16) over a 1,999-page DPT, claiming
+/// 8 of its pages per pump, in a pool of `capacity` frames. The DPT holds
+/// every `stride`-th pid from 1: contiguous at 1, and at 2 every other pid,
+/// so riders form only across gaps. Returns the allocations of the counted
+/// pumps after a warm-up, and in `most_riders` the most riders in flight
+/// after any counted pump.
+uint64_t PfListPumpAllocs(uint64_t capacity, uint32_t* most_riders,
+                          PageId stride = 1) {
   SimClock clock;
   SimDisk disk(&clock, 256, IoModelOptions{});
   disk.EnsurePages(4096);
   BufferPool pool(&clock, &disk, capacity, /*page_size=*/256);
   DirtyPageTable dpt;
-  for (PageId p = 1; p < 2000; p++) dpt.AddOrUpdate(p, /*lsn=*/p);
-  const std::vector<PageId> pf_list = BuildPfList(dpt);  // pids 1..1999
+  for (PageId i = 0; i < 1999; i++) dpt.AddOrUpdate(1 + i * stride, 1 + i);
+  const std::vector<PageId> pf_list = BuildPfList(dpt);  // in pid order
   PfListPrefetcher pf(&pool, &dpt, &pf_list, /*window=*/16);
-  auto pump_and_claim = [&](PageId base) {
+  auto pump_and_claim = [&](PageId first) {
     pf.Pump();
     *most_riders = std::max(*most_riders, pf.window().riders_inflight());
     clock.AdvanceMs(1000);
-    for (PageId p = base; p < base + 8; p++) {
+    for (PageId i = first; i < first + 8; i++) {
       PageHandle h;
-      (void)pool.Get(p, PageClass::kData, &h);
+      (void)pool.Get(pf_list[i], PageClass::kData, &h);
     }
   };
-  for (PageId base = 1; base < 257; base += 8) pump_and_claim(base);
+  for (PageId first = 0; first < 256; first += 8) pump_and_claim(first);
   *most_riders = 0;
   return CountAllocs([&] {
-    for (PageId base = 257; base < 1025; base += 8) pump_and_claim(base);
+    for (PageId first = 256; first < 1024; first += 8) pump_and_claim(first);
   });
 }
 
-/// The log-driven counterpart: 2,000 update records on pids 1..2000, all
-/// in the DPT, window 16, lookahead 128, 8 records consumed per pump.
-uint64_t LogDrivenPumpAllocs(uint64_t capacity, uint32_t* most_riders) {
+/// The log-driven counterpart: 2,000 update records on every `stride`-th
+/// pid from 1, all in the DPT, window 16, lookahead 128, 8 records
+/// consumed per pump.
+uint64_t LogDrivenPumpAllocs(uint64_t capacity, uint32_t* most_riders,
+                             PageId stride = 1) {
   SimClock clock;
   LogManager log(&clock, 8192, 0.0);
   DirtyPageTable dpt;
@@ -594,7 +599,7 @@ uint64_t LogDrivenPumpAllocs(uint64_t capacity, uint32_t* most_riders) {
     for (int i = 0; i < 2000; i++) {
       r.txn_id = 1 + i / 10;
       r.key = static_cast<Key>(i);
-      r.pid = static_cast<PageId>(1 + i);
+      r.pid = static_cast<PageId>(1 + i * stride);
       dpt.AddOrUpdate(r.pid, log.next_lsn());
       log.Append(r);
     }
@@ -611,10 +616,10 @@ uint64_t LogDrivenPumpAllocs(uint64_t capacity, uint32_t* most_riders) {
     pf.Pump(consumed);
     *most_riders = std::max(*most_riders, pf.window().riders_inflight());
     clock.AdvanceMs(1000);
-    for (PageId p = static_cast<PageId>(consumed - 7);
-         p <= static_cast<PageId>(consumed); p++) {
+    for (uint64_t i = consumed - 8; i < consumed; i++) {
       PageHandle h;
-      (void)pool.Get(p, PageClass::kData, &h);
+      (void)pool.Get(static_cast<PageId>(1 + i * stride), PageClass::kData,
+                     &h);
     }
   };
   for (int i = 0; i < 32; i++) pump_and_claim();  // warm-up
@@ -650,6 +655,24 @@ TEST(PrefetchAllocTest, LogDrivenRiderPumpIsAllocationFreePerPump) {
   uint32_t most_riders = 0;
   EXPECT_EQ(LogDrivenPumpAllocs(/*capacity=*/4096, &most_riders), 0u)
       << "LogDrivenPrefetcher::Pump is allocating riders";
+  EXPECT_GT(most_riders, 0u);
+}
+
+// Span read-ahead: over a DPT of every other pid, each rider sits across a
+// gap from the page before it.
+TEST(PrefetchAllocTest, PfListGapRiderPumpIsAllocationFreePerPump) {
+  uint32_t most_riders = 0;
+  EXPECT_EQ(PfListPumpAllocs(/*capacity=*/4096, &most_riders, /*stride=*/2),
+            0u)
+      << "PfListPrefetcher::Pump is allocating riders across gaps";
+  EXPECT_GT(most_riders, 0u);
+}
+
+TEST(PrefetchAllocTest, LogDrivenGapRiderPumpIsAllocationFreePerPump) {
+  uint32_t most_riders = 0;
+  EXPECT_EQ(
+      LogDrivenPumpAllocs(/*capacity=*/4096, &most_riders, /*stride=*/2), 0u)
+      << "LogDrivenPrefetcher::Pump is allocating riders across gaps";
   EXPECT_GT(most_riders, 0u);
 }
 

@@ -1,6 +1,6 @@
 // Unit tests for the prefetch machinery (App. A): window budgeting, DPT
 // re-checks, PF-list consumption, log-driven candidate selection, and the
-// DPT runs both prefetchers grow their heads into.
+// spans both prefetchers grow their heads into.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -113,7 +113,7 @@ TEST_F(PrefetchTest, PfListPrefetcherStopsAtListEnd) {
   EXPECT_EQ(pool_.stats().prefetch_issued, 1u);
 }
 
-// ---- DPT-run read-ahead: PF-list prefetcher ----
+// ---- Span read-ahead: PF-list prefetcher ----
 
 /// Pages in [lo, hi] the pool holds or is reading.
 uint64_t CountPending(const BufferPool& pool, PageId lo, PageId hi) {
@@ -135,24 +135,33 @@ TEST_F(PrefetchTest, PfListHeadWithDirtyNeighboursIsOneBatchedRead) {
   EXPECT_EQ(disk_.stats().pages_read, 4u);
 }
 
-TEST_F(PrefetchTest, PfListRunStopsAtGapCachedAndPendingPages) {
-  // 40 [41] _ 43 | 46 [47] (48 cached) | 51 [52] (53 pending): each head
-  // takes only the neighbour before its stop.
+TEST_F(PrefetchTest, PfListSpanReadsThroughGapCachedAndPendingPages) {
+  // 40 [41] _ [43] | 46 [47] (48 cached) [49] | 51 [52] (53 pending) [54]:
+  // the DPT pages past each stop (the gap at 42, cached 48, pending 53)
+  // ride in a head's span, while 42 is never installed and 48 and 53 are
+  // never re-issued. A cache large enough that capacity / 8 does not bind
+  // the riders.
+  BufferPool pool(&clock_, &disk_, /*capacity=*/128, kPageSize, 8);
   FillDpt({40, 41, 43, 46, 47, 48, 49, 51, 52, 53, 54});
   PageHandle h;
-  ASSERT_TRUE(pool_.Get(48, PageClass::kData, &h).ok());
+  ASSERT_TRUE(pool.Get(48, PageClass::kData, &h).ok());
   h.Release();
-  pool_.Prefetch(std::vector<PageId>{53}, PageClass::kData);
+  pool.Prefetch(std::vector<PageId>{53}, PageClass::kData);
+  const SimDisk::Stats before = disk_.stats();
   const std::vector<PageId> pf = {40, 46, 51};
-  PfListPrefetcher p(&pool_, &dpt_, &pf, /*window=*/8);
+  PfListPrefetcher p(&pool, &dpt_, &pf, /*window=*/8);
   p.Pump();
-  EXPECT_TRUE(pool_.IsResidentOrPending(41));
-  EXPECT_FALSE(pool_.IsResidentOrPending(43));  // beyond the gap at 42
-  EXPECT_TRUE(pool_.IsResidentOrPending(47));
-  EXPECT_FALSE(pool_.IsResidentOrPending(49));  // beyond cached 48
-  EXPECT_TRUE(pool_.IsResidentOrPending(52));
-  EXPECT_FALSE(pool_.IsResidentOrPending(54));  // beyond pending 53
-  EXPECT_EQ(p.window().riders_inflight(), 3u);
+  for (PageId rider : {41, 43, 47, 49, 52, 54}) {
+    EXPECT_TRUE(pool.IsResidentOrPending(rider)) << rider;
+  }
+  EXPECT_FALSE(pool.IsResidentOrPending(42));  // not in the DPT
+  EXPECT_TRUE(pool.IsLoaded(48));
+  EXPECT_EQ(p.window().inflight(), 3u);
+  EXPECT_EQ(p.window().riders_inflight(), 6u);
+  EXPECT_EQ(pool.stats().prefetch_issued, 1u + 9u);  // 53, then the Pump
+  // Spans 40..47 and 49..54; 42, 44, 45, 50 and 53 are gap pages.
+  EXPECT_EQ(disk_.stats().read_ios - before.read_ios, 2u);
+  EXPECT_EQ(disk_.stats().gap_pages - before.gap_pages, 5u);
 }
 
 TEST_F(PrefetchTest, PfListRunStopsAtMaxBatchPages) {
@@ -176,9 +185,40 @@ TEST_F(PrefetchTest, PfListPrunedEntryNeverRides) {
   dpt_.Remove(42);  // pruned after it entered the PF-list
   PfListPrefetcher p(&pool_, &dpt_, &pf, /*window=*/8);
   p.Pump();
-  EXPECT_TRUE(pool_.IsResidentOrPending(41));
-  EXPECT_FALSE(pool_.IsResidentOrPending(42));
-  EXPECT_FALSE(pool_.IsResidentOrPending(43));  // past the pruned gap
+  EXPECT_FALSE(pool_.IsResidentOrPending(42));  // neither head nor rider
+  for (PageId rider : {41, 43, 44}) {  // 43 and 44 lie past the pruned gap
+    EXPECT_TRUE(pool_.IsResidentOrPending(rider)) << rider;
+  }
+  EXPECT_EQ(p.window().riders_inflight(), 3u);
+  EXPECT_EQ(disk_.stats().read_ios, 1u);
+  EXPECT_EQ(disk_.stats().gap_pages, 1u);
+}
+
+TEST_F(PrefetchTest, PfListRidersSpanAlternateDirtyPages) {
+  // Every other pid is dirty: no two DPT pages are pid-contiguous, yet one
+  // I/O of 8 pids carries the head and 3 riders (80 is a 9th pid).
+  BufferPool pool(&clock_, &disk_, /*capacity=*/128, kPageSize, 8);
+  FillDpt({66, 68, 70, 72, 74, 76, 78, 80});
+  const std::vector<PageId> pf = {72};
+  PfListPrefetcher p(&pool, &dpt_, &pf, /*window=*/8);
+  p.Pump();
+  EXPECT_EQ(p.window().riders_inflight(), 3u);
+  EXPECT_EQ(CountPending(pool, 66, 80), 4u);
+  for (PageId pid : {72, 74, 76, 78}) {
+    EXPECT_TRUE(pool.IsResidentOrPending(pid)) << pid;
+  }
+  EXPECT_EQ(disk_.stats().read_ios, 1u);
+  EXPECT_EQ(disk_.stats().pages_read, 7u);  // 72..78
+  EXPECT_EQ(disk_.stats().gap_pages, 3u);
+}
+
+TEST_F(PrefetchTest, PfListRiderBoundIsAnEighthOfTheCache) {
+  // The bound has no window term: even a 2-page window may keep
+  // capacity / 8 riders in flight.
+  BufferPool pool(&clock_, &disk_, /*capacity=*/256, kPageSize, 8);
+  const std::vector<PageId> pf;
+  PfListPrefetcher p(&pool, &dpt_, &pf, /*window=*/2);
+  EXPECT_EQ(p.window().rider_bound(), 32u);
 }
 
 TEST_F(PrefetchTest, PfListReadAheadNeverExhaustsASmallPool) {
@@ -234,7 +274,12 @@ TEST_F(LogDrivenPrefetchTest, IssuesOnlyDptMembersPassingRlsnTest) {
   p.Pump(0);
   EXPECT_TRUE(pool_.IsResidentOrPending(100));
   EXPECT_FALSE(pool_.IsResidentOrPending(101));  // not in DPT
-  EXPECT_FALSE(pool_.IsResidentOrPending(102));  // fails the rLSN test
+  // 102 fails the rLSN test, so it is never a head; as a DPT page in head
+  // 100's span it rides across 101.
+  EXPECT_EQ(p.window().inflight(), 1u);
+  EXPECT_EQ(p.window().riders_inflight(), 1u);
+  EXPECT_TRUE(pool_.IsResidentOrPending(102));
+  EXPECT_EQ(disk_.stats().read_ios, 1u);
 }
 
 TEST_F(LogDrivenPrefetchTest, LookaheadBoundsReadAhead) {
@@ -257,7 +302,7 @@ TEST_F(LogDrivenPrefetchTest, LookaheadBoundsReadAhead) {
   EXPECT_GT(pending, 5u);
 }
 
-// ---- DPT-run read-ahead: log-driven prefetcher ----
+// ---- Span read-ahead: log-driven prefetcher ----
 
 TEST_F(LogDrivenPrefetchTest, HeadWithDirtyNeighboursIsOneBatchedRead) {
   Update(40);
@@ -273,25 +318,31 @@ TEST_F(LogDrivenPrefetchTest, HeadWithDirtyNeighboursIsOneBatchedRead) {
   EXPECT_EQ(disk_.stats().pages_read, 4u);
 }
 
-TEST_F(LogDrivenPrefetchTest, RunStopsAtGapCachedAndPendingPages) {
+TEST_F(LogDrivenPrefetchTest, SpanReadsThroughGapCachedAndPendingPages) {
+  // The PF-list case, with the heads named by the log.
+  BufferPool pool(&clock_, &disk_, /*capacity=*/128, kPageSize, 8);
   Update(40);
   Update(46);
   Update(51);
   FillDpt({40, 41, 43, 46, 47, 48, 49, 51, 52, 53, 54});
   PageHandle h;
-  ASSERT_TRUE(pool_.Get(48, PageClass::kData, &h).ok());
+  ASSERT_TRUE(pool.Get(48, PageClass::kData, &h).ok());
   h.Release();
-  pool_.Prefetch(std::vector<PageId>{53}, PageClass::kData);
-  LogDrivenPrefetcher p(&pool_, &dpt_, &log_, kFirstLsn, /*window=*/8,
+  pool.Prefetch(std::vector<PageId>{53}, PageClass::kData);
+  const SimDisk::Stats before = disk_.stats();
+  LogDrivenPrefetcher p(&pool, &dpt_, &log_, kFirstLsn, /*window=*/8,
                         /*lookahead=*/100);
   p.Pump(0);
-  EXPECT_TRUE(pool_.IsResidentOrPending(41));
-  EXPECT_FALSE(pool_.IsResidentOrPending(43));  // beyond the gap at 42
-  EXPECT_TRUE(pool_.IsResidentOrPending(47));
-  EXPECT_FALSE(pool_.IsResidentOrPending(49));  // beyond cached 48
-  EXPECT_TRUE(pool_.IsResidentOrPending(52));
-  EXPECT_FALSE(pool_.IsResidentOrPending(54));  // beyond pending 53
-  EXPECT_EQ(p.window().riders_inflight(), 3u);
+  for (PageId rider : {41, 43, 47, 49, 52, 54}) {
+    EXPECT_TRUE(pool.IsResidentOrPending(rider)) << rider;
+  }
+  EXPECT_FALSE(pool.IsResidentOrPending(42));  // not in the DPT
+  EXPECT_TRUE(pool.IsLoaded(48));
+  EXPECT_EQ(p.window().inflight(), 3u);
+  EXPECT_EQ(p.window().riders_inflight(), 6u);
+  EXPECT_EQ(pool.stats().prefetch_issued, 1u + 9u);  // 53, then the Pump
+  EXPECT_EQ(disk_.stats().read_ios - before.read_ios, 2u);
+  EXPECT_EQ(disk_.stats().gap_pages - before.gap_pages, 5u);
 }
 
 TEST_F(LogDrivenPrefetchTest, RunStopsAtMaxBatchPages) {
@@ -311,14 +362,31 @@ TEST_F(LogDrivenPrefetchTest, RunStopsAtMaxBatchPages) {
 
 TEST_F(LogDrivenPrefetchTest, PrunedEntryNeverRides) {
   Update(40);
+  Update(42);
   FillDpt({40, 41, 42, 43, 44});
   dpt_.Remove(42);
   LogDrivenPrefetcher p(&pool_, &dpt_, &log_, kFirstLsn, /*window=*/8,
                         /*lookahead=*/100);
   p.Pump(0);
-  EXPECT_TRUE(pool_.IsResidentOrPending(41));
-  EXPECT_FALSE(pool_.IsResidentOrPending(42));
-  EXPECT_FALSE(pool_.IsResidentOrPending(43));
+  EXPECT_FALSE(pool_.IsResidentOrPending(42));  // neither head nor rider
+  for (PageId rider : {41, 43, 44}) {  // 43 and 44 lie past the pruned gap
+    EXPECT_TRUE(pool_.IsResidentOrPending(rider)) << rider;
+  }
+  EXPECT_EQ(p.window().inflight(), 1u);
+  EXPECT_EQ(p.window().riders_inflight(), 3u);
+  EXPECT_EQ(disk_.stats().read_ios, 1u);
+  EXPECT_EQ(disk_.stats().gap_pages, 1u);
+}
+
+TEST_F(LogDrivenPrefetchTest, RiderBoundIsTheLookaheadBeyondTheWindow) {
+  // capacity / 8 = 32 binds a long lookahead; a short one binds itself.
+  BufferPool pool(&clock_, &disk_, /*capacity=*/256, kPageSize, 8);
+  LogDrivenPrefetcher wide(&pool, &dpt_, &log_, kFirstLsn, /*window=*/2,
+                           /*lookahead=*/100);
+  EXPECT_EQ(wide.window().rider_bound(), 32u);
+  LogDrivenPrefetcher narrow(&pool, &dpt_, &log_, kFirstLsn, /*window=*/2,
+                             /*lookahead=*/16);
+  EXPECT_EQ(narrow.window().rider_bound(), 14u);
 }
 
 TEST_F(LogDrivenPrefetchTest, ReadAheadNeverExhaustsASmallPool) {

@@ -91,6 +91,31 @@ TEST(SimDiskTest, BatchReadAmortizesSeek) {
   EXPECT_EQ(disk.stats().batched_reads, 1u);
 }
 
+TEST(SimDiskTest, GapRuleReadsThroughWhileTransferBeatsTheSeek) {
+  SimClock clock;
+  SimDisk disk(&clock, 512, TestIo());
+  // 39 gap pages (3.9 ms) beat a 4 ms sorted seek; 40 do not.
+  EXPECT_EQ(disk.MaxReadThroughGap(), 39u);
+  IoModelOptions slow = TestIo();
+  slow.transfer_ms_per_page = 5.0;
+  EXPECT_EQ(SimDisk(&clock, 512, slow).MaxReadThroughGap(), 0u);
+  // The default model reads through every gap inside an 8-page run.
+  EXPECT_GE(SimDisk(&clock, 512, IoModelOptions{}).MaxReadThroughGap(), 6u);
+}
+
+TEST(SimDiskTest, SpanChargesAndCountsItsGapPages) {
+  SimClock clock;
+  SimDisk disk(&clock, 512, TestIo());
+  disk.EnsurePages(20);
+  double t = 0;
+  ASSERT_TRUE(disk.ScheduleReadRun(4, 8, /*sorted=*/true, &t,
+                                   /*gap_pages=*/5)
+                  .ok());
+  EXPECT_DOUBLE_EQ(t, 5.0 * 0.8 + 8 * 0.1);  // gap pages cost transfer
+  EXPECT_EQ(disk.stats().pages_read, 8u);
+  EXPECT_EQ(disk.stats().gap_pages, 5u);
+}
+
 TEST(SimDiskTest, RequestsQueueOnOneChannel) {
   SimClock clock;
   SimDisk disk(&clock, 512, TestIo());
