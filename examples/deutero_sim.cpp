@@ -8,6 +8,10 @@
 //               [--zipf THETA] [--dpt standard|perfect|reduced]
 //               [--scheme penultimate|aries] [--seed N]
 //
+// A 100-operation transaction is left open at every crash, so the undo
+// pass has a loser to roll back and its columns (undo, uStall, uIOs)
+// carry data.
+//
 // Examples:
 //   deutero_sim --rows 500000 --cache 2048 --methods Log1,Sql1
 //   deutero_sim --zipf 0.99 --interval 8000
@@ -58,6 +62,7 @@ int main(int argc, char** argv) {
   cfg.engine.lazy_writer_reference_cache_pages = 512;
   cfg.engine.checkpoint_interval_updates = 2000;
   cfg.scenario.checkpoints = 5;
+  cfg.scenario.uncommitted_tail_ops = 100;
   cfg.verify_sample = 0;
 
   for (int i = 1; i < argc; i++) {
@@ -119,15 +124,19 @@ int main(int argc, char** argv) {
               (unsigned long long)r.scenario.dirty_pages_at_crash,
               100.0 * r.scenario.dirty_pages_at_crash /
                   cfg.engine.cache_pages);
-  std::printf("%-5s %9s %9s %9s %9s %7s %8s %8s %8s %8s %6s\n", "meth",
-              "dc/ana", "redo", "undo", "total", "dpt", "dataIO", "idxIO",
-              "applied", "stalls", "ok");
+  // uStall and uIOs: the undo pass's share of the pool stall (ms) and of
+  // the device's read I/Os.
+  std::printf("%-5s %9s %9s %9s %9s %7s %9s %7s %8s %8s %8s %8s %6s\n",
+              "meth", "dc/ana", "redo", "undo", "uStall", "uIOs", "total",
+              "dpt", "dataIO", "idxIO", "applied", "stalls", "ok");
   for (const MethodOutcome& m : r.methods) {
     std::printf(
-        "%-5s %9.1f %9.1f %9.1f %9.1f %7llu %8llu %8llu %8llu %8llu %6s\n",
+        "%-5s %9.1f %9.1f %9.1f %9.1f %7llu %9.1f %7llu %8llu %8llu %8llu "
+        "%8llu %6s\n",
         RecoveryMethodName(m.method),
         m.stats.dc_pass.ms + m.stats.analysis.ms, m.stats.redo.ms,
-        m.stats.undo.ms, m.stats.total_ms,
+        m.stats.undo.ms, m.stats.undo_stall_ms,
+        (unsigned long long)m.stats.undo_read_ios, m.stats.total_ms,
         (unsigned long long)m.stats.dpt_size,
         (unsigned long long)m.stats.data_page_fetches,
         (unsigned long long)m.stats.index_page_fetches,

@@ -719,34 +719,67 @@ Status BTree::LeafRangeByPid(PageId pid, Key* lo, Key* hi, bool* bounded) {
 }
 
 Status BTree::PreloadIndex() {
-  PageHandle root_h;
-  DEUTERO_RETURN_NOT_OK(pool_->Get(root_pid_, PageClass::kIndex, &root_h));
-  PageView root = root_h.view();
-  if (root.type() == PageType::kLeaf || root.level() < 2) {
-    return Status::OK();  // no internal pages below the root
-  }
-  std::vector<PageId> frontier = {root_pid_};
-  uint8_t level = root.level();
-  root_h.Release();
-  while (level >= 2) {
-    std::vector<PageId> children;
-    for (PageId pid : frontier) {
+  return DescendBatched({}, /*every_child=*/true);
+}
+
+Status BTree::PrefetchPaths(std::span<const Key> keys) {
+  if (keys.empty()) return Status::OK();
+  return DescendBatched(keys, /*every_child=*/false);
+}
+
+Status BTree::DescendBatched(std::span<const Key> keys, bool every_child) {
+  // One page of a level and the run [lo, hi) of `keys` it covers.
+  struct Reach {
+    PageId pid;
+    size_t lo;
+    size_t hi;
+  };
+  std::vector<Reach> frontier = {{root_pid_, 0, keys.size()}};
+  std::vector<Reach> children;
+  std::vector<PageId> pids;
+  while (true) {
+    children.clear();
+    uint8_t level = 0;
+    // Read the level (the first Get of each page waits for its I/O). A
+    // path read pays a traversal's per-level CPU once per page it reads;
+    // the preload keeps its I/O-only cost.
+    for (const Reach& r : frontier) {
+      if (!every_child) clock_->AdvanceUs(cpu_per_level_us_);
       PageHandle h;
-      DEUTERO_RETURN_NOT_OK(pool_->Get(pid, PageClass::kIndex, &h));
-      InternalNodeView node(h.view());
-      for (uint32_t i = 0; i < node.count(); i++) {
-        children.push_back(node.ChildAt(i));
+      DEUTERO_RETURN_NOT_OK(pool_->Get(r.pid, PageClass::kIndex, &h));
+      PageView page = h.view();
+      if (page.type() == PageType::kLeaf) return Status::OK();  // root leaf
+      level = page.level();
+      if (every_child && level == 1) continue;  // the preload ends here
+      InternalNodeView node(page);
+      if (every_child) {
+        for (uint32_t i = 0; i < node.count(); i++) {
+          children.push_back({node.ChildAt(i), 0, 0});
+        }
+        continue;
+      }
+      // Keys are sorted: every key below the next separator shares the
+      // child of the first.
+      for (size_t k = r.lo; k < r.hi;) {
+        const uint32_t ci = node.FindChildIndex(keys[k]);
+        size_t end = k + 1;
+        if (ci + 1u < node.count()) {
+          const Key upper = node.KeyAt(ci + 1);
+          while (end < r.hi && keys[end] < upper) end++;
+        } else {
+          end = r.hi;
+        }
+        children.push_back({node.ChildAt(ci), k, end});
+        k = end;
       }
     }
-    pool_->Prefetch(children, PageClass::kIndex);
-    for (PageId pid : children) {
-      PageHandle h;
-      DEUTERO_RETURN_NOT_OK(pool_->Get(pid, PageClass::kIndex, &h));
-    }
-    frontier = std::move(children);
-    level--;
+    if (children.empty()) return Status::OK();
+    pids.clear();
+    for (const Reach& c : children) pids.push_back(c.pid);
+    pool_->Prefetch(pids, ClassForLevel(static_cast<uint8_t>(level - 1)));
+    if (level == 1) return Status::OK();  // leaves are not waited for
+    frontier.swap(children);
   }
-  return Status::OK();
 }
 
 Status BTree::CheckSubtree(PageId pid, int expected_level, Key lower_fence,

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -254,8 +255,21 @@ class BTree {
   // ---- recovery ----
 
   /// Load every internal index page of this tree into the cache — logical
-  /// recovery's index preload (paper App. A.1).
+  /// recovery's index preload (paper App. A.1). It is the every-path case
+  /// of PrefetchPaths' descent: each level's children go out as one
+  /// Prefetch, and the descent stops above the leaves.
   Status PreloadIndex();
+
+  /// Read ahead the root-to-leaf paths of `keys` (sorted ascending) as a
+  /// level-wise batched descent: starting at the root, the distinct
+  /// children that cover the keys go to the pool as ONE Prefetch per
+  /// level, so they ride span I/Os, and are read before the next level is.
+  /// The leaves are prefetched without waiting for them. Besides the
+  /// pool's I/O it charges the per-level traversal CPU once per internal
+  /// page it reads (PreloadIndex charges only the I/O); it adds no
+  /// traversal count. An empty `keys` reads nothing. Crash recovery's
+  /// undo pass uses it to read its losers' paths ahead (recovery/undo.h).
+  Status PrefetchPaths(std::span<const Key> keys);
 
   /// Re-derive the height from the root page (after recovery installed
   /// arbitrary SMO images).
@@ -318,6 +332,10 @@ class BTree {
   Status CollapseRoot(PageHandle* root_h, PageHandle* child_h);
   /// Leaf count below which MaybeMergeLeaf coalesces; 0 when disabled.
   uint32_t MergeThreshold() const;
+  /// The batched descent of PrefetchPaths (`every_child` false: the
+  /// children covering `keys`, leaves included) and PreloadIndex (true:
+  /// every child, stopping above the leaves).
+  Status DescendBatched(std::span<const Key> keys, bool every_child);
   Status CheckSubtree(PageId pid, int expected_level, Key lower_fence,
                       bool has_upper, Key upper_fence, uint64_t* rows);
 

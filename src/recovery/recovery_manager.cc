@@ -143,6 +143,8 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
 
   // Undo pass — identical machinery for every method (§2.1).
   const double t_undo0 = clock_->NowMs();
+  const double undo_stall0 = dc_->pool().stats().stall_ms;
+  const uint64_t undo_read_ios0 = dc_->disk().stats().read_ios;
   UndoResult ur;
   DEUTERO_RETURN_NOT_OK(RunUndo(log_, dc_, att, threads, &ur));
   const double t_undo1 = clock_->NowMs();
@@ -160,6 +162,7 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
   stats->demand_reads = ps.misses;
   stats->stall_count = ps.stall_count;
   stats->stall_ms = ps.stall_ms;
+  stats->undo_stall_ms = ps.stall_ms - undo_stall0;
   stats->data_stall_ms = ps.data_stall_ms;
   stats->index_stall_ms = ps.index_stall_ms;
   stats->prefetch_issued = ps.prefetch_issued;
@@ -172,6 +175,7 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
   stats->pages_repaired = ps.repairs;
   const SimDisk::Stats& ds = dc_->disk().stats();
   stats->read_ios = ds.read_ios;
+  stats->undo_read_ios = ds.read_ios - undo_read_ios0;
   stats->read_pages = ds.pages_read;
   stats->gap_pages = ds.gap_pages;
 

@@ -68,6 +68,7 @@ struct RecoveryStats {
   uint64_t demand_reads = 0;  ///< Demand misses: synchronous page reads.
   uint64_t stall_count = 0;
   double stall_ms = 0;
+  double undo_stall_ms = 0;  ///< The part of stall_ms inside the undo pass.
   double data_stall_ms = 0;
   double index_stall_ms = 0;
   uint64_t prefetch_issued = 0;
@@ -77,9 +78,10 @@ struct RecoveryStats {
   // Device reads during recovery: read_pages counts the data and index
   // fetches above plus gap_pages; read_ios < read_pages when prefetch
   // spans batch them.
-  uint64_t read_ios = 0;    ///< Read I/Os issued (a span counts 1).
-  uint64_t read_pages = 0;  ///< Pages those reads transferred.
-  uint64_t gap_pages = 0;   ///< Pages a span read through and dropped.
+  uint64_t read_ios = 0;       ///< Read I/Os issued (a span counts 1).
+  uint64_t undo_read_ios = 0;  ///< The part of read_ios inside undo.
+  uint64_t read_pages = 0;     ///< Pages those reads transferred.
+  uint64_t gap_pages = 0;      ///< Pages a span read through and dropped.
 
   // Media-failure handling during recovery (PR 7).
   uint64_t io_retries = 0;         ///< Transient-error retries issued.

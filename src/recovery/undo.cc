@@ -1,5 +1,6 @@
 #include "recovery/undo.h"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -70,10 +71,97 @@ class UndoApplier {
   const TableRegistry* tables_;
 };
 
+bool IsDataOp(LogRecordType type) {
+  return type == LogRecordType::kUpdate || type == LogRecordType::kInsert ||
+         type == LogRecordType::kDelete;
+}
+
+/// The record a loser's backchain reaches after one of `type`, or
+/// kInvalidLsn at the chain's end: a CLR jumps over the prefix it already
+/// compensated, a begin record ends the chain, any other record goes to
+/// its predecessor. The undo pass and its read-ahead both walk by this
+/// rule, so the read-ahead meets the data ops in the order undo undoes
+/// them.
+Lsn NextInChain(LogRecordType type, Lsn prev_lsn, Lsn undo_next_lsn) {
+  switch (type) {
+    case LogRecordType::kClr:
+      return undo_next_lsn;
+    case LogRecordType::kTxnBegin:
+      return kInvalidLsn;
+    default:
+      return prev_lsn;
+  }
+}
+
+/// Crash recovery's read-ahead of the losers' B-tree paths (see RunUndo).
+/// Its heap of next LSNs follows the backchains by NextInChain, as the
+/// undo heap does.
+class UndoReadAhead {
+ public:
+  UndoReadAhead(LogManager* log, DataComponent* dc, const ActiveTxnTable& att,
+                Mutex* gate)
+      : log_(log),
+        dc_(dc),
+        gate_(gate),
+        batch_(std::max<uint64_t>(1, dc->pool().capacity() / 8)) {
+    for (const auto& entry : att) heap_.push(entry.second);
+  }
+
+  /// Undo is about to undo its next data op: when it has reached every key
+  /// of the last batch, read the next batch's paths ahead.
+  Status Advance() {
+    if (left_ == 0) DEUTERO_RETURN_NOT_OK(ReadBatch());
+    if (left_ > 0) left_--;
+    return Status::OK();
+  }
+
+ private:
+  Status ReadBatch() {
+    keys_.clear();
+    while (!heap_.empty() && keys_.size() < batch_) {
+      const Lsn lsn = heap_.top();
+      heap_.pop();
+      // Best effort: a record that does not decode ends its loser's walk;
+      // undo's own read of it reports the error.
+      if (!log_->ViewRecordAt(lsn, &view_).ok()) continue;
+      if (IsDataOp(view_.type)) keys_.emplace_back(view_.table_id, view_.key);
+      const Lsn next =
+          NextInChain(view_.type, view_.prev_lsn, view_.undo_next_lsn);
+      if (next != kInvalidLsn) heap_.push(next);
+    }
+    left_ = keys_.size();
+    std::sort(keys_.begin(), keys_.end());
+    GateLock lock(gate_);
+    for (size_t i = 0, j = 0; i < keys_.size(); i = j) {
+      const TableId table = keys_[i].first;
+      table_keys_.clear();
+      for (j = i; j < keys_.size() && keys_[j].first == table; j++) {
+        table_keys_.push_back(keys_[j].second);
+      }
+      BTree* tree = dc_->FindTable(table);
+      if (tree != nullptr) {  // an unknown table is undo's error to report
+        DEUTERO_RETURN_NOT_OK(tree->PrefetchPaths(table_keys_));
+      }
+    }
+    return Status::OK();
+  }
+
+  LogManager* const log_;
+  DataComponent* const dc_;
+  Mutex* const gate_;
+  const uint64_t batch_;  ///< Most keys one batch reads ahead.
+  std::priority_queue<Lsn> heap_;
+  uint64_t left_ = 0;  ///< Keys of the last batch undo has not reached.
+  LogRecordView view_;
+  std::vector<std::pair<TableId, Key>> keys_;
+  std::vector<Key> table_keys_;
+};
+
 }  // namespace
 
 Status RunUndo(LogManager* log, DataComponent* dc, const ActiveTxnTable& att,
-               uint32_t threads, UndoResult* out, uint64_t max_ops_for_test) {
+               uint32_t threads, UndoResult* out, UndoKind kind,
+               uint64_t max_ops_for_test) {
   *out = UndoResult();
 
   // Undo cannot create tables (DDL is a system transaction, never a
@@ -99,6 +187,8 @@ Status RunUndo(LogManager* log, DataComponent* dc, const ActiveTxnTable& att,
     out->threads_used = threads;
   }
   Mutex* const pool_gate = crew == nullptr ? nullptr : &gate;
+  std::optional<UndoReadAhead> ahead;
+  if (kind == UndoKind::kRecovery) ahead.emplace(log, dc, att, pool_gate);
 
   const Status st = [&]() -> Status {
     std::priority_queue<UndoCursor> heap;
@@ -144,111 +234,90 @@ Status RunUndo(LogManager* log, DataComponent* dc, const ActiveTxnTable& att,
       // it) and the clock's log-read charge is atomic.
       DEUTERO_RETURN_NOT_OK(log->ReadRecordAt(cur.next, &rec));
       out->records_read++;
-      switch (rec.type) {
-        case LogRecordType::kUpdate:
-        case LogRecordType::kInsert:
-        case LogRecordType::kDelete: {
-          // Logical undo (§1.2): rediscover the record's page by key. An
-          // insert or delete undo changes tree structure: the undo of a
-          // delete re-inserts the before-image, so it must ensure leaf
-          // space first (PrepareInsert splits — and logs SMOs — if the leaf
-          // filled up since the delete), and the undo of an insert may
-          // merge after its CLR. Both need the tree to themselves, so the
-          // workers drain to a barrier first. An update-undo's traversal
-          // is stable against in-flight restores: updates never change
-          // structure.
-          if (crew != nullptr && rec.type != LogRecordType::kUpdate) {
-            crew->DrainBarrier();
-          }
-          PageId pid = kInvalidPageId;
-          if (rec.type == LogRecordType::kDelete) {
-            DEUTERO_RETURN_NOT_OK(
-                dc->PrepareInsert(rec.table_id, rec.key, &pid));
-          } else {
-            GateLock lock(pool_gate);
-            DEUTERO_RETURN_NOT_OK(dc->FindLeaf(rec.table_id, rec.key, &pid));
-          }
-          if (crew == nullptr && rec.type != LogRecordType::kDelete) {
-            // Inline, read the leaf before its CLR is logged (the restore
-            // below then finds it cached): a read that fails leaves no CLR
-            // whose restore never happened, so a runtime rollback's caller
-            // can keep the loser's chain whole.
-            PageHandle leaf;
-            DEUTERO_RETURN_NOT_OK(
-                dc->pool().Get(pid, PageClass::kData, &leaf));
-          }
-          clr.type = LogRecordType::kClr;
-          clr.txn_id = cur.txn;
-          clr.table_id = rec.table_id;
-          clr.key = rec.key;
-          if (rec.type == LogRecordType::kInsert) {
-            clr.after.clear();
-          } else {
-            clr.after = rec.before;
-          }
-          clr.pid = pid;
-          clr.undo_next_lsn = rec.prev_lsn;
-          // Row-count effect of the compensation, carried on the record so
-          // a later recovery's scan-complete row accounting replays it.
-          clr.clr_row_delta = rec.type == LogRecordType::kInsert  ? -1
-                              : rec.type == LogRecordType::kDelete ? 1
-                                                                   : 0;
-          const Lsn clr_lsn = log->Append(clr);
-          if (crew != nullptr && rec.type == LogRecordType::kUpdate) {
-            item.pid = pid;
-            item.table_id = rec.table_id;
-            item.key = rec.key;
-            item.lsn = clr_lsn;
-            item.value = rec.before;
-            crew->Route(item);
-          } else {
-            // The inverse write, through the forward path. Not a blanket
-            // kClr: an update's undo of a missing key must stay NotFound.
-            // An insert's undo deletes and may merge (a logged SMO, like
-            // the splits PrepareInsert logs for a delete's undo; the same
-            // for every method, since undo runs identically after redo).
-            // A delete's undo restores the row as an upsert.
-            const LogRecordType inverse =
-                rec.type == LogRecordType::kUpdate   ? LogRecordType::kUpdate
-                : rec.type == LogRecordType::kInsert ? LogRecordType::kDelete
-                                                     : LogRecordType::kClr;
-            bool underfull = false;
-            DEUTERO_RETURN_NOT_OK(dc->Apply(rec.table_id, pid, inverse,
-                                            rec.key, clr.after, clr_lsn,
-                                            &underfull));
-            if (underfull) {
-              DEUTERO_RETURN_NOT_OK(dc->MaybeMergeLeaf(rec.table_id, rec.key));
-            }
-          }
-          out->ops_undone++;
-          out->clrs_written++;
-          cur.last_lsn = clr_lsn;
-          cur.next = rec.prev_lsn;
-          if (cur.next == kInvalidLsn) {
-            finish_txn(cur);
-          } else {
-            heap.push(cur);
-          }
-          break;
+      if (IsDataOp(rec.type)) {
+        if (ahead.has_value()) DEUTERO_RETURN_NOT_OK(ahead->Advance());
+        // Logical undo (§1.2): rediscover the record's page by key. An
+        // insert or delete undo changes tree structure: the undo of a
+        // delete re-inserts the before-image, so it must ensure leaf
+        // space first (PrepareInsert splits — and logs SMOs — if the leaf
+        // filled up since the delete), and the undo of an insert may
+        // merge after its CLR. Both need the tree to themselves, so the
+        // workers drain to a barrier first. An update-undo's traversal
+        // is stable against in-flight restores: updates never change
+        // structure.
+        if (crew != nullptr && rec.type != LogRecordType::kUpdate) {
+          crew->DrainBarrier();
         }
-        case LogRecordType::kClr:
-          // Already-compensated prefix: jump over it.
-          cur.next = rec.undo_next_lsn;
-          if (cur.next == kInvalidLsn) {
-            finish_txn(cur);
-          } else {
-            heap.push(cur);
+        PageId pid = kInvalidPageId;
+        if (rec.type == LogRecordType::kDelete) {
+          DEUTERO_RETURN_NOT_OK(
+              dc->PrepareInsert(rec.table_id, rec.key, &pid));
+        } else {
+          GateLock lock(pool_gate);
+          DEUTERO_RETURN_NOT_OK(dc->FindLeaf(rec.table_id, rec.key, &pid));
+        }
+        if (crew == nullptr && rec.type != LogRecordType::kDelete) {
+          // Inline, read the leaf before its CLR is logged (the restore
+          // below then finds it cached): a read that fails leaves no CLR
+          // whose restore never happened, so a runtime rollback's caller
+          // can keep the loser's chain whole.
+          PageHandle leaf;
+          DEUTERO_RETURN_NOT_OK(dc->pool().Get(pid, PageClass::kData, &leaf));
+        }
+        clr.type = LogRecordType::kClr;
+        clr.txn_id = cur.txn;
+        clr.table_id = rec.table_id;
+        clr.key = rec.key;
+        if (rec.type == LogRecordType::kInsert) {
+          clr.after.clear();
+        } else {
+          clr.after = rec.before;
+        }
+        clr.pid = pid;
+        clr.undo_next_lsn = rec.prev_lsn;
+        // Row-count effect of the compensation, carried on the record so
+        // a later recovery's scan-complete row accounting replays it.
+        clr.clr_row_delta = rec.type == LogRecordType::kInsert  ? -1
+                            : rec.type == LogRecordType::kDelete ? 1
+                                                                 : 0;
+        const Lsn clr_lsn = log->Append(clr);
+        if (crew != nullptr && rec.type == LogRecordType::kUpdate) {
+          item.pid = pid;
+          item.table_id = rec.table_id;
+          item.key = rec.key;
+          item.lsn = clr_lsn;
+          item.value = rec.before;
+          crew->Route(item);
+        } else {
+          // The inverse write, through the forward path. Not a blanket
+          // kClr: an update's undo of a missing key must stay NotFound.
+          // An insert's undo deletes and may merge (a logged SMO, like
+          // the splits PrepareInsert logs for a delete's undo; the same
+          // for every method, since undo runs identically after redo).
+          // A delete's undo restores the row as an upsert.
+          const LogRecordType inverse =
+              rec.type == LogRecordType::kUpdate   ? LogRecordType::kUpdate
+              : rec.type == LogRecordType::kInsert ? LogRecordType::kDelete
+                                                   : LogRecordType::kClr;
+          bool underfull = false;
+          DEUTERO_RETURN_NOT_OK(dc->Apply(rec.table_id, pid, inverse, rec.key,
+                                          clr.after, clr_lsn, &underfull));
+          if (underfull) {
+            DEUTERO_RETURN_NOT_OK(dc->MaybeMergeLeaf(rec.table_id, rec.key));
           }
-          break;
-        case LogRecordType::kTxnBegin:
-          finish_txn(cur);
-          break;
-        default:
-          // Commit/abort records cannot appear for losers; anything else in
-          // the chain is skipped through its backchain.
-          cur.next = rec.prev_lsn;
-          heap.push(cur);
-          break;
+        }
+        out->ops_undone++;
+        out->clrs_written++;
+        cur.last_lsn = clr_lsn;
+      }
+      // A CLR jumps over the already-compensated prefix. Commit/abort
+      // records cannot appear for losers; anything else in the chain is
+      // skipped through its backchain.
+      cur.next = NextInChain(rec.type, rec.prev_lsn, rec.undo_next_lsn);
+      if (cur.next == kInvalidLsn) {
+        finish_txn(cur);
+      } else {
+        heap.push(cur);
       }
     }
     return Status::OK();

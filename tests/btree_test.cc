@@ -3,9 +3,12 @@
 // and a randomized differential test against std::map.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "btree/btree.h"
 #include "btree/node.h"
@@ -28,21 +31,21 @@ class BTreeTest : public ::testing::Test {
  protected:
   BTreeTest() { Reset(256); }
 
-  void Reset(uint64_t cache_pages) {
+  void Reset(uint64_t cache_pages, uint32_t page_size = kPageSize) {
     options_ = EngineOptions();
-    options_.page_size = kPageSize;
+    options_.page_size = page_size;
     options_.value_size = kValueSize;
     options_.cache_pages = cache_pages;
     clock_ = std::make_unique<SimClock>();
-    disk_ = std::make_unique<SimDisk>(clock_.get(), kPageSize, options_.io);
+    disk_ = std::make_unique<SimDisk>(clock_.get(), page_size, options_.io);
     pool_ = std::make_unique<BufferPool>(clock_.get(), disk_.get(),
-                                         cache_pages, kPageSize);
+                                         cache_pages, page_size);
     log_ = std::make_unique<LogManager>(clock_.get(), 8192, 0.25);
     // Page 0 is the (unused here) catalog page; the root gets page 1.
     allocator_ = std::make_unique<PageAllocator>(disk_.get(), 2);
     tree_ = std::make_unique<BTree>(
         clock_.get(), disk_.get(), pool_.get(), allocator_.get(), log_.get(),
-        kRootPageId, kPageSize, kValueSize, options_.leaf_fill_fraction,
+        kRootPageId, page_size, kValueSize, options_.leaf_fill_fraction,
         options_.io.cpu_per_btree_level_us);
   }
 
@@ -311,6 +314,87 @@ TEST_F(BTreeTest, PreloadIndexLoadsAllInternalPages) {
   PageId pid = kInvalidPageId;
   ASSERT_TRUE(tree_->Find(4321, &pid).ok());
   EXPECT_EQ(pool_->stats().misses, 0u);
+}
+
+/// The batched descent on 1 KB pages (35-row leaves, 82-entry internal
+/// nodes): a cold pool reads each level's pages with one Prefetch, whose
+/// spans carry several pages per I/O, and leaves every path cached.
+TEST_F(BTreeTest, PrefetchPathsReadsEachLevelInOneBatch) {
+  constexpr uint64_t kRows = 60000;
+  Reset(/*cache_pages=*/1024, /*page_size=*/1024);
+  ASSERT_TRUE(tree_->BulkLoad(kRows, [](Key k, uint8_t* dst) {
+                       SynthesizeValue(k, 0, kValueSize, dst);
+                     }).ok());
+  ASSERT_GE(tree_->height(), 3u);
+  std::vector<Key> keys;  // about every third leaf, across the whole tree
+  for (Key k = 0; k < kRows; k += 97) keys.push_back(k);
+
+  pool_->Reset();
+  pool_->ResetStats();
+  disk_->ResetStats();
+  ASSERT_TRUE(tree_->PrefetchPaths({}).ok());
+  EXPECT_EQ(pool_->stats().gets, 0u) << "an empty key set reads nothing";
+  EXPECT_EQ(disk_->stats().read_ios, 0u);
+
+  ASSERT_TRUE(tree_->PrefetchPaths(keys).ok());
+  const BufferPool::Stats ps = pool_->stats();
+  EXPECT_EQ(ps.misses, 1u) << "only the root is a demand read";
+  EXPECT_EQ(ps.data_fetches, keys.size());  // one leaf per key, prefetched
+  EXPECT_GT(ps.index_fetches, 1u);
+  EXPECT_LT(disk_->stats().read_ios, ps.data_fetches + ps.index_fetches)
+      << "each level's pages ride span I/Os";
+
+  // Every path is cached now: each Find and each Get of its leaf is a hit
+  // (a leaf may still be in flight; the Get then waits, but reads nothing).
+  pool_->ResetStats();
+  const uint64_t read_ios = disk_->stats().read_ios;
+  for (Key k : keys) {
+    PageId pid = kInvalidPageId;
+    ASSERT_TRUE(tree_->Find(k, &pid).ok());
+    PageHandle h;
+    ASSERT_TRUE(pool_->Get(pid, PageClass::kData, &h).ok());
+    LeafNodeView leaf(h.view(), kValueSize);
+    EXPECT_LT(leaf.Find(k), leaf.count()) << k;
+  }
+  EXPECT_EQ(pool_->stats().misses, 0u);
+  EXPECT_EQ(disk_->stats().read_ios, read_ios);
+
+  // PreloadIndex is the every-path case: it reads every internal page, the
+  // root by demand and each level below it with one Prefetch. Bulk load
+  // gives each level contiguous pids, so one Prefetch reads a level of n
+  // pages in ceil(n / 8) span I/Os.
+  pool_->Reset();
+  pool_->ResetStats();
+  disk_->ResetStats();
+  ASSERT_TRUE(tree_->PreloadIndex().ok());
+  EXPECT_EQ(pool_->stats().misses, 1u);
+  EXPECT_EQ(pool_->stats().data_fetches, 0u);  // never touches leaves
+  uint64_t internal_pages = 1;
+  uint64_t expected_ios = 1;
+  std::vector<PageId> level = {kRootPageId};
+  while (true) {
+    std::vector<PageId> below;
+    uint32_t level_no = 0;
+    for (PageId pid : level) {
+      PageHandle h;
+      ASSERT_TRUE(pool_->Get(pid, PageClass::kIndex, &h).ok());
+      level_no = h.view().level();
+      InternalNodeView node(h.view());
+      for (uint32_t i = 0; i < node.count(); i++) {
+        below.push_back(node.ChildAt(i));
+      }
+    }
+    if (level_no == 1) break;  // `below` are leaves
+    ASSERT_EQ(*std::max_element(below.begin(), below.end()) -
+                  *std::min_element(below.begin(), below.end()) + 1,
+              below.size());
+    internal_pages += below.size();
+    expected_ios += (below.size() + 7) / 8;
+    level = std::move(below);
+  }
+  ASSERT_GT(internal_pages, 2u);
+  EXPECT_EQ(pool_->stats().index_fetches, internal_pages);
+  EXPECT_EQ(disk_->stats().read_ios, expected_ios);
 }
 
 TEST_F(BTreeTest, RefreshHeightMatchesRootLevel) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -587,6 +588,134 @@ TEST(ParallelUndoPass, LogStreamAndStateMatchSerialByteForByte) {
     EXPECT_EQ(par.txns_undone, serial.txns_undone);
     EXPECT_EQ(par.ops_undone, serial.ops_undone);
     EXPECT_EQ(par.clrs_written, serial.clrs_written);
+  }
+}
+
+/// Crash recovery's undo reads its losers' paths ahead, and an undo can
+/// change the tree under that read-ahead. Here the insert-undo of key 275
+/// leaves leaf B (keys 270..296, drained to 6 rows while its left sibling
+/// A was too full to take them) under the merge threshold, so B merges
+/// into A and its page is freed, after the first read-ahead batch (8 keys
+/// in a 64-frame pool) prefetched B for that key. The last batch reads
+/// the paths of key 291, which now lives in A, and of key 5000, whose
+/// delete-undo re-inserts into the full rightmost leaf: its split reuses
+/// B's pid. UndoResult, the undo log suffix and the destaged bytes must
+/// match at 1, 2 and 4 partitions.
+TEST(ParallelUndoPass, ReadAheadSurvivesMergeThenSplitReuseAcrossPartitions) {
+  EngineOptions o = SmallOptions();
+  o.checkpoint_interval_updates = 1'000'000;  // explicit checkpoints only
+  std::unique_ptr<Engine> e;
+  ASSERT_OK(Engine::Open(o, &e));
+  Table table;
+  ASSERT_OK(e->OpenDefaultTable(&table));
+  const std::string v(o.value_size, 'u');
+  auto commit_ops = [&](const std::function<Status(Txn*)>& ops) {
+    Txn txn;
+    ASSERT_OK(e->Begin(&txn));
+    ASSERT_OK(ops(&txn));
+    ASSERT_OK(txn.Commit());
+  };
+  // Bulk load puts 27 keys in each leaf: A holds 243..269, B 270..296, and
+  // the rightmost leaf 4995..4999.
+  commit_ops([&](Txn* t) -> Status {
+    for (Key k = 270; k <= 290; k++) DEUTERO_RETURN_NOT_OK(t->Delete(table, k));
+    for (Key k = 243; k <= 252; k++) DEUTERO_RETURN_NOT_OK(t->Delete(table, k));
+    for (Key k = 5000; k < 5024; k++) {
+      DEUTERO_RETURN_NOT_OK(t->Insert(table, k, v));  // rightmost leaf full
+    }
+    return Status::OK();
+  });
+  PageId leaf_a = kInvalidPageId;
+  PageId leaf_b = kInvalidPageId;
+  ASSERT_OK(e->dc().FindLeaf(o.table_id, 269, &leaf_a));
+  ASSERT_OK(e->dc().FindLeaf(o.table_id, 291, &leaf_b));
+  ASSERT_NE(leaf_a, leaf_b);
+  ASSERT_OK(e->Checkpoint());
+  {
+    Txn loser;
+    ASSERT_OK(e->Begin(&loser));
+    ASSERT_OK(loser.Delete(table, 5000));
+    commit_ops([&](Txn* t) { return t->Insert(table, 6000, v); });
+    ASSERT_OK(loser.Update(table, 291, v));
+    for (Key i = 0; i < 10; i++) {
+      ASSERT_OK(loser.Update(table, 1000 + 300 * i, v));
+    }
+    ASSERT_OK(loser.Insert(table, 275, v));
+    for (Key i = 0; i < 5; i++) {
+      ASSERT_OK(loser.Update(table, 150 + 500 * i, v));
+    }
+    e->tc().ForceLog();
+    loser.Release();  // in flight at the crash
+  }
+  ASSERT_EQ(e->dc().btree().stats().merges, 0u)
+      << "B must still be a leaf of its own at the crash";
+  e->SimulateCrash();
+  Engine::StableSnapshot snap;
+  ASSERT_OK(e->TakeStableSnapshot(&snap));
+  const Lsn start = e->wal().master().bckpt_lsn;
+
+  struct Outcome {
+    UndoResult ur;
+    std::string suffix;
+    testing_util::StateImage state;
+    PageId leaf_of_291 = kInvalidPageId;
+    PageId leaf_of_6000 = kInvalidPageId;
+  };
+  auto run_undo = [&](uint32_t threads, Outcome* out) {
+    std::unique_ptr<Engine> r;
+    ASSERT_OK(Engine::Open(o, &r));
+    r->SimulateCrash();
+    ASSERT_OK(r->RestoreStableSnapshot(snap));
+    DataComponent& dc = r->dc();
+    ASSERT_OK(dc.OpenDatabase());
+    dc.monitor().set_enabled(false);
+    dc.pool().set_callbacks_enabled(false);
+    dc.Eosl(r->wal().stable_end() - 1);
+    SqlAnalysisResult ar;
+    ASSERT_OK(RunSqlAnalysis(&r->wal(), start, 1, &ar));
+    RedoResult rr;
+    ASSERT_OK(RunSqlRedo(&r->wal(), &dc, ar.redo_start_lsn, &ar.dpt,
+                         /*prefetch=*/false, o, 1, &rr));
+    // A cold cache: the read-ahead, not redo, brings in every loser path.
+    ASSERT_OK(dc.pool().FlushAllDirty());
+    dc.pool().Reset();
+    const uint64_t prefetched0 = dc.pool().stats().prefetch_issued;
+    const uint64_t splits0 = dc.btree().stats().splits;
+    const Lsn undo_start = r->wal().next_lsn();
+    ASSERT_OK(RunUndo(&r->wal(), &dc, ar.att, threads, &out->ur));
+    EXPECT_GT(dc.pool().stats().prefetch_issued, prefetched0);
+    EXPECT_EQ(dc.btree().stats().merges, 1u) << threads << " partitions";
+    EXPECT_GT(dc.btree().stats().splits, splits0) << threads << " partitions";
+    const Slice suffix = r->wal().StableBytes(undo_start);
+    out->suffix.assign(suffix.data(), suffix.size());
+    ASSERT_OK(dc.FindLeaf(o.table_id, 291, &out->leaf_of_291));
+    ASSERT_OK(dc.FindLeaf(o.table_id, 6000, &out->leaf_of_6000));
+    dc.Eosl(r->wal().stable_end());  // the CLRs are stable, as after Recover
+    out->state = testing_util::CaptureState(r.get());
+  };
+
+  Outcome inline_run;
+  run_undo(1, &inline_run);
+  EXPECT_EQ(inline_run.ur.ops_undone, 18u);
+  EXPECT_EQ(inline_run.leaf_of_291, leaf_a) << "B must have merged into A";
+  EXPECT_EQ(inline_run.leaf_of_6000, leaf_b)
+      << "the split must reuse the merged-away leaf's pid";
+  EXPECT_TRUE(inline_run.state.free_list.empty());
+  for (uint32_t threads : {2u, 4u}) {
+    Outcome par;
+    run_undo(threads, &par);
+    EXPECT_EQ(par.ur.threads_used, threads);
+    EXPECT_EQ(par.ur.txns_undone, inline_run.ur.txns_undone);
+    EXPECT_EQ(par.ur.ops_undone, inline_run.ur.ops_undone);
+    EXPECT_EQ(par.ur.clrs_written, inline_run.ur.clrs_written);
+    EXPECT_EQ(par.ur.records_read, inline_run.ur.records_read);
+    EXPECT_TRUE(par.suffix == inline_run.suffix)
+        << "the undo log stream is not byte-identical at " << threads
+        << " partitions";
+    EXPECT_EQ(par.leaf_of_291, inline_run.leaf_of_291);
+    EXPECT_EQ(par.leaf_of_6000, inline_run.leaf_of_6000);
+    testing_util::ExpectSameState(par.state, inline_run.state,
+                                  std::to_string(threads) + " partitions");
   }
 }
 

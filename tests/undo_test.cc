@@ -4,6 +4,7 @@
 // worker crew applying update-undo restores).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 
@@ -119,7 +120,7 @@ TEST_P(UndoTest, CrashDuringUndoThenFullRecovery) {
                        false, engine_->options(), GetParam(), &rr));
   UndoResult ur;
   ASSERT_OK(RunUndo(&engine_->wal(), &engine_->dc(), ar.att, GetParam(), &ur,
-                    /*max_ops_for_test=*/4));
+                    UndoKind::kRecovery, /*max_ops_for_test=*/4));
   EXPECT_EQ(ur.ops_undone, 4u);
 
   // Second crash, then a COMPLETE recovery. The partial undo's CLRs are on
@@ -135,6 +136,95 @@ TEST_P(UndoTest, CrashDuringUndoThenFullRecovery) {
   uint64_t checked = 0;
   ASSERT_OK(driver.Verify(0, &checked));
   EXPECT_GT(checked, 0u);
+}
+
+TEST_P(UndoTest, CrashAfterAReadAheadBatchRecoversTheSameBytesEverywhere) {
+  WorkloadDriver driver(engine_.get(), WorkloadConfig{});
+  ASSERT_OK(driver.RunOps(200));
+  ASSERT_OK(engine_->Checkpoint());
+  // A 20-op loser of updates, deletes and inserts. A 64-frame pool reads
+  // 8 keys ahead a batch, so an undo stopped after 12 ops has consumed one
+  // batch and read the next.
+  std::map<Key, std::string> before;  // "" = absent
+  {
+    Txn loser;
+    ASSERT_OK(engine_->Begin(&loser));
+    for (Key i = 0; i < 20; i++) {
+      const Key k = i < 16 ? 7 + 311 * i : 5000 + 3 * i;
+      std::string v;
+      if (i < 16) ASSERT_OK(engine_->Read(k, &v));
+      before[k] = v;
+      if (i < 12) {
+        ASSERT_OK(loser.Update(table_, k, Val(k, 9)));
+      } else if (i < 16) {
+        ASSERT_OK(loser.Delete(table_, k));
+      } else {
+        ASSERT_OK(loser.Insert(table_, k, Val(k, 9)));
+      }
+    }
+    engine_->tc().ForceLog();
+    loser.Release();  // in flight at the crash
+  }
+  driver.OnCrash();
+  engine_->SimulateCrash();
+
+  // Analysis and redo, then an undo that "crashes" after 12 ops.
+  ASSERT_OK(engine_->dc().OpenDatabase());
+  engine_->dc().monitor().set_enabled(false);
+  engine_->dc().pool().set_callbacks_enabled(false);
+  const Lsn start = engine_->wal().master().bckpt_lsn;
+  SqlAnalysisResult ar;
+  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), start, GetParam(), &ar));
+  RedoResult rr;
+  ASSERT_OK(RunSqlRedo(&engine_->wal(), &engine_->dc(), start, &ar.dpt,
+                       false, engine_->options(), GetParam(), &rr));
+  const uint64_t prefetched = engine_->dc().pool().stats().prefetch_issued;
+  UndoResult ur;
+  ASSERT_OK(RunUndo(&engine_->wal(), &engine_->dc(), ar.att, GetParam(), &ur,
+                    UndoKind::kRecovery, /*max_ops_for_test=*/12));
+  EXPECT_EQ(ur.ops_undone, 12u);
+  EXPECT_GT(engine_->dc().pool().stats().prefetch_issued, prefetched)
+      << "the undo read its losers' paths ahead";
+  engine_->dc().monitor().set_enabled(true);
+  engine_->dc().pool().set_callbacks_enabled(true);
+  engine_->SimulateCrash();
+  Engine::StableSnapshot snap;
+  ASSERT_OK(engine_->TakeStableSnapshot(&snap));
+
+  testing_util::StateImage log0_state;
+  for (RecoveryMethod m :
+       {RecoveryMethod::kLog0, RecoveryMethod::kLog1, RecoveryMethod::kLog2,
+        RecoveryMethod::kSql1, RecoveryMethod::kSql2}) {
+    const char* name = RecoveryMethodName(m);
+    std::unique_ptr<Engine> r;
+    ASSERT_OK(Engine::Open(engine_->options(), &r));
+    r->SimulateCrash();
+    ASSERT_OK(r->RestoreStableSnapshot(snap));
+    RecoveryStats st;
+    ASSERT_OK(r->Recover(m, &st));
+    EXPECT_EQ(st.txns_undone, 1u) << name;
+    EXPECT_EQ(st.undo_ops, 8u) << name;  // the CLRs skip the undone 12
+    for (const auto& [k, v] : before) {
+      std::string got;
+      const Status rs = r->Read(k, &got);
+      if (v.empty()) {
+        EXPECT_TRUE(rs.IsNotFound()) << name << " key " << k;
+      } else {
+        ASSERT_OK(rs);
+        EXPECT_EQ(got, v) << name << " key " << k;
+      }
+    }
+    ASSERT_OK(driver.AttachEngine(r.get()));
+    uint64_t checked = 0;
+    ASSERT_OK(driver.Verify(0, &checked));
+    EXPECT_GT(checked, 0u);
+    const testing_util::StateImage state = testing_util::CaptureState(r.get());
+    if (m == RecoveryMethod::kLog0) {
+      log0_state = state;
+    } else {
+      testing_util::ExpectSameState(state, log0_state, name);
+    }
+  }
 }
 
 TEST_P(UndoTest, UndoOfInsertsDeletesRows) {
