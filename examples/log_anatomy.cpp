@@ -130,7 +130,9 @@ int main() {
       case LogRecordType::kSmo:
       case LogRecordType::kCreateTable:
         extra = "  pages=" + std::to_string(rec.smo_pages.size()) +
-                " alloc-hwm=" + std::to_string(rec.alloc_hwm);
+                " alloc-hwm=" + std::to_string(rec.alloc_hwm) +
+                " index-extent=[" + std::to_string(rec.index_extent.next) +
+                "," + std::to_string(rec.index_extent.end) + ")";
         break;
       case LogRecordType::kBeginCheckpoint:
         extra = "  |ATT|=" + std::to_string(rec.att_txn_ids.size());

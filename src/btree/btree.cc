@@ -383,7 +383,7 @@ Status BTree::SplitChild(PageHandle* parent_h, PageHandle* child_h,
   InternalNodeView pnode(parent);
   assert(!pnode.full());
 
-  const PageId sibling_pid = allocator_->Allocate();
+  const PageId sibling_pid = AllocatePage(child.level());
   PageHandle sh;
   DEUTERO_RETURN_NOT_OK(
       pool_->Create(sibling_pid, ClassForLevel(child.level()), &sh));
@@ -415,7 +415,7 @@ Status BTree::SplitChild(PageHandle* parent_h, PageHandle* child_h,
   sh.MarkDirty(lsn);
   LogRecord rec;
   rec.type = LogRecordType::kSmo;
-  rec.alloc_hwm = allocator_->next_page_id();
+  allocator_->Stamp(&rec);
   rec.smo_pages.push_back({parent_h->pid(), PageImage(parent)});
   rec.smo_pages.push_back({child_h->pid(), PageImage(child)});
   rec.smo_pages.push_back({sibling_pid, PageImage(sibling)});
@@ -430,8 +430,8 @@ Status BTree::SplitRoot(PageHandle* root_h) {
   stats_.splits++;
   stats_.root_splits++;
   PageView root = root_h->view();
-  const PageId left_pid = allocator_->Allocate();
-  const PageId right_pid = allocator_->Allocate();
+  const PageId left_pid = AllocatePage(root.level());
+  const PageId right_pid = AllocatePage(root.level());
   PageHandle lh, rh;
   DEUTERO_RETURN_NOT_OK(
       pool_->Create(left_pid, ClassForLevel(root.level()), &lh));
@@ -479,7 +479,7 @@ Status BTree::SplitRoot(PageHandle* root_h) {
   rh.MarkDirty(lsn);
   LogRecord rec;
   rec.type = LogRecordType::kSmo;
-  rec.alloc_hwm = allocator_->next_page_id();
+  allocator_->Stamp(&rec);
   rec.smo_pages.push_back({root_pid_, PageImage(root)});
   rec.smo_pages.push_back({left_pid, PageImage(left)});
   rec.smo_pages.push_back({right_pid, PageImage(right)});
@@ -603,7 +603,7 @@ Status BTree::MaybeMergeLeaf(Key key, bool* merged) {
   LogRecord rec;
   rec.type = LogRecordType::kSmoMerge;
   rec.pid = victim_pid;
-  rec.alloc_hwm = allocator_->next_page_id();
+  allocator_->Stamp(&rec);
   rec.smo_pages.push_back({parent_h.pid(), PageImage(parent)});
   rec.smo_pages.push_back({survivor_pid, PageImage(survivor)});
   rec.smo_pages.push_back({victim_pid, PageImage(victim)});
@@ -648,7 +648,7 @@ Status BTree::CollapseRoot(PageHandle* root_h, PageHandle* child_h) {
   LogRecord rec;
   rec.type = LogRecordType::kSmoMerge;
   rec.pid = child_pid;
-  rec.alloc_hwm = allocator_->next_page_id();
+  allocator_->Stamp(&rec);
   rec.smo_pages.push_back({root_pid_, PageImage(root)});
   rec.smo_pages.push_back({child_pid, PageImage(child)});
   const Lsn got = log_->Append(rec);

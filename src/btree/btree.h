@@ -19,6 +19,11 @@
 // discarded from the cache without a flush — its content is dead, and every
 // change to it is logged.
 //
+// A split's new internal page comes from the allocator's index extent, a
+// leaf's from the free-list or the high-water mark (storage/allocator.h):
+// index pages stay within a span of each other, as bulk loading lays them
+// out, so the index preload keeps reading them in span I/Os.
+//
 // Each tree's root lives at a page id fixed at creation: a root split
 // rewrites the root page in place and pushes its old content into two
 // freshly allocated children, so the catalog never changes on the hot path.
@@ -56,29 +61,26 @@ struct InstallEveryImage {
 };
 
 /// Install the full page images of an SMO or create-table record whose
-/// on-device pLSN predates the record (idempotent physical redo), raise
-/// the allocator high-water mark, and mark every image's page in-use (a
-/// split may re-allocate a merged-away page). Tree-agnostic: images name
+/// on-device pLSN predates the record (idempotent physical redo), after
+/// replaying its allocator state (PageAllocator::Replay: high-water mark,
+/// index extent cursor, and every image's page marked in use — a split may
+/// re-allocate a merged-away page; kSmoMerge replay re-frees its victim
+/// afterwards, in DataComponent::RedoSmoMerge). Tree-agnostic: images name
 /// their pages. `install(pid)` returning false keeps that page's image
 /// from being materialized — a merge record's freed victim (the caller
 /// discards its frame instead, mirroring the run-time discard), or a page
-/// the DC pass's DPT proves durable. The allocator bookkeeping runs for
-/// every page either way. Templated over the record representation (owning
+/// the DC pass's DPT proves durable. The allocator replay covers every
+/// page either way. Templated over the record representation (owning
 /// LogRecord or zero-copy LogRecordView).
 template <typename RecordT, typename InstallFilter = InstallEveryImage>
 Status RedoPhysicalImages(BufferPool* pool, SimDisk* disk,
                           PageAllocator* allocator, uint32_t page_size,
                           const RecordT& rec, InstallFilter install = {}) {
-  allocator->EnsureAtLeast(rec.alloc_hwm);
+  allocator->Replay(rec);
   for (const auto& img : rec.smo_pages) {
     if (img.image.size() != page_size) {
       return Status::Corruption("physical image size mismatch");
     }
-    // A page riding an SMO image is in use as of this record (a split may
-    // have re-allocated a previously merged-away page); keep the replayed
-    // allocator free-list in sync. kSmoMerge replay re-frees its victim
-    // AFTER this loop (DataComponent::RedoSmoMerge).
-    allocator->MarkUsed(img.pid);
     if (!install(img.pid)) continue;
     if (img.pid >= disk->num_pages()) disk->EnsurePages(img.pid + 1);
     PageHandle h;
@@ -341,6 +343,12 @@ class BTree {
 
   PageClass ClassForLevel(uint8_t level) const {
     return level > 0 ? PageClass::kIndex : PageClass::kData;
+  }
+  /// A split's new page at `level`: internal pages come from the index
+  /// extent (so the preload reads them in span I/Os), leaves from the
+  /// free-list or the high-water mark.
+  PageId AllocatePage(uint8_t level) {
+    return level > 0 ? allocator_->AllocateIndex() : allocator_->Allocate();
   }
 
   SimClock* clock_;

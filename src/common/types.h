@@ -29,6 +29,18 @@ inline constexpr PageId kInvalidPageId = std::numeric_limits<PageId>::max();
 /// The meta (catalog/boot) page is always page 0.
 inline constexpr PageId kMetaPageId = 0;
 
+/// The page allocator's index extent cursor: internal B-tree pages are
+/// handed out from [next, end) (storage/allocator.h). next == end means the
+/// extent is used up, or none was reserved yet (the initial {0, 0}: page 0
+/// is the meta page, never an index page). SMO / DDL log records and the
+/// catalog carry it beside the allocator high-water mark.
+struct IndexExtent {
+  PageId next = 0;
+  PageId end = 0;
+
+  bool operator==(const IndexExtent&) const = default;
+};
+
 /// Transaction identifier assigned by the transactional component.
 using TxnId = uint64_t;
 

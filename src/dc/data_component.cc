@@ -94,7 +94,8 @@ Status DataComponent::CreateDatabase(
 Status DataComponent::OpenDatabase() {
   DEUTERO_RETURN_NOT_OK(
       Catalog::ReadFrom(*disk_, options_.page_size, &catalog_));
-  allocator_.Reset(catalog_.next_page_id(), catalog_.free_list());
+  allocator_.Reset(catalog_.next_page_id(), catalog_.free_list(),
+                   catalog_.index_extent());
   tables_.clear();
   for (const TableInfo& info : catalog_.tables()) {
     tables_[info.id] = MakeTree(info);
@@ -112,6 +113,9 @@ Status DataComponent::CreateTable(TableId table, uint32_t value_size) {
   }
   if (catalog_.Find(table) != nullptr) {
     return Status::InvalidArgument("table already exists");
+  }
+  if (catalog_.tables().size() >= Catalog::MaxTables(options_.page_size)) {
+    return Status::InvalidArgument("catalog full for the meta page");
   }
   TableInfo info;
   info.id = table;
@@ -134,7 +138,7 @@ Status DataComponent::CreateTable(TableId table, uint32_t value_size) {
   rec.table_id = table;
   rec.pid = info.root_pid;
   rec.ddl_value_size = value_size;
-  rec.alloc_hwm = allocator_.next_page_id();
+  allocator_.Stamp(&rec);
   rec.smo_pages.push_back(
       {info.root_pid,
        std::string(reinterpret_cast<const char*>(root.data()),
@@ -262,6 +266,7 @@ void DataComponent::PersistCatalog() {
     info.num_rows = tree->row_count();
   }
   catalog_.set_next_page_id(allocator_.next_page_id());
+  catalog_.set_index_extent(allocator_.index_extent());
   catalog_.set_free_list(allocator_.free_list());
   // The counters written below cover every operation logged so far: a
   // later recovery must not re-add deltas for records before this point

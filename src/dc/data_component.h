@@ -159,13 +159,14 @@ class DataComponent {
   }
 
   /// Allocator bookkeeping of an SMO/DDL record whose page-image install
-  /// was skipped by the DPT test: the high-water mark and free-list must
-  /// advance regardless, or a post-recovery Allocate() could hand out a
-  /// live page. (kSmoMerge replay is never skipped, so it has no analog.)
+  /// was skipped by the DPT test: the high-water mark, the index extent
+  /// cursor and the free-list must advance regardless, or a post-recovery
+  /// Allocate() or AllocateIndex() could hand out a live page. The same
+  /// PageAllocator::Replay call RedoPhysicalImages makes. (kSmoMerge replay
+  /// is never skipped, so it has no analog.)
   template <typename RecordT>
   void NoteSmoAllocation(const RecordT& rec) {
-    allocator_.EnsureAtLeast(rec.alloc_hwm);
-    for (const auto& img : rec.smo_pages) allocator_.MarkUsed(img.pid);
+    allocator_.Replay(rec);
   }
 
   /// Replay a kCreateTable record: register the table (if unknown) and

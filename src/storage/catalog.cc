@@ -1,11 +1,28 @@
 #include "storage/catalog.h"
 
+#include <algorithm>
+#include <cassert>
 #include <vector>
 
 #include "common/coding.h"
 #include "storage/page.h"
 
 namespace deutero {
+
+namespace {
+
+/// Bytes of the fixed header before the table entries, and of one entry
+/// (see catalog.h).
+constexpr size_t kHeaderSize = 28;
+constexpr size_t kEntrySize = 24;
+
+}  // namespace
+
+size_t Catalog::MaxTables(uint32_t page_size) {
+  const size_t fixed = kPageHeaderSize + kHeaderSize + 4;  // + free count
+  if (page_size < fixed) return 0;
+  return std::min(kMaxTables, (page_size - fixed) / kEntrySize);
+}
 
 const TableInfo* Catalog::Find(TableId id) const {
   for (const TableInfo& t : tables_) {
@@ -36,6 +53,7 @@ Status Catalog::Add(const TableInfo& info) {
 }
 
 void Catalog::WriteTo(SimDisk* disk, uint32_t page_size) const {
+  assert(tables_.size() <= MaxTables(page_size));
   std::vector<uint8_t> buf(page_size, 0);
   PageView page(buf.data(), page_size);
   page.Format(kMetaPageId, PageType::kMeta, 0);
@@ -44,14 +62,16 @@ void Catalog::WriteTo(SimDisk* disk, uint32_t page_size) const {
   EncodeFixed32(p + 4, next_page_id_);
   EncodeFixed32(p + 8, static_cast<uint32_t>(tables_.size()));
   EncodeFixed64(p + 12, rows_covered_lsn_);
-  char* entry = p + 20;
+  EncodeFixed32(p + 20, index_extent_.next);
+  EncodeFixed32(p + 24, index_extent_.end);
+  char* entry = p + kHeaderSize;
   for (const TableInfo& t : tables_) {
     EncodeFixed32(entry, t.id);
     EncodeFixed32(entry + 4, t.root_pid);
     EncodeFixed32(entry + 8, t.height);
     EncodeFixed32(entry + 12, t.value_size);
     EncodeFixed64(entry + 16, t.num_rows);
-    entry += 24;
+    entry += kEntrySize;
   }
   const char* page_end =
       reinterpret_cast<const char*>(page.payload()) + page.payload_size();
@@ -79,15 +99,23 @@ void Catalog::WriteTo(SimDisk* disk, uint32_t page_size) const {
 
 Status Catalog::ReadFrom(const SimDisk& disk, uint32_t page_size,
                          Catalog* out) {
-  out->Clear();
-  if (disk.num_pages() == 0) return Status::Corruption("empty device");
+  if (disk.num_pages() == 0) {
+    out->Clear();
+    return Status::Corruption("empty device");
+  }
   std::vector<uint8_t> buf(page_size);
   disk.ReadImage(kMetaPageId, buf.data());
-  if (!VerifyPageChecksum(buf.data(), page_size)) {
+  return Decode(buf.data(), page_size, out);
+}
+
+Status Catalog::Decode(const uint8_t* image, uint32_t page_size,
+                       Catalog* out) {
+  out->Clear();
+  if (!VerifyPageChecksum(image, page_size)) {
     return Status::Corruption("catalog page checksum mismatch");
   }
-  PageView page(buf.data(), page_size);
-  const char* p = reinterpret_cast<const char*>(page.payload());
+  const char* p = reinterpret_cast<const char*>(image + kPageHeaderSize);
+  const char* page_end = reinterpret_cast<const char*>(image + page_size);
   if (DecodeFixed32(p) != kMetaMagic) {
     return Status::Corruption("bad catalog magic");
   }
@@ -95,7 +123,16 @@ Status Catalog::ReadFrom(const SimDisk& disk, uint32_t page_size,
   const uint32_t n = DecodeFixed32(p + 8);
   if (n > kMaxTables) return Status::Corruption("catalog entry count");
   out->rows_covered_lsn_ = DecodeFixed64(p + 12);
-  const char* entry = p + 20;
+  out->index_extent_ = {DecodeFixed32(p + 20), DecodeFixed32(p + 24)};
+  if (out->index_extent_.next > out->index_extent_.end ||
+      out->index_extent_.end > out->next_page_id_) {
+    return Status::Corruption("catalog index extent cursor out of range");
+  }
+  if (kHeaderSize + static_cast<size_t>(n) * kEntrySize >
+      static_cast<size_t>(page_end - p)) {
+    return Status::Corruption("catalog entries overflow meta page");
+  }
+  const char* entry = p + kHeaderSize;
   for (uint32_t i = 0; i < n; i++) {
     TableInfo t;
     t.id = DecodeFixed32(entry);
@@ -104,9 +141,8 @@ Status Catalog::ReadFrom(const SimDisk& disk, uint32_t page_size,
     t.value_size = DecodeFixed32(entry + 12);
     t.num_rows = DecodeFixed64(entry + 16);
     out->tables_.push_back(t);
-    entry += 24;
+    entry += kEntrySize;
   }
-  const char* page_end = p + page.payload_size();
   if (entry + 4 <= page_end) {
     const uint32_t nfree = DecodeFixed32(entry);
     entry += 4;

@@ -12,7 +12,12 @@
 //        persisted at END of a recovery are not re-added by a second
 //        recovery before the next checkpoint; fixed header slot — unlike
 //        the free-list it is correctness-bearing and must never truncate)
-//   [20] per table, 24 bytes:
+//   [20] u32 index_next, [24] u32 index_end  (allocator index extent
+//        cursor: internal pages come from [index_next, index_end); fixed
+//        header slot, correctness-bearing like the high-water mark —
+//        ReadFrom rejects index_next > index_end or index_end >
+//        next_page_id, since such a cursor would hand out live pids)
+//   [28] per table, 24 bytes:
 //        u32 table_id, u32 root_pid, u32 height, u32 value_size,
 //        u64 num_rows
 //   then u32 num_free, u32 free_pid...  (allocator free-list, oldest first;
@@ -41,6 +46,11 @@ class Catalog {
   /// Maximum tables an 8 KB meta page can hold with margin.
   static constexpr size_t kMaxTables = 64;
 
+  /// Tables whose entries fit a meta page of `page_size` bytes beside the
+  /// fixed header and the free-list count: at most kMaxTables. WriteTo
+  /// requires the catalog to hold no more.
+  static size_t MaxTables(uint32_t page_size);
+
   const TableInfo* Find(TableId id) const;
   TableInfo* Find(TableId id);
 
@@ -52,6 +62,10 @@ class Catalog {
 
   PageId next_page_id() const { return next_page_id_; }
   void set_next_page_id(PageId pid) { next_page_id_ = pid; }
+
+  /// Allocator index extent cursor (see the layout comment).
+  const IndexExtent& index_extent() const { return index_extent_; }
+  void set_index_extent(IndexExtent extent) { index_extent_ = extent; }
 
   /// Allocator free-list (pages released by leaf-merge SMOs), persisted so
   /// freed pages stay reusable across restarts.
@@ -71,11 +85,15 @@ class Catalog {
   void WriteTo(SimDisk* disk, uint32_t page_size) const;
   static Status ReadFrom(const SimDisk& disk, uint32_t page_size,
                          Catalog* out);
+  /// Parse a meta page image of `page_size` bytes (ReadFrom's codec).
+  static Status Decode(const uint8_t* image, uint32_t page_size,
+                       Catalog* out);
 
   void Clear() {
     tables_.clear();
     free_list_.clear();
     next_page_id_ = 1;
+    index_extent_ = IndexExtent();
     rows_covered_lsn_ = kInvalidLsn;
   }
 
@@ -83,6 +101,7 @@ class Catalog {
   std::vector<TableInfo> tables_;
   std::vector<PageId> free_list_;
   PageId next_page_id_ = 1;
+  IndexExtent index_extent_;
   Lsn rows_covered_lsn_ = kInvalidLsn;
 };
 

@@ -1,7 +1,7 @@
 // On-page format. Every data page starts with a fixed 32-byte header that
 // carries the page LSN (pLSN) used by the redo idempotence test (paper §2.2).
 // B-tree node payloads are laid out after the header (see btree/node.h);
-// the meta page (page 0) stores the catalog (see MetaView below).
+// the meta page (page 0) stores the catalog (see storage/catalog.h).
 //
 // All multi-byte fields are little-endian via common/coding.h.
 #pragma once
@@ -122,55 +122,8 @@ void StampPageChecksum(uint8_t* data, uint32_t page_size);
 /// image never stamped; see the format note above).
 bool VerifyPageChecksum(const uint8_t* data, uint32_t page_size);
 
-// Meta page payload layout (offsets relative to payload()):
-//   [0]  u32 magic
-//   [4]  u32 root_pid
-//   [8]  u32 tree_height     (number of levels including the leaf level)
-//   [12] u32 next_page_id    (allocator high-water mark)
-//   [16] u64 num_rows
-//   [24] u32 value_size
-//   [28] u32 table_id
+/// First word of the meta page's payload; the rest of page 0 is the
+/// catalog (layout in storage/catalog.h).
 inline constexpr uint32_t kMetaMagic = 0xDE07E401;
-
-/// Typed accessors over the meta page (page 0) payload.
-class MetaView {
- public:
-  explicit MetaView(PageView page) : page_(page) {}
-
-  uint32_t magic() const { return Get32(0); }
-  void set_magic(uint32_t v) { Put32(0, v); }
-
-  PageId root_pid() const { return Get32(4); }
-  void set_root_pid(PageId v) { Put32(4, v); }
-
-  uint32_t tree_height() const { return Get32(8); }
-  void set_tree_height(uint32_t v) { Put32(8, v); }
-
-  PageId next_page_id() const { return Get32(12); }
-  void set_next_page_id(PageId v) { Put32(12, v); }
-
-  uint64_t num_rows() const {
-    return DecodeFixed64(reinterpret_cast<const char*>(page_.payload() + 16));
-  }
-  void set_num_rows(uint64_t v) {
-    EncodeFixed64(reinterpret_cast<char*>(page_.payload() + 16), v);
-  }
-
-  uint32_t value_size() const { return Get32(24); }
-  void set_value_size(uint32_t v) { Put32(24, v); }
-
-  TableId table_id() const { return Get32(28); }
-  void set_table_id(TableId v) { Put32(28, v); }
-
- private:
-  uint32_t Get32(uint32_t off) const {
-    return DecodeFixed32(reinterpret_cast<const char*>(page_.payload() + off));
-  }
-  void Put32(uint32_t off, uint32_t v) {
-    EncodeFixed32(reinterpret_cast<char*>(page_.payload() + off), v);
-  }
-
-  PageView page_;
-};
 
 }  // namespace deutero

@@ -67,6 +67,21 @@ bool DecodePidVector(Slice* in, std::vector<PageId>* pids) {
   return true;
 }
 
+/// The allocator state every SMO / DDL record carries: the high-water mark,
+/// then the index extent cursor (next, end).
+constexpr size_t kAllocStateSize = 4 + 4 + 4;
+
+void PutAllocState(std::string* dst, PageId hwm, const IndexExtent& extent) {
+  PutFixed32(dst, hwm);
+  PutFixed32(dst, extent.next);
+  PutFixed32(dst, extent.end);
+}
+
+bool GetAllocState(Slice* in, PageId* hwm, IndexExtent* extent) {
+  return GetFixed32(in, hwm) && GetFixed32(in, &extent->next) &&
+         GetFixed32(in, &extent->end);
+}
+
 }  // namespace
 
 size_t LogRecord::PayloadSizeHint() const {
@@ -96,21 +111,21 @@ size_t LogRecord::PayloadSizeHint() const {
              (kMaxVarint32 + dirty_set.size() * 4) + dirty_lsns.size() * 8 +
              (kMaxVarint32 + written_set.size() * 4);
     case LogRecordType::kSmo: {
-      size_t n = 4 + kMaxVarint32;
+      size_t n = kAllocStateSize + kMaxVarint32;
       for (const SmoPageImage& p : smo_pages) {
         n += 4 + kMaxVarint32 + p.image.size();
       }
       return n;
     }
     case LogRecordType::kSmoMerge: {
-      size_t n = 4 + 4 + kMaxVarint32;
+      size_t n = 4 + kAllocStateSize + kMaxVarint32;
       for (const SmoPageImage& p : smo_pages) {
         n += 4 + kMaxVarint32 + p.image.size();
       }
       return n;
     }
     case LogRecordType::kCreateTable: {
-      size_t n = kMaxVarint32 + 4 + 4 + 4 + kMaxVarint32;
+      size_t n = kMaxVarint32 + 4 + 4 + kAllocStateSize + kMaxVarint32;
       for (const SmoPageImage& p : smo_pages) {
         n += 4 + kMaxVarint32 + p.image.size();
       }
@@ -190,7 +205,7 @@ void LogRecord::EncodePayloadTo(std::string* dst) const {
       break;
     }
     case LogRecordType::kSmo:
-      PutFixed32(&out, alloc_hwm);
+      PutAllocState(&out, alloc_hwm, index_extent);
       PutVarint32(&out, static_cast<uint32_t>(smo_pages.size()));
       for (const SmoPageImage& p : smo_pages) {
         PutFixed32(&out, p.pid);
@@ -199,7 +214,7 @@ void LogRecord::EncodePayloadTo(std::string* dst) const {
       break;
     case LogRecordType::kSmoMerge:
       PutFixed32(&out, pid);  // the freed (victim) page id
-      PutFixed32(&out, alloc_hwm);
+      PutAllocState(&out, alloc_hwm, index_extent);
       PutVarint32(&out, static_cast<uint32_t>(smo_pages.size()));
       for (const SmoPageImage& p : smo_pages) {
         PutFixed32(&out, p.pid);
@@ -210,7 +225,7 @@ void LogRecord::EncodePayloadTo(std::string* dst) const {
       PutVarint32(&out, table_id);
       PutFixed32(&out, pid);  // the new table's root page id
       PutFixed32(&out, ddl_value_size);
-      PutFixed32(&out, alloc_hwm);
+      PutAllocState(&out, alloc_hwm, index_extent);
       PutVarint32(&out, static_cast<uint32_t>(smo_pages.size()));
       for (const SmoPageImage& p : smo_pages) {
         PutFixed32(&out, p.pid);
@@ -256,6 +271,7 @@ void LogRecordView::Reset() {
   has_fw_fields = true;
   smo_pages.clear();
   alloc_hwm = kInvalidPageId;
+  index_extent = IndexExtent();
   ddl_value_size = 0;
 }
 
@@ -356,7 +372,8 @@ Status LogRecordView::DecodePayload(LogRecordType type, Slice in,
         ok = GetFixed32(&in, &out->pid);  // the freed (victim) page id
       }
       uint32_t n = 0;
-      ok = ok && GetFixed32(&in, &out->alloc_hwm) && GetVarint32(&in, &n);
+      ok = ok && GetAllocState(&in, &out->alloc_hwm, &out->index_extent) &&
+           GetVarint32(&in, &n);
       if (ok) {
         out->smo_pages.resize(n);
         for (SmoPageImageRef& p : out->smo_pages) {
@@ -372,7 +389,8 @@ Status LogRecordView::DecodePayload(LogRecordType type, Slice in,
       uint32_t n = 0;
       ok = GetVarint32(&in, &out->table_id) && GetFixed32(&in, &out->pid) &&
            GetFixed32(&in, &out->ddl_value_size) &&
-           GetFixed32(&in, &out->alloc_hwm) && GetVarint32(&in, &n);
+           GetAllocState(&in, &out->alloc_hwm, &out->index_extent) &&
+           GetVarint32(&in, &n);
       if (ok) {
         out->smo_pages.resize(n);
         for (SmoPageImageRef& p : out->smo_pages) {
@@ -430,6 +448,7 @@ void LogRecordView::CopyTo(LogRecord* out) const {
                                    smo_pages[i].image.size());
   }
   out->alloc_hwm = alloc_hwm;
+  out->index_extent = index_extent;
   out->ddl_value_size = ddl_value_size;
 }
 

@@ -122,6 +122,7 @@ struct LogRecordView {
   // after-image rides in smo_pages alongside the survivor's and parent's.
   std::vector<SmoPageImageRef> smo_pages;
   PageId alloc_hwm = kInvalidPageId;
+  IndexExtent index_extent;
   uint32_t ddl_value_size = 0;
 
   /// Reset scalars and empty the vectors, KEEPING their capacity (this is
@@ -198,6 +199,9 @@ struct LogRecord {
   // --- SMO / DDL records ---
   std::vector<SmoPageImage> smo_pages;
   PageId alloc_hwm = kInvalidPageId;  ///< Page allocator high-water mark.
+  /// The allocator's index extent cursor at append time (PageAllocator::
+  /// Stamp); recovery replays it with the high-water mark.
+  IndexExtent index_extent;
   uint32_t ddl_value_size = 0;  ///< kCreateTable: the table's value size.
 
   /// Serialize the payload (excluding the [len][type] frame).

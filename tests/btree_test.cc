@@ -397,6 +397,150 @@ TEST_F(BTreeTest, PrefetchPathsReadsEachLevelInOneBatch) {
   EXPECT_EQ(disk_->stats().read_ios, expected_ios);
 }
 
+/// Splits place internal pages in index extents: runs of max_batch_pages
+/// pids reserved at the high-water mark for internal pages only, each used
+/// up before the next is reserved. 1 KB pages (35-row leaves, 82-entry
+/// internal nodes): a 5,000-row bulk load (height 3), then the first 60
+/// leaves drained (their merges free leaf pages) and ascending inserts
+/// until three extents were reserved.
+TEST_F(BTreeTest, InternalSplitsFillAnExtentBeforeReservingAnother) {
+  constexpr uint64_t kRows = 5000;
+  Reset(/*cache_pages=*/4096, /*page_size=*/1024);
+  tree_ = std::make_unique<BTree>(
+      clock_.get(), disk_.get(), pool_.get(), allocator_.get(), log_.get(),
+      kRootPageId, 1024, kValueSize, options_.leaf_fill_fraction,
+      options_.io.cpu_per_btree_level_us, /*monitor=*/nullptr,
+      /*merge_fill=*/0.25);
+  ASSERT_TRUE(tree_->BulkLoad(kRows, [](Key k, uint8_t* dst) {
+                       SynthesizeValue(k, 0, kValueSize, dst);
+                     }).ok());
+  ASSERT_EQ(tree_->height(), 3u);
+  const PageId bulk_hwm = allocator_->next_page_id();
+  const PageId extent_len = disk_->io_options().max_batch_pages;
+  ASSERT_GT(extent_len, 1u);
+
+  Lsn lsn = log_->next_lsn() + 1;
+  for (Key k = 0; k < 60 * 33; k++) {  // 33 rows per bulk-loaded leaf
+    PageId pid = kInvalidPageId;
+    ASSERT_TRUE(tree_->Find(k, &pid).ok());
+    bool underfull = false;
+    ASSERT_TRUE(
+        tree_->Apply(pid, LogRecordType::kDelete, k, Slice(), lsn++, &underfull)
+            .ok());
+    if (underfull) {
+      ASSERT_TRUE(tree_->MaybeMergeLeaf(k).ok());
+    }
+  }
+  const std::vector<PageId> freed = allocator_->free_list();
+  ASSERT_GT(freed.size(), 40u);
+
+  int reserved = 0;
+  for (Key next = kRows; reserved < 3; next++) {
+    ASSERT_LT(next, kRows + 40000) << "splits reserved no third extent";
+    const PageId end_before = allocator_->index_extent().end;
+    ASSERT_TRUE(Insert(next).ok());
+    if (allocator_->index_extent().end == end_before) continue;
+    // The first internal split comes while freed leaves are still listed:
+    // it could have taken one.
+    if (reserved++ == 0) {
+      ASSERT_FALSE(allocator_->free_list().empty());
+    }
+  }
+  uint64_t rows = 0;
+  ASSERT_TRUE(tree_->CheckWellFormed(&rows).ok());
+
+  // Walk the tree: internal pages by level (below the root), and leaves.
+  std::vector<std::vector<PageId>> by_level(tree_->height());
+  std::vector<PageId> leaves;
+  std::vector<PageId> frontier = {kRootPageId};
+  while (!frontier.empty()) {
+    std::vector<PageId> below;
+    for (PageId pid : frontier) {
+      PageHandle h;
+      ASSERT_TRUE(pool_->Get(pid, PageClass::kIndex, &h).ok());
+      if (h.view().type() == PageType::kLeaf) {
+        leaves.push_back(pid);
+        continue;
+      }
+      if (pid != kRootPageId) by_level[h.view().level()].push_back(pid);
+      InternalNodeView node(h.view());
+      for (uint32_t i = 0; i < node.count(); i++) {
+        below.push_back(node.ChildAt(i));
+      }
+    }
+    frontier = std::move(below);
+  }
+  std::vector<PageId> internal;
+  std::vector<PageId> grown;  // internal pages allocated after the bulk load
+  for (const auto& level : by_level) {
+    for (PageId pid : level) {
+      internal.push_back(pid);
+      if (pid >= bulk_hwm) grown.push_back(pid);
+    }
+  }
+  std::sort(internal.begin(), internal.end());
+  std::sort(grown.begin(), grown.end());
+  std::sort(leaves.begin(), leaves.end());
+
+  // Group the grown pages into extents: each starts at its first page and
+  // covers extent_len pids. Every extent but the current one is full, none
+  // holds a leaf, and the current one is the allocator's cursor.
+  size_t extents = 0;
+  for (size_t i = 0; i < grown.size();) {
+    const PageId start = grown[i];
+    size_t j = i;
+    while (j < grown.size() && grown[j] < start + extent_len) j++;
+    const auto first_leaf =
+        std::lower_bound(leaves.begin(), leaves.end(), start);
+    EXPECT_TRUE(first_leaf == leaves.end() ||
+                *first_leaf >= start + extent_len)
+        << "leaf " << *first_leaf << " inside the extent at " << start;
+    if (j == grown.size()) {
+      EXPECT_EQ(start + extent_len, allocator_->index_extent().end);
+      EXPECT_EQ(start + (j - i), allocator_->index_extent().next);
+    } else {
+      EXPECT_EQ(j - i, extent_len) << "extent at " << start << " not full";
+    }
+    extents++;
+    i = j;
+  }
+  EXPECT_EQ(extents, 3u);
+
+  // A freed leaf pid never becomes an internal page.
+  for (PageId pid : freed) {
+    EXPECT_FALSE(std::binary_search(internal.begin(), internal.end(), pid))
+        << "freed leaf " << pid << " became an internal page";
+  }
+
+  // A cold-pool preload reads the root, then each level below it in one
+  // Prefetch: the bulk-loaded pages of a level are one contiguous run and
+  // its grown pages sit in extents, so a level of b bulk-loaded and g grown
+  // pages takes at most ceil(b / B) + ceil(g / B) span I/Os (B =
+  // max_batch_pages). Grown pages placed at the high-water mark between
+  // leaves would cost one I/O each, past this bound.
+  ASSERT_TRUE(pool_->FlushAllDirty().ok());
+  pool_->Reset();
+  pool_->ResetStats();
+  disk_->ResetStats();
+  ASSERT_TRUE(tree_->PreloadIndex().ok());
+  auto ceil_div = [](uint64_t a, uint64_t b) { return (a + b - 1) / b; };
+  uint64_t bound = 1;  // the root
+  uint64_t internal_pages = 1;
+  for (const auto& level : by_level) {
+    uint64_t bulk = 0;
+    for (PageId pid : level) bulk += pid < bulk_hwm ? 1 : 0;
+    bound += ceil_div(bulk, extent_len) +
+             ceil_div(level.size() - bulk, extent_len);
+    internal_pages += level.size();
+  }
+  EXPECT_EQ(pool_->stats().index_fetches, internal_pages);
+  EXPECT_EQ(pool_->stats().data_fetches, 0u);
+  EXPECT_LE(disk_->stats().read_ios, bound)
+      << grown.size() << " grown internal pages";
+  EXPECT_LT(bound, 1 + grown.size())
+      << "the bound must be tighter than one I/O per grown page";
+}
+
 TEST_F(BTreeTest, RefreshHeightMatchesRootLevel) {
   ASSERT_TRUE(tree_->BulkLoad(3000, [this](Key k, uint8_t* dst) {
                        SynthesizeValue(k, 0, kValueSize, dst);

@@ -284,6 +284,39 @@ TEST_F(HotPathAllocTest, SteadyStateAppendDoesNotAllocatePerRecord) {
                            "(payload temporaries?)";
 }
 
+TEST_F(HotPathAllocTest, SmoAppendsAreAllocationFree) {
+  // The structure records carry the allocator state (high-water mark and
+  // index extent cursor) beside their page images; encoding it must not
+  // allocate either. Records are built outside the counted region.
+  std::vector<LogRecord> recs;
+  for (const LogRecordType type :
+       {LogRecordType::kSmo, LogRecordType::kSmoMerge,
+        LogRecordType::kCreateTable}) {
+    LogRecord& r = recs.emplace_back();
+    r.type = type;
+    r.pid = 17;
+    r.table_id = 2;
+    r.ddl_value_size = 26;
+    r.alloc_hwm = 4096;
+    r.index_extent = {4090, 4096};
+    for (PageId p = 0; p < 3; p++) {
+      r.smo_pages.push_back({p + 10, std::string(1024, 'i')});
+    }
+  }
+  auto append_all = [&] {
+    for (int i = 0; i < 32; i++) {
+      for (const LogRecord& r : recs) log_.Append(r);
+    }
+  };
+  // A warm pass grows the encode scratch and the log buffer. Crash() drops
+  // the unflushed records but keeps the buffer's storage, so the measured
+  // pass re-grows the log through the same sizes within it.
+  append_all();
+  log_.Crash();
+  const uint64_t allocs = CountAllocs(append_all);
+  EXPECT_EQ(allocs, 0u) << "structure-record appends allocate";
+}
+
 // ---------------------------------------------------------------------------
 // The handle-API hot paths: snapshot Scan and WriteBatch apply.
 // ---------------------------------------------------------------------------

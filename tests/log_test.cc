@@ -178,17 +178,55 @@ TEST(LogRecordTest, DeltaRecordPerfectCarriesDirtyLsns) {
   EXPECT_EQ(out.dirty_lsns, (std::vector<Lsn>{10, 20, 30}));
 }
 
+/// Every record type that carries the allocator state (high-water mark and
+/// index extent cursor) round-trips it, with its other fields, through both
+/// representations; the size hint covers the whole payload.
 TEST(LogRecordTest, SmoRoundTrip) {
-  LogRecord r;
-  r.type = LogRecordType::kSmo;
-  r.alloc_hwm = 1000;
-  r.smo_pages.push_back({5, std::string(64, 'a')});
-  r.smo_pages.push_back({6, std::string(64, 'b')});
-  const LogRecord out = RoundTrip(r);
-  ASSERT_EQ(out.smo_pages.size(), 2u);
-  EXPECT_EQ(out.alloc_hwm, 1000u);
-  EXPECT_EQ(out.smo_pages[0].pid, 5u);
-  EXPECT_EQ(out.smo_pages[1].image, std::string(64, 'b'));
+  for (const LogRecordType type :
+       {LogRecordType::kSmo, LogRecordType::kSmoMerge,
+        LogRecordType::kCreateTable}) {
+    SCOPED_TRACE(LogRecordTypeName(type));
+    LogRecord r;
+    r.type = type;
+    r.pid = 7;  // kSmoMerge: the freed victim; kCreateTable: the new root
+    r.table_id = 4;
+    r.ddl_value_size = 26;
+    r.alloc_hwm = 1000;
+    r.index_extent = {994, 1000};
+    r.smo_pages.push_back({5, std::string(64, 'a')});
+    r.smo_pages.push_back({6, std::string(64, 'b')});
+    const std::string payload = r.EncodePayload();
+    EXPECT_GE(r.PayloadSizeHint(), payload.size());
+
+    const LogRecord out = RoundTrip(r);
+    ASSERT_EQ(out.smo_pages.size(), 2u);
+    EXPECT_EQ(out.alloc_hwm, 1000u);
+    EXPECT_EQ(out.index_extent.next, 994u);
+    EXPECT_EQ(out.index_extent.end, 1000u);
+    EXPECT_EQ(out.smo_pages[0].pid, 5u);
+    EXPECT_EQ(out.smo_pages[1].image, std::string(64, 'b'));
+
+    LogRecordView v;
+    ASSERT_TRUE(LogRecordView::DecodePayload(type, Slice(payload), &v).ok());
+    EXPECT_EQ(v.alloc_hwm, 1000u);
+    EXPECT_TRUE(v.index_extent == r.index_extent);
+    ASSERT_EQ(v.smo_pages.size(), 2u);
+    EXPECT_EQ(v.smo_pages[1].pid, 6u);
+    if (type != LogRecordType::kSmo) {
+      EXPECT_EQ(v.pid, 7u);
+    }
+    if (type == LogRecordType::kCreateTable) {
+      EXPECT_EQ(v.table_id, 4u);
+      EXPECT_EQ(v.ddl_value_size, 26u);
+    }
+
+    // A payload cut inside the cursor is corrupt, not a short cursor.
+    const size_t cursor_end =
+        payload.size() - (1 + 2 * (4 + 1 + 64));  // count, two images
+    EXPECT_TRUE(LogRecordView::DecodePayload(
+                    type, Slice(payload.data(), cursor_end - 2), &v)
+                    .IsCorruption());
+  }
 }
 
 TEST(LogRecordTest, CorruptPayloadRejected) {

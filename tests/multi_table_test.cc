@@ -109,6 +109,24 @@ TEST_F(MultiTableTest, BadCreateParamsRejected) {
           .IsInvalidArgument());
 }
 
+/// The catalog's table entries must fit the meta page: on 1 KB pages that
+/// is 40 tables, not Catalog::kMaxTables, and one more is refused instead
+/// of overrunning the page when the catalog is next persisted.
+TEST_F(MultiTableTest, CreateTableRefusesEntriesPastTheMetaPage) {
+  const size_t fit = Catalog::MaxTables(engine_->options().page_size);
+  ASSERT_LT(fit, Catalog::kMaxTables);
+  for (TableId id = 2; id <= fit; id++) {
+    ASSERT_OK(engine_->CreateTable(id, 12));
+  }
+  EXPECT_TRUE(engine_->CreateTable(static_cast<TableId>(fit + 1), 12)
+                  .IsInvalidArgument());
+  ASSERT_OK(engine_->Checkpoint());
+  engine_->SimulateCrash();
+  RecoveryStats st;
+  ASSERT_OK(engine_->Recover(RecoveryMethod::kLog1, &st));
+  EXPECT_EQ(engine_->dc().catalog().tables().size(), fit);
+}
+
 TEST_P(MultiTableTest, TableCreatedAfterCheckpointSurvivesCrash) {
   ASSERT_OK(engine_->Checkpoint());
   // DDL + data strictly after the checkpoint: only the log knows them.

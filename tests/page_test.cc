@@ -57,25 +57,6 @@ TEST(PageViewTest, PayloadExcludesHeader) {
   EXPECT_EQ(p.payload(), p.data() + kPageHeaderSize);
 }
 
-TEST(MetaViewTest, RoundTrip) {
-  FormattedPage fp(PageType::kMeta, 0);
-  MetaView m(fp.view());
-  m.set_magic(kMetaMagic);
-  m.set_root_pid(1);
-  m.set_tree_height(3);
-  m.set_next_page_id(4242);
-  m.set_num_rows(1234567);
-  m.set_value_size(26);
-  m.set_table_id(9);
-  EXPECT_EQ(m.magic(), kMetaMagic);
-  EXPECT_EQ(m.root_pid(), 1u);
-  EXPECT_EQ(m.tree_height(), 3u);
-  EXPECT_EQ(m.next_page_id(), 4242u);
-  EXPECT_EQ(m.num_rows(), 1234567u);
-  EXPECT_EQ(m.value_size(), 26u);
-  EXPECT_EQ(m.table_id(), 9u);
-}
-
 // ---------------------------------------------------------------------------
 // LeafNodeView
 // ---------------------------------------------------------------------------

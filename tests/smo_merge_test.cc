@@ -12,7 +12,10 @@
 //    fetched by Log1/Log2's DC pass; a split in the log's tail still is.
 //  * Allocator: the free-list survives checkpoints and crashes, replayed
 //    merges re-free, replayed splits re-consume, and a DPT-skipped split
-//    still advances the high-water mark (regression).
+//    still advances the high-water mark and the index extent cursor
+//    (regressions). A crash window in which an internal split opens an
+//    extent and an internal root split straddles two recovers byte-
+//    identically under every method, twice in a row.
 //  * Invariant: 50%-delete churn ends with zero empty leaves reachable
 //    from the sibling chain.
 #include <gtest/gtest.h>
@@ -21,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "btree/node.h"
 #include "core/engine.h"
 #include "recovery/analysis.h"
 #include "recovery/redo.h"
@@ -71,6 +75,7 @@ TEST(SmoMergeRecord, EncodeDecodeRoundTripsBothRepresentations) {
   rec.type = LogRecordType::kSmoMerge;
   rec.pid = 17;  // the freed victim
   rec.alloc_hwm = 42;
+  rec.index_extent = {35, 40};
   rec.smo_pages.push_back({5, std::string(64, 'p')});
   rec.smo_pages.push_back({9, std::string(64, 's')});
   rec.smo_pages.push_back({17, std::string(64, 'f')});
@@ -81,6 +86,7 @@ TEST(SmoMergeRecord, EncodeDecodeRoundTripsBothRepresentations) {
                                      Slice(payload), &owned));
   EXPECT_EQ(owned.pid, 17u);
   EXPECT_EQ(owned.alloc_hwm, 42u);
+  EXPECT_TRUE(owned.index_extent == rec.index_extent);
   ASSERT_EQ(owned.smo_pages.size(), 3u);
   EXPECT_EQ(owned.smo_pages[1].pid, 9u);
   EXPECT_EQ(owned.smo_pages[2].image, std::string(64, 'f'));
@@ -90,6 +96,8 @@ TEST(SmoMergeRecord, EncodeDecodeRoundTripsBothRepresentations) {
                                          Slice(payload), &view));
   EXPECT_EQ(view.pid, 17u);
   EXPECT_EQ(view.alloc_hwm, 42u);
+  EXPECT_EQ(view.index_extent.next, 35u);
+  EXPECT_EQ(view.index_extent.end, 40u);
   ASSERT_EQ(view.smo_pages.size(), 3u);
   EXPECT_EQ(view.smo_pages[0].image, Slice(rec.smo_pages[0].image));
 }
@@ -531,6 +539,280 @@ void RecoverFresh(const EngineOptions& o, const Engine::StableSnapshot& snap,
   (*out)->SimulateCrash();
   ASSERT_OK((*out)->RestoreStableSnapshot(snap));
   ASSERT_OK((*out)->Recover(m, st));
+}
+
+// ---------------------------------------------------------------------------
+// Index extents: the allocator's cursor is recovery state.
+// ---------------------------------------------------------------------------
+
+/// Geometry for index-extent tests: 256-byte pages (6-row leaves, 18-entry
+/// internal nodes), so ascending inserts split an internal page every few
+/// dozen operations. 80 rows bulk-load 16 leaves under a level-1 root.
+EngineOptions ExtentOptions() {
+  EngineOptions o = MergeOptions(80);
+  o.page_size = 256;
+  return o;
+}
+
+/// Insert ascending keys into `t` from `*next` on until the allocator hands
+/// out an internal page (its index extent cursor moves).
+void InsertUntilInternalSplit(Engine* e, Table& t, Key* next) {
+  const std::string v(e->options().value_size, 'x');
+  const IndexExtent before = e->dc().allocator().index_extent();
+  const Key limit = *next + 1000;
+  while (e->dc().allocator().index_extent() == before) {
+    ASSERT_LT(*next, limit) << "no internal split";
+    ASSERT_OK(InsertOne(e, t, (*next)++, v));
+  }
+}
+
+/// Named regression: a split the DPT proves durable is skipped by SQL
+/// redo, but the index extent cursor its record carries must still be
+/// replayed (with the high-water mark, by the same allocator call). The
+/// checkpoint persisted a cursor in the middle of an extent; if redo left
+/// it there, the next internal split after recovery would be handed the
+/// pid of the live internal page the skipped split created.
+TEST(SmoMergeRecovery, DptSkippedSplitStillAdvancesIndexExtent) {
+  const EngineOptions o = ExtentOptions();
+  std::unique_ptr<Engine> e;
+  ASSERT_OK(Engine::Open(o, &e));
+  Table t;
+  ASSERT_OK(e->OpenDefaultTable(&t));
+
+  // The root split reserves an extent and takes two of its pids; the
+  // checkpoint persists the cursor with the rest of the extent free.
+  Key next = 80;
+  ASSERT_NO_FATAL_FAILURE(InsertUntilInternalSplit(e.get(), t, &next));
+  ASSERT_OK(e->Checkpoint());
+  const IndexExtent at_ckpt = e->dc().allocator().index_extent();
+  ASSERT_LT(at_ckpt.next + 1, at_ckpt.end) << "extent used up at checkpoint";
+
+  // An internal split after the checkpoint takes the next pid of the same
+  // extent. Everything is flushed, so an empty DPT is the right one.
+  ASSERT_NO_FATAL_FAILURE(InsertUntilInternalSplit(e.get(), t, &next));
+  const IndexExtent after_split = e->dc().allocator().index_extent();
+  ASSERT_EQ(after_split.end, at_ckpt.end);
+  ASSERT_EQ(after_split.next, at_ckpt.next + 1);
+  const PageId live = at_ckpt.next;  // the split's new internal page
+  ASSERT_OK(e->dc().pool().FlushAllDirty());
+  e->SimulateCrash();
+
+  ASSERT_OK(e->dc().OpenDatabase());
+  ASSERT_TRUE(e->dc().allocator().index_extent() == at_ckpt);
+  DirtyPageTable empty_dpt;
+  RedoResult rr;
+  ASSERT_OK(RunSqlRedo(&e->wal(), &e->dc(), e->wal().master().bckpt_lsn,
+                       &empty_dpt, /*prefetch=*/false, o, 1, &rr));
+  EXPECT_EQ(rr.smo_redone, 0u) << "empty DPT must skip the image install";
+  EXPECT_TRUE(e->dc().allocator().index_extent() == after_split)
+      << "skipped split left the index extent cursor at "
+      << e->dc().allocator().index_extent().next;
+
+  // The next internal split after recovery gets a fresh pid, not the live
+  // page: drive the tree directly (the TC is not recovered here).
+  BTree& tree = e->dc().btree();
+  const std::string v(o.value_size, 'n');
+  const IndexExtent before = e->dc().allocator().index_extent();
+  const PageId handed_out = before.next;
+  std::vector<uint8_t> image(o.page_size);
+  e->dc().disk().ReadImage(live, image.data());
+  ASSERT_EQ(PageView(image.data(), o.page_size).type(), PageType::kInternal);
+  for (Lsn lsn = e->wal().next_lsn() + 1;
+       e->dc().allocator().index_extent() == before; lsn++) {
+    ASSERT_LT(next, Key{10'000});
+    PageId pid = kInvalidPageId;
+    ASSERT_OK(tree.PrepareInsert(next, &pid));
+    ASSERT_OK(tree.Apply(pid, LogRecordType::kInsert, next++, v, lsn));
+  }
+  EXPECT_NE(handed_out, live)
+      << "a post-recovery internal split took the live page " << live;
+  uint64_t rows = 0;
+  EXPECT_OK(tree.CheckWellFormed(&rows));
+}
+
+/// One operation of an index-extent crash script. kFlush writes every
+/// dirty page and emits the Δ- and BW-records that say so, so the redo
+/// passes' DPTs prove the SMOs before it durable and skip their images.
+struct ExtentOp {
+  enum Kind { kInsert, kUpdate, kDelete, kFlush } kind;
+  TableId table;
+  Key key;
+};
+
+Status RunExtentOp(Engine* e, const ExtentOp& op) {
+  if (op.kind == ExtentOp::kFlush) {
+    // Close the open Δ/BW interval first: the flush's records then carry a
+    // first-write LSN past every op before it.
+    e->dc().monitor().ForceEmit();
+    DEUTERO_RETURN_NOT_OK(e->dc().pool().FlushAllDirty());
+    e->dc().monitor().ForceEmit();
+    return Status::OK();
+  }
+  Table t;
+  DEUTERO_RETURN_NOT_OK(e->OpenTable(op.table, &t));
+  const std::string v(t.value_size(), static_cast<char>('a' + op.key % 26));
+  switch (op.kind) {
+    case ExtentOp::kInsert:
+      return InsertOne(e, t, op.key, v);
+    case ExtentOp::kUpdate:
+      return UpdateOne(e, t, op.key, v);
+    case ExtentOp::kDelete:
+      return DeleteOne(e, t, op.key);
+    case ExtentOp::kFlush:
+      break;
+  }
+  return Status::InvalidArgument("bad op");
+}
+
+/// Whether the page on `table`'s rightmost path at `level` is a full
+/// internal node: an ascending insert then splits it (preventive splitting
+/// splits full nodes on the way down).
+bool RightmostFull(Engine* e, TableId table, uint8_t level) {
+  BTree* tree = e->dc().FindTable(table);
+  PageHandle h;
+  EXPECT_OK(e->dc().pool().Get(tree->root_pid(), PageClass::kIndex, &h));
+  while (h.view().type() == PageType::kInternal && h.view().level() > level) {
+    InternalNodeView node(h.view());
+    const PageId child = node.ChildAt(node.count() - 1);
+    h.Release();
+    EXPECT_OK(e->dc().pool().Get(child, PageClass::kIndex, &h));
+  }
+  return h.view().type() == PageType::kInternal &&
+         h.view().level() == level && InternalNodeView(h.view()).full();
+}
+
+/// The acceptance sweep for index extents. Extents are two pids long here
+/// (max_batch_pages 2), so one short window holds both hard cases:
+///  * an internal split that finds the extent used up and opens a new one;
+///  * an internal root split whose two new pages straddle two extents (the
+///    left one takes the last pid of one, the right one opens the next).
+/// The window flushes every page after the first, so redo skips that
+/// split's images by the DPT and must still replay its cursor.
+/// Crash after every operation of the window, recover under all five
+/// methods at recovery_threads 1/2/4, then crash again at once and recover
+/// again with no checkpoint in between: the full disk, the free-list, the
+/// high-water mark and the extent cursor must be byte-identical throughout.
+TEST(SmoMergeRecovery, CrashAcrossIndexExtentsIsByteIdenticalAcrossMethods) {
+  EngineOptions o = ExtentOptions();
+  o.io.max_batch_pages = 2;
+  constexpr TableId kT1 = 1;  // the default table, bulk-loaded
+  constexpr TableId kT2 = 2;  // created empty, grown by the prefix
+
+  // Build the script on a probe engine, checking each phase's effect.
+  std::vector<ExtentOp> prefix;  // runs before the checkpoint
+  std::vector<ExtentOp> window;  // crash points
+  {
+    std::unique_ptr<Engine> e;
+    ASSERT_OK(Engine::Open(o, &e));
+    ASSERT_OK(e->CreateTable(kT2, o.value_size));
+    const PageAllocator& alloc = e->dc().allocator();
+    auto run = [&](std::vector<ExtentOp>* ops, ExtentOp op) {
+      ops->push_back(op);
+      return RunExtentOp(e.get(), op);
+    };
+    // T2 grows to a full level-1 root: its next insert splits the root.
+    Key k2 = 0;
+    while (!RightmostFull(e.get(), kT2, 1)) {
+      ASSERT_LT(k2, Key{500});
+      ASSERT_OK(run(&prefix, {ExtentOp::kInsert, kT2, k2++}));
+    }
+    ASSERT_TRUE(alloc.index_extent() == IndexExtent()) << "T2 split early";
+    // T1's root split opens the first extent and uses it up; then T1 grows
+    // until its rightmost level-1 node is full.
+    Key k1 = 80;
+    while (!RightmostFull(e.get(), kT1, 1) ||
+           e->dc().btree().height() < 3) {
+      ASSERT_LT(k1, Key{2000});
+      ASSERT_OK(run(&prefix, {ExtentOp::kInsert, kT1, k1++}));
+    }
+    const IndexExtent first = alloc.index_extent();
+    ASSERT_NE(first.end, 0u);
+    ASSERT_EQ(first.next, first.end) << "the first extent is not used up";
+    ASSERT_OK(e->Checkpoint());
+
+    // The window. Updates and a delete on both sides of the SMOs.
+    ASSERT_OK(run(&window, {ExtentOp::kUpdate, kT1, 3}));
+    ASSERT_OK(run(&window, {ExtentOp::kUpdate, kT2, 1}));
+    // T1's level-1 split finds the extent used up and opens a new one.
+    const uint32_t t1_height = e->dc().btree().height();
+    ASSERT_OK(run(&window, {ExtentOp::kInsert, kT1, k1++}));
+    const IndexExtent opened = alloc.index_extent();
+    ASSERT_EQ(e->dc().btree().height(), t1_height);
+    ASSERT_GT(opened.end, first.end) << "no extent opened";
+    ASSERT_EQ(opened.next + 1, opened.end) << "one pid must be left";
+    ASSERT_OK(run(&window, {ExtentOp::kFlush, kT1, 0}));
+    ASSERT_OK(run(&window, {ExtentOp::kInsert, kT1, k1++}));
+    ASSERT_OK(run(&window, {ExtentOp::kDelete, kT1, 5}));
+    // T2's root split takes that last pid and opens the next extent.
+    BTree* t2 = e->dc().FindTable(kT2);
+    const uint32_t t2_height = t2->height();
+    ASSERT_OK(run(&window, {ExtentOp::kInsert, kT2, k2++}));
+    ASSERT_EQ(t2->height(), t2_height + 1) << "T2's root did not split";
+    const IndexExtent straddled = alloc.index_extent();
+    ASSERT_GT(straddled.end, opened.end) << "the root split did not straddle";
+    ASSERT_EQ(straddled.next + 1, straddled.end);
+    for (int i = 0; i < 3; i++) {
+      ASSERT_OK(run(&window, {ExtentOp::kInsert, i % 2 ? kT1 : kT2,
+                              i % 2 ? k1++ : k2++}));
+    }
+    ASSERT_OK(run(&window, {ExtentOp::kUpdate, kT2, k2 - 1}));
+  }
+
+  const RecoveryMethod methods[] = {RecoveryMethod::kLog0,
+                                    RecoveryMethod::kLog1,
+                                    RecoveryMethod::kLog2,
+                                    RecoveryMethod::kSql1,
+                                    RecoveryMethod::kSql2};
+  for (size_t crash_at = 0; crash_at <= window.size(); crash_at++) {
+    std::unique_ptr<Engine> e;
+    ASSERT_OK(Engine::Open(o, &e));
+    ASSERT_OK(e->CreateTable(kT2, o.value_size));
+    for (const ExtentOp& op : prefix) ASSERT_OK(RunExtentOp(e.get(), op));
+    ASSERT_OK(e->Checkpoint());
+    for (size_t i = 0; i < crash_at; i++) {
+      ASSERT_OK(RunExtentOp(e.get(), window[i]));
+    }
+    const IndexExtent at_crash = e->dc().allocator().index_extent();
+    e->SimulateCrash();
+    Engine::StableSnapshot snap;
+    ASSERT_OK(e->TakeStableSnapshot(&snap));
+
+    StateImage reference;
+    bool have_reference = false;
+    for (RecoveryMethod m : methods) {
+      for (uint32_t threads : {1u, 2u, 4u}) {
+        std::unique_ptr<Engine> et;
+        RecoveryStats st;
+        ASSERT_NO_FATAL_FAILURE(RecoverFresh(o, snap, m, threads, &et, &st));
+        for (int round = 1; round <= 2; round++) {
+          const std::string label =
+              std::string(RecoveryMethodName(m)) + " x" +
+              std::to_string(threads) + " @crash " + std::to_string(crash_at) +
+              " recovery " + std::to_string(round);
+          for (TableId id : {kT1, kT2}) {
+            uint64_t rows = 0;
+            ASSERT_OK(et->dc().FindTable(id)->CheckWellFormed(&rows));
+            EXPECT_EQ(et->dc().FindTable(id)->row_count(), rows) << label;
+          }
+          const StateImage state = CaptureState(et.get());
+          if (!have_reference) {
+            // Every op committed alone and forced the log: the recovered
+            // cursor is the one at the crash.
+            EXPECT_TRUE(state.index_extent == at_crash) << label;
+            reference = state;
+            have_reference = true;
+          } else {
+            ExpectSameState(state, reference, label);
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+          if (round == 2) break;
+          // Crash again at once and recover again: no checkpoint between.
+          et->SimulateCrash();
+          ASSERT_OK(et->Recover(m, &st));
+        }
+      }
+    }
+  }
 }
 
 /// The DC pass filters its SMO replay by the Δ-record DPT (Algorithm 5's

@@ -9,10 +9,10 @@
 #include <string>
 #include <vector>
 
-#include "common/coding.h"
 #include "common/options.h"
 #include "common/value_codec.h"
 #include "core/engine.h"
+#include "storage/catalog.h"
 #include "storage/page.h"
 
 namespace deutero {
@@ -59,17 +59,23 @@ inline EngineOptions MediumOptions() {
   } while (false)
 
 /// The ENTIRE post-recovery stable state: every disk page (dirty cache
-/// pages flushed first) including the catalog page, plus the allocator
-/// free-list — captured per method for byte-identical comparison.
+/// pages flushed first) including the catalog page, plus the allocator's
+/// free-list, high-water mark and index extent cursor — captured per method
+/// for byte-identical comparison.
 struct StateImage {
   std::vector<PageId> free_list;
+  PageId hwm = kInvalidPageId;
+  IndexExtent index_extent;
   std::vector<std::string> pages;
 };
 
 inline StateImage CaptureState(Engine* e) {
   EXPECT_OK(e->dc().pool().FlushAllDirty());
   StateImage s;
-  s.free_list = e->dc().allocator().free_list();
+  const PageAllocator& alloc = e->dc().allocator();
+  s.free_list = alloc.free_list();
+  s.hwm = alloc.next_page_id();
+  s.index_extent = alloc.index_extent();
   SimDisk& d = e->dc().disk();
   std::vector<uint8_t> buf(e->options().page_size);
   for (PageId p = 0; p < d.num_pages(); p++) {
@@ -79,34 +85,48 @@ inline StateImage CaptureState(Engine* e) {
   return s;
 }
 
+inline std::string DescribeExtent(const IndexExtent& x) {
+  return "[" + std::to_string(x.next) + "," + std::to_string(x.end) + ")";
+}
+
+/// One page image for a divergence report; the meta page is decoded with
+/// the catalog codec.
+inline std::string DescribePage(const std::string& img) {
+  const auto* data = reinterpret_cast<const uint8_t*>(img.data());
+  const auto size = static_cast<uint32_t>(img.size());
+  const PageView page(const_cast<uint8_t*>(data), size);
+  std::string d = "plsn=" + std::to_string(page.plsn()) +
+                  " slots=" + std::to_string(page.num_slots());
+  if (page.type() != PageType::kMeta) return d;
+  Catalog cat;
+  const Status st = Catalog::Decode(data, size, &cat);
+  if (!st.ok()) return d + " [meta: " + st.ToString() + "]";
+  d += " [meta next_pid=" + std::to_string(cat.next_page_id()) +
+       " index_extent=" + DescribeExtent(cat.index_extent()) +
+       " free=" + std::to_string(cat.free_list().size()) +
+       " rows_covered_lsn=" + std::to_string(cat.rows_covered_lsn());
+  for (const TableInfo& t : cat.tables()) {
+    d += " t" + std::to_string(t.id) + "{root=" + std::to_string(t.root_pid) +
+         " height=" + std::to_string(t.height) +
+         " rows=" + std::to_string(t.num_rows) + "}";
+  }
+  return d + "]";
+}
+
 /// Assert byte identity, reporting the first divergent page.
 inline void ExpectSameState(const StateImage& got, const StateImage& want,
                             const std::string& label) {
   EXPECT_EQ(got.free_list, want.free_list) << label << ": free-list";
+  EXPECT_EQ(got.hwm, want.hwm) << label << ": high-water mark";
+  EXPECT_TRUE(got.index_extent == want.index_extent)
+      << label << ": index extent " << DescribeExtent(got.index_extent)
+      << " vs " << DescribeExtent(want.index_extent);
   ASSERT_EQ(got.pages.size(), want.pages.size()) << label << ": page count";
-  auto describe = [](const std::string& img) {
-    PageView page(
-        reinterpret_cast<uint8_t*>(const_cast<char*>(img.data())),
-        static_cast<uint32_t>(img.size()));
-    std::string d = "plsn=" + std::to_string(page.plsn()) +
-                    " slots=" + std::to_string(page.num_slots());
-    if (page.type() == PageType::kMeta) {
-      MetaView meta(page);
-      d += " [meta next_pid=" + std::to_string(meta.next_page_id()) + "]";
-      // The multi-table catalog stores rows/height per entry; surface the
-      // first entry's counters from the raw layout (id at +12, rows +28).
-      const char* p = reinterpret_cast<const char*>(page.payload());
-      d += " tables=" + std::to_string(DecodeFixed32(p + 8));
-      d += " t0_height=" + std::to_string(DecodeFixed32(p + 12 + 8));
-      d += " t0_rows=" + std::to_string(DecodeFixed64(p + 12 + 16));
-      d += " next=" + std::to_string(DecodeFixed32(p + 4));
-    }
-    return d;
-  };
   for (size_t p = 0; p < got.pages.size(); p++) {
     ASSERT_EQ(got.pages[p] == want.pages[p], true)
-        << label << ": page " << p << " diverged (" << describe(got.pages[p])
-        << " vs " << describe(want.pages[p]) << ")";
+        << label << ": page " << p << " diverged ("
+        << DescribePage(got.pages[p]) << " vs " << DescribePage(want.pages[p])
+        << ")";
   }
 }
 
