@@ -554,6 +554,68 @@ BENCHMARK(BM_ParallelAnalysis)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
+// Log2's DC pass, whose index preload descends the stable tree under the
+// log scan and the structure replay, at recovery_threads in {1, 4}. The
+// crash image has 1 KB pages, a 3-level tree and a window of updates and
+// fresh-key inserts, so the replay installs split images. Manual timing
+// covers exactly the pass; restore/reopen is untimed. sim_ms reports the
+// SIMULATED pass time (log I/O, DPT CPU and whatever preload or install
+// read the pass still waits for).
+void BM_DcPassPreload(benchmark::State& state) {
+  const uint32_t threads = static_cast<uint32_t>(state.range(0));
+  EngineOptions o;
+  o.page_size = 1024;
+  o.value_size = 26;
+  o.num_rows = 60'000;
+  o.cache_pages = 4096;
+  o.lazy_writer_reference_cache_pages = 4096;
+  o.checkpoint_interval_updates = 100'000;  // explicit checkpoint only
+  std::unique_ptr<Engine> e;
+  (void)Engine::Open(o, &e);
+  {
+    WorkloadConfig wc;
+    wc.insert_fraction = 0.3;
+    WorkloadDriver driver(e.get(), wc);
+    (void)driver.RunOps(2000);  // warm
+    (void)e->Checkpoint();
+    (void)driver.RunOps(8000);  // the window
+    driver.OnCrash();
+  }
+  e->SimulateCrash();
+  Engine::StableSnapshot snap;
+  (void)e->TakeStableSnapshot(&snap);
+
+  uint64_t records = 0;
+  double sim_ms = 0;
+  uint64_t iters = 0;
+  const Lsn start = e->wal().master().bckpt_lsn;
+  for (auto _ : state) {
+    (void)e->RestoreStableSnapshot(snap);
+    (void)e->dc().OpenDatabase();
+    DcRecoveryResult dcr;
+    const double sim_t0 = e->clock().NowMs();
+    const auto t0 = std::chrono::steady_clock::now();
+    const Status s =
+        RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
+                      /*build_dpt=*/true, /*preload=*/true, threads, &dcr);
+    benchmark::DoNotOptimize(s);
+    const auto t1 = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+    sim_ms += e->clock().NowMs() - sim_t0;
+    records += dcr.records_scanned;
+    iters++;
+    e->SimulateCrash();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(records));
+  state.counters["threads"] = threads;
+  state.counters["sim_ms"] =
+      iters == 0 ? 0.0 : sim_ms / static_cast<double>(iters);
+}
+BENCHMARK(BM_DcPassPreload)
+    ->ArgsProduct({{1, 4}})
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+
 // Thread-scaling curve of the undo pass: one crash image with a fat
 // in-flight loser tail, rolled back at recovery_threads in {1, 2, 4, 8}.
 // Each iteration restores the image and replays the one-partition DC pass

@@ -727,59 +727,92 @@ Status BTree::PrefetchPaths(std::span<const Key> keys) {
   return DescendBatched(keys, /*every_child=*/false);
 }
 
+void BTree::StartPreload(Descent* d) {
+  d->Start(this, {}, /*every_child=*/true);
+  pool_->Prefetch(std::span<const PageId>(&root_pid_, 1), PageClass::kIndex);
+}
+
 Status BTree::DescendBatched(std::span<const Key> keys, bool every_child) {
-  // One page of a level and the run [lo, hi) of `keys` it covers.
-  struct Reach {
-    PageId pid;
-    size_t lo;
-    size_t hi;
-  };
-  std::vector<Reach> frontier = {{root_pid_, 0, keys.size()}};
-  std::vector<Reach> children;
-  std::vector<PageId> pids;
-  while (true) {
-    children.clear();
-    uint8_t level = 0;
-    // Read the level (the first Get of each page waits for its I/O). A
-    // path read pays a traversal's per-level CPU once per page it reads;
-    // the preload keeps its I/O-only cost.
-    for (const Reach& r : frontier) {
-      if (!every_child) clock_->AdvanceUs(cpu_per_level_us_);
-      PageHandle h;
-      DEUTERO_RETURN_NOT_OK(pool_->Get(r.pid, PageClass::kIndex, &h));
-      PageView page = h.view();
-      if (page.type() == PageType::kLeaf) return Status::OK();  // root leaf
-      level = page.level();
-      if (every_child && level == 1) continue;  // the preload ends here
-      InternalNodeView node(page);
-      if (every_child) {
-        for (uint32_t i = 0; i < node.count(); i++) {
-          children.push_back({node.ChildAt(i), 0, 0});
-        }
-        continue;
-      }
-      // Keys are sorted: every key below the next separator shares the
-      // child of the first.
-      for (size_t k = r.lo; k < r.hi;) {
-        const uint32_t ci = node.FindChildIndex(keys[k]);
-        size_t end = k + 1;
-        if (ci + 1u < node.count()) {
-          const Key upper = node.KeyAt(ci + 1);
-          while (end < r.hi && keys[end] < upper) end++;
-        } else {
-          end = r.hi;
-        }
-        children.push_back({node.ChildAt(ci), k, end});
-        k = end;
-      }
+  Descent d;
+  d.Start(this, keys, every_child);
+  while (!d.done()) DEUTERO_RETURN_NOT_OK(d.ReadLevel(/*wait=*/true));
+  return Status::OK();
+}
+
+void BTree::Descent::Start(BTree* tree, std::span<const Key> keys,
+                           bool every_child) {
+  tree_ = tree;
+  keys_ = keys;
+  every_child_ = every_child;
+  level_ = 0;
+  arrived_ = 0;
+  frontier_.clear();
+  frontier_.push_back({tree->root_pid_, 0, keys.size()});
+}
+
+Status BTree::Descent::Step() {
+  if (done()) return Status::OK();
+  const BufferPool& pool = *tree_->pool_;
+  for (; arrived_ < frontier_.size(); arrived_++) {
+    const PageId pid = frontier_[arrived_].pid;
+    if (!pool.HasArrived(pid) && pool.IsResidentOrPending(pid)) {
+      return Status::OK();  // in flight
     }
-    if (children.empty()) return Status::OK();
-    pids.clear();
-    for (const Reach& c : children) pids.push_back(c.pid);
-    pool_->Prefetch(pids, ClassForLevel(static_cast<uint8_t>(level - 1)));
-    if (level == 1) return Status::OK();  // leaves are not waited for
-    frontier.swap(children);
   }
+  return ReadLevel(/*wait=*/false);
+}
+
+Status BTree::Descent::ReadLevel(bool wait) {
+  BTree& t = *tree_;
+  children_.clear();
+  uint8_t level = 0;
+  // Read the level (a waiting descent's first Get of each page waits for
+  // its I/O). A path read pays a traversal's per-level CPU once per page
+  // it reads; the preload keeps its I/O-only cost.
+  for (const Reach& r : frontier_) {
+    if (!wait && !t.pool_->HasArrived(r.pid)) continue;  // dropped
+    if (!every_child_) t.clock_->AdvanceUs(t.cpu_per_level_us_);
+    PageHandle h;
+    DEUTERO_RETURN_NOT_OK(t.pool_->Get(r.pid, PageClass::kIndex, &h));
+    PageView page = h.view();
+    if (page.type() != PageType::kInternal ||
+        (level_ != 0 && page.level() != level_)) {
+      continue;  // a leaf root, or a child that never reached the device
+    }
+    level = page.level();
+    if (every_child_ && level == 1) continue;  // the preload ends here
+    InternalNodeView node(page);
+    if (every_child_) {
+      for (uint32_t i = 0; i < node.count(); i++) {
+        children_.push_back({node.ChildAt(i), 0, 0});
+      }
+      continue;
+    }
+    // Keys are sorted: every key below the next separator shares the
+    // child of the first.
+    for (size_t k = r.lo; k < r.hi;) {
+      const uint32_t ci = node.FindChildIndex(keys_[k]);
+      size_t end = k + 1;
+      if (ci + 1u < node.count()) {
+        const Key upper = node.KeyAt(ci + 1);
+        while (end < r.hi && keys_[end] < upper) end++;
+      } else {
+        end = r.hi;
+      }
+      children_.push_back({node.ChildAt(ci), k, end});
+      k = end;
+    }
+  }
+  frontier_.clear();
+  arrived_ = 0;
+  if (children_.empty()) return Status::OK();
+  pids_.clear();
+  for (const Reach& c : children_) pids_.push_back(c.pid);
+  t.pool_->Prefetch(pids_, t.ClassForLevel(static_cast<uint8_t>(level - 1)));
+  if (level == 1) return Status::OK();  // leaves are not waited for
+  frontier_.swap(children_);
+  level_ = static_cast<uint8_t>(level - 1);
+  return Status::OK();
 }
 
 Status BTree::CheckSubtree(PageId pid, int expected_level, Key lower_fence,

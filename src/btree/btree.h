@@ -256,11 +256,71 @@ class BTree {
 
   // ---- recovery ----
 
+  /// The level walk of PreloadIndex and PrefetchPaths: a batched descent
+  /// from the root in which each level's children go to the pool as ONE
+  /// Prefetch, so they ride span I/Os, and are read before the level below
+  /// them is issued. Those two calls run it to completion and wait for
+  /// each level; Step runs it without ever waiting, so a pass can do its
+  /// own work while the reads are in flight (Log2's DC pass steps its
+  /// index preload under the log scan, recovery/analysis.h).
+  ///
+  /// A page that is not an internal page of the level the descent expects
+  /// is read but not descended. On the stable tree a flushed parent can
+  /// name a child whose image never reached the device, and that child
+  /// reads as a zeroed kFree page; a root can be a leaf.
+  class Descent {
+   public:
+    /// Advance without waiting. Once every page of the current level has
+    /// arrived, read the level and send the next one out as one Prefetch;
+    /// while any is still in flight, return at once. A cursor skips the
+    /// pages already seen to have arrived, so a call is amortized O(1).
+    /// It never demand-reads a page, charges no stall, and allocates
+    /// nothing once its level buffers are sized. A page the pool dropped
+    /// (no free frame, or a failed read) is skipped, for a waiting
+    /// descent to read later.
+    Status Step();
+    /// True once the descent has nothing left to read.
+    bool done() const { return frontier_.empty(); }
+
+   private:
+    friend class BTree;
+    /// One page of a level and the run [lo, hi) of `keys_` it covers.
+    struct Reach {
+      PageId pid = kInvalidPageId;
+      size_t lo = 0;
+      size_t hi = 0;
+    };
+    /// Restart at `tree`'s root, keeping the level buffers.
+    void Start(BTree* tree, std::span<const Key> keys, bool every_child);
+    /// Read the current level (waiting for each page when `wait`, else
+    /// only the pages that have arrived), send its children out as one
+    /// Prefetch, and make them the current level unless they are leaves.
+    Status ReadLevel(bool wait);
+
+    BTree* tree_ = nullptr;
+    std::span<const Key> keys_;
+    /// PreloadIndex's walk (every child, stopping above the leaves) rather
+    /// than PrefetchPaths' (the children covering keys_, leaves included).
+    bool every_child_ = true;
+    /// The level the current pages should have; 0 for the root, whose
+    /// level the walk learns by reading it.
+    uint8_t level_ = 0;
+    size_t arrived_ = 0;  ///< The cursor: frontier_[0, arrived_) arrived.
+    std::vector<Reach> frontier_;
+    std::vector<Reach> children_;
+    std::vector<PageId> pids_;
+  };
+
   /// Load every internal index page of this tree into the cache — logical
   /// recovery's index preload (paper App. A.1). It is the every-path case
   /// of PrefetchPaths' descent: each level's children go out as one
   /// Prefetch, and the descent stops above the leaves.
   Status PreloadIndex();
+
+  /// Start PreloadIndex's walk in `*d` without waiting, reusing d's level
+  /// buffers: the root goes out as a prefetch, and Descent::Step reads the
+  /// rest as it arrives. It walks the index as the device holds it now.
+  void StartPreload(Descent* d);
 
   /// Read ahead the root-to-leaf paths of `keys` (sorted ascending) as a
   /// level-wise batched descent: starting at the root, the distinct
@@ -334,9 +394,8 @@ class BTree {
   Status CollapseRoot(PageHandle* root_h, PageHandle* child_h);
   /// Leaf count below which MaybeMergeLeaf coalesces; 0 when disabled.
   uint32_t MergeThreshold() const;
-  /// The batched descent of PrefetchPaths (`every_child` false: the
-  /// children covering `keys`, leaves included) and PreloadIndex (true:
-  /// every child, stopping above the leaves).
+  /// Run a Descent to completion, waiting for each level; the root is a
+  /// demand read.
   Status DescendBatched(std::span<const Key> keys, bool every_child);
   Status CheckSubtree(PageId pid, int expected_level, Key lower_fence,
                       bool has_upper, Key upper_fence, uint64_t* rows);

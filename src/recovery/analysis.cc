@@ -190,41 +190,55 @@ class DptEventSink {
   std::vector<std::unique_ptr<DptShardWorker>> workers_;
 };
 
+/// The slowest partition's share of the DPT CPU: what a pass charges.
+double SlowestShareUs(const std::vector<uint64_t>& shard_ops, double cpu_us) {
+  return static_cast<double>(
+             *std::max_element(shard_ops.begin(), shard_ops.end())) *
+         cpu_us;
+}
+
 /// Fold per-partition event counts into `out` (dpt_updates is the total;
 /// the partition count, and the slowest and summed DPT CPU) and charge the
-/// slowest partition's share to `clock`, if any.
+/// slowest partition's share to `clock`, if any, less `charged_us`: the
+/// part of it the pass charged already (RunDcRecovery's scan share).
 template <typename Result>
 void ChargeDptCpu(const std::vector<uint64_t>& shard_ops, double cpu_us,
-                  SimClock* clock, Result* out) {
-  uint64_t max_ops = 0;
+                  SimClock* clock, Result* out, double charged_us = 0) {
   out->dpt_updates = 0;
-  for (const uint64_t ops : shard_ops) {
-    out->dpt_updates += ops;
-    max_ops = std::max(max_ops, ops);
-  }
+  for (const uint64_t ops : shard_ops) out->dpt_updates += ops;
   out->threads_used = static_cast<uint32_t>(shard_ops.size());
-  out->shard_cpu_us_max = static_cast<double>(max_ops) * cpu_us;
+  out->shard_cpu_us_max = SlowestShareUs(shard_ops, cpu_us);
   out->shard_cpu_us_total = static_cast<double>(out->dpt_updates) * cpu_us;
-  if (clock != nullptr && out->shard_cpu_us_max > 0) {
-    clock->AdvanceUs(out->shard_cpu_us_max);
+  if (clock != nullptr && out->shard_cpu_us_max > charged_us) {
+    clock->AdvanceUs(out->shard_cpu_us_max - charged_us);
   }
 }
 
+/// Algorithm 5's test on a page image of the kSmo record at `lsn`: whether
+/// the structure replay must install it. In the log's tail (at or after
+/// the last Δ-record's TC-LSN, §4.3) it must; below it, only when the DPT
+/// names the page with rLSN <= lsn, since every other page's stable copy
+/// already carries the record's effects. The replay's filter and its
+/// install read-ahead both call it.
+bool SmoImageNeedsInstall(const DcRecoveryResult& dcr, Lsn lsn, PageId pid) {
+  if (lsn >= dcr.last_delta_tc_lsn) return true;
+  const DirtyPageTable::Entry* e = dcr.dpt.Find(pid);
+  return e != nullptr && lsn >= e->rlsn;
+}
+
 /// Replay one structure record so the B-tree is well-formed before logical
-/// redo traverses it. `dpt` == nullptr replays unconditionally (Log0 has no
-/// DPT); otherwise a kSmo below `last_delta_tc_lsn` installs only the
-/// images of pages Algorithm 5's test keeps (see ReplayDcStructure).
+/// redo traverses it. Without `use_dpt` it replays unconditionally (Log0
+/// has no DPT); with it a kSmo installs only the images
+/// SmoImageNeedsInstall keeps, by `out`'s final DPT.
 template <typename RecordT>
 Status ReplayStructureRecord(DataComponent* dc, const RecordT& rec,
-                             const DirtyPageTable* dpt, Lsn last_delta_tc_lsn,
-                             DcRecoveryResult* out) {
+                             bool use_dpt, DcRecoveryResult* out) {
   switch (rec.type) {
     case LogRecordType::kSmo:
-      if (dpt != nullptr && rec.lsn < last_delta_tc_lsn) {
+      if (use_dpt) {
         uint64_t skipped = 0;
         DEUTERO_RETURN_NOT_OK(dc->RedoSmo(rec, [&](PageId pid) {
-          const DirtyPageTable::Entry* e = dpt->Find(pid);
-          if (e != nullptr && rec.lsn >= e->rlsn) return true;
+          if (SmoImageNeedsInstall(*out, rec.lsn, pid)) return true;
           skipped++;
           return false;
         }));
@@ -248,6 +262,83 @@ Status ReplayStructureRecord(DataComponent* dc, const RecordT& rec,
       return Status::InvalidArgument("not a structure record");
   }
   out->smo_redone++;
+  return Status::OK();
+}
+
+/// Log2's index preload under the DC pass: one no-wait descent per table
+/// of the stable catalog (BTree::StartPreload), stepped by the dispatcher
+/// as the pass goes, so each level goes out as soon as the one above it
+/// has arrived. Internal pages are never freed or reused (index extents,
+/// storage/allocator.h), so every page the descents read belongs to the
+/// final tree, however stale the stable parent that named it; the waiting
+/// PreloadIndex after the replay reads what they have not. Off (Log0,
+/// Log1), it holds no descent and a step does nothing.
+class IndexPreloadUnderScan {
+ public:
+  IndexPreloadUnderScan(DataComponent* dc, bool on) {
+    if (!on) return;
+    const std::vector<TableInfo>& tables = dc->catalog().tables();
+    descents_.resize(tables.size());
+    for (size_t i = 0; i < tables.size(); i++) {
+      dc->FindTable(tables[i].id)->StartPreload(&descents_[i]);
+    }
+  }
+
+  Status Step() {
+    for (BTree::Descent& d : descents_) DEUTERO_RETURN_NOT_OK(d.Step());
+    return Status::OK();
+  }
+
+ private:
+  std::vector<BTree::Descent> descents_;
+};
+
+/// A page image the structure replay may install, as the scan meets it.
+struct InstallCandidate {
+  Lsn lsn = kInvalidLsn;
+  PageId pid = kInvalidPageId;
+  bool dpt_tested = false;  ///< A kSmo image: SmoImageNeedsInstall decides.
+};
+
+/// The replay's install pages out as one span Prefetch, once the DPT is
+/// final: the candidates ReplayStructureRecord keeps, except pids past the
+/// device end (the replay grows the device for them). A merge's victim is
+/// no candidate: its free image is never installed (RedoSmoMerge). The
+/// read-ahead takes no more pages than the pool has unused frames, so it
+/// evicts nothing.
+void PrefetchInstallPages(DataComponent* dc,
+                          const std::vector<InstallCandidate>& candidates,
+                          const DcRecoveryResult& dcr) {
+  std::vector<PageId> pids;
+  const uint64_t room = dc->pool().unused_frames();
+  for (const InstallCandidate& c : candidates) {
+    if (pids.size() == room) break;
+    if (c.pid >= dc->disk().num_pages()) continue;
+    if (c.dpt_tested && !SmoImageNeedsInstall(dcr, c.lsn, c.pid)) continue;
+    pids.push_back(c.pid);
+  }
+  dc->pool().Prefetch(pids, PageClass::kIndex);
+}
+
+/// Phase 2 of the DC pass with a DPT: once `out->dpt` and
+/// `out->last_delta_tc_lsn` are final, re-read each structure record at
+/// `lsns` (ascending; every log page the record spans is charged, as in
+/// the scan, and an SMO record's page images can span several) and replay
+/// it through ReplayStructureRecord, stepping the preload before each.
+Status ReplayDcStructure(LogManager* log, DataComponent* dc,
+                         const std::vector<Lsn>& lsns,
+                         IndexPreloadUnderScan* preload,
+                         DcRecoveryResult* out) {
+  for (const Lsn lsn : lsns) {
+    auto it = log->NewIterator(lsn, /*charge_io=*/true);
+    if (!it.Valid() || it.lsn() != lsn) {
+      return Status::InvalidArgument("no valid structure record at lsn");
+    }
+    out->log_pages += it.pages_read();
+    DEUTERO_RETURN_NOT_OK(preload->Step());
+    DEUTERO_RETURN_NOT_OK(
+        ReplayStructureRecord(dc, it.record(), /*use_dpt=*/true, out));
+  }
   return Status::OK();
 }
 
@@ -340,24 +431,6 @@ Status RunSqlAnalysis(LogManager* log, Lsn bckpt_lsn, uint32_t threads,
   return Status::OK();
 }
 
-Status ReplayDcStructure(LogManager* log, DataComponent* dc,
-                         const std::vector<Lsn>& lsns,
-                         DcRecoveryResult* out) {
-  for (const Lsn lsn : lsns) {
-    // A one-record scan: like the DC scan, it charges (and counts) every log
-    // page the record spans, and an SMO record's page images can span
-    // several.
-    auto it = log->NewIterator(lsn, /*charge_io=*/true);
-    if (!it.Valid() || it.lsn() != lsn) {
-      return Status::InvalidArgument("no valid structure record at lsn");
-    }
-    out->log_pages += it.pages_read();
-    DEUTERO_RETURN_NOT_OK(ReplayStructureRecord(
-        dc, it.record(), &out->dpt, out->last_delta_tc_lsn, out));
-  }
-  return Status::OK();
-}
-
 Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
                      DptMode mode, bool build_dpt, bool preload_index,
                      uint32_t threads, DcRecoveryResult* out) {
@@ -376,11 +449,21 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
   // as the previous record's TC-LSN (§4.2).
   Lsn prev_delta_lsn = bckpt_lsn;
   std::vector<Lsn> structure_lsns;  // the replay's work list (DPT builds)
+  // The replay's install candidates, collected when the pass preloads.
+  std::vector<InstallCandidate> install;
+  IndexPreloadUnderScan preload(dc, preload_index);
   auto it = log->NewIterator(bckpt_lsn, /*charge_io=*/true);
   const Status scan_status = [&]() -> Status {
+    uint64_t pages_stepped = 0;
     for (; it.Valid(); it.Next()) {
       const LogRecordView& rec = it.record();
       out->records_scanned++;
+      if (it.pages_read() != pages_stepped) {
+        // The scan read a log page: the clock moved, and a level of the
+        // preload may have arrived.
+        pages_stepped = it.pages_read();
+        DEUTERO_RETURN_NOT_OK(preload.Step());
+      }
       switch (rec.type) {
         case LogRecordType::kSmo:
         case LogRecordType::kSmoMerge:
@@ -388,10 +471,18 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
           if (!build_dpt) {
             // Log0: nothing to filter by, so replay inline.
             DEUTERO_RETURN_NOT_OK(
-                ReplayStructureRecord(dc, rec, nullptr, kInvalidLsn, out));
+                ReplayStructureRecord(dc, rec, /*use_dpt=*/false, out));
             break;
           }
           structure_lsns.push_back(rec.lsn);
+          if (preload_index) {
+            for (const SmoPageImageRef& p : rec.smo_pages) {
+              if (rec.type != LogRecordType::kSmoMerge || p.pid != rec.pid) {
+                install.push_back(
+                    {rec.lsn, p.pid, rec.type == LogRecordType::kSmo});
+              }
+            }
+          }
           if (rec.type == LogRecordType::kSmoMerge) {
             // The victim drops out of the DPT under construction (it cannot
             // need data-op redo once merged away; a later in-window split
@@ -493,10 +584,22 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
   out->log_pages = it.pages_read();  // filled on error exits too
   std::vector<uint64_t>& shard_ops = sink.Finish();
   DEUTERO_RETURN_NOT_OK(scan_status);
+  const double cpu_us = dc->options().io.cpu_per_dpt_update_us;
+  double charged_us = 0;
   if (build_dpt) {
+    if (preload_index) {
+      // The DPT is final: the replay's install pages go out now, and the
+      // scan's DPT CPU is charged while they and the preload are in
+      // flight. The waiting passes (Log1) keep it at pass end, where
+      // nothing overlaps it either way.
+      PrefetchInstallPages(dc, install, *out);
+      charged_us = SlowestShareUs(shard_ops, cpu_us);
+      dc->clock().AdvanceUs(charged_us);
+    }
     // Structure redo touches the pool and clock, so it runs here on the
     // dispatcher, against the final DPT.
-    DEUTERO_RETURN_NOT_OK(ReplayDcStructure(log, dc, structure_lsns, out));
+    DEUTERO_RETURN_NOT_OK(
+        ReplayDcStructure(log, dc, structure_lsns, &preload, out));
     // Pages that ended the window on the free-list must not remain in the
     // DPT: a Δ-record logged AFTER a merge can still list the victim (its
     // DirtySet accumulated the merge-time dirtying), and a stale entry
@@ -509,9 +612,12 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
       shard_ops[RedoPartitionOf(pid, sink.partitions())]++;
     }
   }
-  ChargeDptCpu(shard_ops, dc->options().io.cpu_per_dpt_update_us,
-               &dc->clock(), out);
+  // The purge's events (and, for Log0 and Log1, the scan's).
+  ChargeDptCpu(shard_ops, cpu_us, &dc->clock(), out, charged_us);
   if (preload_index) {
+    // The correctness net: it reads what the descents under the scan could
+    // not (pages the replay installed or linked in, tables it created) and
+    // waits for what they still have in flight.
     DEUTERO_RETURN_NOT_OK(dc->PreloadIndex());
   }
   return Status::OK();

@@ -7,11 +7,11 @@
 //    Algorithm 4): constructs the DPT purely from Δ-records (standard /
 //    perfect / reduced modes, App. D), with the claim stamps that order the
 //    PF-list (App. A.2; BuildPfList in prefetch.h), redoes SMOs so the
-//    B-tree is well-formed, and optionally preloads the index (App. A.1).
-//    With a DPT (Log1/Log2) the pass runs in two phases: the scan builds
-//    the DPT and only collects the LSNs of the structure records; the
-//    replay then re-reads them in LSN order and installs only the SMO
-//    images Algorithm 5's test cannot prove durable.
+//    B-tree is well-formed, and optionally preloads the index (App. A.1)
+//    under its own scan. With a DPT (Log1/Log2) the pass runs in two
+//    phases: the scan builds the DPT and only collects the LSNs of the
+//    structure records; the replay then re-reads them in LSN order and
+//    installs only the SMO images Algorithm 5's test cannot prove durable.
 //
 // Shape. One log-scanning dispatcher resolves every DPT mutation to a
 // (pid, lsn) event — record LSN, FW-LSN, the prev-Δ TC-LSN chain, the
@@ -33,7 +33,9 @@
 // scalars, so no log-buffer Slice ever crosses a thread boundary. The DC
 // pass's structure replay touches the buffer pool and the simulated clock,
 // which workers never do: the dispatcher runs it once the shards are
-// merged, so it filters by the final DPT.
+// merged, so it filters by the final DPT. So does Log2's index preload, at
+// every partition count: the dispatcher steps its descents, and the shard
+// workers never touch the pool.
 //
 // Claim stamps (the PF-list's order, App. A.2). The dispatcher numbers
 // every DirtySet entry in scan order, and each upsert carries its number:
@@ -47,13 +49,20 @@
 // PF-list is the one-partition list exactly.
 //
 // Simulated time. cpu_per_dpt_update_us is charged per DPT mutation event,
-// counted per partition and folded once at pass end as the slowest
-// partition's share (nothing in an analysis pass depends on absolute time
-// between records). With one partition that share is the whole count; with
-// N it is deterministic and independent of thread scheduling, so DPT
-// construction scales with recovery_threads in simulated time the same way
-// redo's apply CPU does. Log-page read I/O stays on the dispatcher's
-// iterator (charge_io) for every partition count.
+// counted per partition and folded as the slowest partition's share. With
+// one partition that share is the whole count; with N it is deterministic
+// and independent of thread scheduling, so DPT construction scales with
+// recovery_threads in simulated time the same way redo's apply CPU does.
+// Nothing in the scan depends on absolute time between records, so the
+// charge goes where it hides the most I/O. The SQL analysis pass and the
+// DC pass without the preload (Log0, Log1) have no read in flight and
+// charge it all at pass end. Log2's DC pass charges the scan's share when
+// the scan ends, while the preload's and the install pages' reads are in
+// flight, and the rest (the free-list purge's events) after the purge:
+// the slowest share of all events less what it charged already, so the
+// total charge, dpt_updates and the shard CPU figures do not depend on
+// where it is placed. Log-page read I/O stays on the dispatcher's iterator
+// (charge_io) for every partition count.
 #pragma once
 
 #include <cassert>
@@ -285,19 +294,26 @@ struct DcRecoveryResult {
 /// `build_dpt` is false for Log0 (which still needs SMO redo for a
 /// well-formed tree, and replays it inline during the scan; with no DPT
 /// there is nothing to partition); `preload_index` corresponds to Log2.
+///
+/// With a DPT the pass has two phases. The scan builds the DPT and
+/// collects the LSNs of the structure records; once the DPT is final, the
+/// replay re-reads them in LSN order (charging every log page a record
+/// spans, as the scan does) and installs only what Algorithm 5's test
+/// cannot prove durable: a kSmo record below the last Δ-record installs
+/// the images of pages in the DPT with record LSN >= rLSN. Tail SMOs
+/// (§4.3), merges (the free-list must converge) and DDL replay
+/// unconditionally.
+///
+/// With `preload_index` the index preload overlaps the pass. One
+/// no-wait descent per table of the stable catalog starts with the pass
+/// and is stepped at every log page the scan reads and every record the
+/// replay handles, so each level's span Prefetch goes out as soon as the
+/// level above it has arrived (BTree::Descent). The replay's install
+/// pages go out as one span Prefetch once the DPT is final, and the
+/// waiting PreloadIndex after the replay reads whatever the descents have
+/// not. Without it the pass issues no prefetch.
 Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
                      DptMode mode, bool build_dpt, bool preload_index,
                      uint32_t threads, DcRecoveryResult* out);
-
-/// Phase 2 of the DC pass with a DPT: once `out->dpt` and
-/// `out->last_delta_tc_lsn` are final, re-read each structure record at
-/// `lsns` (ascending; every log page the record spans is charged, as in
-/// the scan) and replay it. A kSmo record below the last
-/// Δ-record installs only the images whose page passes Algorithm 5's test
-/// (in the DPT, record LSN >= rLSN): every other page's stable copy
-/// already carries the record's effects. Tail SMOs (§4.3), merges (the
-/// free-list must converge) and DDL replay unconditionally.
-Status ReplayDcStructure(LogManager* log, DataComponent* dc,
-                         const std::vector<Lsn>& lsns, DcRecoveryResult* out);
 
 }  // namespace deutero

@@ -2,12 +2,17 @@
 //
 //   Log0 : DC pass (SMO redo only)           -> basic logical redo -> undo
 //   Log1 : DC pass (SMO redo + Δ-DPT)        -> Alg. 5 redo        -> undo
-//   Log2 : DC pass (+ index preload)         -> Alg. 5 + PF-list   -> undo
+//   Log2 : DC pass (+ index preload under    -> Alg. 5 + PF-list   -> undo
+//          its scan and SMO replay)
 //   SQL1 : analysis (Alg. 3: DPT + ATT)      -> Alg. 1 redo        -> undo
 //   SQL2 : analysis                          -> Alg. 1 + prefetch  -> undo
 //
-// Log2's PF-list is built by its redo pass, from the DC pass's final DPT
-// in claim order (prefetch.h); the DC pass only stamps the DPT entries.
+// Log2's index preload starts with its DC pass: the pass steps a descent
+// of the stable tree at every log page it scans and every structure record
+// it replays, and a waiting preload of the final tree closes the pass
+// (analysis.h). Log2's PF-list is built by its redo pass, from the DC
+// pass's final DPT in claim order (prefetch.h); the DC pass only stamps
+// the DPT entries.
 //
 // Pass boundaries are timed on the simulated clock; buffer-pool and disk
 // statistics are reset at entry so every counter in RecoveryStats covers the

@@ -4,8 +4,10 @@
 //
 //   RunLogicalRedo covers Log0 (Algorithm 2: basic logical redo), Log1
 //   (Algorithm 5: DPT-assisted with the tail-of-log fallback) and Log2
-//   (Algorithm 5 + PF-list prefetch; the index preload already happened in
-//   the DC pass). Log2's one-partition run builds the PF-list from the
+//   (Algorithm 5 + PF-list prefetch). Log2's index preload is done before
+//   redo starts: it ran under the DC pass's scan and structure replay, and
+//   the pass ended once every internal page of the final tree was loaded
+//   (analysis.h). Log2's one-partition run builds the PF-list from the
 //   final DPT in claim order (prefetch.h) and charges cpu_per_dpt_update_us
 //   per listed page.
 //

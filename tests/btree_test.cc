@@ -397,6 +397,65 @@ TEST_F(BTreeTest, PrefetchPathsReadsEachLevelInOneBatch) {
   EXPECT_EQ(disk_->stats().read_ios, expected_ios);
 }
 
+/// PreloadIndex's walk stepped without waiting (Descent::Step), on a cold
+/// 3-level tree of 1 KB pages, as Log2's DC pass steps it under its log
+/// scan: a step while the current level is in flight issues nothing, no
+/// step demand-reads a page or stalls, and the walk ends having read
+/// exactly the pages PreloadIndex reads, in as many read I/Os.
+TEST_F(BTreeTest, PreloadDescentStepsWithoutWaiting) {
+  constexpr uint64_t kRows = 60000;
+  Reset(/*cache_pages=*/1024, /*page_size=*/1024);
+  ASSERT_TRUE(tree_->BulkLoad(kRows, [](Key k, uint8_t* dst) {
+                       SynthesizeValue(k, 0, kValueSize, dst);
+                     }).ok());
+  ASSERT_GE(tree_->height(), 3u);
+  pool_->Reset();
+  pool_->ResetStats();
+  disk_->ResetStats();
+
+  BTree::Descent d;
+  tree_->StartPreload(&d);
+  uint64_t issued = pool_->stats().prefetch_issued;
+  EXPECT_EQ(issued, 1u) << "the root goes out as a prefetch";
+  ASSERT_TRUE(d.Step().ok());
+  EXPECT_EQ(pool_->stats().prefetch_issued, issued) << "the root is pending";
+  int levels_issued = 0;
+  for (int i = 0; !d.done() && i < 10000; i++) {
+    const uint64_t before = issued;
+    ASSERT_TRUE(d.Step().ok());
+    issued = pool_->stats().prefetch_issued;
+    if (issued != before) {
+      levels_issued++;
+      // The level just issued is in flight at this instant.
+      ASSERT_TRUE(d.Step().ok());
+      EXPECT_EQ(pool_->stats().prefetch_issued, issued)
+          << "a step issued while its level was pending";
+    }
+    clock_->AdvanceMs(0.25);
+  }
+  ASSERT_TRUE(d.done());
+  EXPECT_EQ(levels_issued, static_cast<int>(tree_->height()) - 2);
+  const BufferPool::Stats stepped = pool_->stats();
+  const uint64_t stepped_ios = disk_->stats().read_ios;
+  EXPECT_EQ(stepped.misses, 0u) << "a step demand-read a page";
+  EXPECT_EQ(stepped.stall_count, 0u);
+  EXPECT_EQ(stepped.stall_ms, 0.0);
+  EXPECT_EQ(stepped.data_fetches, 0u);  // never touches leaves
+
+  // PreloadIndex now finds every page it reads loaded...
+  ASSERT_TRUE(tree_->PreloadIndex().ok());
+  EXPECT_EQ(pool_->stats().index_fetches, stepped.index_fetches);
+  EXPECT_EQ(pool_->stats().misses, 0u);
+  EXPECT_EQ(disk_->stats().read_ios, stepped_ios);
+  // ...and cold it reads as many pages, in as many I/Os: the same pages.
+  pool_->Reset();
+  pool_->ResetStats();
+  disk_->ResetStats();
+  ASSERT_TRUE(tree_->PreloadIndex().ok());
+  EXPECT_EQ(pool_->stats().index_fetches, stepped.index_fetches);
+  EXPECT_EQ(disk_->stats().read_ios, stepped_ios);
+}
+
 /// Splits place internal pages in index extents: runs of max_batch_pages
 /// pids reserved at the high-water mark for internal pages only, each used
 /// up before the next is reserved. 1 KB pages (35-row leaves, 82-entry

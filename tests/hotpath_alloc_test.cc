@@ -20,6 +20,8 @@
 #include <utility>
 #include <vector>
 
+#include "btree/btree.h"
+#include "common/value_codec.h"
 #include "concurrency/group_commit.h"
 #include "core/engine.h"
 #include "core/replica.h"
@@ -27,6 +29,7 @@
 #include "recovery/prefetch.h"
 #include "sim/clock.h"
 #include "sim/sim_disk.h"
+#include "storage/allocator.h"
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
 #include "storage/page_table.h"
@@ -563,6 +566,46 @@ TEST(PrefetchAllocTest, PoolPrefetchIsAllocationFreePerCall) {
     for (PageId base = 32; base < 1024; base += 16) issue_and_claim(base);
   });
   EXPECT_EQ(allocs, 0u) << "BufferPool::Prefetch is allocating per call";
+}
+
+/// Log2's DC pass steps its index preload at every log page it scans. Once
+/// the descent's level buffers are sized (one walk of a cold 3-level tree),
+/// a whole walk of no-wait steps, most of which find their level in flight,
+/// allocates nothing.
+TEST(PrefetchAllocTest, PreloadDescentStepIsAllocationFree) {
+  constexpr uint32_t kPageSize = 1024;
+  constexpr uint32_t kValueSize = 20;
+  const EngineOptions o;
+  SimClock clock;
+  SimDisk disk(&clock, kPageSize, o.io);
+  BufferPool pool(&clock, &disk, /*capacity=*/1024, kPageSize);
+  LogManager log(&clock, 8192, 0.25);
+  PageAllocator allocator(&disk, 2);
+  BTree tree(&clock, &disk, &pool, &allocator, &log, kRootPageId, kPageSize,
+             kValueSize, o.leaf_fill_fraction, o.io.cpu_per_btree_level_us);
+  ASSERT_TRUE(tree.BulkLoad(60000, [](Key k, uint8_t* dst) {
+                    SynthesizeValue(k, 0, kValueSize, dst);
+                  }).ok());
+  ASSERT_GE(tree.height(), 3u);
+  BTree::Descent d;
+  uint64_t steps = 0;
+  auto walk = [&] {
+    pool.Reset();
+    tree.StartPreload(&d);
+    while (!d.done()) {
+      (void)d.Step();
+      steps++;
+      clock.AdvanceMs(0.25);
+    }
+  };
+  // Warm-up: the pool's prefetch scratch settles, and a walk swaps the
+  // descent's two level buffers, so two walks size both.
+  walk();
+  walk();
+  steps = 0;
+  const uint64_t allocs = CountAllocs([&] { walk(); });
+  EXPECT_GT(steps, 10u);
+  EXPECT_EQ(allocs, 0u) << "a preload descent step is allocating";
 }
 
 /// Building the PF-list sorts the DPT by (rLSN, claim stamp) with keys read

@@ -10,12 +10,15 @@
 #include <utility>
 #include <vector>
 
+#include "btree/node.h"
 #include "common/random.h"
 #include "core/engine.h"
 #include "recovery/analysis.h"
+#include "recovery/page_repairer.h"
 #include "recovery/redo.h"
 #include "recovery/stats.h"
 #include "recovery/undo.h"
+#include "storage/catalog.h"
 #include "storage/page.h"
 #include "test_util.h"
 #include "workload/driver.h"
@@ -549,6 +552,255 @@ TEST(RecoverySideBySide, UndoReadsLoserPathsInBatches) {
     EXPECT_GT(pages, 1u) << name;
     EXPECT_LT(read_ios, pages) << name;
     EXPECT_EQ(read_ios, st.undo_read_ios) << name;
+  }
+}
+
+/// A crash image for Log2's index preload under the DC scan: 1 KB pages, a
+/// 3-level tree, one I/O channel, and a redo window whose fresh-key inserts
+/// split leaves until the rightmost level-1 page splits too. The root, the
+/// new level-1 page's parent, is flushed after that split and the new page
+/// is not, so the stable root names a page that reads as zeroed.
+struct PreloadCrashImage {
+  EngineOptions options;
+  Engine::StableSnapshot snap;
+};
+
+void BuildPreloadCrashImage(bool media_archive, PreloadCrashImage* out) {
+  EngineOptions o = MediumOptions();  // 60,000 rows: a 3-level tree
+  o.cache_pages = 1024;               // the DC pass evicts nothing
+  o.lazy_writer_reference_cache_pages = 1024;
+  o.lazy_writer_base_fraction = 0;  // no page is written but the root
+  o.checkpoint_interval_updates = 1'000'000;  // one checkpoint, one window
+  o.io.io_channels = 1;
+  o.media_archive = media_archive;
+  out->options = o;
+  std::unique_ptr<Engine> e;
+  ASSERT_OK(Engine::Open(o, &e));
+  ASSERT_OK(e->Checkpoint());
+  ASSERT_EQ(e->dc().btree().height(), 3u);
+  auto root_children = [&e](std::vector<PageId>* children) {
+    PageHandle h;
+    ASSERT_OK(e->dc().pool().Get(kRootPageId, PageClass::kIndex, &h));
+    const InternalNodeView node(h.view());
+    children->clear();
+    for (uint32_t i = 0; i < node.count(); i++) {
+      children->push_back(node.ChildAt(i));
+    }
+  };
+  std::vector<PageId> before;
+  ASSERT_NO_FATAL_FAILURE(root_children(&before));
+  Table table;
+  ASSERT_OK(e->OpenDefaultTable(&table));
+  // Updates on the first 300 leaves give the DC scan log pages enough to
+  // cover the root's read.
+  const std::string updated(o.value_size, 'u');
+  for (Key k = 0; k < 3000; k += 10) {
+    Txn txn;
+    ASSERT_OK(e->Begin(&txn));
+    for (Key j = k; j < k + 10; j++) {
+      ASSERT_OK(txn.Update(table, j * 3, updated));
+    }
+    ASSERT_OK(txn.Commit());
+  }
+  const std::string value(o.value_size, 'n');
+  std::vector<PageId> after = before;
+  for (Key k = o.num_rows; after.size() == before.size(); k += 10) {
+    ASSERT_LT(k, o.num_rows + 20'000) << "no level-1 page split";
+    Txn txn;
+    ASSERT_OK(e->Begin(&txn));
+    for (Key j = k; j < k + 10; j++) ASSERT_OK(txn.Insert(table, j, value));
+    ASSERT_OK(txn.Commit());
+    ASSERT_NO_FATAL_FAILURE(root_children(&after));
+  }
+  PageId child = kInvalidPageId;
+  for (const PageId pid : after) {
+    if (std::find(before.begin(), before.end(), pid) == before.end()) {
+      child = pid;
+    }
+  }
+  ASSERT_NE(child, kInvalidPageId);
+  ASSERT_OK(e->dc().pool().FlushPage(kRootPageId));
+  e->SimulateCrash();
+  const PageView stable_child(
+      const_cast<uint8_t*>(e->dc().disk().ImageData(child)), o.page_size);
+  ASSERT_EQ(stable_child.type(), PageType::kFree)
+      << "the new level-1 page " << child << " reached the device";
+  ASSERT_OK(e->TakeStableSnapshot(&out->snap));
+}
+
+/// Restore `img` into a fresh engine with `threads` recovery partitions.
+void RestorePreloadCrashImage(const PreloadCrashImage& img, uint32_t threads,
+                              std::unique_ptr<Engine>* out) {
+  EngineOptions o = img.options;
+  o.recovery_threads = threads;
+  ASSERT_OK(Engine::Open(o, out));
+  (*out)->SimulateCrash();
+  ASSERT_OK((*out)->RestoreStableSnapshot(img.snap));
+}
+
+/// Open a restored crash image for a DC pass driven directly, as
+/// RecoveryManager opens it before the pass.
+void OpenForDcPass(Engine* r) {
+  ASSERT_OK(r->dc().OpenDatabase());
+  r->dc().Eosl(r->wal().stable_end() - 1);
+  r->dc().pool().ResetStats();
+  r->dc().disk().ResetStats();
+}
+
+/// Named regression: Log2's index preload (App. A.1) ran only after the DC
+/// scan, the structure replay and the DPT CPU charge, so the data disk sat
+/// idle under the scan and the preload's reads ran alone. Log2's DC pass
+/// was exactly Log1's followed by a waiting PreloadIndex. Now the preload
+/// descends the stable tree under the scan and the replay: Log2's DC pass
+/// takes less than that sum, reads exactly the pages it read, and leaves
+/// every internal page of the final tree loaded. Every method destages the
+/// same bytes at 1, 2 and 4 partitions.
+TEST(RecoverySideBySide, Log2ReadsItsIndexUnderTheDcScan) {
+  PreloadCrashImage img;
+  ASSERT_NO_FATAL_FAILURE(BuildPreloadCrashImage(/*media_archive=*/false, &img));
+  const EngineOptions& o = img.options;
+
+  // Log1's DC pass, then a waiting PreloadIndex: what Log2's DC pass was
+  // before the preload moved under the scan.
+  std::unique_ptr<Engine> r;
+  ASSERT_NO_FATAL_FAILURE(RestorePreloadCrashImage(img, 1, &r));
+  ASSERT_NO_FATAL_FAILURE(OpenForDcPass(r.get()));
+  const Lsn start = r->wal().master().bckpt_lsn;
+  DcRecoveryResult dcr;
+  ASSERT_OK(RunDcRecovery(&r->wal(), &r->dc(), start, o.dpt_mode,
+                          /*build_dpt=*/true, /*preload_index=*/false, 1,
+                          &dcr));
+  ASSERT_GT(dcr.smo_redone, 0u);
+  EXPECT_EQ(r->dc().pool().stats().prefetch_issued, 0u)
+      << "Log1's DC pass prefetched";
+  const double t0 = r->dc().clock().NowMs();
+  ASSERT_OK(r->dc().PreloadIndex());
+  const double preload_ms = r->dc().clock().NowMs() - t0;
+  const BufferPool::Stats serial = r->dc().pool().stats();
+  ASSERT_GT(preload_ms, 0.0);
+
+  // Log2's DC pass reads the same pages, and leaves the final tree's
+  // internal pages loaded.
+  ASSERT_NO_FATAL_FAILURE(RestorePreloadCrashImage(img, 1, &r));
+  ASSERT_NO_FATAL_FAILURE(OpenForDcPass(r.get()));
+  ASSERT_OK(RunDcRecovery(&r->wal(), &r->dc(), start, o.dpt_mode,
+                          /*build_dpt=*/true, /*preload_index=*/true, 1,
+                          &dcr));
+  const BufferPool::Stats overlapped = r->dc().pool().stats();
+  EXPECT_EQ(overlapped.index_fetches, serial.index_fetches);
+  EXPECT_EQ(overlapped.data_fetches, serial.data_fetches);
+  EXPECT_EQ(overlapped.prefetch_wasted, 0u);
+  uint64_t internal_pages = 0;
+  for (std::vector<PageId> level = {kRootPageId}, below; !level.empty();
+       level.swap(below)) {
+    below.clear();
+    for (const PageId pid : level) {
+      EXPECT_TRUE(r->dc().pool().IsLoaded(pid)) << "internal page " << pid;
+      PageHandle h;
+      ASSERT_OK(r->dc().pool().Get(pid, PageClass::kIndex, &h));
+      internal_pages++;
+      if (h.view().level() == 1) continue;
+      const InternalNodeView node(h.view());
+      for (uint32_t i = 0; i < node.count(); i++) {
+        below.push_back(node.ChildAt(i));
+      }
+    }
+  }
+  EXPECT_GT(internal_pages, 20u);
+
+  // Whole recoveries: Log2's DC pass beats the serial sum, and all five
+  // methods destage the same bytes at every partition count.
+  double log1_dc_ms = 0;
+  double log2_dc_ms = 0;
+  testing_util::StateImage reference;
+  bool have_reference = false;
+  for (RecoveryMethod m :
+       {RecoveryMethod::kLog0, RecoveryMethod::kLog1, RecoveryMethod::kLog2,
+        RecoveryMethod::kSql1, RecoveryMethod::kSql2}) {
+    for (uint32_t threads : {1u, 2u, 4u}) {
+      const std::string label =
+          std::string(RecoveryMethodName(m)) + " x" + std::to_string(threads);
+      ASSERT_NO_FATAL_FAILURE(RestorePreloadCrashImage(img, threads, &r));
+      RecoveryStats st;
+      ASSERT_OK(r->Recover(m, &st));
+      if (threads == 1 && m == RecoveryMethod::kLog1) log1_dc_ms = st.dc_pass.ms;
+      if (threads == 1 && m == RecoveryMethod::kLog2) log2_dc_ms = st.dc_pass.ms;
+      const testing_util::StateImage state = testing_util::CaptureState(r.get());
+      if (!have_reference) {
+        reference = state;
+        have_reference = true;
+      } else {
+        testing_util::ExpectSameState(state, reference, label);
+      }
+    }
+  }
+  EXPECT_LT(log2_dc_ms, log1_dc_ms + preload_ms)
+      << "Log1 " << log1_dc_ms << " ms + preload " << preload_ms << " ms";
+}
+
+/// Media repair under the early preload: with the media archive on, the
+/// stable root of a Log2 crash image is corrupt. The descent under the DC
+/// scan reads it first and repairs it from the archive and the log before
+/// the structure replay has replayed any record, and Log2 at 1, 2 and 4
+/// partitions destages the bytes Log1 and Sql1 do. With no archive the
+/// pass fails with Corruption.
+TEST(RecoverySideBySide, Log2EarlyPreloadRepairsACorruptStableRoot) {
+  PreloadCrashImage img;
+  ASSERT_NO_FATAL_FAILURE(BuildPreloadCrashImage(/*media_archive=*/true, &img));
+  testing_util::StateImage reference;
+  bool have_reference = false;
+  const std::pair<RecoveryMethod, uint32_t> runs[] = {
+      {RecoveryMethod::kLog1, 1}, {RecoveryMethod::kSql1, 1},
+      {RecoveryMethod::kLog2, 1}, {RecoveryMethod::kLog2, 2},
+      {RecoveryMethod::kLog2, 4}};
+  for (const auto& [m, threads] : runs) {
+    const std::string label =
+        std::string(RecoveryMethodName(m)) + " x" + std::to_string(threads);
+    std::unique_ptr<Engine> r;
+    ASSERT_NO_FATAL_FAILURE(RestorePreloadCrashImage(img, threads, &r));
+    r->dc().disk().CorruptStableByteForTest(kRootPageId, kPageHeaderSize + 5,
+                                            0x20);
+    Catalog stable;
+    ASSERT_OK(Catalog::ReadFrom(r->dc().disk(), img.options.page_size,
+                                &stable));
+    PageId hwm_at_repair = kInvalidPageId;
+    Engine* engine = r.get();
+    r->dc().pool().set_repair_callback([&](PageId pid, uint8_t* data) {
+      hwm_at_repair = engine->dc().allocator().next_page_id();
+      return engine->repairer().RepairFrame(pid, data);
+    });
+    RecoveryStats st;
+    ASSERT_OK(r->Recover(m, &st));
+    if (m == RecoveryMethod::kLog2) {
+      EXPECT_EQ(st.pages_repaired, 1u) << label;
+      // The replay moves the allocator past the stable catalog's mark with
+      // its first record: the repair came before it.
+      EXPECT_EQ(hwm_at_repair, stable.next_page_id()) << label;
+      EXPECT_GT(r->dc().allocator().next_page_id(), stable.next_page_id());
+    }
+    const testing_util::StateImage state = testing_util::CaptureState(r.get());
+    if (!have_reference) {
+      reference = state;
+      have_reference = true;
+    } else {
+      testing_util::ExpectSameState(state, reference, label);
+    }
+  }
+
+  // No repair source: the descent's read fails the pass.
+  for (uint32_t threads : {1u, 4u}) {
+    std::unique_ptr<Engine> r;
+    ASSERT_NO_FATAL_FAILURE(RestorePreloadCrashImage(img, threads, &r));
+    r->repairer().RestoreArchive(PageRepairer::ArchiveSnapshot());
+    r->dc().disk().CorruptStableByteForTest(kRootPageId, kPageHeaderSize + 5,
+                                            0x20);
+    ASSERT_NO_FATAL_FAILURE(OpenForDcPass(r.get()));
+    DcRecoveryResult dcr;
+    const Status s = RunDcRecovery(
+        &r->wal(), &r->dc(), r->wal().master().bckpt_lsn,
+        img.options.dpt_mode, /*build_dpt=*/true, /*preload_index=*/true,
+        threads, &dcr);
+    EXPECT_TRUE(s.IsCorruption()) << "x" << threads << ": " << s.ToString();
   }
 }
 
