@@ -2,7 +2,10 @@
 //
 // Runs the paper's crash protocol at a configurable scale, then recovers the
 // identical crash image under Log0/Log1/Log2/SQL1/SQL2 and prints a table of
-// redo time and I/O behaviour — a miniature of Figure 2(a).
+// redo time and I/O behaviour — a miniature of Figure 2(a) — and a second one
+// of each method's device reads: demand reads (synchronous misses), read
+// I/Os and the pages they transferred (a prefetch span counts one I/O and
+// reads its gap pages through), and the redo records of the log's tail.
 //
 // Usage: recovery_comparison [cache_pages] [rows] [ckpt_interval]
 #include <cstdio>
@@ -61,6 +64,17 @@ int main(int argc, char** argv) {
         (unsigned long long)m.stats.redo_skipped_dpt,
         (unsigned long long)m.stats.redo_skipped_rlsn,
         (unsigned long long)m.stats.stall_count, m.verified ? "yes" : "-");
+  }
+  std::printf("\n%-5s %8s %8s %9s %8s %8s\n", "meth", "demand", "readIO",
+              "readPg", "gapPg", "tailOps");
+  for (const MethodOutcome& m : result.methods) {
+    std::printf("%-5s %8llu %8llu %9llu %8llu %8llu\n",
+                RecoveryMethodName(m.method),
+                (unsigned long long)m.stats.demand_reads,
+                (unsigned long long)m.stats.read_ios,
+                (unsigned long long)m.stats.read_pages,
+                (unsigned long long)m.stats.gap_pages,
+                (unsigned long long)m.stats.redo_tail_ops);
   }
   std::printf("\nΔ-records seen by analysis: %llu, BW-records: %llu\n",
               (unsigned long long)result.methods[1].stats.delta_records_seen,

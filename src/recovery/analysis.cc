@@ -322,22 +322,51 @@ void PrefetchInstallPages(DataComponent* dc,
 
 /// Phase 2 of the DC pass with a DPT: once `out->dpt` and
 /// `out->last_delta_tc_lsn` are final, re-read each structure record at
-/// `lsns` (ascending; every log page the record spans is charged, as in
-/// the scan, and an SMO record's page images can span several) and replay
-/// it through ReplayStructureRecord, stepping the preload before each.
+/// `lsns` (ascending) and replay it through ReplayStructureRecord,
+/// stepping the preload before each. One cursor seeks from record to
+/// record, so each log page a record spans is charged once across the
+/// replay: an SMO record's page images can span several pages, and
+/// consecutive records can share one.
 Status ReplayDcStructure(LogManager* log, DataComponent* dc,
                          const std::vector<Lsn>& lsns,
                          IndexPreloadUnderScan* preload,
                          DcRecoveryResult* out) {
+  if (lsns.empty()) return Status::OK();
+  auto it = log->NewIterator(lsns.front(), /*charge_io=*/true);
+  uint64_t pages_counted = 0;
   for (const Lsn lsn : lsns) {
-    auto it = log->NewIterator(lsn, /*charge_io=*/true);
-    if (!it.Valid() || it.lsn() != lsn) {
+    it.Seek(lsn);
+    if (!it.Valid()) {
       return Status::InvalidArgument("no valid structure record at lsn");
     }
-    out->log_pages += it.pages_read();
+    out->log_pages += it.pages_read() - pages_counted;
+    pages_counted = it.pages_read();
     DEUTERO_RETURN_NOT_OK(preload->Step());
     DEUTERO_RETURN_NOT_OK(
         ReplayStructureRecord(dc, it.record(), /*use_dpt=*/true, out));
+  }
+  return Status::OK();
+}
+
+/// A data-op record of the log's tail, as the scan meets it.
+struct TailKey {
+  Lsn lsn = kInvalidLsn;
+  TableId table = kInvalidTableId;
+  Key key = 0;
+};
+
+/// DcRecoveryResult::tail_pages from the tail's keys, in their order: the
+/// leaf FindLeaf finds for each on the final tree, unless the DPT names it
+/// or the list has it already.
+Status ListTailPages(DataComponent* dc, const std::vector<TailKey>& keys,
+                     DcRecoveryResult* out) {
+  DirtyPageTable listed;  // used as a set
+  for (const TailKey& k : keys) {
+    PageId pid = kInvalidPageId;
+    DEUTERO_RETURN_NOT_OK(dc->FindLeaf(k.table, k.key, &pid));
+    if (out->dpt.Find(pid) != nullptr || listed.Find(pid) != nullptr) continue;
+    listed.AddOrUpdate(pid, kInvalidLsn);
+    out->tail_pages.push_back(pid);
   }
   return Status::OK();
 }
@@ -451,6 +480,10 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
   std::vector<Lsn> structure_lsns;  // the replay's work list (DPT builds)
   // The replay's install candidates, collected when the pass preloads.
   std::vector<InstallCandidate> install;
+  // The tail's data ops, for Log2's one-partition PF-list: those at or
+  // after the latest Δ-record's TC-LSN the scan has met.
+  const bool list_tail = build_dpt && preload_index && threads < 2;
+  std::vector<TailKey> tail_keys;
   IndexPreloadUnderScan preload(dc, preload_index);
   auto it = log->NewIterator(bckpt_lsn, /*charge_io=*/true);
   const Status scan_status = [&]() -> Status {
@@ -570,8 +603,24 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
           }
           prev_delta_lsn = rec.tc_lsn;
           out->last_delta_tc_lsn = rec.tc_lsn;
+          if (list_tail) {
+            // TC-LSNs only grow: the records before this one's are out of
+            // the tail for good.
+            tail_keys.erase(
+                tail_keys.begin(),
+                std::find_if(tail_keys.begin(), tail_keys.end(),
+                             [&](const TailKey& k) {
+                               return k.lsn >= rec.tc_lsn;
+                             }));
+          }
           break;
         }
+        case LogRecordType::kUpdate:
+        case LogRecordType::kInsert:
+        case LogRecordType::kDelete:
+        case LogRecordType::kClr:
+          if (list_tail) tail_keys.push_back({rec.lsn, rec.table_id, rec.key});
+          break;
         case LogRecordType::kBwRecord:
           out->bw_records_seen++;  // SQL-Server artifact; the DC ignores it
           break;
@@ -620,6 +669,8 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
     // waits for what they still have in flight.
     DEUTERO_RETURN_NOT_OK(dc->PreloadIndex());
   }
+  // The tree is final and its index loaded: the tail's leaves cost CPU.
+  if (list_tail) DEUTERO_RETURN_NOT_OK(ListTailPages(dc, tail_keys, out));
   return Status::OK();
 }
 

@@ -12,6 +12,8 @@
 //    phases: the scan builds the DPT and only collects the LSNs of the
 //    structure records; the replay then re-reads them in LSN order and
 //    installs only the SMO images Algorithm 5's test cannot prove durable.
+//    Log2's pass also lists the pages of the log's tail beside the DPT,
+//    for its PF-list (DcRecoveryResult::tail_pages).
 //
 // Shape. One log-scanning dispatcher resolves every DPT mutation to a
 // (pid, lsn) event — record LSN, FW-LSN, the prev-Δ TC-LSN chain, the
@@ -274,6 +276,14 @@ Status RunSqlAnalysis(LogManager* log, Lsn bckpt_lsn, uint32_t threads,
 struct DcRecoveryResult {
   DirtyPageTable dpt;  ///< Entries carry their claim stamps.
   Lsn last_delta_tc_lsn = kInvalidLsn;  ///< Tail-mode boundary (§4.3).
+  /// Log2 at one partition: the leaves that the data-op records at or
+  /// after last_delta_tc_lsn (the whole window, with no Δ-record in it)
+  /// update and the DPT does not name, each once, in the order the tail
+  /// first updates them. Redo fetches every one of them (§4.3), so its
+  /// PF-list lists them after the DPT pages (prefetch.h). They are never
+  /// DPT entries: dpt_size and the redo tests do not see them. Empty for
+  /// every other pass: partitioned redo reads ahead by ring-peek.
+  std::vector<PageId> tail_pages;
   uint64_t delta_records_seen = 0;
   uint64_t bw_records_seen = 0;  ///< Seen on the common log; ignored.
   /// Structure records (kSmo, kSmoMerge, kCreateTable) replayed with at
@@ -283,7 +293,9 @@ struct DcRecoveryResult {
   /// their pages (allocator bookkeeping only).
   uint64_t smo_pages_skipped = 0;
   uint64_t records_scanned = 0;
-  uint64_t log_pages = 0;  ///< Scan pages plus the replay re-reads' pages.
+  /// Scan pages plus the replay's: each log page a replayed record spans,
+  /// once across the replay.
+  uint64_t log_pages = 0;
   uint64_t dpt_updates = 0;      ///< DPT mutation events (see SqlAnalysisResult).
   uint32_t threads_used = 1;     ///< Partitions (Log0 builds no DPT: 1).
   double shard_cpu_us_max = 0;
@@ -297,12 +309,12 @@ struct DcRecoveryResult {
 ///
 /// With a DPT the pass has two phases. The scan builds the DPT and
 /// collects the LSNs of the structure records; once the DPT is final, the
-/// replay re-reads them in LSN order (charging every log page a record
-/// spans, as the scan does) and installs only what Algorithm 5's test
-/// cannot prove durable: a kSmo record below the last Δ-record installs
-/// the images of pages in the DPT with record LSN >= rLSN. Tail SMOs
-/// (§4.3), merges (the free-list must converge) and DDL replay
-/// unconditionally.
+/// replay re-reads them in LSN order (through one cursor that charges each
+/// log page a record spans once across the replay) and installs only what
+/// Algorithm 5's test cannot prove durable: a kSmo record below the last
+/// Δ-record installs the images of pages in the DPT with record LSN >=
+/// rLSN. Tail SMOs (§4.3), merges (the free-list must converge) and DDL
+/// replay unconditionally.
 ///
 /// With `preload_index` the index preload overlaps the pass. One
 /// no-wait descent per table of the stable catalog starts with the pass
@@ -312,6 +324,14 @@ struct DcRecoveryResult {
 /// pages go out as one span Prefetch once the DPT is final, and the
 /// waiting PreloadIndex after the replay reads whatever the descents have
 /// not. Without it the pass issues no prefetch.
+///
+/// With `preload_index` at one partition the scan also keeps the (table,
+/// key) of every data-op record at or after the latest Δ-record's TC-LSN
+/// it has met, dropping the older ones at each Δ-record. TC-LSN need not
+/// be a record boundary, so the scan collects them rather than a second
+/// iterator seeking there. After the PreloadIndex the pass resolves them
+/// on the final tree with FindLeaf (no I/O: the index is loaded; its
+/// per-level CPU is charged) into `tail_pages`.
 Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
                      DptMode mode, bool build_dpt, bool preload_index,
                      uint32_t threads, DcRecoveryResult* out);

@@ -5,9 +5,21 @@
 
 namespace deutero {
 
-std::vector<PageId> BuildPfList(const DirtyPageTable& dpt) {
+namespace {
+
+/// The tail part of a PF-list: its entries from `tail_begin` on.
+std::span<const PageId> TailOf(const std::vector<PageId>* pf_list,
+                               size_t tail_begin) {
+  if (pf_list == nullptr || tail_begin >= pf_list->size()) return {};
+  return std::span<const PageId>(*pf_list).subspan(tail_begin);
+}
+
+}  // namespace
+
+std::vector<PageId> BuildPfList(const DirtyPageTable& dpt,
+                                std::span<const PageId> tail) {
   std::vector<PageId> list;
-  list.reserve(dpt.size());
+  list.reserve(dpt.size() + tail.size());
   dpt.ForEach([&](PageId pid, const DirtyPageTable::Entry&) {
     list.push_back(pid);
   });
@@ -19,11 +31,13 @@ std::vector<PageId> BuildPfList(const DirtyPageTable& dpt) {
     return std::tie(ea->rlsn, ea->claim_seq, a) <
            std::tie(eb->rlsn, eb->claim_seq, b);
   });
+  list.insert(list.end(), tail.begin(), tail.end());
   return list;
 }
 
 PrefetchWindow::PrefetchWindow(BufferPool* pool, uint32_t window,
-                               const DirtyPageTable* dpt, uint32_t max_pages)
+                               const DirtyPageTable* dpt, uint32_t max_pages,
+                               std::span<const PageId> tail)
     : pool_(pool),
       window_(window),
       dpt_(dpt),
@@ -31,7 +45,9 @@ PrefetchWindow::PrefetchWindow(BufferPool* pool, uint32_t window,
                        ? 0
                        : static_cast<uint32_t>(
                              std::min<uint64_t>(pool->capacity() / 8,
-                                                max_pages - window))) {
+                                                max_pages - window))),
+      tail_(tail.begin(), tail.end()) {
+  std::sort(tail_.begin(), tail_.end());
   // Bounded by the window and the rider bound: never reallocates.
   inflight_.reserve(window);
   riders_.reserve(rider_bound_);
@@ -84,16 +100,20 @@ void PrefetchWindow::Issue(const std::vector<PageId>& heads) {
   }
 }
 
-void PrefetchWindow::AddRiders(size_t heads) {
-  // Riders take only frames that hold no page, and only those the heads
-  // leave over: the whole batch then fits without a single eviction. A
-  // margin of window + rider bound frames, the most pages the read-ahead
-  // keeps in flight, also stays unused: once riders stop, later heads fill
-  // that margin while redo claims the riders already read, rather than
+uint64_t PrefetchWindow::RoomBeyondMargin(size_t heads) const {
+  // Only frames that hold no page, and only those the heads leave over:
+  // the whole batch then fits without a single eviction. A margin of
+  // window + rider bound frames, the most pages the read-ahead keeps in
+  // flight, also stays unused: once riders stop, later heads fill that
+  // margin while redo claims the riders already read, rather than
   // evicting them unclaimed as soon as the pool is full.
   const uint64_t unused = pool_->unused_frames();
   const uint64_t keep = heads + window_ + rider_bound_;
-  uint64_t room = unused > keep ? unused - keep : 0;
+  return unused > keep ? unused - keep : 0;
+}
+
+void PrefetchWindow::AddRiders(size_t heads) {
+  uint64_t room = RoomBeyondMargin(heads);
   if (room == 0) return;
   // A rider's slot frees when its I/O lands, claimed or not (see the
   // header comment), so riders need no escape hatch. Only the room here
@@ -137,8 +157,19 @@ bool PrefetchWindow::CanRide(PageId pid) const {
   for (const auto& [lo, hi] : runs_) {
     if (pid >= lo && pid <= hi) return false;
   }
-  return dpt_->Find(pid) != nullptr && !pool_->IsResidentOrPending(pid);
+  const bool wanted = dpt_->Find(pid) != nullptr ||
+                      std::binary_search(tail_.begin(), tail_.end(), pid);
+  return wanted && !pool_->IsResidentOrPending(pid);
 }
+
+PfListPrefetcher::PfListPrefetcher(BufferPool* pool,
+                                   const DirtyPageTable* dpt,
+                                   const std::vector<PageId>* pf_list,
+                                   uint32_t window, size_t tail_begin)
+    : window_(pool, window, dpt, UINT32_MAX, TailOf(pf_list, tail_begin)),
+      dpt_(dpt),
+      pf_list_(pf_list),
+      tail_begin_(tail_begin) {}
 
 void PfListPrefetcher::Pump() {
   window_.Drain();
@@ -147,10 +178,15 @@ void PfListPrefetcher::Pump() {
   std::vector<PageId>& batch = batch_;  // member scratch: 0 allocs/pump
   batch.clear();
   while (budget > 0 && cursor_ < pf_list_->size()) {
+    const bool tail = cursor_ >= tail_begin_;
     const PageId pid = (*pf_list_)[cursor_++];
-    // Only DPT pages are fetched: a page outside it never needs redo.
-    if (dpt_->Find(pid) == nullptr) continue;
+    // A DPT page is fetched only while the DPT names it: a page outside it
+    // never needs redo.
+    if (!tail && dpt_->Find(pid) == nullptr) continue;
     if (window_.pool()->IsResidentOrPending(pid)) continue;
+    // A tail page goes out as a head only where a rider could: redo reads
+    // it on demand otherwise (see the header comment).
+    if (tail && window_.RoomBeyondMargin(batch.size()) == 0) continue;
     batch.push_back(pid);
     budget--;
   }

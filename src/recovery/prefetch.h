@@ -15,7 +15,16 @@
 //    first mention in App. A.2's list, far ahead of its claim; there it
 //    fills the claim-paced window (below) with pages redo needs much
 //    later, and the pages redo needs next become demand reads. The list
-//    names each DPT page once.
+//    names each DPT page once, then the log's tail. Redo handles the
+//    records at or after the last Δ-record's TC-LSN with the basic
+//    algorithm (§4.3): it fetches every page they update, and the DPT
+//    names only the pages a Δ-record saw. The DC pass lists the others
+//    (DcRecoveryResult::tail_pages, analysis.h), each once, in the order
+//    the tail first updates them, and BuildPfList appends them: redo
+//    claims the DPT pages before the tail and the tail's pages in that
+//    order. Unlisted, each was a one-page demand read at a full seek that
+//    no span could carry: 49.8 per Log2 recovery on bench/e2e's
+//    zipf_resident (seed 1), all of its demand reads there.
 //  * LogDrivenPrefetcher (SQL recovery): candidates come from scanning the
 //    log ahead of the redo cursor, issuing pages whose DPT entry passes the
 //    rLSN test. A page may be issued again if it was evicted meanwhile —
@@ -45,7 +54,17 @@
 // beyond a margin of window + rider bound unused frames. So a rider never
 // costs an eviction, read-ahead can never exhaust the pool, and when the
 // pool fills up, the riders already read have been claimed rather than
-// being the first pages evicted. The log-driven prefetcher also keeps heads
+// being the first pages evicted. Tail pages are wanted pages like DPT
+// pages: one rides in any span that passes over it. As a head, a tail page
+// follows the riders' rule: it goes out only into a frame that holds no
+// page, beyond the same margin, or the pump skips it and redo reads it on
+// demand. A DPT head may evict (the window holds it to redo's pace), but
+// the tail is listed whatever the pool holds: in a pool the DPT
+// over-commits, unguarded tail heads evicted pages and were evicted unused
+// in turn. On bench/e2e's fig2a_uniform (seed 1, 819 frames) they took
+// Log2's wasted prefetches per recovery from 26 to 37 and its recovery
+// 1.6 % slower. The guard is a property of the pool at pump time, not of
+// a workload. The log-driven prefetcher also keeps heads
 // plus riders in flight within its lookahead, the most pages its log
 // read-ahead could name; at the default lookahead (8 x window) that caps
 // its riders at 7 x window.
@@ -58,7 +77,9 @@
 // Without the term Log2 recovers there in 2,375 sim ms instead of 3,274.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -75,10 +96,13 @@ class PrefetchWindow {
  public:
   /// `window` bounds the heads in flight. With a `dpt`, Issue() grows every
   /// head into its span (see the header comment); without one it issues
-  /// the heads alone. `max_pages` caps heads plus riders in flight.
+  /// the heads alone. `max_pages` caps heads plus riders in flight. `tail`
+  /// names wanted pages the DPT does not (the log's tail): they ride in
+  /// spans as DPT pages do.
   PrefetchWindow(BufferPool* pool, uint32_t window,
                  const DirtyPageTable* dpt = nullptr,
-                 uint32_t max_pages = UINT32_MAX);
+                 uint32_t max_pages = UINT32_MAX,
+                 std::span<const PageId> tail = {});
 
   /// Remove heads that redo claimed (or that were evicted).
   void Drain();
@@ -99,17 +123,23 @@ class PrefetchWindow {
   uint32_t rider_bound() const { return rider_bound_; }
   BufferPool* pool() { return pool_; }
 
+  /// How many more pages a batch of `heads` heads may take into frames
+  /// that hold no page, beyond a margin of window + rider bound: the room
+  /// of its riders, and of a tail page as a head.
+  uint64_t RoomBeyondMargin(size_t heads) const;
+
  private:
   /// Append to batch_ the riders of the heads in batch_[0, heads).
   void AddRiders(size_t heads);
-  /// True if `pid` is a DPT page, neither cached nor pending, and outside
-  /// every span formed so far by this Issue.
+  /// True if `pid` is a DPT or tail page, neither cached nor pending, and
+  /// outside every span formed so far by this Issue.
   bool CanRide(PageId pid) const;
 
   BufferPool* pool_;
   uint32_t window_;
   const DirtyPageTable* dpt_;
   uint32_t rider_bound_;
+  std::vector<PageId> tail_;  ///< Sorted, for CanRide's lookup.
   std::vector<PageId> inflight_;
   std::vector<PageId> riders_;
   // Issue() scratch, reserved up front so a pump never allocates.
@@ -119,17 +149,21 @@ class PrefetchWindow {
 };
 
 /// The PF-list in claim order: every page of `dpt`, sorted by (rLSN,
-/// claim stamp). Allocates only the list: the sort reads its keys from the
+/// claim stamp), then the `tail` pages (DcRecoveryResult::tail_pages) as
+/// they are. Allocates only the list: the sort reads its keys from the
 /// DPT.
-std::vector<PageId> BuildPfList(const DirtyPageTable& dpt);
+std::vector<PageId> BuildPfList(const DirtyPageTable& dpt,
+                                std::span<const PageId> tail = {});
 
 class PfListPrefetcher {
  public:
-  /// `pf_list` (BuildPfList) must outlive the prefetcher; pages that are
-  /// not in `dpt` are skipped.
+  /// `pf_list` (BuildPfList) must outlive the prefetcher. Its entries
+  /// before `tail_begin` are DPT pages, skipped once the DPT no longer
+  /// names them; those from `tail_begin` on are tail pages, issued as
+  /// heads only where RoomBeyondMargin allows (see the header comment).
   PfListPrefetcher(BufferPool* pool, const DirtyPageTable* dpt,
-                   const std::vector<PageId>* pf_list, uint32_t window)
-      : window_(pool, window, dpt), dpt_(dpt), pf_list_(pf_list) {}
+                   const std::vector<PageId>* pf_list, uint32_t window,
+                   size_t tail_begin = SIZE_MAX);
 
   /// Called before each redo step: keep the window full.
   void Pump();
@@ -140,6 +174,7 @@ class PfListPrefetcher {
   PrefetchWindow window_;
   const DirtyPageTable* dpt_;
   const std::vector<PageId>* pf_list_;
+  size_t tail_begin_;
   size_t cursor_ = 0;
   std::vector<PageId> batch_;  ///< Scratch reused across Pump() calls.
 };

@@ -97,7 +97,7 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
     DEUTERO_RETURN_NOT_OK(RunLogicalRedo(
         log_, dc_, start, build_dpt, build_dpt ? &dcr.dpt : nullptr,
         dcr.last_delta_tc_lsn, preload, options_, threads, &redo,
-        count_rows_from));
+        count_rows_from, dcr.tail_pages));
     const double t2 = clock_->NowMs();
     stats->redo = {t2 - t1, redo.log_pages, redo.records_scanned};
     att = std::move(redo.att);
@@ -148,8 +148,8 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
   UndoResult ur;
   DEUTERO_RETURN_NOT_OK(RunUndo(log_, dc_, att, threads, &ur));
   const double t_undo1 = clock_->NowMs();
-  // Undo reads its log by backchain, one charged log page per record.
-  stats->undo = {t_undo1 - t_undo0, ur.records_read, ur.records_read};
+  // Undo reads its log by backchain, charging each page it stays on once.
+  stats->undo = {t_undo1 - t_undo0, ur.log_pages, ur.records_read};
   stats->txns_undone = ur.txns_undone;
   stats->undo_ops = ur.ops_undone;
   stats->undo_threads = ur.threads_used;

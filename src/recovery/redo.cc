@@ -344,7 +344,8 @@ Status RunLogicalRedo(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
                       bool use_dpt, const DirtyPageTable* dpt,
                       Lsn last_delta_tc_lsn, bool prefetch,
                       const EngineOptions& options, uint32_t threads,
-                      RedoResult* out, Lsn count_rows_from) {
+                      RedoResult* out, Lsn count_rows_from,
+                      std::span<const PageId> tail_pages) {
   *out = RedoResult();
   const Lsn count_from =
       count_rows_from == kInvalidLsn ? bckpt_lsn : count_rows_from;
@@ -359,12 +360,13 @@ Status RunLogicalRedo(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
   std::unique_ptr<PfListPrefetcher> prefetcher;
   if (read_ahead && dispatch.inline_apply()) {
     // Ordering the list visits every DPT entry once more: one DPT unit of
-    // CPU per listed page.
-    pf_list = BuildPfList(*dpt);
+    // CPU per listed page, tail pages included.
+    pf_list = BuildPfList(*dpt, tail_pages);
     dc->clock().AdvanceUs(static_cast<double>(pf_list.size()) *
                           options.io.cpu_per_dpt_update_us);
     prefetcher = std::make_unique<PfListPrefetcher>(
-        &dc->pool(), dpt, &pf_list, RedoPrefetchWindow(dc->pool(), options));
+        &dc->pool(), dpt, &pf_list, RedoPrefetchWindow(dc->pool(), options),
+        pf_list.size() - tail_pages.size());
   }
 
   RedoLeafMemo memo;

@@ -8,8 +8,8 @@
 //   redo starts: it ran under the DC pass's scan and structure replay, and
 //   the pass ended once every internal page of the final tree was loaded
 //   (analysis.h). Log2's one-partition run builds the PF-list from the
-//   final DPT in claim order (prefetch.h) and charges cpu_per_dpt_update_us
-//   per listed page.
+//   final DPT in claim order, then the log tail's pages the DC pass listed
+//   (prefetch.h), and charges cpu_per_dpt_update_us per listed page.
 //
 //   RunSqlRedo covers SQL1 (Algorithm 1: physiological redo with DPT and
 //   rLSN test) and SQL2 (+ log-driven prefetch).
@@ -74,6 +74,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/options.h"
@@ -152,12 +153,14 @@ void BuildDptShards(const DirtyPageTable& dpt, uint32_t partitions,
 ///   prefetch=true  -> Log2 read-ahead (with `dpt`): the PF-list at one
 ///                     partition, the workers' ring-peek beside workers.
 /// `count_rows_from` bounds the scan-complete row-count accounting (see
-/// RunSqlRedo); it defaults to the scan start.
+/// RunSqlRedo); it defaults to the scan start. `tail_pages`
+/// (DcRecoveryResult::tail_pages) go at the end of the PF-list.
 Status RunLogicalRedo(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
                       bool use_dpt, const DirtyPageTable* dpt,
                       Lsn last_delta_tc_lsn, bool prefetch,
                       const EngineOptions& options, uint32_t threads,
-                      RedoResult* out, Lsn count_rows_from = kInvalidLsn);
+                      RedoResult* out, Lsn count_rows_from = kInvalidLsn,
+                      std::span<const PageId> tail_pages = {});
 
 /// Redo pass for the SQL family (Algorithm 1) over `threads` partitions,
 /// optionally with log-driven prefetch (SQL2). `count_rows_from` bounds

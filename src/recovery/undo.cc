@@ -203,6 +203,9 @@ Status RunUndo(LogManager* log, DataComponent* dc, const ActiveTxnTable& att,
     LogRecord rec;
     LogRecord clr;
     LogRecord abort;
+    // The pass reads its backchains in descending LSN order, so a log page
+    // its reads stay on is charged once.
+    LogManager::PageMemo log_page;
     abort.type = LogRecordType::kTxnAbort;
     UndoWorkItem item;
 
@@ -232,8 +235,9 @@ Status RunUndo(LogManager* log, DataComponent* dc, const ActiveTxnTable& att,
       }
       // No gate: the log buffer is dispatcher-only (workers never touch
       // it) and the clock's log-read charge is atomic.
-      DEUTERO_RETURN_NOT_OK(log->ReadRecordAt(cur.next, &rec));
+      DEUTERO_RETURN_NOT_OK(log->ReadRecordAt(cur.next, &rec, &log_page));
       out->records_read++;
+      out->log_pages = log_page.pages_charged;
       if (IsDataOp(rec.type)) {
         if (ahead.has_value()) DEUTERO_RETURN_NOT_OK(ahead->Advance());
         // Logical undo (§1.2): rediscover the record's page by key. An

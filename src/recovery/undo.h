@@ -30,9 +30,12 @@ struct UndoResult {
   uint64_t txns_undone = 0;
   uint64_t ops_undone = 0;
   uint64_t clrs_written = 0;
-  /// Backchain records read. ReadRecordAt charges one log page for each
-  /// one the crash left on the device; a runtime rollback's are free.
+  /// Backchain records read.
   uint64_t records_read = 0;
+  /// Log pages those reads charged: the pass charges a page the crash
+  /// left on the device once while consecutive reads stay on it
+  /// (LogManager::PageMemo); a runtime rollback's records are free.
+  uint64_t log_pages = 0;
   uint32_t threads_used = 1;  ///< Partitions (1 = inline restores).
 };
 

@@ -270,7 +270,7 @@ bool LogManager::ParseFrame(Lsn lsn, Lsn limit, LogRecordType* type,
   return true;
 }
 
-Status LogManager::ReadRecordAt(Lsn lsn, LogRecord* out) {
+Status LogManager::ReadRecordAt(Lsn lsn, LogRecord* out, PageMemo* memo) {
   // Reads may target the volatile tail: runtime rollback follows backchains
   // into not-yet-flushed records (always published by then — undo runs with
   // the appender quiesced under the engine's write gate). After a Crash()
@@ -281,7 +281,16 @@ Status LogManager::ReadRecordAt(Lsn lsn, LogRecord* out) {
   if (!ParseFrame(lsn, next_lsn(), &type, &len)) {
     return Status::InvalidArgument("no valid record at lsn");
   }
-  if (lsn < device_end_) clock_->AdvanceMs(log_page_read_ms_);
+  if (lsn < device_end_) {
+    const int64_t page = static_cast<int64_t>(lsn / log_page_size_);
+    if (memo == nullptr || memo->page != page) {
+      clock_->AdvanceMs(log_page_read_ms_);
+      if (memo != nullptr) {
+        memo->page = page;
+        memo->pages_charged++;
+      }
+    }
+  }
   Slice payload(raw() + lsn + kFrameSize, len);
   DEUTERO_RETURN_NOT_OK(LogRecord::DecodePayload(type, payload, out));
   out->lsn = lsn;
@@ -354,6 +363,15 @@ void LogManager::Iterator::Next() {
   assert(valid_);
   const uint32_t len = DecodeFixed32(log_->raw() + lsn_);
   lsn_ += kFrameSize + len;
+  ParseCurrent();
+}
+
+void LogManager::Iterator::Seek(Lsn lsn) {
+  assert(lsn >= lsn_);
+  lsn_ = lsn;
+  last_charged_page_ =
+      std::max(last_charged_page_,
+               static_cast<int64_t>(lsn_ / log_->log_page_size_) - 1);
   ParseCurrent();
 }
 

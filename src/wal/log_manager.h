@@ -140,11 +140,22 @@ class LogManager {
   /// appenders (no reservation in flight).
   void Crash();
 
+  /// The log page a pass's last charged ReadRecordAt read, and the pages
+  /// it has charged. A pass keeps one across its reads (RunUndo), never
+  /// the log: runtime rollbacks read the log too.
+  struct PageMemo {
+    int64_t page = -1;
+    uint64_t pages_charged = 0;
+  };
+
   /// Random-access read of the record at `lsn` (undo backchains: recovery's
   /// pass and runtime rollback). A record below the log end found at the
   /// last Crash() or RestoreSnapshot() is on the device and costs one log
   /// page read; one appended since is still in the log buffer and is free.
-  Status ReadRecordAt(Lsn lsn, LogRecord* out);
+  /// With a `memo`, a read of the page it names is free too, and a charged
+  /// read makes its page the memo's: consecutive reads on one page pay it
+  /// once.
+  Status ReadRecordAt(Lsn lsn, LogRecord* out, PageMemo* memo = nullptr);
 
   /// Sequential scanner over stable records, charging sequential read I/O.
   ///
@@ -170,6 +181,12 @@ class LogManager {
     /// Log pages touched so far by this iterator (their sequential-read
     /// cost is charged to the clock only when charge_io was set).
     uint64_t pages_read() const { return pages_read_; }
+    /// Move forward to the record at `lsn` (>= lsn()) as a new iterator
+    /// there would, except that the pages this one touched already are
+    /// not touched again, and the pages between the two records are not
+    /// read: one cursor over a pass's ascending re-reads pays each log page
+    /// once.
+    void Seek(Lsn lsn);
 
    private:
     friend class LogManager;

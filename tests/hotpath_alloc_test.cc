@@ -609,40 +609,54 @@ TEST(PrefetchAllocTest, PreloadDescentStepIsAllocationFree) {
 }
 
 /// Building the PF-list sorts the DPT by (rLSN, claim stamp) with keys read
-/// from the DPT itself: the list is its one allocation.
+/// from the DPT itself and appends the tail pages as they are: the list is
+/// its one allocation.
 TEST(PrefetchAllocTest, BuildPfListAllocatesOnlyTheList) {
   DirtyPageTable dpt;
   for (PageId p = 1; p < 2000; p++) {
     dpt.AddOrUpdate(p, /*lsn=*/p % 97, /*claim_seq=*/2000 - p);
   }
+  const std::vector<PageId> tail = {2500, 2100, 2300};
   std::vector<PageId> list;
-  const uint64_t allocs = CountAllocs([&] { list = BuildPfList(dpt); });
+  const uint64_t allocs =
+      CountAllocs([&] { list = BuildPfList(dpt, tail); });
   EXPECT_EQ(allocs, 1u) << "BuildPfList allocates beyond its list";
-  ASSERT_EQ(list.size(), dpt.size());
+  ASSERT_EQ(list.size(), dpt.size() + tail.size());
   auto key = [&](PageId p) {
     return std::make_pair(dpt.Find(p)->rlsn, dpt.Find(p)->claim_seq);
   };
-  EXPECT_TRUE(std::is_sorted(list.begin(), list.end(), [&](PageId a, PageId b) {
-    return key(a) < key(b);
-  }));
+  EXPECT_TRUE(std::is_sorted(list.begin(), list.end() - tail.size(),
+                             [&](PageId a, PageId b) {
+                               return key(a) < key(b);
+                             }));
+  EXPECT_TRUE(std::equal(tail.begin(), tail.end(), list.end() - tail.size()));
 }
 
-/// Pumps a PF-list prefetcher (window 16) over a 1,999-page DPT, claiming
-/// 8 of its pages per pump, in a pool of `capacity` frames. The DPT holds
-/// every `stride`-th pid from 1: contiguous at 1, and at 2 every other pid,
-/// so riders form only across gaps. Returns the allocations of the counted
-/// pumps after a warm-up, and in `most_riders` the most riders in flight
-/// after any counted pump.
+/// Pumps a PF-list prefetcher (window 16) over 1,999 listed pages,
+/// claiming 8 of them per pump, in a pool of `capacity` frames. The list
+/// holds every `stride`-th pid from 1: contiguous at 1, and at 2 every
+/// other pid, so riders form only across gaps. Its last `tail` pages are
+/// tail pages, the others DPT pages. Returns the allocations of the
+/// counted pumps after a warm-up, and in `most_riders` the most riders in
+/// flight after any counted pump.
 uint64_t PfListPumpAllocs(uint64_t capacity, uint32_t* most_riders,
-                          PageId stride = 1) {
+                          PageId stride = 1, PageId tail = 0) {
   SimClock clock;
   SimDisk disk(&clock, 256, IoModelOptions{});
   disk.EnsurePages(4096);
   BufferPool pool(&clock, &disk, capacity, /*page_size=*/256);
   DirtyPageTable dpt;
-  for (PageId i = 0; i < 1999; i++) dpt.AddOrUpdate(1 + i * stride, 1 + i);
-  const std::vector<PageId> pf_list = BuildPfList(dpt);  // in pid order
-  PfListPrefetcher pf(&pool, &dpt, &pf_list, /*window=*/16);
+  std::vector<PageId> tail_pages;
+  for (PageId i = 0; i < 1999; i++) {
+    if (i < 1999 - tail) {
+      dpt.AddOrUpdate(1 + i * stride, 1 + i);
+    } else {
+      tail_pages.push_back(1 + i * stride);
+    }
+  }
+  // In pid order.
+  const std::vector<PageId> pf_list = BuildPfList(dpt, tail_pages);
+  PfListPrefetcher pf(&pool, &dpt, &pf_list, /*window=*/16, dpt.size());
   auto pump_and_claim = [&](PageId first) {
     pf.Pump();
     *most_riders = std::max(*most_riders, pf.window().riders_inflight());
@@ -731,6 +745,18 @@ TEST(PrefetchAllocTest, LogDrivenRiderPumpIsAllocationFreePerPump) {
   uint32_t most_riders = 0;
   EXPECT_EQ(LogDrivenPumpAllocs(/*capacity=*/4096, &most_riders), 0u)
       << "LogDrivenPrefetcher::Pump is allocating riders";
+  EXPECT_GT(most_riders, 0u);
+}
+
+// The log's tail: the claims in the counted pumps cross from the DPT's
+// part of the list into the tail's, whose pages go out as heads and ride
+// in spans.
+TEST(PrefetchAllocTest, PfListTailPumpIsAllocationFreePerPump) {
+  uint32_t most_riders = 0;
+  EXPECT_EQ(PfListPumpAllocs(/*capacity=*/4096, &most_riders, /*stride=*/1,
+                             /*tail=*/1200),
+            0u)
+      << "PfListPrefetcher::Pump is allocating with tail pages listed";
   EXPECT_GT(most_riders, 0u);
 }
 

@@ -3,6 +3,7 @@
 // random access reads and the master record.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -342,6 +343,29 @@ TEST_F(LogManagerTest, IteratorChargesPerLogPage) {
   EXPECT_NEAR(clock_.NowMs() - before, it.pages_read() * 0.25, 1e-9);
 }
 
+TEST_F(LogManagerTest, IteratorSeekChargesEachPageOnce) {
+  // One iterator seeking forward over records on 128-byte pages charges
+  // each page the records it lands on touch once, and none of the pages
+  // it seeks over.
+  std::vector<Lsn> lsns;
+  for (TxnId t = 1; t <= 40; t++) lsns.push_back(AppendBegin(t));
+  log_.Flush();
+  const uint64_t ps = log_.log_page_size();
+  std::set<uint64_t> pages;
+  auto it = log_.NewIterator(lsns[0], /*charge_io=*/true);
+  for (const size_t i : {0, 1, 2, 3, 30, 31}) {
+    it.Seek(lsns[i]);
+    ASSERT_TRUE(it.Valid());
+    EXPECT_EQ(it.record().txn_id, i + 1);
+    for (uint64_t p = lsns[i] / ps; p <= (lsns[i + 1] - 1) / ps; p++) {
+      pages.insert(p);
+    }
+  }
+  ASSERT_LT(pages.size(), 6u) << "no two records share a page";
+  EXPECT_EQ(it.pages_read(), pages.size());
+  EXPECT_NEAR(clock_.NowMs(), pages.size() * 0.25, 1e-9);
+}
+
 TEST_F(LogManagerTest, IteratorWithoutChargingIsFree) {
   for (TxnId t = 1; t <= 40; t++) AppendBegin(t);
   log_.Flush();
@@ -397,6 +421,31 @@ TEST_F(LogManagerTest, ReadRecordAtChargesOnlyRecordsOnTheDevice) {
   log_.RestoreSnapshot(log_.TakeSnapshot());
   ASSERT_TRUE(log_.ReadRecordAt(b, &rec).ok());
   EXPECT_DOUBLE_EQ(clock_.NowMs(), 0.5);
+}
+
+TEST_F(LogManagerTest, ReadRecordAtWithAPageMemoChargesEachPageOnce) {
+  // Read back in descending LSN order, as undo reads its backchains,
+  // through one memo: a page the reads stay on costs one read. Without a
+  // memo every read of a record on the device pays.
+  std::vector<Lsn> lsns;
+  for (TxnId t = 1; t <= 40; t++) lsns.push_back(AppendBegin(t));
+  log_.Flush();
+  log_.Crash();
+  LogManager::PageMemo memo;
+  std::set<uint64_t> pages;
+  LogRecord rec;
+  for (size_t i = lsns.size(); i-- > 0;) {
+    ASSERT_TRUE(log_.ReadRecordAt(lsns[i], &rec, &memo).ok());
+    EXPECT_EQ(rec.txn_id, i + 1);
+    pages.insert(lsns[i] / log_.log_page_size());
+  }
+  ASSERT_LT(pages.size(), lsns.size());
+  EXPECT_EQ(memo.pages_charged, pages.size());
+  EXPECT_NEAR(clock_.NowMs(), pages.size() * 0.25, 1e-9);
+  const double before = clock_.NowMs();
+  ASSERT_TRUE(log_.ReadRecordAt(lsns[0], &rec).ok());
+  ASSERT_TRUE(log_.ReadRecordAt(lsns[0], &rec).ok());
+  EXPECT_NEAR(clock_.NowMs() - before, 0.5, 1e-9);
 }
 
 TEST_F(LogManagerTest, ReadRecordAtInvalidLsnFails) {

@@ -243,6 +243,59 @@ TEST_F(PrefetchTest, PfListReadAheadNeverExhaustsASmallPool) {
   EXPECT_LT(disk_.stats().read_ios, disk_.stats().pages_read);
 }
 
+// ---- The log's tail: PF-list pages outside the DPT ----
+
+TEST_F(PrefetchTest, PfListTailPageRidesInASpanThatPassesOverIt) {
+  // DPT 40 and 44, tail page 42, with a one-head window: 40's span takes
+  // 42 as a rider, as it takes 44, while 41, 43 (wanted by no one) are gap
+  // pages. A pool large enough that the margin leaves riders room.
+  BufferPool pool(&clock_, &disk_, /*capacity=*/128, kPageSize, 8);
+  FillDpt({40, 44});
+  const std::vector<PageId> tail = {42};
+  const std::vector<PageId> pf = BuildPfList(dpt_, tail);
+  ASSERT_EQ(pf, (std::vector<PageId>{40, 44, 42}));
+  PfListPrefetcher p(&pool, &dpt_, &pf, /*window=*/1, /*tail_begin=*/2);
+  p.Pump();
+  EXPECT_EQ(p.window().inflight(), 1u);  // the head, 40
+  EXPECT_EQ(p.window().riders_inflight(), 2u);
+  EXPECT_TRUE(pool.IsResidentOrPending(42));
+  EXPECT_TRUE(pool.IsResidentOrPending(44));
+  EXPECT_FALSE(pool.IsResidentOrPending(41));
+  EXPECT_FALSE(pool.IsResidentOrPending(43));
+  EXPECT_EQ(dpt_.Find(42), nullptr) << "a tail page entered the DPT";
+  EXPECT_EQ(disk_.stats().read_ios, 1u);
+  EXPECT_EQ(disk_.stats().gap_pages, 2u);
+}
+
+TEST_F(PrefetchTest, PfListTailHeadNeedsAFrameBeyondTheMargin) {
+  // Window 4 in the 32-frame pool: a rider bound of capacity / 8 = 4, so
+  // the margin is 8 unused frames. A tail page goes out as a head only
+  // while more than the margin is unused; a DPT head goes out either way.
+  const std::vector<PageId> tail = {120};
+  for (const uint64_t unused : {8u, 9u}) {
+    SimClock clock;
+    SimDisk disk(&clock, kPageSize, IoModelOptions{});
+    disk.EnsurePages(256);
+    BufferPool pool(&clock, &disk, /*capacity=*/32, kPageSize, 8);
+    for (PageId pid = 1; pool.unused_frames() > unused; pid++) {
+      PageHandle h;
+      ASSERT_TRUE(pool.Get(pid, PageClass::kData, &h).ok());
+    }
+    DirtyPageTable dpt;
+    dpt.AddOrUpdate(100, 1);
+    const std::vector<PageId> dpt_only = BuildPfList(dpt);
+    PfListPrefetcher d(&pool, &dpt, &dpt_only, /*window=*/4);
+    const std::vector<PageId> tail_only = BuildPfList(DirtyPageTable(), tail);
+    PfListPrefetcher t(&pool, &dpt, &tail_only, /*window=*/4,
+                       /*tail_begin=*/0);
+    EXPECT_EQ(t.window().RoomBeyondMargin(0), unused - 8);
+    t.Pump();
+    EXPECT_EQ(pool.IsResidentOrPending(120), unused > 8) << unused;
+    d.Pump();
+    EXPECT_TRUE(pool.IsResidentOrPending(100)) << unused;
+  }
+}
+
 class LogDrivenPrefetchTest : public PrefetchTest {
  protected:
   LogDrivenPrefetchTest() : log_(&clock_, 8192, 0.0) {}

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -193,9 +194,35 @@ TEST_P(RecoveryIntegrationTest, RedoEvictionsNeedNoLogForce) {
   EXPECT_GT(checked, 0u);
 }
 
+/// The backchain records undo reads on the crash image `log` holds, and
+/// the distinct log pages they lie on: every loser's chain from its last
+/// record to its begin record, a CLR jumping over what it compensated.
+void UndoReadsOf(LogManager* log, uint64_t* records, uint64_t* pages) {
+  ActiveTxnTable att;
+  for (auto it = log->NewIterator(kFirstLsn, false); it.Valid(); it.Next()) {
+    ObserveForAtt(it.record(), &att, nullptr);
+  }
+  std::set<uint64_t> distinct;
+  *records = 0;
+  for (const auto& [txn, last] : att) {
+    LogRecordView rec;
+    for (Lsn lsn = last; lsn != kInvalidLsn;) {
+      ASSERT_OK(log->ViewRecordAt(lsn, &rec));
+      ++*records;
+      distinct.insert(lsn / log->log_page_size());
+      lsn = rec.type == LogRecordType::kClr         ? rec.undo_next_lsn
+            : rec.type == LogRecordType::kTxnBegin ? kInvalidLsn
+                                                   : rec.prev_lsn;
+    }
+  }
+  *pages = distinct.size();
+}
+
 /// Named regression: RecoveryStats::undo reported {ms, 0, 0} although undo
-/// reads the log by backchain, one charged log page per record, so every
-/// per-pass log-page total silently left undo out.
+/// reads the log by backchain, so every per-pass log-page total silently
+/// left undo out. Undo charges a log page once while its reads stay on it:
+/// the pass reads backchains in descending LSN order, so it pays exactly
+/// the distinct pages its records lie on.
 TEST_P(RecoveryIntegrationTest, UndoReportsTheLogItReads) {
   for (uint32_t threads : {1u, 4u}) {
     EngineOptions o = SmallOptions();
@@ -210,12 +237,16 @@ TEST_P(RecoveryIntegrationTest, UndoReportsTheLogItReads) {
     e->tc().ForceLog();
     driver.OnCrash();
     e->SimulateCrash();
+    uint64_t records = 0;
+    uint64_t pages = 0;
+    ASSERT_NO_FATAL_FAILURE(UndoReadsOf(&e->wal(), &records, &pages));
+    ASSERT_LT(pages, records) << "no two loser records share a log page";
 
     RecoveryStats st;
     ASSERT_OK(e->Recover(GetParam(), &st));
     ASSERT_GE(st.txns_undone, 1u);
-    EXPECT_GT(st.undo.records, 0u) << threads << " threads";
-    EXPECT_EQ(st.undo.log_pages, st.undo.records) << threads << " threads";
+    EXPECT_EQ(st.undo.records, records) << threads << " threads";
+    EXPECT_EQ(st.undo.log_pages, pages) << threads << " threads";
     EXPECT_GE(st.undo.records, st.undo_ops) << threads << " threads";
   }
 }
@@ -436,6 +467,126 @@ TEST(RecoverySideBySide, Log2PrefetchesRedirtiedDptPages) {
     ASSERT_OK(e->Read(key, &got));
     EXPECT_EQ(got, second) << "key " << key;
   }
+}
+
+/// A crash image whose log tail updates leaves outside the DPT: a cache
+/// that holds the whole table, one window, and Δ-records only where the
+/// test forces them. With `delta_before_tail` the window first updates 60
+/// leaves and a forced Δ-record takes them into the DPT; without it the
+/// window has no Δ-record, so all of it is the tail. Then committed
+/// updates on 40 leaves nothing else in the window touched: the tail.
+void BuildTailCrashImage(bool delta_before_tail, EngineOptions* o,
+                         Engine::StableSnapshot* snap) {
+  *o = SmallOptions();
+  o->cache_pages = 512;  // every leaf stays cached until the crash
+  o->lazy_writer_base_fraction = 0;
+  o->checkpoint_interval_updates = 1'000'000;  // one checkpoint, one window
+  o->delta_dirty_capacity = 1'000'000;  // Δ-records only where forced
+  o->bw_written_capacity = 1'000'000;
+  std::unique_ptr<Engine> e;
+  ASSERT_OK(Engine::Open(*o, &e));
+  ASSERT_OK(e->Checkpoint());
+  std::map<PageId, Key> key_of_leaf;
+  for (Key k = 0; k < o->num_rows; k++) {
+    PageId pid = kInvalidPageId;
+    ASSERT_OK(e->dc().FindLeaf(o->table_id, k, &pid));
+    key_of_leaf.emplace(pid, k);
+  }
+  std::vector<Key> keys;  // one per leaf, in pid order
+  for (const auto& [pid, key] : key_of_leaf) keys.push_back(key);
+  ASSERT_GE(keys.size(), 100u);
+  Table table;
+  ASSERT_OK(e->OpenDefaultTable(&table));
+  const std::string value(o->value_size, 't');
+  auto update = [&](size_t first, size_t count) {
+    for (size_t i = first; i < first + count; i += o->updates_per_txn) {
+      Txn txn;
+      ASSERT_OK(e->Begin(&txn));
+      for (size_t j = i; j < std::min(first + count, i + o->updates_per_txn);
+           j++) {
+        ASSERT_OK(txn.Update(table, keys[j], value));
+      }
+      ASSERT_OK(txn.Commit());
+    }
+  };
+  if (delta_before_tail) {
+    ASSERT_NO_FATAL_FAILURE(update(0, 60));
+    e->dc().monitor().ForceEmit();
+  }
+  ASSERT_NO_FATAL_FAILURE(update(keys.size() - 40, 40));
+  e->SimulateCrash();
+  ASSERT_OK(e->TakeStableSnapshot(snap));
+}
+
+/// Recovers the tail crash image: Log2 at one partition prefetches the
+/// tail's leaves, so its redo demand-reads none of them while Log1's reads
+/// each on demand, with the same DPT and the same redo outcomes; all five
+/// methods destage the same bytes at 1, 2 and 4 partitions.
+void CheckTailReadAhead(bool delta_before_tail) {
+  EngineOptions o;
+  Engine::StableSnapshot snap;
+  ASSERT_NO_FATAL_FAILURE(BuildTailCrashImage(delta_before_tail, &o, &snap));
+  RecoveryStats log1;
+  RecoveryStats log2;
+  testing_util::StateImage reference;
+  bool have_reference = false;
+  for (RecoveryMethod m :
+       {RecoveryMethod::kLog0, RecoveryMethod::kLog1, RecoveryMethod::kLog2,
+        RecoveryMethod::kSql1, RecoveryMethod::kSql2}) {
+    for (uint32_t threads : {1u, 2u, 4u}) {
+      const std::string label =
+          std::string(RecoveryMethodName(m)) + " x" + std::to_string(threads);
+      EngineOptions ot = o;
+      ot.recovery_threads = threads;
+      std::unique_ptr<Engine> r;
+      ASSERT_OK(Engine::Open(ot, &r));
+      r->SimulateCrash();
+      ASSERT_OK(r->RestoreStableSnapshot(snap));
+      RecoveryStats st;
+      ASSERT_OK(r->Recover(m, &st));
+      if (threads == 1 && m == RecoveryMethod::kLog1) log1 = st;
+      if (threads == 1 && m == RecoveryMethod::kLog2) log2 = st;
+      const testing_util::StateImage state = testing_util::CaptureState(r.get());
+      if (!have_reference) {
+        reference = state;
+        have_reference = true;
+      } else {
+        testing_util::ExpectSameState(state, reference, label);
+      }
+    }
+  }
+  EXPECT_EQ(log1.delta_records_seen, delta_before_tail ? 1u : 0u);
+  EXPECT_EQ(log1.dpt_size, delta_before_tail ? 60u : 0u);
+  EXPECT_EQ(log1.redo_tail_ops, 40u);
+  EXPECT_GE(log1.demand_reads, 40u) << "Log1 read the tail ahead";
+  // Neither the DC pass (its index preload starts with a prefetch of the
+  // root) nor undo (no loser) makes a demand read here: every one would
+  // be redo's.
+  EXPECT_EQ(log2.demand_reads, 0u)
+      << "Log2's redo demand-read the tail's leaves";
+  EXPECT_EQ(log2.prefetch_wasted, 0u);
+  EXPECT_EQ(log2.dpt_size, log1.dpt_size);
+  EXPECT_EQ(log2.redo_examined, log1.redo_examined);
+  EXPECT_EQ(log2.redo_applied, log1.redo_applied);
+  EXPECT_EQ(log2.redo_skipped_dpt, log1.redo_skipped_dpt);
+  EXPECT_EQ(log2.redo_skipped_rlsn, log1.redo_skipped_rlsn);
+  EXPECT_EQ(log2.redo_skipped_plsn, log1.redo_skipped_plsn);
+  EXPECT_EQ(log2.redo_tail_ops, log1.redo_tail_ops);
+}
+
+/// Named regression: logical redo handles the log's tail with the basic
+/// algorithm (§4.3), fetching every leaf it updates, but Log2's PF-list
+/// listed only the DPT, so each tail leaf outside it was a one-page demand
+/// read at a full seek. The DC pass now lists those leaves beside the DPT
+/// and redo's PF-list reads them ahead after the DPT's pages.
+TEST(RecoverySideBySide, Log2PrefetchesTheLogTailOutsideTheDpt) {
+  CheckTailReadAhead(/*delta_before_tail=*/true);
+}
+
+/// The same with no Δ-record in the window: the DPT is empty and the whole
+/// window is the tail.
+TEST(RecoverySideBySide, Log2PrefetchesAWindowWithNoDeltaRecord) {
+  CheckTailReadAhead(/*delta_before_tail=*/false);
 }
 
 /// Named regression: SQL redo is page-addressed and never reads the

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -956,56 +957,73 @@ TEST(SmoMergeRecovery, TailSmoAfterLastDeltaIsStillInstalled) {
 /// The replay re-reads each structure record and pays for it as the scan
 /// does: every log page the record spans. A split's page images can span
 /// several log pages, so one charged page per record would under-count.
+/// One cursor seeks from record to record, so a page two records share is
+/// charged once across the replay: the replay reads exactly the distinct
+/// log pages its records span. 256-byte log pages are smaller than one
+/// split's page images; at 8 KB the splits share a page.
 TEST(SmoMergeRecovery, DcReplayChargesEveryLogPageARecordSpans) {
-  EngineOptions o = MergeOptions(300);
-  o.log_page_size = 256;  // smaller than one split's page images
-  std::unique_ptr<Engine> e;
-  ASSERT_OK(Engine::Open(o, &e));
-  Table t;
-  ASSERT_OK(e->OpenDefaultTable(&t));
-  ASSERT_OK(e->Checkpoint());
-  Key next = 300;
-  for (int i = 0; i < 2; i++) {
-    ASSERT_NO_FATAL_FAILURE(InsertUntilSplit(e.get(), t, &next));
-  }
-  e->dc().monitor().ForceEmit();
-  ASSERT_OK(UpdateOne(e.get(), t, 3, std::string(o.value_size, 'u')));
-  e->SimulateCrash();
-
-  // Log pages each structure record spans; a record ends where the next
-  // one begins.
-  const Lsn start = e->wal().master().bckpt_lsn;
-  const uint32_t ps = o.log_page_size;
-  uint64_t structure_records = 0;
-  uint64_t span_pages = 0;
-  for (auto it = e->wal().NewIterator(start, false); it.Valid();) {
-    const LogRecordType type = it.record().type;
-    const Lsn lsn = it.lsn();
-    it.Next();
-    if (type == LogRecordType::kSmo || type == LogRecordType::kSmoMerge ||
-        type == LogRecordType::kCreateTable) {
-      structure_records++;
-      span_pages += (it.lsn() - 1) / ps - lsn / ps + 1;
+  bool spans_pages = false;
+  bool shares_pages = false;
+  for (const uint32_t log_page_size : {256u, 8192u}) {
+    EngineOptions o = MergeOptions(300);
+    o.log_page_size = log_page_size;
+    std::unique_ptr<Engine> e;
+    ASSERT_OK(Engine::Open(o, &e));
+    Table t;
+    ASSERT_OK(e->OpenDefaultTable(&t));
+    ASSERT_OK(e->Checkpoint());
+    Key next = 300;
+    for (int i = 0; i < 2; i++) {
+      ASSERT_NO_FATAL_FAILURE(InsertUntilSplit(e.get(), t, &next));
     }
-  }
-  ASSERT_GT(structure_records, 0u);
-  ASSERT_GT(span_pages, structure_records) << "no record spans two pages";
-  Engine::StableSnapshot snap;
-  ASSERT_OK(e->TakeStableSnapshot(&snap));
-
-  // Log0 replays inline during its scan. The pass with a DPT scans the
-  // same pages, then re-reads every structure record.
-  uint64_t log_pages[2] = {0, 0};
-  for (const bool build_dpt : {false, true}) {
-    ASSERT_OK(e->RestoreStableSnapshot(snap));
-    ASSERT_OK(e->dc().OpenDatabase());
-    DcRecoveryResult dcr;
-    ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                            build_dpt, /*preload_index=*/false, 1, &dcr));
-    log_pages[build_dpt ? 1 : 0] = dcr.log_pages;
+    e->dc().monitor().ForceEmit();
+    ASSERT_OK(UpdateOne(e.get(), t, 3, std::string(o.value_size, 'u')));
     e->SimulateCrash();
+
+    // Log pages each structure record spans; a record ends where the next
+    // one begins.
+    const Lsn start = e->wal().master().bckpt_lsn;
+    uint64_t structure_records = 0;
+    uint64_t span_pages = 0;
+    std::set<uint64_t> distinct_pages;
+    for (auto it = e->wal().NewIterator(start, false); it.Valid();) {
+      const LogRecordType type = it.record().type;
+      const Lsn lsn = it.lsn();
+      it.Next();
+      if (type == LogRecordType::kSmo || type == LogRecordType::kSmoMerge ||
+          type == LogRecordType::kCreateTable) {
+        structure_records++;
+        const uint64_t first = lsn / log_page_size;
+        const uint64_t last = (it.lsn() - 1) / log_page_size;
+        span_pages += last - first + 1;
+        for (uint64_t page = first; page <= last; page++) {
+          distinct_pages.insert(page);
+        }
+      }
+    }
+    ASSERT_GT(structure_records, 0u);
+    spans_pages |= span_pages > structure_records;
+    shares_pages |= distinct_pages.size() < span_pages;
+    Engine::StableSnapshot snap;
+    ASSERT_OK(e->TakeStableSnapshot(&snap));
+
+    // Log0 replays inline during its scan. The pass with a DPT scans the
+    // same pages, then re-reads every structure record.
+    uint64_t log_pages[2] = {0, 0};
+    for (const bool build_dpt : {false, true}) {
+      ASSERT_OK(e->RestoreStableSnapshot(snap));
+      ASSERT_OK(e->dc().OpenDatabase());
+      DcRecoveryResult dcr;
+      ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
+                              build_dpt, /*preload_index=*/false, 1, &dcr));
+      log_pages[build_dpt ? 1 : 0] = dcr.log_pages;
+      e->SimulateCrash();
+    }
+    EXPECT_EQ(log_pages[1], log_pages[0] + distinct_pages.size())
+        << log_page_size << "-byte log pages";
   }
-  EXPECT_EQ(log_pages[1], log_pages[0] + span_pages);
+  EXPECT_TRUE(spans_pages) << "no record spans two log pages";
+  EXPECT_TRUE(shares_pages) << "no two records share a log page";
 }
 
 /// Named regression (code review): a Δ-record logged AFTER a merge can
