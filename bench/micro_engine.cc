@@ -14,6 +14,9 @@
 #include "recovery/dpt.h"
 #include "recovery/redo.h"
 #include "recovery/undo.h"
+#include "sim/clock.h"
+#include "sim/sim_disk.h"
+#include "storage/buffer_pool.h"
 #include "storage/page_table.h"
 #include "workload/concurrent_driver.h"
 #include "workload/driver.h"
@@ -259,6 +262,48 @@ void BM_BufferPoolGetSpread(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BufferPoolGetSpread);
+
+// One demand miss in a pool the lazy writer holds 95 % dirty, with more
+// hot clean pages than the watermark leaves clean frames (fig2a_uniform's
+// index at App. C's ci10): 64 index pages, each re-referenced every 8
+// misses. Each step reads a cold page and dirties it, as an update's leaf
+// write does. A clock that hunts for clean victims walks the frames,
+// taking a shard latch at each, and evicts hot pages that later steps
+// read back; `hot_rereads` counts them per step.
+void BM_BufferPoolMissMostlyDirty(benchmark::State& state) {
+  constexpr uint32_t kPageSize = 1024;
+  constexpr uint64_t kFrames = 1024;
+  constexpr PageId kHot = 64;
+  constexpr PageId kHotPerStep = 8;
+  constexpr PageId kPages = 16 * kFrames;
+  SimClock clock;
+  SimDisk disk(&clock, kPageSize, IoModelOptions{});
+  disk.EnsurePages(kPages);
+  BufferPool pool(&clock, &disk, kFrames, kPageSize);
+  pool.set_dirty_watermark(kFrames * 95 / 100);
+  Lsn lsn = 1;
+  PageId hot = 0;
+  PageId next = kHot;
+  auto step = [&] {
+    for (PageId i = 0; i < kHotPerStep; i++, hot = (hot + 1) % kHot) {
+      PageHandle h;
+      benchmark::DoNotOptimize(pool.Get(hot, PageClass::kIndex, &h));
+    }
+    PageHandle h;
+    if (pool.Get(next, PageClass::kData, &h).ok()) h.MarkDirty(lsn++);
+    h.Release();
+    benchmark::DoNotOptimize(pool.LazyWriterTick());
+    next = next + 1 < kPages ? next + 1 : kHot;
+  };
+  for (uint64_t i = 0; i < 4 * kFrames; i++) step();  // fill, then evict
+  pool.ResetStats();
+  for (auto _ : state) step();
+  state.SetItemsProcessed(state.iterations());
+  state.counters["hot_rereads"] =
+      benchmark::Counter(static_cast<double>(pool.stats().index_fetches),
+                         benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_BufferPoolMissMostlyDirty);
 
 // The pool's pid -> frame table in isolation: the probe cost under the
 // find/put/erase churn that eviction produces.

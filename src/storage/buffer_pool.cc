@@ -581,8 +581,9 @@ Status BufferPool::EvictSomeFrame(uint32_t* out) {
   // A few rounds: a dirty victim can be pinned by a racing hit while we
   // flush nothing yet (the latched re-check below fails) — resweep.
   for (int round = 0; round < 3; round++) {
-    uint32_t dirty_candidate = n;  // first evictable dirty frame seen
-    // Clock sweep, up to two full turns: prefer a clean unreferenced victim.
+    // Second chance, up to two turns: clear ref bits in passing and stop at
+    // the first loaded, unpinned, unreferenced frame, clean or dirty.
+    uint32_t victim = n;
     for (uint32_t step = 0; step < 2 * n; step++) {
       Frame& f = frames_[clock_hand_];
       const uint32_t cur = clock_hand_;
@@ -635,25 +636,26 @@ Status BufferPool::EvictSomeFrame(uint32_t* out) {
           return Status::OK();
         }
       }
-      if (dirty_candidate == n) dirty_candidate = cur;
+      victim = cur;
+      break;
     }
-    if (dirty_candidate == n) {
+    if (victim == n) {
       return Status::Busy("buffer pool exhausted (all frames pinned/pending)");
     }
     // Flush-then-evict, holding the victim's shard latch across the write
     // so no reader pins the page meanwhile (the flush callbacks and the
-    // device never take pool latches, so this cannot deadlock).
-    Frame& victim = frames_[dirty_candidate];
-    TableShard& sh = ShardFor(victim.pid);
+    // device never take pool latches, so this cannot deadlock). The hand
+    // is already one past the victim.
+    Frame& f = frames_[victim];
+    TableShard& sh = ShardFor(f.pid);
     MutexLock lk(&sh.mu);
-    if (victim.state != FrameState::kLoaded || victim.pins > 0 ||
-        !victim.dirty) {
+    if (f.state != FrameState::kLoaded || f.pins > 0 || !f.dirty) {
       continue;  // raced with a hit; sweep again
     }
-    DEUTERO_RETURN_NOT_OK(FlushFrame(dirty_candidate, nullptr));
+    DEUTERO_RETURN_NOT_OK(FlushFrame(victim, nullptr));
     stats_.dirty_evictions++;
-    EvictFrame(dirty_candidate, sh);
-    *out = dirty_candidate;
+    EvictFrame(victim, sh);
+    *out = victim;
     return Status::OK();
   }
   return Status::Busy("buffer pool exhausted (eviction kept racing pins)");

@@ -14,6 +14,11 @@
 //  * Lazy writer: flushes the oldest-dirtied pages whenever the dirty count
 //    exceeds a watermark — the background cleaning that shapes the dirty
 //    fraction of the cache (Fig. 2(b)).
+//  * Replacement: second-chance CLOCK, flushing a dirty victim first.
+//    Clean victims are not preferred: a lazy-writer watermark near the
+//    capacity keeps the pool mostly dirty, and a hand hunting for clean
+//    victims circles it, clearing every ref bit, and evicts the few clean
+//    pages left — hot B-tree internal pages the next descent reads back.
 //  * Prefetch: asynchronous reads, each a *span*: one I/O over at most
 //    max_batch_pages() pids (paper App. A reads up to 8 contiguous pages at
 //    once) that carries every wanted page in its reach. It reads through
@@ -344,9 +349,9 @@ class BufferPool {
   /// Caller holds miss_mu_ and no shard latch.
   Status AllocFrame(uint32_t* out) REQUIRES(miss_mu_);
 
-  /// Evict the loaded, unpinned frame chosen by the clock sweep, flushing it
-  /// first if dirty. Clean frames are preferred. Same contract as
-  /// AllocFrame.
+  /// Evict the loaded, unpinned frame chosen by the second-chance clock,
+  /// flushing it first if dirty; the hand ends one past the victim. Same
+  /// contract as AllocFrame.
   Status EvictSomeFrame(uint32_t* out) REQUIRES(miss_mu_);
 
   /// Remove a clean, unpinned, loaded frame from the mapping table.

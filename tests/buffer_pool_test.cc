@@ -451,6 +451,106 @@ TEST_F(BufferPoolTest, DirtyEvictionFlushesFirst) {
   EXPECT_EQ(written, 1u);
 }
 
+/// Read `pid` as a data page and dirty it (a logged update's leaf write).
+void ReadAndDirty(BufferPool* pool, PageId pid, Lsn lsn) {
+  PageHandle h;
+  ASSERT_TRUE(pool->Get(pid, PageClass::kData, &h).ok()) << pid;
+  h.MarkDirty(lsn);
+}
+
+/// Named regression: with the lazy writer holding most of the pool dirty,
+/// the clock hunted up to two turns for a clean victim. It cleared every
+/// ref bit on the first turn and, on the second, evicted the few clean
+/// pages left: hot internal B-tree pages, which the next descent read
+/// back. Second chance takes the first unreferenced frame, dirty or not,
+/// so pages that are re-referenced between misses stay.
+TEST_F(BufferPoolTest, HotCleanPageSurvivesAMostlyDirtyPool) {
+  // Eight cold dirty pages fill the pool; a ninth miss clears every ref bit
+  // and takes frame 0, leaving the hand at frame 1.
+  for (PageId pid = 10; pid < 19; pid++) {
+    ASSERT_NO_FATAL_FAILURE(ReadAndDirty(&pool_, pid, pid));
+  }
+  // Two clean index pages take the next frames.
+  for (PageId hot : {0, 1}) {
+    PageHandle h;
+    ASSERT_TRUE(pool_.Get(hot, PageClass::kIndex, &h).ok());
+  }
+  // Each miss reads and dirties a cold page; the hot pages are referenced
+  // between misses.
+  for (PageId pid = 20; pid < 64; pid++) {
+    for (PageId hot : {0, 1}) {
+      PageHandle h;
+      ASSERT_TRUE(pool_.Get(hot, PageClass::kIndex, &h).ok());
+    }
+    ASSERT_NO_FATAL_FAILURE(ReadAndDirty(&pool_, pid, pid));
+    EXPECT_EQ(pool_.dirty_pages(), 6u) << pid;
+  }
+  EXPECT_EQ(pool_.stats().index_fetches, 2u) << "a hot page was re-read";
+  EXPECT_TRUE(pool_.IsLoaded(0));
+  EXPECT_TRUE(pool_.IsLoaded(1));
+  EXPECT_GE(pool_.stats().dirty_evictions, 44u);
+}
+
+/// Named regression: a dirty eviction leaves the hand one past its victim,
+/// so victims leave in clock order and the page just read into a frame is
+/// not the next one out. A sweep that ended where it began would hand the
+/// next miss the page read last, flushing each page right after its
+/// update. That update follows its Δ-record's FW-LSN, so no WrittenSet can
+/// prune the page and the DC pass's DPT swells with clean pages.
+TEST_F(BufferPoolTest, DirtyVictimsLeaveInClockOrder) {
+  std::vector<PageId> flushed;
+  pool_.set_flush_callback([&](PageId pid, Lsn) { flushed.push_back(pid); });
+  for (PageId pid = 0; pid < 8; pid++) {
+    ASSERT_NO_FATAL_FAILURE(ReadAndDirty(&pool_, pid, 100 + pid));
+  }
+  // Each miss evicts the next frame; the page it read stays, dirty.
+  for (PageId pid = 40; pid < 48; pid++) {
+    ASSERT_NO_FATAL_FAILURE(ReadAndDirty(&pool_, pid, 200 + pid));
+    EXPECT_TRUE(pool_.IsLoaded(pid)) << pid;
+  }
+  EXPECT_EQ(flushed, (std::vector<PageId>{0, 1, 2, 3, 4, 5, 6, 7}));
+  for (PageId pid = 40; pid < 48; pid++) {
+    EXPECT_TRUE(pool_.IsLoaded(pid)) << pid;
+  }
+  EXPECT_EQ(pool_.stats().dirty_evictions, 8u);
+  EXPECT_EQ(pool_.dirty_pages(), 8u);
+}
+
+/// Readers under the engine's shared gate miss concurrently, and in a
+/// dirty pool each miss flushes its victim under the victim's shard latch
+/// while other readers hit. Every read sees its page's bytes, and every
+/// dirty page reaches the device with its update (TSan checks the latching
+/// in CI).
+TEST_F(BufferPoolTest, ConcurrentMissesFlushDirtyVictims) {
+  for (PageId pid = 0; pid < 8; pid++) {
+    PageHandle h;
+    ASSERT_TRUE(pool_.Get(pid, PageClass::kData, &h).ok());
+    h.view().payload()[1] = 0xD0;
+    h.MarkDirty(100 + pid);
+  }
+  std::atomic<int> bad_reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; t++) {
+    readers.emplace_back([this, &bad_reads, t] {
+      for (int i = 0; i < 300; i++) {
+        const PageId pid = static_cast<PageId>((i * 7 + t * 13) % 64);
+        PageHandle h;
+        if (!pool_.Get(pid, PageClass::kData, &h).ok() ||
+            h.view().payload()[0] != static_cast<uint8_t>(pid)) {
+          bad_reads++;
+        }
+      }
+    });
+  }
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(bad_reads.load(), 0);
+  EXPECT_EQ(pool_.dirty_pages(), 0u);
+  EXPECT_EQ(pool_.stats().dirty_evictions, 8u);
+  for (PageId pid = 0; pid < 8; pid++) {
+    EXPECT_EQ(disk_.ImageData(pid)[kPageHeaderSize + 1], 0xD0) << pid;
+  }
+}
+
 TEST_F(BufferPoolTest, CallbacksCanBeDisabled) {
   int dirty_calls = 0, flush_calls = 0;
   pool_.set_dirty_callback([&](PageId, Lsn, bool) { dirty_calls++; });

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "concurrency/group_commit.h"
 #include "concurrency/sharded_lock_manager.h"
 #include "core/engine.h"
@@ -25,6 +26,7 @@
 #include "wal/log_manager.h"
 #include "workload/concurrent_driver.h"
 #include "workload/crash_storm.h"
+#include "workload/driver.h"
 
 namespace deutero {
 namespace {
@@ -428,6 +430,66 @@ TEST(ConcurrentFrontendTest, CrashStormRecoversOneLogFifteenWays) {
   EXPECT_GT(r.commit_batches, 0u);
   EXPECT_LT(r.commit_batches, r.commits_enqueued);
   EXPECT_GT(r.lock_acquires, 0u);
+}
+
+// Readers under the shared gate evict dirty pages. The lazy-writer
+// watermark, scaled by the checkpoint interval, keeps all but a few frames
+// dirty, so nearly every read miss evicts a dirty page: its WAL force, the
+// monitor's flush hook and any Δ/BW record that hook emits run on a reader
+// thread, beside a writer and the group-commit batcher. The crash image
+// then recovers the same bytes under all five methods × {1, 2, 4}.
+TEST(ConcurrentFrontendTest, ReadersFlushDirtyVictimsBesideAWriter) {
+  EngineOptions o = SmallOptions();  // 5,000 rows: 181 leaves, 64 frames
+  o.checkpoint_interval_updates = 3'000;
+  o.lazy_writer_reference_interval = 300;  // watermark 0.3 x 64 x sqrt(10)
+  o.group_commit_window_us = 500;
+  o.group_commit_max_batch = 8;
+  std::unique_ptr<Engine> e;
+  ASSERT_OK(Engine::Open(o, &e));
+  BufferPool& pool = e->dc().pool();
+  WorkloadDriver writer(e.get(), WorkloadConfig{});
+  ASSERT_OK(writer.RunOps(500));
+  ASSERT_GT(pool.dirty_pages(), o.cache_pages * 3 / 4);
+
+  std::atomic<uint64_t> read_errors{0};
+  auto read_uniform = [&](uint64_t seed, uint64_t reads) {
+    Random rng(seed);
+    std::string value;
+    for (uint64_t i = 0; i < reads; i++) {
+      const Status s = e->Read(rng.Uniform(o.num_rows), &value);
+      if (!s.ok() || value.size() != o.value_size) read_errors++;
+    }
+  };
+  auto run_readers = [&](uint64_t seed) {
+    std::vector<std::thread> readers;
+    for (uint64_t t = 0; t < 3; t++) {
+      readers.emplace_back(read_uniform, seed + t, 400);
+    }
+    return readers;
+  };
+
+  // Readers beside the writer.
+  std::vector<std::thread> readers = run_readers(100);
+  const Status written = writer.RunOps(600);
+  for (auto& th : readers) th.join();
+  ASSERT_OK(written);
+
+  // Readers alone: every dirty eviction now runs on a reader thread, and
+  // they take most of the pool's dirty pages out.
+  const uint64_t dirty = pool.dirty_pages();
+  ASSERT_GT(dirty, o.cache_pages / 2);
+  const uint64_t dirty_evictions = pool.stats().dirty_evictions;
+  readers = run_readers(200);
+  for (auto& th : readers) th.join();
+  EXPECT_GE(pool.stats().dirty_evictions - dirty_evictions, dirty / 2);
+  EXPECT_EQ(read_errors.load(), 0u);
+
+  ASSERT_OK(writer.RunOps(300));
+  writer.OnCrash();
+  e->SimulateCrash();
+  Engine::StableSnapshot snap;
+  ASSERT_OK(e->TakeStableSnapshot(&snap));
+  testing_util::ExpectRecoversEveryWay(o, snap, &writer);
 }
 
 TEST(ConcurrentFrontendTest, CrashStormSecondSeedSerialGeometry) {

@@ -225,6 +225,7 @@ TEST(ParallelRedoPass, LogicalCountersAndAttMatchSerial) {
                       std::string* digest) {
     ASSERT_OK(e->RestoreStableSnapshot(snap));
     ASSERT_OK(e->dc().OpenDatabase());
+    e->dc().Eosl(e->wal().stable_end() - 1);  // as Recover does
     e->dc().monitor().set_enabled(false);
     e->dc().pool().set_callbacks_enabled(false);
     DcRecoveryResult dcr;
@@ -300,6 +301,7 @@ TEST(ParallelRedoPass, SqlCountersMatchSerialWithDdlInWindow) {
                       std::string* digest) {
     ASSERT_OK(e->RestoreStableSnapshot(snap));
     ASSERT_OK(e->dc().OpenDatabase());
+    e->dc().Eosl(e->wal().stable_end() - 1);  // as Recover does
     e->dc().monitor().set_enabled(false);
     e->dc().pool().set_callbacks_enabled(false);
     const Lsn start = e->wal().master().bckpt_lsn;
@@ -440,6 +442,7 @@ TEST(ParallelAnalysisPass, DcPassMatchesSerialAcrossDptModes) {
                         std::string* digest) {
       ASSERT_OK(e->RestoreStableSnapshot(snap));
       ASSERT_OK(e->dc().OpenDatabase());
+      e->dc().Eosl(e->wal().stable_end() - 1);  // as Recover does
       ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, mode,
                               /*build_dpt=*/true, /*preload=*/false, threads,
                               out));
@@ -545,6 +548,7 @@ TEST(ParallelUndoPass, LogStreamAndStateMatchSerialByteForByte) {
                       std::string* log_suffix, Lsn* log_end) {
     ASSERT_OK(e->RestoreStableSnapshot(snap));
     ASSERT_OK(e->dc().OpenDatabase());
+    e->dc().Eosl(e->wal().stable_end() - 1);  // as Recover does
     e->dc().monitor().set_enabled(false);
     e->dc().pool().set_callbacks_enabled(false);
     // Identical one-partition analysis + redo every time: only undo
@@ -558,6 +562,9 @@ TEST(ParallelUndoPass, LogStreamAndStateMatchSerialByteForByte) {
                              &rr));
     const Lsn undo_start = e->wal().next_lsn();
     ASSERT_OK(RunUndo(&e->wal(), &e->dc(), rr.att, threads, ur));
+    // The CLRs are stable, as after Recover: the digest's reads may evict
+    // the pages they dirtied.
+    e->dc().Eosl(e->wal().stable_end());
     *digest = ContentDigest(e.get());
     *log_end = e->wal().next_lsn();
     const Slice suffix = e->wal().StableBytes(undo_start);

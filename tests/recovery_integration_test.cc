@@ -955,6 +955,75 @@ TEST(RecoverySideBySide, Log2EarlyPreloadRepairsACorruptStableRoot) {
   }
 }
 
+/// Named regression: with the lazy-writer watermark scaled by the
+/// checkpoint interval (as App. C's ci10 runs are), fewer frames stay clean
+/// than the tree has internal pages. The clock hunted for clean victims,
+/// so it evicted hot internal pages and the next descents read them back:
+/// about 3 index reads per transaction here. Second chance keeps them. A
+/// level-1 page the hand finds unreferenced is still evicted (twice in
+/// 33,000 updates here), so the forward path reads fewer than one index
+/// page per 100 transactions after warm-up. The crash image's DPT stays
+/// near the dirty pages at the crash, and the standing bar holds on it.
+TEST(RecoverySideBySide, MostlyDirtyPoolKeepsItsIndex) {
+  EngineOptions o = MediumOptions();  // 60,000 rows: a 3-level tree
+  o.cache_pages = 512;
+  o.lazy_writer_reference_cache_pages = 512;
+  o.checkpoint_interval_updates = 10'000;
+  o.lazy_writer_reference_interval = 1'000;  // watermark 0.3 x 512 x sqrt(10)
+  std::unique_ptr<Engine> e;
+  ASSERT_OK(Engine::Open(o, &e));
+  BufferPool& pool = e->dc().pool();
+  uint64_t internal_pages = 0;
+  for (std::vector<PageId> level = {kRootPageId}, below; !level.empty();
+       level.swap(below)) {
+    below.clear();
+    for (const PageId pid : level) {
+      PageHandle h;
+      ASSERT_OK(pool.Get(pid, PageClass::kIndex, &h));
+      internal_pages++;
+      if (h.view().level() == 1) continue;
+      const InternalNodeView node(h.view());
+      for (uint32_t i = 0; i < node.count(); i++) {
+        below.push_back(node.ChildAt(i));
+      }
+    }
+  }
+  ASSERT_GT(internal_pages, o.cache_pages - pool.dirty_watermark())
+      << "the clean frames hold the whole index";
+
+  WorkloadDriver driver(e.get(), WorkloadConfig{});
+  ASSERT_OK(driver.RunOps(3'000));  // fills the pool with dirty leaves
+  pool.ResetStats();
+  const uint64_t txns = driver.txns_committed();
+  ASSERT_OK(driver.RunOps(3'000));
+  const BufferPool::Stats fwd = pool.stats();
+  EXPECT_LT(fwd.index_fetches * 100, driver.txns_committed() - txns)
+      << "the forward path re-read index pages";
+  EXPECT_GT(fwd.dirty_evictions, 0u);
+
+  // The redo window: a checkpoint, updates, an open loser.
+  ASSERT_OK(e->Checkpoint());
+  ASSERT_OK(driver.RunOps(2'000));
+  ASSERT_OK(driver.RunOpsNoCommit(5));
+  e->tc().ForceLog();
+  const uint64_t dirty_at_crash = pool.dirty_pages();
+  driver.OnCrash();
+  e->SimulateCrash();
+  Engine::StableSnapshot snap;
+  ASSERT_OK(e->TakeStableSnapshot(&snap));
+
+  // A DPT page is dirty at the crash, or flushed after the last BW-record:
+  // its WrittenSet holds at most bw_written_capacity pages.
+  testing_util::ExpectRecoversEveryWay(
+      o, snap, &driver,
+      [&](RecoveryMethod m, const RecoveryStats& st, const std::string& label) {
+        if (m == RecoveryMethod::kLog1 || m == RecoveryMethod::kLog2) {
+          EXPECT_LE(st.dpt_size, dirty_at_crash + o.bw_written_capacity)
+              << label;
+        }
+      });
+}
+
 TEST(RecoverySideBySide, AllMethodsProduceIdenticalState) {
   SideBySideConfig cfg;
   cfg.engine = SmallOptions();

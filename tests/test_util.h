@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,8 +13,10 @@
 #include "common/options.h"
 #include "common/value_codec.h"
 #include "core/engine.h"
+#include "recovery/stats.h"
 #include "storage/catalog.h"
 #include "storage/page.h"
+#include "workload/driver.h"
 
 namespace deutero {
 namespace testing_util {
@@ -127,6 +130,48 @@ inline void ExpectSameState(const StateImage& got, const StateImage& want,
         << label << ": page " << p << " diverged ("
         << DescribePage(got.pages[p]) << " vs " << DescribePage(want.pages[p])
         << ")";
+  }
+}
+
+/// The standing bar on one crash image: recover `snap` under all five
+/// methods x recovery_threads {1, 2, 4}, each in a fresh engine opened with
+/// `o`. Every run must pass `driver`'s oracle and destage the same bytes;
+/// `check`, when given, sees each run's stats. On return `driver` is
+/// attached to no live engine.
+inline void ExpectRecoversEveryWay(
+    const EngineOptions& o, const Engine::StableSnapshot& snap,
+    WorkloadDriver* driver,
+    const std::function<void(RecoveryMethod, const RecoveryStats&,
+                             const std::string& label)>& check = nullptr) {
+  StateImage reference;
+  bool have_reference = false;
+  for (RecoveryMethod m :
+       {RecoveryMethod::kLog0, RecoveryMethod::kLog1, RecoveryMethod::kLog2,
+        RecoveryMethod::kSql1, RecoveryMethod::kSql2}) {
+    for (uint32_t threads : {1u, 2u, 4u}) {
+      const std::string label =
+          std::string(RecoveryMethodName(m)) + " x" + std::to_string(threads);
+      EngineOptions ro = o;
+      ro.recovery_threads = threads;
+      std::unique_ptr<Engine> r;
+      ASSERT_OK(Engine::Open(ro, &r));
+      r->SimulateCrash();
+      ASSERT_OK(r->RestoreStableSnapshot(snap));
+      RecoveryStats st;
+      ASSERT_OK(r->Recover(m, &st));
+      if (check) check(m, st, label);
+      ASSERT_OK(driver->AttachEngine(r.get()));
+      uint64_t checked = 0;
+      ASSERT_OK(driver->Verify(0, &checked));
+      EXPECT_GT(checked, 0u) << label;
+      const StateImage state = CaptureState(r.get());
+      if (!have_reference) {
+        reference = state;
+        have_reference = true;
+      } else {
+        ExpectSameState(state, reference, label);
+      }
+    }
   }
 }
 
