@@ -92,13 +92,10 @@ struct LogicalReplica::ReplayItem {
 };
 
 /// Replay's apply body: the pLSN test, the leaf operation and the stamp.
-/// Replay applies every routed op, so there are no DPT tests, and it runs
-/// with no read-ahead.
+/// Replay applies every routed op, so there are no DPT tests.
 class LogicalReplica::ReplayApplier {
  public:
   using Item = ReplayItem;
-
-  bool Fetches(const Item&) const { return false; }  // read-ahead budget 0
 
   Status Apply(const Item& item, PinCache* pins) {
     PinCache::Pin* pin = nullptr;
@@ -444,8 +441,7 @@ Status LogicalReplica::ApplyMirror(Lsn* next) {
   if (threads_ >= 2) {
     hold.emplace(&dc, engine_->wal().next_lsn() - 1);
     crew_ = std::make_unique<ReplayCrew>(std::vector<ReplayApplier>(threads_),
-                                         &dc.pool(), &gate_,
-                                         /*read_ahead_budget=*/0);
+                                         &dc.pool(), &gate_);
   }
 
   window_.clear();

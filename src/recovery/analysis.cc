@@ -480,9 +480,9 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
   std::vector<Lsn> structure_lsns;  // the replay's work list (DPT builds)
   // The replay's install candidates, collected when the pass preloads.
   std::vector<InstallCandidate> install;
-  // The tail's data ops, for Log2's one-partition PF-list: those at or
-  // after the latest Δ-record's TC-LSN the scan has met.
-  const bool list_tail = build_dpt && preload_index && threads < 2;
+  // The tail's data ops, for Log2's PF-list: those at or after the latest
+  // Δ-record's TC-LSN the scan has met.
+  const bool list_tail = build_dpt && preload_index;
   std::vector<TailKey> tail_keys;
   IndexPreloadUnderScan preload(dc, preload_index);
   auto it = log->NewIterator(bckpt_lsn, /*charge_io=*/true);

@@ -276,13 +276,13 @@ Status RunSqlAnalysis(LogManager* log, Lsn bckpt_lsn, uint32_t threads,
 struct DcRecoveryResult {
   DirtyPageTable dpt;  ///< Entries carry their claim stamps.
   Lsn last_delta_tc_lsn = kInvalidLsn;  ///< Tail-mode boundary (§4.3).
-  /// Log2 at one partition: the leaves that the data-op records at or
-  /// after last_delta_tc_lsn (the whole window, with no Δ-record in it)
-  /// update and the DPT does not name, each once, in the order the tail
-  /// first updates them. Redo fetches every one of them (§4.3), so its
-  /// PF-list lists them after the DPT pages (prefetch.h). They are never
-  /// DPT entries: dpt_size and the redo tests do not see them. Empty for
-  /// every other pass: partitioned redo reads ahead by ring-peek.
+  /// Log2: the leaves that the data-op records at or after
+  /// last_delta_tc_lsn (the whole window, with no Δ-record in it) update
+  /// and the DPT does not name, each once, in the order the tail first
+  /// updates them. Redo fetches every one of them (§4.3), so its PF-list
+  /// lists them after the DPT pages (prefetch.h). They are never DPT
+  /// entries: dpt_size and the redo tests do not see them. Empty for
+  /// every other method.
   std::vector<PageId> tail_pages;
   uint64_t delta_records_seen = 0;
   uint64_t bw_records_seen = 0;  ///< Seen on the common log; ignored.
@@ -325,13 +325,13 @@ struct DcRecoveryResult {
 /// waiting PreloadIndex after the replay reads whatever the descents have
 /// not. Without it the pass issues no prefetch.
 ///
-/// With `preload_index` at one partition the scan also keeps the (table,
-/// key) of every data-op record at or after the latest Δ-record's TC-LSN
-/// it has met, dropping the older ones at each Δ-record. TC-LSN need not
-/// be a record boundary, so the scan collects them rather than a second
-/// iterator seeking there. After the PreloadIndex the pass resolves them
-/// on the final tree with FindLeaf (no I/O: the index is loaded; its
-/// per-level CPU is charged) into `tail_pages`.
+/// With `preload_index` the scan also keeps the (table, key) of every
+/// data-op record at or after the latest Δ-record's TC-LSN it has met,
+/// dropping the older ones at each Δ-record. TC-LSN need not be a record
+/// boundary, so the scan collects them rather than a second iterator
+/// seeking there. After the PreloadIndex the pass resolves them on the
+/// final tree with FindLeaf (no I/O: the index is loaded; its per-level
+/// CPU is charged) into `tail_pages`.
 Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
                      DptMode mode, bool build_dpt, bool preload_index,
                      uint32_t threads, DcRecoveryResult* out);

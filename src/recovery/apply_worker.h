@@ -9,16 +9,15 @@
 //    under the CLR the dispatcher already appended;
 //  * replay (core/replica.cc): the pLSN test and the leaf apply of a
 //    shipped committed op, under the standby WAL record the dispatcher
-//    already appended. Replay runs with no read-ahead, and its only feed
-//    is the ReplicationChannel.
+//    already appended. Its only feed is the ReplicationChannel.
 //
 // Everything else lives here, once: the ring loop, the drain barrier, the
-// failed-worker drain mode, ring-peek read-ahead, the LRU pin cache with
-// MarkDirty-once stamping, and the read-ahead and pin budgets. A body is
-// a copyable class with
+// failed-worker drain mode, the LRU pin cache with MarkDirty-once stamping
+// and the pin budget. Workers read nothing ahead: a pass that reads ahead
+// does it on its dispatcher, the same way at every partition count
+// (redo.h, undo.h). A body is a copyable class with
 //
 //   using Item = ...;                        // has a `pid` field
-//   bool Fetches(const Item&) const;         // read-ahead: will Apply fetch?
 //   Status Apply(const Item&, PinCache*);
 //
 // and an Item whose pid is kInvalidPageId is the control token that makes
@@ -28,7 +27,6 @@
 // inline, with a null gate (see GateLock).
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -171,13 +169,6 @@ class PinCache {
   uint64_t use_tick_ = 0;
 };
 
-/// Per-worker read-ahead budget: the pass's prefetch window (the shared
-/// cache-pressure throttle, RedoPrefetchWindow) split across partitions,
-/// at least 2 pages each.
-inline uint32_t ReadAheadBudget(uint32_t window, uint32_t threads) {
-  return std::max<uint32_t>(2, window / (threads == 0 ? 1 : threads));
-}
-
 /// Pin-cache capacity that keeps worst-case pinned frames well below pool
 /// capacity even at test-sized caches: an eighth of the pool split across
 /// workers, at least 1, at most 8 per worker.
@@ -195,14 +186,10 @@ class ApplyWorker {
   using Item = typename Body::Item;
 
   ApplyWorker(Body body, BufferPool* pool, Mutex* gate,
-              uint32_t pin_cache_cap, uint32_t read_ahead_budget,
-              std::atomic<uint32_t>* crew_failed)
+              uint32_t pin_cache_cap, std::atomic<uint32_t>* crew_failed)
       : body_(std::move(body)),
-        pool_(pool),
-        gate_(gate),
         pins_(pool, gate, pin_cache_cap),
         ring_(kRingCapacity),
-        read_ahead_budget_(read_ahead_budget),
         crew_failed_(crew_failed) {}
   /// Normally a no-op: ApplyCrew::Finish already joined. On any other
   /// exit the worker applies what is queued, then stops.
@@ -269,11 +256,6 @@ class ApplyWorker {
       return;
     }
     if (failed_.load(std::memory_order_relaxed)) return;  // drain mode
-    if (read_ahead_budget_ > 0 &&
-        ++items_since_read_ahead_ >= read_ahead_budget_) {
-      items_since_read_ahead_ = 0;
-      TopUpReadAhead();
-    }
     const Status st = body_.Apply(item, &pins_);
     if (!st.ok()) {
       error_ = st;
@@ -282,34 +264,9 @@ class ApplyWorker {
     }
   }
 
-  /// Ring-peek read-ahead: this worker's queue IS its exact upcoming
-  /// page-access sequence, so issue asynchronous reads for the next
-  /// `read_ahead_budget_` pages the body will fetch. Claim order equals
-  /// issue order within a partition (the queue is FIFO), so the pacing a
-  /// serial window gets from the redo cursor holds here per partition,
-  /// immune to cross-partition reordering.
-  void TopUpReadAhead() {
-    ra_batch_.clear();
-    Item peeked;
-    for (uint64_t i = 0; i < 8u * read_ahead_budget_ &&
-                         ra_batch_.size() < read_ahead_budget_ &&
-                         ring_.Peek(i, &peeked);
-         i++) {
-      if (peeked.pid == kInvalidPageId) continue;  // control token
-      if (body_.Fetches(peeked)) ra_batch_.push_back(peeked.pid);
-    }
-    if (!ra_batch_.empty()) {
-      GateLock lock(gate_);
-      pool_->Prefetch(ra_batch_, PageClass::kData);
-    }
-  }
-
   Body body_;
-  BufferPool* pool_;
-  Mutex* gate_;
   PinCache pins_;
   SpscRing<Item> ring_;
-  const uint32_t read_ahead_budget_;  ///< 0 = no read-ahead.
   std::atomic<uint32_t>* crew_failed_;
 
   uint64_t pushed_ = 0;  ///< Producer-side only.
@@ -317,11 +274,7 @@ class ApplyWorker {
   std::atomic<bool> done_{false};
   std::atomic<bool> failed_{false};
 
-  // Consumer-side state.
-  Status error_;
-  std::vector<PageId> ra_batch_;  ///< Read-ahead scratch (reused).
-  /// Huge initial value forces a top-up on the first item.
-  uint64_t items_since_read_ahead_ = uint64_t{1} << 62;
+  Status error_;        ///< Consumer-side.
   std::thread thread_;  ///< Last: it runs over every member above.
 };
 
@@ -332,14 +285,13 @@ class ApplyCrew {
  public:
   using Item = typename Body::Item;
 
-  ApplyCrew(std::vector<Body> bodies, BufferPool* pool, Mutex* gate,
-            uint32_t read_ahead_budget) {
+  ApplyCrew(std::vector<Body> bodies, BufferPool* pool, Mutex* gate) {
     const auto n = static_cast<uint32_t>(bodies.size());
     const uint32_t pin_cap = PinCacheCapacity(*pool, n);
     workers_.reserve(n);
     for (Body& body : bodies) {
       workers_.push_back(std::make_unique<ApplyWorker<Body>>(
-          std::move(body), pool, gate, pin_cap, read_ahead_budget, &failed_));
+          std::move(body), pool, gate, pin_cap, &failed_));
     }
     for (auto& w : workers_) w->Start();
   }

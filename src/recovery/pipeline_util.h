@@ -54,18 +54,6 @@ class SpscRing {
     return true;
   }
 
-  /// Consumer-side: read the i-th not-yet-popped item (0 = next) without
-  /// consuming it. Returns false when fewer than i+1 items are buffered.
-  /// The consumer's ring slice IS its upcoming page-access sequence —
-  /// which is what makes per-partition read-ahead exact (see
-  /// apply_worker.h, ApplyWorker::TopUpReadAhead).
-  bool Peek(uint64_t i, T* out) const {
-    const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (head_.load(std::memory_order_acquire) - tail <= i) return false;
-    *out = buf_[(tail + i) & (buf_.size() - 1)];
-    return true;
-  }
-
  private:
   std::vector<T> buf_;
   alignas(64) std::atomic<uint64_t> head_{0};

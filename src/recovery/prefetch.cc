@@ -73,15 +73,23 @@ void PrefetchWindow::Drain() {
       inflight_.end());
   // Escape hatch: a prefetched page that redo never claims (every one of
   // its log records failed the rLSN test) would otherwise occupy a window
-  // slot forever in a cache with no eviction pressure.
+  // slot forever in a cache with no eviction pressure. A stalled pump
+  // counts only when the clock moved since the previous one: beside
+  // workers the dispatcher pumps many times at one simulated instant, and
+  // counting those would drop heads whose I/O has not landed and let the
+  // window refill without bound. At one partition every pump follows a
+  // scan-CPU charge, so every stalled one counts.
+  const double now_ms = pool_->clock().NowMs();
   if (inflight_.size() == before && budget() == 0) {
-    if (++stalled_pumps_ > 64 && !inflight_.empty()) {
+    if (now_ms != last_drain_ms_ && ++stalled_pumps_ > 64 &&
+        !inflight_.empty()) {
       inflight_.erase(inflight_.begin());
       stalled_pumps_ = 0;
     }
   } else {
     stalled_pumps_ = 0;
   }
+  last_drain_ms_ = now_ms;
 }
 
 void PrefetchWindow::Issue(const std::vector<PageId>& heads) {

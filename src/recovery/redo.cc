@@ -68,12 +68,6 @@ class RedoApplier {
               SimClock* live_clock)
       : shared_(shared), dpt_(dpt), live_clock_(live_clock) {}
 
-  /// Read-ahead takes exactly the pages the apply path will fetch.
-  bool Fetches(const Item& item) const {
-    const DptOutcome o = Classify(item);
-    return o == DptOutcome::kFetch || o == DptOutcome::kTailFetch;
-  }
-
   Status Apply(const Item& item, PinCache* pins) {
     switch (Classify(item)) {
       case DptOutcome::kSkipDpt:
@@ -187,8 +181,7 @@ class RedoDispatch {
  public:
   RedoDispatch(LogManager* log, DataComponent* dc, Lsn start,
                const EngineOptions& options, uint32_t threads,
-               const DirtyPageTable* dpt, const RedoShared& shared,
-               bool read_ahead)
+               const DirtyPageTable* dpt, const RedoShared& shared)
       : dc_(dc),
         options_(options),
         shared_(shared),
@@ -216,16 +209,13 @@ class RedoDispatch {
       bodies.emplace_back(&shared_, &shard, nullptr);
     }
     stall_ms_at_start_ = dc->pool().stats().stall_ms;
-    crew_ = std::make_unique<ApplyCrew<RedoApplier>>(
-        std::move(bodies), &dc->pool(), &gate_,
-        read_ahead
-            ? ReadAheadBudget(RedoPrefetchWindow(dc->pool(), options), threads)
-            : 0);
+    crew_ = std::make_unique<ApplyCrew<RedoApplier>>(std::move(bodies),
+                                                     &dc->pool(), &gate_);
   }
 
   LogManager::Iterator& scan() { return it_; }
-  bool inline_apply() const { return crew_ == nullptr; }
-  /// The pool gate for dispatcher-side pool touches; null when inline.
+  /// The pool gate for dispatcher-side pool touches (the prefetchers'
+  /// pumps among them); null when inline.
   Mutex* gate() { return crew_ == nullptr ? nullptr : &gate_; }
 
   /// Per scanned record: count it and charge its scan CPU — live with one
@@ -353,12 +343,11 @@ Status RunLogicalRedo(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
   RedoShared shared;
   shared.use_dpt = use_dpt;
   shared.last_delta_tc_lsn = last_delta_tc_lsn;
-  const bool read_ahead = prefetch && dpt != nullptr;  // Log2
   RedoDispatch dispatch(log, dc, bckpt_lsn, options, threads,
-                        use_dpt ? dpt : nullptr, shared, read_ahead);
+                        use_dpt ? dpt : nullptr, shared);
   std::vector<PageId> pf_list;
   std::unique_ptr<PfListPrefetcher> prefetcher;
-  if (read_ahead && dispatch.inline_apply()) {
+  if (prefetch && dpt != nullptr) {  // Log2
     // Ordering the list visits every DPT entry once more: one DPT unit of
     // CPU per listed page, tail pages included.
     pf_list = BuildPfList(*dpt, tail_pages);
@@ -377,7 +366,10 @@ Status RunLogicalRedo(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
       ObserveForAtt(rec, &out->att, &out->max_txn_id);
       if (!rec.IsRedoableDataOp()) continue;  // SMOs: done by the DC pass
 
-      if (prefetcher != nullptr) prefetcher->Pump();
+      if (prefetcher != nullptr) {
+        GateLock lock(dispatch.gate());
+        prefetcher->Pump();
+      }
       out->examined++;
       // Scan-complete row accounting (see RecordRowDelta), on the
       // dispatcher in log order: the counter must reflect every windowed
@@ -424,10 +416,9 @@ Status RunSqlRedo(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
   RecoveryPassQuiescence quiesce(dc);
   RedoShared shared;
   shared.sql_dpt_tests = true;
-  RedoDispatch dispatch(log, dc, bckpt_lsn, options, threads, dpt, shared,
-                        prefetch);
+  RedoDispatch dispatch(log, dc, bckpt_lsn, options, threads, dpt, shared);
   std::unique_ptr<LogDrivenPrefetcher> prefetcher;
-  if (prefetch && dispatch.inline_apply()) {
+  if (prefetch) {
     const uint32_t window = RedoPrefetchWindow(dc->pool(), options);
     prefetcher = std::make_unique<LogDrivenPrefetcher>(
         &dc->pool(), dpt, log, bckpt_lsn, window,
@@ -438,7 +429,10 @@ Status RunSqlRedo(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
     for (LogManager::Iterator& it = dispatch.scan(); it.Valid(); it.Next()) {
       const LogRecordView& rec = it.record();
       dispatch.ChargeScan(out);
-      if (prefetcher != nullptr) prefetcher->Pump(out->records_scanned);
+      if (prefetcher != nullptr) {
+        GateLock lock(dispatch.gate());
+        prefetcher->Pump(out->records_scanned);
+      }
 
       if (rec.type == LogRecordType::kSmo) {
         // Physiological replay in LSN order; skip without any fetch when

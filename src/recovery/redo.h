@@ -7,9 +7,9 @@
 //   (Algorithm 5 + PF-list prefetch). Log2's index preload is done before
 //   redo starts: it ran under the DC pass's scan and structure replay, and
 //   the pass ended once every internal page of the final tree was loaded
-//   (analysis.h). Log2's one-partition run builds the PF-list from the
-//   final DPT in claim order, then the log tail's pages the DC pass listed
-//   (prefetch.h), and charges cpu_per_dpt_update_us per listed page.
+//   (analysis.h). Log2 builds the PF-list from the final DPT in claim
+//   order, then the log tail's pages the DC pass listed (prefetch.h), and
+//   charges cpu_per_dpt_update_us per listed page.
 //
 //   RunSqlRedo covers SQL1 (Algorithm 1: physiological redo with DPT and
 //   rLSN test) and SQL2 (+ log-driven prefetch).
@@ -30,9 +30,11 @@
 // runs the partition's apply body inline — no thread, ring, gate or DPT
 // shard — and charges the simulated clock exactly where the paper's
 // serial pass does: the log iterator its pages, each record its scan CPU,
-// each re-execution its apply CPU. No pin outlives its record, and
-// read-ahead is the paper's own prefetcher (prefetch.h: the PF-list for
-// Log2, the log-driven window for SQL2), pumped by the dispatcher.
+// each re-execution its apply CPU. No pin outlives its record.
+//
+// Read-ahead is the paper's own prefetcher at every partition count
+// (prefetch.h: the PF-list for Log2, the log-driven window for SQL2). The
+// dispatcher pumps it as it scans, under the pool gate beside workers.
 //
 // With N >= 2 partitions a crew of workers applies (apply_worker.h), and
 // the pass-wide contracts are re-drawn:
@@ -58,9 +60,11 @@
 //    until every queue is fully APPLIED, replays the record itself, then
 //    resumes. The logical family needs no barrier: the DC pass already
 //    replayed its SMOs.
-//  * Read-ahead — per partition: each worker peeks its own queue, its
-//    exact upcoming page sequence. A shared claim-paced window would starve
-//    under the cross-partition claim reordering.
+//  * Read-ahead — one window for the pass, on the dispatcher. Its slots
+//    free as workers claim their pages, so it keeps to the pace of the
+//    pass as a whole. The escape hatch that frees a stalled slot counts
+//    only the pumps after which the clock moved (PrefetchWindow::Drain):
+//    the dispatcher pumps many times at one simulated instant.
 //  * Simulated time — I/O waits stay on the global clock (the device is
 //    shared and its queue is serialized under the gate), and the
 //    dispatcher's scan CPU is charged to it live in small batches so
@@ -133,8 +137,7 @@ struct RedoLeafMemo {
 /// The data-prefetch window both redo families use, throttled by cache
 /// size: read-ahead that fills the cache faster than redo consumes it
 /// evicts pages before their use (the paper's "prefetching proceeds too
-/// quickly" hazard, App. A.2). ONE definition shared by the one-partition
-/// prefetchers and the workers' read-ahead budgets (ReadAheadBudget).
+/// quickly" hazard, App. A.2).
 inline uint32_t RedoPrefetchWindow(const BufferPool& pool,
                                    const EngineOptions& options) {
   return std::min<uint32_t>(
@@ -150,8 +153,7 @@ void BuildDptShards(const DirtyPageTable& dpt, uint32_t partitions,
 /// TC redo pass for the logical family over `threads` partitions.
 ///   use_dpt=false  -> Log0 semantics (every op fetches its page).
 ///   use_dpt=true   -> Algorithm 5; `dpt` and `last_delta_tc_lsn` required.
-///   prefetch=true  -> Log2 read-ahead (with `dpt`): the PF-list at one
-///                     partition, the workers' ring-peek beside workers.
+///   prefetch=true  -> Log2 read-ahead (with `dpt`): the PF-list.
 /// `count_rows_from` bounds the scan-complete row-count accounting (see
 /// RunSqlRedo); it defaults to the scan start. `tail_pages`
 /// (DcRecoveryResult::tail_pages) go at the end of the PF-list.

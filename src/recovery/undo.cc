@@ -11,7 +11,6 @@
 #include "btree/btree.h"
 #include "common/mutex.h"
 #include "recovery/apply_worker.h"
-#include "recovery/redo.h"  // RedoPrefetchWindow
 
 namespace deutero {
 
@@ -49,8 +48,6 @@ class UndoApplier {
   using Item = UndoWorkItem;
 
   explicit UndoApplier(const TableRegistry* tables) : tables_(tables) {}
-
-  bool Fetches(const Item& /*item*/) const { return true; }
 
   Status Apply(const Item& item, PinCache* pins) {
     PinCache::Pin* pin = nullptr;
@@ -181,9 +178,7 @@ Status RunUndo(LogManager* log, DataComponent* dc, const ActiveTxnTable& att,
     tables.Refresh(dc);
     crew = std::make_unique<ApplyCrew<UndoApplier>>(
         std::vector<UndoApplier>(threads, UndoApplier(&tables)), &dc->pool(),
-        &gate,
-        ReadAheadBudget(RedoPrefetchWindow(dc->pool(), dc->options()),
-                        threads));
+        &gate);
     out->threads_used = threads;
   }
   Mutex* const pool_gate = crew == nullptr ? nullptr : &gate;

@@ -49,9 +49,9 @@ struct UndoResult {
 /// thread and under the caller's dirty monitor: that is how runtime
 /// rollback calls it. With N >= 2 the leaf before-image restores of
 /// update-undos fan out to hash(pid) apply workers (apply_worker.h) with
-/// pin caches and ring-peek read-ahead (the undo pass's page misses are
-/// random 5 ms seeks; overlapping them across io_channels is where the
-/// time goes), and the monitor and pool callbacks are off while they run.
+/// pin caches (the undo pass's page misses are random 5 ms seeks;
+/// overlapping them across io_channels is where the time goes), and the
+/// monitor and pool callbacks are off while they run.
 /// Insert/delete undos change tree structure (splits, merges, row counts),
 /// so the dispatcher first drains all workers to a barrier and applies
 /// those itself. Recovered state and UndoResult counters do not depend on

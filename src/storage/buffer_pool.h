@@ -219,6 +219,8 @@ class BufferPool {
   uint32_t max_batch_pages() const { return max_batch_pages_; }
   /// Longest gap a prefetch span reads through (the device's gap rule).
   uint32_t max_read_gap() const { return max_read_gap_; }
+  /// The simulated clock the pool's I/O waits advance.
+  const SimClock& clock() const { return *clock_; }
 
   /// Synchronously flush one resident dirty page (respects the WAL rule).
   /// IOError after retry exhaustion leaves the page dirty and resident.

@@ -184,8 +184,11 @@ void TransactionComponent::ForceLog() {
 void TransactionComponent::ForceLogUpTo(Lsn lsn) {
   if (log_->stable_end() <= lsn) {
     stats_.log_forces++;
-    ForceLog();
+    log_->Flush();
   }
+  // Published even without a force: the undo pass and a page repair force
+  // the log themselves and leave the eLSN to the TC.
+  dc_->Eosl(log_->stable_end());
 }
 
 Status TransactionComponent::Checkpoint(uint64_t* pages_flushed) {

@@ -59,8 +59,23 @@ TEST_F(PrefetchTest, WindowDrainsClaimedPagesOnly) {
 TEST_F(PrefetchTest, StalledWindowEventuallyFreesASlot) {
   PrefetchWindow w(&pool_, 2);
   w.Issue({10, 11});  // never claimed by anyone
-  for (int i = 0; i < 70; i++) w.Drain();
+  for (int i = 0; i < 70; i++) {
+    clock_.AdvanceUs(5);  // redo's scan CPU between pumps
+    w.Drain();
+  }
   EXPECT_GE(w.budget(), 1u);  // escape hatch released a slot
+}
+
+// Beside workers the dispatcher pumps many times at one simulated instant.
+// Those pumps say nothing about whether redo will ever claim a head, and
+// counting them dropped heads whose I/O had not landed, so the window
+// refilled until the pool ran out of frames.
+TEST_F(PrefetchTest, StalledWindowHoldsItsSlotsWhileTheClockStandsStill) {
+  PrefetchWindow w(&pool_, 2);
+  w.Issue({10, 11});
+  for (int i = 0; i < 1000; i++) w.Drain();
+  EXPECT_EQ(w.budget(), 0u);
+  EXPECT_EQ(w.inflight(), 2u);
 }
 
 TEST_F(PrefetchTest, PfListPrefetcherSkipsPrunedPids) {

@@ -589,6 +589,84 @@ TEST(RecoverySideBySide, Log2PrefetchesAWindowWithNoDeltaRecord) {
   CheckTailReadAhead(/*delta_before_tail=*/false);
 }
 
+/// Algorithm 4's tail boundary. A Δ-record's TC-LSN is the eLSN at its
+/// emission, the first offset not yet stable, so a data op appended right
+/// after a log force starts exactly there. Its page may or may not be in
+/// the Δ-record's DirtySet; either way the op is not provably covered, so
+/// logical redo must take it in tail mode (§4.3) with the basic algorithm.
+TEST(RecoverySideBySide, OpAtTheLastDeltaTcLsnRedoesInTailMode) {
+  EngineOptions o = SmallOptions();
+  o.checkpoint_interval_updates = 1'000'000;  // one checkpoint, one window
+  o.delta_dirty_capacity = 1'000'000;         // Δ-records only where forced
+  o.bw_written_capacity = 1'000'000;
+  std::unique_ptr<Engine> e;
+  ASSERT_OK(Engine::Open(o, &e));
+  Table table;
+  ASSERT_OK(e->OpenDefaultTable(&table));
+  ASSERT_OK(e->Checkpoint());
+  const Key key = 7;
+  const std::string value(o.value_size, 'b');
+  Txn txn;
+  ASSERT_OK(e->Begin(&txn));
+  e->tc().ForceLog();
+  const Lsn op = e->wal().next_lsn();
+  ASSERT_EQ(op, e->wal().stable_end());
+  ASSERT_EQ(op, e->dc().elsn());
+  ASSERT_OK(txn.Update(table, key, value));
+  e->dc().monitor().ForceEmit();
+  ASSERT_OK(txn.Commit());
+  e->SimulateCrash();
+  Engine::StableSnapshot snap;
+  ASSERT_OK(e->TakeStableSnapshot(&snap));
+
+  // The log holds what the test meant to build.
+  Lsn update_lsn = kInvalidLsn;
+  Lsn tc_lsn = kInvalidLsn;
+  for (auto it = e->wal().NewIterator(kFirstLsn, false); it.Valid();
+       it.Next()) {
+    if (it.record().type == LogRecordType::kUpdate) update_lsn = it.lsn();
+    if (it.record().type == LogRecordType::kDeltaRecord) {
+      tc_lsn = it.record().tc_lsn;
+    }
+  }
+  ASSERT_EQ(update_lsn, op);
+  ASSERT_EQ(tc_lsn, op);
+
+  testing_util::StateImage reference;
+  bool have_reference = false;
+  for (RecoveryMethod m :
+       {RecoveryMethod::kLog0, RecoveryMethod::kLog1, RecoveryMethod::kLog2,
+        RecoveryMethod::kSql1, RecoveryMethod::kSql2}) {
+    for (uint32_t threads : {1u, 2u, 4u}) {
+      const std::string label =
+          std::string(RecoveryMethodName(m)) + " x" + std::to_string(threads);
+      EngineOptions ot = o;
+      ot.recovery_threads = threads;
+      std::unique_ptr<Engine> r;
+      ASSERT_OK(Engine::Open(ot, &r));
+      r->SimulateCrash();
+      ASSERT_OK(r->RestoreStableSnapshot(snap));
+      RecoveryStats st;
+      ASSERT_OK(r->Recover(m, &st));
+      EXPECT_EQ(st.redo_applied, 1u) << label;
+      if (m == RecoveryMethod::kLog1 || m == RecoveryMethod::kLog2) {
+        EXPECT_EQ(st.delta_records_seen, 1u) << label;
+        EXPECT_EQ(st.redo_tail_ops, 1u) << label;
+      }
+      std::string got;
+      ASSERT_OK(r->Read(key, &got));
+      EXPECT_EQ(got, value) << label;
+      const testing_util::StateImage state = testing_util::CaptureState(r.get());
+      if (!have_reference) {
+        reference = state;
+        have_reference = true;
+      } else {
+        testing_util::ExpectSameState(state, reference, label);
+      }
+    }
+  }
+}
+
 /// Named regression: SQL redo is page-addressed and never reads the
 /// index, so the undo pass after it found every internal page on its
 /// losers' paths cold, and each key traversal demand-read them one seek at

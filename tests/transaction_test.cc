@@ -8,6 +8,7 @@
 
 #include "common/value_codec.h"
 #include "core/engine.h"
+#include "recovery/undo.h"
 #include "test_util.h"
 #include "wal/log_record.h"
 
@@ -218,6 +219,32 @@ TEST_F(TransactionTest, WalRuleForcesARecordThatStartsAtTheStableEnd) {
   std::string v;
   ASSERT_OK(engine_->Read(4000, &v));
   EXPECT_EQ(v, Val(4000, 0));
+}
+
+// Named regression: the undo pass forces the log itself, and publishes no
+// eLSN (the caller's TC does). When a write of a CLR-dirtied page came
+// first, the pool's WAL-force hook found the CLR stable and returned
+// without publishing the stable end either. The DC's eLSN then lagged the
+// log, and that write tripped the pool's WAL-rule assert in Debug builds.
+// Engine::TxnAbort runs this pass and then publishes, so the test writes
+// the leaf between the two, as recovery's undo pass and a remote page
+// repair's log force can leave it.
+TEST_F(TransactionTest, WriteAfterAnUndoPassForcePublishesTheStableEnd) {
+  Txn t;
+  ASSERT_OK(engine_->Begin(&t));
+  ASSERT_OK(t.Update(table_, 5, Val(5, 1)));
+  ActiveTxnTable loser;
+  ASSERT_OK(engine_->tc().LastLsn(t.id(), &loser[t.id()]));
+  UndoResult ur;
+  ASSERT_OK(RunUndo(&engine_->wal(), &engine_->dc(), loser, /*threads=*/1,
+                    &ur, UndoKind::kRollback));
+  ASSERT_LT(engine_->dc().elsn(), engine_->wal().stable_end());
+  PageId leaf = kInvalidPageId;
+  ASSERT_OK(engine_->dc().FindLeaf(table_.id(), 5, &leaf));
+  EXPECT_OK(engine_->dc().pool().FlushPage(leaf));  // before any commit
+  EXPECT_EQ(engine_->dc().elsn(), engine_->wal().stable_end());
+  ASSERT_OK(engine_->tc().FinishAbort(t.id()));
+  t.Release();
 }
 
 TEST_F(TransactionTest, CrashDuringCheckpointKeepsOldRedoScanStart) {
