@@ -72,9 +72,10 @@ int main(int argc, char** argv) {
               "idxWait = index-page wait share of Log1 redo; stalls = demand "
               "waits during redo (Log1 vs Log2).\n");
 
-  // End-to-end parallel recovery variant (ISSUE 9): the same crash
-  // protocol at one cache point, replayed with ALL THREE passes parallel
-  // (recovery_threads = 8) over an 8-channel simulated disk. Simulated
+  // End-to-end parallel recovery variant: the same crash protocol at one
+  // cache point, replayed with DPT construction and redo partitioned
+  // (recovery_threads = 8; undo is one pass at every count) over an
+  // 8-channel simulated disk. Simulated
   // time folds I/O (per-channel elevators now overlap concurrent reads)
   // with each pipeline's CPU critical path — dispatcher scan plus the
   // slowest partition/shard — instead of the serial CPU sum, so the delta

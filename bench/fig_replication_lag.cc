@@ -3,13 +3,13 @@
 //
 // A primary (1 KB pages) leads a fixed update/insert/delete workload and
 // publishes its stable log; a standby (2 KB pages) then drains the backlog
-// through the continuous-replay applier. The sweep crosses ship chunk size
-// with apply parallelism (recovery_threads — replay IS parallel redo on the
-// standby) and reports wall-clock drain time and apply throughput.
+// through the continuous-replay applier. The sweep varies the ship chunk
+// size and reports wall-clock drain time and apply throughput. Replay
+// applies on one thread at every recovery_threads, so the sweep has no
+// partition axis.
 //
 // Expected shape: larger chunks amortize per-pull costs until the chunk no
-// longer bounds the pipeline; parallel apply helps once chunks carry enough
-// committed transactions to keep the partitions busy.
+// longer bounds the drain.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -31,8 +31,7 @@ struct Cell {
   bool verified = false;
 };
 
-Status RunCell(const BenchScale& scale, size_t chunk_bytes, uint32_t threads,
-               Cell* out) {
+Status RunCell(const BenchScale& scale, size_t chunk_bytes, Cell* out) {
   EngineOptions popts;
   popts.page_size = 1024;
   popts.value_size = 26;
@@ -45,12 +44,11 @@ Status RunCell(const BenchScale& scale, size_t chunk_bytes, uint32_t threads,
 
   EngineOptions sopts = popts;
   sopts.page_size = 2048;  // the paper's point: disparate geometry applies
-  sopts.recovery_threads = threads;
   std::unique_ptr<LogicalReplica> standby;
   DEUTERO_RETURN_NOT_OK(LogicalReplica::Open(sopts, &standby));
 
   // The primary leads the whole backlog up front: the cell then measures a
-  // pure standby drain, so chunk size and parallelism are the only levers.
+  // pure standby drain, so chunk size is the only lever.
   WorkloadConfig wc;
   wc.insert_fraction = 0.10;
   wc.delete_fraction = 0.10;
@@ -86,31 +84,28 @@ int main(int argc, char** argv) {
   const BenchScale scale = ScaleFromArgs(argc, argv);
 
   const size_t chunks[] = {4 * 1024, 16 * 1024, 64 * 1024, 256 * 1024};
-  const uint32_t threads[] = {1, 2, 4};
 
-  std::printf("=== Replication lag: standby drain vs chunk size x apply "
-              "threads (%llu rows) ===\n\n",
+  std::printf("=== Replication lag: standby drain vs chunk size "
+              "(%llu rows) ===\n\n",
               (unsigned long long)scale.num_rows);
-  std::printf("%-10s %-8s %10s %10s %12s %14s\n", "chunk", "threads",
-              "chunks", "MB", "drain ms", "apply ops/s");
+  std::printf("%-10s %10s %10s %12s %14s\n", "chunk", "chunks", "MB",
+              "drain ms", "apply ops/s");
 
   bool all_verified = true;
   for (size_t c : chunks) {
-    for (uint32_t t : threads) {
-      Cell cell;
-      const Status st = RunCell(scale, c, t, &cell);
-      if (!st.ok()) {
-        std::fprintf(stderr, "FAILED chunk=%zu threads=%u: %s\n", c, t,
-                     st.ToString().c_str());
-        return 1;
-      }
-      all_verified = all_verified && cell.verified;
-      std::printf("%-10zu %-8u %10llu %10.2f %12.2f %14.0f%s\n", c, t,
-                  (unsigned long long)cell.chunks, cell.bytes / (1024.0 * 1024),
-                  cell.wall_ms, cell.ops_per_sec,
-                  cell.verified ? "" : "  [VERIFY FAILED]");
-      std::fflush(stdout);
+    Cell cell;
+    const Status st = RunCell(scale, c, &cell);
+    if (!st.ok()) {
+      std::fprintf(stderr, "FAILED chunk=%zu: %s\n", c,
+                   st.ToString().c_str());
+      return 1;
     }
+    all_verified = all_verified && cell.verified;
+    std::printf("%-10zu %10llu %10.2f %12.2f %14.0f%s\n", c,
+                (unsigned long long)cell.chunks, cell.bytes / (1024.0 * 1024),
+                cell.wall_ms, cell.ops_per_sec,
+                cell.verified ? "" : "  [VERIFY FAILED]");
+    std::fflush(stdout);
   }
   if (!all_verified) {
     std::fprintf(stderr, "\nVERIFY FAILED: standby diverged from primary\n");

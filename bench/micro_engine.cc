@@ -661,14 +661,11 @@ BENCHMARK(BM_DcPassPreload)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-// Thread-scaling curve of the undo pass: one crash image with a fat
-// in-flight loser tail, rolled back at recovery_threads in {1, 2, 4, 8}.
-// Each iteration restores the image and replays the one-partition DC pass
-// + redo (untimed) to rebuild the ATT, then times undo alone. The
-// dispatcher appends the identical CLR stream at every width; from /2 on
-// the leaf restores fan out to the apply workers.
-void BM_ParallelUndo(benchmark::State& state) {
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
+// The undo pass: one crash image with a fat in-flight loser tail. Each
+// iteration restores the image and replays the one-partition DC pass + redo
+// (untimed) to rebuild the ATT, then times undo alone. Undo is one pass at
+// every recovery_threads, so the bench takes no partition count.
+void BM_Undo(benchmark::State& state) {
   EngineOptions o;
   o.page_size = 8192;
   o.value_size = 26;
@@ -690,9 +687,8 @@ void BM_ParallelUndo(benchmark::State& state) {
   }
   // The undo workload: 16 fat in-flight losers whose rollback is the timed
   // region — updates spread across a dedicated committed key range (the
-  // fan-out path, one leaf restore per page partition; the range sits above
-  // anything the driver churns so every op lands) plus one insert and one
-  // delete each (the structure-op barrier path).
+  // range sits above anything the driver churns, so every op lands) plus
+  // one insert and one delete each (the undos that change tree structure).
   {
     Table table;
     (void)e->OpenDefaultTable(&table);
@@ -748,7 +744,7 @@ void BM_ParallelUndo(benchmark::State& state) {
     UndoResult ur;
     const double sim_t0 = e->clock().NowMs();
     const auto t0 = std::chrono::steady_clock::now();
-    (void)RunUndo(&e->wal(), &e->dc(), redo.att, threads, &ur);
+    (void)RunUndo(&e->wal(), &e->dc(), redo.att, &ur);
     const auto t1 = std::chrono::steady_clock::now();
     state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
     sim_ms += e->clock().NowMs() - sim_t0;
@@ -757,14 +753,12 @@ void BM_ParallelUndo(benchmark::State& state) {
     e->SimulateCrash();
   }
   state.SetItemsProcessed(static_cast<int64_t>(ops));
-  state.counters["threads"] = threads;
   state.counters["ops_per_iter"] =
       iters == 0 ? 0.0 : static_cast<double>(ops) / static_cast<double>(iters);
   state.counters["sim_undo_ms"] =
       iters == 0 ? 0.0 : sim_ms / static_cast<double>(iters);
 }
-BENCHMARK(BM_ParallelUndo)
-    ->ArgsProduct({{1, 2, 4, 8}})
+BENCHMARK(BM_Undo)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Wall-clock perf report: runs the micro_engine hot-path benchmarks — all of
-# them, including the BM_ParallelRedo / BM_ParallelAnalysis / BM_ParallelUndo
-# thread-scaling curves — and the fig2a end-to-end smoke, and emits
+# them, including the BM_ParallelRedo / BM_ParallelAnalysis thread-scaling
+# curves and BM_Undo — and the fig2a end-to-end smoke, and emits
 # BENCH_micro.json (google-benchmark JSON) at the repo root — the perf
 # trajectory artifact CI uploads per PR.
 #

@@ -120,7 +120,7 @@ struct IoModelOptions {
   /// to the earliest-free one. 1 (default) is the classic single-head
   /// drive where every parallel recovery stream serializes behind one arm;
   /// raising it lets prefetch/read-ahead streams from parallel
-  /// analysis/redo/undo workers overlap in simulated time (demand misses
+  /// analysis/redo workers overlap in simulated time (demand misses
   /// still wait for their own completion). Clamped to [1, 64] at engine
   /// open.
   uint32_t io_channels = 1;
@@ -200,13 +200,14 @@ struct EngineOptions {
   uint32_t prefetch_window = 32;
 
   // ---- recovery parallelism ----
-  /// Worker threads for the redo phase (all five methods). 1 (default)
-  /// runs the original serial pipeline bit-exactly; N > 1 runs the
-  /// partitioned dispatcher + worker pipeline: one log-scan/dispatch
+  /// Partitions for DPT construction and redo (all five methods). 1
+  /// (default) runs each pass inline on the recovering thread; N > 1 runs
+  /// the partitioned dispatcher + worker pipeline: one log-scan/dispatch
   /// thread routes each decoded record to one of N partitions (hash of the
   /// owning leaf page), with per-partition FIFO queues, per-partition DPT
-  /// shards and stats, and a drain barrier around SMO/DDL records. Values
-  /// are clamped to [1, 64] at engine open.
+  /// shards and stats, and a drain barrier around SMO/DDL records. Undo
+  /// and a standby's continuous replay run on one thread at every value.
+  /// Values are clamped to [1, 64] at engine open.
   uint32_t recovery_threads = 1;
 
   // ---- concurrent front end (PR 8) ----

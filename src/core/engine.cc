@@ -216,15 +216,15 @@ Status Engine::TxnCommit(TxnId txn) {
 Status Engine::TxnAbort(TxnId txn) {
   WriterLock g(&forward_mu_);
   if (!running_) return Status::InvalidArgument("engine is crashed");
-  // One loser, one partition, no read-ahead (its pages are cached): the
-  // pass writes the CLRs and the abort record, and leaves the monitor on,
-  // so the pages the CLRs dirty are reported like any other write's.
+  // One loser, no read-ahead (its pages are cached): the pass writes the
+  // CLRs and the abort record under the live monitor, so the pages the
+  // CLRs dirty are reported like any other write's.
   ActiveTxnTable loser;
   DEUTERO_RETURN_NOT_OK(tc_->LastLsn(txn, &loser[txn]));
   const Lsn undo_from = log_->next_lsn();
   UndoResult ur;
-  const Status st = RunUndo(log_.get(), dc_.get(), loser, /*threads=*/1, &ur,
-                            UndoKind::kRollback);
+  const Status st =
+      RunUndo(log_.get(), dc_.get(), loser, &ur, UndoKind::kRollback);
   if (!st.ok()) {
     // The transaction stays a loser. Chain it from the last CLR the pass
     // wrote, or a checkpoint's ATT would send the next recovery back over

@@ -1,9 +1,10 @@
-// Hot-standby applier, on recovery's apply pipeline (recovery/apply_worker.h)
-// with its third apply body: a dispatcher scans the mirror log in order —
-// buffering in-flight transactions, doing the logical->physical mapping
-// under the standby's own geometry, and owning every structure change —
-// while recovery_threads partitions (hash of the standby leaf pid) run the
-// leaf applies; one partition applies each op inline as it routes it. The
+// Hot-standby applier: one thread scans the mirror log in order, buffering
+// in-flight transactions, mapping each committed op to a leaf of the
+// standby's own geometry, and applying it there before it reads the next.
+// Replay is not partitioned at any recovery_threads (the knob partitions
+// the standby's own crash recovery): its leaf writes charge no CPU that
+// partitions could overlap, and its demand reads serialize on the one
+// shared SimClock, so apply workers would only add wall time. The
 // ReplicationChannel is its only feed (PumpChunk); there is no pull API
 // over a primary's log. The differences from redo:
 //
@@ -12,20 +13,19 @@
 //    LSN space stamps the pages), so a standby crash recovers with the
 //    ordinary RecoveryManager under any method.
 //  * Splits cannot be replayed from the stream (primary SMOs describe the
-//    wrong geometry), so the dispatcher PREDICTS them: it tracks each
-//    leaf's projected row count for the current window and only a
-//    would-overflow insert pays a drain barrier + a gated PrepareInsert.
+//    wrong geometry), so the applier PREDICTS them: it tracks each leaf's
+//    projected row count for the current window and only a would-overflow
+//    insert runs PrepareInsert's logged split first.
 //  * Deletes queue merge candidates; each transaction's candidates are
-//    swept (MaybeMergeLeaf) behind a barrier BEFORE its commit record is
-//    logged, so a commit-durable transaction implies merge-durable SMOs —
-//    no empty leaves can outlive a standby crash.
-//  * Resume state is data: the dispatcher folds a cursor-row update
+//    swept (MaybeMergeLeaf) BEFORE its commit record is logged, so a
+//    commit-durable transaction implies merge-durable SMOs — no empty
+//    leaves can outlive a standby crash.
+//  * Resume state is data: the applier folds a cursor-row update
 //    (applied-through / replay-from mirror offsets) into every applied
 //    transaction, making replay progress exactly as durable as the data.
 #include "core/replica.h"
 
 #include <cassert>
-#include <optional>
 #include <utility>
 
 #include "btree/btree.h"
@@ -50,68 +50,26 @@ void EncodeCursor(Lsn applied_through, Lsn replay_from, std::string* out) {
   EncodeFixed64(&(*out)[8], replay_from);
 }
 
-/// Holds the DC monitor's LSN view at or below `hold` while a crew runs.
-/// A routed op's standby record is appended before a worker applies it,
-/// and any gated pool miss in between can write its page without it —
-/// while an eviction's WAL force makes the record stable. A FW-LSN or
-/// TC-LSN past the record would then tell a standby recovery that the
-/// page was clean through it (Algorithms 3 and 4), losing the op; with
-/// `hold` below every LSN the apply can route, none covers an op not yet
-/// applied. One partition applies each op before anything else touches
-/// the pool, so it needs no hold.
-class MonitorLsnHold {
- public:
-  MonitorLsnHold(DataComponent* dc, Lsn hold) : dc_(dc) {
-    dc->monitor().set_elsn_provider(
-        [dc, hold] { return std::min(dc->elsn(), hold); });
-  }
-  ~MonitorLsnHold() {
-    dc_->monitor().set_elsn_provider([dc = dc_] { return dc->elsn(); });
-  }
-  MonitorLsnHold(const MonitorLsnHold&) = delete;
-  MonitorLsnHold& operator=(const MonitorLsnHold&) = delete;
-
- private:
-  DataComponent* dc_;
-};
+/// Replay's leaf write of one committed op under its standby record
+/// `lsn`: the pLSN test, the leaf operation and the stamp. Replay applies
+/// every committed op, so there are no DPT tests.
+Status ApplyReplayOp(BufferPool* pool, PageId pid, LogRecordType type,
+                     Key key, uint32_t value_size, Slice after, Lsn lsn) {
+  PageHandle leaf;
+  DEUTERO_RETURN_NOT_OK(pool->Get(pid, PageClass::kData, &leaf));
+  PageView page = leaf.view();
+  // Idempotence across resumes: a recovered standby re-applies the tail
+  // from replay_from; ops whose effects recovery already installed are
+  // provably stamped (their standby records redo under every method).
+  if (lsn <= page.plsn()) return Status::OK();
+  int64_t delta = 0;  // row accounting is scan-complete in the applier
+  DEUTERO_RETURN_NOT_OK(
+      LeafApplyRecord(page, value_size, type, key, after, &delta));
+  leaf.MarkDirty(lsn);
+  return Status::OK();
+}
 
 }  // namespace
-
-/// One routed leaf apply. The after-image aliases the MIRROR log buffer —
-/// valid for the whole apply under the dispatcher's AliasGuard (the mirror
-/// only grows between applies). `lsn` is the STANDBY WAL record's LSN (the
-/// one that stamps the page). A default-constructed item (pid ==
-/// kInvalidPageId) is the release-pins control token.
-struct LogicalReplica::ReplayItem {
-  LogRecordType type = LogRecordType::kInvalid;
-  Key key = 0;
-  Lsn lsn = kInvalidLsn;
-  PageId pid = kInvalidPageId;
-  uint32_t value_size = 0;
-  Slice after;
-};
-
-/// Replay's apply body: the pLSN test, the leaf operation and the stamp.
-/// Replay applies every routed op, so there are no DPT tests.
-class LogicalReplica::ReplayApplier {
- public:
-  using Item = ReplayItem;
-
-  Status Apply(const Item& item, PinCache* pins) {
-    PinCache::Pin* pin = nullptr;
-    DEUTERO_RETURN_NOT_OK(pins->FindOrPin(item.pid, &pin));
-    PageView page = pin->handle.view();
-    // Idempotence across resumes: a recovered standby re-applies the tail
-    // from replay_from; ops whose effects recovery already installed are
-    // provably stamped (their standby records redo under every method).
-    if (item.lsn <= page.plsn()) return Status::OK();
-    int64_t delta = 0;  // row accounting is scan-complete on the dispatcher
-    DEUTERO_RETURN_NOT_OK(LeafApplyRecord(page, item.value_size, item.type,
-                                          item.key, item.after, &delta));
-    pins->Stamp(pin, item.lsn);
-    return Status::OK();
-  }
-};
 
 // ---- InFlightOps ----
 
@@ -195,7 +153,6 @@ Status LogicalReplica::Open(const EngineOptions& options,
                             std::unique_ptr<LogicalReplica>* out) {
   std::unique_ptr<LogicalReplica> r(new LogicalReplica());
   DEUTERO_RETURN_NOT_OK(Engine::Open(options, &r->engine_));
-  r->threads_ = r->engine_->options().recovery_threads;
   r->mirror_ = std::make_unique<LogManager>(
       &r->engine_->clock(), r->engine_->options().log_page_size,
       /*log_page_read_ms=*/0.0);
@@ -211,8 +168,6 @@ Status LogicalReplica::Open(const EngineOptions& options,
     // Nobody else can hold the lock on a not-yet-published object; taken
     // anyway because the analysis cannot see that.
     MutexLock lock(&r->apply_mu_);
-    r->inline_pins_ = std::make_unique<PinCache>(&r->engine_->dc().pool(),
-                                                 /*gate=*/nullptr, 1);
     EncodeCursor(kInvalidLsn, kFirstLsn, &r->cursor_after_);
     DEUTERO_RETURN_NOT_OK(tc.Write(LogRecordType::kInsert, boot,
                                    kStandbyCursorTableId, kCursorKey,
@@ -240,41 +195,12 @@ Status LogicalReplica::ProjectedLeafRows(PageId pid, int64_t** count) {
     }
   }
   // First slot-mutating op on this leaf in the window: its base count is
-  // read once, under the gate. No worker can be mutating the slot count
-  // concurrently — every insert/delete routed to this pid goes through
-  // here first, so a racing mutation would imply the pid is already in the
-  // window.
-  int64_t base = 0;
-  {
-    GateLock lock(gate());
-    PageHandle h;
-    DEUTERO_RETURN_NOT_OK(engine_->dc().pool().Get(pid, PageClass::kData, &h));
-    base = h.view().num_slots();
-    h.Release();
-  }
-  window_.emplace_back(pid, base);
+  // read once; the window tracks it from then on.
+  PageHandle h;
+  DEUTERO_RETURN_NOT_OK(engine_->dc().pool().Get(pid, PageClass::kData, &h));
+  window_.emplace_back(pid, h.view().num_slots());
   *count = &window_.back().second;
   return Status::OK();
-}
-
-Status LogicalReplica::Route(const ReplayItem& item) {
-  if (crew_ != nullptr) {
-    crew_->Route(item);
-    return Status::OK();
-  }
-  const Status st = ReplayApplier().Apply(item, inline_pins_.get());
-  // No pin outlives its op: the dispatcher's next pool touch may be a
-  // split or merge of this very leaf.
-  inline_pins_->ReleaseAll();
-  return st;
-}
-
-Mutex* LogicalReplica::gate() { return crew_ != nullptr ? &gate_ : nullptr; }
-
-void LogicalReplica::Barrier() {
-  if (crew_ == nullptr) return;
-  crew_->DrainBarrier();
-  agg_.barriers++;
 }
 
 Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
@@ -284,83 +210,69 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
   const int32_t head = in_flight_.Take(primary_txn);
 
   TxnId local = kInvalidTxnId;
-  {
-    GateLock lock(gate());
-    DEUTERO_RETURN_NOT_OK(tc.Begin(&local));
-  }
+  DEUTERO_RETURN_NOT_OK(tc.Begin(&local));
 
   for (int32_t i = head; i >= 0; i = in_flight_.ops[i].next) {
     const InFlightOps::Op op = in_flight_.ops[i];
     // Re-decode the shipped record by source offset: both images come from
     // the primary (valid under strict 2PL + commit order), zero copies.
     DEUTERO_RETURN_NOT_OK(mirror_->ViewRecordAt(op.lsn, &view_scratch_));
-    ReplayItem item;
-    item.type = op.kind;
-    item.key = op.key;
-    item.after = view_scratch_.after;
-    if (!tables_.Lookup(op.table, &item.value_size)) {
+    uint32_t value_size = 0;
+    if (!tables_.Lookup(op.table, &value_size)) {
       return Status::NotFound("replay of op on unknown table");
     }
     // Logical->physical mapping under the standby's own geometry, fence-
     // memoized exactly like the redo dispatcher.
+    PageId pid = kInvalidPageId;
     if (memo_.Hit(op.table, op.key)) {
-      item.pid = memo_.pid;
+      pid = memo_.pid;
     } else {
-      GateLock lock(gate());
-      DEUTERO_RETURN_NOT_OK(dc.FindLeafRanged(op.table, op.key, &item.pid,
+      DEUTERO_RETURN_NOT_OK(dc.FindLeafRanged(op.table, op.key, &pid,
                                               &memo_.lo, &memo_.hi,
                                               &memo_.bounded));
       memo_.table = op.table;
-      memo_.pid = item.pid;
+      memo_.pid = pid;
       memo_.valid = true;
     }
 
-    // Inserts and deletes change slot counts: both go through the window,
-    // so a later base-count read can never race a queued one. Split
-    // prediction: only a would-overflow insert pays a barrier + the gated,
-    // logged split. Everything else routes straight through.
+    // Inserts and deletes change slot counts: both go through the window.
+    // Split prediction: only a would-overflow insert runs the logged split
+    // first. Everything else applies straight through.
     if (op.kind != LogRecordType::kUpdate) {
       int64_t* count = nullptr;
-      DEUTERO_RETURN_NOT_OK(ProjectedLeafRows(item.pid, &count));
+      DEUTERO_RETURN_NOT_OK(ProjectedLeafRows(pid, &count));
       if (op.kind == LogRecordType::kDelete) {
         (*count)--;
       } else {
         const auto capacity = static_cast<int64_t>(LeafNodeView::Capacity(
-            engine_->options().page_size, item.value_size));
+            engine_->options().page_size, value_size));
         if (*count + 1 > capacity) {
-          Barrier();
-          {
-            GateLock lock(gate());
-            DEUTERO_RETURN_NOT_OK(
-                dc.PrepareInsert(op.table, op.key, &item.pid));
-          }
+          DEUTERO_RETURN_NOT_OK(dc.PrepareInsert(op.table, op.key, &pid));
           window_.clear();  // the split moved rows; every count is stale
           memo_.valid = false;
-          DEUTERO_RETURN_NOT_OK(ProjectedLeafRows(item.pid, &count));
+          DEUTERO_RETURN_NOT_OK(ProjectedLeafRows(pid, &count));
         }
         (*count)++;
       }
     }
 
-    {
-      GateLock lock(gate());
-      DEUTERO_RETURN_NOT_OK(tc.LogReplayOp(local, op.kind, op.table, op.key,
-                                           view_scratch_.before,
-                                           view_scratch_.after, item.pid,
-                                           &item.lsn));
-      // Δ-capture at ROUTE time, not apply time. Algorithm 4 gives a page
-      // first captured by Δ-record N the proxy rLSN of record N-1's
-      // TC-LSN — sound only if the pid enters the DirtySet before the
-      // next Δ-record after its update. A routed worker's own MarkDirty
-      // can land later than that, inflating the proxy past this record
-      // and losing the update under a Log1/Log2 standby recovery.
-      // Duplicate capture (the apply still marks the page) is explicitly
-      // allowed (App. D.2).
-      dc.monitor().OnPageDirtied(item.pid, item.lsn);
-    }
-    DEUTERO_RETURN_NOT_OK(Route(item));
-    // Scan-complete row accounting on the dispatcher (the apply body never
-    // touches the counters during replay).
+    Lsn lsn = kInvalidLsn;
+    DEUTERO_RETURN_NOT_OK(tc.LogReplayOp(local, op.kind, op.table, op.key,
+                                         view_scratch_.before,
+                                         view_scratch_.after, pid, &lsn));
+    // Δ-capture BEFORE the apply. Algorithm 4 gives a page first captured
+    // by Δ-record N the proxy rLSN of record N-1's TC-LSN — sound only if
+    // the pid enters the DirtySet before the next Δ-record after its
+    // update. The apply's own pool miss can flush a victim and emit a
+    // Δ-record before its MarkDirty lands, which would inflate the proxy
+    // past this record and lose the update under a Log1/Log2 standby
+    // recovery. Duplicate capture (the apply still marks the page) is
+    // explicitly allowed (App. D.2).
+    dc.monitor().OnPageDirtied(pid, lsn);
+    DEUTERO_RETURN_NOT_OK(ApplyReplayOp(&dc.pool(), pid, op.kind, op.key,
+                                        value_size, view_scratch_.after, lsn));
+    // Scan-complete row accounting here (the leaf write never touches the
+    // counters during replay).
     if (op.kind == LogRecordType::kInsert) {
       dc.AdjustTableRowCount(op.table, 1);
     } else if (op.kind == LogRecordType::kDelete) {
@@ -380,7 +292,6 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
     // Die mid-transaction: make every appended record stable (so local
     // recovery sees the open transaction and undoes it), leave the txn
     // open, and refuse further work until crash + recover.
-    GateLock lock(gate());
     tc.ForceLog();
     apply_stopped_ = true;
     return Status::OK();
@@ -390,14 +301,10 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
   // implies its delete-side SMOs are durable too, so no standby crash can
   // strand empty leaves behind the applied-through mark.
   if (!merge_keys_.empty()) {
-    Barrier();
-    {
-      GateLock lock(gate());
-      for (const auto& [table, key] : merge_keys_) {
-        bool merged = false;
-        DEUTERO_RETURN_NOT_OK(dc.MaybeMergeLeaf(table, key, &merged));
-        if (merged) agg_.standby_merges++;
-      }
+    for (const auto& [table, key] : merge_keys_) {
+      bool merged = false;
+      DEUTERO_RETURN_NOT_OK(dc.MaybeMergeLeaf(table, key, &merged));
+      if (merged) agg_.standby_merges++;
     }
     merge_keys_.clear();
     window_.clear();  // merges moved rows across leaves
@@ -412,7 +319,6 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
           ? commit_lsn
           : min_in_flight;
   EncodeCursor(commit_lsn, replay_from, &cursor_after_);
-  GateLock lock(gate());
   PageId cursor_pid = kInvalidPageId;
   DEUTERO_RETURN_NOT_OK(dc.LocateForUpdate(kStandbyCursorTableId, kCursorKey,
                                            &cursor_pid, &cursor_before_));
@@ -432,17 +338,10 @@ Status LogicalReplica::ApplyMirror(Lsn* next) {
   DataComponent& dc = engine_->dc();
   tables_.Refresh(&dc);
 
-  // Routed items carry Slices aliasing the mirror: nothing may append to
-  // it for the whole apply (the standby's own WAL is a different manager
-  // and grows freely).
+  // The scan's record views and the images it applies alias the mirror:
+  // nothing may append to it for the whole apply (the standby's own WAL is
+  // a different manager and grows freely).
   LogManager::AliasGuard alias(mirror_.get());
-
-  std::optional<MonitorLsnHold> hold;
-  if (threads_ >= 2) {
-    hold.emplace(&dc, engine_->wal().next_lsn() - 1);
-    crew_ = std::make_unique<ReplayCrew>(std::vector<ReplayApplier>(threads_),
-                                         &dc.pool(), &gate_);
-  }
 
   window_.clear();
   merge_keys_.clear();
@@ -474,13 +373,10 @@ Status LogicalReplica::ApplyMirror(Lsn* next) {
         break;
       case LogRecordType::kCreateTable:
         // DDL replicates logically: same table id and schema, this node's
-        // geometry. No barrier needed — a fresh table has no routed pages.
+        // geometry.
         if (rec.table_id >= kStandbySystemTableBase) break;
         if (dc.FindTable(rec.table_id) == nullptr) {
-          {
-            GateLock lock(gate());
-            st = dc.CreateTable(rec.table_id, rec.ddl_value_size);
-          }
+          st = dc.CreateTable(rec.table_id, rec.ddl_value_size);
           if (st.ok()) tables_.Refresh(&dc);
         }
         break;
@@ -499,17 +395,9 @@ Status LogicalReplica::ApplyMirror(Lsn* next) {
         break;
     }
     if (!st.ok() || stop_injected) break;
-    if (crew_ != nullptr && crew_->AnyFailed()) break;
   }
 
-  Status crew_st;
-  if (crew_ != nullptr) {
-    crew_st = crew_->Finish();
-    crew_.reset();
-  }
-  hold.reset();
   assert(alias.Intact());
-  if (st.ok()) st = crew_st;
   if (!st.ok()) {
     failed_ = true;
     return st;
@@ -519,11 +407,11 @@ Status LogicalReplica::ApplyMirror(Lsn* next) {
   // it.lsn() when the scan ends is the first offset NOT consumed — the
   // start of a torn frame or the stable end: the resume point.
   *next = it.lsn();
-  // The lazy writer runs once per applied chunk, while no worker runs.
+  // The lazy writer runs once per applied chunk.
   DEUTERO_RETURN_NOT_OK(dc.Tick());
 
-  // Standby checkpoints happen at ship boundaries only, while the crew is
-  // quiescent — same cadence knob as the primary.
+  // Standby checkpoints happen at ship boundaries only — same cadence knob
+  // as the primary.
   if (ops_since_checkpoint_ >=
       engine_->options().checkpoint_interval_updates) {
     DEUTERO_RETURN_NOT_OK(engine_->tc().Checkpoint());

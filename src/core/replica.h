@@ -18,13 +18,11 @@
 //  * LogicalReplica — a full engine with its own (possibly different) page
 //    geometry that consumes the stream CONTINUOUSLY: each pulled chunk is
 //    appended to a local mirror log (same byte offsets as the primary) and
-//    applied on recovery's apply pipeline (recovery/apply_worker.h), with
-//    replay as its third apply body: recovery_threads partitions by
-//    standby leaf page, and one partition applies inline on the
-//    dispatcher. Only the logical content of committed transactions is
-//    applied: (table, key, after-image), re-logged as the standby's OWN
-//    WAL records (TC::LogReplayOp) so standby pLSNs never mix with primary
-//    LSNs.
+//    applied one op at a time on the pumping thread, at every
+//    recovery_threads (which partitions the standby's own crash recovery).
+//    Only the logical content of committed transactions is applied:
+//    (table, key, after-image), re-logged as the standby's OWN WAL records
+//    (TC::LogReplayOp) so standby pLSNs never mix with primary LSNs.
 //    Primary Δ/BW-records, SMOs and checkpoints are meaningless under the
 //    standby's geometry and are skipped; the standby forms its own pages,
 //    runs its own splits/merges, and takes its own checkpoints.
@@ -144,7 +142,6 @@ struct ReplicationStats {
   uint64_t bytes_shipped = 0;
   uint64_t txns_applied = 0;
   uint64_t ops_applied = 0;
-  uint64_t barriers = 0;        ///< Worker drain barriers (splits, merges).
   uint64_t standby_merges = 0;  ///< Local delete-side SMOs run on apply.
   uint64_t checkpoints = 0;     ///< Standby checkpoints at ship boundaries.
 };
@@ -156,10 +153,9 @@ class LogicalReplica {
 
   /// Build a standby with its own geometry. `options.num_rows` must match
   /// the primary's initial load (the base snapshot the log stream extends);
-  /// options.recovery_threads sets the continuous-replay partition count
-  /// (the same knob recovery uses — replay runs on redo's pipeline). The
-  /// standby engine opens read-only: external writes are refused until
-  /// Promote().
+  /// options.recovery_threads partitions the standby's own crash recovery,
+  /// not replay. The standby engine opens read-only: external writes are
+  /// refused until Promote().
   static Status Open(const EngineOptions& options,
                      std::unique_ptr<LogicalReplica>* out);
 
@@ -275,10 +271,6 @@ class LogicalReplica {
     int32_t free_head = -1;
   };
 
-  struct ReplayItem;     ///< One routed leaf apply (replica.cc).
-  class ReplayApplier;   ///< Replay's apply body (replica.cc).
-  using ReplayCrew = ApplyCrew<ReplayApplier>;
-
   LogicalReplica() = default;
 
   /// The applier core: scan the mirror from mirror_next_, buffer in-flight
@@ -288,20 +280,12 @@ class LogicalReplica {
   Status ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
                            bool* stop_injected) REQUIRES(apply_mu_);
   /// Projected row count of standby leaf `pid` this apply window (base
-  /// count read once under the gate, then tracked dispatcher-side).
+  /// count read once, then tracked by the applier).
   Status ProjectedLeafRows(PageId pid, int64_t** count) REQUIRES(apply_mu_);
-  /// Apply `item` inline (one partition) or route it to its partition.
-  Status Route(const ReplayItem& item) REQUIRES(apply_mu_);
-  /// Before a structure change: every routed item is applied and no worker
-  /// holds a pin. A no-op inline, where each item is applied as routed.
-  void Barrier() REQUIRES(apply_mu_);
-  /// The pool gate while a crew runs; null inline (see GateLock).
-  Mutex* gate() REQUIRES(apply_mu_);
   Status RecoverStandbyLocked(RecoveryMethod method, RecoveryStats* stats)
       REQUIRES(apply_mu_);
 
   std::unique_ptr<Engine> engine_;
-  uint32_t threads_ = 1;
 
   /// Mirror of the primary log: every pulled chunk is appended verbatim,
   /// so mirror LSN == primary LSN for every shipped record. Survives
@@ -327,14 +311,6 @@ class LogicalReplica {
   std::vector<std::pair<TableId, Key>> merge_keys_ GUARDED_BY(apply_mu_);
   TableRegistry tables_ GUARDED_BY(apply_mu_);
   RedoLeafMemo memo_ GUARDED_BY(apply_mu_);
-  /// One partition: the dispatcher's own pin cache, a member so a pump
-  /// allocates nothing.
-  std::unique_ptr<PinCache> inline_pins_ GUARDED_BY(apply_mu_);
-  /// N >= 2 partitions: the gate that serializes every pool/log/clock
-  /// touch beside the workers, and the workers of the current apply
-  /// (declared after the gate they use).
-  Mutex gate_;
-  std::unique_ptr<ReplayCrew> crew_ GUARDED_BY(apply_mu_);
   std::string cursor_before_ GUARDED_BY(apply_mu_);
   std::string cursor_after_ GUARDED_BY(apply_mu_);
 

@@ -1,21 +1,16 @@
-// The apply-worker skeleton the redo and undo pipelines and the hot
-// standby's replay share. A partition worker drains the dispatcher's SPSC
-// ring and applies each item to the leaf it names; the three differ only
-// in their apply body:
+// The apply-worker skeleton of partitioned redo. A partition worker drains
+// the dispatcher's SPSC ring and applies each item to the leaf it names
+// through redo's apply body (redo.cc): Algorithm 1/5's DPT tests, the pLSN
+// test and the leaf re-execution of a routed log record. Undo and the hot
+// standby's replay have no crew: each runs one pass on its caller's thread
+// at every recovery_threads (undo.h, core/replica.cc), since neither
+// charges CPU that partitions could overlap.
 //
-//  * redo (redo.cc): Algorithm 1/5's DPT tests, the pLSN test and the leaf
-//    re-execution of a routed log record;
-//  * undo (undo.cc): the leaf before-image restore of an update-undo,
-//    under the CLR the dispatcher already appended;
-//  * replay (core/replica.cc): the pLSN test and the leaf apply of a
-//    shipped committed op, under the standby WAL record the dispatcher
-//    already appended. Its only feed is the ReplicationChannel.
-//
-// Everything else lives here, once: the ring loop, the drain barrier, the
+// The skeleton keeps, once: the ring loop, the drain barrier, the
 // failed-worker drain mode, the LRU pin cache with MarkDirty-once stamping
-// and the pin budget. Workers read nothing ahead: a pass that reads ahead
-// does it on its dispatcher, the same way at every partition count
-// (redo.h, undo.h). A body is a copyable class with
+// and the pin budget. Workers read nothing ahead: redo reads ahead on its
+// dispatcher, the same way at every partition count (redo.h). A body is a
+// copyable class with
 //
 //   using Item = ...;                        // has a `pid` field
 //   Status Apply(const Item&, PinCache*);

@@ -1,9 +1,10 @@
-// Lock-free plumbing shared by the dispatch/worker pipelines: the recovery
-// passes (recovery/analysis.cc, redo.cc, undo.cc) and the standby
-// replication applier (core/replica.cc). All have the same shape — one
-// log-scanning dispatcher routing fixed-size items to per-partition
-// consumer threads over bounded FIFO queues — so the partition map, the
-// queue and the wait policy live here, once.
+// Lock-free plumbing shared by the dispatch/worker pipelines of the
+// partitioned recovery passes: DPT construction (recovery/analysis.cc) and
+// redo (redo.cc). Both have the same shape — one log-scanning dispatcher
+// routing fixed-size items to per-partition consumer threads over bounded
+// FIFO queues — so the partition map, the queue and the wait policy live
+// here, once. The wait policy also paces the standby's continuous-replay
+// thread (core/replica.cc).
 #pragma once
 
 #include <atomic>

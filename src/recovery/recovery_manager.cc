@@ -58,7 +58,8 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
   const Lsn count_rows_from =
       std::max(start, dc_->catalog().rows_covered_lsn());
 
-  // Every pass runs on `threads` partitions; one applies inline.
+  // DPT construction and redo run on `threads` partitions; one applies
+  // inline.
   const uint32_t threads = options_.recovery_threads;
   const double t0 = clock_->NowMs();
   ActiveTxnTable att;
@@ -141,18 +142,18 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
   stats->redo_worker_cpu_ms_total = redo.worker_cpu_us_total * 1e-3;
   stats->redo_smo_barriers = redo.smo_barriers;
 
-  // Undo pass — identical machinery for every method (§2.1).
+  // Undo pass — identical machinery for every method (§2.1), one pass at
+  // every recovery_threads.
   const double t_undo0 = clock_->NowMs();
   const double undo_stall0 = dc_->pool().stats().stall_ms;
   const uint64_t undo_read_ios0 = dc_->disk().stats().read_ios;
   UndoResult ur;
-  DEUTERO_RETURN_NOT_OK(RunUndo(log_, dc_, att, threads, &ur));
+  DEUTERO_RETURN_NOT_OK(RunUndo(log_, dc_, att, &ur));
   const double t_undo1 = clock_->NowMs();
   // Undo reads its log by backchain, charging each page it stays on once.
   stats->undo = {t_undo1 - t_undo0, ur.log_pages, ur.records_read};
   stats->txns_undone = ur.txns_undone;
   stats->undo_ops = ur.ops_undone;
-  stats->undo_threads = ur.threads_used;
   stats->total_ms = t_undo1 - t0;
 
   // Buffer-pool and device counters cover exactly the recovery epoch.

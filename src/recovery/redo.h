@@ -53,8 +53,7 @@
 //  * WAL iterator hand-off — work items carry Slices that alias the log
 //    buffer, valid across threads exactly while the log's generation
 //    counter is unchanged; a LogManager::AliasGuard holds over the pass
-//    (redo never appends; undo, which appends CLRs, hands workers OWNED
-//    before-images instead — see undo.cc).
+//    (redo never appends).
 //  * SMO/DDL barrier (SQL family) — a kSmo/kSmoMerge/kCreateTable record
 //    spans partitions, so the dispatcher drops every worker's pins, waits
 //    until every queue is fully APPLIED, replays the record itself, then

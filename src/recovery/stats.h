@@ -59,9 +59,6 @@ struct RecoveryStats {
                                           ///< (folded into the pass time).
   double analysis_shard_cpu_ms_total = 0; ///< Sum over partitions.
 
-  // Undo (recovery_threads partitions for update-undo leaf restores).
-  uint32_t undo_threads = 1;           ///< Partitions used by undo.
-
   // I/O behaviour during recovery (buffer pool deltas).
   uint64_t data_page_fetches = 0;
   uint64_t index_page_fetches = 0;

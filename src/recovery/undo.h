@@ -4,7 +4,12 @@
 // in all methods", paper §2.1). Losers are rolled back logically: each
 // update is compensated by locating the record through the B-tree (it may
 // have moved) and restoring the before-image under a CLR. Runtime rollback
-// (Engine's Txn abort) is the same pass run on one loser at one partition.
+// (Engine's Txn abort) is the same pass run on one loser.
+//
+// The pass runs on its caller's thread at every recovery_threads. It is
+// not partitioned: it charges no CPU that partitions could overlap, and
+// its demand reads serialize on the one shared SimClock, so apply workers
+// would only add wall time (README, "Partitioned parallel recovery").
 //
 // SQL redo is page-addressed and never reads the index, so after it those
 // key traversals find the internal pages on the losers' paths cold, and
@@ -36,29 +41,19 @@ struct UndoResult {
   /// left on the device once while consecutive reads stay on it
   /// (LogManager::PageMemo); a runtime rollback's records are free.
   uint64_t log_pages = 0;
-  uint32_t threads_used = 1;  ///< Partitions (1 = inline restores).
 };
 
 /// Roll back every transaction in `att` (losers), interleaved in descending
 /// LSN order as ARIES prescribes. Appends CLRs and final abort records,
 /// then forces the log.
 ///
-/// The dispatcher walks the loser heap and appends every CLR and abort
-/// itself, so the undo log stream is the same for every `threads`. With
-/// one partition it also applies every restore inline, on the caller's
-/// thread and under the caller's dirty monitor: that is how runtime
-/// rollback calls it. With N >= 2 the leaf before-image restores of
-/// update-undos fan out to hash(pid) apply workers (apply_worker.h) with
-/// pin caches (the undo pass's page misses are random 5 ms seeks;
-/// overlapping them across io_channels is where the time goes), and the
-/// monitor and pool callbacks are off while they run.
-/// Insert/delete undos change tree structure (splits, merges, row counts),
-/// so the dispatcher first drains all workers to a barrier and applies
-/// those itself. Recovered state and UndoResult counters do not depend on
-/// `threads`.
+/// Every restore runs under the caller's dirty monitor, so a runtime
+/// rollback reports the pages its CLRs dirty. An update or insert undo
+/// reads its leaf before it logs the CLR; a delete undo first makes room
+/// in the leaf (PrepareInsert may split). The restore itself is the
+/// inverse write through the forward path.
 ///
-/// With UndoKind::kRecovery the dispatcher also reads ahead, at every
-/// partition count and under the pass's pool gate. A second heap of the
+/// With UndoKind::kRecovery the pass also reads ahead. A second heap of the
 /// losers' next LSNs walks their backchains in the pass's own order with
 /// LogManager::ViewRecordAt, which charges nothing (undo's ReadRecordAt
 /// still charges each record once). It copies each data op's (table, key)
@@ -72,8 +67,7 @@ struct UndoResult {
 /// mimicking a crash in the middle of the undo pass; the CLRs written so
 /// far are flushed, abort records are not. 0 = run to completion.
 Status RunUndo(LogManager* log, DataComponent* dc, const ActiveTxnTable& att,
-               uint32_t threads, UndoResult* out,
-               UndoKind kind = UndoKind::kRecovery,
+               UndoResult* out, UndoKind kind = UndoKind::kRecovery,
                uint64_t max_ops_for_test = 0);
 
 }  // namespace deutero

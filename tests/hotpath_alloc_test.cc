@@ -428,8 +428,7 @@ TEST(ReplicationAllocTest, SteadyStateChunkApplyIsAllocationFreePerOp) {
   std::unique_ptr<Engine> primary;
   ASSERT_TRUE(Engine::Open(popts, &primary).ok());
   EngineOptions sopts = popts;
-  sopts.page_size = 2048;       // cross-geometry apply
-  sopts.recovery_threads = 1;   // serial applier (the crew has its own pools)
+  sopts.page_size = 2048;  // cross-geometry apply
   std::unique_ptr<LogicalReplica> standby;
   ASSERT_TRUE(LogicalReplica::Open(sopts, &standby).ok());
   // The Δ-record monitors amortize independently (see WriteBatch test above);

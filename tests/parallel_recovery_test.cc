@@ -1,17 +1,17 @@
-// Partition-count equivalence sweeps for the recovery pipelines — redo,
-// analysis/DPT construction and undo: for every recovery method and
+// Partition-count equivalence sweeps for the recovery pipelines — redo and
+// analysis/DPT construction: for every recovery method and
 // recovery_threads in {1, 2, 4, 8}, the same crash image must recover to
-// byte-identical table content with the same loser-transaction outcome;
-// and the pass-level decision counters, tables (DPT/ATT/PF-list) and — for
-// undo — the appended log SUFFIX with 2, 4 and 8 partitions must match the
-// inline one-partition run exactly (partitions re-divide the work, they
-// must not change any decision). The one-partition run itself is pinned
-// by independent references: dpt_construction_test's hand-built logs, the
+// byte-identical table content with the same loser-transaction outcome
+// (undo is one pass at every partition count, after the partitioned
+// passes); and the pass-level decision counters and tables
+// (DPT/ATT/PF-list) with 2, 4 and 8 partitions must match the inline
+// one-partition run exactly (partitions re-divide the work, they must not
+// change any decision). The one-partition run itself is pinned by
+// independent references: dpt_construction_test's hand-built logs, the
 // redo and undo unit expectations, and the workload oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -24,7 +24,6 @@
 #include "recovery/prefetch.h"
 #include "recovery/redo.h"
 #include "recovery/stats.h"
-#include "recovery/undo.h"
 #include "test_util.h"
 #include "workload/driver.h"
 #include "workload/scenario.h"
@@ -105,14 +104,11 @@ TEST_P(ParallelRecoveryTest, ThreadSweepIsByteIdenticalToSerial) {
     RecoveryStats st;
     ASSERT_OK(et->Recover(GetParam(), &st));
     EXPECT_EQ(st.redo_threads, threads) << "pipeline engagement mismatch";
-    if (threads > 1) {
-      // All three passes must use every partition — except Log0's
-      // analysis, which builds no DPT and stays one partition by design.
-      EXPECT_EQ(st.undo_threads, threads) << "undo pipeline not engaged";
-      if (GetParam() != RecoveryMethod::kLog0) {
-        EXPECT_EQ(st.analysis_threads, threads)
-            << "analysis pipeline not engaged";
-      }
+    if (threads > 1 && GetParam() != RecoveryMethod::kLog0) {
+      // Analysis must use every partition too — except Log0's, which
+      // builds no DPT and stays one partition by design.
+      EXPECT_EQ(st.analysis_threads, threads)
+          << "analysis pipeline not engaged";
     }
 
     uint64_t rows = 0;
@@ -484,245 +480,6 @@ TEST(ParallelAnalysisPass, DcPassMatchesSerialAcrossDptModes) {
       EXPECT_DOUBLE_EQ(par.shard_cpu_us_total, serial.shard_cpu_us_total);
       EXPECT_LE(par.shard_cpu_us_max, serial.shard_cpu_us_max);
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Undo-pass parity: the dispatcher appends every CLR and abort record in
-// the same order for every partition count, so the undo log SUFFIX must be
-// byte-identical — not merely equivalent — and the recovered state with it.
-// ---------------------------------------------------------------------------
-
-TEST(ParallelUndoPass, LogStreamAndStateMatchSerialByteForByte) {
-  EngineOptions o = SmallOptions();
-  std::unique_ptr<Engine> e;
-  ASSERT_OK(Engine::Open(o, &e));
-  WorkloadDriver driver(e.get(), MixedWorkload());
-  ASSERT_OK(driver.RunOps(400));
-  ASSERT_OK(e->Checkpoint());
-  ASSERT_OK(driver.RunOps(400));
-  // Fat manual losers over dedicated committed keys (far above anything
-  // the driver touches; no other txn open, so no wait-die conflicts): many
-  // updates each (the fan-out path — leaf restores across partitions) plus
-  // an insert and a delete each (the structure-op barrier path), so the
-  // partitioned pass exercises both deterministically.
-  {
-    Table table;
-    ASSERT_OK(e->OpenDefaultTable(&table));
-    const Key base = o.num_rows + 7000;
-    const std::string v0(o.value_size, 's');
-    const std::string v(o.value_size, 'u');
-    {
-      Txn setup;
-      ASSERT_OK(e->Begin(&setup));
-      for (uint32_t i = 0; i < 4; i++) {
-        for (uint32_t j = 0; j <= 20; j++) {
-          ASSERT_OK(setup.Insert(
-              table, base + static_cast<Key>(i * 100 + j), v0));
-        }
-      }
-      ASSERT_OK(setup.Commit());
-    }
-    Txn losers[4];
-    for (uint32_t i = 0; i < 4; i++) {
-      ASSERT_OK(e->Begin(&losers[i]));
-      for (uint32_t j = 0; j < 20; j++) {
-        ASSERT_OK(losers[i].Update(
-            table, base + static_cast<Key>(i * 100 + j), v));
-      }
-      ASSERT_OK(losers[i].Insert(
-          table, base + static_cast<Key>(1000 + i), v));
-      ASSERT_OK(losers[i].Delete(
-          table, base + static_cast<Key>(i * 100 + 20)));
-    }
-    e->tc().ForceLog();
-    for (Txn& t : losers) t.Release();  // in flight at the crash
-  }
-  driver.OnCrash();
-  e->SimulateCrash();
-  Engine::StableSnapshot snap;
-  ASSERT_OK(e->TakeStableSnapshot(&snap));
-  const Lsn start = e->wal().master().bckpt_lsn;
-
-  auto run_undo = [&](uint32_t threads, UndoResult* ur, std::string* digest,
-                      std::string* log_suffix, Lsn* log_end) {
-    ASSERT_OK(e->RestoreStableSnapshot(snap));
-    ASSERT_OK(e->dc().OpenDatabase());
-    e->dc().Eosl(e->wal().stable_end() - 1);  // as Recover does
-    e->dc().monitor().set_enabled(false);
-    e->dc().pool().set_callbacks_enabled(false);
-    // Identical one-partition analysis + redo every time: only undo
-    // differs.
-    DcRecoveryResult dcr;
-    ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                            /*build_dpt=*/true, /*preload=*/false, 1, &dcr));
-    RedoResult rr;
-    ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, true, &dcr.dpt,
-                             dcr.last_delta_tc_lsn, /*prefetch=*/false, o, 1,
-                             &rr));
-    const Lsn undo_start = e->wal().next_lsn();
-    ASSERT_OK(RunUndo(&e->wal(), &e->dc(), rr.att, threads, ur));
-    // The CLRs are stable, as after Recover: the digest's reads may evict
-    // the pages they dirtied.
-    e->dc().Eosl(e->wal().stable_end());
-    *digest = ContentDigest(e.get());
-    *log_end = e->wal().next_lsn();
-    const Slice suffix = e->wal().StableBytes(undo_start);
-    log_suffix->assign(suffix.data(), suffix.size());
-    e->SimulateCrash();
-  };
-
-  UndoResult serial;
-  std::string serial_digest, serial_suffix;
-  Lsn serial_end = kInvalidLsn;
-  run_undo(1, &serial, &serial_digest, &serial_suffix, &serial_end);
-  ASSERT_GT(serial.txns_undone, 0u);
-  ASSERT_GT(serial.clrs_written, 0u);
-  ASSERT_GT(serial_suffix.size(), 0u);
-
-  for (uint32_t threads : {2u, 4u, 8u}) {
-    UndoResult par;
-    std::string digest, suffix;
-    Lsn end = kInvalidLsn;
-    run_undo(threads, &par, &digest, &suffix, &end);
-    EXPECT_EQ(par.threads_used, threads);
-    EXPECT_EQ(digest, serial_digest)
-        << "recovered state diverged at " << threads << " threads";
-    EXPECT_EQ(end, serial_end);
-    EXPECT_EQ(suffix, serial_suffix)
-        << "the undo log stream is not byte-identical at " << threads
-        << " threads";
-    EXPECT_EQ(par.txns_undone, serial.txns_undone);
-    EXPECT_EQ(par.ops_undone, serial.ops_undone);
-    EXPECT_EQ(par.clrs_written, serial.clrs_written);
-  }
-}
-
-/// Crash recovery's undo reads its losers' paths ahead, and an undo can
-/// change the tree under that read-ahead. Here the insert-undo of key 275
-/// leaves leaf B (keys 270..296, drained to 6 rows while its left sibling
-/// A was too full to take them) under the merge threshold, so B merges
-/// into A and its page is freed, after the first read-ahead batch (8 keys
-/// in a 64-frame pool) prefetched B for that key. The last batch reads
-/// the paths of key 291, which now lives in A, and of key 5000, whose
-/// delete-undo re-inserts into the full rightmost leaf: its split reuses
-/// B's pid. UndoResult, the undo log suffix and the destaged bytes must
-/// match at 1, 2 and 4 partitions.
-TEST(ParallelUndoPass, ReadAheadSurvivesMergeThenSplitReuseAcrossPartitions) {
-  EngineOptions o = SmallOptions();
-  o.checkpoint_interval_updates = 1'000'000;  // explicit checkpoints only
-  std::unique_ptr<Engine> e;
-  ASSERT_OK(Engine::Open(o, &e));
-  Table table;
-  ASSERT_OK(e->OpenDefaultTable(&table));
-  const std::string v(o.value_size, 'u');
-  auto commit_ops = [&](const std::function<Status(Txn*)>& ops) {
-    Txn txn;
-    ASSERT_OK(e->Begin(&txn));
-    ASSERT_OK(ops(&txn));
-    ASSERT_OK(txn.Commit());
-  };
-  // Bulk load puts 27 keys in each leaf: A holds 243..269, B 270..296, and
-  // the rightmost leaf 4995..4999.
-  commit_ops([&](Txn* t) -> Status {
-    for (Key k = 270; k <= 290; k++) DEUTERO_RETURN_NOT_OK(t->Delete(table, k));
-    for (Key k = 243; k <= 252; k++) DEUTERO_RETURN_NOT_OK(t->Delete(table, k));
-    for (Key k = 5000; k < 5024; k++) {
-      DEUTERO_RETURN_NOT_OK(t->Insert(table, k, v));  // rightmost leaf full
-    }
-    return Status::OK();
-  });
-  PageId leaf_a = kInvalidPageId;
-  PageId leaf_b = kInvalidPageId;
-  ASSERT_OK(e->dc().FindLeaf(o.table_id, 269, &leaf_a));
-  ASSERT_OK(e->dc().FindLeaf(o.table_id, 291, &leaf_b));
-  ASSERT_NE(leaf_a, leaf_b);
-  ASSERT_OK(e->Checkpoint());
-  {
-    Txn loser;
-    ASSERT_OK(e->Begin(&loser));
-    ASSERT_OK(loser.Delete(table, 5000));
-    commit_ops([&](Txn* t) { return t->Insert(table, 6000, v); });
-    ASSERT_OK(loser.Update(table, 291, v));
-    for (Key i = 0; i < 10; i++) {
-      ASSERT_OK(loser.Update(table, 1000 + 300 * i, v));
-    }
-    ASSERT_OK(loser.Insert(table, 275, v));
-    for (Key i = 0; i < 5; i++) {
-      ASSERT_OK(loser.Update(table, 150 + 500 * i, v));
-    }
-    e->tc().ForceLog();
-    loser.Release();  // in flight at the crash
-  }
-  ASSERT_EQ(e->dc().btree().stats().merges, 0u)
-      << "B must still be a leaf of its own at the crash";
-  e->SimulateCrash();
-  Engine::StableSnapshot snap;
-  ASSERT_OK(e->TakeStableSnapshot(&snap));
-  const Lsn start = e->wal().master().bckpt_lsn;
-
-  struct Outcome {
-    UndoResult ur;
-    std::string suffix;
-    testing_util::StateImage state;
-    PageId leaf_of_291 = kInvalidPageId;
-    PageId leaf_of_6000 = kInvalidPageId;
-  };
-  auto run_undo = [&](uint32_t threads, Outcome* out) {
-    std::unique_ptr<Engine> r;
-    ASSERT_OK(Engine::Open(o, &r));
-    r->SimulateCrash();
-    ASSERT_OK(r->RestoreStableSnapshot(snap));
-    DataComponent& dc = r->dc();
-    ASSERT_OK(dc.OpenDatabase());
-    dc.monitor().set_enabled(false);
-    dc.pool().set_callbacks_enabled(false);
-    dc.Eosl(r->wal().stable_end() - 1);
-    SqlAnalysisResult ar;
-    ASSERT_OK(RunSqlAnalysis(&r->wal(), start, 1, &ar));
-    RedoResult rr;
-    ASSERT_OK(RunSqlRedo(&r->wal(), &dc, ar.redo_start_lsn, &ar.dpt,
-                         /*prefetch=*/false, o, 1, &rr));
-    // A cold cache: the read-ahead, not redo, brings in every loser path.
-    ASSERT_OK(dc.pool().FlushAllDirty());
-    dc.pool().Reset();
-    const uint64_t prefetched0 = dc.pool().stats().prefetch_issued;
-    const uint64_t splits0 = dc.btree().stats().splits;
-    const Lsn undo_start = r->wal().next_lsn();
-    ASSERT_OK(RunUndo(&r->wal(), &dc, ar.att, threads, &out->ur));
-    EXPECT_GT(dc.pool().stats().prefetch_issued, prefetched0);
-    EXPECT_EQ(dc.btree().stats().merges, 1u) << threads << " partitions";
-    EXPECT_GT(dc.btree().stats().splits, splits0) << threads << " partitions";
-    const Slice suffix = r->wal().StableBytes(undo_start);
-    out->suffix.assign(suffix.data(), suffix.size());
-    ASSERT_OK(dc.FindLeaf(o.table_id, 291, &out->leaf_of_291));
-    ASSERT_OK(dc.FindLeaf(o.table_id, 6000, &out->leaf_of_6000));
-    dc.Eosl(r->wal().stable_end());  // the CLRs are stable, as after Recover
-    out->state = testing_util::CaptureState(r.get());
-  };
-
-  Outcome inline_run;
-  run_undo(1, &inline_run);
-  EXPECT_EQ(inline_run.ur.ops_undone, 18u);
-  EXPECT_EQ(inline_run.leaf_of_291, leaf_a) << "B must have merged into A";
-  EXPECT_EQ(inline_run.leaf_of_6000, leaf_b)
-      << "the split must reuse the merged-away leaf's pid";
-  EXPECT_TRUE(inline_run.state.free_list.empty());
-  for (uint32_t threads : {2u, 4u}) {
-    Outcome par;
-    run_undo(threads, &par);
-    EXPECT_EQ(par.ur.threads_used, threads);
-    EXPECT_EQ(par.ur.txns_undone, inline_run.ur.txns_undone);
-    EXPECT_EQ(par.ur.ops_undone, inline_run.ur.ops_undone);
-    EXPECT_EQ(par.ur.clrs_written, inline_run.ur.clrs_written);
-    EXPECT_EQ(par.ur.records_read, inline_run.ur.records_read);
-    EXPECT_TRUE(par.suffix == inline_run.suffix)
-        << "the undo log stream is not byte-identical at " << threads
-        << " partitions";
-    EXPECT_EQ(par.leaf_of_291, inline_run.leaf_of_291);
-    EXPECT_EQ(par.leaf_of_6000, inline_run.leaf_of_6000);
-    testing_util::ExpectSameState(par.state, inline_run.state,
-                                  std::to_string(threads) + " partitions");
   }
 }
 

@@ -770,7 +770,7 @@ TEST(RecoverySideBySide, UndoReadsLoserPathsInBatches) {
     const BufferPool::Stats pool0 = dc.pool().stats();
     const SimDisk::Stats disk0 = dc.disk().stats();
     UndoResult ur;
-    ASSERT_OK(RunUndo(&r->wal(), &dc, ar.att, 1, &ur));
+    ASSERT_OK(RunUndo(&r->wal(), &dc, ar.att, &ur));
     const BufferPool::Stats& pool1 = dc.pool().stats();
     const uint64_t pages = pool1.data_fetches + pool1.index_fetches -
                            pool0.data_fetches - pool0.index_fetches;

@@ -17,8 +17,8 @@ namespace {
 
 using testing_util::SmallOptions;
 
-// Every scenario runs on both apply paths: one partition applying inline
-// on the dispatcher, and a four-worker crew.
+// Every scenario runs at recovery_threads 1 and 4. Replay applies inline
+// at both; the standby's own crash recovery partitions at four.
 class ReplicaTest : public ::testing::TestWithParam<uint32_t> {
  protected:
   void SetUp() override {
@@ -132,12 +132,11 @@ TEST_P(ReplicaTest, ReplicaSurvivesItsOwnCrash) {
 // A standby whose cache is smaller than its table, crashed after each of
 // four pumps of 400 ops and recovered by the SQL methods (Algorithm 3's
 // BW-record prune) at two and four partitions, with the lazy writer off
-// so every write is a pool-miss eviction. Such an eviction can write a
-// page while an op the dispatcher routed to it is still queued; if the
-// monitor's FW-LSN could cover that op's record, the next BW-record would
-// prune the page from the recovery DPT and the op would be lost. The race
-// depends on thread timing, so the matrix is wide: 2 methods x 2
-// partition counts x 8 seeds x 3 caches.
+// so every write is a pool-miss eviction. Inline replay under that cache
+// pressure evicts pages between its ops, so the BW-records it leaves prune
+// many pages from the recovery DPT; partitioned standby recovery must
+// still redo every committed op a flushed page lacks. The matrix: 2
+// methods x 2 partition counts x 8 seeds x 3 caches.
 TEST(StandbyCachePressureTest, CrashAfterEveryPumpLosesNoCommittedUpdate) {
   std::string diverged;
   for (RecoveryMethod method : {RecoveryMethod::kSql1, RecoveryMethod::kSql2}) {

@@ -236,8 +236,8 @@ TEST_F(TransactionTest, WriteAfterAnUndoPassForcePublishesTheStableEnd) {
   ActiveTxnTable loser;
   ASSERT_OK(engine_->tc().LastLsn(t.id(), &loser[t.id()]));
   UndoResult ur;
-  ASSERT_OK(RunUndo(&engine_->wal(), &engine_->dc(), loser, /*threads=*/1,
-                    &ur, UndoKind::kRollback));
+  ASSERT_OK(RunUndo(&engine_->wal(), &engine_->dc(), loser, &ur,
+                    UndoKind::kRollback));
   ASSERT_LT(engine_->dc().elsn(), engine_->wal().stable_end());
   PageId leaf = kInvalidPageId;
   ASSERT_OK(engine_->dc().FindLeaf(table_.id(), 5, &leaf));

@@ -1,9 +1,9 @@
 // Undo-pass tests: multi-loser interleaving, CLR chains, crash-during-undo
-// (partial undo followed by a second recovery), and losers of every shape.
-// Every case runs with one partition (inline restores) and with four (a
-// worker crew applying update-undo restores).
+// (partial undo followed by a second recovery), losers of every shape, and
+// the read-ahead of the losers' paths under the tree changes undo makes.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -20,12 +20,10 @@ namespace {
 
 using testing_util::SmallOptions;
 
-class UndoTest : public ::testing::TestWithParam<uint32_t> {
+class UndoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    EngineOptions o = SmallOptions();
-    o.recovery_threads = GetParam();
-    ASSERT_OK(Engine::Open(o, &engine_));
+    ASSERT_OK(Engine::Open(SmallOptions(), &engine_));
     ASSERT_OK(engine_->OpenDefaultTable(&table_));
   }
 
@@ -37,12 +35,7 @@ class UndoTest : public ::testing::TestWithParam<uint32_t> {
   Table table_;
 };
 
-INSTANTIATE_TEST_SUITE_P(Partitions, UndoTest, ::testing::Values(1u, 4u),
-                         [](const auto& param_info) {
-                           return "threads" + std::to_string(param_info.param);
-                         });
-
-TEST_P(UndoTest, MultipleLosersAllRolledBack) {
+TEST_F(UndoTest, MultipleLosersAllRolledBack) {
   Txn a, b, c;
   ASSERT_OK(engine_->Begin(&a));
   ASSERT_OK(engine_->Begin(&b));
@@ -67,7 +60,7 @@ TEST_P(UndoTest, MultipleLosersAllRolledBack) {
   }
 }
 
-TEST_P(UndoTest, LoserWithOnlyBeginRecordIsHarmless) {
+TEST_F(UndoTest, LoserWithOnlyBeginRecordIsHarmless) {
   Txn t;
   ASSERT_OK(engine_->Begin(&t));
   engine_->tc().ForceLog();
@@ -78,7 +71,7 @@ TEST_P(UndoTest, LoserWithOnlyBeginRecordIsHarmless) {
   EXPECT_EQ(st.undo_ops, 0u);
 }
 
-TEST_P(UndoTest, CommittedAndLoserOnSameKeySequence) {
+TEST_F(UndoTest, CommittedAndLoserOnSameKeySequence) {
   // Committed txn sets version 1; the loser overwrites with version 2 but
   // never commits: undo must restore version 1, not version 0.
   Txn t;
@@ -98,7 +91,7 @@ TEST_P(UndoTest, CommittedAndLoserOnSameKeySequence) {
   EXPECT_EQ(v, Val(42, 1));
 }
 
-TEST_P(UndoTest, CrashDuringUndoThenFullRecovery) {
+TEST_F(UndoTest, CrashDuringUndoThenFullRecovery) {
   // Build a crash image with a 9-op loser.
   WorkloadDriver driver(engine_.get(), WorkloadConfig{});
   ASSERT_OK(driver.RunOps(200));
@@ -114,12 +107,12 @@ TEST_P(UndoTest, CrashDuringUndoThenFullRecovery) {
   engine_->dc().pool().set_callbacks_enabled(false);
   const Lsn start = engine_->wal().master().bckpt_lsn;
   SqlAnalysisResult ar;
-  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), start, GetParam(), &ar));
+  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), start, 1, &ar));
   RedoResult rr;
   ASSERT_OK(RunSqlRedo(&engine_->wal(), &engine_->dc(), start, &ar.dpt,
-                       false, engine_->options(), GetParam(), &rr));
+                       false, engine_->options(), 1, &rr));
   UndoResult ur;
-  ASSERT_OK(RunUndo(&engine_->wal(), &engine_->dc(), ar.att, GetParam(), &ur,
+  ASSERT_OK(RunUndo(&engine_->wal(), &engine_->dc(), ar.att, &ur,
                     UndoKind::kRecovery, /*max_ops_for_test=*/4));
   EXPECT_EQ(ur.ops_undone, 4u);
 
@@ -138,7 +131,7 @@ TEST_P(UndoTest, CrashDuringUndoThenFullRecovery) {
   EXPECT_GT(checked, 0u);
 }
 
-TEST_P(UndoTest, CrashAfterAReadAheadBatchRecoversTheSameBytesEverywhere) {
+TEST_F(UndoTest, CrashAfterAReadAheadBatchRecoversTheSameBytesEverywhere) {
   WorkloadDriver driver(engine_.get(), WorkloadConfig{});
   ASSERT_OK(driver.RunOps(200));
   ASSERT_OK(engine_->Checkpoint());
@@ -174,13 +167,13 @@ TEST_P(UndoTest, CrashAfterAReadAheadBatchRecoversTheSameBytesEverywhere) {
   engine_->dc().pool().set_callbacks_enabled(false);
   const Lsn start = engine_->wal().master().bckpt_lsn;
   SqlAnalysisResult ar;
-  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), start, GetParam(), &ar));
+  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), start, 1, &ar));
   RedoResult rr;
   ASSERT_OK(RunSqlRedo(&engine_->wal(), &engine_->dc(), start, &ar.dpt,
-                       false, engine_->options(), GetParam(), &rr));
+                       false, engine_->options(), 1, &rr));
   const uint64_t prefetched = engine_->dc().pool().stats().prefetch_issued;
   UndoResult ur;
-  ASSERT_OK(RunUndo(&engine_->wal(), &engine_->dc(), ar.att, GetParam(), &ur,
+  ASSERT_OK(RunUndo(&engine_->wal(), &engine_->dc(), ar.att, &ur,
                     UndoKind::kRecovery, /*max_ops_for_test=*/12));
   EXPECT_EQ(ur.ops_undone, 12u);
   EXPECT_GT(engine_->dc().pool().stats().prefetch_issued, prefetched)
@@ -191,43 +184,142 @@ TEST_P(UndoTest, CrashAfterAReadAheadBatchRecoversTheSameBytesEverywhere) {
   Engine::StableSnapshot snap;
   ASSERT_OK(engine_->TakeStableSnapshot(&snap));
 
+  // Every method, with analysis and redo at one and at four partitions,
+  // recovers the same bytes as Log0 at one.
   testing_util::StateImage log0_state;
-  for (RecoveryMethod m :
-       {RecoveryMethod::kLog0, RecoveryMethod::kLog1, RecoveryMethod::kLog2,
-        RecoveryMethod::kSql1, RecoveryMethod::kSql2}) {
-    const char* name = RecoveryMethodName(m);
-    std::unique_ptr<Engine> r;
-    ASSERT_OK(Engine::Open(engine_->options(), &r));
-    r->SimulateCrash();
-    ASSERT_OK(r->RestoreStableSnapshot(snap));
-    RecoveryStats st;
-    ASSERT_OK(r->Recover(m, &st));
-    EXPECT_EQ(st.txns_undone, 1u) << name;
-    EXPECT_EQ(st.undo_ops, 8u) << name;  // the CLRs skip the undone 12
-    for (const auto& [k, v] : before) {
-      std::string got;
-      const Status rs = r->Read(k, &got);
-      if (v.empty()) {
-        EXPECT_TRUE(rs.IsNotFound()) << name << " key " << k;
-      } else {
-        ASSERT_OK(rs);
-        EXPECT_EQ(got, v) << name << " key " << k;
+  for (uint32_t threads : {1u, 4u}) {
+    for (RecoveryMethod m :
+         {RecoveryMethod::kLog0, RecoveryMethod::kLog1, RecoveryMethod::kLog2,
+          RecoveryMethod::kSql1, RecoveryMethod::kSql2}) {
+      const std::string name =
+          std::string(RecoveryMethodName(m)) + "/t" + std::to_string(threads);
+      EngineOptions o = engine_->options();
+      o.recovery_threads = threads;
+      std::unique_ptr<Engine> r;
+      ASSERT_OK(Engine::Open(o, &r));
+      r->SimulateCrash();
+      ASSERT_OK(r->RestoreStableSnapshot(snap));
+      RecoveryStats st;
+      ASSERT_OK(r->Recover(m, &st));
+      EXPECT_EQ(st.txns_undone, 1u) << name;
+      EXPECT_EQ(st.undo_ops, 8u) << name;  // the CLRs skip the undone 12
+      for (const auto& [k, v] : before) {
+        std::string got;
+        const Status rs = r->Read(k, &got);
+        if (v.empty()) {
+          EXPECT_TRUE(rs.IsNotFound()) << name << " key " << k;
+        } else {
+          ASSERT_OK(rs);
+          EXPECT_EQ(got, v) << name << " key " << k;
+        }
       }
-    }
-    ASSERT_OK(driver.AttachEngine(r.get()));
-    uint64_t checked = 0;
-    ASSERT_OK(driver.Verify(0, &checked));
-    EXPECT_GT(checked, 0u);
-    const testing_util::StateImage state = testing_util::CaptureState(r.get());
-    if (m == RecoveryMethod::kLog0) {
-      log0_state = state;
-    } else {
-      testing_util::ExpectSameState(state, log0_state, name);
+      ASSERT_OK(driver.AttachEngine(r.get()));
+      uint64_t checked = 0;
+      ASSERT_OK(driver.Verify(0, &checked));
+      EXPECT_GT(checked, 0u);
+      const testing_util::StateImage state =
+          testing_util::CaptureState(r.get());
+      if (m == RecoveryMethod::kLog0 && threads == 1) {
+        log0_state = state;
+      } else {
+        testing_util::ExpectSameState(state, log0_state, name);
+      }
     }
   }
 }
 
-TEST_P(UndoTest, UndoOfInsertsDeletesRows) {
+/// Crash recovery's undo reads its losers' paths ahead, and an undo can
+/// change the tree under that read-ahead. Here the insert-undo of key 275
+/// leaves leaf B (keys 270..296, drained to 6 rows while its left sibling
+/// A was too full to take them) under the merge threshold, so B merges
+/// into A and its page is freed, after the first read-ahead batch (8 keys
+/// in a 64-frame pool) prefetched B for that key. The last batch reads
+/// the paths of key 291, which now lives in A, and of key 5000, whose
+/// delete-undo re-inserts into the full rightmost leaf: its split reuses
+/// B's pid.
+TEST_F(UndoTest, ReadAheadSurvivesMergeThenSplitReuse) {
+  EngineOptions o = SmallOptions();
+  o.checkpoint_interval_updates = 1'000'000;  // explicit checkpoints only
+  std::unique_ptr<Engine> e;
+  ASSERT_OK(Engine::Open(o, &e));
+  Table table;
+  ASSERT_OK(e->OpenDefaultTable(&table));
+  const std::string v(o.value_size, 'u');
+  auto commit_ops = [&](const std::function<Status(Txn*)>& ops) {
+    Txn txn;
+    ASSERT_OK(e->Begin(&txn));
+    ASSERT_OK(ops(&txn));
+    ASSERT_OK(txn.Commit());
+  };
+  // Bulk load puts 27 keys in each leaf: A holds 243..269, B 270..296, and
+  // the rightmost leaf 4995..4999.
+  commit_ops([&](Txn* t) -> Status {
+    for (Key k = 270; k <= 290; k++) DEUTERO_RETURN_NOT_OK(t->Delete(table, k));
+    for (Key k = 243; k <= 252; k++) DEUTERO_RETURN_NOT_OK(t->Delete(table, k));
+    for (Key k = 5000; k < 5024; k++) {
+      DEUTERO_RETURN_NOT_OK(t->Insert(table, k, v));  // rightmost leaf full
+    }
+    return Status::OK();
+  });
+  PageId leaf_a = kInvalidPageId;
+  PageId leaf_b = kInvalidPageId;
+  ASSERT_OK(e->dc().FindLeaf(o.table_id, 269, &leaf_a));
+  ASSERT_OK(e->dc().FindLeaf(o.table_id, 291, &leaf_b));
+  ASSERT_NE(leaf_a, leaf_b);
+  ASSERT_OK(e->Checkpoint());
+  {
+    Txn loser;
+    ASSERT_OK(e->Begin(&loser));
+    ASSERT_OK(loser.Delete(table, 5000));
+    commit_ops([&](Txn* t) { return t->Insert(table, 6000, v); });
+    ASSERT_OK(loser.Update(table, 291, v));
+    for (Key i = 0; i < 10; i++) {
+      ASSERT_OK(loser.Update(table, 1000 + 300 * i, v));
+    }
+    ASSERT_OK(loser.Insert(table, 275, v));
+    for (Key i = 0; i < 5; i++) {
+      ASSERT_OK(loser.Update(table, 150 + 500 * i, v));
+    }
+    e->tc().ForceLog();
+    loser.Release();  // in flight at the crash
+  }
+  ASSERT_EQ(e->dc().btree().stats().merges, 0u)
+      << "B must still be a leaf of its own at the crash";
+  e->SimulateCrash();
+
+  DataComponent& dc = e->dc();
+  ASSERT_OK(dc.OpenDatabase());
+  dc.monitor().set_enabled(false);
+  dc.pool().set_callbacks_enabled(false);
+  dc.Eosl(e->wal().stable_end() - 1);
+  SqlAnalysisResult ar;
+  ASSERT_OK(RunSqlAnalysis(&e->wal(), e->wal().master().bckpt_lsn, 1, &ar));
+  RedoResult rr;
+  ASSERT_OK(RunSqlRedo(&e->wal(), &dc, ar.redo_start_lsn, &ar.dpt,
+                       /*prefetch=*/false, o, 1, &rr));
+  // A cold cache: the read-ahead, not redo, brings in every loser path.
+  ASSERT_OK(dc.pool().FlushAllDirty());
+  dc.pool().Reset();
+  const uint64_t prefetched0 = dc.pool().stats().prefetch_issued;
+  const uint64_t splits0 = dc.btree().stats().splits;
+  UndoResult ur;
+  ASSERT_OK(RunUndo(&e->wal(), &dc, ar.att, &ur));
+  EXPECT_EQ(ur.ops_undone, 18u);
+  EXPECT_GT(dc.pool().stats().prefetch_issued, prefetched0);
+  EXPECT_EQ(dc.btree().stats().merges, 1u);
+  EXPECT_GT(dc.btree().stats().splits, splits0);
+  PageId leaf_of_291 = kInvalidPageId;
+  PageId leaf_of_6000 = kInvalidPageId;
+  ASSERT_OK(dc.FindLeaf(o.table_id, 291, &leaf_of_291));
+  ASSERT_OK(dc.FindLeaf(o.table_id, 6000, &leaf_of_6000));
+  EXPECT_EQ(leaf_of_291, leaf_a) << "B must have merged into A";
+  EXPECT_EQ(leaf_of_6000, leaf_b)
+      << "the split must reuse the merged-away leaf's pid";
+  dc.Eosl(e->wal().stable_end());  // the CLRs are stable, as after Recover
+  EXPECT_TRUE(testing_util::CaptureState(e.get()).free_list.empty());
+}
+
+TEST_F(UndoTest, UndoOfInsertsDeletesRows) {
   const Key fresh = engine_->options().num_rows + 1;
   Txn t;
   ASSERT_OK(engine_->Begin(&t));
@@ -245,7 +337,7 @@ TEST_P(UndoTest, UndoOfInsertsDeletesRows) {
   EXPECT_EQ(rows, engine_->options().num_rows);
 }
 
-TEST_P(UndoTest, MixedLoserInsertAndUpdate) {
+TEST_F(UndoTest, MixedLoserInsertAndUpdate) {
   const Key fresh = engine_->options().num_rows + 5;
   Txn t;
   ASSERT_OK(engine_->Begin(&t));
@@ -266,7 +358,7 @@ TEST_P(UndoTest, MixedLoserInsertAndUpdate) {
 // Undo applies the inverse write, not a blanket CLR upsert: undoing an
 // update or an insert of a key its leaf lacks is NotFound, never a silent
 // insert.
-TEST_P(UndoTest, UndoOfAMissingKeyIsNotFound) {
+TEST_F(UndoTest, UndoOfAMissingKeyIsNotFound) {
   const Key missing = engine_->options().num_rows + 50;
   const LogRecordType types[] = {LogRecordType::kUpdate,
                                  LogRecordType::kInsert};
@@ -281,8 +373,8 @@ TEST_P(UndoTest, UndoOfAMissingKeyIsNotFound) {
     ActiveTxnTable att;
     att[losers[i].id()] = lsn;
     UndoResult ur;
-    EXPECT_TRUE(RunUndo(&engine_->wal(), &engine_->dc(), att, GetParam(), &ur)
-                    .IsNotFound())
+    EXPECT_TRUE(
+        RunUndo(&engine_->wal(), &engine_->dc(), att, &ur).IsNotFound())
         << LogRecordTypeName(types[i]);
   }
   std::string v;
@@ -290,7 +382,7 @@ TEST_P(UndoTest, UndoOfAMissingKeyIsNotFound) {
   engine_->SimulateCrash();  // the losers cannot roll back: drop them
 }
 
-TEST_P(UndoTest, UndoPassTimingIsRecorded) {
+TEST_F(UndoTest, UndoPassTimingIsRecorded) {
   Txn t;
   ASSERT_OK(engine_->Begin(&t));
   for (Key k = 0; k < 20; k++) {
