@@ -366,7 +366,7 @@ void BM_SqlAnalysisPass(benchmark::State& state) {
   log.Flush();
   for (auto _ : state) {
     SqlAnalysisResult out;
-    benchmark::DoNotOptimize(RunSqlAnalysis(&log, start, 1, &out));
+    benchmark::DoNotOptimize(RunSqlAnalysis(&log, start, &out));
     benchmark::DoNotOptimize(out.dpt.size());
   }
   state.SetItemsProcessed(state.iterations() * 10'000);
@@ -417,7 +417,7 @@ void BM_LogicalRedo(benchmark::State& state) {
   const Lsn start = e->wal().master().bckpt_lsn;
   DcRecoveryResult dcr;
   (void)RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                      /*build_dpt=*/true, /*preload=*/false, 1, &dcr);
+                      /*build_dpt=*/true, /*preload=*/false, &dcr);
   uint64_t records = 0;
   uint64_t hits = 0;
   uint64_t examined = 0;
@@ -506,7 +506,7 @@ void BM_ParallelRedo(benchmark::State& state) {
     (void)e->dc().OpenDatabase();
     DcRecoveryResult dcr;
     (void)RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                        /*build_dpt=*/true, /*preload=*/false, 1, &dcr);
+                        /*build_dpt=*/true, /*preload=*/false, &dcr);
     RedoResult redo;
     const double sim_t0 = e->clock().NowMs();
     const auto t0 = std::chrono::steady_clock::now();
@@ -535,13 +535,11 @@ BENCHMARK(BM_ParallelRedo)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-// Thread-scaling curve of the sharded DPT construction: the logical DC
-// pass over one crash image, recovery_threads in {1, 2, 4, 8}. /1 applies
-// every event inline, with no shard. Manual timing covers exactly the
-// pass; restore/reopen is untimed. sim_ms reports the SIMULATED pass time
-// (log I/O + max-shard DPT CPU), the cost model's view of the same sweep.
-void BM_ParallelAnalysis(benchmark::State& state) {
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
+// DPT construction: the logical DC pass over one crash image (one pass at
+// every recovery_threads). Manual timing covers exactly the pass;
+// restore/reopen is untimed. sim_ms reports the SIMULATED pass time (log
+// I/O + DPT CPU + the structure replay's reads), the cost model's view.
+void BM_Analysis(benchmark::State& state) {
   EngineOptions o;
   o.page_size = 8192;
   o.value_size = 26;
@@ -577,7 +575,7 @@ void BM_ParallelAnalysis(benchmark::State& state) {
     const double sim_t0 = e->clock().NowMs();
     const auto t0 = std::chrono::steady_clock::now();
     (void)RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                        /*build_dpt=*/true, /*preload=*/false, threads, &dcr);
+                        /*build_dpt=*/true, /*preload=*/false, &dcr);
     const auto t1 = std::chrono::steady_clock::now();
     state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
     sim_ms += e->clock().NowMs() - sim_t0;
@@ -587,27 +585,24 @@ void BM_ParallelAnalysis(benchmark::State& state) {
     e->SimulateCrash();
   }
   state.SetItemsProcessed(static_cast<int64_t>(records));
-  state.counters["threads"] = threads;
   state.counters["dpt_updates_per_iter"] =
       iters == 0 ? 0.0
                  : static_cast<double>(updates) / static_cast<double>(iters);
   state.counters["sim_ms"] =
       iters == 0 ? 0.0 : sim_ms / static_cast<double>(iters);
 }
-BENCHMARK(BM_ParallelAnalysis)
-    ->ArgsProduct({{1, 2, 4, 8}})
+BENCHMARK(BM_Analysis)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 // Log2's DC pass, whose index preload descends the stable tree under the
-// log scan and the structure replay, at recovery_threads in {1, 4}. The
-// crash image has 1 KB pages, a 3-level tree and a window of updates and
-// fresh-key inserts, so the replay installs split images. Manual timing
-// covers exactly the pass; restore/reopen is untimed. sim_ms reports the
-// SIMULATED pass time (log I/O, DPT CPU and whatever preload or install
-// read the pass still waits for).
+// log scan and the structure replay. The crash image has 1 KB pages, a
+// 3-level tree and a window of updates and fresh-key inserts, so the
+// replay installs split images. Manual timing covers exactly the pass;
+// restore/reopen is untimed. sim_ms reports the SIMULATED pass time (log
+// I/O, DPT CPU and whatever preload or install read the pass still waits
+// for).
 void BM_DcPassPreload(benchmark::State& state) {
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
   EngineOptions o;
   o.page_size = 1024;
   o.value_size = 26;
@@ -642,7 +637,7 @@ void BM_DcPassPreload(benchmark::State& state) {
     const auto t0 = std::chrono::steady_clock::now();
     const Status s =
         RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                      /*build_dpt=*/true, /*preload=*/true, threads, &dcr);
+                      /*build_dpt=*/true, /*preload=*/true, &dcr);
     benchmark::DoNotOptimize(s);
     const auto t1 = std::chrono::steady_clock::now();
     state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
@@ -652,12 +647,10 @@ void BM_DcPassPreload(benchmark::State& state) {
     e->SimulateCrash();
   }
   state.SetItemsProcessed(static_cast<int64_t>(records));
-  state.counters["threads"] = threads;
   state.counters["sim_ms"] =
       iters == 0 ? 0.0 : sim_ms / static_cast<double>(iters);
 }
 BENCHMARK(BM_DcPassPreload)
-    ->ArgsProduct({{1, 4}})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -736,7 +729,7 @@ void BM_Undo(benchmark::State& state) {
     e->dc().pool().set_callbacks_enabled(false);
     DcRecoveryResult dcr;
     (void)RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                        /*build_dpt=*/true, /*preload=*/false, 1, &dcr);
+                        /*build_dpt=*/true, /*preload=*/false, &dcr);
     RedoResult redo;
     (void)RunLogicalRedo(&e->wal(), &e->dc(), start, /*use_dpt=*/true,
                          &dcr.dpt, dcr.last_delta_tc_lsn,

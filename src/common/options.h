@@ -119,10 +119,9 @@ struct IoModelOptions {
   /// one elevator (busy-until cursor) per channel and assigns each request
   /// to the earliest-free one. 1 (default) is the classic single-head
   /// drive where every parallel recovery stream serializes behind one arm;
-  /// raising it lets prefetch/read-ahead streams from parallel
-  /// analysis/redo workers overlap in simulated time (demand misses
-  /// still wait for their own completion). Clamped to [1, 64] at engine
-  /// open.
+  /// raising it lets the redo prefetchers' reads overlap in simulated time
+  /// (demand misses still wait for their own completion). Clamped to
+  /// [1, 64] at engine open.
   uint32_t io_channels = 1;
 
   /// CPU charged per log record examined during a recovery scan (µs).
@@ -132,11 +131,9 @@ struct IoModelOptions {
   /// CPU charged per redo operation actually applied (µs).
   double cpu_per_redo_apply_us = 5.0;
   /// CPU charged per DPT mutation event during analysis/DC-pass DPT
-  /// construction (µs): every AddOrUpdate/seed/prune/remove the pass
-  /// performs. The pass folds the slowest partition's total once at its
-  /// end — the whole count with one partition — which is what makes DPT
-  /// construction scale with recovery_threads in simulated time,
-  /// mirroring the apply-CPU fold of partitioned redo.
+  /// construction (µs): every AddOrUpdate/seed/prune probe/remove the
+  /// pass performs, at every recovery_threads (recovery/analysis.h says
+  /// where in the pass it is charged).
   double cpu_per_dpt_update_us = 1.0;
 
   /// Media-fault plan (sim/fault_injector.h). Inactive by default.
@@ -200,14 +197,14 @@ struct EngineOptions {
   uint32_t prefetch_window = 32;
 
   // ---- recovery parallelism ----
-  /// Partitions for DPT construction and redo (all five methods). 1
-  /// (default) runs each pass inline on the recovering thread; N > 1 runs
-  /// the partitioned dispatcher + worker pipeline: one log-scan/dispatch
-  /// thread routes each decoded record to one of N partitions (hash of the
-  /// owning leaf page), with per-partition FIFO queues, per-partition DPT
-  /// shards and stats, and a drain barrier around SMO/DDL records. Undo
-  /// and a standby's continuous replay run on one thread at every value.
-  /// Values are clamped to [1, 64] at engine open.
+  /// Partitions for redo (all five methods). 1 (default) runs it inline
+  /// on the recovering thread; N > 1 runs the partitioned dispatcher +
+  /// worker pipeline: one log-scan/dispatch thread routes each decoded
+  /// record to one of N partitions (hash of the owning leaf page), with
+  /// per-partition FIFO queues, per-partition DPT shards and stats, and a
+  /// drain barrier around SMO/DDL records. DPT construction, undo and a
+  /// standby's continuous replay run on one thread at every value. Values
+  /// are clamped to [1, 64] at engine open.
   uint32_t recovery_threads = 1;
 
   // ---- concurrent front end (PR 8) ----

@@ -2,11 +2,11 @@
 // in-flight transactions, mapping each committed op to a leaf of the
 // standby's own geometry, and applying it there before it reads the next.
 // Replay is not partitioned at any recovery_threads (the knob partitions
-// the standby's own crash recovery): its leaf writes charge no CPU that
-// partitions could overlap, and its demand reads serialize on the one
-// shared SimClock, so apply workers would only add wall time. The
-// ReplicationChannel is its only feed (PumpChunk); there is no pull API
-// over a primary's log. The differences from redo:
+// the redo pass of the standby's own crash recovery): its leaf writes
+// charge no CPU that partitions could overlap, and its demand reads
+// serialize on the one shared SimClock, so apply workers would only add
+// wall time. The ReplicationChannel is its only feed (PumpChunk); there
+// is no pull API over a primary's log. The differences from redo:
 //
 //  * Replay is FORWARD operation, not redo: each applied transaction is
 //    re-logged through TC::LogReplayOp into the standby's own WAL (its own
@@ -217,10 +217,11 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
     // Re-decode the shipped record by source offset: both images come from
     // the primary (valid under strict 2PL + commit order), zero copies.
     DEUTERO_RETURN_NOT_OK(mirror_->ViewRecordAt(op.lsn, &view_scratch_));
-    uint32_t value_size = 0;
-    if (!tables_.Lookup(op.table, &value_size)) {
+    const BTree* tree = dc.FindTable(op.table);
+    if (tree == nullptr) {
       return Status::NotFound("replay of op on unknown table");
     }
+    const uint32_t value_size = tree->value_size();
     // Logical->physical mapping under the standby's own geometry, fence-
     // memoized exactly like the redo dispatcher.
     PageId pid = kInvalidPageId;
@@ -336,7 +337,6 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
 
 Status LogicalReplica::ApplyMirror(Lsn* next) {
   DataComponent& dc = engine_->dc();
-  tables_.Refresh(&dc);
 
   // The scan's record views and the images it applies alias the mirror:
   // nothing may append to it for the whole apply (the standby's own WAL is
@@ -377,7 +377,6 @@ Status LogicalReplica::ApplyMirror(Lsn* next) {
         if (rec.table_id >= kStandbySystemTableBase) break;
         if (dc.FindTable(rec.table_id) == nullptr) {
           st = dc.CreateTable(rec.table_id, rec.ddl_value_size);
-          if (st.ok()) tables_.Refresh(&dc);
         }
         break;
       case LogRecordType::kTxnCommit:

@@ -19,7 +19,8 @@
 //    geometry that consumes the stream CONTINUOUSLY: each pulled chunk is
 //    appended to a local mirror log (same byte offsets as the primary) and
 //    applied one op at a time on the pumping thread, at every
-//    recovery_threads (which partitions the standby's own crash recovery).
+//    recovery_threads (which partitions the redo pass of the standby's own
+//    crash recovery).
 //    Only the logical content of committed transactions is applied:
 //    (table, key, after-image), re-logged as the standby's OWN WAL records
 //    (TC::LogReplayOp) so standby pLSNs never mix with primary LSNs.
@@ -51,7 +52,6 @@
 #include "common/options.h"
 #include "common/status.h"
 #include "core/engine.h"
-#include "recovery/apply_worker.h"
 #include "recovery/redo.h"
 #include "wal/log_manager.h"
 
@@ -153,9 +153,9 @@ class LogicalReplica {
 
   /// Build a standby with its own geometry. `options.num_rows` must match
   /// the primary's initial load (the base snapshot the log stream extends);
-  /// options.recovery_threads partitions the standby's own crash recovery,
-  /// not replay. The standby engine opens read-only: external writes are
-  /// refused until Promote().
+  /// options.recovery_threads partitions the redo pass of the standby's
+  /// own crash recovery, not replay. The standby engine opens read-only:
+  /// external writes are refused until Promote().
   static Status Open(const EngineOptions& options,
                      std::unique_ptr<LogicalReplica>* out);
 
@@ -309,7 +309,6 @@ class LogicalReplica {
   std::vector<std::pair<PageId, int64_t>> window_
       GUARDED_BY(apply_mu_);  ///< Leaf count window.
   std::vector<std::pair<TableId, Key>> merge_keys_ GUARDED_BY(apply_mu_);
-  TableRegistry tables_ GUARDED_BY(apply_mu_);
   RedoLeafMemo memo_ GUARDED_BY(apply_mu_);
   std::string cursor_before_ GUARDED_BY(apply_mu_);
   std::string cursor_after_ GUARDED_BY(apply_mu_);

@@ -1,218 +1,16 @@
 #include "recovery/analysis.h"
 
 #include <algorithm>
-#include <memory>
-#include <thread>
-#include <utility>
 #include <vector>
-
-#include "recovery/pipeline_util.h"
 
 namespace deutero {
 
 namespace {
 
-constexpr size_t kDptRingCapacity = 4096;  // power of two (SpscRing)
-
-/// A prune event's claim stamp when no DirtySet entry of its Δ-record
-/// names the page at or after FW-LSN: a raise keeps the entry's stamp.
+/// A claim stamp of the current Δ-record's WrittenSet when no DirtySet
+/// entry of the record names the page at or after FW-LSN: a prune that
+/// raises the page's rLSN keeps the entry's stamp.
 constexpr uint32_t kNoClaim = UINT32_MAX;
-
-/// One resolved DPT mutation event. The dispatcher resolves every LSN
-/// (record LSN, FW-LSN, prev-Δ TC-LSN, per-entry perfect LSN) and claim
-/// stamp before handing it on, so the applier needs no per-mode logic of
-/// its own beyond the prune comparison kind.
-struct DptWorkItem {
-  enum class Kind : uint8_t {
-    kStop = 0,      ///< Control token: the pass is over (default-constructed).
-    kUpsert,        ///< AddOrUpdate(pid, lsn, claim_seq).
-    kSeed,          ///< Checkpoint DPT seed: AddExact(pid, lsn, lsn) if absent.
-    kRemove,        ///< Remove(pid) (merge victim).
-    kPruneSql,      ///< Algorithm 3 prune: lastLSN <= lsn removes.
-    kPruneDc,       ///< Algorithm 4 prune: lastLSN <  lsn removes.
-    kPruneReduced,  ///< App. D.2 prune: lastLSN < lsn removes, no rLSN bump.
-  };
-  Kind kind = Kind::kStop;
-  PageId pid = kInvalidPageId;
-  /// DC pass: an upsert's DirtySet scan sequence number; a kPruneDc's
-  /// stamp for the rLSN it may raise (kNoClaim: keep the entry's).
-  uint32_t claim_seq = 0;
-  Lsn lsn = kInvalidLsn;
-};
-
-/// The one DPT event applier, for a shard worker and for the inline
-/// partition alike.
-void ApplyDptEvent(const DptWorkItem& item, DirtyPageTable* dpt) {
-  switch (item.kind) {
-    case DptWorkItem::Kind::kUpsert:
-      dpt->AddOrUpdate(item.pid, item.lsn, item.claim_seq);
-      break;
-    case DptWorkItem::Kind::kSeed:
-      if (dpt->Find(item.pid) == nullptr) {
-        dpt->AddExact(item.pid, item.lsn, item.lsn);
-      }
-      break;
-    case DptWorkItem::Kind::kRemove:
-      dpt->Remove(item.pid);
-      break;
-    case DptWorkItem::Kind::kPruneSql: {
-      DirtyPageTable::Entry* e = dpt->Find(item.pid);
-      if (e == nullptr) break;
-      if (e->last_lsn <= item.lsn) {
-        dpt->Remove(item.pid);
-      } else if (e->rlsn < item.lsn) {
-        e->rlsn = item.lsn;
-      }
-      break;
-    }
-    case DptWorkItem::Kind::kPruneDc: {
-      DirtyPageTable::Entry* e = dpt->Find(item.pid);
-      if (e == nullptr) break;
-      if (e->last_lsn < item.lsn) {
-        dpt->Remove(item.pid);
-      } else if (e->rlsn < item.lsn) {
-        e->rlsn = item.lsn;
-        if (item.claim_seq != kNoClaim) e->claim_seq = item.claim_seq;
-      }
-      break;
-    }
-    case DptWorkItem::Kind::kPruneReduced: {
-      DirtyPageTable::Entry* e = dpt->Find(item.pid);
-      if (e != nullptr && e->last_lsn < item.lsn) dpt->Remove(item.pid);
-      break;
-    }
-    case DptWorkItem::Kind::kStop:
-      break;  // handled by the shard's run loop
-  }
-}
-
-/// One shard: a thread draining its ring into a private DirtyPageTable.
-/// No locks anywhere — the shard is the only state this thread touches.
-class DptShardWorker {
- public:
-  DptShardWorker() : ring_(kDptRingCapacity) {}
-  /// Normally a no-op: DptEventSink::Finish already stopped and joined.
-  ~DptShardWorker() {
-    if (!thread_.joinable()) return;
-    Push(DptWorkItem());  // kStop
-    Join();
-  }
-  DptShardWorker(const DptShardWorker&) = delete;
-  DptShardWorker& operator=(const DptShardWorker&) = delete;
-
-  void Start() {
-    thread_ = std::thread([this] { Run(); });
-  }
-
-  void Push(const DptWorkItem& item) {
-    uint32_t spins = 0;
-    while (!ring_.TryPush(item)) SpinWait(&spins);  // backpressure
-  }
-
-  void Join() {
-    if (thread_.joinable()) thread_.join();
-  }
-
-  const DirtyPageTable& dpt() const { return dpt_; }
-  uint64_t ops() const { return ops_; }
-
- private:
-  void Run() {
-    DptWorkItem item;
-    uint32_t spins = 0;
-    while (true) {
-      if (!ring_.TryPop(&item)) {
-        SpinWait(&spins);
-        continue;
-      }
-      spins = 0;
-      if (item.kind == DptWorkItem::Kind::kStop) return;
-      ops_++;
-      ApplyDptEvent(item, &dpt_);
-    }
-  }
-
-  SpscRing<DptWorkItem> ring_;
-  DirtyPageTable dpt_;
-  uint64_t ops_ = 0;
-  std::thread thread_;  ///< Last: it runs over every member above.
-};
-
-/// Where the dispatcher's resolved events go, and the per-partition event
-/// counts the DPT CPU charge folds. One partition applies each event
-/// straight to the result DPT in scan order; N >= 2 route them to shard
-/// workers, merged by Finish.
-class DptEventSink {
- public:
-  DptEventSink(uint32_t partitions, DirtyPageTable* dpt)
-      : dpt_(dpt), shard_ops_(std::max(1u, partitions)) {
-    if (partitions < 2) return;
-    workers_.reserve(partitions);
-    for (uint32_t i = 0; i < partitions; i++) {
-      workers_.push_back(std::make_unique<DptShardWorker>());
-    }
-    for (auto& w : workers_) w->Start();
-  }
-
-  void Route(const DptWorkItem& item) {
-    if (workers_.empty()) {
-      shard_ops_[0]++;
-      ApplyDptEvent(item, dpt_);
-      return;
-    }
-    workers_[RedoPartitionOf(item.pid, partitions())]->Push(item);
-  }
-
-  /// Stop and join every shard and merge them, claim stamps included, into
-  /// the result DPT. Returns the event count of each partition, indexed by
-  /// partition.
-  std::vector<uint64_t>& Finish() {
-    if (workers_.empty()) return shard_ops_;
-    for (auto& w : workers_) w->Push(DptWorkItem());  // kStop
-    for (auto& w : workers_) w->Join();
-    for (size_t i = 0; i < workers_.size(); i++) {
-      const DptShardWorker& w = *workers_[i];
-      shard_ops_[i] = w.ops();
-      w.dpt().ForEach([&](PageId pid, const DirtyPageTable::Entry& e) {
-        dpt_->AddExact(pid, e.rlsn, e.last_lsn, e.claim_seq);
-      });
-    }
-    return shard_ops_;
-  }
-
-  uint32_t partitions() const {
-    return static_cast<uint32_t>(shard_ops_.size());
-  }
-
- private:
-  DirtyPageTable* dpt_;
-  std::vector<uint64_t> shard_ops_;
-  std::vector<std::unique_ptr<DptShardWorker>> workers_;
-};
-
-/// The slowest partition's share of the DPT CPU: what a pass charges.
-double SlowestShareUs(const std::vector<uint64_t>& shard_ops, double cpu_us) {
-  return static_cast<double>(
-             *std::max_element(shard_ops.begin(), shard_ops.end())) *
-         cpu_us;
-}
-
-/// Fold per-partition event counts into `out` (dpt_updates is the total;
-/// the partition count, and the slowest and summed DPT CPU) and charge the
-/// slowest partition's share to `clock`, if any, less `charged_us`: the
-/// part of it the pass charged already (RunDcRecovery's scan share).
-template <typename Result>
-void ChargeDptCpu(const std::vector<uint64_t>& shard_ops, double cpu_us,
-                  SimClock* clock, Result* out, double charged_us = 0) {
-  out->dpt_updates = 0;
-  for (const uint64_t ops : shard_ops) out->dpt_updates += ops;
-  out->threads_used = static_cast<uint32_t>(shard_ops.size());
-  out->shard_cpu_us_max = SlowestShareUs(shard_ops, cpu_us);
-  out->shard_cpu_us_total = static_cast<double>(out->dpt_updates) * cpu_us;
-  if (clock != nullptr && out->shard_cpu_us_max > charged_us) {
-    clock->AdvanceUs(out->shard_cpu_us_max - charged_us);
-  }
-}
 
 /// Algorithm 5's test on a page image of the kSmo record at `lsn`: whether
 /// the structure replay must install it. In the log's tail (at or after
@@ -373,13 +171,11 @@ Status ListTailPages(DataComponent* dc, const std::vector<TailKey>& keys,
 
 }  // namespace
 
-Status RunSqlAnalysis(LogManager* log, Lsn bckpt_lsn, uint32_t threads,
-                      SqlAnalysisResult* out, SimClock* clock,
-                      double cpu_per_dpt_update_us) {
+Status RunSqlAnalysis(LogManager* log, Lsn bckpt_lsn, SqlAnalysisResult* out,
+                      SimClock* clock, double cpu_per_dpt_update_us) {
   *out = SqlAnalysisResult();
   out->redo_start_lsn = bckpt_lsn;
-  DptEventSink sink(threads, &out->dpt);
-  DptWorkItem item;
+  DirtyPageTable& dpt = out->dpt;
   auto it = log->NewIterator(bckpt_lsn, /*charge_io=*/true);
   for (; it.Valid(); it.Next()) {
     const LogRecordView& rec = it.record();
@@ -389,13 +185,13 @@ Status RunSqlAnalysis(LogManager* log, Lsn bckpt_lsn, uint32_t threads,
       case LogRecordType::kBeginCheckpoint:
         // ARIES checkpointing (§3.1): seed the DPT from the captured table;
         // the redo scan must reach back to its oldest rLSN.
-        item.kind = DptWorkItem::Kind::kSeed;
         for (size_t i = 0; i < rec.ckpt_dpt_pids.size(); i++) {
-          item.pid = rec.ckpt_dpt_pids[i];
-          item.lsn = rec.ckpt_dpt_rlsns[i];
-          sink.Route(item);
-          if (item.lsn != kInvalidLsn && item.lsn < out->redo_start_lsn) {
-            out->redo_start_lsn = item.lsn;
+          const PageId pid = rec.ckpt_dpt_pids[i];
+          const Lsn rlsn = rec.ckpt_dpt_rlsns[i];
+          out->dpt_updates++;
+          if (dpt.Find(pid) == nullptr) dpt.AddExact(pid, rlsn, rlsn);
+          if (rlsn != kInvalidLsn && rlsn < out->redo_start_lsn) {
+            out->redo_start_lsn = rlsn;
           }
         }
         break;
@@ -405,20 +201,16 @@ Status RunSqlAnalysis(LogManager* log, Lsn bckpt_lsn, uint32_t threads,
       case LogRecordType::kClr:
         // Algorithm 3 lines 5-10: first mention adds (PID, rLSN = LSN);
         // later mentions advance lastLSN.
-        item.kind = DptWorkItem::Kind::kUpsert;
-        item.pid = rec.pid;
-        item.lsn = rec.lsn;
-        sink.Route(item);
+        out->dpt_updates++;
+        dpt.AddOrUpdate(rec.pid, rec.lsn);
         break;
       case LogRecordType::kSmo:
       case LogRecordType::kCreateTable:
         // SMO system transactions (and DDL) are page updates too; their
         // pages need redo consideration exactly like data updates.
-        item.kind = DptWorkItem::Kind::kUpsert;
-        item.lsn = rec.lsn;
         for (const SmoPageImageRef& p : rec.smo_pages) {
-          item.pid = p.pid;
-          sink.Route(item);
+          out->dpt_updates++;
+          dpt.AddOrUpdate(p.pid, rec.lsn);
         }
         break;
       case LogRecordType::kSmoMerge:
@@ -426,26 +218,27 @@ Status RunSqlAnalysis(LogManager* log, Lsn bckpt_lsn, uint32_t threads,
         // drops out of the DPT — it is dead as of this record, and its
         // free image installs unconditionally when the merge replays. A
         // later split re-allocating it re-adds it with that split's rLSN.
-        item.kind = DptWorkItem::Kind::kUpsert;
-        item.lsn = rec.lsn;
         for (const SmoPageImageRef& p : rec.smo_pages) {
           if (p.pid == rec.pid) continue;
-          item.pid = p.pid;
-          sink.Route(item);
+          out->dpt_updates++;
+          dpt.AddOrUpdate(p.pid, rec.lsn);
         }
-        item.kind = DptWorkItem::Kind::kRemove;
-        item.pid = rec.pid;
-        sink.Route(item);
+        out->dpt_updates++;
+        dpt.Remove(rec.pid);
         break;
       case LogRecordType::kBwRecord:
         // Algorithm 3 lines 11-18: prune by the flushed set. Every probe
         // counts as a DPT event — the lookup is the work, hit or miss.
         out->bw_records_seen++;
-        item.kind = DptWorkItem::Kind::kPruneSql;
-        item.lsn = rec.fw_lsn;
-        for (PageId pid : rec.written_set) {
-          item.pid = pid;
-          sink.Route(item);
+        for (const PageId pid : rec.written_set) {
+          out->dpt_updates++;
+          DirtyPageTable::Entry* e = dpt.Find(pid);
+          if (e == nullptr) continue;
+          if (e->last_lsn <= rec.fw_lsn) {
+            dpt.Remove(pid);
+          } else if (e->rlsn < rec.fw_lsn) {
+            e->rlsn = rec.fw_lsn;
+          }
         }
         break;
       case LogRecordType::kDeltaRecord:
@@ -456,17 +249,19 @@ Status RunSqlAnalysis(LogManager* log, Lsn bckpt_lsn, uint32_t threads,
     }
   }
   out->log_pages = it.pages_read();
-  ChargeDptCpu(sink.Finish(), cpu_per_dpt_update_us, clock, out);
+  if (clock != nullptr) {
+    clock->AdvanceUs(static_cast<double>(out->dpt_updates) *
+                     cpu_per_dpt_update_us);
+  }
   return Status::OK();
 }
 
 Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
                      DptMode mode, bool build_dpt, bool preload_index,
-                     uint32_t threads, DcRecoveryResult* out) {
+                     DcRecoveryResult* out) {
   *out = DcRecoveryResult();
   RecoveryPassQuiescence quiesce(dc);
-  DptEventSink sink(build_dpt ? threads : 1, &out->dpt);
-  DptWorkItem item;
+  DirtyPageTable& dpt = out->dpt;
   // DirtySet scan sequence number: the claim stamps' order. It would wrap
   // only past 2^32 entries in one window, and prefetch order is a hint.
   uint32_t seq = 0;
@@ -520,57 +315,57 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
             // The victim drops out of the DPT under construction (it cannot
             // need data-op redo once merged away; a later in-window split
             // re-allocating it re-adds it).
-            item.kind = DptWorkItem::Kind::kRemove;
-            item.pid = rec.pid;
-            sink.Route(item);
+            out->dpt_updates++;
+            dpt.Remove(rec.pid);
           }
           break;
         case LogRecordType::kDeltaRecord: {
           out->delta_records_seen++;
           if (build_dpt) {
             // Algorithm 4's DC-DPT-UPDATE plus the App. D variants. Dirty
-            // set: resolve each entry's conservative rLSN proxy (it
-            // depends on scan-order state: the prev-Δ TC-LSN chain), stamp
-            // the global mention sequence, and hand it on.
+            // set: each entry's conservative rLSN proxy (it depends on
+            // scan-order state: the prev-Δ TC-LSN chain), stamped with the
+            // global mention sequence.
             const bool prune_raises = mode != DptMode::kReduced &&
                                       rec.has_fw_fields &&
                                       !rec.written_set.empty();
             if (prune_raises) {
               claims.Clear();
-              for (PageId pid : rec.written_set) {
+              for (const PageId pid : rec.written_set) {
                 claims.AddOrUpdate(pid, rec.fw_lsn, kNoClaim);
               }
             }
-            item.kind = DptWorkItem::Kind::kUpsert;
             for (size_t i = 0; i < rec.dirty_set.size(); i++) {
-              item.pid = rec.dirty_set[i];
-              item.claim_seq = seq++;
+              const PageId pid = rec.dirty_set[i];
+              const uint32_t claim = seq++;
+              Lsn lsn = kInvalidLsn;
               switch (mode) {
                 case DptMode::kPerfect:
                   // App. D.1: the Δ-record carries the exact update LSNs.
-                  item.lsn = rec.dirty_lsns.at(i);
+                  lsn = rec.dirty_lsns.at(i);
                   break;
                 case DptMode::kStandard:
                   // Algorithm 4 lines 10-15.
-                  item.lsn = (rec.has_fw_fields && i >= rec.first_dirty)
-                                 ? rec.fw_lsn
-                                 : prev_delta_lsn;
+                  lsn = (rec.has_fw_fields && i >= rec.first_dirty)
+                            ? rec.fw_lsn
+                            : prev_delta_lsn;
                   break;
                 case DptMode::kReduced:
                   // App. D.2: no FW-LSN/FirstDirty; everything gets the
                   // previous Δ-record's TC-LSN.
-                  item.lsn = prev_delta_lsn;
+                  lsn = prev_delta_lsn;
                   break;
               }
-              sink.Route(item);
-              if (prune_raises && item.lsn >= rec.fw_lsn) {
-                DirtyPageTable::Entry* c = claims.Find(item.pid);
+              out->dpt_updates++;
+              dpt.AddOrUpdate(pid, lsn, claim);
+              if (prune_raises && lsn >= rec.fw_lsn) {
+                DirtyPageTable::Entry* c = claims.Find(pid);
                 if (c != nullptr && c->claim_seq == kNoClaim) {
-                  c->claim_seq = item.claim_seq;
+                  c->claim_seq = claim;
                 }
               }
             }
-            // Written set: prune.
+            // Written set: prune. Every probe counts as a DPT event.
             switch (mode) {
               case DptMode::kStandard:
               case DptMode::kPerfect:
@@ -579,12 +374,17 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
                 // record's first entry naming it at or after FW-LSN: redo
                 // claims the page there, not at its first mention.
                 if (!rec.has_fw_fields) break;
-                item.kind = DptWorkItem::Kind::kPruneDc;
-                item.lsn = rec.fw_lsn;
-                for (PageId pid : rec.written_set) {
-                  item.pid = pid;
-                  item.claim_seq = claims.Find(pid)->claim_seq;
-                  sink.Route(item);
+                for (const PageId pid : rec.written_set) {
+                  out->dpt_updates++;
+                  DirtyPageTable::Entry* e = dpt.Find(pid);
+                  if (e == nullptr) continue;
+                  if (e->last_lsn < rec.fw_lsn) {
+                    dpt.Remove(pid);
+                  } else if (e->rlsn < rec.fw_lsn) {
+                    e->rlsn = rec.fw_lsn;
+                    const uint32_t claim = claims.Find(pid)->claim_seq;
+                    if (claim != kNoClaim) e->claim_seq = claim;
+                  }
                 }
                 break;
               case DptMode::kReduced:
@@ -592,11 +392,12 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
                 // Δ-records only. Entries added by this record carry
                 // lastLSN == prev_delta_lsn; strictly older proxies
                 // identify prior-record entries.
-                item.kind = DptWorkItem::Kind::kPruneReduced;
-                item.lsn = prev_delta_lsn;
-                for (PageId pid : rec.written_set) {
-                  item.pid = pid;
-                  sink.Route(item);
+                for (const PageId pid : rec.written_set) {
+                  out->dpt_updates++;
+                  const DirtyPageTable::Entry* e = dpt.Find(pid);
+                  if (e != nullptr && e->last_lsn < prev_delta_lsn) {
+                    dpt.Remove(pid);
+                  }
                 }
                 break;
             }
@@ -631,7 +432,6 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
     return Status::OK();
   }();
   out->log_pages = it.pages_read();  // filled on error exits too
-  std::vector<uint64_t>& shard_ops = sink.Finish();
   DEUTERO_RETURN_NOT_OK(scan_status);
   const double cpu_us = dc->options().io.cpu_per_dpt_update_us;
   double charged_us = 0;
@@ -642,11 +442,10 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
       // flight. The waiting passes (Log1) keep it at pass end, where
       // nothing overlaps it either way.
       PrefetchInstallPages(dc, install, *out);
-      charged_us = SlowestShareUs(shard_ops, cpu_us);
+      charged_us = static_cast<double>(out->dpt_updates) * cpu_us;
       dc->clock().AdvanceUs(charged_us);
     }
-    // Structure redo touches the pool and clock, so it runs here on the
-    // dispatcher, against the final DPT.
+    // Structure redo against the final DPT.
     DEUTERO_RETURN_NOT_OK(
         ReplayDcStructure(log, dc, structure_lsns, &preload, out));
     // Pages that ended the window on the free-list must not remain in the
@@ -655,14 +454,15 @@ Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
     // would let the PF-list prefetcher fault the free page back into the
     // pool — where it would sit resident until a post-recovery split
     // re-allocates the pid and collides in BufferPool::Create. Each
-    // removal is one more event of the partition owning the pid.
+    // removal is one more DPT event.
     for (const PageId pid : dc->allocator().free_list()) {
-      out->dpt.Remove(pid);
-      shard_ops[RedoPartitionOf(pid, sink.partitions())]++;
+      out->dpt_updates++;
+      dpt.Remove(pid);
     }
   }
   // The purge's events (and, for Log0 and Log1, the scan's).
-  ChargeDptCpu(shard_ops, cpu_us, &dc->clock(), out, charged_us);
+  dc->clock().AdvanceUs(static_cast<double>(out->dpt_updates) * cpu_us -
+                        charged_us);
   if (preload_index) {
     // The correctness net: it reads what the descents under the scan could
     // not (pages the replay installed or linked in, tables it created) and

@@ -15,56 +15,37 @@
 //    Log2's pass also lists the pages of the log's tail beside the DPT,
 //    for its PF-list (DcRecoveryResult::tail_pages).
 //
-// Shape. One log-scanning dispatcher resolves every DPT mutation to a
-// (pid, lsn) event — record LSN, FW-LSN, the prev-Δ TC-LSN chain, the
-// per-entry perfect LSN, the prune kind — and hands it to the partition
-// that owns the pid (RedoPartitionOf). `threads` is the partition count.
-// With one partition the dispatcher applies each event straight to the
-// result DPT, in scan order. With N >= 2 it routes events over SPSC rings
-// to shard workers, each owning a private DirtyPageTable it mutates with
-// no locking at all: DPT operations on distinct PIDs commute (the table
-// is logically a map keyed by PID) and every PID's events land in one
-// FIFO, so per-page event order — the only order the DPT semantics depend
-// on — is the scan's. Both apply events through the same applier, so
-// Algorithm 4's per-mode rLSN and claim-stamp logic exists once, on the
-// dispatcher.
+// Shape. Each pass is one serial scan of the log on its caller's thread,
+// at every recovery_threads: it applies every DPT mutation (add, seed,
+// prune probe, remove) to the result DPT in scan order, and keeps the
+// ActiveTxnTable and max_txn_id (in LSN order, as undo requires),
+// redo_start_lsn and the prev-Δ chain beside it. The DC pass's structure
+// replay runs once the scan ends, so it filters by the final DPT, and
+// Log2's index preload is stepped by the scan and the replay. The passes
+// are not partitioned: a DPT mutation costs tens of nanoseconds, so shard
+// workers fed over rings only added wall time, and the one CPU term they
+// could overlap in simulated time is the DPT's (README, "Partitioned
+// parallel recovery"). recovery_threads partitions redo alone (redo.h).
 //
-// What stays on the dispatcher, in log order: the ActiveTxnTable and
-// max_txn_id (assembled in LSN order, as undo requires), redo_start_lsn,
-// the prev-Δ chain, and all scan counters. Workers see only resolved
-// scalars, so no log-buffer Slice ever crosses a thread boundary. The DC
-// pass's structure replay touches the buffer pool and the simulated clock,
-// which workers never do: the dispatcher runs it once the shards are
-// merged, so it filters by the final DPT. So does Log2's index preload, at
-// every partition count: the dispatcher steps its descents, and the shard
-// workers never touch the pool.
+// Claim stamps (the PF-list's order, App. A.2). The DC pass numbers every
+// DirtySet entry in scan order, and each upsert carries its number: a
+// first mention stamps the new entry with it. A WrittenSet prune that
+// raises a page's rLSN to FW-LSN takes the number of its Δ-record's first
+// DirtySet entry naming the page with a proxy >= FW-LSN, and restamps the
+// entry. So a stamp always names the entry that set the final rLSN, which
+// is where redo will claim the page (prefetch.h says why App. A.2's
+// first-mention order is not).
 //
-// Claim stamps (the PF-list's order, App. A.2). The dispatcher numbers
-// every DirtySet entry in scan order, and each upsert carries its number:
-// a first mention stamps the new entry with it. A WrittenSet prune that
-// raises a page's rLSN to FW-LSN carries the number of its Δ-record's
-// first DirtySet entry naming the page with a proxy >= FW-LSN, and
-// restamps the entry. So a stamp always names the entry that set the
-// final rLSN, which is where redo will claim the page (prefetch.h says
-// why App. A.2's first-mention order is not). Stamps are global scan
-// numbers, so shard merges copy them as they are and the merged DPT's
-// PF-list is the one-partition list exactly.
-//
-// Simulated time. cpu_per_dpt_update_us is charged per DPT mutation event,
-// counted per partition and folded as the slowest partition's share. With
-// one partition that share is the whole count; with N it is deterministic
-// and independent of thread scheduling, so DPT construction scales with
-// recovery_threads in simulated time the same way redo's apply CPU does.
-// Nothing in the scan depends on absolute time between records, so the
-// charge goes where it hides the most I/O. The SQL analysis pass and the
-// DC pass without the preload (Log0, Log1) have no read in flight and
-// charge it all at pass end. Log2's DC pass charges the scan's share when
-// the scan ends, while the preload's and the install pages' reads are in
-// flight, and the rest (the free-list purge's events) after the purge:
-// the slowest share of all events less what it charged already, so the
-// total charge, dpt_updates and the shard CPU figures do not depend on
-// where it is placed. Log-page read I/O stays on the dispatcher's iterator
-// (charge_io) for every partition count.
+// Simulated time. cpu_per_dpt_update_us is charged per DPT mutation
+// event: every add, seed (of a page already present too), prune probe
+// (hit or miss) and remove, counted in dpt_updates. Nothing in the scan
+// depends on absolute time between records, so the charge goes where it
+// hides the most I/O. The SQL analysis pass and the DC pass without the
+// preload (Log0, Log1) have no read in flight and charge it all at pass
+// end. Log2's DC pass charges the scan's events when the scan ends, while
+// the preload's and the install pages' reads are in flight, and the
+// free-list purge's events after the purge. Log-page read I/O is charged
+// by the pass's iterator (charge_io).
 #pragma once
 
 #include <cassert>
@@ -252,25 +233,21 @@ struct SqlAnalysisResult {
   uint64_t delta_records_seen = 0;  ///< Present on the common log; ignored.
   uint64_t records_scanned = 0;
   uint64_t log_pages = 0;
-  /// DPT mutation events performed (adds/updates/prune probes/removals) —
-  /// the unit cpu_per_dpt_update_us is charged per. The same for every
-  /// partition count on the same log.
+  /// DPT mutation events performed (adds/seeds/prune probes/removals) —
+  /// the unit cpu_per_dpt_update_us is charged per.
   uint64_t dpt_updates = 0;
-  uint32_t threads_used = 1;       ///< Partitions (1 = inline events).
-  double shard_cpu_us_max = 0;     ///< Slowest partition's DPT CPU.
-  double shard_cpu_us_total = 0;   ///< Sum over partitions.
   /// Where redo must start. Equal to the analysis start under penultimate
   /// checkpointing; under ARIES checkpointing (§3.1) it reaches back to the
   /// oldest rLSN of the DPT captured in the checkpoint record.
   Lsn redo_start_lsn = kInvalidLsn;
 };
 
-/// Algorithm 3 over [bckpt_lsn, stable end), over `threads` partitions.
-/// When `clock` is non-null, DPT mutation CPU (`cpu_per_dpt_update_us` per
-/// event) is charged to it at pass end. RecoveryManager passes the engine
-/// clock; direct callers that only care about the tables may omit it.
-Status RunSqlAnalysis(LogManager* log, Lsn bckpt_lsn, uint32_t threads,
-                      SqlAnalysisResult* out, SimClock* clock = nullptr,
+/// Algorithm 3 over [bckpt_lsn, stable end). When `clock` is non-null,
+/// DPT mutation CPU (`cpu_per_dpt_update_us` per event) is charged to it
+/// at pass end. RecoveryManager passes the engine clock; direct callers
+/// that only care about the tables may omit it.
+Status RunSqlAnalysis(LogManager* log, Lsn bckpt_lsn, SqlAnalysisResult* out,
+                      SimClock* clock = nullptr,
                       double cpu_per_dpt_update_us = 0);
 
 struct DcRecoveryResult {
@@ -296,16 +273,12 @@ struct DcRecoveryResult {
   /// Scan pages plus the replay's: each log page a replayed record spans,
   /// once across the replay.
   uint64_t log_pages = 0;
-  uint64_t dpt_updates = 0;      ///< DPT mutation events (see SqlAnalysisResult).
-  uint32_t threads_used = 1;     ///< Partitions (Log0 builds no DPT: 1).
-  double shard_cpu_us_max = 0;
-  double shard_cpu_us_total = 0;
+  uint64_t dpt_updates = 0;  ///< DPT mutation events (see SqlAnalysisResult).
 };
 
-/// DC recovery over [bckpt_lsn, stable end), over `threads` partitions.
-/// `build_dpt` is false for Log0 (which still needs SMO redo for a
-/// well-formed tree, and replays it inline during the scan; with no DPT
-/// there is nothing to partition); `preload_index` corresponds to Log2.
+/// DC recovery over [bckpt_lsn, stable end). `build_dpt` is false for
+/// Log0 (which still needs SMO redo for a well-formed tree, and replays it
+/// inline during the scan); `preload_index` corresponds to Log2.
 ///
 /// With a DPT the pass has two phases. The scan builds the DPT and
 /// collects the LSNs of the structure records; once the DPT is final, the
@@ -334,6 +307,6 @@ struct DcRecoveryResult {
 /// CPU is charged) into `tail_pages`.
 Status RunDcRecovery(LogManager* log, DataComponent* dc, Lsn bckpt_lsn,
                      DptMode mode, bool build_dpt, bool preload_index,
-                     uint32_t threads, DcRecoveryResult* out);
+                     DcRecoveryResult* out);
 
 }  // namespace deutero

@@ -81,8 +81,8 @@ class DirtyPageTable {
     e->last_lsn = lsn;
   }
 
-  /// Direct insert with distinct rLSN/lastLSN (checkpoint seeds, shard
-  /// merges and splits).
+  /// Direct insert with distinct rLSN/lastLSN (checkpoint seeds, redo's
+  /// shard splits).
   void AddExact(PageId pid, Lsn rlsn, Lsn last_lsn, uint32_t claim_seq = 0) {
     auto [e, inserted] = FindOrInsert(pid);
     if (inserted || e->rlsn == kInvalidLsn) {

@@ -1,10 +1,8 @@
-// Lock-free plumbing shared by the dispatch/worker pipelines of the
-// partitioned recovery passes: DPT construction (recovery/analysis.cc) and
-// redo (redo.cc). Both have the same shape — one log-scanning dispatcher
-// routing fixed-size items to per-partition consumer threads over bounded
-// FIFO queues — so the partition map, the queue and the wait policy live
-// here, once. The wait policy also paces the standby's continuous-replay
-// thread (core/replica.cc).
+// Lock-free plumbing of partitioned redo (redo.cc), the one partitioned
+// recovery pass: one log-scanning dispatcher routes fixed-size items to
+// per-partition consumer threads over bounded FIFO queues. The partition
+// map, the queue and the wait policy live here; the wait policy also paces
+// the standby's continuous-replay thread (core/replica.cc).
 #pragma once
 
 #include <atomic>

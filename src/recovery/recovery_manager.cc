@@ -58,8 +58,8 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
   const Lsn count_rows_from =
       std::max(start, dc_->catalog().rows_covered_lsn());
 
-  // DPT construction and redo run on `threads` partitions; one applies
-  // inline.
+  // Redo runs on `threads` partitions (one applies inline); DPT
+  // construction and undo are one pass at every count.
   const uint32_t threads = options_.recovery_threads;
   const double t0 = clock_->NowMs();
   ActiveTxnTable att;
@@ -82,7 +82,7 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
     const bool preload = method == RecoveryMethod::kLog2;
     DcRecoveryResult dcr;
     DEUTERO_RETURN_NOT_OK(RunDcRecovery(log_, dc_, start, options_.dpt_mode,
-                                        build_dpt, preload, threads, &dcr));
+                                        build_dpt, preload, &dcr));
     const double t1 = clock_->NowMs();
     stats->dc_pass = {t1 - t0, dcr.log_pages, dcr.records_scanned};
     stats->dpt_size = dcr.dpt.size();
@@ -90,10 +90,7 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
     stats->bw_records_seen = dcr.bw_records_seen;
     stats->smo_redone = dcr.smo_redone;
     stats->smo_pages_skipped = dcr.smo_pages_skipped;
-    stats->analysis_threads = dcr.threads_used;
     stats->dpt_updates = dcr.dpt_updates;
-    stats->analysis_shard_cpu_ms_max = dcr.shard_cpu_us_max * 1e-3;
-    stats->analysis_shard_cpu_ms_total = dcr.shard_cpu_us_total * 1e-3;
 
     DEUTERO_RETURN_NOT_OK(RunLogicalRedo(
         log_, dc_, start, build_dpt, build_dpt ? &dcr.dpt : nullptr,
@@ -105,17 +102,14 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
     max_txn_id = redo.max_txn_id;
   } else {
     SqlAnalysisResult ar;
-    DEUTERO_RETURN_NOT_OK(RunSqlAnalysis(log_, start, threads, &ar, clock_,
+    DEUTERO_RETURN_NOT_OK(RunSqlAnalysis(log_, start, &ar, clock_,
                                          options_.io.cpu_per_dpt_update_us));
     const double t1 = clock_->NowMs();
     stats->analysis = {t1 - t0, ar.log_pages, ar.records_scanned};
     stats->dpt_size = ar.dpt.size();
     stats->delta_records_seen = ar.delta_records_seen;
     stats->bw_records_seen = ar.bw_records_seen;
-    stats->analysis_threads = ar.threads_used;
     stats->dpt_updates = ar.dpt_updates;
-    stats->analysis_shard_cpu_ms_max = ar.shard_cpu_us_max * 1e-3;
-    stats->analysis_shard_cpu_ms_total = ar.shard_cpu_us_total * 1e-3;
 
     // Row accounting starts at the covered boundary (the ARIES redo SCAN
     // may reach back to the oldest captured rLSN, before the bCkpt).

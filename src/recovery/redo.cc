@@ -1,27 +1,49 @@
 #include "recovery/redo.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "btree/btree.h"
 #include "common/mutex.h"
-#include "recovery/apply_worker.h"
 #include "recovery/pipeline_util.h"
 #include "recovery/prefetch.h"
+#include "storage/buffer_pool.h"
 #include "storage/page.h"
 
 namespace deutero {
 
 namespace {
 
+/// Scoped hold of the pass's pool gate: the mutex that serializes every
+/// pool, disk and clock touch while workers run beside the dispatcher. A
+/// one-partition pass applies on the dispatcher alone and passes a null
+/// gate, so it takes no lock at all. The gate guards no annotated field;
+/// the lock discipline it keeps is the pass's, not the analysis'.
+class GateLock {
+ public:
+  explicit GateLock(Mutex* gate) NO_THREAD_SAFETY_ANALYSIS : gate_(gate) {
+    if (gate_ != nullptr) gate_->Lock();
+  }
+  ~GateLock() NO_THREAD_SAFETY_ANALYSIS {
+    if (gate_ != nullptr) gate_->Unlock();
+  }
+  GateLock(const GateLock&) = delete;
+  GateLock& operator=(const GateLock&) = delete;
+
+ private:
+  Mutex* const gate_;
+};
+
 /// One routed redo operation. Slices alias the log buffer — valid for the
 /// pass lifetime under the LogManager::AliasGuard the dispatcher holds.
-/// A default-constructed item (pid == kInvalidPageId) is the release-pins
-/// control token.
+/// A default-constructed item (pid == kInvalidPageId) is the control token
+/// that makes a worker drop its pins (before a barrier, at pass end).
 struct RedoWorkItem {
   LogRecordType type = LogRecordType::kInvalid;
   TableId table_id = kInvalidTableId;
@@ -42,7 +64,33 @@ RedoWorkItem WorkItemOf(const LogRecordView& rec, PageId pid) {
   return item;
 }
 
-/// Pass-wide facts every partition's apply body reads.
+/// Table facts a partition needs to run a leaf operation without touching
+/// the DC's catalog structures: the fixed value size per table. The
+/// dispatcher rebuilds it only while no worker is applying (pass start,
+/// DDL barriers); workers read it only for items pushed after the
+/// rebuild, and the ring hand-off orders the accesses.
+struct TableRegistry {
+  std::vector<std::pair<TableId, uint32_t>> value_sizes;
+
+  void Refresh(DataComponent* dc) {
+    value_sizes.clear();
+    for (const TableInfo& info : dc->catalog().tables()) {
+      BTree* tree = dc->FindTable(info.id);
+      if (tree != nullptr) value_sizes.emplace_back(info.id, tree->value_size());
+    }
+  }
+  bool Lookup(TableId id, uint32_t* value_size) const {
+    for (const auto& [tid, vs] : value_sizes) {
+      if (tid == id) {
+        *value_size = vs;
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+/// Pass-wide facts every partition's applier reads.
 struct RedoShared {
   TableRegistry tables;
   double cpu_per_redo_apply_us = 0;
@@ -54,13 +102,98 @@ struct RedoShared {
   bool sql_dpt_tests = false;
 };
 
-/// The apply body of one redo partition: the DPT tests against its DPT
+/// The leaves one partition holds pinned across consecutive items, least
+/// recently used out first. Log locality makes runs of items hit one
+/// leaf, so the gated pool calls happen once per run, not once per item.
+class PinCache {
+ public:
+  struct Pin {
+    PageId pid = kInvalidPageId;
+    PageHandle handle;
+    bool dirtied = false;  ///< This pass already ran MarkDirty on the pin.
+    uint64_t last_use = 0;
+  };
+
+  PinCache(BufferPool* pool, Mutex* gate, uint32_t capacity)
+      : pool_(pool), gate_(gate), capacity_(capacity == 0 ? 1 : capacity) {}
+
+  Status FindOrPin(PageId pid, Pin** out) {
+    use_tick_++;
+    for (Pin& p : pins_) {
+      if (p.pid == pid) {
+        p.last_use = use_tick_;
+        *out = &p;
+        return Status::OK();
+      }
+    }
+    // Miss: evict the least-recently-used slot if at capacity, then pin
+    // the page — one gated section for both.
+    Pin* slot = nullptr;
+    if (pins_.size() < capacity_) {
+      pins_.emplace_back();
+      slot = &pins_.back();
+    } else {
+      slot = &pins_[0];
+      for (Pin& p : pins_) {
+        if (p.last_use < slot->last_use) slot = &p;
+      }
+    }
+    {
+      GateLock lock(gate_);
+      slot->handle.Release();
+      DEUTERO_RETURN_NOT_OK(pool_->Get(pid, PageClass::kData, &slot->handle));
+    }
+    slot->pid = pid;
+    slot->dirtied = false;
+    slot->last_use = use_tick_;
+    *out = slot;
+    return Status::OK();
+  }
+
+  /// Record that the item with `lsn` changed the pinned page. The first
+  /// change runs the full gated MarkDirty (dirty transition, FIFO,
+  /// first-dirty LSN); the frame then stays dirty while pinned, so later
+  /// changes only stamp the pLSN — a plain write to bytes this partition
+  /// owns.
+  void Stamp(Pin* pin, Lsn lsn) {
+    if (pin->dirtied) {
+      pin->handle.view().set_plsn(lsn);
+      return;
+    }
+    GateLock lock(gate_);
+    pin->handle.MarkDirty(lsn);
+    pin->dirtied = true;
+  }
+
+  void ReleaseAll() {
+    if (pins_.empty()) return;
+    GateLock lock(gate_);
+    for (Pin& p : pins_) p.handle.Release();
+    pins_.clear();
+  }
+
+ private:
+  BufferPool* pool_;
+  Mutex* gate_;
+  const uint32_t capacity_;
+  std::vector<Pin> pins_;
+  uint64_t use_tick_ = 0;
+};
+
+/// Pin-cache capacity that keeps worst-case pinned frames well below pool
+/// capacity even at test-sized caches: an eighth of the pool split across
+/// workers, at least 1, at most 8 per worker.
+uint32_t PinCacheCapacity(const BufferPool& pool, uint32_t threads) {
+  const uint64_t per = pool.capacity() / 8 / (threads == 0 ? 1 : threads);
+  if (per < 1) return 1;
+  return per > 8 ? 8 : static_cast<uint32_t>(per);
+}
+
+/// The apply step of one redo partition: the DPT tests against its DPT
 /// (the partition's shard, or the whole table with one partition), then
 /// the pLSN idempotence test and the leaf re-execution.
 class RedoApplier {
  public:
-  using Item = RedoWorkItem;
-
   /// `live_clock` is set with one partition: apply CPU then advances the
   /// clock per record, where the paper's serial pass charges it. Workers
   /// leave it null and accumulate it for the end-of-pass fold.
@@ -68,7 +201,7 @@ class RedoApplier {
               SimClock* live_clock)
       : shared_(shared), dpt_(dpt), live_clock_(live_clock) {}
 
-  Status Apply(const Item& item, PinCache* pins) {
+  Status Apply(const RedoWorkItem& item, PinCache* pins) {
     switch (Classify(item)) {
       case DptOutcome::kSkipDpt:
         counts_.skipped_dpt++;
@@ -120,7 +253,7 @@ class RedoApplier {
     kSkipRlsn,   ///< LSN < rLSN: effect provably durable, no fetch.
   };
 
-  DptOutcome Classify(const Item& item) const {
+  DptOutcome Classify(const RedoWorkItem& item) const {
     if (shared_->use_dpt) {
       if (item.lsn >= shared_->last_delta_tc_lsn) return DptOutcome::kTailFetch;
     } else if (!shared_->sql_dpt_tests) {
@@ -137,6 +270,157 @@ class RedoApplier {
   SimClock* live_clock_;
   RedoResult counts_;
   double cpu_us_ = 0;
+};
+
+/// One partition beside the dispatcher: a ring, a consumer thread, a pin
+/// cache and the partition's applier. The dispatcher is the only producer.
+/// Workers read nothing ahead: redo reads ahead on its dispatcher.
+class ApplyWorker {
+ public:
+  ApplyWorker(RedoApplier* applier, BufferPool* pool, Mutex* gate,
+              uint32_t pin_cache_cap, std::atomic<uint32_t>* crew_failed)
+      : applier_(applier),
+        pins_(pool, gate, pin_cache_cap),
+        ring_(kRingCapacity),
+        crew_failed_(crew_failed) {}
+  /// Normally a no-op: ApplyCrew::Finish already joined. On any other
+  /// exit the worker applies what is queued, then stops.
+  ~ApplyWorker() {
+    SignalDone();
+    Join();
+  }
+  ApplyWorker(const ApplyWorker&) = delete;
+  ApplyWorker& operator=(const ApplyWorker&) = delete;
+
+  void Start() { thread_ = std::thread([this] { Run(); }); }
+  void Join() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+  /// Producer side: enqueue, spinning on backpressure. Safe against a dead
+  /// consumer: a failed worker keeps draining (and discarding) items.
+  void Push(const RedoWorkItem& item) {
+    uint32_t spins = 0;
+    while (!ring_.TryPush(item)) SpinWait(&spins);
+    pushed_++;
+  }
+
+  void SignalDone() { done_.store(true, std::memory_order_release); }
+
+  /// Barrier support: everything pushed so far has been APPLIED (not just
+  /// popped).
+  bool Drained() const {
+    return applied_.load(std::memory_order_acquire) == pushed_;
+  }
+
+  bool failed() const { return failed_.load(std::memory_order_acquire); }
+  const Status& error() const { return error_; }  ///< Valid after Join().
+
+ private:
+  static constexpr size_t kRingCapacity = 4096;  // power of two (SpscRing)
+
+  void Run() {
+    RedoWorkItem item;
+    uint32_t spins = 0;
+    while (true) {
+      if (ring_.TryPop(&item)) {
+        spins = 0;
+        Process(item);
+        applied_.fetch_add(1, std::memory_order_release);
+        continue;
+      }
+      if (done_.load(std::memory_order_acquire)) {
+        // Re-check the ring: the dispatcher pushes before signaling done.
+        if (!ring_.TryPop(&item)) break;
+        Process(item);
+        applied_.fetch_add(1, std::memory_order_release);
+        continue;
+      }
+      SpinWait(&spins);
+    }
+    pins_.ReleaseAll();
+  }
+
+  void Process(const RedoWorkItem& item) {
+    if (item.pid == kInvalidPageId) {  // control: release pins
+      pins_.ReleaseAll();
+      return;
+    }
+    if (failed_.load(std::memory_order_relaxed)) return;  // drain mode
+    const Status st = applier_->Apply(item, &pins_);
+    if (!st.ok()) {
+      error_ = st;
+      failed_.store(true, std::memory_order_release);
+      crew_failed_->fetch_add(1, std::memory_order_release);
+    }
+  }
+
+  RedoApplier* applier_;  ///< Touched by this worker's thread alone.
+  PinCache pins_;
+  SpscRing<RedoWorkItem> ring_;
+  std::atomic<uint32_t>* crew_failed_;
+
+  uint64_t pushed_ = 0;  ///< Producer-side only.
+  alignas(64) std::atomic<uint64_t> applied_{0};
+  std::atomic<bool> done_{false};
+  std::atomic<bool> failed_{false};
+
+  Status error_;        ///< Consumer-side.
+  std::thread thread_;  ///< Last: it runs over every member above.
+};
+
+/// The worker crew of one pass: partition i runs appliers[i], and an item
+/// goes to the partition RedoPartitionOf(item.pid) names.
+class ApplyCrew {
+ public:
+  ApplyCrew(std::vector<RedoApplier>* appliers, BufferPool* pool,
+            Mutex* gate) {
+    const auto n = static_cast<uint32_t>(appliers->size());
+    const uint32_t pin_cap = PinCacheCapacity(*pool, n);
+    workers_.reserve(n);
+    for (RedoApplier& applier : *appliers) {
+      workers_.push_back(std::make_unique<ApplyWorker>(&applier, pool, gate,
+                                                       pin_cap, &failed_));
+    }
+    for (auto& w : workers_) w->Start();
+  }
+
+  uint32_t size() const { return static_cast<uint32_t>(workers_.size()); }
+
+  void Route(const RedoWorkItem& item) {
+    workers_[RedoPartitionOf(item.pid, size())]->Push(item);
+  }
+
+  /// Tell every worker to drop its pins, then wait until every queue is
+  /// fully applied. Taken before anything that changes tree structure or
+  /// installs images across partitions.
+  void DrainBarrier() {
+    for (auto& w : workers_) w->Push(RedoWorkItem());  // control: drop pins
+    for (auto& w : workers_) {
+      uint32_t spins = 0;
+      while (!w->Drained()) SpinWait(&spins);
+    }
+  }
+
+  bool AnyFailed() const {
+    return failed_.load(std::memory_order_acquire) != 0;
+  }
+
+  /// Apply everything still queued (a routed item is never discarded),
+  /// stop and join. Returns the first (lowest-partition) worker error.
+  Status Finish() {
+    for (auto& w : workers_) w->Push(RedoWorkItem());  // control: drop pins
+    for (auto& w : workers_) w->SignalDone();
+    for (auto& w : workers_) w->Join();
+    for (auto& w : workers_) {
+      if (w->failed()) return w->error();
+    }
+    return Status::OK();
+  }
+
+ private:
+  std::atomic<uint32_t> failed_{0};
+  std::vector<std::unique_ptr<ApplyWorker>> workers_;
 };
 
 /// Batches a crew dispatcher's simulated charges — per-record scan CPU and
@@ -194,8 +478,7 @@ class RedoDispatch {
     shared_.tables.Refresh(dc);
     shared_.cpu_per_redo_apply_us = options.io.cpu_per_redo_apply_us;
     if (threads < 2) {
-      inline_body_ =
-          std::make_unique<RedoApplier>(&shared_, dpt, &dc->clock());
+      appliers_.emplace_back(&shared_, dpt, &dc->clock());
       return;
     }
     if (dpt != nullptr) {
@@ -203,14 +486,12 @@ class RedoDispatch {
     } else {
       shards_.resize(threads);
     }
-    std::vector<RedoApplier> bodies;
-    bodies.reserve(threads);
+    appliers_.reserve(threads);
     for (const DirtyPageTable& shard : shards_) {
-      bodies.emplace_back(&shared_, &shard, nullptr);
+      appliers_.emplace_back(&shared_, &shard, nullptr);
     }
     stall_ms_at_start_ = dc->pool().stats().stall_ms;
-    crew_ = std::make_unique<ApplyCrew<RedoApplier>>(std::move(bodies),
-                                                     &dc->pool(), &gate_);
+    crew_ = std::make_unique<ApplyCrew>(&appliers_, &dc->pool(), &gate_);
   }
 
   LogManager::Iterator& scan() { return it_; }
@@ -240,7 +521,7 @@ class RedoDispatch {
       crew_->Route(item);
       return Status::OK();
     }
-    const Status st = inline_body_->Apply(item, &inline_pins_);
+    const Status st = appliers_[0].Apply(item, &inline_pins_);
     // No pin outlives its record: a held pin keeps its frame out of the
     // clock sweep's reach and would change which page it evicts.
     inline_pins_.ReleaseAll();
@@ -260,7 +541,7 @@ class RedoDispatch {
     out->smo_barriers++;
   }
 
-  /// After replaying DDL, while no worker is applying: apply bodies must
+  /// After replaying DDL, while no worker is applying: the appliers must
   /// see the new table.
   void RefreshTables() { shared_.tables.Refresh(dc_); }
 
@@ -273,24 +554,14 @@ class RedoDispatch {
   /// already-waited stall time extends the pass.
   Status Finish(const Status& scan_status, RedoResult* out) {
     out->log_pages = it_.pages_read();  // filled on error exits too
-    auto merge = [out](const RedoApplier& body) {
-      const RedoResult& c = body.counts();
-      out->applied += c.applied;
-      out->skipped_dpt += c.skipped_dpt;
-      out->skipped_rlsn += c.skipped_rlsn;
-      out->skipped_plsn += c.skipped_plsn;
-      out->tail_ops += c.tail_ops;
-      out->worker_cpu_us_total += body.cpu_us();
-      out->worker_cpu_us_max = std::max(out->worker_cpu_us_max, body.cpu_us());
-    };
     if (crew_ == nullptr) {
-      merge(*inline_body_);
+      MergeCounts(out);
       return scan_status;
     }
     meter_.AddUs((it_.pages_read() - log_pages_metered_) *
                  options_.io.log_page_read_ms * 1e3);
     const Status worker_status = crew_->Finish();
-    crew_->ForEachBody(merge);
+    MergeCounts(out);
     out->threads_used = crew_->size();
     assert(alias_.Intact());
     meter_.Flush();
@@ -303,6 +574,21 @@ class RedoDispatch {
   }
 
  private:
+  /// Add every partition's counts and apply CPU to `out`, in partition
+  /// order (after the crew's join).
+  void MergeCounts(RedoResult* out) const {
+    for (const RedoApplier& a : appliers_) {
+      const RedoResult& c = a.counts();
+      out->applied += c.applied;
+      out->skipped_dpt += c.skipped_dpt;
+      out->skipped_rlsn += c.skipped_rlsn;
+      out->skipped_plsn += c.skipped_plsn;
+      out->tail_ops += c.tail_ops;
+      out->worker_cpu_us_total += a.cpu_us();
+      out->worker_cpu_us_max = std::max(out->worker_cpu_us_max, a.cpu_us());
+    }
+  }
+
   DataComponent* dc_;
   const EngineOptions& options_;
   RedoShared shared_;
@@ -311,10 +597,12 @@ class RedoDispatch {
   DispatchClockMeter meter_;
   uint64_t log_pages_metered_ = 0;
   double stall_ms_at_start_ = 0;
-  std::unique_ptr<RedoApplier> inline_body_;  ///< One partition.
-  PinCache inline_pins_;
-  std::vector<DirtyPageTable> shards_;        ///< N partitions.
-  std::unique_ptr<ApplyCrew<RedoApplier>> crew_;
+  PinCache inline_pins_;                ///< One partition.
+  std::vector<DirtyPageTable> shards_;  ///< N partitions.
+  /// One per partition. The crew's workers point into it, so it is
+  /// complete before the crew starts and outlives it.
+  std::vector<RedoApplier> appliers_;
+  std::unique_ptr<ApplyCrew> crew_;
   LogManager::Iterator it_;
 };
 

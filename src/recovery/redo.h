@@ -26,18 +26,20 @@
 // correctness argument: redo's effects are per-page state transitions
 // guarded by the pLSN test, and both are per-page serial here.
 //
-// `threads` is the partition count. With one partition the dispatcher
-// runs the partition's apply body inline — no thread, ring, gate or DPT
-// shard — and charges the simulated clock exactly where the paper's
-// serial pass does: the log iterator its pages, each record its scan CPU,
-// each re-execution its apply CPU. No pin outlives its record.
+// `threads` is the partition count, and redo is the only pass it
+// partitions: DPT construction and undo are one pass at every count
+// (analysis.h, undo.h). With one partition the dispatcher runs the
+// partition's applier inline — no thread, ring, gate or DPT shard — and
+// charges the simulated clock exactly where the paper's serial pass does:
+// the log iterator its pages, each record its scan CPU, each re-execution
+// its apply CPU. No pin outlives its record.
 //
 // Read-ahead is the paper's own prefetcher at every partition count
 // (prefetch.h: the PF-list for Log2, the log-driven window for SQL2). The
 // dispatcher pumps it as it scans, under the pool gate beside workers.
 //
-// With N >= 2 partitions a crew of workers applies (apply_worker.h), and
-// the pass-wide contracts are re-drawn:
+// With N >= 2 partitions a crew of workers applies (ApplyCrew, redo.cc),
+// and the pass-wide contracts are re-drawn:
 //  * Buffer pool — NOT thread-safe by itself; every pool call (Get, pin
 //    release, MarkDirty bookkeeping, prefetch, eviction/flush) is
 //    serialized by a pass-wide pool gate (one mutex). The leaf binary

@@ -50,14 +50,10 @@ struct RecoveryStats {
   uint64_t redo_smo_barriers = 0;      ///< Drain barriers for SMO/DDL
                                        ///< (taken only beside workers).
 
-  // DPT construction (recovery_threads partitions; Log0 builds no DPT).
-  uint32_t analysis_threads = 1;       ///< Partitions used by the DPT
-                                       ///< build (DC pass or SQL analysis).
+  // DPT construction (one pass at every recovery_threads; Log0 builds
+  // no DPT).
   uint64_t dpt_updates = 0;            ///< DPT mutation events charged at
                                        ///< cpu_per_dpt_update_us each.
-  double analysis_shard_cpu_ms_max = 0;   ///< Slowest partition's DPT CPU
-                                          ///< (folded into the pass time).
-  double analysis_shard_cpu_ms_total = 0; ///< Sum over partitions.
 
   // I/O behaviour during recovery (buffer pool deltas).
   uint64_t data_page_fetches = 0;

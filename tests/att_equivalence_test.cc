@@ -72,14 +72,14 @@ TEST_P(AttEquivalenceTest, SqlAnalysisAndLogicalScanAgreeOnLosers) {
 
   // SQL family: losers from the analysis pass.
   SqlAnalysisResult ar;
-  ASSERT_OK(RunSqlAnalysis(&e->wal(), start, 1, &ar));
+  ASSERT_OK(RunSqlAnalysis(&e->wal(), start, &ar));
 
   // Logical family: losers from the redo-scan's ATT tracking.
   Engine::StableSnapshot snap;
   ASSERT_OK(e->TakeStableSnapshot(&snap));
   DcRecoveryResult dcr;
   ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, DptMode::kStandard,
-                          true, false, 1, &dcr));
+                          true, false, &dcr));
   RedoResult rr;
   ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, true, &dcr.dpt,
                            dcr.last_delta_tc_lsn, /*prefetch=*/false,

@@ -2,8 +2,6 @@
 //  - Algorithm 3 (SQL Server analysis with BW pruning),
 //  - Algorithm 4 (logical DPT from Δ-records) and its App. D variants,
 //  - ATT maintenance and the PF-list's claim order.
-// Every case runs with one partition (events applied inline) and with four
-// (sharded, then merged).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,7 +17,7 @@
 namespace deutero {
 namespace {
 
-class DptConstructionTest : public ::testing::TestWithParam<uint32_t> {
+class DptConstructionTest : public ::testing::Test {
  protected:
   DptConstructionTest() : log_(&clock_, 8192, 0.0) {
     EngineOptions o;
@@ -87,16 +85,15 @@ class DptConstructionTest : public ::testing::TestWithParam<uint32_t> {
   SqlAnalysisResult Sql() {
     log_.Flush();
     SqlAnalysisResult out;
-    EXPECT_TRUE(RunSqlAnalysis(&log_, bckpt_, GetParam(), &out).ok());
+    EXPECT_TRUE(RunSqlAnalysis(&log_, bckpt_, &out).ok());
     return out;
   }
 
   DcRecoveryResult Dc(DptMode mode) {
     log_.Flush();
     DcRecoveryResult out;
-    EXPECT_TRUE(RunDcRecovery(&log_, dc_.get(), bckpt_, mode, true, false,
-                              GetParam(), &out)
-                    .ok());
+    EXPECT_TRUE(
+        RunDcRecovery(&log_, dc_.get(), bckpt_, mode, true, false, &out).ok());
     return out;
   }
 
@@ -106,17 +103,11 @@ class DptConstructionTest : public ::testing::TestWithParam<uint32_t> {
   Lsn bckpt_ = kInvalidLsn;
 };
 
-INSTANTIATE_TEST_SUITE_P(Partitions, DptConstructionTest,
-                         ::testing::Values(1u, 4u),
-                         [](const auto& param_info) {
-                           return "threads" + std::to_string(param_info.param);
-                         });
-
 // ---------------------------------------------------------------------------
 // Algorithm 3 (SQL analysis)
 // ---------------------------------------------------------------------------
 
-TEST_P(DptConstructionTest, SqlFirstMentionSetsRlsnLaterMentionsSetLastLsn) {
+TEST_F(DptConstructionTest, SqlFirstMentionSetsRlsnLaterMentionsSetLastLsn) {
   const Lsn l1 = Update(1, 10, 100);
   const Lsn l2 = Update(1, 11, 100);
   auto r = Sql();
@@ -127,7 +118,7 @@ TEST_P(DptConstructionTest, SqlFirstMentionSetsRlsnLaterMentionsSetLastLsn) {
   EXPECT_EQ(e->last_lsn, l2);
 }
 
-TEST_P(DptConstructionTest, SqlBwPruneRemovesFlushedAfterLastUpdate) {
+TEST_F(DptConstructionTest, SqlBwPruneRemovesFlushedAfterLastUpdate) {
   const Lsn l1 = Update(1, 10, 100);
   Update(1, 11, 101);
   Bw({100}, /*fw=*/l1 + 1000);  // 100's lastLSN <= FW-LSN: flushed clean
@@ -137,7 +128,7 @@ TEST_P(DptConstructionTest, SqlBwPruneRemovesFlushedAfterLastUpdate) {
   EXPECT_EQ(r.bw_records_seen, 1u);
 }
 
-TEST_P(DptConstructionTest, SqlBwPruneBumpsRlsnWhenNotRemovable) {
+TEST_F(DptConstructionTest, SqlBwPruneBumpsRlsnWhenNotRemovable) {
   const Lsn l1 = Update(1, 10, 100);
   const Lsn fw = l1 + 1;             // between the two updates
   const Lsn l2 = Update(1, 12, 100);  // lastLSN > FW-LSN: stays
@@ -149,14 +140,14 @@ TEST_P(DptConstructionTest, SqlBwPruneBumpsRlsnWhenNotRemovable) {
   EXPECT_EQ(e->last_lsn, l2);
 }
 
-TEST_P(DptConstructionTest, SqlBwForUnknownPidIsIgnored) {
+TEST_F(DptConstructionTest, SqlBwForUnknownPidIsIgnored) {
   Update(1, 10, 100);
   Bw({999}, 50);
   auto r = Sql();
   EXPECT_EQ(r.dpt.size(), 1u);
 }
 
-TEST_P(DptConstructionTest, SqlAttTracksLosersOnly) {
+TEST_F(DptConstructionTest, SqlAttTracksLosersOnly) {
   TxnCtl(LogRecordType::kTxnBegin, 5);
   Update(5, 1, 100);
   TxnCtl(LogRecordType::kTxnBegin, 6);
@@ -169,7 +160,7 @@ TEST_P(DptConstructionTest, SqlAttTracksLosersOnly) {
   EXPECT_EQ(r.max_txn_id, 6u);
 }
 
-TEST_P(DptConstructionTest, SqlDeltaRecordsAreCountedButIgnored) {
+TEST_F(DptConstructionTest, SqlDeltaRecordsAreCountedButIgnored) {
   Delta({55, 56}, {}, 0, 2, 10);
   auto r = Sql();
   EXPECT_EQ(r.dpt.size(), 0u);
@@ -180,7 +171,7 @@ TEST_P(DptConstructionTest, SqlDeltaRecordsAreCountedButIgnored) {
 // Algorithm 4 (logical DPT)
 // ---------------------------------------------------------------------------
 
-TEST_P(DptConstructionTest, LogicalNoFlushUsesRsspLsnAsRlsn) {
+TEST_F(DptConstructionTest, LogicalNoFlushUsesRsspLsnAsRlsn) {
   Delta({10, 11}, {}, kInvalidLsn, /*first_dirty=*/2, /*tc_lsn=*/900);
   auto r = Dc(DptMode::kStandard);
   ASSERT_EQ(r.dpt.size(), 2u);
@@ -190,7 +181,7 @@ TEST_P(DptConstructionTest, LogicalNoFlushUsesRsspLsnAsRlsn) {
   EXPECT_EQ(r.last_delta_tc_lsn, 900u);
 }
 
-TEST_P(DptConstructionTest, LogicalFirstDirtySplitsRlsnAssignment) {
+TEST_F(DptConstructionTest, LogicalFirstDirtySplitsRlsnAssignment) {
   // PIDs 10,11 dirtied before the first write (index < 2); 12 after.
   Delta({10, 11, 12}, {}, /*fw=*/500, /*first_dirty=*/2, /*tc_lsn=*/900);
   auto r = Dc(DptMode::kStandard);
@@ -199,7 +190,7 @@ TEST_P(DptConstructionTest, LogicalFirstDirtySplitsRlsnAssignment) {
   EXPECT_EQ(r.dpt.Find(12)->rlsn, 500u);  // FW-LSN (Alg. 4 line 14)
 }
 
-TEST_P(DptConstructionTest, LogicalSecondDeltaUsesPreviousTcLsn) {
+TEST_F(DptConstructionTest, LogicalSecondDeltaUsesPreviousTcLsn) {
   Delta({10}, {}, kInvalidLsn, 1, /*tc_lsn=*/300);
   Delta({20}, {}, kInvalidLsn, 1, /*tc_lsn=*/700);
   auto r = Dc(DptMode::kStandard);
@@ -208,7 +199,7 @@ TEST_P(DptConstructionTest, LogicalSecondDeltaUsesPreviousTcLsn) {
   EXPECT_EQ(r.last_delta_tc_lsn, 700u);
 }
 
-TEST_P(DptConstructionTest, LogicalWrittenSetPrunesOldEntries) {
+TEST_F(DptConstructionTest, LogicalWrittenSetPrunesOldEntries) {
   Delta({10}, {}, kInvalidLsn, 1, 300);
   // Interval 2: 10 flushed; its lastLSN proxy (bckpt) < FW-LSN 500.
   Delta({20}, {10}, /*fw=*/500, /*first_dirty=*/0, /*tc_lsn=*/700);
@@ -218,7 +209,7 @@ TEST_P(DptConstructionTest, LogicalWrittenSetPrunesOldEntries) {
   EXPECT_EQ(r.dpt.Find(20)->rlsn, 500u);  // dirtied after first write
 }
 
-TEST_P(DptConstructionTest, LogicalRedirtiedAfterFlushSurvivesPrune) {
+TEST_F(DptConstructionTest, LogicalRedirtiedAfterFlushSurvivesPrune) {
   // PID 10 dirtied before the first write AND after it, then flushed once:
   // its lastLSN proxy becomes FW-LSN, which is NOT < FW-LSN => kept.
   Delta({10, 10}, {10}, /*fw=*/500, /*first_dirty=*/1, /*tc_lsn=*/700);
@@ -228,7 +219,7 @@ TEST_P(DptConstructionTest, LogicalRedirtiedAfterFlushSurvivesPrune) {
   EXPECT_EQ(e->rlsn, 500u);  // bumped by the prune step (Alg. 4 line 21-22)
 }
 
-TEST_P(DptConstructionTest, LogicalRlsnBumpOnSurvivors) {
+TEST_F(DptConstructionTest, LogicalRlsnBumpOnSurvivors) {
   Delta({10}, {}, kInvalidLsn, 1, 300);
   // 10 flushed at fw=500 but ALSO redirtied in this interval after the
   // flush: entry survives with rLSN raised to 500.
@@ -239,7 +230,7 @@ TEST_P(DptConstructionTest, LogicalRlsnBumpOnSurvivors) {
   EXPECT_EQ(e->rlsn, 500u);
 }
 
-TEST_P(DptConstructionTest, PfListIsFirstMentionOrder) {
+TEST_F(DptConstructionTest, PfListIsFirstMentionOrder) {
   Delta({10, 11, 10}, {}, kInvalidLsn, 3, 300);
   Delta({11, 12}, {}, kInvalidLsn, 2, 700);
   auto r = Dc(DptMode::kStandard);
@@ -250,7 +241,7 @@ TEST_P(DptConstructionTest, PfListIsFirstMentionOrder) {
 // its rLSN raised to that record's FW-LSN: redo claims it among the
 // record's post-flush entries, so the PF-list lists it there, not at its
 // first mention. Reduced logging has no FW-LSN to raise to.
-TEST_P(DptConstructionTest, PfListListsARedirtiedFlushedPageAtItsClaim) {
+TEST_F(DptConstructionTest, PfListListsARedirtiedFlushedPageAtItsClaim) {
   Delta({10, 11}, {}, kInvalidLsn, 2, /*tc_lsn=*/300, true, {110, 120});
   // Interval 2: 12 dirtied before the first write; 10 flushed at FW-LSN
   // 500, then re-dirtied after it, 13 after that, then 10 again. Redo
@@ -272,7 +263,7 @@ TEST_P(DptConstructionTest, PfListListsARedirtiedFlushedPageAtItsClaim) {
 // Δ-record's TC-LSN, so a prune can raise a page its record does not name.
 // Such a page keeps its stamp: it precedes the pages the record names at
 // the same rLSN.
-TEST_P(DptConstructionTest, PfListKeepsTheStampOfARaisedPageNotNamed) {
+TEST_F(DptConstructionTest, PfListKeepsTheStampOfARaisedPageNotNamed) {
   Delta({11, 10, 11}, {}, kInvalidLsn, 3, /*tc_lsn=*/900, true,
         {100, 110, 1000});
   Delta({12, 13}, {11}, /*fw=*/950, /*first_dirty=*/0, /*tc_lsn=*/1200, true,
@@ -285,7 +276,7 @@ TEST_P(DptConstructionTest, PfListKeepsTheStampOfARaisedPageNotNamed) {
 
 // A merge victim drops out of the DPT; once a split re-allocates it and a
 // later Δ-record re-adds it, it is listed once, at the re-add.
-TEST_P(DptConstructionTest, PfListListsAReaddedMergeVictimOnce) {
+TEST_F(DptConstructionTest, PfListListsAReaddedMergeVictimOnce) {
   Delta({20, 21}, {}, kInvalidLsn, 2, /*tc_lsn=*/300, true, {110, 120});
   Structure(LogRecordType::kSmoMerge, /*victim=*/20, {22});
   Structure(LogRecordType::kSmo, kInvalidPageId, {20, 22});
@@ -299,7 +290,7 @@ TEST_P(DptConstructionTest, PfListListsAReaddedMergeVictimOnce) {
   }
 }
 
-TEST_P(DptConstructionTest, LogicalIgnoresBwRecordsButCountsThem) {
+TEST_F(DptConstructionTest, LogicalIgnoresBwRecordsButCountsThem) {
   Bw({10}, 50);
   Delta({10}, {}, kInvalidLsn, 1, 300);
   auto r = Dc(DptMode::kStandard);
@@ -308,7 +299,7 @@ TEST_P(DptConstructionTest, LogicalIgnoresBwRecordsButCountsThem) {
   EXPECT_EQ(r.delta_records_seen, 1u);
 }
 
-TEST_P(DptConstructionTest, NoDeltaRecordsMeansEmptyDptAndTailMode) {
+TEST_F(DptConstructionTest, NoDeltaRecordsMeansEmptyDptAndTailMode) {
   Update(1, 10, 100);
   auto r = Dc(DptMode::kStandard);
   EXPECT_EQ(r.dpt.size(), 0u);
@@ -319,7 +310,7 @@ TEST_P(DptConstructionTest, NoDeltaRecordsMeansEmptyDptAndTailMode) {
 // App. D variants
 // ---------------------------------------------------------------------------
 
-TEST_P(DptConstructionTest, PerfectModeUsesExactLsns) {
+TEST_F(DptConstructionTest, PerfectModeUsesExactLsns) {
   Delta({10, 11}, {}, /*fw=*/120, /*first_dirty=*/1, /*tc_lsn=*/300,
         /*has_fw=*/true, /*dirty_lsns=*/{101, 177});
   auto r = Dc(DptMode::kPerfect);
@@ -327,7 +318,7 @@ TEST_P(DptConstructionTest, PerfectModeUsesExactLsns) {
   EXPECT_EQ(r.dpt.Find(11)->rlsn, 177u);
 }
 
-TEST_P(DptConstructionTest, PerfectModePrunesWithExactLastLsns) {
+TEST_F(DptConstructionTest, PerfectModePrunesWithExactLastLsns) {
   // 10 updated at 101 then flushed under fw=150: prune. 11 updated at 177
   // (after fw): kept.
   Delta({10, 11}, {10}, /*fw=*/150, /*first_dirty=*/1, /*tc_lsn=*/300,
@@ -337,7 +328,7 @@ TEST_P(DptConstructionTest, PerfectModePrunesWithExactLastLsns) {
   EXPECT_NE(r.dpt.Find(11), nullptr);
 }
 
-TEST_P(DptConstructionTest, ReducedModeAssignsPrevDeltaToEverything) {
+TEST_F(DptConstructionTest, ReducedModeAssignsPrevDeltaToEverything) {
   Delta({10, 11}, {}, kInvalidLsn, 0, /*tc_lsn=*/300, /*has_fw=*/false);
   Delta({12}, {}, kInvalidLsn, 0, /*tc_lsn=*/600, /*has_fw=*/false);
   auto r = Dc(DptMode::kReduced);
@@ -346,7 +337,7 @@ TEST_P(DptConstructionTest, ReducedModeAssignsPrevDeltaToEverything) {
   EXPECT_EQ(r.dpt.Find(12)->rlsn, 300u);
 }
 
-TEST_P(DptConstructionTest, ReducedModePrunesOnlyPriorIntervalEntries) {
+TEST_F(DptConstructionTest, ReducedModePrunesOnlyPriorIntervalEntries) {
   Delta({10}, {}, kInvalidLsn, 0, /*tc_lsn=*/300, false);
   // Interval 2 dirties 20 and flushes both 10 and 20. Only 10 (prior
   // interval) may be pruned (App. D.2).

@@ -1,10 +1,9 @@
-// Partition-count equivalence sweeps for the recovery pipelines — redo and
-// analysis/DPT construction: for every recovery method and
-// recovery_threads in {1, 2, 4, 8}, the same crash image must recover to
-// byte-identical table content with the same loser-transaction outcome
-// (undo is one pass at every partition count, after the partitioned
-// passes); and the pass-level decision counters and tables
-// (DPT/ATT/PF-list) with 2, 4 and 8 partitions must match the inline
+// Partition-count equivalence sweeps for partitioned redo: for every
+// recovery method and recovery_threads in {1, 2, 4, 8}, the same crash
+// image must recover to byte-identical table content with the same
+// loser-transaction outcome (DPT construction and undo are one pass at
+// every partition count, around the partitioned redo); and redo's
+// decision counters and ATT with 2 and 4 partitions must match the inline
 // one-partition run exactly (partitions re-divide the work, they must not
 // change any decision). The one-partition run itself is pinned by
 // independent references: dpt_construction_test's hand-built logs, the
@@ -14,14 +13,12 @@
 #include <algorithm>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/engine.h"
 #include "recovery/analysis.h"
 #include "recovery/pipeline_util.h"
-#include "recovery/prefetch.h"
 #include "recovery/redo.h"
 #include "recovery/stats.h"
 #include "test_util.h"
@@ -104,12 +101,6 @@ TEST_P(ParallelRecoveryTest, ThreadSweepIsByteIdenticalToSerial) {
     RecoveryStats st;
     ASSERT_OK(et->Recover(GetParam(), &st));
     EXPECT_EQ(st.redo_threads, threads) << "pipeline engagement mismatch";
-    if (threads > 1 && GetParam() != RecoveryMethod::kLog0) {
-      // Analysis must use every partition too — except Log0's, which
-      // builds no DPT and stays one partition by design.
-      EXPECT_EQ(st.analysis_threads, threads)
-          << "analysis pipeline not engaged";
-    }
 
     uint64_t rows = 0;
     ASSERT_OK(et->dc().btree().CheckWellFormed(&rows));
@@ -226,7 +217,7 @@ TEST(ParallelRedoPass, LogicalCountersAndAttMatchSerial) {
     e->dc().pool().set_callbacks_enabled(false);
     DcRecoveryResult dcr;
     ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                            /*build_dpt=*/true, /*preload=*/false, 1, &dcr));
+                            /*build_dpt=*/true, /*preload=*/false, &dcr));
     ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, true, &dcr.dpt,
                              dcr.last_delta_tc_lsn, /*prefetch=*/false, o,
                              threads, rr));
@@ -302,7 +293,7 @@ TEST(ParallelRedoPass, SqlCountersMatchSerialWithDdlInWindow) {
     e->dc().pool().set_callbacks_enabled(false);
     const Lsn start = e->wal().master().bckpt_lsn;
     SqlAnalysisResult ar;
-    ASSERT_OK(RunSqlAnalysis(&e->wal(), start, 1, &ar));
+    ASSERT_OK(RunSqlAnalysis(&e->wal(), start, &ar));
     ASSERT_OK(RunSqlRedo(&e->wal(), &e->dc(), ar.redo_start_lsn, &ar.dpt,
                          /*prefetch=*/false, o, threads, rr));
     *digest = ContentDigest(e.get());
@@ -331,155 +322,6 @@ TEST(ParallelRedoPass, SqlCountersMatchSerialWithDdlInWindow) {
     EXPECT_EQ(par.skipped_plsn, serial.skipped_plsn);
     EXPECT_EQ(par.smo_redone, serial.smo_redone);
     EXPECT_GT(par.smo_barriers, 0u) << "DDL window must take barriers";
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Analysis-pass parity: the sharded DPT builds must reproduce the inline
-// one-partition run's tables, orders and counters exactly — per-PID event
-// order is preserved by the shard FIFOs and DPT operations on distinct
-// PIDs commute, so nothing may differ.
-// ---------------------------------------------------------------------------
-
-std::vector<std::tuple<PageId, Lsn, Lsn, uint32_t>> DptEntries(
-    const DirtyPageTable& dpt) {
-  std::vector<std::tuple<PageId, Lsn, Lsn, uint32_t>> v;
-  dpt.ForEach([&](PageId pid, const DirtyPageTable::Entry& e) {
-    v.emplace_back(pid, e.rlsn, e.last_lsn, e.claim_seq);
-  });
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
-std::vector<std::pair<TxnId, Lsn>> AttEntries(const ActiveTxnTable& att) {
-  std::vector<std::pair<TxnId, Lsn>> v(att.begin(), att.end());
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
-TEST(ParallelAnalysisPass, SqlTablesAndCountersMatchSerial) {
-  EngineOptions o = SmallOptions();
-  std::unique_ptr<Engine> e;
-  ASSERT_OK(Engine::Open(o, &e));
-  WorkloadDriver driver(e.get(), MixedWorkload());
-  BuildMixedCrashImage(e.get(), &driver);
-  const Lsn start = e->wal().master().bckpt_lsn;
-
-  SqlAnalysisResult serial;
-  ASSERT_OK(RunSqlAnalysis(&e->wal(), start, 1, &serial));
-  ASSERT_GT(serial.dpt.size(), 0u);
-  ASSERT_GT(serial.att.size(), 0u) << "no losers: the ATT parity is vacuous";
-
-  for (uint32_t threads : {2u, 4u, 8u}) {
-    SqlAnalysisResult par;
-    ASSERT_OK(RunSqlAnalysis(&e->wal(), start, threads, &par));
-    EXPECT_EQ(par.threads_used, threads);
-    EXPECT_EQ(DptEntries(par.dpt), DptEntries(serial.dpt))
-        << "DPT diverged at " << threads << " threads";
-    EXPECT_EQ(AttEntries(par.att), AttEntries(serial.att))
-        << "ATT diverged at " << threads << " threads";
-    EXPECT_EQ(par.redo_start_lsn, serial.redo_start_lsn);
-    EXPECT_EQ(par.max_txn_id, serial.max_txn_id);
-    EXPECT_EQ(par.records_scanned, serial.records_scanned);
-    EXPECT_EQ(par.log_pages, serial.log_pages);
-    EXPECT_EQ(par.bw_records_seen, serial.bw_records_seen);
-    EXPECT_EQ(par.delta_records_seen, serial.delta_records_seen);
-    EXPECT_EQ(par.dpt_updates, serial.dpt_updates)
-        << "the shards performed different DPT work than the inline scan";
-    // The shards partition the one-partition run's work: their folded CPU
-    // shares sum to exactly its total, and the critical path can only be a
-    // part of it.
-    EXPECT_DOUBLE_EQ(par.shard_cpu_us_total, serial.shard_cpu_us_total);
-    EXPECT_LE(par.shard_cpu_us_max, serial.shard_cpu_us_max);
-  }
-}
-
-// Under ARIES checkpointing the analysis seeds the DPT from the captured
-// checkpoint image and redo_start_lsn reaches back to the oldest captured
-// rLSN — the seed events must shard identically too.
-TEST(ParallelAnalysisPass, SqlAriesCheckpointSeedsShardIdentically) {
-  EngineOptions o = SmallOptions();
-  o.checkpoint_scheme = CheckpointScheme::kAries;
-  std::unique_ptr<Engine> e;
-  ASSERT_OK(Engine::Open(o, &e));
-  WorkloadDriver driver(e.get(), MixedWorkload());
-  BuildMixedCrashImage(e.get(), &driver);
-  const Lsn start = e->wal().master().bckpt_lsn;
-
-  SqlAnalysisResult serial;
-  ASSERT_OK(RunSqlAnalysis(&e->wal(), start, 1, &serial));
-  ASSERT_LT(serial.redo_start_lsn, start)
-      << "ARIES analysis did not reach back: no captured DPT to seed from";
-
-  for (uint32_t threads : {2u, 4u, 8u}) {
-    SqlAnalysisResult par;
-    ASSERT_OK(RunSqlAnalysis(&e->wal(), start, threads, &par));
-    EXPECT_EQ(DptEntries(par.dpt), DptEntries(serial.dpt)) << threads;
-    EXPECT_EQ(AttEntries(par.att), AttEntries(serial.att)) << threads;
-    EXPECT_EQ(par.redo_start_lsn, serial.redo_start_lsn) << threads;
-    EXPECT_EQ(par.dpt_updates, serial.dpt_updates) << threads;
-  }
-}
-
-TEST(ParallelAnalysisPass, DcPassMatchesSerialAcrossDptModes) {
-  for (DptMode mode :
-       {DptMode::kStandard, DptMode::kPerfect, DptMode::kReduced}) {
-    EngineOptions o = SmallOptions();
-    o.dpt_mode = mode;
-    std::unique_ptr<Engine> e;
-    ASSERT_OK(Engine::Open(o, &e));
-    WorkloadDriver driver(e.get(), MixedWorkload());
-    BuildMixedCrashImage(e.get(), &driver);
-    Engine::StableSnapshot snap;
-    ASSERT_OK(e->TakeStableSnapshot(&snap));
-    const Lsn start = e->wal().master().bckpt_lsn;
-
-    auto run_pass = [&](uint32_t threads, DcRecoveryResult* out,
-                        std::string* digest) {
-      ASSERT_OK(e->RestoreStableSnapshot(snap));
-      ASSERT_OK(e->dc().OpenDatabase());
-      e->dc().Eosl(e->wal().stable_end() - 1);  // as Recover does
-      ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, mode,
-                              /*build_dpt=*/true, /*preload=*/false, threads,
-                              out));
-      *digest = ContentDigest(e.get());  // the pass redoes SMOs: state too
-      e->SimulateCrash();
-    };
-
-    DcRecoveryResult serial;
-    std::string serial_digest;
-    run_pass(1, &serial, &serial_digest);
-    ASSERT_GT(serial.dpt.size(), 0u);
-    // The SMO replay filters by the final DPT: both of its decisions must
-    // occur, or the parity below says nothing about the filter.
-    ASSERT_GT(serial.smo_redone, 0u) << "no SMO image installed";
-    ASSERT_GT(serial.smo_pages_skipped, 0u) << "no SMO image skipped";
-
-    for (uint32_t threads : {2u, 4u, 8u}) {
-      DcRecoveryResult par;
-      std::string digest;
-      run_pass(threads, &par, &digest);
-      EXPECT_EQ(par.threads_used, threads);
-      EXPECT_EQ(digest, serial_digest)
-          << "SMO redo diverged, mode " << static_cast<int>(mode) << ", "
-          << threads << " threads";
-      EXPECT_EQ(DptEntries(par.dpt), DptEntries(serial.dpt))
-          << "DPT diverged, mode " << static_cast<int>(mode) << ", "
-          << threads << " threads";
-      // EXACT order: the PF-list sorts the DPT by (rLSN, claim stamp), and
-      // the stamps are global scan numbers the shard merge must keep.
-      EXPECT_EQ(BuildPfList(par.dpt), BuildPfList(serial.dpt))
-          << "PF-list order diverged, mode " << static_cast<int>(mode);
-      EXPECT_EQ(par.last_delta_tc_lsn, serial.last_delta_tc_lsn);
-      EXPECT_EQ(par.delta_records_seen, serial.delta_records_seen);
-      EXPECT_EQ(par.smo_redone, serial.smo_redone);
-      EXPECT_EQ(par.smo_pages_skipped, serial.smo_pages_skipped);
-      EXPECT_EQ(par.records_scanned, serial.records_scanned);
-      EXPECT_EQ(par.log_pages, serial.log_pages);
-      EXPECT_EQ(par.dpt_updates, serial.dpt_updates);
-      EXPECT_DOUBLE_EQ(par.shard_cpu_us_total, serial.shard_cpu_us_total);
-      EXPECT_LE(par.shard_cpu_us_max, serial.shard_cpu_us_max);
-    }
   }
 }
 

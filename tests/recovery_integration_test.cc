@@ -762,7 +762,7 @@ TEST(RecoverySideBySide, UndoReadsLoserPathsInBatches) {
     dc.Eosl(r->wal().stable_end() - 1);
     const Lsn start = r->wal().master().bckpt_lsn;
     SqlAnalysisResult ar;
-    ASSERT_OK(RunSqlAnalysis(&r->wal(), start, 1, &ar, &dc.clock(),
+    ASSERT_OK(RunSqlAnalysis(&r->wal(), start, &ar, &dc.clock(),
                              o.io.cpu_per_dpt_update_us));
     RedoResult rr;
     ASSERT_OK(RunSqlRedo(&r->wal(), &dc, ar.redo_start_lsn, &ar.dpt,
@@ -897,8 +897,7 @@ TEST(RecoverySideBySide, Log2ReadsItsIndexUnderTheDcScan) {
   const Lsn start = r->wal().master().bckpt_lsn;
   DcRecoveryResult dcr;
   ASSERT_OK(RunDcRecovery(&r->wal(), &r->dc(), start, o.dpt_mode,
-                          /*build_dpt=*/true, /*preload_index=*/false, 1,
-                          &dcr));
+                          /*build_dpt=*/true, /*preload_index=*/false, &dcr));
   ASSERT_GT(dcr.smo_redone, 0u);
   EXPECT_EQ(r->dc().pool().stats().prefetch_issued, 0u)
       << "Log1's DC pass prefetched";
@@ -913,8 +912,7 @@ TEST(RecoverySideBySide, Log2ReadsItsIndexUnderTheDcScan) {
   ASSERT_NO_FATAL_FAILURE(RestorePreloadCrashImage(img, 1, &r));
   ASSERT_NO_FATAL_FAILURE(OpenForDcPass(r.get()));
   ASSERT_OK(RunDcRecovery(&r->wal(), &r->dc(), start, o.dpt_mode,
-                          /*build_dpt=*/true, /*preload_index=*/true, 1,
-                          &dcr));
+                          /*build_dpt=*/true, /*preload_index=*/true, &dcr));
   const BufferPool::Stats overlapped = r->dc().pool().stats();
   EXPECT_EQ(overlapped.index_fetches, serial.index_fetches);
   EXPECT_EQ(overlapped.data_fetches, serial.data_fetches);
@@ -1017,20 +1015,17 @@ TEST(RecoverySideBySide, Log2EarlyPreloadRepairsACorruptStableRoot) {
   }
 
   // No repair source: the descent's read fails the pass.
-  for (uint32_t threads : {1u, 4u}) {
-    std::unique_ptr<Engine> r;
-    ASSERT_NO_FATAL_FAILURE(RestorePreloadCrashImage(img, threads, &r));
-    r->repairer().RestoreArchive(PageRepairer::ArchiveSnapshot());
-    r->dc().disk().CorruptStableByteForTest(kRootPageId, kPageHeaderSize + 5,
-                                            0x20);
-    ASSERT_NO_FATAL_FAILURE(OpenForDcPass(r.get()));
-    DcRecoveryResult dcr;
-    const Status s = RunDcRecovery(
-        &r->wal(), &r->dc(), r->wal().master().bckpt_lsn,
-        img.options.dpt_mode, /*build_dpt=*/true, /*preload_index=*/true,
-        threads, &dcr);
-    EXPECT_TRUE(s.IsCorruption()) << "x" << threads << ": " << s.ToString();
-  }
+  std::unique_ptr<Engine> r;
+  ASSERT_NO_FATAL_FAILURE(RestorePreloadCrashImage(img, 1, &r));
+  r->repairer().RestoreArchive(PageRepairer::ArchiveSnapshot());
+  r->dc().disk().CorruptStableByteForTest(kRootPageId, kPageHeaderSize + 5,
+                                          0x20);
+  ASSERT_NO_FATAL_FAILURE(OpenForDcPass(r.get()));
+  DcRecoveryResult dcr;
+  const Status s = RunDcRecovery(
+      &r->wal(), &r->dc(), r->wal().master().bckpt_lsn, img.options.dpt_mode,
+      /*build_dpt=*/true, /*preload_index=*/true, &dcr);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
 /// Named regression: with the lazy-writer watermark scaled by the

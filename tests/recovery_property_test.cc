@@ -55,7 +55,7 @@ TEST(RecoveryPassQuiescenceTest, DcPassWithLiveMonitorAppendsNothing) {
   DcRecoveryResult dcr;
   ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), e->wal().master().bckpt_lsn,
                           o.dpt_mode, /*build_dpt=*/true, /*preload=*/false,
-                          1, &dcr));
+                          &dcr));
   EXPECT_GT(dcr.smo_redone, 0u) << "workload produced no SMOs to redo";
   EXPECT_EQ(e->wal().next_lsn(), log_end_before)
       << "the DC pass appended to the log it was scanning";
@@ -256,7 +256,7 @@ TEST_P(DptSafetyTest, DptCoversEveryPageNeedingRedo) {
   const Lsn start = e->wal().master().bckpt_lsn;
   DcRecoveryResult dcr;
   ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                          /*build_dpt=*/true, /*preload=*/false, 1, &dcr));
+                          /*build_dpt=*/true, /*preload=*/false, &dcr));
   ASSERT_GT(dcr.dpt.size(), 0u);
   ASSERT_NE(dcr.last_delta_tc_lsn, kInvalidLsn);
 
@@ -281,6 +281,65 @@ TEST_P(DptSafetyTest, DptCoversEveryPageNeedingRedo) {
   EXPECT_GT(covered, 0u);
 }
 
+// Algorithm 5's filter on the DC pass's structure replay, under each Δ
+// mode: with a DPT the pass installs only the SMO images its DPT cannot
+// prove durable, and leaves exactly the disk state of the unfiltered
+// replay Log0 runs (every image, each behind the pLSN test).
+TEST_P(DptSafetyTest, SmoFilterLeavesTheUnfilteredReplaysState) {
+  EngineOptions o = SmallOptions();
+  o.dpt_mode = GetParam();
+  o.cache_pages = 512;  // the whole tree: only the test flushes the window
+  o.lazy_writer_reference_cache_pages = 512;
+  o.checkpoint_interval_updates = 100'000;  // explicit checkpoints only
+  std::unique_ptr<Engine> e;
+  ASSERT_OK(Engine::Open(o, &e));
+  WorkloadConfig wc;
+  wc.insert_fraction = 0.15;  // splits
+  wc.delete_fraction = 0.10;  // merges
+  wc.scan_fraction = 0.05;
+  WorkloadDriver driver(e.get(), wc);
+  ASSERT_OK(driver.RunOps(400));
+  ASSERT_OK(e->Checkpoint());
+  // Window splits whose pages reach the disk before a Δ-record: the
+  // filter may skip their images.
+  ASSERT_OK(driver.RunOps(300));
+  ASSERT_OK(e->dc().pool().FlushAllDirty());
+  e->dc().monitor().ForceEmit();
+  // Window splits whose pages are still dirty at the crash, below the last
+  // Δ-record: the filter must install their images.
+  ASSERT_OK(driver.RunOps(300));
+  e->dc().monitor().ForceEmit();
+  ASSERT_OK(driver.RunOps(20));
+  driver.OnCrash();
+  e->SimulateCrash();
+  Engine::StableSnapshot snap;
+  ASSERT_OK(e->TakeStableSnapshot(&snap));
+  const Lsn start = e->wal().master().bckpt_lsn;
+
+  auto dc_pass = [&](bool build_dpt, DcRecoveryResult* out,
+                     testing_util::StateImage* state) {
+    ASSERT_OK(e->RestoreStableSnapshot(snap));
+    ASSERT_OK(e->dc().OpenDatabase());
+    e->dc().Eosl(e->wal().stable_end() - 1);  // as Recover does
+    ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
+                            build_dpt, /*preload=*/false, out));
+    *state = testing_util::CaptureState(e.get());
+    e->SimulateCrash();
+  };
+  DcRecoveryResult filtered;
+  testing_util::StateImage filtered_state;
+  ASSERT_NO_FATAL_FAILURE(dc_pass(true, &filtered, &filtered_state));
+  // Both of the filter's decisions occur, or the comparison says nothing.
+  ASSERT_GT(filtered.smo_redone, 0u) << "no SMO image installed";
+  ASSERT_GT(filtered.smo_pages_skipped, 0u) << "no SMO image skipped";
+  DcRecoveryResult unfiltered;
+  testing_util::StateImage unfiltered_state;
+  ASSERT_NO_FATAL_FAILURE(dc_pass(false, &unfiltered, &unfiltered_state));
+  EXPECT_EQ(unfiltered.smo_pages_skipped, 0u);
+  testing_util::ExpectSameState(filtered_state, unfiltered_state,
+                                "filtered replay vs Log0's");
+}
+
 // The SQL DPT obeys the same safety property (Algorithm 3).
 TEST(SqlDptSafety, DptCoversEveryPageNeedingRedo) {
   EngineOptions o = SmallOptions();
@@ -296,7 +355,7 @@ TEST(SqlDptSafety, DptCoversEveryPageNeedingRedo) {
   ASSERT_OK(e->dc().OpenDatabase());
   const Lsn start = e->wal().master().bckpt_lsn;
   SqlAnalysisResult ar;
-  ASSERT_OK(RunSqlAnalysis(&e->wal(), start, 1, &ar));
+  ASSERT_OK(RunSqlAnalysis(&e->wal(), start, &ar));
 
   uint64_t covered = 0;
   for (auto it = e->wal().NewIterator(start, false); it.Valid(); it.Next()) {

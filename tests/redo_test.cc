@@ -1,8 +1,8 @@
 // Unit-level tests of the redo engines: Algorithm 1 (physiological with
 // DPT), Algorithm 2 (basic logical), Algorithm 5 (DPT-assisted logical with
 // the tail-mode boundary), skip-counter semantics, CLR replay and the
-// SQL-side SMO skip. Every case runs with one partition (inline apply) and
-// with four (a worker crew).
+// SQL-side SMO skip. Every redo pass runs with one partition (inline apply)
+// and with four (a worker crew); the DPT passes take no partition count.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -77,7 +77,7 @@ TEST_P(RedoTest, DptRedoPartitionsOutcomesCompletely) {
   CrashAfter(200, 400);
   DcRecoveryResult dcr;
   ASSERT_OK(RunDcRecovery(&engine_->wal(), &engine_->dc(), Start(),
-                          DptMode::kStandard, true, false, GetParam(), &dcr));
+                          DptMode::kStandard, true, false, &dcr));
   RedoResult out;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(),
                            /*use_dpt=*/true, &dcr.dpt, dcr.last_delta_tc_lsn,
@@ -95,7 +95,7 @@ TEST_P(RedoTest, TailModeBoundaryIsStrict) {
   CrashAfter(100, 200);
   DcRecoveryResult dcr;
   ASSERT_OK(RunDcRecovery(&engine_->wal(), &engine_->dc(), Start(),
-                          DptMode::kStandard, true, false, GetParam(), &dcr));
+                          DptMode::kStandard, true, false, &dcr));
   // Algorithm 5 line 5: DPT mode applies iff currLSN < lastΔLSN. Count the
   // ops on each side of the boundary directly from the log.
   uint64_t below = 0, at_or_above = 0;
@@ -122,7 +122,7 @@ TEST_P(RedoTest, TailModeBoundaryIsStrict) {
 TEST_P(RedoTest, SqlRedoNeverTraversesTheIndex) {
   CrashAfter(200, 400);
   SqlAnalysisResult ar;
-  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), Start(), GetParam(), &ar));
+  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), Start(), &ar));
   engine_->dc().pool().ResetStats();
   RedoResult out;
   ASSERT_OK(RunSqlRedo(&engine_->wal(), &engine_->dc(), Start(), &ar.dpt,
@@ -143,7 +143,7 @@ TEST_P(RedoTest, LogicalAndSqlRedoApplyTheSameOperations) {
 
   DcRecoveryResult dcr;
   ASSERT_OK(RunDcRecovery(&engine_->wal(), &engine_->dc(), Start(),
-                          DptMode::kStandard, true, false, GetParam(), &dcr));
+                          DptMode::kStandard, true, false, &dcr));
   RedoResult logical;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
                            &dcr.dpt, dcr.last_delta_tc_lsn, /*prefetch=*/false,
@@ -154,7 +154,7 @@ TEST_P(RedoTest, LogicalAndSqlRedoApplyTheSameOperations) {
   ASSERT_OK(engine_->RestoreStableSnapshot(snap));
   ASSERT_OK(engine_->dc().OpenDatabase());
   SqlAnalysisResult ar;
-  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), Start(), GetParam(), &ar));
+  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), Start(), &ar));
   RedoResult sql;
   ASSERT_OK(RunSqlRedo(&engine_->wal(), &engine_->dc(), Start(), &ar.dpt,
                        false, engine_->options(), GetParam(), &sql));
@@ -217,7 +217,7 @@ TEST_P(RedoTest, PrefetchDoesNotChangeRedoOutcomes) {
 
   DcRecoveryResult dcr;
   ASSERT_OK(RunDcRecovery(&engine_->wal(), &engine_->dc(), Start(),
-                          DptMode::kStandard, true, true, GetParam(), &dcr));
+                          DptMode::kStandard, true, true, &dcr));
   RedoResult with_pf;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
                            &dcr.dpt, dcr.last_delta_tc_lsn, /*prefetch=*/true,
@@ -228,7 +228,7 @@ TEST_P(RedoTest, PrefetchDoesNotChangeRedoOutcomes) {
   ASSERT_OK(engine_->dc().OpenDatabase());
   DcRecoveryResult dcr2;
   ASSERT_OK(RunDcRecovery(&engine_->wal(), &engine_->dc(), Start(),
-                          DptMode::kStandard, true, false, GetParam(), &dcr2));
+                          DptMode::kStandard, true, false, &dcr2));
   RedoResult without_pf;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
                            &dcr2.dpt, dcr2.last_delta_tc_lsn,

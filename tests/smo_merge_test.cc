@@ -854,7 +854,7 @@ TEST(SmoMergeRecovery, DcPassSkipsSmoImagesTheDptProvesDurable) {
     e->dc().pool().ResetStats();
     DcRecoveryResult dcr;
     ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                            /*build_dpt=*/true, preload, 1, &dcr));
+                            /*build_dpt=*/true, preload, &dcr));
     EXPECT_EQ(dcr.smo_pages_skipped, split.smo_pages.size());
     EXPECT_EQ(dcr.smo_redone, 0u);
     const BufferPool::Stats pass = e->dc().pool().stats();
@@ -1015,7 +1015,7 @@ TEST(SmoMergeRecovery, DcReplayChargesEveryLogPageARecordSpans) {
       ASSERT_OK(e->dc().OpenDatabase());
       DcRecoveryResult dcr;
       ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                              build_dpt, /*preload_index=*/false, 1, &dcr));
+                              build_dpt, /*preload_index=*/false, &dcr));
       log_pages[build_dpt ? 1 : 0] = dcr.log_pages;
       e->SimulateCrash();
     }

@@ -107,7 +107,7 @@ TEST_F(UndoTest, CrashDuringUndoThenFullRecovery) {
   engine_->dc().pool().set_callbacks_enabled(false);
   const Lsn start = engine_->wal().master().bckpt_lsn;
   SqlAnalysisResult ar;
-  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), start, 1, &ar));
+  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), start, &ar));
   RedoResult rr;
   ASSERT_OK(RunSqlRedo(&engine_->wal(), &engine_->dc(), start, &ar.dpt,
                        false, engine_->options(), 1, &rr));
@@ -167,7 +167,7 @@ TEST_F(UndoTest, CrashAfterAReadAheadBatchRecoversTheSameBytesEverywhere) {
   engine_->dc().pool().set_callbacks_enabled(false);
   const Lsn start = engine_->wal().master().bckpt_lsn;
   SqlAnalysisResult ar;
-  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), start, 1, &ar));
+  ASSERT_OK(RunSqlAnalysis(&engine_->wal(), start, &ar));
   RedoResult rr;
   ASSERT_OK(RunSqlRedo(&engine_->wal(), &engine_->dc(), start, &ar.dpt,
                        false, engine_->options(), 1, &rr));
@@ -184,8 +184,8 @@ TEST_F(UndoTest, CrashAfterAReadAheadBatchRecoversTheSameBytesEverywhere) {
   Engine::StableSnapshot snap;
   ASSERT_OK(engine_->TakeStableSnapshot(&snap));
 
-  // Every method, with analysis and redo at one and at four partitions,
-  // recovers the same bytes as Log0 at one.
+  // Every method, with redo at one and at four partitions, recovers the
+  // same bytes as Log0 at one.
   testing_util::StateImage log0_state;
   for (uint32_t threads : {1u, 4u}) {
     for (RecoveryMethod m :
@@ -293,7 +293,7 @@ TEST_F(UndoTest, ReadAheadSurvivesMergeThenSplitReuse) {
   dc.pool().set_callbacks_enabled(false);
   dc.Eosl(e->wal().stable_end() - 1);
   SqlAnalysisResult ar;
-  ASSERT_OK(RunSqlAnalysis(&e->wal(), e->wal().master().bckpt_lsn, 1, &ar));
+  ASSERT_OK(RunSqlAnalysis(&e->wal(), e->wal().master().bckpt_lsn, &ar));
   RedoResult rr;
   ASSERT_OK(RunSqlRedo(&e->wal(), &dc, ar.redo_start_lsn, &ar.dpt,
                        /*prefetch=*/false, o, 1, &rr));
