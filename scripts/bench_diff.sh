@@ -13,7 +13,8 @@
 #                 to select several (default: every workload)
 #   --seed N      workload seed of every run (default: run.py's, 1)
 #   --smoke       small scale, a few seconds per run
-#   --reps N      repetitions per side (default 5)
+#   --reps N      repetitions per side (default 10: a gain claim needs at
+#                 least ten pairs)
 #   --exact       also require every simulated end-to-end metric to read
 #                 the same on every run of both sides, on the selected
 #                 deterministic workloads among fig2a_uniform,
@@ -43,7 +44,7 @@ ROOT="$PWD"
 BASE=HEAD
 WORKLOADS=()
 RUN_ARGS=()
-REPS=5
+REPS=10
 EXACT=0
 ALLOW_MOVE=()
 while [[ $# -gt 0 ]]; do
@@ -55,7 +56,7 @@ while [[ $# -gt 0 ]]; do
     --reps) REPS="${2:?--reps needs a count}"; shift 2 ;;
     --exact) EXACT=1; shift ;;
     --allow-move) ALLOW_MOVE+=("${2:?--allow-move needs a metric}"); shift 2 ;;
-    *) sed -n '2,38p' "$0" >&2; exit 2 ;;
+    *) sed -n '2,39p' "$0" >&2; exit 2 ;;
   esac
 done
 [[ "$REPS" =~ ^[1-9][0-9]*$ ]] || { echo "--reps must be >= 1" >&2; exit 2; }

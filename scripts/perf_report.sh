@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Wall-clock perf report: runs the micro_engine hot-path benchmarks — all of
-# them, including the BM_ParallelRedo thread-scaling curve and the one-pass
-# BM_Analysis, BM_DcPassPreload and BM_Undo — and the fig2a end-to-end
+# them, including the BM_ParallelRedo thread-scaling curve, the one-pass
+# BM_Analysis, BM_DcPassPreload and BM_Undo, and BM_StableSnapshotRestore
+# (one crash image snapshotted and restored) — and the fig2a end-to-end
 # smoke, and emits BENCH_micro.json (google-benchmark JSON) at the repo
 # root — the perf trajectory artifact CI uploads per PR.
 #

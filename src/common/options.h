@@ -239,8 +239,12 @@ struct EngineOptions {
   /// the oldest first-dirty LSN still in cache. A page whose stable copy
   /// later fails its checksum is rebuilt from the archived image plus a
   /// page-scoped logical replay of the log tail (recovery/page_repairer.h).
-  /// Off by default: the copy is the simulation stand-in for a backup
-  /// medium and costs a full-image memcpy per checkpoint.
+  /// The archive is the simulation stand-in for a backup medium. It shares
+  /// pages with the device (sim/sim_disk.h), so a capture copies a pointer
+  /// per page, and each page written after it is copied once. Off by
+  /// default: every capture after the first verifies the checksum of every
+  /// stable page first, and the archive keeps an old copy of each page
+  /// written since.
   bool media_archive = false;
 
   // ---- misc ----

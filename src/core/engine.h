@@ -29,7 +29,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/mutex.h"
 
@@ -150,8 +149,10 @@ class Engine {
   bool read_only() const { return read_only_; }
 
   // ---- stable-state snapshots (side-by-side experiments) ----
+  /// The disk image and the archive share pages with the device, so taking
+  /// or restoring one copies a pointer per page; the log is copied.
   struct StableSnapshot {
-    std::vector<uint8_t> disk_image;
+    DiskImage disk_image;
     LogManager::Snapshot log;
     /// The media archive is stable storage too (conceptually a separate
     /// backup device), so side-by-side experiments restore it with the rest.

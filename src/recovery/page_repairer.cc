@@ -60,10 +60,8 @@ Status PageRepairer::RepairFrame(PageId pid, uint8_t* frame_data) {
   // Base image: the archived copy, or a zero page if the page was
   // allocated after the capture (its entire history is then in the log
   // tail — the first record targeting it carries a full SMO image).
-  const uint64_t archive_pages = archive_.size() / page_size_;
-  if (pid < archive_pages) {
-    std::memcpy(frame_data, &archive_[static_cast<uint64_t>(pid) * page_size_],
-                page_size_);
+  if (pid < archive_.num_pages()) {
+    std::memcpy(frame_data, archive_.page(pid), page_size_);
     if (!VerifyPageChecksum(frame_data, page_size_)) {
       stats_.failed_repairs++;
       return Status::Corruption("archived page image is itself corrupt");

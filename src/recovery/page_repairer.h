@@ -3,12 +3,13 @@
 // well rebuild ONE page). Two repair paths, tried in this order:
 //
 //  1. Archive repair (RepairFrame): base = the page's image in the media
-//     archive (a copy of the stable device captured at every completed
-//     checkpoint when EngineOptions::media_archive is on), then replay the
-//     log tail from the archive boundary restricted to records targeting
-//     the page — SMO/DDL after-images via the pLSN image test, data ops and
-//     CLRs routed by their physiological pid hint through the one leaf
-//     write, LeafApplyRecord. The replay is exactly per-page physiological
+//     archive (a snapshot of the stable device that shares its pages,
+//     captured at every completed checkpoint when EngineOptions::
+//     media_archive is on), then replay the log tail from the archive
+//     boundary restricted to records targeting the page — SMO/DDL
+//     after-images via the pLSN image test, data ops and CLRs routed by
+//     their physiological pid hint through the one leaf write,
+//     LeafApplyRecord. The replay is exactly per-page physiological
 //     redo, so the rebuilt image is byte-identical to what unbroken operation
 //     would have left, regardless of recovery method or of WHEN the repair
 //     runs (mid-redo or post-recovery): the final pLSN is the LSN of the
@@ -39,6 +40,7 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "sim/sim_disk.h"
 
 namespace deutero {
 
@@ -72,13 +74,13 @@ class PageRepairer {
   /// The archive is stable state (conceptually a separate backup device):
   /// it survives crashes and participates in Engine stable snapshots.
   struct ArchiveSnapshot {
-    std::vector<uint8_t> image;
+    DiskImage image;
     Lsn lsn = kInvalidLsn;
   };
 
   PageRepairer(LogManager* log, DataComponent* dc, uint32_t page_size);
 
-  /// Copy the stable device into the archive and record the replay
+  /// Snapshot the stable device into the archive and record the replay
   /// boundary: the oldest first-dirty LSN still in the cache (everything
   /// before it is reflected in the archived images). Wired to the DC's
   /// catalog-persisted hook, i.e. runs at every completed checkpoint and
@@ -111,7 +113,7 @@ class PageRepairer {
   LogManager* log_;
   DataComponent* dc_;
   const uint32_t page_size_;
-  std::vector<uint8_t> archive_;
+  DiskImage archive_;
   Lsn archive_lsn_ = kInvalidLsn;
   Stats stats_;
 };

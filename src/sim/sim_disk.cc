@@ -8,17 +8,42 @@
 
 namespace deutero {
 
+bool DiskImage::operator==(const DiskImage& other) const {
+  if (pages_.size() != other.pages_.size()) return false;
+  if (!pages_.empty() && page_size_ != other.page_size_) return false;
+  for (size_t i = 0; i < pages_.size(); i++) {
+    if (pages_[i] != other.pages_[i] &&
+        std::memcmp(pages_[i].get(), other.pages_[i].get(), page_size_) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 SimDisk::SimDisk(SimClock* clock, uint32_t page_size, const IoModelOptions& io)
     : clock_(clock), page_size_(page_size), io_(io), injector_(io.faults) {
   assert(page_size_ > 0);
+  image_.page_size_ = page_size_;
   const uint32_t channels = std::max<uint32_t>(1, io_.io_channels);
   channel_busy_until_.assign(channels, 0.0);
 }
 
 void SimDisk::EnsurePages(uint64_t n) {
-  if (n <= num_pages_) return;
-  image_.resize(n * static_cast<uint64_t>(page_size_), 0);
-  num_pages_ = n;
+  while (image_.pages_.size() < n) {
+    image_.pages_.push_back(std::make_shared<uint8_t[]>(page_size_));
+  }
+}
+
+uint8_t* SimDisk::WritablePage(PageId pid) {
+  assert(pid < num_pages());
+  DiskImage::Page& page = image_.pages_[pid];
+  if (page.use_count() > 1) {
+    DiskImage::Page copy =
+        std::make_shared_for_overwrite<uint8_t[]>(page_size_);
+    std::memcpy(copy.get(), page.get(), page_size_);
+    page = std::move(copy);
+  }
+  return page.get();
 }
 
 double SimDisk::Schedule(double service_ms, bool is_write) {
@@ -40,7 +65,7 @@ double SimDisk::Schedule(double service_ms, bool is_write) {
 }
 
 Status SimDisk::ScheduleRead(PageId pid, bool sorted, double* completion) {
-  assert(pid < num_pages_);
+  assert(pid < num_pages());
   (void)pid;
   stats_.read_ios++;
   *completion =
@@ -58,7 +83,7 @@ Status SimDisk::ScheduleRead(PageId pid, bool sorted, double* completion) {
 Status SimDisk::ScheduleReadRun(PageId first, uint32_t count, bool sorted,
                                 double* completion, uint32_t gap_pages) {
   assert(count >= 1 && gap_pages < count);
-  assert(first + count <= num_pages_);
+  assert(first + count <= num_pages());
   (void)first;
   stats_.read_ios++;
   if (count > 1) stats_.batched_reads++;
@@ -84,7 +109,7 @@ uint32_t SimDisk::MaxReadThroughGap() const {
 
 Status SimDisk::ScheduleWrite(PageId pid, const void* data,
                               double* completion) {
-  assert(pid < num_pages_);
+  assert(pid < num_pages());
   *completion = Schedule(io_.write_seek_ms + io_.transfer_ms_per_page,
                          /*is_write=*/true);
   if (injector_.NextWriteFails()) {
@@ -94,7 +119,7 @@ Status SimDisk::ScheduleWrite(PageId pid, const void* data,
     return Status::IOError("transient write failure (injected)");
   }
 
-  uint8_t* stable = &image_[static_cast<uint64_t>(pid) * page_size_];
+  uint8_t* stable = WritablePage(pid);
   // Torn-write mode: compose what a crash would leave BEFORE the stable
   // image is overwritten — a sector-granular prefix of the new content over
   // the previous stable bytes. A new write of the same page supersedes the
@@ -129,23 +154,19 @@ Status SimDisk::ScheduleWrite(PageId pid, const void* data,
 }
 
 void SimDisk::ReadImage(PageId pid, void* out) const {
-  assert(pid < num_pages_);
-  std::memcpy(out, &image_[static_cast<uint64_t>(pid) * page_size_],
-              page_size_);
+  std::memcpy(out, ImageData(pid), page_size_);
 }
 
 void SimDisk::WriteImageDirect(PageId pid, const void* data) {
-  assert(pid < num_pages_);
-  std::memcpy(&image_[static_cast<uint64_t>(pid) * page_size_], data,
-              page_size_);
+  std::memcpy(WritablePage(pid), data, page_size_);
   // An administrative write (repair write-back) replaces whatever a crash
   // would have torn.
   torn_pending_.erase(pid);
 }
 
 const uint8_t* SimDisk::ImageData(PageId pid) const {
-  assert(pid < num_pages_);
-  return &image_[static_cast<uint64_t>(pid) * page_size_];
+  assert(pid < num_pages());
+  return image_.page(pid);
 }
 
 double SimDisk::IdleAtMs() const {
@@ -159,9 +180,8 @@ void SimDisk::ResetTime() {
 
 void SimDisk::ApplyCrashTears() {
   for (const auto& [pid, torn] : torn_pending_) {
-    assert(pid < num_pages_ && torn.size() == page_size_);
-    std::memcpy(&image_[static_cast<uint64_t>(pid) * page_size_], torn.data(),
-                page_size_);
+    assert(torn.size() == page_size_);
+    std::memcpy(WritablePage(pid), torn.data(), page_size_);
     stats_.writes_torn++;
   }
   torn_pending_.clear();
@@ -169,14 +189,13 @@ void SimDisk::ApplyCrashTears() {
 
 void SimDisk::CorruptStableByteForTest(PageId pid, uint32_t offset,
                                        uint8_t mask) {
-  assert(pid < num_pages_ && offset < page_size_);
-  image_[static_cast<uint64_t>(pid) * page_size_ + offset] ^= mask;
+  assert(offset < page_size_);
+  WritablePage(pid)[offset] ^= mask;
 }
 
-void SimDisk::RestoreImage(std::vector<uint8_t> image) {
-  assert(image.size() % page_size_ == 0);
-  image_ = std::move(image);
-  num_pages_ = image_.size() / page_size_;
+void SimDisk::RestoreImage(const DiskImage& image) {
+  assert(image.num_pages() == 0 || image.page_size_ == page_size_);
+  image_.pages_ = image.pages_;
   torn_pending_.clear();
 }
 

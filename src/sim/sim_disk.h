@@ -53,9 +53,19 @@
 // (bulk load, catalog bootstrap, page repair write-back) and are never
 // subject to faults. The WAL lives in LogManager, not here, so the fault
 // plan covers data pages only — the log has its own per-record CRC.
+//
+// Snapshots share pages. The stable image is a DiskImage: one shared
+// buffer per page. SnapshotImage() copies one pointer per page, and
+// RestoreImage() shares the snapshot's pages back in. Every write path
+// (ScheduleWrite, WriteImageDirect, ApplyCrashTears,
+// CorruptStableByteForTest, MutableImageForTest) copies the one page it
+// writes, and only while another image still holds that page; a page no
+// snapshot holds is written in place. So an ImageData() pointer is valid
+// until that page's next write, and a snapshot never sees a later write.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -66,6 +76,25 @@
 #include "sim/fault_injector.h"
 
 namespace deutero {
+
+/// A stable image of a SimDisk, one shared buffer per page (see the header
+/// comment). Copies share every page; the device copies a page before it
+/// writes it while another image holds it, so an image never changes.
+class DiskImage {
+ public:
+  uint64_t num_pages() const { return pages_.size(); }
+  /// The bytes of `pid` (page_size of them), valid while this image lives.
+  const uint8_t* page(PageId pid) const { return pages_[pid].get(); }
+
+  /// Page by page: equal when both hold the same bytes on every page.
+  bool operator==(const DiskImage& other) const;
+
+ private:
+  friend class SimDisk;
+  using Page = std::shared_ptr<uint8_t[]>;
+  uint32_t page_size_ = 0;
+  std::vector<Page> pages_;
+};
 
 class SimDisk {
  public:
@@ -89,7 +118,7 @@ class SimDisk {
   SimDisk(SimClock* clock, uint32_t page_size, const IoModelOptions& io);
 
   uint32_t page_size() const { return page_size_; }
-  uint64_t num_pages() const { return num_pages_; }
+  uint64_t num_pages() const { return image_.num_pages(); }
 
   /// Grow the device to at least n pages (new pages are zero-filled).
   void EnsurePages(uint64_t n);
@@ -126,7 +155,8 @@ class SimDisk {
   /// (bulk load, repair write-back).
   void WriteImageDirect(PageId pid, const void* data);
 
-  /// Raw pointer into the stable image of `pid` (asserts bounds).
+  /// Raw pointer into the stable image of `pid` (asserts bounds); valid
+  /// until the page's next write.
   const uint8_t* ImageData(PageId pid) const;
 
   /// Earliest time all channels are idle (used by tests and crash drain).
@@ -153,6 +183,11 @@ class SimDisk {
   /// fault plan — targeted corruption scenarios).
   void CorruptStableByteForTest(PageId pid, uint32_t offset, uint8_t mask);
 
+  /// Test hook: the stable image of `pid`, writable. Copies the page first
+  /// while a snapshot holds it, like every write; valid until the page's
+  /// next write.
+  uint8_t* MutableImageForTest(PageId pid) { return WritablePage(pid); }
+
   FaultInjector& injector() { return injector_; }
 
   /// I/O model this device was built with (retry/backoff knobs live here so
@@ -169,14 +204,18 @@ class SimDisk {
   const Stats& stats() const { return stats_; }
   void ResetStats() { stats_ = Stats(); }
 
-  /// Snapshot / restore of the full stable image (side-by-side experiments).
+  /// Snapshot / restore of the full stable image (side-by-side experiments
+  /// and the media archive). Both share pages: one pointer copy per page.
   /// Pending tears are volatile controller state and are not part of a
   /// snapshot; restore clears them.
-  std::vector<uint8_t> SnapshotImage() const { return image_; }
-  void RestoreImage(std::vector<uint8_t> image);
+  DiskImage SnapshotImage() const { return image_; }
+  void RestoreImage(const DiskImage& image);
 
  private:
   double Schedule(double service_ms, bool is_write);
+  /// The page `pid` for writing: a private copy first while another image
+  /// holds it.
+  uint8_t* WritablePage(PageId pid);
   /// Positioning cost of one read.
   double SeekMs(bool sorted) const {
     return io_.random_seek_ms * (sorted ? io_.sorted_seek_factor : 1.0);
@@ -186,8 +225,7 @@ class SimDisk {
   const uint32_t page_size_;
   IoModelOptions io_;
   FaultInjector injector_;
-  uint64_t num_pages_ = 0;
-  std::vector<uint8_t> image_;
+  DiskImage image_;
   std::vector<double> channel_busy_until_;
   /// Torn-write mode: pid -> the image a crash would leave (sector-granular
   /// prefix of the latest acknowledged write over the prior stable bytes).

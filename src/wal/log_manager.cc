@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <thread>
 
 #include "common/coding.h"
@@ -16,16 +18,26 @@ LogManager::LogManager(SimClock* clock, uint32_t log_page_size,
       log_page_size_(log_page_size),
       log_page_read_ms_(log_page_read_ms) {
   MutexLock lk(&grow_mu_);
-  buffer_.assign(1, '\0');  // offset 0 pad
-  ResetCursors();
+  Reallocate(kFirstLsn);
+  raw()[0] = '\0';  // offset 0 pad
+  ResetCursors(kFirstLsn);
 }
 
-void LogManager::ResetCursors() {
-  base_.store(buffer_.data(), std::memory_order_release);
-  capacity_.store(buffer_.size(), std::memory_order_release);
-  reserved_end_.store(buffer_.size(), std::memory_order_release);
-  stable_end_.store(buffer_.size(), std::memory_order_release);
-  filled_mark_.store(buffer_.size(), std::memory_order_release);
+LogManager::~LogManager() { std::free(raw()); }
+
+void LogManager::Reallocate(uint64_t capacity) {
+  char* base = static_cast<char*>(std::realloc(raw(), capacity));
+  if (base == nullptr) throw std::bad_alloc();
+  // Outstanding zero-copy views may dangle if the storage moved.
+  generation_.fetch_add(1, std::memory_order_release);
+  base_.store(base, std::memory_order_release);
+  capacity_.store(capacity, std::memory_order_release);
+}
+
+void LogManager::ResetCursors(Lsn end) {
+  reserved_end_.store(end, std::memory_order_release);
+  stable_end_.store(end, std::memory_order_release);
+  filled_mark_.store(end, std::memory_order_release);
   for (auto& s : inflight_) s.store(kSlotFree, std::memory_order_release);
 }
 
@@ -93,17 +105,8 @@ void LogManager::EnsureCapacity(uint64_t end) {
   grow_cv_.Wait(&grow_mu_, [&] {
     return fillers_.load(std::memory_order_seq_cst) == 0;
   });
-  const uint64_t new_cap =
-      std::max({end, capacity_.load(std::memory_order_relaxed) * 2,
-                uint64_t{4096}});
-  const char* old_base = buffer_.data();
-  buffer_.resize(new_cap, '\0');
-  if (buffer_.data() != old_base) {
-    // Storage moved: outstanding zero-copy views now dangle.
-    generation_.fetch_add(1, std::memory_order_release);
-  }
-  base_.store(buffer_.data(), std::memory_order_release);
-  capacity_.store(new_cap, std::memory_order_release);
+  Reallocate(std::max({end, capacity_.load(std::memory_order_relaxed) * 2,
+                       uint64_t{4096}}));
   growth_pending_.store(false, std::memory_order_seq_cst);
   grow_cv_.NotifyAll();
 }
@@ -249,8 +252,7 @@ void LogManager::Crash() {
   assert(filled_through() == next_lsn());
   MutexLock lk(&grow_mu_);
   generation_.fetch_add(1, std::memory_order_release);
-  buffer_.resize(stable_end());
-  ResetCursors();
+  ResetCursors(stable_end());
   device_end_ = stable_end();
 }
 
@@ -300,7 +302,7 @@ Status LogManager::ReadRecordAt(Lsn lsn, LogRecord* out, PageMemo* memo) {
 LogManager::Snapshot LogManager::TakeSnapshot() const {
   MutexLock lk(&grow_mu_);
   Snapshot snap;
-  snap.stable_log = buffer_.substr(0, stable_end());
+  snap.stable_log.assign(raw(), stable_end());
   snap.master = master_;
   return snap;
 }
@@ -308,9 +310,11 @@ LogManager::Snapshot LogManager::TakeSnapshot() const {
 void LogManager::RestoreSnapshot(const Snapshot& snap) {
   MutexLock lk(&grow_mu_);
   generation_.fetch_add(1, std::memory_order_release);
-  buffer_ = snap.stable_log;
+  const uint64_t end = snap.stable_log.size();
+  if (end > capacity_.load(std::memory_order_relaxed)) Reallocate(end);
+  std::memcpy(raw(), snap.stable_log.data(), end);
   master_ = snap.master;
-  ResetCursors();
+  ResetCursors(end);
   device_end_ = stable_end();
 }
 

@@ -60,6 +60,7 @@ class LogManager {
   };
 
   LogManager(SimClock* clock, uint32_t log_page_size, double log_page_read_ms);
+  ~LogManager();
 
   /// A claimed-but-unpublished (lsn, len) log window. Returned by Reserve();
   /// the window becomes visible to Flush()/StableBytes() only at Publish().
@@ -240,7 +241,7 @@ class LogManager {
   uint32_t log_page_size() const { return log_page_size_; }
 
   /// Bumped by every operation that may invalidate outstanding
-  /// LogRecordViews: buffer growth that relocates storage, Crash(),
+  /// LogRecordViews: buffer growth (which may relocate storage), Crash(),
   /// RestoreSnapshot(). (Before PR 8 every Append bumped it; now an append
   /// whose window fits in committed capacity leaves views intact — the
   /// bytes they alias never move.) Iterators capture it at parse time;
@@ -298,27 +299,32 @@ class LogManager {
   /// concurrent filled_through() can never miss the window).
   uint32_t ClaimSlot();
   /// Grow committed capacity to cover [0, end), quiescing in-flight
-  /// Publish() encoders first. Bumps the generation if storage moved.
+  /// Publish() encoders first. Bumps the generation.
   void EnsureCapacity(uint64_t end) EXCLUDES(grow_mu_);
+  /// Resize the buffer to `capacity` bytes (realloc: its slack is never
+  /// written) and bump the generation. Encoders must be quiesced.
+  void Reallocate(uint64_t capacity) REQUIRES(grow_mu_);
   /// Encoder token around raw-byte writes; growth waits for zero holders.
   void EnterFill() EXCLUDES(grow_mu_);
   void ExitFill() EXCLUDES(grow_mu_);
   void NoteAppendStats(LogRecordType type, uint32_t payload_len)
       EXCLUDES(stats_mu_);
-  /// Single-threaded reset of all cursors to the buffer's current size
+  /// Single-threaded reset of all cursors to the log end `end`
   /// (constructor, Crash, RestoreSnapshot).
-  void ResetCursors() REQUIRES(grow_mu_);
+  void ResetCursors(Lsn end) REQUIRES(grow_mu_);
 
   SimClock* clock_;
   const uint32_t log_page_size_;
   const double log_page_read_ms_;
 
-  /// buffer_[offset] is the log byte at LSN == offset; offset 0 is a pad so
-  /// that kInvalidLsn (0) can never address a record. buffer_ members are
-  /// only touched under grow_mu_ (growth, crash, snapshot — all cold); the
-  /// concurrent fill path goes through base_/capacity_ so TSan sees no
-  /// std::string races.
-  std::string buffer_ GUARDED_BY(grow_mu_);
+  /// The log buffer: base_[offset] is the log byte at LSN == offset;
+  /// offset 0 is a pad so that kInvalidLsn (0) can never address a record.
+  /// A malloc'd block of capacity_ bytes that this manager owns. Only bytes
+  /// below the reservation cursor are ever read, so the block grows by
+  /// realloc without writing its slack, and Crash() and RestoreSnapshot()
+  /// keep its capacity: the bytes past the new end are stale, never zeroed.
+  /// base_ and capacity_ change only under grow_mu_ with encoders quiesced
+  /// (growth, crash, restore — all cold).
   std::atomic<char*> base_{nullptr};
   std::atomic<uint64_t> capacity_{0};  ///< Committed writable frontier.
 
@@ -339,7 +345,8 @@ class LogManager {
   // Growth quiesce: EnsureCapacity waits out any other grower, sets
   // growth_pending_, waits for fillers_ == 0, resizes, publishes
   // base_/capacity_, clears the flag.
-  // mutable: TakeSnapshot() is logically const but reads buffer_ under it.
+  // mutable: TakeSnapshot() is logically const but reads the buffer under
+  // it.
   mutable Mutex grow_mu_;
   CondVar grow_cv_;
   std::atomic<uint64_t> fillers_{0};

@@ -267,7 +267,7 @@ Status RunConcurrentCrashStorm(const EngineOptions& options,
     // The same crash image, recovered 15 ways. The first recovery settles
     // which in-flight commits made the stable prefix; every later one must
     // agree exactly — same oracle, same row count, same destaged bytes.
-    std::vector<std::vector<uint8_t>> images;
+    std::vector<DiskImage> images;
     std::vector<std::string> labels;
     bool resolved = false;
     for (RecoveryMethod m : kAllMethods) {

@@ -573,7 +573,7 @@ TEST_F(BufferPoolTest, CallbacksCanBeDisabled) {
 TEST_F(BufferPoolTest, FlushStampsChecksumAndReadVerifiesIt) {
   // The fixture seeds pages via WriteImageDirect without stamping, so the
   // stored checksum is the legacy 0 marker.
-  PageView before(const_cast<uint8_t*>(disk_.ImageData(4)), kPageSize);
+  PageView before(disk_.MutableImageForTest(4), kPageSize);
   EXPECT_EQ(before.checksum(), 0u);
   PageHandle h;
   ASSERT_TRUE(pool_.Get(4, PageClass::kData, &h).ok());
@@ -582,7 +582,7 @@ TEST_F(BufferPoolTest, FlushStampsChecksumAndReadVerifiesIt) {
   h.Release();
   ASSERT_TRUE(pool_.FlushPage(4).ok());
   // The flushed image carries a real (non-zero) CRC that verifies.
-  PageView after(const_cast<uint8_t*>(disk_.ImageData(4)), kPageSize);
+  PageView after(disk_.MutableImageForTest(4), kPageSize);
   EXPECT_NE(after.checksum(), 0u);
   EXPECT_TRUE(VerifyPageChecksum(disk_.ImageData(4), kPageSize));
   // And a fresh read-in of the stamped page passes verification.

@@ -537,6 +537,33 @@ TEST(BufferPoolAllocTest, ChecksumVerifyOnReadInIsAllocationFree) {
   EXPECT_EQ(pool.stats().checksum_failures, 0u);
 }
 
+TEST(SimDiskAllocTest, WriteCopiesAPageOnlyWhileASnapshotHoldsIt) {
+  // Snapshots share pages with the device (sim_disk.h): a write copies its
+  // page once while a snapshot holds it, and never otherwise.
+  SimClock clock;
+  SimDisk disk(&clock, 256, IoModelOptions{});
+  disk.EnsurePages(64);
+  alignas(8) uint8_t buf[256] = {};
+  const auto write_all = [&] {
+    for (PageId pid = 1; pid < 64; pid++) {
+      buf[0] = static_cast<uint8_t>(pid);
+      double done = 0;
+      (void)disk.ScheduleWrite(pid, buf, &done);
+      disk.WriteImageDirect(pid, buf);
+    }
+  };
+  EXPECT_EQ(CountAllocs(write_all), 0u) << "a write copied an unshared page";
+  {
+    const DiskImage snap = disk.SnapshotImage();
+    EXPECT_EQ(CountAllocs(write_all), 63u) << "not one copy per shared page";
+    EXPECT_EQ(CountAllocs(write_all), 0u) << "a private copy was copied again";
+  }
+  const DiskImage snap = disk.SnapshotImage();
+  disk.RestoreImage(snap);
+  EXPECT_EQ(CountAllocs([&] { disk.RestoreImage(snap); }), 0u)
+      << "a restore copied pages";
+}
+
 // ---------------------------------------------------------------------------
 // The prefetch path: BufferPool::Prefetch and both recovery prefetchers
 // reuse member scratch — a steady pump stream performs zero allocations.

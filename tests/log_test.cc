@@ -487,6 +487,54 @@ TEST_F(LogManagerTest, SnapshotRestoreRoundTrip) {
   EXPECT_EQ(log_.master().bckpt_lsn, kFirstLsn);
 }
 
+TEST_F(LogManagerTest, AppendsPastCapacityAfterCrashAndRestoreKeepEveryRecord) {
+  // Crash() and RestoreSnapshot() keep the buffer's capacity without
+  // zeroing the bytes past the log end, and growth does not zero them
+  // either. Appending past the capacity afterwards must keep every record.
+  std::vector<TxnId> want;
+  TxnId next = 1;
+  const auto append_past_capacity = [&](LogManager* log) {
+    const uint64_t g = log->generation();
+    for (int extra = 0; extra < 50; next++) {
+      LogRecord r;
+      r.type = LogRecordType::kTxnBegin;
+      r.txn_id = next;
+      log->Append(r);
+      want.push_back(next);
+      if (log->generation() != g) extra++;  // grown: go on past it
+    }
+    log->Flush();
+  };
+  const auto expect_every_record = [&](LogManager* log) {
+    std::vector<TxnId> seen;
+    for (auto it = log->NewIterator(kFirstLsn, false); it.Valid(); it.Next()) {
+      seen.push_back(it.record().txn_id);
+    }
+    EXPECT_EQ(seen, want);
+  };
+  append_past_capacity(&log_);
+  AppendBegin(next);  // an unflushed tail: the crash discards it
+  log_.Crash();
+  append_past_capacity(&log_);
+  expect_every_record(&log_);
+
+  // Restore into the larger buffer this log has now, and into a fresh
+  // log's one-byte buffer; then append past either one's capacity.
+  const LogManager::Snapshot snap = log_.TakeSnapshot();
+  const std::vector<TxnId> at_snap = want;
+  append_past_capacity(&log_);
+  log_.RestoreSnapshot(snap);
+  want = at_snap;
+  append_past_capacity(&log_);
+  expect_every_record(&log_);
+  LogManager fresh(&clock_, /*log_page_size=*/128, 0.25);
+  fresh.RestoreSnapshot(snap);
+  want = at_snap;
+  expect_every_record(&fresh);
+  append_past_capacity(&fresh);
+  expect_every_record(&fresh);
+}
+
 TEST_F(LogManagerTest, CorruptedRecordTerminatesScan) {
   const Lsn a = AppendBegin(1);
   const Lsn b = AppendBegin(2);
@@ -640,7 +688,7 @@ TEST_F(LogManagerTest, GenerationBumpsOnEveryViewInvalidatingMutation) {
   // RestoreSnapshot(). An append whose window fits in committed capacity
   // leaves views intact (the bytes they alias never move).
   const uint64_t g0 = log_.generation();
-  AppendBegin(1);  // grows the 1-byte pad buffer: storage relocates
+  AppendBegin(1);  // grows the 1-byte pad buffer: storage may relocate
   const uint64_t g1 = log_.generation();
   EXPECT_GT(g1, g0);
   log_.Flush();

@@ -107,7 +107,7 @@ void RunMediaStorm(uint64_t fault_seed, int generations) {
     Engine::StableSnapshot snap;
     ASSERT_OK(e->TakeStableSnapshot(&snap));
 
-    std::vector<std::vector<uint8_t>> images;
+    std::vector<DiskImage> images;
     std::vector<std::string> labels;
     for (RecoveryMethod m : kMethods) {
       for (uint32_t threads : {1u, 2u, 4u}) {
@@ -197,8 +197,7 @@ PageId FirstDataOpPidAfter(Engine* e, Lsn from) {
 // Flip a payload bit of `pid`'s stable image; the image must carry a real
 // checksum, or the corruption would go undetected by design.
 void CorruptStablePage(Engine* e, PageId pid, uint32_t page_size) {
-  ASSERT_NE(PageView(const_cast<uint8_t*>(e->dc().disk().ImageData(pid)),
-                     page_size)
+  ASSERT_NE(PageView(e->dc().disk().MutableImageForTest(pid), page_size)
                 .checksum(),
             0u)
       << "page " << pid << " was never stamped: corruption undetectable";

@@ -850,8 +850,8 @@ void BuildPreloadCrashImage(bool media_archive, PreloadCrashImage* out) {
   ASSERT_NE(child, kInvalidPageId);
   ASSERT_OK(e->dc().pool().FlushPage(kRootPageId));
   e->SimulateCrash();
-  const PageView stable_child(
-      const_cast<uint8_t*>(e->dc().disk().ImageData(child)), o.page_size);
+  const PageView stable_child(e->dc().disk().MutableImageForTest(child),
+                              o.page_size);
   ASSERT_EQ(stable_child.type(), PageType::kFree)
       << "the new level-1 page " << child << " reached the device";
   ASSERT_OK(e->TakeStableSnapshot(&out->snap));

@@ -195,6 +195,93 @@ TEST(SimDiskTest, SnapshotAndRestoreRoundTrip) {
   EXPECT_EQ(0, memcmp(data, out, 8));
 }
 
+TEST(SimDiskTest, SnapshotKeepsItsBytesAcrossEveryWritePath) {
+  // A snapshot shares its pages with the device; no later write of the
+  // device reaches it, whichever path the write takes.
+  SimClock clock;
+  IoModelOptions io = TestIo();
+  io.faults.seed = 3;  // with rate 1.0 every scheduled write may tear
+  io.faults.torn_write_rate = 1.0;
+  io.faults.sector_bytes = 16;
+  SimDisk disk(&clock, 64, io);
+  disk.EnsurePages(6);
+  for (PageId pid = 1; pid < 6; pid++) {
+    const std::vector<uint8_t> img(64, static_cast<uint8_t>(pid));
+    disk.WriteImageDirect(pid, img.data());
+  }
+  const std::vector<uint8_t> torn_over(64, 0x22);
+  MustWrite(disk, 4, torn_over.data());  // a tear pending at the snapshot
+  const DiskImage snap = disk.SnapshotImage();
+  const auto holds = [&](const DiskImage& image, PageId pid, uint8_t fill) {
+    const std::vector<uint8_t> want(64, fill);
+    return std::memcmp(image.page(pid), want.data(), 64) == 0;
+  };
+
+  const std::vector<uint8_t> other(64, 0x77);
+  MustWrite(disk, 1, other.data());
+  disk.WriteImageDirect(2, other.data());
+  disk.CorruptStableByteForTest(3, 5, 0xFF);
+  disk.ApplyCrashTears();  // tears page 4 (and page 1's write) on the device
+  disk.MutableImageForTest(5)[0] ^= 0x01;
+  disk.EnsurePages(9);
+  EXPECT_EQ(disk.num_pages(), 9u);
+  ASSERT_EQ(snap.num_pages(), 6u);
+  EXPECT_TRUE(holds(snap, 1, 1));
+  EXPECT_TRUE(holds(snap, 2, 2));
+  EXPECT_TRUE(holds(snap, 3, 3));
+  EXPECT_TRUE(holds(snap, 4, 0x22));
+  EXPECT_TRUE(holds(snap, 5, 5));
+  EXPECT_FALSE(disk.SnapshotImage() == snap);
+
+  // Two restores of one snapshot read the same bytes, whatever ran between.
+  disk.RestoreImage(snap);
+  EXPECT_EQ(disk.num_pages(), 6u);
+  const DiskImage first = disk.SnapshotImage();
+  MustWrite(disk, 2, other.data());
+  disk.ApplyCrashTears();
+  disk.RestoreImage(snap);
+  EXPECT_TRUE(disk.SnapshotImage() == first);
+  EXPECT_TRUE(first == snap);
+  for (PageId pid = 1; pid < 6; pid++) {
+    std::vector<uint8_t> out(64);
+    disk.ReadImage(pid, out.data());
+    EXPECT_EQ(0, std::memcmp(out.data(), snap.page(pid), 64)) << pid;
+  }
+}
+
+TEST(SimDiskTest, WriteCopiesAPageOnlyWhileASnapshotHoldsIt) {
+  SimClock clock;
+  SimDisk disk(&clock, 8, TestIo());
+  disk.EnsurePages(3);
+  const uint8_t a[8] = {1, 1, 1, 1, 1, 1, 1, 1};
+  const uint8_t b[8] = {2, 2, 2, 2, 2, 2, 2, 2};
+  // No snapshot holds the page: every write lands in place.
+  const uint8_t* page = disk.ImageData(1);
+  disk.WriteImageDirect(1, a);
+  MustWrite(disk, 1, b);
+  EXPECT_EQ(disk.ImageData(1), page);
+  {
+    const DiskImage snap = disk.SnapshotImage();
+    EXPECT_EQ(snap.page(1), page);  // shared, not copied
+    MustWrite(disk, 1, a);          // the first write copies the page
+    const uint8_t* copy = disk.ImageData(1);
+    EXPECT_NE(copy, page);
+    disk.WriteImageDirect(1, a);  // the copy is the device's own
+    EXPECT_EQ(disk.ImageData(1), copy);
+    EXPECT_EQ(disk.ImageData(2), snap.page(2));  // unwritten: still shared
+    EXPECT_EQ(0, std::memcmp(snap.page(1), b, 8));
+    EXPECT_EQ(0, std::memcmp(disk.ImageData(1), a, 8));
+  }
+  // Equality is by bytes, page by page, not by sharing.
+  const DiskImage x = disk.SnapshotImage();
+  disk.WriteImageDirect(2, a);
+  const DiskImage y = disk.SnapshotImage();
+  EXPECT_FALSE(x == y);
+  disk.WriteImageDirect(2, std::vector<uint8_t>(8, 0).data());
+  EXPECT_NE(disk.ImageData(2), x.page(2));
+  EXPECT_TRUE(disk.SnapshotImage() == x);
+}
+
 TEST(SimDiskTest, ServiceTimeAccounting) {
   SimClock clock;
   SimDisk disk(&clock, 16, TestIo());
