@@ -5,8 +5,7 @@
 // publishes its stable log; a standby (2 KB pages) then drains the backlog
 // through the continuous-replay applier. The sweep varies the ship chunk
 // size and reports wall-clock drain time and apply throughput. Replay
-// applies on one thread at every recovery_threads, so the sweep has no
-// partition axis.
+// applies on one thread, so the sweep has no thread axis.
 //
 // Expected shape: larger chunks amortize per-pull costs until the chunk no
 // longer bounds the drain.

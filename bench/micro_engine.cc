@@ -426,7 +426,7 @@ void BM_LogicalRedo(benchmark::State& state) {
     benchmark::DoNotOptimize(
         RunLogicalRedo(&e->wal(), &e->dc(), start, /*use_dpt=*/true,
                        &dcr.dpt, dcr.last_delta_tc_lsn,
-                       /*prefetch=*/false, o, 1, &redo));
+                       /*prefetch=*/false, o, &redo));
     records += redo.records_scanned;
     hits += redo.leaf_memo_hits;
     examined += redo.examined;
@@ -438,47 +438,42 @@ void BM_LogicalRedo(benchmark::State& state) {
 }
 BENCHMARK(BM_LogicalRedo)->ArgsProduct({{0, 1}, {0, 1, 2}});
 
-// Wall-clock thread-scaling curve of the partitioned parallel redo
-// pipeline (recovery_threads in {1, 2, 4}) over one crash image, under
-// the two workloads whose apply work the pipeline spreads best: an
-// append-heavy stream (arg1 == 0: sequential fresh keys, long same-leaf
-// runs the worker pin caches absorb) and a Zipfian-0.99 mix (arg1 == 1:
-// popularity skew, hot leaves spread across partitions by the pid hash).
-// Unlike BM_LogicalRedo, every iteration RESTORES the crash image so the
-// redo pass re-applies every operation — the measurement includes the
-// parallelizable leaf work, not just scan + traversal. Timing is manual
-// and covers exactly the redo pass (restore/DC-pass setup is untimed).
-// /1 is the one-partition pipeline (inline apply, no thread); speedup at
-// /2 and /4 is real_time(/1) / real_time(/N) in BENCH_micro.json — note
-// the JSON context records num_cpus: scaling needs physical cores.
-// sim_redo_ms reports the SIMULATED redo time (I/O + dispatcher CPU +
-// slowest partition's CPU), the cost model's view of the same pipeline.
-void BM_ParallelRedo(benchmark::State& state) {
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
+// The logical redo pass (Log1) over one crash image, under three
+// workloads: an append-heavy stream (arg == 0: sequential fresh keys, long
+// same-leaf runs), a Zipfian-0.99 mix (arg == 1: popularity skew) and
+// merge churn (arg == 2). Unlike BM_LogicalRedo, every iteration RESTORES
+// the crash image so the redo pass re-applies every operation — the
+// measurement includes the leaf work, not just scan + traversal. Timing
+// is manual and covers exactly the redo pass (restore/DC-pass setup is
+// untimed). Redo is one pass on its caller's thread at every
+// recovery_threads, so the bench takes no partition count. sim_redo_ms
+// reports the SIMULATED redo time (log I/O + scan and apply CPU), the
+// cost model's view of the same pass.
+void BM_Redo(benchmark::State& state) {
   EngineOptions o;
   o.page_size = 8192;
   o.value_size = 26;
   // The merge-churn variant (arg 2) needs delete pressure dense enough to
   // drain whole 229-row leaves: a compact table where every leaf sees
   // hundreds of deletes over the redone window.
-  o.num_rows = state.range(1) == 2 ? 4000 : 100'000;
-  o.cache_pages = 4096;  // tree resident: isolates CPU scaling
+  o.num_rows = state.range(0) == 2 ? 4000 : 100'000;
+  o.cache_pages = 4096;  // tree resident: isolates redo's CPU
   o.lazy_writer_reference_cache_pages = 4096;
   o.checkpoint_interval_updates = 100'000;  // explicit checkpoint only
   std::unique_ptr<Engine> e;
   (void)Engine::Open(o, &e);
   {
     WorkloadConfig wc;
-    if (state.range(1) == 1) {
+    if (state.range(0) == 1) {
       wc.distribution = WorkloadConfig::Distribution::kZipfian;
-    } else if (state.range(1) == 2) {
+    } else if (state.range(0) == 2) {
       // Merge churn: a DRAINING 90%-delete mix over a compact table (under
       // update-reinsert churn a 229-row leaf's live fraction equilibrates
       // above the merge threshold, so steady-state mixes never merge at
       // this page size). The drain crosses the threshold mid-window, so
-      // the redone log is dense with kSmoMerge (and split) SMOs — the SQL
-      // pipeline takes its drain barriers, the logical DC pass replays the
-      // merges, and the dispatcher's row accounting runs at full tilt.
+      // the redone log is dense with kSmoMerge (and split) SMOs — the
+      // logical DC pass replays the merges, and redo's row accounting runs
+      // at full tilt.
       wc.delete_fraction = 0.9;
       wc.insert_fraction = 0.05;
     } else {
@@ -512,7 +507,7 @@ void BM_ParallelRedo(benchmark::State& state) {
     const auto t0 = std::chrono::steady_clock::now();
     (void)RunLogicalRedo(&e->wal(), &e->dc(), start, /*use_dpt=*/true,
                          &dcr.dpt, dcr.last_delta_tc_lsn,
-                         /*prefetch=*/false, o, threads, &redo);
+                         /*prefetch=*/false, o, &redo);
     const auto t1 = std::chrono::steady_clock::now();
     state.SetIterationTime(
         std::chrono::duration<double>(t1 - t0).count());
@@ -523,15 +518,16 @@ void BM_ParallelRedo(benchmark::State& state) {
     e->SimulateCrash();
   }
   state.SetItemsProcessed(static_cast<int64_t>(records));
-  state.counters["threads"] = threads;
   state.counters["applied_per_iter"] =
       iters == 0 ? 0.0 : static_cast<double>(applied) /
                              static_cast<double>(iters);
   state.counters["sim_redo_ms"] =
       iters == 0 ? 0.0 : sim_ms / static_cast<double>(iters);
 }
-BENCHMARK(BM_ParallelRedo)
-    ->ArgsProduct({{1, 2, 4}, {0, 1, 2}})  // append / zipf / merge churn
+BENCHMARK(BM_Redo)
+    ->Arg(0)  // append
+    ->Arg(1)  // zipf
+    ->Arg(2)  // merge churn
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -655,9 +651,9 @@ BENCHMARK(BM_DcPassPreload)
     ->Unit(benchmark::kMillisecond);
 
 // The undo pass: one crash image with a fat in-flight loser tail. Each
-// iteration restores the image and replays the one-partition DC pass + redo
-// (untimed) to rebuild the ATT, then times undo alone. Undo is one pass at
-// every recovery_threads, so the bench takes no partition count.
+// iteration restores the image and replays the DC pass + redo (untimed) to
+// rebuild the ATT, then times undo alone. Undo is one pass at every
+// recovery_threads, so the bench takes no partition count.
 void BM_Undo(benchmark::State& state) {
   EngineOptions o;
   o.page_size = 8192;
@@ -733,7 +729,7 @@ void BM_Undo(benchmark::State& state) {
     RedoResult redo;
     (void)RunLogicalRedo(&e->wal(), &e->dc(), start, /*use_dpt=*/true,
                          &dcr.dpt, dcr.last_delta_tc_lsn,
-                         /*prefetch=*/false, o, 1, &redo);
+                         /*prefetch=*/false, o, &redo);
     UndoResult ur;
     const double sim_t0 = e->clock().NowMs();
     const auto t0 = std::chrono::steady_clock::now();

@@ -1,8 +1,9 @@
 # Sanitizer toggle, applied globally so the core library, tests, benches,
 # and examples all agree on the runtime:
 #   -DDEUTERO_SANITIZE=ON | ADDRESS  -> AddressSanitizer + UBSanitizer
-#   -DDEUTERO_SANITIZE=thread        -> ThreadSanitizer (the parallel-redo
-#                                       pipeline's CI gate)
+#   -DDEUTERO_SANITIZE=thread        -> ThreadSanitizer (CI's gate for
+#                                       group commit, concurrent readers
+#                                       and the standby's replay thread)
 if(DEUTERO_SANITIZE)
   if(CMAKE_CXX_COMPILER_ID MATCHES "GNU|Clang")
     string(TOLOWER "${DEUTERO_SANITIZE}" _deutero_san)

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Wall-clock perf report: runs the micro_engine hot-path benchmarks — all of
-# them, including the BM_ParallelRedo thread-scaling curve, the one-pass
-# BM_Analysis, BM_DcPassPreload and BM_Undo, and BM_StableSnapshotRestore
-# (one crash image snapshotted and restored) — and the fig2a end-to-end
-# smoke, and emits BENCH_micro.json (google-benchmark JSON) at the repo
-# root — the perf trajectory artifact CI uploads per PR.
+# them, including the recovery passes BM_Analysis, BM_DcPassPreload,
+# BM_Redo and BM_Undo (each one pass on one thread, timed over a restored
+# crash image), and BM_StableSnapshotRestore (one crash image snapshotted
+# and restored) — and the fig2a end-to-end smoke, and emits
+# BENCH_micro.json (google-benchmark JSON) at the repo root — the perf
+# trajectory artifact CI uploads per PR.
 #
 # Usage: scripts/perf_report.sh [build-dir] [output.json]
 #   MIN_TIME=0.5 scripts/perf_report.sh     # longer, steadier measurement

@@ -98,9 +98,8 @@ Status RedoPhysicalImages(BufferPool* pool, SimDisk* disk,
 /// row-count change to *rows_delta. It performs no buffer-pool access and
 /// does not stamp the pLSN: the caller owns the pin and the MarkDirty.
 /// BTree::Apply wraps it for forward writes and undo; redo, page repair
-/// and standby replay call it directly, so redo's workers do the leaf work
-/// (binary search, shift, copy) outside the pool lock, on a page only their
-/// partition may touch.
+/// and standby replay call it directly on the leaf they pinned and stamp
+/// the page themselves.
 ///
 /// An update or delete of a missing key is NotFound, an insert of a present
 /// key is InvalidArgument, and an insert into a full leaf is Corruption. A

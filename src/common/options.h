@@ -118,7 +118,7 @@ struct IoModelOptions {
   /// Number of I/Os the device can service concurrently: the SimDisk keeps
   /// one elevator (busy-until cursor) per channel and assigns each request
   /// to the earliest-free one. 1 (default) is the classic single-head
-  /// drive where every parallel recovery stream serializes behind one arm;
+  /// drive where every read serializes behind one arm (the App. B model);
   /// raising it lets the redo prefetchers' reads overlap in simulated time
   /// (demand misses still wait for their own completion). Clamped to
   /// [1, 64] at engine open.
@@ -132,8 +132,8 @@ struct IoModelOptions {
   double cpu_per_redo_apply_us = 5.0;
   /// CPU charged per DPT mutation event during analysis/DC-pass DPT
   /// construction (µs): every AddOrUpdate/seed/prune probe/remove the
-  /// pass performs, at every recovery_threads (recovery/analysis.h says
-  /// where in the pass it is charged).
+  /// pass performs (recovery/analysis.h says where in the pass it is
+  /// charged).
   double cpu_per_dpt_update_us = 1.0;
 
   /// Media-fault plan (sim/fault_injector.h). Inactive by default.
@@ -197,14 +197,11 @@ struct EngineOptions {
   uint32_t prefetch_window = 32;
 
   // ---- recovery parallelism ----
-  /// Partitions for redo (all five methods). 1 (default) runs it inline
-  /// on the recovering thread; N > 1 runs the partitioned dispatcher +
-  /// worker pipeline: one log-scan/dispatch thread routes each decoded
-  /// record to one of N partitions (hash of the owning leaf page), with
-  /// per-partition FIFO queues, per-partition DPT shards and stats, and a
-  /// drain barrier around SMO/DDL records. DPT construction, undo and a
-  /// standby's continuous replay run on one thread at every value. Values
-  /// are clamped to [1, 64] at engine open.
+  /// No pass reads this: every recovery pass (DPT construction, redo,
+  /// undo) and a standby's continuous replay run on one thread, whatever
+  /// its value. It is kept only because bench/e2e sets it for its par3
+  /// twin; a later benchmark change removes the field together with
+  /// par3.
   uint32_t recovery_threads = 1;
 
   // ---- concurrent front end (PR 8) ----

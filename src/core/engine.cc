@@ -11,12 +11,6 @@
 namespace deutero {
 
 Engine::Engine(const EngineOptions& options) : options_(options) {
-  // Sanitize the redo parallelism degree once, here, so every downstream
-  // consumer (RecoveryManager, benches, tests driving passes directly
-  // through options()) sees a value in [1, 64]. 0 means "serial", same as
-  // 1; the upper clamp bounds thread/queue footprint on absurd inputs.
-  if (options_.recovery_threads == 0) options_.recovery_threads = 1;
-  if (options_.recovery_threads > 64) options_.recovery_threads = 64;
   if (options_.lock_shards == 0) options_.lock_shards = 1;
   if (options_.lock_shards > 256) options_.lock_shards = 256;
   if (options_.io.io_channels == 0) options_.io.io_channels = 1;

@@ -1,12 +1,11 @@
 // Hot-standby applier: one thread scans the mirror log in order, buffering
 // in-flight transactions, mapping each committed op to a leaf of the
 // standby's own geometry, and applying it there before it reads the next.
-// Replay is not partitioned at any recovery_threads (the knob partitions
-// the redo pass of the standby's own crash recovery): its leaf writes
-// charge no CPU that partitions could overlap, and its demand reads
-// serialize on the one shared SimClock, so apply workers would only add
-// wall time. The ReplicationChannel is its only feed (PumpChunk); there
-// is no pull API over a primary's log. The differences from redo:
+// Replay is not partitioned: its leaf writes charge no CPU that partitions
+// could overlap, and its demand reads serialize on the one shared
+// SimClock, so apply workers would only add wall time. The
+// ReplicationChannel is its only feed (PumpChunk); there is no pull API
+// over a primary's log. The differences from redo:
 //
 //  * Replay is FORWARD operation, not redo: each applied transaction is
 //    re-logged through TC::LogReplayOp into the standby's own WAL (its own
@@ -26,12 +25,13 @@
 #include "core/replica.h"
 
 #include <cassert>
+#include <chrono>
+#include <thread>
 #include <utility>
 
 #include "btree/btree.h"
 #include "btree/node.h"
 #include "common/coding.h"
-#include "recovery/pipeline_util.h"
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
 
@@ -43,6 +43,21 @@ namespace {
 /// offsets (== primary LSNs).
 constexpr uint32_t kCursorValueSize = 16;
 constexpr Key kCursorKey = 0;
+
+/// Progressive wait of the continuous-replay thread while no chunk is
+/// ready: spin briefly, then yield, then (when the scheduler is clearly
+/// starving us — oversubscribed cores, sanitizer slowdown) sleep, so an
+/// idle standby does not burn a core the primary needs.
+void SpinWait(uint32_t* spins) {
+  ++*spins;
+  if (*spins < 32) return;
+  if (*spins < 2048) {
+    std::this_thread::yield();
+    return;
+  }
+  std::this_thread::sleep_for(std::chrono::microseconds(50));
+  *spins = 2048;  // stay in the sleep regime until progress resets us
+}
 
 void EncodeCursor(Lsn applied_through, Lsn replay_from, std::string* out) {
   out->resize(kCursorValueSize);
@@ -223,7 +238,7 @@ Status LogicalReplica::ApplyCommittedTxn(TxnId primary_txn, Lsn commit_lsn,
     }
     const uint32_t value_size = tree->value_size();
     // Logical->physical mapping under the standby's own geometry, fence-
-    // memoized exactly like the redo dispatcher.
+    // memoized exactly like logical redo.
     PageId pid = kInvalidPageId;
     if (memo_.Hit(op.table, op.key)) {
       pid = memo_.pid;

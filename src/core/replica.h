@@ -18,9 +18,7 @@
 //  * LogicalReplica — a full engine with its own (possibly different) page
 //    geometry that consumes the stream CONTINUOUSLY: each pulled chunk is
 //    appended to a local mirror log (same byte offsets as the primary) and
-//    applied one op at a time on the pumping thread, at every
-//    recovery_threads (which partitions the redo pass of the standby's own
-//    crash recovery).
+//    applied one op at a time on the pumping thread.
 //    Only the logical content of committed transactions is applied:
 //    (table, key, after-image), re-logged as the standby's OWN WAL records
 //    (TC::LogReplayOp) so standby pLSNs never mix with primary LSNs.
@@ -152,10 +150,9 @@ class LogicalReplica {
   static constexpr size_t kDefaultChunkBytes = 64 * 1024;
 
   /// Build a standby with its own geometry. `options.num_rows` must match
-  /// the primary's initial load (the base snapshot the log stream extends);
-  /// options.recovery_threads partitions the redo pass of the standby's
-  /// own crash recovery, not replay. The standby engine opens read-only:
-  /// external writes are refused until Promote().
+  /// the primary's initial load (the base snapshot the log stream extends).
+  /// The standby engine opens read-only: external writes are refused until
+  /// Promote().
   static Status Open(const EngineOptions& options,
                      std::unique_ptr<LogicalReplica>* out);
 

@@ -64,8 +64,8 @@ Status ReplayStructureRecord(DataComponent* dc, const RecordT& rec,
 }
 
 /// Log2's index preload under the DC pass: one no-wait descent per table
-/// of the stable catalog (BTree::StartPreload), stepped by the dispatcher
-/// as the pass goes, so each level goes out as soon as the one above it
+/// of the stable catalog (BTree::StartPreload), stepped by the scan as the
+/// pass goes, so each level goes out as soon as the one above it
 /// has arrived. Internal pages are never freed or reused (index extents,
 /// storage/allocator.h), so every page the descents read belongs to the
 /// final tree, however stale the stable parent that named it; the waiting

@@ -15,17 +15,17 @@
 //    Log2's pass also lists the pages of the log's tail beside the DPT,
 //    for its PF-list (DcRecoveryResult::tail_pages).
 //
-// Shape. Each pass is one serial scan of the log on its caller's thread,
-// at every recovery_threads: it applies every DPT mutation (add, seed,
-// prune probe, remove) to the result DPT in scan order, and keeps the
+// Shape. Each pass is one serial scan of the log on its caller's thread:
+// it applies every DPT mutation (add, seed, prune probe, remove) to the
+// result DPT in scan order, and keeps the
 // ActiveTxnTable and max_txn_id (in LSN order, as undo requires),
 // redo_start_lsn and the prev-Δ chain beside it. The DC pass's structure
 // replay runs once the scan ends, so it filters by the final DPT, and
 // Log2's index preload is stepped by the scan and the replay. The passes
 // are not partitioned: a DPT mutation costs tens of nanoseconds, so shard
 // workers fed over rings only added wall time, and the one CPU term they
-// could overlap in simulated time is the DPT's (README, "Partitioned
-// parallel recovery"). recovery_threads partitions redo alone (redo.h).
+// could overlap in simulated time is the DPT's (README, "One recovery
+// thread").
 //
 // Claim stamps (the PF-list's order, App. A.2). The DC pass numbers every
 // DirtySet entry in scan order, and each upsert carries its number: a

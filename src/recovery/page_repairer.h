@@ -26,7 +26,7 @@
 //     Internal pages cannot be rebuilt from rows; they need the archive.
 //
 // RepairFrame is the BufferPool's repair callback. It must not re-enter
-// the pool (during parallel recovery it runs under the pool gate), and it
+// the pool (it runs inside the pool's miss path, under miss_mu_), and it
 // does not: it works on the caller's frame bytes, the log, the catalog,
 // and the stable device only. Repair I/O is charged no simulated time —
 // it stands in for an out-of-band path (archive device / network) the

@@ -1,7 +1,6 @@
 // Data-page prefetchers (paper Appendix A.2). Both keep a bounded window of
 // outstanding asynchronous reads ahead of the redo cursor and re-check DPT
-// membership at issue time. Redo's dispatcher pumps them at every
-// partition count, under the pass's pool gate (redo.h).
+// membership at issue time. Redo pumps them as it scans (redo.h).
 //
 //  * PfListPrefetcher (logical recovery): candidates come from the PF-list
 //    — "log-driven read-ahead using the PF-list instead of the log".
@@ -106,8 +105,7 @@ class PrefetchWindow {
                  std::span<const PageId> tail = {});
 
   /// Remove heads that redo claimed (or that were evicted). After 64
-  /// stalled pumps, counting only those after which the clock moved, free
-  /// the oldest head too: the escape hatch.
+  /// stalled pumps, free the oldest head too: the escape hatch.
   void Drain();
 
   /// Issue `heads` and, with a DPT, their riders, as one Prefetch call.
@@ -149,7 +147,6 @@ class PrefetchWindow {
   std::vector<PageId> batch_;                    ///< Heads, then riders.
   std::vector<std::pair<PageId, PageId>> runs_;  ///< Each head's span.
   uint32_t stalled_pumps_ = 0;
-  double last_drain_ms_ = -1;  ///< The clock at the last Drain.
 };
 
 /// The PF-list in claim order: every page of `dpt`, sorted by (rLSN,

@@ -58,9 +58,7 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
   const Lsn count_rows_from =
       std::max(start, dc_->catalog().rows_covered_lsn());
 
-  // Redo runs on `threads` partitions (one applies inline); DPT
-  // construction and undo are one pass at every count.
-  const uint32_t threads = options_.recovery_threads;
+  // Every pass runs on this thread, one after the other.
   const double t0 = clock_->NowMs();
   ActiveTxnTable att;
   TxnId max_txn_id = 0;
@@ -94,8 +92,8 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
 
     DEUTERO_RETURN_NOT_OK(RunLogicalRedo(
         log_, dc_, start, build_dpt, build_dpt ? &dcr.dpt : nullptr,
-        dcr.last_delta_tc_lsn, preload, options_, threads, &redo,
-        count_rows_from, dcr.tail_pages));
+        dcr.last_delta_tc_lsn, preload, options_, &redo, count_rows_from,
+        dcr.tail_pages));
     const double t2 = clock_->NowMs();
     stats->redo = {t2 - t1, redo.log_pages, redo.records_scanned};
     att = std::move(redo.att);
@@ -115,7 +113,7 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
     // may reach back to the oldest captured rLSN, before the bCkpt).
     DEUTERO_RETURN_NOT_OK(RunSqlRedo(log_, dc_, ar.redo_start_lsn, &ar.dpt,
                                      method == RecoveryMethod::kSql2, options_,
-                                     threads, &redo, count_rows_from));
+                                     &redo, count_rows_from));
     const double t2 = clock_->NowMs();
     stats->redo = {t2 - t1, redo.log_pages, redo.records_scanned};
     stats->smo_redone = redo.smo_redone;
@@ -130,14 +128,8 @@ Status RecoveryManager::Recover(RecoveryMethod method, RecoveryStats* stats) {
   stats->redo_skipped_plsn = redo.skipped_plsn;
   stats->redo_tail_ops = redo.tail_ops;
   stats->redo_leaf_memo_hits = redo.leaf_memo_hits;
-  stats->redo_threads = redo.threads_used;
-  stats->redo_dispatch_cpu_ms = redo.dispatch_cpu_us * 1e-3;
-  stats->redo_worker_cpu_ms_max = redo.worker_cpu_us_max * 1e-3;
-  stats->redo_worker_cpu_ms_total = redo.worker_cpu_us_total * 1e-3;
-  stats->redo_smo_barriers = redo.smo_barriers;
 
-  // Undo pass — identical machinery for every method (§2.1), one pass at
-  // every recovery_threads.
+  // Undo pass — identical machinery for every method (§2.1).
   const double t_undo0 = clock_->NowMs();
   const double undo_stall0 = dc_->pool().stats().stall_ms;
   const uint64_t undo_read_ios0 = dc_->disk().stats().read_ios;

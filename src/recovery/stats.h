@@ -40,18 +40,7 @@ struct RecoveryStats {
   uint64_t redo_tail_ops = 0;       ///< Handled in tail-of-log mode (§4.3).
   uint64_t redo_leaf_memo_hits = 0; ///< Traversals skipped by the leaf memo.
 
-  // Redo pipeline (recovery_threads partitions; 1 applies inline).
-  uint32_t redo_threads = 1;           ///< Partitions used by redo.
-  double redo_dispatch_cpu_ms = 0;     ///< Dispatcher-side simulated CPU.
-  double redo_worker_cpu_ms_max = 0;   ///< Slowest partition's CPU (folded
-                                       ///< into the simulated redo time;
-                                       ///< charged per record inline).
-  double redo_worker_cpu_ms_total = 0; ///< Sum over partitions.
-  uint64_t redo_smo_barriers = 0;      ///< Drain barriers for SMO/DDL
-                                       ///< (taken only beside workers).
-
-  // DPT construction (one pass at every recovery_threads; Log0 builds
-  // no DPT).
+  // DPT construction (Log0 builds no DPT).
   uint64_t dpt_updates = 0;            ///< DPT mutation events charged at
                                        ///< cpu_per_dpt_update_us each.
 

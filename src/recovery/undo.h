@@ -6,10 +6,10 @@
 // have moved) and restoring the before-image under a CLR. Runtime rollback
 // (Engine's Txn abort) is the same pass run on one loser.
 //
-// The pass runs on its caller's thread at every recovery_threads. It is
-// not partitioned: it charges no CPU that partitions could overlap, and
-// its demand reads serialize on the one shared SimClock, so apply workers
-// would only add wall time (README, "Partitioned parallel recovery").
+// The pass runs on its caller's thread. It is not partitioned: it charges
+// no CPU that partitions could overlap, and its demand reads serialize on
+// the one shared SimClock, so apply workers would only add wall time
+// (README, "One recovery thread").
 //
 // SQL redo is page-addressed and never reads the index, so after it those
 // key traversals find the internal pages on the losers' paths cold, and

@@ -195,8 +195,8 @@ class SimDisk {
   const IoModelOptions& io_options() const { return io_; }
 
   /// Independent service channels (per-channel elevators). With 1 channel
-  /// every request serializes behind one head; with more, prefetch streams
-  /// from parallel recovery workers overlap in simulated time.
+  /// every request serializes behind one head; with more, the reads a redo
+  /// prefetcher keeps in flight overlap in simulated time.
   uint32_t channels() const {
     return static_cast<uint32_t>(channel_busy_until_.size());
   }

@@ -38,8 +38,8 @@
 //
 //  * MUTATORS — logged writes, checkpoint sweeps, the lazy writer, DDL,
 //    recovery passes — run one-at-a-time: under the engine's exclusive
-//    forward gate at runtime, or under the recovery pass's own gate
-//    (recovery/redo.h). Nothing here changes for them.
+//    forward gate at runtime, or on the one thread that runs every
+//    recovery pass. Nothing here changes for them.
 //  * CONCURRENT READERS under the engine's shared gate. Their hot path
 //    (Get hit, Unpin, the Is*/PinCount probes) takes only a per-shard
 //    page-table latch: the table is split kTableShards ways by pid hash,
@@ -159,8 +159,7 @@ class BufferPool {
   using StableLsnProvider = std::function<Lsn()>;
   /// Rebuild the corrupt page `pid` into `frame_data` (page_size bytes) and
   /// write the repaired image back to the stable device. MUST NOT re-enter
-  /// the pool: during parallel recovery the callback runs under the pool
-  /// gate (recovery/redo.h).
+  /// the pool: the callback runs inside its miss path, under miss_mu_.
   using RepairCallback = std::function<Status(PageId pid, uint8_t* frame_data)>;
 
   BufferPool(SimClock* clock, SimDisk* disk, uint64_t capacity_pages,
@@ -219,8 +218,6 @@ class BufferPool {
   uint32_t max_batch_pages() const { return max_batch_pages_; }
   /// Longest gap a prefetch span reads through (the device's gap rule).
   uint32_t max_read_gap() const { return max_read_gap_; }
-  /// The simulated clock the pool's I/O waits advance.
-  const SimClock& clock() const { return *clock_; }
 
   /// Synchronously flush one resident dirty page (respects the WAL rule).
   /// IOError after retry exhaustion leaves the page dirty and resident.

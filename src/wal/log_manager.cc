@@ -334,9 +334,7 @@ void LogManager::Iterator::ChargePagesThrough(Lsn end_offset) {
   while (last_charged_page_ < last_page) {
     last_charged_page_++;
     pages_read_++;
-    // Counting is unconditional (callers that charge elsewhere — the
-    // parallel redo dispatcher batches its clock touches — still need the
-    // page count); only the clock charge is gated.
+    // Counting is unconditional; only the clock charge is gated.
     if (charge_io_) log_->clock_->AdvanceMs(log_->log_page_read_ms_);
   }
 }

@@ -254,9 +254,9 @@ class LogManager {
   /// pass: captures the generation at construction; Intact() (and a debug
   /// assert on destruction) verify no growth/Crash/RestoreSnapshot has
   /// invalidated outstanding LogRecordViews — or Slices handed off from
-  /// them — since. The parallel redo pipeline holds one for the pass
-  /// lifetime: its work items carry Slices aliasing the log buffer across
-  /// threads, which is sound exactly while the generation is unchanged.
+  /// them — since. A standby's replay holds one over its mirror log while
+  /// it applies: the images it applies alias the mirror's buffer, which is
+  /// sound exactly while the generation is unchanged.
   class AliasGuard {
    public:
     explicit AliasGuard(const LogManager* log)

@@ -83,7 +83,7 @@ TEST_P(AttEquivalenceTest, SqlAnalysisAndLogicalScanAgreeOnLosers) {
   RedoResult rr;
   ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, true, &dcr.dpt,
                            dcr.last_delta_tc_lsn, /*prefetch=*/false,
-                           e->options(), 1, &rr));
+                           e->options(), &rr));
 
   EXPECT_EQ(ar.att.size(), rr.att.size());
   for (const auto& [txn, last_lsn] : ar.att) {

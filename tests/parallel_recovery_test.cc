@@ -1,25 +1,15 @@
-// Partition-count equivalence sweeps for partitioned redo: for every
-// recovery method and recovery_threads in {1, 2, 4, 8}, the same crash
+// recovery_threads sweeps: no recovery pass reads the option, so for every
+// recovery method and recovery_threads in {1, 2, 4, 8} the same crash
 // image must recover to byte-identical table content with the same
-// loser-transaction outcome (DPT construction and undo are one pass at
-// every partition count, around the partitioned redo); and redo's
-// decision counters and ATT with 2 and 4 partitions must match the inline
-// one-partition run exactly (partitions re-divide the work, they must not
-// change any decision). The one-partition run itself is pinned by
-// independent references: dpt_construction_test's hand-built logs, the
+// loser-transaction outcome and row counts. The recovery itself is pinned
+// by independent references: dpt_construction_test's hand-built logs, the
 // redo and undo unit expectations, and the workload oracle.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "core/engine.h"
-#include "recovery/analysis.h"
-#include "recovery/pipeline_util.h"
-#include "recovery/redo.h"
 #include "recovery/stats.h"
 #include "test_util.h"
 #include "workload/driver.h"
@@ -90,8 +80,8 @@ TEST_P(ParallelRecoveryTest, ThreadSweepIsByteIdenticalToSerial) {
   uint64_t serial_txns_undone = 0;
   uint64_t serial_undo_ops = 0;
   for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-    // Recover the SAME crash image with a fresh engine configured for
-    // `threads` partition workers.
+    // Recover the SAME crash image with a fresh engine opened at
+    // `threads`.
     EngineOptions ot = o;
     ot.recovery_threads = threads;
     std::unique_ptr<Engine> et;
@@ -100,7 +90,6 @@ TEST_P(ParallelRecoveryTest, ThreadSweepIsByteIdenticalToSerial) {
     ASSERT_OK(et->RestoreStableSnapshot(snap));
     RecoveryStats st;
     ASSERT_OK(et->Recover(GetParam(), &st));
-    EXPECT_EQ(st.redo_threads, threads) << "pipeline engagement mismatch";
 
     uint64_t rows = 0;
     ASSERT_OK(et->dc().btree().CheckWellFormed(&rows));
@@ -189,140 +178,9 @@ TEST_P(ParallelRecoveryTest, OracleVerifiesAfterParallelRecovery) {
   BuildMixedCrashImage(e.get(), &driver);
   RecoveryStats st;
   ASSERT_OK(e->Recover(GetParam(), &st));
-  EXPECT_EQ(st.redo_threads, 4u);
   uint64_t checked = 0;
   ASSERT_OK(driver.Verify(0, &checked));
   EXPECT_GT(checked, 0u);
-}
-
-// Pass-level equivalence, logical family: every partition count must make
-// exactly the one-partition run's decisions — same scan/examine/apply/skip
-// counters, same memo hits, same ATT (loser set), same max txn id.
-TEST(ParallelRedoPass, LogicalCountersAndAttMatchSerial) {
-  EngineOptions o = SmallOptions();
-  std::unique_ptr<Engine> e;
-  ASSERT_OK(Engine::Open(o, &e));
-  WorkloadDriver driver(e.get(), MixedWorkload());
-  BuildMixedCrashImage(e.get(), &driver);
-  Engine::StableSnapshot snap;
-  ASSERT_OK(e->TakeStableSnapshot(&snap));
-  const Lsn start = e->wal().master().bckpt_lsn;
-
-  auto run_pass = [&](uint32_t threads, RedoResult* rr,
-                      std::string* digest) {
-    ASSERT_OK(e->RestoreStableSnapshot(snap));
-    ASSERT_OK(e->dc().OpenDatabase());
-    e->dc().Eosl(e->wal().stable_end() - 1);  // as Recover does
-    e->dc().monitor().set_enabled(false);
-    e->dc().pool().set_callbacks_enabled(false);
-    DcRecoveryResult dcr;
-    ASSERT_OK(RunDcRecovery(&e->wal(), &e->dc(), start, o.dpt_mode,
-                            /*build_dpt=*/true, /*preload=*/false, &dcr));
-    ASSERT_OK(RunLogicalRedo(&e->wal(), &e->dc(), start, true, &dcr.dpt,
-                             dcr.last_delta_tc_lsn, /*prefetch=*/false, o,
-                             threads, rr));
-    *digest = ContentDigest(e.get());
-    e->SimulateCrash();
-  };
-
-  RedoResult serial;
-  std::string serial_digest;
-  run_pass(1, &serial, &serial_digest);
-  for (uint32_t threads : {2u, 4u}) {
-    RedoResult par;
-    std::string digest;
-    run_pass(threads, &par, &digest);
-    EXPECT_EQ(digest, serial_digest) << threads << " threads";
-    EXPECT_EQ(par.records_scanned, serial.records_scanned);
-    EXPECT_EQ(par.examined, serial.examined);
-    EXPECT_EQ(par.applied, serial.applied);
-    EXPECT_EQ(par.skipped_dpt, serial.skipped_dpt);
-    EXPECT_EQ(par.skipped_rlsn, serial.skipped_rlsn);
-    EXPECT_EQ(par.skipped_plsn, serial.skipped_plsn);
-    EXPECT_EQ(par.tail_ops, serial.tail_ops);
-    EXPECT_EQ(par.leaf_memo_hits, serial.leaf_memo_hits);
-    EXPECT_EQ(par.max_txn_id, serial.max_txn_id);
-    EXPECT_EQ(par.threads_used, threads);
-
-    // Identical loser set with identical chain tails.
-    std::vector<std::pair<TxnId, Lsn>> a(serial.att.begin(),
-                                         serial.att.end());
-    std::vector<std::pair<TxnId, Lsn>> b(par.att.begin(), par.att.end());
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b) << "ATT diverged at " << threads << " threads";
-  }
-}
-
-// Pass-level equivalence, SQL family — including SMO/DDL barriers inside
-// the redone window (a table created after the checkpoint).
-TEST(ParallelRedoPass, SqlCountersMatchSerialWithDdlInWindow) {
-  EngineOptions o = SmallOptions();
-  std::unique_ptr<Engine> e;
-  ASSERT_OK(Engine::Open(o, &e));
-  WorkloadDriver driver(e.get(), MixedWorkload());
-  ASSERT_OK(driver.RunOps(300));
-  ASSERT_OK(e->Checkpoint());
-  ASSERT_OK(driver.RunOps(200));
-  // DDL inside the redone window: its kCreateTable record forces the
-  // parallel dispatcher through the barrier path.
-  const TableId kSide = 7;
-  ASSERT_OK(e->CreateTable(kSide, 16));
-  {
-    Table side;
-    ASSERT_OK(e->OpenTable(kSide, &side));
-    Txn t;
-    ASSERT_OK(e->Begin(&t));
-    for (Key k = 0; k < 40; k++) {
-      ASSERT_OK(t.Insert(side, k, std::string(16, static_cast<char>('a' + (k % 26)))));
-    }
-    ASSERT_OK(t.Commit());
-  }
-  ASSERT_OK(driver.RunOps(200));
-  driver.OnCrash();
-  e->SimulateCrash();
-  Engine::StableSnapshot snap;
-  ASSERT_OK(e->TakeStableSnapshot(&snap));
-
-  auto run_pass = [&](uint32_t threads, RedoResult* rr,
-                      std::string* digest) {
-    ASSERT_OK(e->RestoreStableSnapshot(snap));
-    ASSERT_OK(e->dc().OpenDatabase());
-    e->dc().Eosl(e->wal().stable_end() - 1);  // as Recover does
-    e->dc().monitor().set_enabled(false);
-    e->dc().pool().set_callbacks_enabled(false);
-    const Lsn start = e->wal().master().bckpt_lsn;
-    SqlAnalysisResult ar;
-    ASSERT_OK(RunSqlAnalysis(&e->wal(), start, &ar));
-    ASSERT_OK(RunSqlRedo(&e->wal(), &e->dc(), ar.redo_start_lsn, &ar.dpt,
-                         /*prefetch=*/false, o, threads, rr));
-    *digest = ContentDigest(e.get());
-    BTree* side = e->dc().FindTable(kSide);
-    ASSERT_NE(side, nullptr) << "DDL not replayed";
-    ASSERT_OK(side->ScanAll([&](Key k, Slice v) {
-      digest->append(reinterpret_cast<const char*>(&k), sizeof(k));
-      digest->append(v.data(), v.size());
-    }));
-    e->SimulateCrash();
-  };
-
-  RedoResult serial;
-  std::string serial_digest;
-  run_pass(1, &serial, &serial_digest);
-  for (uint32_t threads : {2u, 4u}) {
-    RedoResult par;
-    std::string digest;
-    run_pass(threads, &par, &digest);
-    EXPECT_EQ(digest, serial_digest) << threads << " threads";
-    EXPECT_EQ(par.records_scanned, serial.records_scanned);
-    EXPECT_EQ(par.examined, serial.examined);
-    EXPECT_EQ(par.applied, serial.applied);
-    EXPECT_EQ(par.skipped_dpt, serial.skipped_dpt);
-    EXPECT_EQ(par.skipped_rlsn, serial.skipped_rlsn);
-    EXPECT_EQ(par.skipped_plsn, serial.skipped_plsn);
-    EXPECT_EQ(par.smo_redone, serial.smo_redone);
-    EXPECT_GT(par.smo_barriers, 0u) << "DDL window must take barriers";
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -377,35 +235,6 @@ TEST(MultiQueueSimDisk, ChannelsChangeTimingNotState) {
         EXPECT_LE(st.total_ms, single_ms)
             << "more channels made recovery slower at " << threads
             << " recovery threads";
-      }
-    }
-  }
-}
-
-// The partition map and DPT sharding invariants the pipeline relies on.
-TEST(DptShards, PartitionAndUnionInvariants) {
-  DirtyPageTable dpt;
-  for (PageId pid = 1; pid <= 500; pid++) {
-    dpt.AddExact(pid, /*rlsn=*/pid * 10, /*last_lsn=*/pid * 10 + 5);
-  }
-  for (uint32_t n : {2u, 4u, 7u}) {
-    std::vector<DirtyPageTable> shards;
-    BuildDptShards(dpt, n, &shards);
-    ASSERT_EQ(shards.size(), n);
-    size_t total = 0;
-    for (uint32_t i = 0; i < n; i++) total += shards[i].size();
-    EXPECT_EQ(total, dpt.size());
-    for (PageId pid = 1; pid <= 500; pid++) {
-      const uint32_t part = RedoPartitionOf(pid, n);
-      for (uint32_t i = 0; i < n; i++) {
-        const DirtyPageTable::Entry* e = shards[i].Find(pid);
-        if (i == part) {
-          ASSERT_NE(e, nullptr);
-          EXPECT_EQ(e->rlsn, pid * 10);
-          EXPECT_EQ(e->last_lsn, pid * 10 + 5);
-        } else {
-          EXPECT_EQ(e, nullptr);
-        }
       }
     }
   }

@@ -66,18 +66,6 @@ TEST_F(PrefetchTest, StalledWindowEventuallyFreesASlot) {
   EXPECT_GE(w.budget(), 1u);  // escape hatch released a slot
 }
 
-// Beside workers the dispatcher pumps many times at one simulated instant.
-// Those pumps say nothing about whether redo will ever claim a head, and
-// counting them dropped heads whose I/O had not landed, so the window
-// refilled until the pool ran out of frames.
-TEST_F(PrefetchTest, StalledWindowHoldsItsSlotsWhileTheClockStandsStill) {
-  PrefetchWindow w(&pool_, 2);
-  w.Issue({10, 11});
-  for (int i = 0; i < 1000; i++) w.Drain();
-  EXPECT_EQ(w.budget(), 0u);
-  EXPECT_EQ(w.inflight(), 2u);
-}
-
 TEST_F(PrefetchTest, PfListPrefetcherSkipsPrunedPids) {
   FillDpt({20, 22});
   const std::vector<PageId> pf = {20, 21, 22, 23};  // 21, 23 not in DPT

@@ -251,7 +251,7 @@ TEST_P(RecoveryIntegrationTest, UndoReportsTheLogItReads) {
   }
 }
 
-/// A runtime rollback runs recovery's undo pass at one partition, and that
+/// A runtime rollback runs recovery's undo pass on one loser, and that
 /// pass must leave the caller's dirty monitor on. Here the rollback's CLR
 /// re-dirties a leaf the checkpoint had cleaned, and a later Δ-record
 /// takes the CLR out of the log tail: only the Δ-record's DirtySet can
@@ -518,10 +518,10 @@ void BuildTailCrashImage(bool delta_before_tail, EngineOptions* o,
   ASSERT_OK(e->TakeStableSnapshot(snap));
 }
 
-/// Recovers the tail crash image: Log2 at one partition prefetches the
-/// tail's leaves, so its redo demand-reads none of them while Log1's reads
-/// each on demand, with the same DPT and the same redo outcomes; all five
-/// methods destage the same bytes at 1, 2 and 4 partitions.
+/// Recovers the tail crash image: Log2 prefetches the tail's leaves, so
+/// its redo demand-reads none of them while Log1's reads each on demand,
+/// with the same DPT and the same redo outcomes; all five methods destage
+/// the same bytes at recovery_threads 1, 2 and 4.
 void CheckTailReadAhead(bool delta_before_tail) {
   EngineOptions o;
   Engine::StableSnapshot snap;
@@ -766,7 +766,7 @@ TEST(RecoverySideBySide, UndoReadsLoserPathsInBatches) {
                              o.io.cpu_per_dpt_update_us));
     RedoResult rr;
     ASSERT_OK(RunSqlRedo(&r->wal(), &dc, ar.redo_start_lsn, &ar.dpt,
-                         m == RecoveryMethod::kSql2, o, 1, &rr, start));
+                         m == RecoveryMethod::kSql2, o, &rr, start));
     const BufferPool::Stats pool0 = dc.pool().stats();
     const SimDisk::Stats disk0 = dc.disk().stats();
     UndoResult ur;
@@ -857,7 +857,7 @@ void BuildPreloadCrashImage(bool media_archive, PreloadCrashImage* out) {
   ASSERT_OK(e->TakeStableSnapshot(&out->snap));
 }
 
-/// Restore `img` into a fresh engine with `threads` recovery partitions.
+/// Restore `img` into a fresh engine opened at recovery_threads `threads`.
 void RestorePreloadCrashImage(const PreloadCrashImage& img, uint32_t threads,
                               std::unique_ptr<Engine>* out) {
   EngineOptions o = img.options;
@@ -883,7 +883,7 @@ void OpenForDcPass(Engine* r) {
 /// descends the stable tree under the scan and the replay: Log2's DC pass
 /// takes less than that sum, reads exactly the pages it read, and leaves
 /// every internal page of the final tree loaded. Every method destages the
-/// same bytes at 1, 2 and 4 partitions.
+/// same bytes at recovery_threads 1, 2 and 4.
 TEST(RecoverySideBySide, Log2ReadsItsIndexUnderTheDcScan) {
   PreloadCrashImage img;
   ASSERT_NO_FATAL_FAILURE(BuildPreloadCrashImage(/*media_archive=*/false, &img));
@@ -936,7 +936,7 @@ TEST(RecoverySideBySide, Log2ReadsItsIndexUnderTheDcScan) {
   EXPECT_GT(internal_pages, 20u);
 
   // Whole recoveries: Log2's DC pass beats the serial sum, and all five
-  // methods destage the same bytes at every partition count.
+  // methods destage the same bytes at every recovery_threads.
   double log1_dc_ms = 0;
   double log2_dc_ms = 0;
   testing_util::StateImage reference;
@@ -968,9 +968,9 @@ TEST(RecoverySideBySide, Log2ReadsItsIndexUnderTheDcScan) {
 /// Media repair under the early preload: with the media archive on, the
 /// stable root of a Log2 crash image is corrupt. The descent under the DC
 /// scan reads it first and repairs it from the archive and the log before
-/// the structure replay has replayed any record, and Log2 at 1, 2 and 4
-/// partitions destages the bytes Log1 and Sql1 do. With no archive the
-/// pass fails with Corruption.
+/// the structure replay has replayed any record, and Log2 at
+/// recovery_threads 1, 2 and 4 destages the bytes Log1 and Sql1 do. With
+/// no archive the pass fails with Corruption.
 TEST(RecoverySideBySide, Log2EarlyPreloadRepairsACorruptStableRoot) {
   PreloadCrashImage img;
   ASSERT_NO_FATAL_FAILURE(BuildPreloadCrashImage(/*media_archive=*/true, &img));

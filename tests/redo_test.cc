@@ -1,8 +1,7 @@
 // Unit-level tests of the redo engines: Algorithm 1 (physiological with
 // DPT), Algorithm 2 (basic logical), Algorithm 5 (DPT-assisted logical with
 // the tail-mode boundary), skip-counter semantics, CLR replay and the
-// SQL-side SMO skip. Every redo pass runs with one partition (inline apply)
-// and with four (a worker crew); the DPT passes take no partition count.
+// SQL-side SMO skip.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,12 +18,10 @@ namespace {
 
 using testing_util::SmallOptions;
 
-class RedoTest : public ::testing::TestWithParam<uint32_t> {
+class RedoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    EngineOptions o = SmallOptions();
-    o.recovery_threads = GetParam();
-    ASSERT_OK(Engine::Open(o, &engine_));
+    ASSERT_OK(Engine::Open(SmallOptions(), &engine_));
     driver_ = std::make_unique<WorkloadDriver>(engine_.get(),
                                                WorkloadConfig{});
   }
@@ -53,18 +50,12 @@ class RedoTest : public ::testing::TestWithParam<uint32_t> {
   std::unique_ptr<WorkloadDriver> driver_;
 };
 
-INSTANTIATE_TEST_SUITE_P(Partitions, RedoTest, ::testing::Values(1u, 4u),
-                         [](const auto& param_info) {
-                           return "threads" + std::to_string(param_info.param);
-                         });
-
-TEST_P(RedoTest, BasicLogicalRedoExaminesEveryDataOp) {
+TEST_F(RedoTest, BasicLogicalRedoExaminesEveryDataOp) {
   CrashAfter(200, 400);
   RedoResult out;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(),
                            /*use_dpt=*/false, nullptr, kInvalidLsn,
-                           /*prefetch=*/false, engine_->options(), GetParam(),
-                           &out));
+                           /*prefetch=*/false, engine_->options(), &out));
   EXPECT_EQ(out.examined, 420u);
   EXPECT_EQ(out.skipped_dpt, 0u);   // Algorithm 2 has no DPT test
   EXPECT_EQ(out.skipped_rlsn, 0u);
@@ -73,7 +64,7 @@ TEST_P(RedoTest, BasicLogicalRedoExaminesEveryDataOp) {
             out.applied + out.skipped_plsn);  // every op got a pLSN test
 }
 
-TEST_P(RedoTest, DptRedoPartitionsOutcomesCompletely) {
+TEST_F(RedoTest, DptRedoPartitionsOutcomesCompletely) {
   CrashAfter(200, 400);
   DcRecoveryResult dcr;
   ASSERT_OK(RunDcRecovery(&engine_->wal(), &engine_->dc(), Start(),
@@ -81,8 +72,7 @@ TEST_P(RedoTest, DptRedoPartitionsOutcomesCompletely) {
   RedoResult out;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(),
                            /*use_dpt=*/true, &dcr.dpt, dcr.last_delta_tc_lsn,
-                           /*prefetch=*/false, engine_->options(), GetParam(),
-                           &out));
+                           /*prefetch=*/false, engine_->options(), &out));
   EXPECT_EQ(out.examined, 420u);
   // Every examined op lands in exactly one bucket.
   EXPECT_EQ(out.examined, out.applied + out.skipped_plsn + out.skipped_dpt +
@@ -91,7 +81,7 @@ TEST_P(RedoTest, DptRedoPartitionsOutcomesCompletely) {
   EXPECT_EQ(out.tail_ops, 20u);  // the 20 updates after the last Δ-record
 }
 
-TEST_P(RedoTest, TailModeBoundaryIsStrict) {
+TEST_F(RedoTest, TailModeBoundaryIsStrict) {
   CrashAfter(100, 200);
   DcRecoveryResult dcr;
   ASSERT_OK(RunDcRecovery(&engine_->wal(), &engine_->dc(), Start(),
@@ -111,7 +101,7 @@ TEST_P(RedoTest, TailModeBoundaryIsStrict) {
   RedoResult out;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
                            &dcr.dpt, dcr.last_delta_tc_lsn, /*prefetch=*/false,
-                           engine_->options(), GetParam(), &out));
+                           engine_->options(), &out));
   EXPECT_EQ(out.tail_ops, at_or_above);
   EXPECT_EQ(out.skipped_dpt + out.skipped_rlsn +
                 (out.examined - out.tail_ops - out.skipped_dpt -
@@ -119,15 +109,14 @@ TEST_P(RedoTest, TailModeBoundaryIsStrict) {
             below);
 }
 
-TEST_P(RedoTest, SqlRedoNeverTraversesTheIndex) {
+TEST_F(RedoTest, SqlRedoNeverTraversesTheIndex) {
   CrashAfter(200, 400);
   SqlAnalysisResult ar;
   ASSERT_OK(RunSqlAnalysis(&engine_->wal(), Start(), &ar));
   engine_->dc().pool().ResetStats();
   RedoResult out;
   ASSERT_OK(RunSqlRedo(&engine_->wal(), &engine_->dc(), Start(), &ar.dpt,
-                       /*prefetch=*/false, engine_->options(), GetParam(),
-                       &out));
+                       /*prefetch=*/false, engine_->options(), &out));
   // Physiological redo goes straight to the PID: zero index-class fetches.
   EXPECT_EQ(engine_->dc().pool().stats().index_fetches, 0u);
   EXPECT_GT(engine_->dc().pool().stats().data_fetches, 0u);
@@ -136,7 +125,7 @@ TEST_P(RedoTest, SqlRedoNeverTraversesTheIndex) {
                 out.skipped_rlsn);
 }
 
-TEST_P(RedoTest, LogicalAndSqlRedoApplyTheSameOperations) {
+TEST_F(RedoTest, LogicalAndSqlRedoApplyTheSameOperations) {
   CrashAfter(300, 500);
   Engine::StableSnapshot snap;
   ASSERT_OK(engine_->TakeStableSnapshot(&snap));
@@ -147,7 +136,7 @@ TEST_P(RedoTest, LogicalAndSqlRedoApplyTheSameOperations) {
   RedoResult logical;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
                            &dcr.dpt, dcr.last_delta_tc_lsn, /*prefetch=*/false,
-                           engine_->options(), GetParam(), &logical));
+                           engine_->options(), &logical));
 
   // Reset to the identical crash image and run the SQL pair.
   engine_->dc().pool().Reset();
@@ -157,7 +146,7 @@ TEST_P(RedoTest, LogicalAndSqlRedoApplyTheSameOperations) {
   ASSERT_OK(RunSqlAnalysis(&engine_->wal(), Start(), &ar));
   RedoResult sql;
   ASSERT_OK(RunSqlRedo(&engine_->wal(), &engine_->dc(), Start(), &ar.dpt,
-                       false, engine_->options(), GetParam(), &sql));
+                       false, engine_->options(), &sql));
 
   // "Repeating history": both families re-execute exactly the operations
   // whose effects were missing from stable storage.
@@ -165,7 +154,7 @@ TEST_P(RedoTest, LogicalAndSqlRedoApplyTheSameOperations) {
   EXPECT_EQ(logical.examined, sql.examined);
 }
 
-TEST_P(RedoTest, RedoAfterRuntimeAbortReplaysClrs) {
+TEST_F(RedoTest, RedoAfterRuntimeAbortReplaysClrs) {
   // A transaction aborts at runtime (CLRs + abort on the log), everything
   // is flushed, then the system crashes. Redo must replay the CLRs so the
   // rolled-back state is reconstructed; undo must NOT touch this txn.
@@ -190,7 +179,7 @@ TEST_P(RedoTest, RedoAfterRuntimeAbortReplaysClrs) {
   EXPECT_EQ(v, SynthesizeValueString(11, 0, engine_->options().value_size));
 }
 
-TEST_P(RedoTest, SqlSmoSkipViaDptStillYieldsWellFormedTree) {
+TEST_F(RedoTest, SqlSmoSkipViaDptStillYieldsWellFormedTree) {
   // Insert-heavy workload creates SMOs; after a checkpoint flushes
   // everything, a SQL redo from the next crash can skip those SMO records
   // entirely via the DPT.
@@ -210,7 +199,7 @@ TEST_P(RedoTest, SqlSmoSkipViaDptStillYieldsWellFormedTree) {
   ASSERT_OK(ins.Verify(0, &checked));
 }
 
-TEST_P(RedoTest, PrefetchDoesNotChangeRedoOutcomes) {
+TEST_F(RedoTest, PrefetchDoesNotChangeRedoOutcomes) {
   CrashAfter(300, 600);
   Engine::StableSnapshot snap;
   ASSERT_OK(engine_->TakeStableSnapshot(&snap));
@@ -221,7 +210,7 @@ TEST_P(RedoTest, PrefetchDoesNotChangeRedoOutcomes) {
   RedoResult with_pf;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
                            &dcr.dpt, dcr.last_delta_tc_lsn, /*prefetch=*/true,
-                           engine_->options(), GetParam(), &with_pf));
+                           engine_->options(), &with_pf));
 
   engine_->dc().pool().Reset();
   ASSERT_OK(engine_->RestoreStableSnapshot(snap));
@@ -232,7 +221,7 @@ TEST_P(RedoTest, PrefetchDoesNotChangeRedoOutcomes) {
   RedoResult without_pf;
   ASSERT_OK(RunLogicalRedo(&engine_->wal(), &engine_->dc(), Start(), true,
                            &dcr2.dpt, dcr2.last_delta_tc_lsn,
-                           /*prefetch=*/false, engine_->options(), GetParam(),
+                           /*prefetch=*/false, engine_->options(),
                            &without_pf));
 
   EXPECT_EQ(with_pf.applied, without_pf.applied);

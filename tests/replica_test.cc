@@ -17,8 +17,8 @@ namespace {
 
 using testing_util::SmallOptions;
 
-// Every scenario runs at recovery_threads 1 and 4. Replay applies inline
-// at both; the standby's own crash recovery partitions at four.
+// Every scenario runs at recovery_threads 1 and 4; replay and the
+// standby's own crash recovery run on one thread at both.
 class ReplicaTest : public ::testing::TestWithParam<uint32_t> {
  protected:
   void SetUp() override {
@@ -131,12 +131,12 @@ TEST_P(ReplicaTest, ReplicaSurvivesItsOwnCrash) {
 
 // A standby whose cache is smaller than its table, crashed after each of
 // four pumps of 400 ops and recovered by the SQL methods (Algorithm 3's
-// BW-record prune) at two and four partitions, with the lazy writer off
-// so every write is a pool-miss eviction. Inline replay under that cache
-// pressure evicts pages between its ops, so the BW-records it leaves prune
-// many pages from the recovery DPT; partitioned standby recovery must
-// still redo every committed op a flushed page lacks. The matrix: 2
-// methods x 2 partition counts x 8 seeds x 3 caches.
+// BW-record prune) at recovery_threads two and four, with the lazy writer
+// off so every write is a pool-miss eviction. Inline replay under that
+// cache pressure evicts pages between its ops, so the BW-records it leaves
+// prune many pages from the recovery DPT; standby recovery must still redo
+// every committed op a flushed page lacks. The matrix: 2 methods x 2
+// recovery_threads x 8 seeds x 3 caches.
 TEST(StandbyCachePressureTest, CrashAfterEveryPumpLosesNoCommittedUpdate) {
   std::string diverged;
   for (RecoveryMethod method : {RecoveryMethod::kSql1, RecoveryMethod::kSql2}) {

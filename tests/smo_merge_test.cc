@@ -483,7 +483,7 @@ TEST(SmoMergeRecovery, DptSkippedSplitStillAdvancesAllocatorHwm) {
   DirtyPageTable empty_dpt;
   RedoResult rr;
   ASSERT_OK(RunSqlRedo(&e->wal(), &e->dc(), e->wal().master().bckpt_lsn,
-                       &empty_dpt, /*prefetch=*/false, o, 1, &rr));
+                       &empty_dpt, /*prefetch=*/false, o, &rr));
   EXPECT_EQ(rr.smo_redone, 0u) << "empty DPT must skip the image install";
   EXPECT_EQ(e->dc().allocator().next_page_id(), hwm_after_split)
       << "skipped split left the allocator high-water mark stale";
@@ -603,7 +603,7 @@ TEST(SmoMergeRecovery, DptSkippedSplitStillAdvancesIndexExtent) {
   DirtyPageTable empty_dpt;
   RedoResult rr;
   ASSERT_OK(RunSqlRedo(&e->wal(), &e->dc(), e->wal().master().bckpt_lsn,
-                       &empty_dpt, /*prefetch=*/false, o, 1, &rr));
+                       &empty_dpt, /*prefetch=*/false, o, &rr));
   EXPECT_EQ(rr.smo_redone, 0u) << "empty DPT must skip the image install";
   EXPECT_TRUE(e->dc().allocator().index_extent() == after_split)
       << "skipped split left the index extent cursor at "

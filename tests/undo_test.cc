@@ -110,7 +110,7 @@ TEST_F(UndoTest, CrashDuringUndoThenFullRecovery) {
   ASSERT_OK(RunSqlAnalysis(&engine_->wal(), start, &ar));
   RedoResult rr;
   ASSERT_OK(RunSqlRedo(&engine_->wal(), &engine_->dc(), start, &ar.dpt,
-                       false, engine_->options(), 1, &rr));
+                       false, engine_->options(), &rr));
   UndoResult ur;
   ASSERT_OK(RunUndo(&engine_->wal(), &engine_->dc(), ar.att, &ur,
                     UndoKind::kRecovery, /*max_ops_for_test=*/4));
@@ -170,7 +170,7 @@ TEST_F(UndoTest, CrashAfterAReadAheadBatchRecoversTheSameBytesEverywhere) {
   ASSERT_OK(RunSqlAnalysis(&engine_->wal(), start, &ar));
   RedoResult rr;
   ASSERT_OK(RunSqlRedo(&engine_->wal(), &engine_->dc(), start, &ar.dpt,
-                       false, engine_->options(), 1, &rr));
+                       false, engine_->options(), &rr));
   const uint64_t prefetched = engine_->dc().pool().stats().prefetch_issued;
   UndoResult ur;
   ASSERT_OK(RunUndo(&engine_->wal(), &engine_->dc(), ar.att, &ur,
@@ -184,8 +184,8 @@ TEST_F(UndoTest, CrashAfterAReadAheadBatchRecoversTheSameBytesEverywhere) {
   Engine::StableSnapshot snap;
   ASSERT_OK(engine_->TakeStableSnapshot(&snap));
 
-  // Every method, with redo at one and at four partitions, recovers the
-  // same bytes as Log0 at one.
+  // Every method, at recovery_threads one and four, recovers the same
+  // bytes as Log0 at one.
   testing_util::StateImage log0_state;
   for (uint32_t threads : {1u, 4u}) {
     for (RecoveryMethod m :
@@ -296,7 +296,7 @@ TEST_F(UndoTest, ReadAheadSurvivesMergeThenSplitReuse) {
   ASSERT_OK(RunSqlAnalysis(&e->wal(), e->wal().master().bckpt_lsn, &ar));
   RedoResult rr;
   ASSERT_OK(RunSqlRedo(&e->wal(), &dc, ar.redo_start_lsn, &ar.dpt,
-                       /*prefetch=*/false, o, 1, &rr));
+                       /*prefetch=*/false, o, &rr));
   // A cold cache: the read-ahead, not redo, brings in every loser path.
   ASSERT_OK(dc.pool().FlushAllDirty());
   dc.pool().Reset();
